@@ -2,15 +2,23 @@
 
 Every algebra this package constructs (sectional algebras, crossed products,
 tensor and smash products, quotients) comes out in this uniform shape:
-a labeled basis, a sparse multiplication table of coordinate vectors, and an
-optional degree map into a grading semigroupoid.
+a labeled basis, a multiplication table, and an optional degree map into a
+grading semigroupoid.
+
+The table is stored row by row and only once: table[(i, j)] is the product of
+basis elements i and j as a sparse row, a tuple of (index, nonzero value)
+pairs sorted by index, and zero products are absent. Products, maps, actions
+and the exhaustive checks iterate only over these nonzeros, in the row-wise
+scheme of Gustavson (ACM TOMS 4(3), 1978), through the single kernel
+rings.combine. Dense coordinate tuples remain the public form of vectors:
+basis_product, mul, arguments and results, reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rings import Ring, Vector, vec_add, vec_is_zero, zero_vector
+from .rings import Ring, Vector, combine, dense, sparse_row, vec_add, vec_is_zero, zero_vector
 from .semigroupoids import FiniteSemigroupoid
 
 
@@ -18,19 +26,22 @@ from .semigroupoids import FiniteSemigroupoid
 class AlgebraPresentation:
     ring: Ring
     basis: tuple[str, ...]
-    table: dict[tuple[int, int], Vector] = field(default_factory=dict)
+    table: dict[tuple[int, int], tuple] = field(default_factory=dict)
     grading: FiniteSemigroupoid | None = None
     degrees: tuple[int, ...] | None = None
     provenance: str = ""
 
     def __post_init__(self):
+        # rows arrive as {index: value} or (index, value) pairs
+        is_zero = self.ring.is_zero
         cleaned = {}
-        for key, vec in self.table.items():
-            vec = tuple(vec)
-            if len(vec) != self.rank:
-                raise ValueError(f"structure constant at {key} has wrong length")
-            if not vec_is_zero(vec, self.ring):
-                cleaned[key] = vec
+        for key, row in self.table.items():
+            row = dict(row)
+            if any(not isinstance(k, int) or not 0 <= k < self.rank for k in row):
+                raise ValueError(f"structure constant at {key} indexes outside the basis")
+            row = tuple(sorted((k, c) for k, c in row.items() if not is_zero(c)))
+            if row:
+                cleaned[key] = row
         self.table = cleaned
         if (self.grading is None) != (self.degrees is None):
             raise ValueError("grading and degrees must be supplied together")
@@ -54,25 +65,21 @@ class AlgebraPresentation:
         )
 
     def basis_product(self, i: int, j: int) -> Vector:
-        return self.table.get((i, j), self.zero())
+        return dense(self.table.get((i, j), ()), self.rank, self.ring)
 
     def mul(self, u: Vector, v: Vector) -> Vector:
-        out = list(self.zero())
         ring = self.ring
-        for i, x in enumerate(u):
-            if x == ring.zero:
-                continue
-            for j, y in enumerate(v):
-                if y == ring.zero:
-                    continue
-                entry = self.table.get((i, j))
-                if entry is None:
-                    continue
-                coeff = ring.mul(x, y)
-                for k, c in enumerate(entry):
-                    if c != ring.zero:
-                        out[k] = ring.add(out[k], ring.mul(coeff, c))
-        return tuple(out)
+        prod = self.mul_rows(sparse_row(u, ring), sparse_row(v, ring))
+        return dense(prod.items(), self.rank, ring)
+
+    def mul_rows(self, u, v) -> dict:
+        """Product of two sparse vectors given as (index, value) pairs."""
+        table, mul = self.table, self.ring.mul
+        return combine(
+            ((mul(x, y), row) for i, x in u for j, y in v
+             if (row := table.get((i, j)))),
+            self.ring,
+        )
 
     def add(self, u: Vector, v: Vector) -> Vector:
         return vec_add(u, v, self.ring)
@@ -87,7 +94,8 @@ class AlgebraPresentation:
         return vec_is_zero(v, self.ring)
 
     def support(self, v: Vector) -> tuple[int, ...]:
-        return tuple(i for i, x in enumerate(v) if x != self.ring.zero)
+        is_zero = self.ring.is_zero
+        return tuple(i for i, x in enumerate(v) if not is_zero(x))
 
     def degree_of_basis(self, i: int) -> int:
         if self.degrees is None:
@@ -105,15 +113,18 @@ class AlgebraPresentation:
         return all(i in keep for i in self.support(v))
 
     def check_associativity(self) -> tuple | None:
-        """Enumerate basis triples; returns the first failing (i,j,k) or None."""
+        """Enumerate basis triples; returns the first failing (i,j,k) or None.
+
+        e_i e_j and e_j e_k are read off the stored rows.
+        """
+        table, one = self.table, self.ring.one
         for i in range(self.rank):
-            ei = self.unit_vector(i)
+            ei = ((i, one),)
             for j in range(self.rank):
-                ij = self.basis_product(i, j)
-                ej = self.unit_vector(j)
+                ij = table.get((i, j), ())
                 for k in range(self.rank):
-                    left = self.mul(ij, self.unit_vector(k))
-                    right = self.mul(ei, self.mul(ej, self.unit_vector(k)))
+                    left = self.mul_rows(ij, ((k, one),))
+                    right = self.mul_rows(ei, table.get((j, k), ()))
                     if left != right:
                         return (self.basis[i], self.basis[j], self.basis[k])
         return None
@@ -130,21 +141,17 @@ class AlgebraPresentation:
         g = self.grading
         for i in range(self.rank):
             for j in range(self.rank):
-                prod = self.basis_product(i, j)
+                prod = self.table.get((i, j), ())
                 di, dj = self.degrees[i], self.degrees[j]
                 if g.is_composable(di, dj):
                     target = g.prod[di][dj]
-                    for k in self.support(prod):
-                        if self.degrees[k] != target:
-                            return (self.basis[i], self.basis[j])
-                elif not self.is_zero_vector(prod):
+                    if any(self.degrees[k] != target for k, _ in prod):
+                        return (self.basis[i], self.basis[j])
+                elif prod:
                     return (self.basis[i], self.basis[j])
         return None
 
     def format_vector(self, v: Vector) -> str:
         ring = self.ring
-        parts = [
-            f"{ring.to_json(x)}*{self.basis[i]}"
-            for i, x in enumerate(v) if x != ring.zero
-        ]
+        parts = [f"{ring.to_json(v[i])}*{self.basis[i]}" for i in self.support(v)]
         return " + ".join(parts) if parts else "0"

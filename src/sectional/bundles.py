@@ -23,6 +23,10 @@ from .maps import LinearMapOnBasis
 from .rings import (
     Ring,
     Vector,
+    combine,
+    dense,
+    sparse_row,
+    unit_vector,
     vec_add,
     vec_is_zero,
     zero_vector,
@@ -44,12 +48,28 @@ from .validation import (
 
 @dataclass
 class Bundle:
+    """Constants and twists are given dense; `rows` holds the fiber products
+    once as sparse rows: rows[(a, b)][i][j] is e_i * e_j in fiber(ab). A
+    ringfiber twist t is the 1x1 row ((0, t),), so both modes share one
+    product, (x_i y_j) * row."""
+
     ring: Ring
     base: FiniteSemigroupoid
     ranks: tuple[int, ...]
     mode: str = "sc"
     constants: dict[tuple[int, int], tuple] = field(default_factory=dict)
     twists: dict[tuple[int, int], object] = field(default_factory=dict)
+    rows: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ring = self.ring
+        tables = self.constants if self.mode == "sc" else {
+            pair: (((self.twists.get(pair, ring.one),),),) for pair in self.base.composable
+        }
+        self.rows = {
+            pair: tuple(tuple(sparse_row(vec, ring) for vec in row) for row in table)
+            for pair, table in tables.items()
+        }
 
     def rank(self, arrow: int) -> int:
         return self.ranks[arrow]
@@ -63,22 +83,13 @@ class Bundle:
         c = self.base.compose(a, b)
         if c is None:
             raise ValueError("fiber_mul on a non-composable pair")
-        if self.mode == "ringfiber":
-            twist = self.twists.get((a, b), ring.one)
-            return (ring.mul(ring.mul(x[0], y[0]), twist),)
-        table = self.constants[(a, b)]
-        out = list(zero_vector(self.ranks[c], ring))
-        for i, xi in enumerate(x):
-            if xi == ring.zero:
-                continue
-            for j, yj in enumerate(y):
-                if yj == ring.zero:
-                    continue
-                coeff = ring.mul(xi, yj)
-                for k, ck in enumerate(table[i][j]):
-                    if ck != ring.zero:
-                        out[k] = ring.add(out[k], ring.mul(coeff, ck))
-        return tuple(out)
+        prod = self._fiber_terms(a, b, sparse_row(x, ring), sparse_row(y, ring))
+        return dense(combine(prod, ring).items(), self.ranks[c], ring)
+
+    def _fiber_terms(self, a: int, b: int, x, y):
+        """The combine terms of x * y for sparse x in fiber(a), y in fiber(b)."""
+        table, mul = self.rows[(a, b)], self.ring.mul
+        return ((mul(xi, yj), row) for i, xi in x for j, yj in y if (row := table[i][j]))
 
 
 def trivial_bundle(ring: Ring, base: FiniteSemigroupoid) -> Bundle:
@@ -108,7 +119,7 @@ def validate_bundle(raw, ring: Ring, base: FiniteSemigroupoid) -> Bundle | Valid
             if k not in base.arrow_names:
                 report.add("structural", (k,), f"rank given for unknown arrow {k!r}")
                 return report
-            if not isinstance(val, int) or val < 0:
+            if isinstance(val, bool) or not isinstance(val, int) or val < 0:
                 report.add("structural", (k,), "ranks must be non-negative integers")
                 return report
             ranks[base.arrow_index(k)] = val
@@ -205,31 +216,24 @@ def validate_bundle(raw, ring: Ring, base: FiniteSemigroupoid) -> Bundle | Valid
                                "twist constants must be central in the ring")
                     return report
 
+    # (e_i e_j) e_l against e_i (e_j e_l), read off the stored rows
     names = bundle.base.arrow_names
+    rows = bundle.rows
     for a, b, c in bundle.base.composable_triples():
-        ab = bundle.base.prod[a][b]
-        bc = bundle.base.prod[b][c]
+        ab_c = rows[(bundle.base.prod[a][b], c)]
+        a_bc = rows[(a, bundle.base.prod[b][c])]
         for i in range(bundle.ranks[a]):
-            ei = _unit(bundle, a, i)
             for j in range(bundle.ranks[b]):
-                ej = _unit(bundle, b, j)
-                left_inner = bundle.fiber_mul(a, b, ei, ej)
+                left_inner = rows[(a, b)][i][j]
                 for l in range(bundle.ranks[c]):
-                    el = _unit(bundle, c, l)
-                    left = bundle.fiber_mul(ab, c, left_inner, el)
-                    right = bundle.fiber_mul(a, bc, ei, bundle.fiber_mul(b, c, ej, el))
+                    left = combine(((x, ab_c[m][l]) for m, x in left_inner), ring)
+                    right = combine(((x, a_bc[i][m]) for m, x in rows[(b, c)][j][l]), ring)
                     if left != right:
                         report.add("associativity",
                                    (names[a], names[b], names[c], str(i), str(j), str(l)),
                                    "fiber products are not associative on this triple")
                         return report
     return bundle
-
-
-def _unit(bundle: Bundle, arrow: int, i: int) -> Vector:
-    vec = [bundle.ring.zero] * bundle.ranks[arrow]
-    vec[i] = bundle.ring.one
-    return tuple(vec)
 
 
 @dataclass
@@ -291,7 +295,7 @@ def delta_section(bundle: Bundle, arrow: int, coords: Vector | None = None,
                   index: int = 0) -> Section:
     """Section supported on one arrow; defaults to the index-th basis vector."""
     if coords is None:
-        coords = _unit(bundle, arrow, index)
+        coords = unit_vector(bundle.ranks[arrow], index, bundle.ring)
     return Section(bundle, {arrow: tuple(coords)})
 
 
@@ -305,26 +309,25 @@ def convolve(alpha: Section, beta: Section) -> Section:
     _same_bundle(alpha, beta)
     bundle = alpha.bundle
     ring = bundle.ring
-    acc: dict[int, list] = {}
+    terms: dict[int, list] = {}
     for a, va in alpha.values.items():
+        xa = sparse_row(va, ring)
         for b, vb in beta.values.items():
             c = bundle.base.compose(a, b)
-            if c is None:
-                continue
-            term = bundle.fiber_mul(a, b, va, vb)
-            if c not in acc:
-                acc[c] = list(bundle.zero_fiber(c))
-            acc[c] = [ring.add(x, y) for x, y in zip(acc[c], term)]
-    return Section(bundle, {c: tuple(v) for c, v in acc.items()})
+            if c is not None:
+                terms.setdefault(c, []).extend(
+                    bundle._fiber_terms(a, b, xa, sparse_row(vb, ring)))
+    return Section(bundle, {
+        c: dense(combine(t, ring).items(), bundle.ranks[c], ring)
+        for c, t in terms.items()
+    })
 
 
 def section_from_vector(bundle: Bundle, labels: tuple, v: Vector) -> Section:
     """Reassemble a coordinate vector of the sectional algebra into a section."""
     values: dict[int, list] = {}
     ring = bundle.ring
-    for idx, x in enumerate(v):
-        if x == ring.zero:
-            continue
+    for idx, x in sparse_row(v, ring):
         arrow, i = labels[idx]
         vec = values.setdefault(arrow, list(bundle.zero_fiber(arrow)))
         vec[i] = ring.add(vec[i], x)
@@ -355,18 +358,15 @@ def sectional_algebra(bundle: Bundle, grading: Homomorphism | None = None) -> Al
         for arrow, i in labels
     )
     ring = bundle.ring
-    table: dict[tuple[int, int], Vector] = {}
+    table: dict[tuple[int, int], dict] = {}
     for p, (a, i) in enumerate(labels):
         da = delta_section(bundle, a, index=i)
         for q, (b, j) in enumerate(labels):
             product = convolve(da, delta_section(bundle, b, index=j))
-            if not product.values:
-                continue
-            vec = [ring.zero] * len(labels)
-            for c, coords in product.values.items():
-                for k, x in enumerate(coords):
-                    vec[position[(c, k)]] = x
-            table[(p, q)] = tuple(vec)
+            table[(p, q)] = {
+                position[(c, k)]: x
+                for c, coords in product.values.items() for k, x in enumerate(coords)
+            }
     degrees = None
     g = None
     if grading is not None:
@@ -497,13 +497,19 @@ class AlgebraAction:
 
     Domains are coordinate subspaces (spans of basis subsets), so ideal and
     membership checks reduce to support containment; the per-arrow maps are
-    linear isomorphisms given on the domain basis.
+    linear isomorphisms given on the domain basis. rows[s][i] holds the image
+    of basis i under arrow s once more, as a sparse row.
     """
 
     actor: FiniteInverseSemigroupoid
     algebra: AlgebraPresentation
     domains: tuple[tuple[int, ...], ...]
     matrices: tuple[dict[int, Vector], ...]
+    rows: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ring = self.algebra.ring
+        self.rows = tuple({i: sparse_row(v, ring) for i, v in m.items()} for m in self.matrices)
 
     def dom(self, s: int) -> tuple[int, ...]:
         return self.domains[s]
@@ -511,20 +517,18 @@ class AlgebraAction:
     def apply(self, s: int, v: Vector) -> Vector:
         """Linear extension of the basis images; v must be supported in dom(s)."""
         ring = self.algebra.ring
-        out = list(self.algebra.zero())
-        for i, x in enumerate(v):
-            if x == ring.zero:
-                continue
-            image = self.matrices[s].get(i)
-            if image is None:
+        return dense(self.apply_rows(s, sparse_row(v, ring)).items(), self.algebra.rank, ring)
+
+    def apply_rows(self, s: int, v) -> dict:
+        """apply() on a sparse vector given as (index, value) pairs."""
+        images = self.rows[s]
+        for i, _ in v:
+            if i not in images:
                 raise ValueError(
                     f"vector leaves dom at basis {self.algebra.basis[i]} for arrow "
                     f"{self.actor.base.arrow_names[s]}"
                 )
-            for k, c in enumerate(image):
-                if c != ring.zero:
-                    out[k] = ring.add(out[k], ring.mul(x, c))
-        return tuple(out)
+        return combine(((x, images[i]) for i, x in v), self.algebra.ring)
 
     def big_ideal(self, v: int) -> set[int]:
         out: set[int] = set()
@@ -610,11 +614,11 @@ def validate_algebra_action(actor: FiniteInverseSemigroupoid,
 
     # multiplicativity on domain basis pairs
     for s in base.arrows():
+        images = action.rows[s]
         for i in doms[s]:
             for j in doms[s]:
-                lhs = action.apply(s, algebra.basis_product(i, j))
-                rhs = algebra.mul(mats[s][i], mats[s][j])
-                if lhs != rhs:
+                lhs = action.apply_rows(s, algebra.table.get((i, j), ()))
+                if lhs != algebra.mul_rows(images[i], images[j]):
                     report.add("isomorphism", (names[s], algebra.basis[i], algebra.basis[j]),
                                "Theta_s is not multiplicative on its domain")
                     return report
@@ -653,6 +657,7 @@ def algebra_action_associativity(action: AlgebraAction) -> tuple | None:
     base = action.actor.base
     inv = action.actor.inv
     alg = action.algebra
+    one = alg.ring.one
     for s, t in base.composable:
         st = base.prod[s][t]
         for u in base.arrows():
@@ -660,15 +665,15 @@ def algebra_action_associativity(action: AlgebraAction) -> tuple | None:
                 continue
             ran_u = action.domains[inv[u]]
             for a in action.domains[s]:
-                va = alg.unit_vector(a)
+                va = ((a, one),)
                 for b in action.domains[t]:
-                    tb = action.apply(t, alg.unit_vector(b))
-                    inner = action.apply(inv[t], alg.mul(va, tb))
+                    tb = action.rows[t][b]                  # Theta_t(e_b)
+                    inner = action.apply_rows(inv[t], alg.mul_rows(va, tb).items())
                     for c in ran_u:
-                        vc = alg.unit_vector(c)
-                        left = alg.mul(inner, vc)
-                        bc = alg.mul(alg.unit_vector(b), vc)
-                        right = action.apply(inv[t], alg.mul(va, action.apply(t, bc)))
+                        left = alg.mul_rows(inner.items(), ((c, one),))
+                        bc = alg.table.get((b, c), ())
+                        t_bc = action.apply_rows(t, bc).items()
+                        right = action.apply_rows(inv[t], alg.mul_rows(va, t_bc).items())
                         if left != right:
                             return (
                                 base.arrow_names[s], base.arrow_names[t],
@@ -709,25 +714,20 @@ def naive_crossed_product(action: AlgebraAction,
     names = tuple(
         f"d_{base.arrow_names[s]}.{alg.basis[d]}" for s, d in labels
     )
-    table: dict[tuple[int, int], Vector] = {}
+    table: dict[tuple[int, int], dict] = {}
     for p, (s, a) in enumerate(labels):
         for q, (t, b) in enumerate(labels):
             if not base.is_composable(s, t):
                 continue
             st = base.prod[s][t]
-            tb = action.apply(t, alg.unit_vector(b))
-            value = action.apply(actor.inv[t], alg.mul(alg.unit_vector(a), tb))
-            if alg.is_zero_vector(value):
-                continue
-            if not set(alg.support(value)) <= set(action.domains[st]):
+            a_tb = alg.mul_rows(((a, ring.one),), action.rows[t][b])
+            value = action.apply_rows(actor.inv[t], a_tb.items())
+            if not set(value) <= set(action.domains[st]):
                 raise InternalConsistencyError(
                     "crossed product landed outside dom(Theta_st); the action "
                     "validator should have refused this input"
                 )
-            vec = [ring.zero] * len(labels)
-            for k in alg.support(value):
-                vec[position[(st, k)]] = value[k]
-            table[(p, q)] = tuple(vec)
+            table[(p, q)] = {position[(st, k)]: x for k, x in value.items()}
     degrees = tuple(grading.map[s] for s, _ in labels)
     return AlgebraPresentation(
         ring=ring, basis=names, table=table,
@@ -751,24 +751,19 @@ def lscript_presentation(action: AlgebraAction) -> AlgebraPresentation:
     names = tuple(
         f"L_{base.arrow_names[s]}.{alg.basis[d]}" for s, d in labels
     )
-    table: dict[tuple[int, int], Vector] = {}
+    table: dict[tuple[int, int], dict] = {}
     for p, (x, a) in enumerate(labels):
         for q, (y, b) in enumerate(labels):
             if not base.is_composable(x, y):
                 continue
             xy = base.prod[x][y]
-            pulled = action.apply(actor.inv[x], alg.unit_vector(a))
-            value = action.apply(x, alg.mul(pulled, alg.unit_vector(b)))
-            if alg.is_zero_vector(value):
-                continue
-            if not set(alg.support(value)) <= set(action.domains[actor.inv[xy]]):
+            pulled_b = alg.mul_rows(action.rows[actor.inv[x]][a], ((b, ring.one),))
+            value = action.apply_rows(x, pulled_b.items())
+            if not set(value) <= set(action.domains[actor.inv[xy]]):
                 raise InternalConsistencyError(
                     "range-side product landed outside ran(Theta_xy)"
                 )
-            vec = [ring.zero] * len(labels)
-            for k in alg.support(value):
-                vec[position[(xy, k)]] = value[k]
-            table[(p, q)] = tuple(vec)
+            table[(p, q)] = {position[(xy, k)]: val for k, val in value.items()}
     grading = identity_homomorphism(base)
     degrees = tuple(grading.map[s] for s, _ in labels)
     return AlgebraPresentation(
@@ -792,18 +787,15 @@ def lscript_iso(action: AlgebraAction) -> LinearMapOnBasis:
     range_pos = {lab: idx for idx, lab in enumerate(range_labels)}
     cross_pos = {lab: idx for idx, lab in enumerate(cross_labels)}
 
-    def embed(labels_pos, arrow, value, rank):
-        vec = [alg.ring.zero] * rank
-        for k in alg.support(value):
-            vec[labels_pos[(arrow, k)]] = value[k]
-        return tuple(vec)
+    def embed(labels_pos, arrow, row, rank):
+        return dense(((labels_pos[(arrow, k)], x) for k, x in row), rank, alg.ring)
 
     fwd = tuple(
-        embed(range_pos, s, action.apply(s, alg.unit_vector(d)), ranged.rank)
+        embed(range_pos, s, action.rows[s][d], ranged.rank)
         for s, d in cross_labels
     )
     back = tuple(
-        embed(cross_pos, s, action.apply(actor.inv[s], alg.unit_vector(d)), crossed.rank)
+        embed(cross_pos, s, action.rows[actor.inv[s]][d], crossed.rank)
         for s, d in range_labels
     )
     inverse = LinearMapOnBasis(ranged, crossed, back)

@@ -58,6 +58,13 @@ def parse_ring_override(text: str) -> Ring:
         )
 
 
+def _workspace_ring(override: str | None, ws: WorkspaceFile) -> Ring:
+    """The --ring override, else the workspace's own ring, else Q."""
+    if override:
+        return parse_ring_override(override)
+    return ring_from_spec(ws.ring_spec or {"kind": "q"})
+
+
 def _render(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -95,8 +102,7 @@ def _cmd_validate(args) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     try:
-        ring = (parse_ring_override(args.ring) if args.ring
-                else ring_from_spec(ws.ring_spec or {"kind": "q"}))
+        ring = _workspace_ring(args.ring, ws)
     except (WorkspaceError, StructureError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -166,8 +172,7 @@ def _cmd_build(args) -> int:
         print(f"{args.input}: no build task with id {args.name!r}", file=sys.stderr)
         return 2
     try:
-        ring = (parse_ring_override(args.ring) if args.ring
-                else ring_from_spec(ws.ring_spec or {"kind": "q"}))
+        ring = _workspace_ring(args.ring, ws)
     except (WorkspaceError, StructureError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -185,17 +190,15 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    ring = None
     try:
-        if args.ring:
-            ring = parse_ring_override(args.ring)
         workspaces = [_load(path) for path in args.input]
+        rings = [_workspace_ring(args.ring, ws) for ws in workspaces]
     except (WorkspaceError, StructureError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
 
     reports = []
-    for ws in workspaces:
+    for ws, ring in zip(workspaces, rings):
         reports.append(run_workspace(
             ws, selector=args.selector, seed=args.seed,
             ring_override=ring, timing=not args.no_timestamp,

@@ -11,15 +11,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebras import AlgebraPresentation
-from .rings import ExactMatrix, Vector, solve_linear, unit_vector, vector_in_span
+from .rings import (ExactMatrix, Vector, combine, dense, solve_linear, sparse_row,
+                    unit_vector, vector_in_span)
 
 
 @dataclass
 class LinearMapOnBasis:
+    """Images are given dense; `rows` holds them once as sparse rows."""
+
     source: AlgebraPresentation
     target: AlgebraPresentation
     images: tuple[Vector, ...]
     inverse: "LinearMapOnBasis | None" = None
+    rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.images) != self.source.rank:
@@ -27,17 +31,16 @@ class LinearMapOnBasis:
         for vec in self.images:
             if len(vec) != self.target.rank:
                 raise ValueError("image vector has wrong target rank")
+        self.rows = tuple(sparse_row(vec, self.source.ring) for vec in self.images)
 
     def apply(self, v: Vector) -> Vector:
         ring = self.source.ring
-        out = list(self.target.zero())
-        for i, x in enumerate(v):
-            if x == ring.zero:
-                continue
-            for k, c in enumerate(self.images[i]):
-                if c != ring.zero:
-                    out[k] = ring.add(out[k], ring.mul(x, c))
-        return tuple(out)
+        return dense(self.apply_rows(sparse_row(v, ring)).items(), self.target.rank, ring)
+
+    def apply_rows(self, v) -> dict:
+        """Image of a sparse vector given as (index, value) pairs."""
+        rows = self.rows
+        return combine(((x, rows[i]) for i, x in v), self.source.ring)
 
     def matrix(self) -> ExactMatrix:
         """Columns are the basis images; rows indexed by the target basis."""
@@ -113,17 +116,21 @@ class Certificate:
         return f"{self.subject}: FAILED {c.name} at {c.witness}"
 
 
-def _check_multiplicative(cert: Certificate, tmap: LinearMapOnBasis, label: str = "multiplicative") -> None:
-    src, tgt = tmap.source, tmap.target
+def multiplicative_witness(tmap: LinearMapOnBasis) -> tuple | None:
+    """First basis pair (i, j) with map(e_i e_j) != map(e_i) map(e_j), or None."""
+    src, tgt, rows = tmap.source, tmap.target, tmap.rows
     for i in range(src.rank):
         for j in range(src.rank):
-            lhs = tmap.apply(src.basis_product(i, j))
-            rhs = tgt.mul(tmap.images[i], tmap.images[j])
-            if lhs != rhs:
-                cert.add(label, False, (src.basis[i], src.basis[j]),
-                         f"map(uv) != map(u)map(v) at ({src.basis[i]},{src.basis[j]})")
-                return
-    cert.add(label, True)
+            lhs = tmap.apply_rows(src.table.get((i, j), ()))
+            if lhs != tgt.mul_rows(rows[i], rows[j]):
+                return (src.basis[i], src.basis[j])
+    return None
+
+
+def _check_multiplicative(cert: Certificate, tmap: LinearMapOnBasis) -> None:
+    w = multiplicative_witness(tmap)
+    cert.add("multiplicative", w is None, w or (),
+             f"map(uv) != map(u)map(v) at ({w[0]},{w[1]})" if w else "")
 
 
 def _check_inverse(cert: Certificate, tmap: LinearMapOnBasis) -> None:
@@ -154,7 +161,7 @@ def _check_graded(cert: Certificate, tmap: LinearMapOnBasis) -> None:
         return
     for i in range(src.rank):
         d = src.degrees[i]
-        for k in tgt.support(tmap.images[i]):
+        for k, _ in tmap.rows[i]:
             if tgt.degrees[k] != d:
                 cert.add("degree-preserving", False, (src.basis[i],),
                          f"image of {src.basis[i]} leaves degree {src.grading.arrow_names[d]}")

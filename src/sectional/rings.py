@@ -13,6 +13,8 @@ the integer lift. Other ring kinds refuse with CapabilityError.
 from __future__ import annotations
 
 import math
+import operator
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
@@ -53,6 +55,11 @@ class Ring:
 
     def sub(self, a: Element, b: Element) -> Element:
         return self.add(a, self.neg(b))
+
+    def is_zero(self, a: Element) -> bool:
+        """The one zero test. Truthiness is not one: a table ring's zero is
+        an arbitrary table index."""
+        return a == self.zero
 
     @property
     def is_field(self) -> bool:
@@ -104,6 +111,9 @@ class IntegerRing(Ring):
     def mul(self, a, b):
         return a * b
 
+    # canonical ints, residues and Fractions are false exactly at zero
+    is_zero = staticmethod(operator.not_)
+
     def unit_inverse(self, a):
         return a if a in (1, -1) else None
 
@@ -136,17 +146,19 @@ class RationalRing(Ring):
     def mul(self, a, b):
         return a * b
 
+    is_zero = staticmethod(operator.not_)
+
     @property
     def is_field(self):
         return True
 
     def inv(self, a):
-        if a == 0:
+        if self.is_zero(a):
             raise ZeroDivisionError("inverse of 0")
         return 1 / Fraction(a)
 
     def unit_inverse(self, a):
-        return None if a == 0 else 1 / Fraction(a)
+        return None if self.is_zero(a) else 1 / Fraction(a)
 
     def coerce(self, x):
         if isinstance(x, bool):
@@ -181,6 +193,7 @@ class ZModRing(Ring):
         self.n = n
         self.zero = 0
         self.one = 1 % n
+        self._is_field = _is_prime(n)
 
     def add(self, a, b):
         return (a + b) % self.n
@@ -191,9 +204,11 @@ class ZModRing(Ring):
     def mul(self, a, b):
         return (a * b) % self.n
 
+    is_zero = staticmethod(operator.not_)
+
     @property
     def is_field(self):
-        return _is_prime(self.n)
+        return self._is_field
 
     def inv(self, a):
         if not self.is_field:
@@ -251,7 +266,7 @@ class TableRing(Ring):
 
     def neg(self, a):
         for b in range(len(self.names)):
-            if self.add_table[a][b] == self.zero:
+            if self.is_zero(self.add_table[a][b]):
                 return b
         raise CapabilityError(f"element {self.names[a]} has no additive inverse")
 
@@ -477,20 +492,42 @@ def vec_add(u: Vector, v: Vector, ring: Ring) -> Vector:
     return tuple(ring.add(a, b) for a, b in zip(u, v))
 
 
-def vec_sub(u: Vector, v: Vector, ring: Ring) -> Vector:
-    return tuple(ring.sub(a, b) for a, b in zip(u, v))
-
-
-def vec_scale(r: Element, v: Vector, ring: Ring) -> Vector:
-    return tuple(ring.mul(r, x) for x in v)
-
-
-def vec_scale_right(v: Vector, r: Element, ring: Ring) -> Vector:
-    return tuple(ring.mul(x, r) for x in v)
-
-
 def vec_is_zero(v: Vector, ring: Ring) -> bool:
-    return all(x == ring.zero for x in v)
+    return all(map(ring.is_zero, v))
+
+
+def sparse_row(v: Vector, ring: Ring) -> tuple:
+    """The nonzero coordinates of a dense vector as (index, value) pairs."""
+    is_zero = ring.is_zero
+    return tuple((k, x) for k, x in enumerate(v) if not is_zero(x))
+
+
+def dense(row, k: int, ring: Ring) -> Vector:
+    """The length-k dense vector holding the given (index, value) pairs."""
+    out = [ring.zero] * k
+    for i, x in row:
+        out[i] = x
+    return tuple(out)
+
+
+def combine(terms, ring: Ring) -> dict:
+    """Sum of coeff * row over (coeff, row) terms, as a sparse {index: value}.
+
+    Every "coefficient times image, summed" product in the package runs
+    here: algebra and fiber products, linear maps, actions, matrix-vector
+    products. A row is any iterable of (index, value) pairs. The coefficient
+    always multiplies from the left. The loop tests no zeros; only the sum is
+    pruned, through ring.is_zero, so equal results compare equal as dicts.
+    """
+    add, mul = ring.add, ring.mul
+    acc: dict = {}
+    get = acc.get
+    for coeff, row in terms:
+        for k, c in row:
+            prev = get(k)
+            acc[k] = mul(coeff, c) if prev is None else add(prev, mul(coeff, c))
+    is_zero = ring.is_zero
+    return {k: x for k, x in acc.items() if not is_zero(x)}
 
 
 def identity_matrix(k: int, ring: Ring) -> tuple:
@@ -498,13 +535,11 @@ def identity_matrix(k: int, ring: Ring) -> tuple:
 
 
 def mat_vec(mat: Sequence[Vector], vec: Vector, ring: Ring) -> Vector:
-    out = []
-    for row in mat:
-        acc = ring.zero
-        for a, x in zip(row, vec):
-            acc = ring.add(acc, ring.mul(a, x))
-        out.append(acc)
-    return tuple(out)
+    """mat * vec. Each matrix entry is a coefficient whose image is the single
+    pair (row, x), so the entry stays on the left of x."""
+    nonzero = sparse_row(vec, ring)
+    terms = ((row[j], ((r, x),)) for r, row in enumerate(mat) for j, x in nonzero)
+    return dense(combine(terms, ring).items(), len(mat), ring)
 
 
 def mat_mul(a: Sequence[Vector], b: Sequence[Vector], ring: Ring) -> tuple:
@@ -667,17 +702,18 @@ def _field_rref(rows: list[list[Element]], ring: Ring):
     mat = [list(r) for r in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
+    is_zero = ring.is_zero
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if mat[i][c] != ring.zero), None)
+        pivot = next((i for i in range(r, nrows) if not is_zero(mat[i][c])), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
         inv = ring.inv(mat[r][c])
         mat[r] = [ring.mul(inv, x) for x in mat[r]]
         for i in range(nrows):
-            if i != r and mat[i][c] != ring.zero:
+            if i != r and not is_zero(mat[i][c]):
                 f = mat[i][c]
                 mat[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(mat[i], mat[r])]
         pivots.append(c)
@@ -717,7 +753,7 @@ def solve_linear(m: ExactMatrix, ring: Ring) -> LinearSolution:
                 if mult % n == 0:
                     continue
                 col = tuple((v[r][i] * mult) % n for r in range(m.cols))
-                if any(col):
+                if not vec_is_zero(col, ring):
                     kernel.append(col)
         kernel = span_reduce(kernel, ring)
         image = span_reduce([m.column(j) for j in range(m.cols)], ring)
@@ -746,9 +782,9 @@ def vector_in_span(v: Vector, generators: Sequence[Vector], ring: Ring) -> bool:
         residue = list(v)
         for k, p in enumerate(pivots):
             f = residue[p]
-            if f != ring.zero:
+            if not ring.is_zero(f):
                 residue = [ring.sub(x, ring.mul(f, y)) for x, y in zip(residue, rref[k])]
-        return all(x == ring.zero for x in residue)
+        return vec_is_zero(residue, ring)
     if ring.kind == "zmod":
         n = ring.n
         k = len(v)
@@ -766,7 +802,7 @@ def span_reduce(generators: Sequence[Vector], ring: Ring) -> list[Vector]:
         if not gens:
             return []
         rref, _ = _field_rref([list(g) for g in gens], ring)
-        return [tuple(row) for row in rref if not all(x == ring.zero for x in row)]
+        return [tuple(row) for row in rref if not vec_is_zero(row, ring)]
     kept: list[Vector] = []
     for g in generators:
         if not vec_is_zero(g, ring) and not vector_in_span(g, kept, ring):
@@ -800,9 +836,9 @@ def ideal_closure(generators: Sequence[Vector], algebra) -> list[Vector]:
             f"ideal closure needs a field or Z/n; ring kind {ring.kind!r} is unsupported"
         )
     span: list[Vector] = []
-    queue = [tuple(ring.coerce(x) for x in g) for g in generators]
+    queue = deque(tuple(ring.coerce(x) for x in g) for g in generators)
     while queue:
-        vec = queue.pop(0)
+        vec = queue.popleft()
         if vec_is_zero(vec, ring) or vector_in_span(vec, span, ring):
             continue
         span.append(vec)

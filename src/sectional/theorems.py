@@ -37,9 +37,11 @@ from .bundles import (
     validate_algebra_action,
     validate_bundle,
 )
-from .maps import Certificate, LinearMapOnBasis, basis_bijection, certify_linear_iso
+from .maps import (Certificate, LinearMapOnBasis, basis_bijection, certify_linear_iso,
+                   multiplicative_witness)
 from .rings import (
     Vector,
+    dense,
     identity_matrix,
     mat_inverse,
     mat_mul,
@@ -48,6 +50,7 @@ from .rings import (
     span_rank,
     spans_equal,
     unit_vector,
+    vec_is_zero,
     vector_in_span,
 )
 from .semigroupoids import (
@@ -88,28 +91,12 @@ def tensor_product_algebra(a: AlgebraPresentation, b: AlgebraPresentation) -> Al
         )
     rank_b = b.rank
     basis = tuple(f"{x}(x){y}" for x in a.basis for y in b.basis)
-    table: dict[tuple[int, int], Vector] = {}
-    n = len(basis)
-    for i1 in range(a.rank):
-        for j1 in range(rank_b):
-            p = i1 * rank_b + j1
-            for i2 in range(a.rank):
-                pa = a.basis_product(i1, i2)
-                if a.is_zero_vector(pa):
-                    continue
-                for j2 in range(rank_b):
-                    pb = b.basis_product(j1, j2)
-                    if b.is_zero_vector(pb):
-                        continue
-                    q = i2 * rank_b + j2
-                    vec = [ring.zero] * n
-                    for k, x in enumerate(pa):
-                        if x == ring.zero:
-                            continue
-                        for l, y in enumerate(pb):
-                            if y != ring.zero:
-                                vec[k * rank_b + l] = ring.mul(x, y)
-                    table[(p, q)] = tuple(vec)
+    table: dict[tuple[int, int], dict] = {}
+    for (i1, i2), pa in a.table.items():
+        for (j1, j2), pb in b.table.items():
+            table[(i1 * rank_b + j1, i2 * rank_b + j2)] = {
+                k * rank_b + l: ring.mul(x, y) for k, x in pa for l, y in pb
+            }
     return AlgebraPresentation(ring=ring, basis=basis, table=table,
                                provenance="tensor product")
 
@@ -354,15 +341,10 @@ def induced_theta(action: BundleAction) -> AlgebraAction:
         for idx in dom_idx:
             g, k = labels[idx]
             h = theta.apply(s, g)
-            image_coords = mat_vec(
-                action.fiber_maps[(s, g)],
-                unit_vector(bundle.ranks[g], k, ring),
-                ring,
-            )
-            vec = [ring.zero] * len(labels)
-            for k2, x in enumerate(image_coords):
-                vec[pos[(h, k2)]] = x
-            mat[idx] = tuple(vec)
+            image_coords = mat_vec(action.fiber_maps[(s, g)],
+                                   unit_vector(bundle.ranks[g], k, ring), ring)
+            mat[idx] = dense(((pos[(h, k2)], x) for k2, x in enumerate(image_coords)),
+                             len(labels), ring)
         domains.append(dom_idx)
         matrices.append(mat)
 
@@ -463,7 +445,7 @@ def smash_product(algebra: AlgebraPresentation) -> AlgebraPresentation:
     labels = smash_basis_labels(algebra)
     pos = {lab: i for i, lab in enumerate(labels)}
     basis = tuple(f"{algebra.basis[u]}.d{g.arrow_names[h]}" for u, h in labels)
-    table: dict[tuple[int, int], Vector] = {}
+    table: dict[tuple[int, int], dict] = {}
     for p, (u, gu) in enumerate(labels):
         for q, (v, hv) in enumerate(labels):
             if g.src[gu] != g.src[hv]:
@@ -471,13 +453,8 @@ def smash_product(algebra: AlgebraPresentation) -> AlgebraPresentation:
             ghinv = g.prod[gu][check.inverses[hv]]
             if algebra.degrees[v] != ghinv:
                 continue
-            w = algebra.basis_product(u, v)
-            if algebra.is_zero_vector(w):
-                continue
-            vec = [ring.zero] * len(labels)
-            for k in algebra.support(w):
-                vec[pos[(k, hv)]] = w[k]
-            table[(p, q)] = tuple(vec)
+            w = algebra.table.get((u, v), ())
+            table[(p, q)] = {pos[(k, hv)]: x for k, x in w}
     out = AlgebraPresentation(
         ring=ring, basis=basis, table=table,
         grading=g, degrees=tuple(algebra.degrees[u] for u, _h in labels),
@@ -831,29 +808,15 @@ def quotient_map_and_kernel(bc: BundleCongruence) -> QuotientKernelResult:
         cls = bc.base.class_of[g]
         coords = mat_vec(bc.transports[(g, reps[cls])],
                          unit_vector(bundle.ranks[g], i, ring), ring)
-        vec = [ring.zero] * len(tgt_labels)
-        for k, x in enumerate(coords):
-            vec[tgt_pos[(cls, k)]] = x
-        images.append(tuple(vec))
+        images.append(dense(((tgt_pos[(cls, k)], x) for k, x in enumerate(coords)),
+                            len(tgt_labels), ring))
     tmap = LinearMapOnBasis(source, target, tuple(images))
 
     cert = Certificate("quotient comparison")
     cert.data["source_rank"] = source.rank
     cert.data["target_rank"] = target.rank
-    ok = True
-    for p in range(source.rank):
-        for q in range(source.rank):
-            lhs = tmap.apply(source.basis_product(p, q))
-            rhs = target.mul(images[p], images[q])
-            if lhs != rhs:
-                cert.add("algebra-homomorphism", False,
-                         (source.basis[p], source.basis[q]))
-                ok = False
-                break
-        if not ok:
-            break
-    if ok:
-        cert.add("algebra-homomorphism", True)
+    witness = multiplicative_witness(tmap)
+    cert.add("algebra-homomorphism", witness is None, witness or ())
 
     sol = solve_linear(tmap.matrix(), ring)
     surjective = all(
@@ -882,9 +845,7 @@ def quotient_map_and_kernel(bc: BundleCongruence) -> QuotientKernelResult:
                         vec[src_pos[(h, k)]] = ring.sub(vec[src_pos[(h, k)]], x)
                     generators.append(tuple(vec))
 
-    inside = all(
-        all(x == ring.zero for x in tmap.apply(gen)) for gen in generators
-    )
+    inside = all(vec_is_zero(tmap.apply(gen), ring) for gen in generators)
     cert.add("generators-in-kernel", inside)
     cert.add("kernel-equals-generator-span",
              spans_equal(sol.kernel_basis, generators, ring))
@@ -983,23 +944,9 @@ def germ_corollary(theta: LandPreaction, coefficients) -> GermCorollaryResult:
     else:
         cert.data["ideal_generators"] = len(ideal)
 
-    ok = True
-    for p in range(crossed.rank):
-        for q in range(crossed.rank):
-            lhs = qmap.apply(crossed.basis_product(p, q))
-            rhs = germ_algebra.mul(images[p], images[q])
-            if lhs != rhs:
-                cert.add("multiplicative", False, (crossed.basis[p], crossed.basis[q]))
-                ok = False
-                break
-        if not ok:
-            break
-    if ok:
-        cert.add("multiplicative", True)
-
-    cert.add("ideal-killed", all(
-        all(x == ring.zero for x in qmap.apply(v)) for v in ideal
-    ))
+    witness = multiplicative_witness(qmap)
+    cert.add("multiplicative", witness is None, witness or ())
+    cert.add("ideal-killed", all(vec_is_zero(qmap.apply(v), ring) for v in ideal))
 
     sol = solve_linear(qmap.matrix(), ring)
     cert.add("surjective", all(

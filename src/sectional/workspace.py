@@ -137,6 +137,11 @@ def parse_workspace(text: str, path: str = "") -> WorkspaceFile:
         check_ref(ws.semigroupoids, stanza.get("space"), f"action {name!r}")
     for name, stanza in ws.bundles.items():
         check_ref(ws.semigroupoids, stanza.get("base"), f"bundle {name!r}")
+        ranks = stanza.get("ranks", {})
+        if not isinstance(ranks, dict) or any(
+                isinstance(k, bool) or not isinstance(k, int) or k < 0 for k in ranks.values()):
+            raise WorkspaceError(f"{path}: bundle {name!r}: 'ranks' must map arrow ids "
+                                 "to non-negative integers")
     for name, stanza in ws.bundle_actions.items():
         check_ref(ws.actions, stanza.get("action"), f"bundle action {name!r}")
         check_ref(ws.bundles, stanza.get("bundle"), f"bundle action {name!r}")

@@ -130,6 +130,26 @@ class TestCli:
                      "--input", os.path.join(DATA, "dangling.json")])
         assert code == 2
 
+    def test_invalid_workspace_ring_exits_two(self, tmp_path, capsys):
+        with open(os.path.join(FIXTURES, "convolution.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["ring"] = {"kind": "zmod", "n": 1}
+        path = tmp_path / "zmod1.json"
+        path.write_text(json.dumps(doc))
+        code = main(["verify", "all", "--input", str(path), "--no-timestamp"])
+        assert code == 2
+        assert "modulus" in capsys.readouterr().err
+
+    def test_boolean_rank_exits_two(self, tmp_path, capsys):
+        with open(os.path.join(FIXTURES, "convolution.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["bundles"]["b"]["ranks"] = {"(1,1)": True}
+        path = tmp_path / "bool_rank.json"
+        path.write_text(json.dumps(doc))
+        code = main(["verify", "all", "--input", str(path), "--no-timestamp"])
+        assert code == 2
+        assert "ranks" in capsys.readouterr().err
+
     def test_no_matching_selector_exits_two(self, capsys):
         code = main(["verify", "smash",
                      "--input", os.path.join(FIXTURES, "germ.json")])

@@ -1,0 +1,381 @@
+"""The sparse product kernel against the dense loops it replaced.
+
+Every "coefficient times image, summed" product now runs through
+rings.combine over sparse rows. The dense loops below are the reference: they
+are the previous implementations, kept here only as an oracle. Each product
+must equal its oracle exactly over Q, Z/6 and two finite table rings:
+
+  - Z/3 relabeled so that its zero is table index 1, which a truthiness zero
+    test would get wrong;
+  - upper-triangular 2x2 matrices over F2, which are non-commutative, so a
+    product taken on the wrong side shows.
+
+The exhaustive checks (algebra and bundle associativity, multiplicativity of
+a basis map) must also return the oracle's witness after one structure
+constant is corrupted.
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sectional.algebras import AlgebraPresentation
+from sectional.bundles import AlgebraAction, Bundle, semigroupoid_algebra, validate_bundle
+from sectional.maps import LinearMapOnBasis, basis_bijection, multiplicative_witness
+from sectional.rings import RationalRing, ZModRing, mat_vec, ring_from_spec
+from sectional.standard import pair_groupoid, semilattice2
+from sectional.validation import ValidationReport
+
+
+def _relabeled_z3():
+    values = [1, 0, 2]                       # index 1 holds the zero
+    k = len(values)
+    return ring_from_spec({
+        "kind": "table",
+        "elements": [str(v) for v in values],
+        "add": [[values.index((values[a] + values[b]) % 3) for b in range(k)]
+                for a in range(k)],
+        "mul": [[values.index((values[a] * values[b]) % 3) for b in range(k)]
+                for a in range(k)],
+        "zero": 1,
+        "one": 0,
+    })
+
+
+def _upper_triangular_f2():
+    mats = list(itertools.product((0, 1), repeat=3))     # [[a, b], [0, d]]
+
+    def add(x, y):
+        return tuple((p + q) % 2 for p, q in zip(x, y))
+
+    def mul(x, y):
+        a1, b1, d1 = x
+        a2, b2, d2 = y
+        return (a1 * a2 % 2, (a1 * b2 + b1 * d2) % 2, d1 * d2 % 2)
+
+    k = len(mats)
+    return ring_from_spec({
+        "kind": "table",
+        "elements": ["".join(map(str, m)) for m in mats],
+        "add": [[mats.index(add(x, y)) for y in mats] for x in mats],
+        "mul": [[mats.index(mul(x, y)) for y in mats] for x in mats],
+        "zero": mats.index((0, 0, 0)),
+        "one": mats.index((1, 0, 1)),
+    })
+
+
+RINGS = {
+    "Q": RationalRing(),
+    "Z6": ZModRing(6),
+    "Z3-zero-at-1": _relabeled_z3(),
+    "UT2-F2": _upper_triangular_f2(),
+}
+
+
+def test_table_rings_have_the_intended_shape():
+    assert RINGS["Z3-zero-at-1"].zero == 1
+    assert not RINGS["UT2-F2"].commutative
+
+
+def _elements(ring):
+    if isinstance(ring, RationalRing):
+        nonzero = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    elif isinstance(ring, ZModRing):
+        nonzero = st.integers(0, ring.n - 1)
+    else:
+        nonzero = st.integers(0, len(ring.names) - 1)
+    # zeros often, so vectors and constants come out sparse
+    return st.one_of(st.just(ring.zero), nonzero)
+
+
+def _vector(data, ring, k):
+    return tuple(data.draw(st.lists(_elements(ring), min_size=k, max_size=k)))
+
+
+# ---------------------------------------------------------------------------
+# The dense reference loops
+# ---------------------------------------------------------------------------
+
+def oracle_mul(table, rank, ring, u, v):
+    out = [ring.zero] * rank
+    for i, x in enumerate(u):
+        if x == ring.zero:
+            continue
+        for j, y in enumerate(v):
+            if y == ring.zero:
+                continue
+            entry = table.get((i, j))
+            if entry is None:
+                continue
+            coeff = ring.mul(x, y)
+            for k, c in enumerate(entry):
+                if c != ring.zero:
+                    out[k] = ring.add(out[k], ring.mul(coeff, c))
+    return tuple(out)
+
+
+def oracle_apply(images, rank, ring, v):
+    out = [ring.zero] * rank
+    for i, x in enumerate(v):
+        if x == ring.zero:
+            continue
+        image = images.get(i)
+        if image is None:
+            raise ValueError("vector leaves the domain")
+        for k, c in enumerate(image):
+            if c != ring.zero:
+                out[k] = ring.add(out[k], ring.mul(x, c))
+    return tuple(out)
+
+
+def oracle_fiber_mul(bundle, a, b, x, y):
+    ring = bundle.ring
+    c = bundle.base.compose(a, b)
+    if bundle.mode == "ringfiber":
+        twist = bundle.twists.get((a, b), ring.one)
+        return (ring.mul(ring.mul(x[0], y[0]), twist),)
+    table = bundle.constants[(a, b)]
+    out = [ring.zero] * bundle.ranks[c]
+    for i, xi in enumerate(x):
+        if xi == ring.zero:
+            continue
+        for j, yj in enumerate(y):
+            if yj == ring.zero:
+                continue
+            coeff = ring.mul(xi, yj)
+            for k, ck in enumerate(table[i][j]):
+                if ck != ring.zero:
+                    out[k] = ring.add(out[k], ring.mul(coeff, ck))
+    return tuple(out)
+
+
+def oracle_mat_vec(mat, vec, ring):
+    out = []
+    for row in mat:
+        acc = ring.zero
+        for a, x in zip(row, vec):
+            acc = ring.add(acc, ring.mul(a, x))
+        out.append(acc)
+    return tuple(out)
+
+
+def _unit(rank, i, ring):
+    return tuple(ring.one if j == i else ring.zero for j in range(rank))
+
+
+def oracle_associativity(table, basis, ring):
+    rank = len(basis)
+    zero = (ring.zero,) * rank
+    for i in range(rank):
+        ei = _unit(rank, i, ring)
+        for j in range(rank):
+            ij = table.get((i, j), zero)
+            ej = _unit(rank, j, ring)
+            for k in range(rank):
+                ek = _unit(rank, k, ring)
+                left = oracle_mul(table, rank, ring, ij, ek)
+                right = oracle_mul(table, rank, ring, ei,
+                                   oracle_mul(table, rank, ring, ej, ek))
+                if left != right:
+                    return (basis[i], basis[j], basis[k])
+    return None
+
+
+def oracle_bundle_associativity(bundle):
+    names = bundle.base.arrow_names
+    for a, b, c in bundle.base.composable_triples():
+        ab = bundle.base.prod[a][b]
+        bc = bundle.base.prod[b][c]
+        for i in range(bundle.ranks[a]):
+            ei = _unit(bundle.ranks[a], i, bundle.ring)
+            for j in range(bundle.ranks[b]):
+                ej = _unit(bundle.ranks[b], j, bundle.ring)
+                left_inner = oracle_fiber_mul(bundle, a, b, ei, ej)
+                for l in range(bundle.ranks[c]):
+                    el = _unit(bundle.ranks[c], l, bundle.ring)
+                    left = oracle_fiber_mul(bundle, ab, c, left_inner, el)
+                    right = oracle_fiber_mul(bundle, a, bc, ei,
+                                             oracle_fiber_mul(bundle, b, c, ej, el))
+                    if left != right:
+                        return (names[a], names[b], names[c], str(i), str(j), str(l))
+    return None
+
+
+def oracle_multiplicative(tmap, src_table, tgt_table):
+    src, tgt = tmap.source, tmap.target
+    ring = src.ring
+    images = dict(enumerate(tmap.images))
+    zero = (ring.zero,) * src.rank
+    for i in range(src.rank):
+        for j in range(src.rank):
+            lhs = oracle_apply(images, tgt.rank, ring, src_table.get((i, j), zero))
+            rhs = oracle_mul(tgt_table, tgt.rank, ring, images[i], images[j])
+            if lhs != rhs:
+                return (src.basis[i], src.basis[j])
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Products against the oracle
+# ---------------------------------------------------------------------------
+
+def _random_table(data, ring, rank):
+    keys = [(i, j) for i in range(rank) for j in range(rank)]
+    chosen = data.draw(st.lists(st.sampled_from(keys), max_size=len(keys), unique=True))
+    return {key: _vector(data, ring, rank) for key in chosen}
+
+
+def _presentation(ring, table, rank, **kw):
+    """Sparse presentation of a dense table; the constructor prunes zeros."""
+    sparse = {key: dict(enumerate(vec)) for key, vec in table.items()}
+    return AlgebraPresentation(ring=ring, basis=tuple(f"b{i}" for i in range(rank)),
+                               table=sparse, **kw)
+
+
+@pytest.mark.parametrize("ring", RINGS.values(), ids=RINGS.keys())
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_mul_matches_dense_oracle(ring, data):
+    rank = data.draw(st.integers(1, 4))
+    table = _random_table(data, ring, rank)
+    alg = _presentation(ring, table, rank)
+    u, v = _vector(data, ring, rank), _vector(data, ring, rank)
+    assert alg.mul(u, v) == oracle_mul(table, rank, ring, u, v)
+    zero = (ring.zero,) * rank
+    for i in range(rank):
+        for j in range(rank):
+            assert alg.basis_product(i, j) == table.get((i, j), zero)
+
+
+@pytest.mark.parametrize("ring", RINGS.values(), ids=RINGS.keys())
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_map_apply_matches_dense_oracle(ring, data):
+    n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    src, tgt = _presentation(ring, {}, n), _presentation(ring, {}, m)
+    images = tuple(_vector(data, ring, m) for _ in range(n))
+    tmap = LinearMapOnBasis(src, tgt, images)
+    v = _vector(data, ring, n)
+    assert tmap.apply(v) == oracle_apply(dict(enumerate(images)), m, ring, v)
+
+
+@pytest.mark.parametrize("ring", RINGS.values(), ids=RINGS.keys())
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_action_apply_matches_dense_oracle(ring, data):
+    actor = semilattice2()
+    rank = data.draw(st.integers(1, 4))
+    alg = _presentation(ring, {}, rank)
+    domains, matrices = [], []
+    for _s in actor.base.arrows():
+        dom = tuple(sorted(data.draw(st.sets(st.integers(0, rank - 1)))))
+        domains.append(dom)
+        matrices.append({i: _vector(data, ring, rank) for i in dom})
+    action = AlgebraAction(actor, alg, tuple(domains), tuple(matrices))
+    s = data.draw(st.sampled_from(list(actor.base.arrows())))
+    v = _vector(data, ring, rank)
+    try:
+        expected = oracle_apply(matrices[s], rank, ring, v)
+    except ValueError:
+        with pytest.raises(ValueError):
+            action.apply(s, v)
+        return
+    assert action.apply(s, v) == expected
+
+
+def _random_bundle(data, ring, mode):
+    base = pair_groupoid().base
+    if mode == "ringfiber":
+        ranks = (1,) * base.n_arrows
+        pairs = data.draw(st.lists(st.sampled_from(list(base.composable)), unique=True))
+        twists = {pair: data.draw(_elements(ring)) for pair in pairs}
+        return Bundle(ring, base, ranks, "ringfiber", {}, twists)
+    ranks = tuple(data.draw(st.integers(1, 2)) for _ in base.arrows())
+    constants = {}
+    for a, b in base.composable:
+        c = base.prod[a][b]
+        constants[(a, b)] = tuple(
+            tuple(_vector(data, ring, ranks[c]) for _j in range(ranks[b]))
+            for _i in range(ranks[a])
+        )
+    return Bundle(ring, base, ranks, "sc", constants, {})
+
+
+@pytest.mark.parametrize("mode", ["sc", "ringfiber"])
+@pytest.mark.parametrize("ring", RINGS.values(), ids=RINGS.keys())
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_fiber_mul_matches_dense_oracle(ring, mode, data):
+    bundle = _random_bundle(data, ring, mode)
+    a, b = data.draw(st.sampled_from(list(bundle.base.composable)))
+    x = _vector(data, ring, bundle.ranks[a])
+    y = _vector(data, ring, bundle.ranks[b])
+    assert bundle.fiber_mul(a, b, x, y) == oracle_fiber_mul(bundle, a, b, x, y)
+
+
+@pytest.mark.parametrize("ring", RINGS.values(), ids=RINGS.keys())
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_mat_vec_matches_dense_oracle(ring, data):
+    rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(1, 4))
+    mat = tuple(_vector(data, ring, cols) for _ in range(rows))
+    vec = _vector(data, ring, cols)
+    assert mat_vec(mat, vec, ring) == oracle_mat_vec(mat, vec, ring)
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive checks: the same witness as the oracle after one corruption
+# ---------------------------------------------------------------------------
+
+def _dense_table(alg):
+    return {key: alg.basis_product(*key) for key in alg.table}
+
+
+def _corrupt(data, ring, table, rank):
+    key = data.draw(st.sampled_from([(i, j) for i in range(rank) for j in range(rank)]))
+    out = dict(table)
+    out[key] = _vector(data, ring, rank)
+    return out
+
+
+@pytest.mark.parametrize("ring", RINGS.values(), ids=RINGS.keys())
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_associativity_witness_matches_oracle(ring, data):
+    matrix_units = semigroupoid_algebra(ring, pair_groupoid().base)
+    assert matrix_units.check_associativity() is None
+    rank = matrix_units.rank
+    table = _corrupt(data, ring, _dense_table(matrix_units), rank)
+    alg = _presentation(ring, table, rank)
+    assert alg.check_associativity() == oracle_associativity(table, alg.basis, ring)
+
+
+@pytest.mark.parametrize("ring", [RINGS["Q"], RINGS["Z6"], RINGS["Z3-zero-at-1"]],
+                         ids=["Q", "Z6", "Z3-zero-at-1"])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_bundle_associativity_witness_matches_oracle(ring, data):
+    bundle = _random_bundle(data, ring, "sc")
+    result = validate_bundle(bundle, ring, bundle.base)
+    expected = oracle_bundle_associativity(bundle)
+    if expected is None:
+        assert result is bundle
+    else:
+        assert isinstance(result, ValidationReport)
+        assert result.first().witness == expected
+
+
+@pytest.mark.parametrize("ring", RINGS.values(), ids=RINGS.keys())
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_multiplicative_witness_matches_oracle(ring, data):
+    matrix_units = semigroupoid_algebra(ring, pair_groupoid().base)
+    rank = matrix_units.rank
+    table = _corrupt(data, ring, _dense_table(matrix_units), rank)
+    corrupted = _presentation(ring, table, rank)
+    tmap = basis_bijection(matrix_units, corrupted, {i: i for i in range(rank)})
+    expected = oracle_multiplicative(tmap, _dense_table(matrix_units), table)
+    assert multiplicative_witness(tmap) == expected

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebras import AlgebraPresentation
-from .rings import (ExactMatrix, Vector, combine, dense, solve_linear, sparse_row,
-                    unit_vector, vector_in_span)
+from .rings import (ExactMatrix, LinearSolution, Vector, combine, dense, solve_linear,
+                    sparse_row, unit_vector, vector_in_span)
 
 
 @dataclass
@@ -169,6 +169,16 @@ def _check_graded(cert: Certificate, tmap: LinearMapOnBasis) -> None:
     cert.add("degree-preserving", True)
 
 
+def surjective(sol: LinearSolution) -> bool:
+    """Whether the solved matrix maps onto ring^rows: rank == rows over a field;
+    over composite Z/n, where rank counts invariant factors, by unit vectors."""
+    ring = sol.ring
+    if ring.is_field:
+        return sol.rank == sol.rows
+    return all(vector_in_span(unit_vector(sol.rows, k, ring), sol.image_basis, ring)
+               for k in range(sol.rows))
+
+
 def _linear_route(cert: Certificate, tmap: LinearMapOnBasis) -> None:
     """Kernel/image cross-check where the ring supports exact solving."""
     ring = tmap.source.ring
@@ -178,11 +188,7 @@ def _linear_route(cert: Certificate, tmap: LinearMapOnBasis) -> None:
     sol = solve_linear(tmap.matrix(), ring)
     cert.add("kernel-trivial", not sol.kernel_basis,
              tuple(sol.kernel_basis[:1]) if sol.kernel_basis else ())
-    hit_all = all(
-        vector_in_span(unit_vector(tmap.target.rank, k, ring), sol.image_basis, ring)
-        for k in range(tmap.target.rank)
-    )
-    cert.add("surjective", hit_all)
+    cert.add("surjective", surjective(sol))
     cert.data["linear_route"] = "ran"
     cert.data["matrix_rank"] = sol.rank
 

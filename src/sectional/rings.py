@@ -5,9 +5,10 @@ and residues, Fraction for rationals, table index for finite-table rings); the
 ring object supplies the operations. All arithmetic is exact, so structural
 identities can be asserted with ==.
 
-Kernel and image computations run over fields (rationals, prime residues) by
-Gaussian elimination and over composite residue rings via Smith normal form of
-the integer lift. Other ring kinds refuse with CapabilityError.
+Kernel, image and span computations run over fields (rationals, prime
+residues) on one incremental reduced echelon basis (EchelonBasis) and over
+composite residue rings via Smith normal form of the integer lift. Other ring
+kinds refuse with CapabilityError.
 """
 
 from __future__ import annotations
@@ -698,46 +699,65 @@ class LinearSolution:
     image_basis: list[Vector]
 
 
-def _field_rref(rows: list[list[Element]], ring: Ring):
-    mat = [list(r) for r in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    is_zero = ring.is_zero
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if not is_zero(mat[i][c])), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = ring.inv(mat[r][c])
-        mat[r] = [ring.mul(inv, x) for x in mat[r]]
-        for i in range(nrows):
-            if i != r and not is_zero(mat[i][c]):
-                f = mat[i][c]
-                mat[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return mat, pivots
+class EchelonBasis:
+    """The span of some vectors over a field, grown one vector at a time.
+
+    `rows` maps each pivot to a sparse {index: nonzero} row that has 1 at its
+    pivot and 0 at every other pivot. Sorted by pivot, the rows are the unique
+    reduced row echelon form of the span, so two spans are equal exactly when
+    their bases have equal rows. Every field elimination in the package runs
+    here; inputs are dense vectors.
+    """
+
+    def __init__(self, ring: Ring, vectors: Sequence[Vector] = ()):
+        self.ring = ring
+        self.rows: dict[int, dict] = {}
+        for v in vectors:
+            self.insert(v)
+
+    def _residue(self, v: Vector) -> dict:
+        # the rows vanish at each other's pivots, so v minus v[p] * row_p over
+        # the pivots p of v is zero at every pivot
+        ring, rows = self.ring, self.rows
+        acc = dict(sparse_row(v, ring))
+        return combine([(ring.one, acc.items())] + [
+            (ring.neg(acc[p]), rows[p].items()) for p in acc if p in rows
+        ], ring)
+
+    def contains(self, v: Vector) -> bool:
+        return not self._residue(v)
+
+    def insert(self, v: Vector) -> bool:
+        """Add v to the span; False when it already lies there."""
+        ring, rows = self.ring, self.rows
+        res = self._residue(v)
+        if not res:
+            return False
+        p = min(res)
+        inv = ring.inv(res[p])
+        new = {k: ring.mul(inv, x) for k, x in res.items()}
+        for q, row in rows.items():
+            if p in row:
+                rows[q] = combine(((ring.one, row.items()), (ring.neg(row[p]), new.items())), ring)
+        rows[p] = new
+        return True
+
+    def dense_rows(self, width: int) -> list[Vector]:
+        """The reduced row echelon form as dense vectors of the given length."""
+        return [dense(self.rows[p].items(), width, self.ring) for p in sorted(self.rows)]
 
 
 def solve_linear(m: ExactMatrix, ring: Ring) -> LinearSolution:
     """Exact rank/kernel/image data; see LinearSolution for conventions."""
-    if ring.kind == "q" or (ring.kind == "zmod" and ring.is_field):
-        rows = m.to_rows()
-        rref, pivots = _field_rref(rows, ring)
-        free = [c for c in range(m.cols) if c not in pivots]
-        kernel = []
-        for f in free:
-            vec = [ring.zero] * m.cols
-            vec[f] = ring.one
-            for k, p in enumerate(pivots):
-                vec[p] = ring.neg(rref[k][f])
-            kernel.append(tuple(vec))
+    if ring.is_field:
+        rows = EchelonBasis(ring, m.to_rows()).rows
+        pivots = tuple(sorted(rows))
+        # free column f: 1 at f, minus column f of the rows at their pivots
+        kernel = [dense([(f, ring.one)] + [(p, ring.neg(row[f])) for p, row in rows.items()
+                                           if f in row], m.cols, ring)
+                  for f in range(m.cols) if f not in rows]
         image = [m.column(p) for p in pivots]
-        return LinearSolution(ring, m.rows, m.cols, len(pivots), tuple(pivots), kernel, image)
+        return LinearSolution(ring, m.rows, m.cols, len(pivots), pivots, kernel, image)
 
     if ring.kind == "zmod":
         n = ring.n
@@ -772,19 +792,13 @@ def solve_linear(m: ExactMatrix, ring: Ring) -> LinearSolution:
 
 def vector_in_span(v: Vector, generators: Sequence[Vector], ring: Ring) -> bool:
     """Decide membership of v in the span of the generators (exactly)."""
+    if ring.is_field:
+        return EchelonBasis(ring, generators).contains(v)
     gens = [g for g in generators if not vec_is_zero(g, ring)]
     if vec_is_zero(v, ring):
         return True
     if not gens:
         return False
-    if ring.kind == "q" or (ring.kind == "zmod" and ring.is_field):
-        rref, pivots = _field_rref([list(g) for g in gens], ring)
-        residue = list(v)
-        for k, p in enumerate(pivots):
-            f = residue[p]
-            if not ring.is_zero(f):
-                residue = [ring.sub(x, ring.mul(f, y)) for x, y in zip(residue, rref[k])]
-        return vec_is_zero(residue, ring)
     if ring.kind == "zmod":
         n = ring.n
         k = len(v)
@@ -796,13 +810,11 @@ def vector_in_span(v: Vector, generators: Sequence[Vector], ring: Ring) -> bool:
 
 
 def span_reduce(generators: Sequence[Vector], ring: Ring) -> list[Vector]:
-    """Deterministically thin a generating set without changing its span."""
-    if ring.kind == "q" or (ring.kind == "zmod" and ring.is_field):
-        gens = [g for g in generators if not vec_is_zero(g, ring)]
-        if not gens:
-            return []
-        rref, _ = _field_rref([list(g) for g in gens], ring)
-        return [tuple(row) for row in rref if not vec_is_zero(row, ring)]
+    """Deterministically thin a generating set without changing its span
+    (over a field, to its reduced row echelon form)."""
+    if ring.is_field:
+        width = len(generators[0]) if generators else 0
+        return EchelonBasis(ring, generators).dense_rows(width)
     kept: list[Vector] = []
     for g in generators:
         if not vec_is_zero(g, ring) and not vector_in_span(g, kept, ring):
@@ -811,39 +823,44 @@ def span_reduce(generators: Sequence[Vector], ring: Ring) -> list[Vector]:
 
 
 def spans_equal(a: Sequence[Vector], b: Sequence[Vector], ring: Ring) -> bool:
+    if ring.is_field:
+        return EchelonBasis(ring, a).rows == EchelonBasis(ring, b).rows
     return all(vector_in_span(v, b, ring) for v in a) and all(
         vector_in_span(v, a, ring) for v in b
     )
 
 
 def span_rank(generators: Sequence[Vector], ring: Ring) -> int:
-    if not (ring.kind == "q" or (ring.kind == "zmod" and ring.is_field)):
+    if not ring.is_field:
         raise CapabilityError("span rank is defined here only over fields")
-    return len(span_reduce(generators, ring))
+    return len(EchelonBasis(ring, generators).rows)
 
 
 def ideal_closure(generators: Sequence[Vector], algebra) -> list[Vector]:
     """Smallest two-sided multiplication-closed subspace containing the generators.
 
     `algebra` is any presentation exposing ring, rank, and mul on coordinate
-    vectors. Saturation multiplies the current spanning set by every basis
-    element on both sides until nothing new appears; the submodule lattice of
-    a finite free module over a field or Z/n has finite height, so this stops.
+    vectors. Saturation multiplies every vector that enlarges the span by every
+    basis element on both sides until nothing new appears; the submodule lattice
+    of a finite free module over a field or Z/n has finite height, so this
+    stops. Over a field the result is the ideal's reduced row echelon form.
     """
     ring = algebra.ring
     if not (ring.kind == "q" or ring.kind == "zmod"):
         raise CapabilityError(
             f"ideal closure needs a field or Z/n; ring kind {ring.kind!r} is unsupported"
         )
+    basis = EchelonBasis(ring) if ring.is_field else None
     span: list[Vector] = []
     queue = deque(tuple(ring.coerce(x) for x in g) for g in generators)
     while queue:
         vec = queue.popleft()
-        if vec_is_zero(vec, ring) or vector_in_span(vec, span, ring):
+        if not (basis.insert(vec) if basis is not None else
+                not vec_is_zero(vec, ring) and not vector_in_span(vec, span, ring)):
             continue
         span.append(vec)
         for i in range(algebra.rank):
-            basis = algebra.unit_vector(i)
-            queue.append(algebra.mul(basis, vec))
-            queue.append(algebra.mul(vec, basis))
-    return span_reduce(span, ring)
+            unit = algebra.unit_vector(i)
+            queue.append(algebra.mul(unit, vec))
+            queue.append(algebra.mul(vec, unit))
+    return basis.dense_rows(algebra.rank) if basis is not None else span

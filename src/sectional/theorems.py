@@ -38,7 +38,7 @@ from .bundles import (
     validate_bundle,
 )
 from .maps import (Certificate, LinearMapOnBasis, basis_bijection, certify_linear_iso,
-                   multiplicative_witness)
+                   multiplicative_witness, surjective)
 from .rings import (
     Vector,
     dense,
@@ -51,7 +51,6 @@ from .rings import (
     spans_equal,
     unit_vector,
     vec_is_zero,
-    vector_in_span,
 )
 from .semigroupoids import (
     UNDEF,
@@ -819,11 +818,7 @@ def quotient_map_and_kernel(bc: BundleCongruence) -> QuotientKernelResult:
     cert.add("algebra-homomorphism", witness is None, witness or ())
 
     sol = solve_linear(tmap.matrix(), ring)
-    surjective = all(
-        vector_in_span(unit_vector(target.rank, k, ring), sol.image_basis, ring)
-        for k in range(target.rank)
-    )
-    cert.add("surjective", surjective)
+    cert.add("surjective", surjective(sol))
 
     # discrete reduction of the conjugate sections: every open set splits
     # into single arrows, so a conjugating pair of partial homeomorphisms
@@ -940,7 +935,7 @@ def germ_corollary(theta: LandPreaction, coefficients) -> GermCorollaryResult:
     cert.data["crossed_rank"] = crossed.rank
     cert.data["quotient_rank"] = germ_algebra.rank
     if ring.is_field:
-        cert.data["ideal_rank"] = span_rank(ideal, ring)
+        ideal_rank = cert.data["ideal_rank"] = span_rank(ideal, ring)
     else:
         cert.data["ideal_generators"] = len(ideal)
 
@@ -949,15 +944,12 @@ def germ_corollary(theta: LandPreaction, coefficients) -> GermCorollaryResult:
     cert.add("ideal-killed", all(vec_is_zero(qmap.apply(v), ring) for v in ideal))
 
     sol = solve_linear(qmap.matrix(), ring)
-    cert.add("surjective", all(
-        vector_in_span(unit_vector(germ_algebra.rank, k, ring), sol.image_basis, ring)
-        for k in range(germ_algebra.rank)
-    ))
+    cert.add("surjective", surjective(sol))
     cert.add("kernel-is-ideal", spans_equal(sol.kernel_basis, ideal, ring))
     if ring.is_field:
         cert.add("rank-identity",
-                 crossed.rank - span_rank(ideal, ring) == germ_algebra.rank,
-                 note=f"{crossed.rank} - {span_rank(ideal, ring)} == {germ_algebra.rank}")
+                 crossed.rank - ideal_rank == germ_algebra.rank,
+                 note=f"{crossed.rank} - {ideal_rank} == {germ_algebra.rank}")
     return GermCorollaryResult(cert, germ, crossed, ideal, germ_algebra, qmap, induced)
 
 

@@ -129,6 +129,11 @@ def parse_workspace(text: str, path: str = "") -> WorkspaceFile:
         if not isinstance(ref, str) or ref not in section:
             dangling.append(f"{context} references missing id {ref!r}")
 
+    for name, stanza in ws.semigroupoids.items():
+        arrows = stanza.get("arrows", [])
+        if not isinstance(arrows, list) or any(not isinstance(a, dict) for a in arrows):
+            raise WorkspaceError(f"{path}: semigroupoid {name!r}: 'arrows' must be a "
+                                 "list of objects")
     for name, stanza in ws.homomorphisms.items():
         check_ref(ws.semigroupoids, stanza.get("source"), f"homomorphism {name!r}")
         check_ref(ws.semigroupoids, stanza.get("target"), f"homomorphism {name!r}")
@@ -174,6 +179,12 @@ def parse_workspace(text: str, path: str = "") -> WorkspaceFile:
                 )
             if theorem in ("tensor", "smash", "quotient", "convolution"):
                 check_ref(ws.bundles, raw.get("bundle"), ctx)
+            if theorem == "convolution":
+                triples, seed = raw.get("triples", 0), raw.get("seed", 0)
+                if any(isinstance(x, bool) or not isinstance(x, int)
+                       for x in (triples, seed)) or triples < 0:
+                    raise WorkspaceError(f"{path}: {ctx}: 'triples' must be a non-negative "
+                                         "integer and 'seed' an integer")
             if theorem == "tensor":
                 check_ref(ws.semigroupoids, raw.get("factor"), ctx)
             if theorem == "smash":

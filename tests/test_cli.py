@@ -150,6 +150,27 @@ class TestCli:
         assert code == 2
         assert "ranks" in capsys.readouterr().err
 
+    def test_non_list_arrows_exit_two(self, tmp_path, capsys):
+        with open(os.path.join(FIXTURES, "convolution.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        name = next(iter(doc["semigroupoids"]))
+        doc["semigroupoids"][name]["arrows"] = "x"
+        path = tmp_path / "arrows_x.json"
+        path.write_text(json.dumps(doc))
+        code = main(["validate", str(path), "--format", "json"])
+        assert code == 2
+        assert "arrows" in capsys.readouterr().err
+
+    def test_non_integer_triples_exit_two(self, tmp_path, capsys):
+        with open(os.path.join(FIXTURES, "convolution.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["tasks"][0]["triples"] = "many"
+        path = tmp_path / "triples_many.json"
+        path.write_text(json.dumps(doc))
+        code = main(["verify", "all", "--input", str(path), "--no-timestamp"])
+        assert code == 2
+        assert "triples" in capsys.readouterr().err
+
     def test_no_matching_selector_exits_two(self, capsys):
         code = main(["verify", "smash",
                      "--input", os.path.join(FIXTURES, "germ.json")])

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebras import AlgebraPresentation
-from .rings import (ExactMatrix, LinearSolution, Vector, combine, dense, solve_linear,
-                    sparse_row, unit_vector, vector_in_span)
+from .rings import (EchelonBasis, ExactMatrix, LinearSolution, Vector, combine, dense,
+                    solve_linear, sparse_row, unit_vector)
 
 
 @dataclass
@@ -171,12 +171,13 @@ def _check_graded(cert: Certificate, tmap: LinearMapOnBasis) -> None:
 
 def surjective(sol: LinearSolution) -> bool:
     """Whether the solved matrix maps onto ring^rows: rank == rows over a field;
-    over composite Z/n, where rank counts invariant factors, by unit vectors."""
+    over composite Z/n, where rank counts invariant factors, by unit vectors
+    against one basis of the image."""
     ring = sol.ring
     if ring.is_field:
         return sol.rank == sol.rows
-    return all(vector_in_span(unit_vector(sol.rows, k, ring), sol.image_basis, ring)
-               for k in range(sol.rows))
+    image = EchelonBasis(ring, sol.image_basis)
+    return all(image.contains(unit_vector(sol.rows, k, ring)) for k in range(sol.rows))
 
 
 def _linear_route(cert: Certificate, tmap: LinearMapOnBasis) -> None:

@@ -5,14 +5,16 @@ and residues, Fraction for rationals, table index for finite-table rings); the
 ring object supplies the operations. All arithmetic is exact, so structural
 identities can be asserted with ==.
 
-Kernel, image and span computations run over fields (rationals, prime
-residues) on one incremental reduced echelon basis (EchelonBasis) and over
-composite residue rings via Smith normal form of the integer lift. Other ring
+Span tests run on one incremental echelon basis (EchelonBasis): reduced row
+echelon form over fields (rationals, prime residues), reduced Howell form over
+composite residue rings, where only solve_linear's kernel takes a Smith normal
+form. Matrix inverses are division-free over any commutative ring. Other ring
 kinds refuse with CapabilityError.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections import deque
@@ -543,59 +545,64 @@ def mat_vec(mat: Sequence[Vector], vec: Vector, ring: Ring) -> Vector:
     return dense(combine(terms, ring).items(), len(mat), ring)
 
 
+def _dot(u: Sequence, v: Sequence, ring: Ring) -> Element:
+    acc = ring.zero
+    for x, y in zip(u, v):
+        acc = ring.add(acc, ring.mul(x, y))
+    return acc
+
+
 def mat_mul(a: Sequence[Vector], b: Sequence[Vector], ring: Ring) -> tuple:
-    bt = list(zip(*b)) if b else []
-    out = []
-    for row in a:
-        entries = []
-        for col in bt:
-            acc = ring.zero
-            for x, y in zip(row, col):
-                acc = ring.add(acc, ring.mul(x, y))
-            entries.append(acc)
-        out.append(tuple(entries))
-    return tuple(out)
+    bt = list(zip(*b))
+    return tuple(tuple(_dot(row, col, ring) for col in bt) for row in a)
 
 
-def mat_determinant(mat: Sequence[Vector], ring: Ring) -> Element:
-    k = len(mat)
-    if k == 0:
-        return ring.one
-    if k == 1:
-        return mat[0][0]
-    det = ring.zero
-    sign_pos = True
-    for j in range(k):
-        minor = [tuple(row[:j] + row[j + 1:]) for row in [tuple(r) for r in mat[1:]]]
-        term = ring.mul(mat[0][j], mat_determinant(minor, ring))
-        det = ring.add(det, term if sign_pos else ring.neg(term))
-        sign_pos = not sign_pos
-    return det
+def _charpoly(mat: Sequence[Vector], ring: Ring) -> list:
+    """Coefficients of det(xI - mat), highest degree first, by Berkowitz's
+    division-free recursion over the leading principal blocks
+    (S. J. Berkowitz, Inf. Proc. Letters 18, 1984); commutative rings only."""
+    poly = [ring.one]
+    for r in range(len(mat)):
+        # the leading (r+1)-block is [[A, s], [row, a]]; its polynomial is the
+        # lower-triangular Toeplitz matrix of (1, -a, -row s, -row A s, ...)
+        # times the polynomial of A
+        col, row = [mat[i][r] for i in range(r)], mat[r][:r]
+        toeplitz = [ring.one, ring.neg(mat[r][r])]
+        for _ in range(r):
+            toeplitz.append(ring.neg(_dot(row, col, ring)))
+            col = [_dot(mat[i][:r], col, ring) for i in range(r)]
+        poly = [_dot([toeplitz[i - j] for j in range(min(i, r) + 1)], poly, ring)
+                for i in range(r + 2)]
+    return poly
 
 
 def mat_inverse(mat: Sequence[Vector], ring: Ring) -> tuple | None:
-    """Inverse of a square matrix via the adjugate; None when det is not a unit."""
+    """Inverse of a square matrix; None when its determinant is not a unit.
+
+    O(k^4) ring operations: det(xI - A) = x^k + c[k-1] x^(k-1) + ... + c[0]
+    gives det A = (-1)^k c[0] and, by Cayley-Hamilton, A^-1 = -c[0]^-1 (A^(k-1)
+    + c[k-1] A^(k-2) + ... + c[1] I). Above 1x1 the ring must be commutative.
+    """
     k = len(mat)
-    mat = [tuple(r) for r in mat]
-    det = mat_determinant(mat, ring)
-    dinv = ring.unit_inverse(det)
-    if dinv is None:
+    mat = tuple(tuple(r) for r in mat)
+    if k <= 1:
+        inv = ring.unit_inverse(mat[0][0]) if k else ring.one
+        return None if inv is None else tuple((inv,) for _ in range(k))
+    if not ring.commutative:
+        raise CapabilityError(
+            f"matrix inverse above 1x1 needs a commutative ring; {ring.describe()} is not"
+        )
+    poly = _charpoly(mat, ring)
+    c0_inv = ring.unit_inverse(poly[k])
+    if c0_inv is None:
         return None
-    if k == 0:
-        return ()
-    cof = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            minor = [r[:j] + r[j + 1:] for ri, r in enumerate(mat) if ri != i]
-            c = mat_determinant(minor, ring)
-            if (i + j) % 2:
-                c = ring.neg(c)
-            row.append(c)
-        cof.append(row)
-    return tuple(
-        tuple(ring.mul(dinv, cof[j][i]) for j in range(k)) for i in range(k)
-    )
+    acc = identity_matrix(k, ring)
+    for c in poly[1:k]:
+        acc = mat_mul(acc, mat, ring)
+        acc = tuple(tuple(ring.add(x, c) if i == j else x for j, x in enumerate(row))
+                    for i, row in enumerate(acc))
+    scale = ring.neg(c0_inv)
+    return tuple(tuple(ring.mul(scale, x) for x in row) for row in acc)
 
 
 # ---------------------------------------------------------------------------
@@ -606,8 +613,8 @@ def smith_normal_form(a: Sequence[Sequence[int]]):
     """Diagonalize an integer matrix by unimodular row and column operations.
 
     Returns (d, u, v) with u * a * v == d, u and v unimodular, d diagonal.
-    The diagonal is not normalized to a divisibility chain; solvability and
-    kernel computations modulo n only need diagonality.
+    The diagonal is not normalized to a divisibility chain; kernels modulo n
+    only need diagonality, and solve_linear normalizes it to count the rank.
     """
     m = len(a)
     n = len(a[0]) if m else 0
@@ -664,21 +671,13 @@ def smith_normal_form(a: Sequence[Sequence[int]]):
     return d, u, v
 
 
-def _zmod_solvable(matrix_rows: list[list[int]], target: Sequence[int], n: int) -> bool:
-    """Decide whether A x = target has a solution over Z/n (A given by rows)."""
-    m = len(matrix_rows)
-    cols = len(matrix_rows[0]) if matrix_rows and matrix_rows[0] else 0
-    if m == 0:
-        return True
-    if cols == 0:
-        return all(t % n == 0 for t in target)
-    d, u, _v = smith_normal_form(matrix_rows)
-    for i in range(m):
-        c = sum(u[i][r] * target[r] for r in range(m)) % n
-        di = d[i][i] if i < min(m, cols) else 0
-        if c % math.gcd(di, n) != 0:
-            return False
-    return True
+def _xgcd(a: int, b: int) -> tuple:
+    """(g, s, t) with s * a + t * b == g == gcd(a, b), for a, b >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        s0, s1, t0, t1 = s1, s0 - q * s1, t1, t0 - q * t1
+    return a, s0, t0
 
 
 @dataclass
@@ -700,29 +699,50 @@ class LinearSolution:
 
 
 class EchelonBasis:
-    """The span of some vectors over a field, grown one vector at a time.
+    """The span of some vectors over a field or Z/n, grown one vector at a time.
 
-    `rows` maps each pivot to a sparse {index: nonzero} row that has 1 at its
-    pivot and 0 at every other pivot. Sorted by pivot, the rows are the unique
-    reduced row echelon form of the span, so two spans are equal exactly when
-    their bases have equal rows. Every field elimination in the package runs
-    here; inputs are dense vectors.
+    `rows` maps each pivot to a sparse {index: nonzero} row that is zero
+    before its pivot. Over a field a row has 1 at its pivot and 0 at every
+    other pivot, so sorted by pivot the rows are the reduced row echelon form.
+    Over composite Z/n they are the reduced Howell form (J. A. Howell, Lin.
+    Multilin. Alg. 19, 1986): a row's pivot entry g divides n, its entry at a
+    later pivot q lies in [0, g_q), and (n/g) * row, which vanishes at the
+    pivot, lies in the span of the later rows. Both forms are unique, so two
+    spans are equal exactly when their bases have equal rows, and v lies in
+    the span exactly when reducing it by the rows leaves nothing. Every span
+    test in the package runs here; inputs are dense vectors.
     """
 
     def __init__(self, ring: Ring, vectors: Sequence[Vector] = ()):
+        if not (ring.is_field or ring.kind == "zmod"):
+            raise CapabilityError(
+                f"span computations need a field or Z/n; ring kind {ring.kind!r} is unsupported"
+            )
         self.ring = ring
         self.rows: dict[int, dict] = {}
         for v in vectors:
             self.insert(v)
 
     def _residue(self, v: Vector) -> dict:
-        # the rows vanish at each other's pivots, so v minus v[p] * row_p over
-        # the pivots p of v is zero at every pivot
         ring, rows = self.ring, self.rows
         acc = dict(sparse_row(v, ring))
+        if not ring.is_field:
+            return self._reduce(acc, -1)
+        # the rows vanish at each other's pivots, so v minus v[p] * row_p over
+        # the pivots p of v is zero at every pivot
         return combine([(ring.one, acc.items())] + [
             (ring.neg(acc[p]), rows[p].items()) for p in acc if p in rows
         ], ring)
+
+    def _reduce(self, acc: dict, after: int) -> dict:
+        # Howell reduction by the rows with pivot > after, in pivot order:
+        # each row leaves the entry at its pivot g in [0, g)
+        ring, rows = self.ring, self.rows
+        for p in sorted(rows):
+            if p > after and p in acc and acc[p] >= rows[p][p]:
+                acc = combine(((ring.one, acc.items()),
+                               (-(acc[p] // rows[p][p]), rows[p].items())), ring)
+        return acc
 
     def contains(self, v: Vector) -> bool:
         return not self._residue(v)
@@ -733,6 +753,9 @@ class EchelonBasis:
         res = self._residue(v)
         if not res:
             return False
+        if not ring.is_field:
+            self._insert_howell(res)
+            return True
         p = min(res)
         inv = ring.inv(res[p])
         new = {k: ring.mul(inv, x) for k, x in res.items()}
@@ -742,8 +765,29 @@ class EchelonBasis:
         rows[p] = new
         return True
 
+    def _insert_howell(self, res: dict) -> None:
+        ring, rows, n = self.ring, self.rows, self.ring.n
+        pending = [res]
+        while pending:
+            r = self._reduce(pending.pop(), -1)
+            if not r:
+                continue
+            p = min(r)
+            x = r[p]
+            # merge r into the row at p (an absent row is zero with pivot
+            # entry n) by the unimodular [[s, t], [x/g, -b/g]]; the second
+            # result vanishes at p and, with the old row's annihilator, spans
+            # the new row's annihilator (n/g) * new, so it goes back in
+            old = rows.get(p, {})
+            b = old.get(p, n)
+            g, s, t = _xgcd(b, x)
+            rows[p] = combine(((s, old.items()), (t, r.items())), ring)
+            pending.append(combine(((x // g, old.items()), (-(b // g), r.items())), ring))
+        for p in sorted(rows, reverse=True):
+            rows[p] = self._reduce(rows[p], p)
+
     def dense_rows(self, width: int) -> list[Vector]:
-        """The reduced row echelon form as dense vectors of the given length."""
+        """The rows in pivot order as dense vectors of the given length."""
         return [dense(self.rows[p].items(), width, self.ring) for p in sorted(self.rows)]
 
 
@@ -761,28 +805,26 @@ def solve_linear(m: ExactMatrix, ring: Ring) -> LinearSolution:
 
     if ring.kind == "zmod":
         n = ring.n
-        rows = [[int(x) % n for x in m.row(i)] for i in range(m.rows)]
         kernel: list[Vector] = []
+        rank = 0
         if m.cols:
-            d, _u, v = smith_normal_form(rows) if m.rows else (
-                [], [], [[int(i == j) for j in range(m.cols)] for i in range(m.cols)]
-            )
-            for i in range(m.cols):
-                di = d[i][i] if i < min(m.rows, m.cols) else 0
-                mult = n // math.gcd(di, n)
-                if mult % n == 0:
-                    continue
-                col = tuple((v[r][i] * mult) % n for r in range(m.cols))
+            if m.rows:
+                d, _u, v = smith_normal_form([[int(x) % n for x in m.row(i)]
+                                              for i in range(m.rows)])
+            else:
+                d, v = [], [[int(i == j) for j in range(m.cols)] for i in range(m.cols)]
+            diag = [math.gcd(d[i][i], n) if i < m.rows else n for i in range(m.cols)]
+            for i, di in enumerate(diag):
+                col = tuple((v[r][i] * (n // di)) % n for r in range(m.cols))
                 if not vec_is_zero(col, ring):
                     kernel.append(col)
+            factors = diag[:m.rows]     # gcd/lcm passes make it the invariant factors
+            for i, j in itertools.combinations(range(len(factors)), 2):
+                a, b = factors[i], factors[j]
+                factors[i], factors[j] = math.gcd(a, b), math.lcm(a, b)
+            rank = sum(1 for f in factors if f != n)
         kernel = span_reduce(kernel, ring)
         image = span_reduce([m.column(j) for j in range(m.cols)], ring)
-        rank = 0
-        if m.rows and m.cols:
-            d, _u, _v = smith_normal_form(rows)
-            rank = sum(
-                1 for i in range(min(m.rows, m.cols)) if math.gcd(d[i][i], n) != n
-            )
         return LinearSolution(ring, m.rows, m.cols, rank, (), kernel, image)
 
     raise CapabilityError(
@@ -792,42 +834,22 @@ def solve_linear(m: ExactMatrix, ring: Ring) -> LinearSolution:
 
 def vector_in_span(v: Vector, generators: Sequence[Vector], ring: Ring) -> bool:
     """Decide membership of v in the span of the generators (exactly)."""
-    if ring.is_field:
-        return EchelonBasis(ring, generators).contains(v)
-    gens = [g for g in generators if not vec_is_zero(g, ring)]
-    if vec_is_zero(v, ring):
-        return True
-    if not gens:
-        return False
-    if ring.kind == "zmod":
-        n = ring.n
-        k = len(v)
-        matrix = [[int(g[i]) % n for g in gens] for i in range(k)]
-        return _zmod_solvable(matrix, [int(x) % n for x in v], n)
-    raise CapabilityError(
-        f"span membership needs a field or Z/n; ring kind {ring.kind!r} is unsupported"
-    )
+    return EchelonBasis(ring, generators).contains(v)
 
 
 def span_reduce(generators: Sequence[Vector], ring: Ring) -> list[Vector]:
-    """Deterministically thin a generating set without changing its span
-    (over a field, to its reduced row echelon form)."""
+    """Deterministically thin a generating set without changing its span: over
+    a field to its reduced row echelon form, over composite Z/n to the
+    generators that enlarge the span of those before them."""
     if ring.is_field:
         width = len(generators[0]) if generators else 0
         return EchelonBasis(ring, generators).dense_rows(width)
-    kept: list[Vector] = []
-    for g in generators:
-        if not vec_is_zero(g, ring) and not vector_in_span(g, kept, ring):
-            kept.append(tuple(g))
-    return kept
+    basis = EchelonBasis(ring)
+    return [tuple(g) for g in generators if basis.insert(g)]
 
 
 def spans_equal(a: Sequence[Vector], b: Sequence[Vector], ring: Ring) -> bool:
-    if ring.is_field:
-        return EchelonBasis(ring, a).rows == EchelonBasis(ring, b).rows
-    return all(vector_in_span(v, b, ring) for v in a) and all(
-        vector_in_span(v, a, ring) for v in b
-    )
+    return EchelonBasis(ring, a).rows == EchelonBasis(ring, b).rows
 
 
 def span_rank(generators: Sequence[Vector], ring: Ring) -> int:
@@ -843,24 +865,20 @@ def ideal_closure(generators: Sequence[Vector], algebra) -> list[Vector]:
     vectors. Saturation multiplies every vector that enlarges the span by every
     basis element on both sides until nothing new appears; the submodule lattice
     of a finite free module over a field or Z/n has finite height, so this
-    stops. Over a field the result is the ideal's reduced row echelon form.
+    stops. Over a field the result is the ideal's reduced row echelon form,
+    over composite Z/n the vectors that enlarged the span.
     """
     ring = algebra.ring
-    if not (ring.kind == "q" or ring.kind == "zmod"):
-        raise CapabilityError(
-            f"ideal closure needs a field or Z/n; ring kind {ring.kind!r} is unsupported"
-        )
-    basis = EchelonBasis(ring) if ring.is_field else None
+    basis = EchelonBasis(ring)
     span: list[Vector] = []
     queue = deque(tuple(ring.coerce(x) for x in g) for g in generators)
     while queue:
         vec = queue.popleft()
-        if not (basis.insert(vec) if basis is not None else
-                not vec_is_zero(vec, ring) and not vector_in_span(vec, span, ring)):
+        if not basis.insert(vec):
             continue
         span.append(vec)
         for i in range(algebra.rank):
             unit = algebra.unit_vector(i)
             queue.append(algebra.mul(unit, vec))
             queue.append(algebra.mul(vec, unit))
-    return basis.dense_rows(algebra.rank) if basis is not None else span
+    return basis.dense_rows(algebra.rank) if ring.is_field else span

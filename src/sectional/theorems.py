@@ -620,6 +620,7 @@ def validate_bundle_congruence(bundle: Bundle, base: RigidCongruence,
     names = bundle.base.arrow_names
 
     rep_to: dict[int, tuple] = {}
+    inverse: dict[int, tuple | None] = {}
     raw = transports or {}
     for key, mat in raw.items():
         k = str(key)
@@ -646,7 +647,8 @@ def validate_bundle_congruence(bundle: Bundle, base: RigidCongruence,
                 report.add("structural", (names[g],),
                            f"transport for {names[g]} must be {k}x{k}")
                 return report
-            if mat_inverse(mat, ring) is None:
+            inverse[g] = mat_inverse(mat, ring)
+            if inverse[g] is None:
                 report.add("non-invertible-transport", (names[g],),
                            f"transport for {names[g]} is not invertible")
                 return report
@@ -654,9 +656,8 @@ def validate_bundle_congruence(bundle: Bundle, base: RigidCongruence,
     full: dict[tuple[int, int], tuple] = {}
     for block in base.classes:
         for g in block:
-            inv_g = mat_inverse(rep_to[g], ring)
             for h in block:
-                full[(g, h)] = mat_mul(rep_to[h], inv_g, ring)
+                full[(g, h)] = mat_mul(rep_to[h], inverse[g], ring)
 
     for block in base.classes:
         for g in block:

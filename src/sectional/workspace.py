@@ -130,10 +130,17 @@ def parse_workspace(text: str, path: str = "") -> WorkspaceFile:
             dangling.append(f"{context} references missing id {ref!r}")
 
     for name, stanza in ws.semigroupoids.items():
-        arrows = stanza.get("arrows", [])
-        if not isinstance(arrows, list) or any(not isinstance(a, dict) for a in arrows):
-            raise WorkspaceError(f"{path}: semigroupoid {name!r}: 'arrows' must be a "
-                                 "list of objects")
+        arrows, prod = stanza.get("arrows", []), stanza.get("prod", [])
+        for key, ok, what in (
+            ("vertices", isinstance(stanza.get("vertices", []), list), "a list"),
+            ("arrows", isinstance(arrows, list) and all(isinstance(a, dict) for a in arrows),
+             "a list of objects"),
+            ("prod", isinstance(prod, list) and all(isinstance(e, list) for e in prod),
+             "a list of [a, b, ab] lists"),
+            ("inv", isinstance(stanza.get("inv", {}), dict), "an object of arrow ids"),
+        ):
+            if not ok:
+                raise WorkspaceError(f"{path}: semigroupoid {name!r}: {key!r} must be {what}")
     for name, stanza in ws.homomorphisms.items():
         check_ref(ws.semigroupoids, stanza.get("source"), f"homomorphism {name!r}")
         check_ref(ws.semigroupoids, stanza.get("target"), f"homomorphism {name!r}")

@@ -161,6 +161,26 @@ class TestCli:
         assert code == 2
         assert "arrows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("prod", [1, 2]),
+        ("vertices", 5),
+        ("inv", [1]),
+    ])
+    @pytest.mark.parametrize("command", ["validate", "verify"])
+    def test_mistyped_semigroupoid_field_exits_two(self, tmp_path, capsys, key, value,
+                                                  command):
+        with open(os.path.join(FIXTURES, "convolution.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        name = next(iter(doc["semigroupoids"]))
+        doc["semigroupoids"][name][key] = value
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(doc))
+        argv = ([command, str(path)] if command == "validate"
+                else [command, "all", "--input", str(path), "--no-timestamp"])
+        code = main(argv)
+        assert code == 2
+        assert repr(key) in capsys.readouterr().err
+
     def test_non_integer_triples_exit_two(self, tmp_path, capsys):
         with open(os.path.join(FIXTURES, "convolution.json"), encoding="utf-8") as fh:
             doc = json.load(fh)

@@ -13,8 +13,9 @@ properties are checked over Q, Z/5 and Z/2 on small generated inputs:
   - ideal_closure contains its generators, is closed under multiplication by
     every basis element on both sides, and equals a naive fixpoint.
 
-Over composite Z/6 and Z/4 the closure, which keeps the Smith normal form
-path, is checked for closedness only.
+Over composite Z/6 and Z/4 the closure is checked for closedness only here;
+tests/test_zmod_linear.py checks the composite (Howell form) basis against
+a Smith-normal-form oracle.
 """
 
 from fractions import Fraction
@@ -223,8 +224,8 @@ def test_ideal_closure_is_closed(ring, rank, data):
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([ZModRing(6), ZModRing(4)]), st.integers(1, 3), st.data())
 def test_composite_closure_is_closed_and_already_thinned(ring, rank, data):
-    # composite Z/n keeps the Smith normal form path: the closure is the list
-    # of accepted vectors, which greedy thinning leaves as it is
+    # over composite Z/n the closure is the list of accepted vectors, which
+    # greedy thinning leaves as it is
     algebra = _algebra(data, ring, rank)
     gens = _vectors(data, ring, rank, max_count=2)
     closure = ideal_closure(gens, algebra)

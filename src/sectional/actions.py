@@ -221,40 +221,93 @@ def _twisted(theta: LandPreaction, t: int, a: int, b: int) -> int | None:
     return theta.apply(theta.actor.inv[t], prod)
 
 
+def twisted_partners(base: FiniteSemigroupoid, doms, rans) -> dict[int, dict[int, set[int]]]:
+    """Project the twisted triple enumeration onto (t, a, c): t -> a -> every c.
+
+    The triple condition runs over actor triples (s, t, u) with stu defined
+    and (a, b, c) in doms[s] x doms[t] x rans[u], but both of its sides read
+    only t, a, b and c; s and u only decide which a and c are drawn. (s, t)
+    is composable when src(s) = rng(t), and (st, u) when rng(u) = w, the
+    source of st. So for each t, a meets c exactly when a lies in the union
+    A_{t,w} of doms[s] over such s with src(st) = w, and c in the union R_w of
+    rans[u] over rng(u) = w, for one common w; b ranges over doms[t] either
+    way. This is the exact projection of the full enumeration and uses no
+    preaction axiom, so the check stays exhaustive on any tables.
+    """
+    ranges_at: dict[int, set[int]] = {}        # w -> R_w
+    for u in base.arrows():
+        ranges_at.setdefault(base.rng[u], set()).update(rans[u])
+    domains_at: dict[tuple[int, int], set[int]] = {}   # (t, w) -> A_{t,w}
+    for s, t in base.composable:
+        domains_at.setdefault((t, base.src[base.prod[s][t]]), set()).update(doms[s])
+    partners: dict[int, dict[int, set[int]]] = {}
+    for (t, w), a_set in domains_at.items():
+        cs = ranges_at.get(w)
+        if cs:
+            per_t = partners.setdefault(t, {})
+            for a in a_set:
+                per_t.setdefault(a, set()).update(cs)
+    return partners
+
+
+def first_twisted_triple(base: FiniteSemigroupoid, doms, rans, failing) -> tuple[int, ...]:
+    """The first (s, t, u, a, b, c) of the full enumeration with (t, a, b, c) in failing.
+
+    Walks the order the exhaustive loop has always reported in: composable
+    (s, t), then u, then a, b, c in table order. Only membership is tested, so
+    it costs one pass of set lookups and runs only when something failed.
+    """
+    for s, t in base.composable:
+        w = base.src[base.prod[s][t]]
+        for u in base.arrows():
+            if base.rng[u] != w:
+                continue
+            for a in doms[s]:
+                for b in doms[t]:
+                    for c in rans[u]:
+                        if (t, a, b, c) in failing:
+                            return s, t, u, a, b, c
+    raise InternalConsistencyError("a failing twisted triple lies outside the enumeration")
+
+
 def _associativity(theta: LandPreaction) -> tuple[bool, tuple]:
     """Triple condition: theta_{t*}(a theta_t(b)) c = theta_{t*}(a theta_t(bc)).
 
-    Runs over actor triples (s,t,u) with stu defined and (a,b,c) in
+    Stated over actor triples (s,t,u) with stu defined and (a,b,c) in
     dom(theta_s) x dom(theta_t) x ran(theta_u). Sides must agree as partial
-    values: defined together and equal, or undefined together.
+    values: defined together and equal, or undefined together. Both sides
+    depend on (t,a,b,c) alone, so each such tuple of the exact projection
+    (`twisted_partners`) is checked once, with the inner twisted value once
+    per (t,a,b); the witness is the first failure in the (s,t,u,a,b,c) order.
     """
     base = theta.actor.base
     space = theta.space
-    for s, t in base.composable:
-        st = base.prod[s][t]
-        for u in base.arrows():
-            if not base.is_composable(st, u):
-                continue
-            for a in theta.dom(s):
-                for b in theta.dom(t):
-                    for c in theta.ran(u):
-                        inner = _twisted(theta, t, a, b)
-                        left = None if inner is None else space.compose(inner, c)
-                        bc = space.compose(b, c)
-                        right = None if bc is None else _twisted(theta, t, a, bc)
-                        if left != right:
-                            return False, (
-                                base.arrow_names[s], base.arrow_names[t],
-                                base.arrow_names[u], space.arrow_names[a],
-                                space.arrow_names[b], space.arrow_names[c],
-                            )
-    return True, ()
+    doms = [theta.dom(s) for s in base.arrows()]
+    rans = [theta.ran(u) for u in base.arrows()]
+    failing: set[tuple[int, int, int, int]] = set()
+    for t, partners in twisted_partners(base, doms, rans).items():
+        for a, cs in partners.items():
+            for b in doms[t]:
+                inner = _twisted(theta, t, a, b)
+                for c in cs:
+                    left = None if inner is None else space.compose(inner, c)
+                    bc = space.compose(b, c)
+                    right = None if bc is None else _twisted(theta, t, a, bc)
+                    if left != right:
+                        failing.add((t, a, b, c))
+    if not failing:
+        return True, ()
+    s, t, u, a, b, c = first_twisted_triple(base, doms, rans, failing)
+    return False, (
+        base.arrow_names[s], base.arrow_names[t], base.arrow_names[u],
+        space.arrow_names[a], space.arrow_names[b], space.arrow_names[c],
+    )
 
 
 def trivial_action(actor: FiniteInverseSemigroupoid, space: FiniteSemigroupoid) -> LandPreaction:
     """theta_s = identity on the whole space for every arrow (needs one actor vertex)."""
     if actor.base.n_vertices != 1:
-        raise StructureError(_quick_report(
+        raise StructureError(ValidationReport.single(
             "trivial action", "structural", (actor.base.name,),
             "the identity-on-everything action needs a one-vertex actor",
         ))
@@ -263,12 +316,6 @@ def trivial_action(actor: FiniteInverseSemigroupoid, space: FiniteSemigroupoid) 
         for name in actor.base.arrow_names
     }
     return must(validate_preaction(raw, actor, space))
-
-
-def _quick_report(subject, kind, witness, message) -> ValidationReport:
-    report = ValidationReport(subject)
-    report.add(kind, witness, message)
-    return report
 
 
 @dataclass
@@ -291,7 +338,7 @@ def semidirect_product(theta: LandPreaction) -> SemidirectProduct:
     associativity, so the failing triple is reported instead.
     """
     if not theta.is_associative:
-        raise StructureError(_quick_report(
+        raise StructureError(ValidationReport.single(
             "semidirect product", "not-associative", theta.associativity_witness,
             "the action fails the twisted associativity condition",
         ))
@@ -367,13 +414,13 @@ def validate_rigid_congruence(partition, base: FiniteSemigroupoid) -> RigidCongr
     for block in partition:
         ids = []
         for x in block:
-            if isinstance(x, int):
+            if isinstance(x, int) and not isinstance(x, bool) and 0 <= x < base.n_arrows:
                 xi = x
-            else:
-                if str(x) not in names:
-                    report.add("structural", (str(x),), f"unknown arrow {x!r}")
-                    return report
+            elif not isinstance(x, int) and str(x) in names:
                 xi = base.arrow_index(str(x))
+            else:
+                report.add("structural", (str(x),), f"unknown arrow {x!r}")
+                return report
             if xi in seen:
                 report.add("structural", (names[xi],), f"arrow {names[xi]!r} appears twice")
                 return report
@@ -484,12 +531,12 @@ def germ_quotient(theta: LandPreaction) -> GermQuotient | ValidationReport:
     """
     space_check = is_groupoid(theta.space)
     if not space_check.ok:
-        return _quick_report("germ quotient", "space-not-groupoid",
-                             space_check.witness, space_check.message)
+        return ValidationReport.single("germ quotient", "space-not-groupoid",
+                                       space_check.witness, space_check.message)
     if not theta.is_associative:
-        return _quick_report("germ quotient", "not-associative",
-                             theta.associativity_witness,
-                             "germ quotients need an associative action")
+        return ValidationReport.single("germ quotient", "not-associative",
+                                       theta.associativity_witness,
+                                       "germ quotients need an associative action")
 
     sp = semidirect_product(theta)
     actor = theta.actor
@@ -514,7 +561,7 @@ def germ_quotient(theta: LandPreaction) -> GermQuotient | ValidationReport:
             for k in range(n):
                 if rel[j][k] and not rel[i][k]:
                     names = sp.semigroupoid.arrow_names
-                    return _quick_report(
+                    return ValidationReport.single(
                         "germ quotient", "germ-transitivity",
                         (names[i], names[j], names[k]),
                         "the germ relation is not transitive for this action",

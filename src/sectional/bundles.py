@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .actions import first_twisted_triple, twisted_partners
 from .algebras import AlgebraPresentation
 from .maps import LinearMapOnBasis
 from .rings import (
@@ -415,7 +416,7 @@ def bundle_from_graded(algebra: AlgebraPresentation) -> Bundle:
     degree by graded closure.
     """
     if not algebra.graded:
-        raise StructureError(_single(
+        raise StructureError(ValidationReport.single(
             "bundle from graded algebra", "structural", (),
             "the algebra carries no grading",
         ))
@@ -423,7 +424,7 @@ def bundle_from_graded(algebra: AlgebraPresentation) -> Bundle:
     ring = algebra.ring
     witness = algebra.check_graded_closure()
     if witness is not None:
-        raise StructureError(_single(
+        raise StructureError(ValidationReport.single(
             "bundle from graded algebra", "graded-closure", witness,
             "products leave the homogeneous component dictated by the degrees",
         ))
@@ -479,12 +480,6 @@ def graded_roundtrip_iso(algebra: AlgebraPresentation) -> LinearMapOnBasis:
     out = LinearMapOnBasis(rebuilt, algebra, images, inverse=inverse)
     inverse.inverse = out
     return out
-
-
-def _single(subject, kind, witness, message) -> ValidationReport:
-    report = ValidationReport(subject)
-    report.add(kind, witness, message)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -653,34 +648,44 @@ def algebra_action_associativity(action: AlgebraAction) -> tuple | None:
     For actor triples with stu defined and basis vectors a, b, c drawn from
     dom(Theta_s), dom(Theta_t), ran(Theta_u):
     Theta_{t*}(a Theta_t(b)) c == Theta_{t*}(a Theta_t(bc)).
+    Both sides depend on (t, a, b, c) alone; s and u only decide which a and
+    c are drawn. So each tuple of the exact projection of that enumeration
+    (`actions.twisted_partners`) is checked once, with the inner value
+    Theta_{t*}(a Theta_t(b)) computed once per (t, a, b) and Theta_t(bc) once
+    per (t, b, c). The witness is the first failure in (s, t, u, a, b, c)
+    order. The action must have passed validate_algebra_action's ideal and
+    inverse checks, which keep every apply inside its domain.
     """
     base = action.actor.base
     inv = action.actor.inv
     alg = action.algebra
     one = alg.ring.one
-    for s, t in base.composable:
-        st = base.prod[s][t]
-        for u in base.arrows():
-            if not base.is_composable(st, u):
-                continue
-            ran_u = action.domains[inv[u]]
-            for a in action.domains[s]:
-                va = ((a, one),)
-                for b in action.domains[t]:
-                    tb = action.rows[t][b]                  # Theta_t(e_b)
-                    inner = action.apply_rows(inv[t], alg.mul_rows(va, tb).items())
-                    for c in ran_u:
-                        left = alg.mul_rows(inner.items(), ((c, one),))
+    doms = action.domains
+    rans = [doms[inv[u]] for u in base.arrows()]
+    failing: set[tuple[int, int, int, int]] = set()
+    for t, partners in twisted_partners(base, doms, rans).items():
+        theta_bc: dict[tuple[int, int], object] = {}      # (b, c) -> Theta_t(e_b e_c)
+        for a, cs in partners.items():
+            va = ((a, one),)
+            for b in doms[t]:
+                tb = action.rows[t][b]                      # Theta_t(e_b)
+                inner = action.apply_rows(inv[t], alg.mul_rows(va, tb).items()).items()
+                for c in cs:
+                    t_bc = theta_bc.get((b, c))
+                    if t_bc is None:
                         bc = alg.table.get((b, c), ())
-                        t_bc = action.apply_rows(t, bc).items()
-                        right = action.apply_rows(inv[t], alg.mul_rows(va, t_bc).items())
-                        if left != right:
-                            return (
-                                base.arrow_names[s], base.arrow_names[t],
-                                base.arrow_names[u], alg.basis[a], alg.basis[b],
-                                alg.basis[c],
-                            )
-    return None
+                        t_bc = theta_bc[b, c] = action.apply_rows(t, bc).items()
+                    left = alg.mul_rows(inner, ((c, one),))
+                    right = action.apply_rows(inv[t], alg.mul_rows(va, t_bc).items())
+                    if left != right:
+                        failing.add((t, a, b, c))
+    if not failing:
+        return None
+    s, t, u, a, b, c = first_twisted_triple(base, doms, rans, failing)
+    return (
+        base.arrow_names[s], base.arrow_names[t], base.arrow_names[u],
+        alg.basis[a], alg.basis[b], alg.basis[c],
+    )
 
 
 def trivial_algebra_action(actor: FiniteInverseSemigroupoid,

@@ -202,7 +202,11 @@ def validate_bundle_action(theta: LandPreaction, bundle: Bundle,
                 maps[(s, g)] = identity_matrix(bundle.ranks[g], ring)
     else:
         for key, mat in fiber_maps.items():
-            maps[key] = tuple(tuple(ring.coerce(x) for x in row) for row in mat)
+            try:
+                maps[key] = tuple(tuple(ring.coerce(x) for x in row) for row in mat)
+            except ValueError as exc:
+                report.add("structural", (names[key[0]], anames[key[1]]), str(exc))
+                return report
 
     expected = {(s, g) for s in actor.base.arrows() for g in theta.dom(s)}
     if set(maps) != expected:
@@ -350,10 +354,9 @@ def induced_theta(action: BundleAction) -> AlgebraAction:
     out = must(validate_algebra_action(theta.actor, algebra, domains, matrices))
     witness = algebra_action_associativity(out)
     if witness is not None:
-        report = ValidationReport("induced action")
-        report.add("not-associative", witness,
-                   "the induced action fails twisted associativity")
-        raise StructureError(report)
+        raise StructureError(ValidationReport.single(
+            "induced action", "not-associative", witness,
+            "the induced action fails twisted associativity"))
     return out
 
 
@@ -433,13 +436,13 @@ def smash_product(algebra: AlgebraPresentation) -> AlgebraPresentation:
     instance by enumeration.
     """
     if not algebra.graded:
-        raise StructureError(_report("smash product", "structural", (),
-                                     "smash products need a graded algebra"))
+        raise StructureError(ValidationReport.single(
+            "smash product", "structural", (), "smash products need a graded algebra"))
     g = algebra.grading
     check = is_groupoid(g)
     if not check.ok:
-        raise StructureError(_report("smash product", "grading-not-groupoid",
-                                     check.witness, check.message))
+        raise StructureError(ValidationReport.single(
+            "smash product", "grading-not-groupoid", check.witness, check.message))
     ring = algebra.ring
     labels = smash_basis_labels(algebra)
     pos = {lab: i for i, lab in enumerate(labels)}
@@ -486,8 +489,8 @@ def skew_product(sgpd: FiniteSemigroupoid, d: Homomorphism) -> SkewProduct:
     g = d.target
     check = is_groupoid(g)
     if not check.ok:
-        raise StructureError(_report("skew product", "grading-not-groupoid",
-                                     check.witness, check.message))
+        raise StructureError(ValidationReport.single(
+            "skew product", "grading-not-groupoid", check.witness, check.message))
     if d.source is not sgpd and d.source != sgpd:
         raise ValueError("the grading must be a homomorphism out of the base")
 
@@ -952,9 +955,3 @@ def germ_corollary(theta: LandPreaction, coefficients) -> GermCorollaryResult:
                  crossed.rank - ideal_rank == germ_algebra.rank,
                  note=f"{crossed.rank} - {ideal_rank} == {germ_algebra.rank}")
     return GermCorollaryResult(cert, germ, crossed, ideal, germ_algebra, qmap, induced)
-
-
-def _report(subject, kind, witness, message) -> ValidationReport:
-    report = ValidationReport(subject)
-    report.add(kind, witness, message)
-    return report

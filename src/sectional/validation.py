@@ -28,6 +28,13 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.failures
 
+    @classmethod
+    def single(cls, subject: str, kind: str, witness, message: str) -> "ValidationReport":
+        """A report holding exactly one failure."""
+        report = cls(subject)
+        report.add(kind, witness, message)
+        return report
+
     def add(self, kind: str, witness, message: str) -> None:
         self.failures.append(Failure(kind, tuple(witness), message))
 

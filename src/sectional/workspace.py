@@ -129,36 +129,66 @@ def parse_workspace(text: str, path: str = "") -> WorkspaceFile:
         if not isinstance(ref, str) or ref not in section:
             dangling.append(f"{context} references missing id {ref!r}")
 
+    def require(ok: bool, context: str, key: str, what: str) -> None:
+        if not ok:
+            raise WorkspaceError(f"{path}: {context}: {key!r} must be {what}")
+
     for name, stanza in ws.semigroupoids.items():
-        arrows, prod = stanza.get("arrows", []), stanza.get("prod", [])
-        for key, ok, what in (
-            ("vertices", isinstance(stanza.get("vertices", []), list), "a list"),
-            ("arrows", isinstance(arrows, list) and all(isinstance(a, dict) for a in arrows),
-             "a list of objects"),
-            ("prod", isinstance(prod, list) and all(isinstance(e, list) for e in prod),
-             "a list of [a, b, ab] lists"),
-            ("inv", isinstance(stanza.get("inv", {}), dict), "an object of arrow ids"),
-        ):
-            if not ok:
-                raise WorkspaceError(f"{path}: semigroupoid {name!r}: {key!r} must be {what}")
+        ctx = f"semigroupoid {name!r}"
+        arrows = stanza.get("arrows", [])
+        require(isinstance(stanza.get("vertices", []), list), ctx, "vertices", "a list")
+        require(isinstance(arrows, list) and all(isinstance(a, dict) for a in arrows),
+                ctx, "arrows", "a list of objects")
+        require(_is_matrix(stanza.get("prod", [])), ctx, "prod", "a list of [a, b, ab] lists")
+        require(isinstance(stanza.get("inv", {}), dict), ctx, "inv", "an object of arrow ids")
+
+    def arrow_ids(ref) -> set[str] | None:
+        sgpd = ws.semigroupoids.get(ref) if isinstance(ref, str) else None
+        return None if sgpd is None else {str(a.get("id")) for a in sgpd.get("arrows", [])}
+
     for name, stanza in ws.homomorphisms.items():
-        check_ref(ws.semigroupoids, stanza.get("source"), f"homomorphism {name!r}")
-        check_ref(ws.semigroupoids, stanza.get("target"), f"homomorphism {name!r}")
+        ctx = f"homomorphism {name!r}"
+        check_ref(ws.semigroupoids, stanza.get("source"), ctx)
+        check_ref(ws.semigroupoids, stanza.get("target"), ctx)
+        require(isinstance(stanza.get("map", {}), dict), ctx, "map", "an object of arrow ids")
     for name, stanza in ws.actions.items():
-        check_ref(ws.semigroupoids, stanza.get("actor"), f"action {name!r}")
-        check_ref(ws.semigroupoids, stanza.get("space"), f"action {name!r}")
+        ctx = f"action {name!r}"
+        check_ref(ws.semigroupoids, stanza.get("actor"), ctx)
+        check_ref(ws.semigroupoids, stanza.get("space"), ctx)
+        require(_object_of(stanza.get("maps", {}), lambda e: isinstance(e, dict) and all(
+                    isinstance(e.get(k, []), list) for k in ("dom", "img"))),
+                ctx, "maps", "an object of {'dom': [...], 'img': [...]} objects")
     for name, stanza in ws.bundles.items():
-        check_ref(ws.semigroupoids, stanza.get("base"), f"bundle {name!r}")
-        ranks = stanza.get("ranks", {})
-        if not isinstance(ranks, dict) or any(
-                isinstance(k, bool) or not isinstance(k, int) or k < 0 for k in ranks.values()):
-            raise WorkspaceError(f"{path}: bundle {name!r}: 'ranks' must map arrow ids "
-                                 "to non-negative integers")
+        ctx = f"bundle {name!r}"
+        check_ref(ws.semigroupoids, stanza.get("base"), ctx)
+        require(_object_of(stanza.get("ranks", {}), lambda v: (
+                    not isinstance(v, bool) and isinstance(v, int) and v >= 0)),
+                ctx, "ranks", "an object mapping arrow ids to non-negative integers")
+        for key in ("constants", "twist"):
+            require(isinstance(stanza.get(key, {}), dict), ctx, key, "an object")
     for name, stanza in ws.bundle_actions.items():
-        check_ref(ws.actions, stanza.get("action"), f"bundle action {name!r}")
-        check_ref(ws.bundles, stanza.get("bundle"), f"bundle action {name!r}")
+        ctx = f"bundle action {name!r}"
+        check_ref(ws.actions, stanza.get("action"), ctx)
+        check_ref(ws.bundles, stanza.get("bundle"), ctx)
+        fibers = stanza.get("fibers", {})
+        require(_object_of(fibers, lambda per: _object_of(per, _is_matrix)),
+                ctx, "fibers", "an object of {space arrow: matrix} objects")
+        ref = stanza.get("action")
+        action = ws.actions.get(ref) if isinstance(ref, str) else None
+        actor_ids = arrow_ids(action.get("actor")) if action else None
+        space_ids = arrow_ids(action.get("space")) if action else None
+        for s_name, per_arrow in fibers.items():
+            if actor_ids is not None and s_name not in actor_ids:
+                dangling.append(f"{ctx} gives fibers for unknown actor arrow {s_name!r}")
+            for g_name in per_arrow:
+                if space_ids is not None and g_name not in space_ids:
+                    dangling.append(f"{ctx} gives fibers for unknown space arrow {g_name!r}")
     for name, stanza in ws.congruences.items():
-        check_ref(ws.semigroupoids, stanza.get("base"), f"congruence {name!r}")
+        ctx = f"congruence {name!r}"
+        check_ref(ws.semigroupoids, stanza.get("base"), ctx)
+        require(_is_matrix(stanza.get("classes", [])), ctx, "classes", "a list of lists")
+        require(_object_of(stanza.get("transports", {}), _is_matrix),
+                ctx, "transports", "an object mapping arrow ids to matrices")
 
     raw_tasks = doc.get("tasks", [])
     if not isinstance(raw_tasks, list):
@@ -176,7 +206,7 @@ def parse_workspace(text: str, path: str = "") -> WorkspaceFile:
                 set(ws.semigroupoids) | set(ws.actions) | set(ws.bundles)
                 | set(ws.congruences) | set(ws.homomorphisms) | set(ws.bundle_actions)
             )
-            if target not in known:
+            if not isinstance(target, str) or target not in known:
                 dangling.append(f"{ctx} references missing id {target!r}")
         elif task.kind == "verify":
             theorem = raw.get("theorem")
@@ -227,6 +257,15 @@ def parse_workspace(text: str, path: str = "") -> WorkspaceFile:
     return ws
 
 
+def _is_matrix(value) -> bool:
+    """A list of lists: how matrices, product tables and class lists are written."""
+    return isinstance(value, list) and all(isinstance(row, list) for row in value)
+
+
+def _object_of(value, test) -> bool:
+    return isinstance(value, dict) and all(test(v) for v in value.values())
+
+
 class Builder:
     """Lazily builds and memoizes validated structures from a workspace."""
 
@@ -251,10 +290,9 @@ class Builder:
         def build():
             stanza = self.ws.semigroupoids[name]
             if "inv" not in stanza:
-                report = ValidationReport(f"inverse semigroupoid {name}")
-                report.add("structural", (name,),
-                           f"semigroupoid {name!r} declares no inv table")
-                raise StructureError(report)
+                raise StructureError(ValidationReport.single(
+                    f"inverse semigroupoid {name}", "structural", (name,),
+                    f"semigroupoid {name!r} declares no inv table"))
             return must(validate_inverse_semigroupoid(
                 self.semigroupoid(name), stanza["inv"]
             ))

@@ -1,0 +1,219 @@
+"""Twisted associativity of actions against the ordered loops it replaced.
+
+Both checks (`actions._associativity` on the semigroupoid, and
+`bundles.algebra_action_associativity` on the algebra) now test each
+(t, a, b, c) of the projection of the (s, t, u, a, b, c) enumeration once,
+and name the witness by walking the old order only when something failed.
+The loops below are the previous implementations, kept here only as the
+oracle: verdict and witness must match them exactly.
+
+Semigroupoid level: random partial injections on validated actors and
+spaces, built as `LandPreaction`s directly so that the preaction axioms do
+not filter out the failing cases. Algebra level: valid preactions lifted to
+the semigroupoid algebra, with each image a random unit multiple of the
+honest one plus, at times, one more basis vector of the same range, and one
+corrupted matrix entry.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sectional.actions import LandPreaction, _associativity, _twisted, validate_preaction
+from sectional.bundles import AlgebraAction, algebra_action_associativity, semigroupoid_algebra
+from sectional.rings import RationalRing, ZModRing, unit_vector
+from sectional.semigroupoids import validate_inverse_semigroupoid, validate_semigroupoid
+from sectional.standard import cyclic2, pair_groupoid, semilattice2, unit_groupoid
+from sectional.validation import must
+
+from structures import semilattice_on_points_action
+
+
+def oracle_associativity(theta):
+    """The ordered loop over (s, t, u, a, b, c) as it stood before."""
+    base = theta.actor.base
+    space = theta.space
+    for s, t in base.composable:
+        st_ = base.prod[s][t]
+        for u in base.arrows():
+            if not base.is_composable(st_, u):
+                continue
+            for a in theta.dom(s):
+                for b in theta.dom(t):
+                    for c in theta.ran(u):
+                        inner = _twisted(theta, t, a, b)
+                        left = None if inner is None else space.compose(inner, c)
+                        bc = space.compose(b, c)
+                        right = None if bc is None else _twisted(theta, t, a, bc)
+                        if left != right:
+                            return False, (
+                                base.arrow_names[s], base.arrow_names[t],
+                                base.arrow_names[u], space.arrow_names[a],
+                                space.arrow_names[b], space.arrow_names[c],
+                            )
+    return True, ()
+
+
+def oracle_algebra_associativity(action):
+    """The ordered algebra-level loop as it stood before."""
+    base = action.actor.base
+    inv = action.actor.inv
+    alg = action.algebra
+    one = alg.ring.one
+    for s, t in base.composable:
+        st_ = base.prod[s][t]
+        for u in base.arrows():
+            if not base.is_composable(st_, u):
+                continue
+            ran_u = action.domains[inv[u]]
+            for a in action.domains[s]:
+                va = ((a, one),)
+                for b in action.domains[t]:
+                    tb = action.rows[t][b]
+                    inner = action.apply_rows(inv[t], alg.mul_rows(va, tb).items())
+                    for c in ran_u:
+                        left = alg.mul_rows(inner.items(), ((c, one),))
+                        bc = alg.table.get((b, c), ())
+                        t_bc = action.apply_rows(t, bc).items()
+                        right = action.apply_rows(inv[t], alg.mul_rows(va, t_bc).items())
+                        if left != right:
+                            return (
+                                base.arrow_names[s], base.arrow_names[t],
+                                base.arrow_names[u], alg.basis[a], alg.basis[b],
+                                alg.basis[c],
+                            )
+    return None
+
+
+def chain(n):
+    """The chain semilattice {0..n-1}, i * j = min(i, j), on one vertex."""
+    ids = [str(i) for i in range(n)]
+    raw = {
+        "id": f"C{n}",
+        "vertices": ["*"],
+        "arrows": [{"id": i, "src": "*", "rng": "*"} for i in ids],
+        "prod": [[i, j, str(min(int(i), int(j)))] for i in ids for j in ids],
+    }
+    return must(validate_inverse_semigroupoid(must(validate_semigroupoid(raw)),
+                                              {i: i for i in ids}))
+
+
+ACTORS = [semilattice2(), cyclic2(), pair_groupoid(), pair_groupoid(("1", "2", "3")),
+          unit_groupoid(), chain(3)]
+SPACES = [unit_groupoid().base, unit_groupoid(("x", "y", "z")).base, pair_groupoid().base,
+          cyclic2().base]
+
+
+@st.composite
+def partial_injections(draw, actor, space):
+    """One partial injection of the space's arrows per actor arrow."""
+    n = space.n_arrows
+    maps = []
+    for _s in actor.base.arrows():
+        dom = [g for g in range(n) if draw(st.booleans())]
+        img = dom if draw(st.booleans()) else draw(st.permutations(range(n)))[:len(dom)]
+        maps.append(dict(zip(dom, img)))
+    return LandPreaction(actor, space, tuple(maps))
+
+
+def test_semigroupoid_witness_matches_oracle():
+    verdicts = []
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def check(data):
+        actor = data.draw(st.sampled_from(ACTORS))
+        space = data.draw(st.sampled_from(SPACES))
+        theta = data.draw(partial_injections(actor, space))
+        expected = oracle_associativity(theta)
+        assert _associativity(theta) == expected
+        verdicts.append(expected[0])
+
+    check()
+    # both branches ran, the witness walk included
+    assert False in verdicts and True in verdicts
+
+
+def _valid_actions():
+    """Preactions that pass every axiom, on one- and two-vertex actors."""
+    x, y, z = "1x", "1y", "1z"
+    swap = {"u": {"dom": [x, y], "img": [x, y]}, "g": {"dom": [x, y], "img": [y, x]}}
+    nested = {"0": {"dom": [x], "img": [x]}, "1": {"dom": [x, y], "img": [x, y]},
+              "2": {"dom": [x, y, z], "img": [x, y, z]}}
+    moves = {f"({i},{j})": {"dom": [f"1{j}"], "img": [f"1{i}"]} for i in "xy" for j in "xy"}
+    return [
+        must(validate_preaction(semilattice_on_points_action(), semilattice2(),
+                                unit_groupoid().base)),
+        must(validate_preaction(swap, cyclic2(), unit_groupoid().base)),
+        must(validate_preaction(nested, chain(3), unit_groupoid(("x", "y", "z")).base)),
+        must(validate_preaction(moves, pair_groupoid(("x", "y")), unit_groupoid().base)),
+    ]
+
+
+VALID = _valid_actions()
+
+
+def lifted(theta, ring, image=None):
+    """Theta on the semigroupoid algebra; e_g goes to image(s, g), by default
+    e_{theta_s(g)}, the honest induced action."""
+    algebra = semigroupoid_algebra(ring, theta.space)
+    assert algebra.basis == theta.space.arrow_names      # basis index = space arrow
+    if image is None:
+        def image(s, g):
+            return unit_vector(algebra.rank, theta.maps[s][g], ring)
+    domains = tuple(theta.dom(s) for s in theta.actor.base.arrows())
+    matrices = tuple({g: image(s, g) for g in theta.maps[s]} for s in theta.actor.base.arrows())
+    return AlgebraAction(theta.actor, algebra, domains, matrices)
+
+
+RINGS = [RationalRing(), ZModRing(5)]
+
+
+def test_algebra_witness_matches_oracle():
+    """Each image is u e_{theta_s(g)} + v e_h for a unit u, v in {0, 1} and h in
+    ran(theta_s): the images stay inside dom(theta_{s*}), as validation
+    guarantees, but v = 1 breaks multiplicativity and so, often, associativity."""
+    verdicts = []
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def check(data):
+        theta = data.draw(st.sampled_from(VALID))
+        ring = data.draw(st.sampled_from(RINGS))
+        rank = theta.space.n_arrows
+
+        def image(s, g):
+            u = data.draw(st.sampled_from([ring.one, ring.coerce(2), ring.coerce(-1)]))
+            v = data.draw(st.sampled_from([ring.zero, ring.zero, ring.one]))
+            h = data.draw(st.sampled_from(theta.ran(s)))
+            out = list(ring.mul(u, x) for x in unit_vector(rank, theta.maps[s][g], ring))
+            out[h] = ring.add(out[h], v)
+            return tuple(out)
+
+        action = lifted(theta, ring, image)
+        expected = oracle_algebra_associativity(action)
+        assert algebra_action_associativity(action) == expected
+        verdicts.append(expected is None)
+
+    check()
+    assert False in verdicts and True in verdicts
+
+
+def test_valid_lifted_actions_are_associative():
+    for theta in VALID:
+        assert theta.is_associative
+        action = lifted(theta, RationalRing())
+        assert algebra_action_associativity(action) is None
+        assert oracle_algebra_associativity(action) is None
+
+
+def test_corrupted_matrix_gives_the_oracle_witness():
+    theta = VALID[2]                                   # chain C_3 on three points
+    action = lifted(theta, RationalRing())
+    matrices = [dict(m) for m in action.matrices]
+    matrices[1][1] = (Fraction(1), Fraction(1), Fraction(0))   # 1y -> 1x + 1y
+    broken = AlgebraAction(action.actor, action.algebra, action.domains, tuple(matrices))
+    witness = algebra_action_associativity(broken)
+    assert witness is not None
+    assert witness == oracle_algebra_associativity(broken)

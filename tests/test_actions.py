@@ -215,6 +215,13 @@ class TestRigidCongruence:
         report = validate_rigid_congruence([["u"]], z2)
         assert report.has("structural")
 
+    @pytest.mark.parametrize("member", [2, -1, True])
+    def test_member_outside_the_arrow_ids_is_structural(self, member):
+        z2 = cyclic2().base
+        report = validate_rigid_congruence([["u", "g", member]], z2)
+        assert isinstance(report, ValidationReport)
+        assert report.first().kind == "structural"
+
 
 class TestGermQuotient:
     def test_running_example_collapses_to_two_points(self, germ_example):

@@ -181,6 +181,35 @@ class TestCli:
         assert code == 2
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fixture, where, value, text", [
+        ("germ.json", ("actions", "theta", "maps", "1"), "x", "'maps'"),
+        ("germ.json", ("actions", "theta", "maps", "1"), {"dom": 5}, "'maps'"),
+        ("quotient.json", ("congruences", "sign", "classes"), ["u", "g"], "'classes'"),
+        ("quotient.json", ("congruences", "sign", "transports"), [[1]], "'transports'"),
+        ("smash.json", ("homomorphisms", "d", "map"), [[1]], "'map'"),
+        ("crossed.json", ("bundles", "bR2", "constants"), [1], "'constants'"),
+        ("crossed.json", ("bundle_actions", "swap", "fibers"), [1], "'fibers'"),
+        ("crossed.json", ("bundle_actions", "swap", "fibers", "zz"), {}, "'zz'"),
+        ("crossed.json", ("bundle_actions", "swap", "fibers", "g", "zz"), [[1]], "'zz'"),
+        ("tablering.json", ("tasks", 0, "target"), ["x"], "missing id"),
+        ("tablering.json", ("tasks", 0, "target"), {"x": 1}, "missing id"),
+    ])
+    @pytest.mark.parametrize("command", ["validate", "verify"])
+    def test_mistyped_stanza_field_exits_two(self, tmp_path, capsys, fixture, where, value,
+                                             text, command):
+        with open(os.path.join(FIXTURES, fixture), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        node = doc
+        for step in where[:-1]:
+            node = node[step]
+        node[where[-1]] = value
+        path = tmp_path / fixture
+        path.write_text(json.dumps(doc))
+        argv = ([command, str(path)] if command == "validate"
+                else [command, "all", "--input", str(path), "--no-timestamp"])
+        assert main(argv) == 2
+        assert text in capsys.readouterr().err
+
     def test_non_integer_triples_exit_two(self, tmp_path, capsys):
         with open(os.path.join(FIXTURES, "convolution.json"), encoding="utf-8") as fh:
             doc = json.load(fh)

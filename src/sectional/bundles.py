@@ -1,12 +1,13 @@
 """Algebra bundles over finite semigroupoids and their sectional algebras.
 
 A bundle assigns to every base arrow a free bimodule fiber and to every
-composable pair a balanced fiber product. Two modes are supported:
-
-  - "sc": arbitrary ranks with structure constants; needs a commutative
-    coefficient ring so free fibers can carry the symmetric bimodule action.
-  - "ringfiber": every rank is 1 and the product is ring multiplication times
-    a central twist constant; works over non-commutative rings.
+composable pair a balanced fiber product, held as sparse rows: the product
+of two basis vectors, for every composable pair. Over a non-commutative ring
+every fiber has rank 1 and its product is ring multiplication times a
+central constant. Bundles are built from a workspace stanza, pulled back
+along a base map, or read off a fiber-product function. The stanza's "mode"
+("sc" structure constants, commutative rings only, or "ringfiber" twists)
+only chooses how the file spells the products.
 
 Sections (finitely supported choices of a fiber vector per arrow) multiply by
 convolution over factorizations, which turns the basis sections into the
@@ -49,31 +50,13 @@ from .validation import (
 
 @dataclass
 class Bundle:
-    """Constants and twists are given dense; `rows` holds the fiber products
-    once as sparse rows: rows[(a, b)][i][j] is e_i * e_j in fiber(ab). A
-    ringfiber twist t is the 1x1 row ((0, t),), so both modes share one
-    product, (x_i y_j) * row."""
+    """rows[(a, b)][i][j] is e_i * e_j in fiber(ab) as a sparse row, for every
+    composable pair; every product is (x_i y_j) * row, summed."""
 
     ring: Ring
     base: FiniteSemigroupoid
     ranks: tuple[int, ...]
-    mode: str = "sc"
-    constants: dict[tuple[int, int], tuple] = field(default_factory=dict)
-    twists: dict[tuple[int, int], object] = field(default_factory=dict)
-    rows: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        ring = self.ring
-        tables = self.constants if self.mode == "sc" else {
-            pair: (((self.twists.get(pair, ring.one),),),) for pair in self.base.composable
-        }
-        self.rows = {
-            pair: tuple(tuple(sparse_row(vec, ring) for vec in row) for row in table)
-            for pair, table in tables.items()
-        }
-
-    def rank(self, arrow: int) -> int:
-        return self.ranks[arrow]
+    rows: dict[tuple[int, int], tuple]
 
     def zero_fiber(self, arrow: int) -> Vector:
         return zero_vector(self.ranks[arrow], self.ring)
@@ -93,14 +76,47 @@ class Bundle:
         return ((mul(xi, yj), row) for i, xi in x for j, yj in y if (row := table[i][j]))
 
 
+def fiber_rows(table, ring: Ring) -> tuple:
+    """A dense product table, table[i][j] = e_i * e_j, as sparse rows."""
+    return tuple(tuple(sparse_row(vec, ring) for vec in row) for row in table)
+
+
+def pullback_bundle(bundle: Bundle, base: FiniteSemigroupoid, along) -> Bundle:
+    """The bundle over base whose fiber over p is the fiber over along[p].
+
+    along maps base arrows to arrows of bundle.base (a homomorphism, so
+    composable pairs land on composable pairs); the parent's rows are shared.
+    """
+    ranks = tuple(bundle.ranks[along[p]] for p in base.arrows())
+    rows = {(p, q): bundle.rows[(along[p], along[q])] for p, q in base.composable}
+    return must(validate_bundle(Bundle(bundle.ring, base, ranks, rows), bundle.ring, base))
+
+
+def bundle_from_product(ring: Ring, base: FiniteSemigroupoid, ranks: tuple[int, ...],
+                        product) -> Bundle:
+    """The bundle whose fiber product over (p, q) is product(p, q, x, y),
+    read off basis vectors."""
+    rows = {
+        (p, q): fiber_rows(
+            ((product(p, q, unit_vector(ranks[p], i, ring), unit_vector(ranks[q], j, ring))
+              for j in range(ranks[q])) for i in range(ranks[p])),
+            ring,
+        )
+        for p, q in base.composable
+    }
+    return must(validate_bundle(Bundle(ring, base, ranks, rows), ring, base))
+
+
 def trivial_bundle(ring: Ring, base: FiniteSemigroupoid) -> Bundle:
     """Rank-1 fibers, every constant 1: the direct-product bundle R x base."""
-    return must(validate_bundle({"mode": "sc" if ring.commutative else "ringfiber"},
-                                ring, base))
+    one = fiber_rows((((ring.one,),),), ring)
+    bundle = Bundle(ring, base, (1,) * base.n_arrows, dict.fromkeys(base.composable, one))
+    return must(validate_bundle(bundle, ring, base))
 
 
 def validate_bundle(raw, ring: Ring, base: FiniteSemigroupoid) -> Bundle | ValidationReport:
-    """Build a bundle from a stanza and enumerate total-product associativity.
+    """Build a bundle from a stanza, or take a built one, and enumerate
+    total-product associativity.
 
     Stanza fields: "ranks" {arrow: k} (default 1), "mode" ("sc"/"ringfiber"),
     "constants" {"a,b": [[[r]]]} for sc, "twist" {"a,b": r} for ringfiber.
@@ -140,8 +156,7 @@ def validate_bundle(raw, ring: Ring, base: FiniteSemigroupoid) -> Bundle | Valid
                 return None
             return candidates[0]
 
-        constants: dict[tuple[int, int], tuple] = {}
-        twists: dict[tuple[int, int], object] = {}
+        tables: dict[tuple[int, int], tuple] = {}
         if mode == "ringfiber":
             if any(k != 1 for k in ranks):
                 report.add("structural", (), "ringfiber mode needs every rank equal to 1")
@@ -153,7 +168,7 @@ def validate_bundle(raw, ring: Ring, base: FiniteSemigroupoid) -> Bundle | Valid
                                f"twist key {key!r} is not a composable arrow pair")
                     return report
                 try:
-                    twists[pair] = ring.coerce(val)
+                    tables[pair] = (((ring.coerce(val),),),)
                 except ValueError as exc:
                     report.add("structural", (str(key),), str(exc))
                     return report
@@ -179,43 +194,44 @@ def validate_bundle(raw, ring: Ring, base: FiniteSemigroupoid) -> Bundle | Valid
                                f"constants at ({name}) must be {ranks[a]}x{ranks[b]} vectors of length {ranks[c]}")
                     return report
                 try:
-                    table = tuple(
+                    tables[pair] = tuple(
                         tuple(tuple(ring.coerce(x) for x in vec) for vec in row)
                         for row in val
                     )
                 except ValueError as exc:
                     report.add("structural", (name,), str(exc))
                     return report
-                constants[pair] = table
-            for a, b in base.composable:
-                if (a, b) in constants:
-                    continue
-                c = base.prod[a][b]
-                if ranks[a] == ranks[b] == ranks[c] == 1:
-                    constants[(a, b)] = (((ring.one,),),)
-                else:
-                    report.add("rank-mismatch",
-                               (base.arrow_names[a], base.arrow_names[b]),
-                               "constants missing for a composable pair with ranks above 1")
-                    return report
-        bundle = Bundle(ring, base, tuple(ranks), mode, constants, twists)
+        for a, b in base.composable:
+            if (a, b) in tables:
+                continue
+            c = base.prod[a][b]
+            if ranks[a] == ranks[b] == ranks[c] == 1:
+                tables[(a, b)] = (((ring.one,),),)
+            else:
+                report.add("rank-mismatch",
+                           (base.arrow_names[a], base.arrow_names[b]),
+                           "constants missing for a composable pair with ranks above 1")
+                return report
+        if mode == "sc" and not ring.commutative:
+            raise CapabilityError(
+                "structure-constants mode needs a commutative ring; "
+                "use ringfiber mode for non-commutative coefficients"
+            )
+        bundle = Bundle(ring, base, tuple(ranks),
+                        {pair: fiber_rows(table, ring) for pair, table in tables.items()})
 
-    if bundle.mode == "sc" and not ring.commutative:
-        raise CapabilityError(
-            "structure-constants mode needs a commutative ring; "
-            "use ringfiber mode for non-commutative coefficients"
-        )
-    if bundle.mode == "ringfiber":
+    # a fiber over a non-commutative ring is the ring itself, twisted centrally
+    if not ring.commutative:
         if any(k != 1 for k in bundle.ranks):
-            report.add("structural", (), "ringfiber mode needs every rank equal to 1")
+            report.add("structural", (),
+                       "non-commutative coefficients need every rank equal to 1")
             return report
-        if hasattr(ring, "is_central"):
-            for (a, b), t in bundle.twists.items():
-                if not ring.is_central(t):
-                    report.add("structural",
-                               (bundle.base.arrow_names[a], bundle.base.arrow_names[b]),
-                               "twist constants must be central in the ring")
-                    return report
+        for (a, b), table in bundle.rows.items():
+            if not all(ring.is_central(t) for row in table for entry in row for _k, t in entry):
+                report.add("structural",
+                           (bundle.base.arrow_names[a], bundle.base.arrow_names[b]),
+                           "twist constants must be central in the ring")
+                return report
 
     # (e_i e_j) e_l against e_i (e_j e_l), read off the stored rows
     names = bundle.base.arrow_names
@@ -399,12 +415,10 @@ def coefficient_bundle(coefficients, sgpd: FiniteSemigroupoid) -> Bundle:
     if not ring.commutative:
         raise CapabilityError("algebra coefficients need a commutative ring")
     m = algebra.rank
-    constants = {}
-    for a, b in sgpd.composable:
-        constants[(a, b)] = tuple(
-            tuple(algebra.basis_product(i, j) for j in range(m)) for i in range(m)
-        )
-    bundle = Bundle(ring, sgpd, (m,) * sgpd.n_arrows, "sc", constants, {})
+    table = tuple(
+        tuple(algebra.table.get((i, j), ()) for j in range(m)) for i in range(m)
+    )
+    bundle = Bundle(ring, sgpd, (m,) * sgpd.n_arrows, dict.fromkeys(sgpd.composable, table))
     return must(validate_bundle(bundle, ring, sgpd))
 
 
@@ -430,30 +444,17 @@ def bundle_from_graded(algebra: AlgebraPresentation) -> Bundle:
         ))
     fibers = [algebra.homogeneous_indices(arrow) for arrow in g.arrows()]
     ranks = tuple(len(f) for f in fibers)
-    constants: dict[tuple[int, int], tuple] = {}
+    if not ring.commutative and any(r > 1 for r in ranks):
+        raise CapabilityError(
+            "non-commutative coefficients need rank-1 homogeneous components"
+        )
+    rows = {}
     for a, b in g.composable:
         c = g.prod[a][b]
-        rows = []
-        for i in fibers[a]:
-            row = []
-            for j in fibers[b]:
-                prod = algebra.basis_product(i, j)
-                row.append(tuple(prod[k] for k in fibers[c]))
-            rows.append(tuple(row))
-        constants[(a, b)] = tuple(rows)
-    if ring.commutative:
-        bundle = Bundle(ring, g, ranks, "sc", constants, {})
-    else:
-        if any(r > 1 for r in ranks):
-            raise CapabilityError(
-                "non-commutative coefficients need rank-1 homogeneous components"
-            )
-        twists = {}
-        for (a, b), table in constants.items():
-            t = table[0][0][0] if table and table[0] and table[0][0] else ring.zero
-            twists[(a, b)] = t
-        bundle = Bundle(ring, g, ranks, "ringfiber", {}, twists)
-    return must(validate_bundle(bundle, ring, g))
+        table = [[algebra.basis_product(i, j) for j in fibers[b]] for i in fibers[a]]
+        rows[(a, b)] = fiber_rows(
+            [[[prod[k] for k in fibers[c]] for prod in row] for row in table], ring)
+    return must(validate_bundle(Bundle(ring, g, ranks, rows), ring, g))
 
 
 def graded_roundtrip_iso(algebra: AlgebraPresentation) -> LinearMapOnBasis:

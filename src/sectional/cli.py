@@ -8,8 +8,8 @@
 
 Exit codes: 0 everything passed, 1 a verification or validation failed
 (the report carries witnesses; capability refusals count as failures with a
-distinct status), 2 invalid input (unparseable file, dangling reference,
-unknown selector target).
+distinct status in both commands), 2 invalid input (unparseable file,
+dangling reference, unknown selector target).
 """
 
 from __future__ import annotations
@@ -26,9 +26,11 @@ from .validation import SectionalError, StructureError
 from .workspace import (
     THEOREMS,
     Builder,
+    TaskResult,
     WorkspaceError,
     WorkspaceFile,
     parse_workspace,
+    run_guarded,
     run_workspace,
 )
 
@@ -109,24 +111,15 @@ def _cmd_validate(args) -> int:
 
     builder = Builder(ws, ring)
     tasks = []
-    index = 0
 
     def attempt(summary, thunk):
-        nonlocal index
-        entry = {"index": index, "kind": "validate", "summary": summary,
-                 "status": "pass", "data": {}}
-        try:
+        index = len(tasks)
+
+        def run():
             thunk()
-        except StructureError as exc:
-            failure = exc.report.first()
-            entry["status"] = "fail"
-            entry["witness"] = list(failure.witness) if failure else []
-            entry["message"] = exc.report.summary()
-        except SectionalError as exc:
-            entry["status"] = "fail"
-            entry["message"] = str(exc)
-        tasks.append(entry)
-        index += 1
+            return TaskResult(index, "validate", summary, "pass")
+
+        tasks.append(run_guarded(index, "validate", summary, run).to_json())
 
     for name, stanza in ws.semigroupoids.items():
         attempt(f"validate semigroupoid {name}", lambda n=name: builder.semigroupoid(n))
@@ -202,7 +195,6 @@ def _cmd_verify(args) -> int:
         reports.append(run_workspace(
             ws, selector=args.selector, seed=args.seed,
             ring_override=ring, timing=not args.no_timestamp,
-            parallel=args.parallel,
         ))
     if args.selector != "all" and all(r["matched_tasks"] == 0 for r in reports):
         print(f"no verify tasks match selector {args.selector!r}", file=sys.stderr)
@@ -254,9 +246,6 @@ def main(argv=None) -> int:
     p_ver.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp and wall-time fields so reports "
                             "are byte-identical across runs")
-    p_ver.add_argument("--parallel", action="store_true",
-                       help="run independent tasks concurrently; report order "
-                            "stays by task index")
     p_ver.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)

@@ -30,8 +30,11 @@ from .bundles import (
     Bundle,
     algebra_action_associativity,
     basis_labels,
+    bundle_from_product,
     coefficient_bundle,
+    fiber_rows,
     naive_crossed_product,
+    pullback_bundle,
     sectional_algebra,
     semigroupoid_algebra,
     validate_algebra_action,
@@ -117,17 +120,7 @@ def product_bundle(bundle: Bundle, factor: FiniteSemigroupoid) -> Bundle:
 
     base = direct_product(bundle.base, factor)
     nf = factor.n_arrows
-    ranks = tuple(bundle.ranks[p // nf] for p in range(base.n_arrows))
-    constants: dict[tuple[int, int], tuple] = {}
-    twists: dict[tuple[int, int], object] = {}
-    for (p1, p2) in base.composable:
-        g1, g2 = p1 // nf, p2 // nf
-        if bundle.mode == "sc":
-            constants[(p1, p2)] = bundle.constants[(g1, g2)]
-        else:
-            twists[(p1, p2)] = bundle.twists.get((g1, g2), bundle.ring.one)
-    out = Bundle(bundle.ring, base, ranks, bundle.mode, constants, twists)
-    return must(validate_bundle(out, bundle.ring, base))
+    return pullback_bundle(bundle, base, [p // nf for p in base.arrows()])
 
 
 def tensor_theorem(bundle: Bundle, factor: FiniteSemigroupoid) -> TensorTheoremResult:
@@ -288,40 +281,16 @@ def bundle_semidirect(action: BundleAction) -> BundleSemidirectResult:
     pairs = sp.pairs
     ranks = tuple(inner.ranks[g] for (_s, g) in pairs)
 
-    def pair_product(i: int, j: int):
+    def pair_product(i: int, j: int, x: Vector, y: Vector) -> Vector:
         """Fiber product over arrows (s,a)(t,b) of the semidirect base."""
-        s, a = pairs[i]
+        _s, a = pairs[i]
         t, b = pairs[j]
         tb = theta.apply(t, b)
-        mid = theta.space.compose(a, tb)
-        tstar = theta.actor.inv[t]
         lift = action.fiber_maps[(t, b)]
-        drop = action.fiber_maps[(tstar, mid)]
+        drop = action.fiber_maps[(theta.actor.inv[t], theta.space.compose(a, tb))]
+        return mat_vec(drop, inner.fiber_mul(a, tb, x, mat_vec(lift, y, ring)), ring)
 
-        def mul(x: Vector, y: Vector) -> Vector:
-            return mat_vec(drop, inner.fiber_mul(a, tb, x, mat_vec(lift, y, ring)), ring)
-
-        return mul
-
-    constants: dict[tuple[int, int], tuple] = {}
-    twists: dict[tuple[int, int], object] = {}
-    for (i, j) in base.composable:
-        mul = pair_product(i, j)
-        ra, rb = ranks[i], ranks[j]
-        table = tuple(
-            tuple(
-                mul(unit_vector(ra, x, ring), unit_vector(rb, y, ring))
-                for y in range(rb)
-            )
-            for x in range(ra)
-        )
-        if ring.commutative:
-            constants[(i, j)] = table
-        else:
-            twists[(i, j)] = table[0][0][0]
-    mode = "sc" if ring.commutative else "ringfiber"
-    out = Bundle(ring, base, ranks, mode, constants, twists)
-    return BundleSemidirectResult(must(validate_bundle(out, ring, base)), sp)
+    return BundleSemidirectResult(bundle_from_product(ring, base, ranks, pair_product), sp)
 
 
 def induced_theta(action: BundleAction) -> AlgebraAction:
@@ -559,20 +528,7 @@ def smash_theorem(bundle: Bundle, d: Homomorphism) -> SmashTheoremResult:
     smash = smash_product(graded_section)
     skew = skew_product(bundle.base, d)
 
-    nf = d.target.n_arrows
-    ranks = tuple(bundle.ranks[x] for (x, _h) in skew.pairs)
-    constants: dict[tuple[int, int], tuple] = {}
-    twists: dict[tuple[int, int], object] = {}
-    for (i, j) in skew.semigroupoid.composable:
-        x1, _h1 = skew.pairs[i]
-        x2, _h2 = skew.pairs[j]
-        if bundle.mode == "sc":
-            constants[(i, j)] = bundle.constants[(x1, x2)]
-        else:
-            twists[(i, j)] = bundle.twists.get((x1, x2), bundle.ring.one)
-    skew_bundle = Bundle(bundle.ring, skew.semigroupoid, ranks, bundle.mode,
-                         constants, twists)
-    skew_bundle = must(validate_bundle(skew_bundle, bundle.ring, skew.semigroupoid))
+    skew_bundle = pullback_bundle(bundle, skew.semigroupoid, [x for x, _h in skew.pairs])
     skew_algebra = sectional_algebra(skew_bundle, skew.grading)
 
     section_labels = basis_labels(bundle)
@@ -723,8 +679,7 @@ def quotient_bundle(bc: BundleCongruence) -> QuotientBundleResult:
     reps = [block[0] for block in bc.base.classes]
     ranks = tuple(bundle.ranks[r] for r in reps)
 
-    constants: dict[tuple[int, int], tuple] = {}
-    twists: dict[tuple[int, int], object] = {}
+    rows: dict[tuple[int, int], tuple] = {}
     for (ci, cj) in quotient.composable:
         ri, rj = reps[ci], reps[cj]
         rc = quotient.prod[ci][cj]
@@ -764,12 +719,8 @@ def quotient_bundle(bc: BundleCongruence) -> QuotientBundleResult:
                                 "quotient fiber product depends on representatives at "
                                 f"({bundle.base.arrow_names[a]},{bundle.base.arrow_names[b]})"
                             )
-        if ring.commutative:
-            constants[(ci, cj)] = table
-        else:
-            twists[(ci, cj)] = table[0][0][0]
-    mode = "sc" if ring.commutative else "ringfiber"
-    out = Bundle(ring, quotient, ranks, mode, constants, twists)
+        rows[(ci, cj)] = fiber_rows(table, ring)
+    out = Bundle(ring, quotient, ranks, rows)
     return QuotientBundleResult(must(validate_bundle(out, ring, quotient)),
                                 quotient, projection, bc)
 

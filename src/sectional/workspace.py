@@ -424,9 +424,10 @@ def _convolution_task(bundle, triples: int, seed: int) -> tuple[bool, list]:
 
 
 def execute_task(builder: Builder, task: Task, index: int, seed: int) -> TaskResult:
-    """Run one task; refusals become failed results carrying the witness."""
+    """Run one task; refusals become results as `run_guarded` maps them."""
     params = task.params
-    try:
+
+    def run() -> TaskResult:
         if task.kind == "validate":
             result = _run_validate(builder, params, index)
         elif task.kind == "build":
@@ -435,22 +436,33 @@ def execute_task(builder: Builder, task: Task, index: int, seed: int) -> TaskRes
             result = _run_verify(builder, params, index, seed)
         result.data.setdefault("instance", _instance_ids(params))
         return result
+
+    return run_guarded(index, task.kind, _summary(task), run)
+
+
+def run_guarded(index: int, kind: str, summary: str, run) -> TaskResult:
+    """run()'s result, or the refusal it raised as a result: a CapabilityError
+    has status "capability", any other SectionalError "fail" with the
+    witness it carries."""
+    try:
+        return run()
     except CapabilityError as exc:
-        return TaskResult(index, task.kind, _summary(task), "capability",
-                          message=str(exc))
+        return TaskResult(index, kind, summary, "capability", message=str(exc))
     except StageError as exc:
         witness = []
         if isinstance(exc.cause, StructureError):
             f = exc.cause.report.first()
             witness = list(f.witness) if f else []
-        return TaskResult(index, task.kind, _summary(task), "fail",
+        return TaskResult(index, kind, summary, "fail",
                           data={"stage": exc.stage}, witness=witness,
                           message=str(exc))
     except StructureError as exc:
         f = exc.report.first()
-        return TaskResult(index, task.kind, _summary(task), "fail",
+        return TaskResult(index, kind, summary, "fail",
                           witness=list(f.witness) if f else [],
                           message=exc.report.summary())
+    except SectionalError as exc:
+        return TaskResult(index, kind, summary, "fail", message=str(exc))
 
 
 def _instance_ids(params: dict) -> dict:
@@ -573,14 +585,11 @@ def _run_verify(builder: Builder, params: dict, index: int, seed: int) -> TaskRe
 
 
 def run_workspace(ws: WorkspaceFile, selector: str = "all", seed: int = 0,
-                  ring_override: Ring | None = None,
-                  timing: bool = True, parallel: bool = False) -> dict:
+                  ring_override: Ring | None = None, timing: bool = True) -> dict:
     """Execute the workspace's tasks (filtered by selector) and report.
 
     Selector "all" runs every task in file order; a theorem name runs only the
-    matching verify tasks. All task execution is pure, so parallel=True may
-    run independent tasks concurrently; the report is ordered by task index
-    either way.
+    matching verify tasks.
     """
     if ring_override is not None:
         ring = ring_override
@@ -597,27 +606,14 @@ def run_workspace(ws: WorkspaceFile, selector: str = "all", seed: int = 0,
             if t.kind == "verify" and t.theorem == selector
         ]
 
-    shared = Builder(ws, ring)
-
-    def run_one(pair):
-        index, task = pair
-        # parallel tasks get private builders so the memo cache is never
-        # shared mutable state; the sequential path reuses one cache
-        local = Builder(ws, ring) if parallel else shared
+    builder = Builder(ws, ring)
+    results = []
+    for index, task in chosen:
         start = time.perf_counter()
-        res = execute_task(local, task, index, seed)
+        res = execute_task(builder, task, index, seed)
         if timing:
             res.wall_time_ms = round((time.perf_counter() - start) * 1000.0, 3)
-        return res
-
-    if parallel and len(chosen) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor() as pool:
-            results = list(pool.map(run_one, chosen))
-    else:
-        results = [run_one(pair) for pair in chosen]
-    results.sort(key=lambda r: r.index)
+        results.append(res)
 
     return {
         "path": ws.path,

@@ -5,11 +5,13 @@ import random
 import pytest
 
 from sectional.bundles import (
+    Bundle,
     Section,
     algebra_action_associativity,
     bundle_from_graded,
     convolve,
     delta_section,
+    fiber_rows,
     graded_roundtrip_iso,
     lscript_iso,
     naive_crossed_product,
@@ -119,6 +121,32 @@ class TestValidateBundle:
         )
         assert isinstance(report, ValidationReport)
         assert report.has("structural")
+
+
+    def test_row_built_bundle_over_noncommutative_ring(self):
+        from sectional.rings import validate_ring
+        from structures import upper_triangular_f2_ring_spec
+
+        ring = validate_ring(upper_triangular_f2_ring_spec())
+        base = trivial_monoid().base
+        name = base.arrow_names[0]
+
+        def report_for(rank, table):
+            bundle = Bundle(ring, base, (rank,), {(0, 0): fiber_rows(table, ring)})
+            return validate_bundle(bundle, ring, base)
+
+        # the same rows as a ringfiber stanza with a central twist pass
+        assert isinstance(report_for(1, (((ring.one,),),)), Bundle)
+        noncentral = report_for(1, (((ring.coerce("010"),),),))
+        assert isinstance(noncentral, ValidationReport)
+        assert noncentral.kinds() == ["structural"]
+        assert noncentral.first().witness == (name, name)
+        # e_i e_j = [i = j] e_i is associative, but rank 2 needs a commutative ring
+        one, zero = ring.one, ring.zero
+        idempotents = (((one, zero), (zero, zero)), ((zero, zero), (zero, one)))
+        rank_two = report_for(2, idempotents)
+        assert isinstance(rank_two, ValidationReport)
+        assert rank_two.kinds() == ["structural"]
 
 
 class TestConvolution:
@@ -258,7 +286,8 @@ class TestGradedRoundTrip:
         bundle = bundle_from_graded(alg)
         assert bundle.ranks == (1, 1, 1, 1)
         assert all(
-            bundle.constants[pair] == (((Q.one,),),) for pair in bundle.constants
+            bundle.fiber_mul(a, b, (Q.one,), (Q.one,)) == (Q.one,)
+            for a, b in bundle.base.composable
         )
         cert = certify_linear_iso(graded_roundtrip_iso(alg), "round trip", graded=True)
         assert cert.passed

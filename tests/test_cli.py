@@ -300,20 +300,6 @@ class TestCli:
         assert "verify germ" in proc.stdout
 
 
-class TestParallel:
-    def test_parallel_report_matches_sequential(self, capsys):
-        argv_base = ["verify", "all",
-                     "--input",
-                     os.path.join(FIXTURES, "crossed.json"),
-                     os.path.join(FIXTURES, "quotient.json"),
-                     "--seed", "3", "--no-timestamp", "--format", "json"]
-        main(argv_base)
-        sequential = capsys.readouterr().out
-        main(argv_base + ["--parallel"])
-        parallel = capsys.readouterr().out
-        assert sequential == parallel
-
-
 class TestCapabilityStatus:
     def test_unsupported_ring_marks_task_capability(self, capsys):
         code = main(["verify", "quotient",
@@ -325,6 +311,24 @@ class TestCapabilityStatus:
             t["status"] for ws in report["workspaces"] for t in ws["tasks"]
         }
         assert statuses == {"capability"}
+
+    def test_refusal_reads_capability_in_validate_and_verify(self, capsys):
+        # structure constants over a non-commutative ring are refused, not failed
+        from structures import upper_triangular_f2_ring_spec
+
+        path = os.path.join(FIXTURES, "tablering.json")
+        ring = json.dumps(upper_triangular_f2_ring_spec())
+        code = main(["validate", path, "--ring", ring, "--format", "json"])
+        validated = json.loads(capsys.readouterr().out)
+        assert code == 1
+        by_summary = {t["summary"]: t["status"] for t in validated["workspaces"][0]["tasks"]}
+        assert by_summary["validate bundle b"] == "capability"
+        code = main(["verify", "all", "--input", path, "--ring", ring,
+                     "--no-timestamp", "--format", "json"])
+        verified = json.loads(capsys.readouterr().out)
+        assert code == 1
+        by_summary = {t["summary"]: t["status"] for t in verified["workspaces"][0]["tasks"]}
+        assert by_summary["verify convolution"] == "capability"
 
 
 class TestValidateCommandOverFixtures:

@@ -1,0 +1,62 @@
+"""Fixture reports against checked-in golden copies, byte for byte.
+
+For every `fixtures/NAME.json`, `tests/data/golden/NAME.verify.json` holds the
+output of
+
+    sectional verify all --input fixtures/NAME.json --seed 7 --no-timestamp --format json
+
+and `tests/data/golden/NAME.validate.json` the output of
+
+    sectional validate fixtures/NAME.json --format json
+
+both run from the repository root. Only the workspace `path` field is
+normalised, since it echoes the path given on the command line. A refactor
+that must not change any report keeps these passing; a change that means to
+alter a report regenerates the golden copy with the commands above.
+"""
+
+import os
+import re
+
+import pytest
+
+from sectional.cli import main
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "data", "golden")
+FIXTURES = os.path.abspath(os.path.join(HERE, os.pardir, "fixtures"))
+NAMES = sorted(name[:-len(".json")] for name in os.listdir(FIXTURES)
+               if name.endswith(".json"))
+
+
+def _normalised(text):
+    return re.sub(r'"path": "[^"]*"', '"path": "<fixture>"', text)
+
+
+def _golden(name, command):
+    with open(os.path.join(GOLDEN, f"{name}.{command}.json"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def test_every_fixture_has_golden_reports():
+    assert sorted(os.listdir(GOLDEN)) == sorted(
+        f"{name}.{command}.json" for name in NAMES for command in ("verify", "validate")
+    )
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_verify_report_matches_golden(name, capsys):
+    path = os.path.join(FIXTURES, f"{name}.json")
+    code = main(["verify", "all", "--input", path, "--seed", "7",
+                 "--no-timestamp", "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert _normalised(out) == _normalised(_golden(name, "verify"))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_validate_report_matches_golden(name, capsys):
+    code = main(["validate", os.path.join(FIXTURES, f"{name}.json"), "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert _normalised(out) == _normalised(_golden(name, "validate"))

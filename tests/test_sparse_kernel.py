@@ -17,13 +17,20 @@ constant is corrupted.
 
 import itertools
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sectional.algebras import AlgebraPresentation
-from sectional.bundles import AlgebraAction, Bundle, semigroupoid_algebra, validate_bundle
+from sectional.bundles import (
+    AlgebraAction,
+    Bundle,
+    fiber_rows,
+    semigroupoid_algebra,
+    validate_bundle,
+)
 from sectional.maps import LinearMapOnBasis, basis_bijection, multiplicative_witness
 from sectional.rings import RationalRing, ZModRing, mat_vec, ring_from_spec
 from sectional.standard import pair_groupoid, semilattice2
@@ -131,14 +138,12 @@ def oracle_apply(images, rank, ring, v):
     return tuple(out)
 
 
-def oracle_fiber_mul(bundle, a, b, x, y):
-    ring = bundle.ring
-    c = bundle.base.compose(a, b)
-    if bundle.mode == "ringfiber":
-        twist = bundle.twists.get((a, b), ring.one)
-        return (ring.mul(ring.mul(x[0], y[0]), twist),)
-    table = bundle.constants[(a, b)]
-    out = [ring.zero] * bundle.ranks[c]
+def oracle_fiber_mul(dense, a, b, x, y):
+    """x * y in fiber(ab), read off the generator's dense tables."""
+    ring = dense.ring
+    c = dense.base.compose(a, b)
+    table = dense.tables[(a, b)]
+    out = [ring.zero] * dense.ranks[c]
     for i, xi in enumerate(x):
         if xi == ring.zero:
             continue
@@ -184,21 +189,22 @@ def oracle_associativity(table, basis, ring):
     return None
 
 
-def oracle_bundle_associativity(bundle):
-    names = bundle.base.arrow_names
-    for a, b, c in bundle.base.composable_triples():
-        ab = bundle.base.prod[a][b]
-        bc = bundle.base.prod[b][c]
-        for i in range(bundle.ranks[a]):
-            ei = _unit(bundle.ranks[a], i, bundle.ring)
-            for j in range(bundle.ranks[b]):
-                ej = _unit(bundle.ranks[b], j, bundle.ring)
-                left_inner = oracle_fiber_mul(bundle, a, b, ei, ej)
-                for l in range(bundle.ranks[c]):
-                    el = _unit(bundle.ranks[c], l, bundle.ring)
-                    left = oracle_fiber_mul(bundle, ab, c, left_inner, el)
-                    right = oracle_fiber_mul(bundle, a, bc, ei,
-                                             oracle_fiber_mul(bundle, b, c, ej, el))
+def oracle_bundle_associativity(dense):
+    base, ranks, ring = dense.base, dense.ranks, dense.ring
+    names = base.arrow_names
+    for a, b, c in base.composable_triples():
+        ab = base.prod[a][b]
+        bc = base.prod[b][c]
+        for i in range(ranks[a]):
+            ei = _unit(ranks[a], i, ring)
+            for j in range(ranks[b]):
+                ej = _unit(ranks[b], j, ring)
+                left_inner = oracle_fiber_mul(dense, a, b, ei, ej)
+                for l in range(ranks[c]):
+                    el = _unit(ranks[c], l, ring)
+                    left = oracle_fiber_mul(dense, ab, c, left_inner, el)
+                    right = oracle_fiber_mul(dense, a, bc, ei,
+                                             oracle_fiber_mul(dense, b, c, ej, el))
                     if left != right:
                         return (names[a], names[b], names[c], str(i), str(j), str(l))
     return None
@@ -286,22 +292,35 @@ def test_action_apply_matches_dense_oracle(ring, data):
     assert action.apply(s, v) == expected
 
 
+class DenseBundle(NamedTuple):
+    """A generated bundle as dense tables: tables[(a, b)][i][j] = e_i * e_j."""
+
+    ring: object
+    base: object
+    ranks: tuple
+    tables: dict
+
+
 def _random_bundle(data, ring, mode):
+    """A random bundle over P_2 and the dense tables it was built from: rank-1
+    fibers with random twists (default 1), or ranks 1-2 with random constants."""
     base = pair_groupoid().base
     if mode == "ringfiber":
         ranks = (1,) * base.n_arrows
         pairs = data.draw(st.lists(st.sampled_from(list(base.composable)), unique=True))
         twists = {pair: data.draw(_elements(ring)) for pair in pairs}
-        return Bundle(ring, base, ranks, "ringfiber", {}, twists)
-    ranks = tuple(data.draw(st.integers(1, 2)) for _ in base.arrows())
-    constants = {}
-    for a, b in base.composable:
-        c = base.prod[a][b]
-        constants[(a, b)] = tuple(
-            tuple(_vector(data, ring, ranks[c]) for _j in range(ranks[b]))
-            for _i in range(ranks[a])
-        )
-    return Bundle(ring, base, ranks, "sc", constants, {})
+        tables = {pair: (((twists.get(pair, ring.one),),),) for pair in base.composable}
+    else:
+        ranks = tuple(data.draw(st.integers(1, 2)) for _ in base.arrows())
+        tables = {}
+        for a, b in base.composable:
+            c = base.prod[a][b]
+            tables[(a, b)] = tuple(
+                tuple(_vector(data, ring, ranks[c]) for _j in range(ranks[b]))
+                for _i in range(ranks[a])
+            )
+    rows = {pair: fiber_rows(table, ring) for pair, table in tables.items()}
+    return Bundle(ring, base, ranks, rows), DenseBundle(ring, base, ranks, tables)
 
 
 @pytest.mark.parametrize("mode", ["sc", "ringfiber"])
@@ -309,11 +328,11 @@ def _random_bundle(data, ring, mode):
 @given(data=st.data())
 @settings(max_examples=15, deadline=None)
 def test_fiber_mul_matches_dense_oracle(ring, mode, data):
-    bundle = _random_bundle(data, ring, mode)
+    bundle, dense = _random_bundle(data, ring, mode)
     a, b = data.draw(st.sampled_from(list(bundle.base.composable)))
     x = _vector(data, ring, bundle.ranks[a])
     y = _vector(data, ring, bundle.ranks[b])
-    assert bundle.fiber_mul(a, b, x, y) == oracle_fiber_mul(bundle, a, b, x, y)
+    assert bundle.fiber_mul(a, b, x, y) == oracle_fiber_mul(dense, a, b, x, y)
 
 
 @pytest.mark.parametrize("ring", RINGS.values(), ids=RINGS.keys())
@@ -358,9 +377,9 @@ def test_associativity_witness_matches_oracle(ring, data):
 @given(data=st.data())
 @settings(max_examples=15, deadline=None)
 def test_bundle_associativity_witness_matches_oracle(ring, data):
-    bundle = _random_bundle(data, ring, "sc")
+    bundle, dense = _random_bundle(data, ring, "sc")
     result = validate_bundle(bundle, ring, bundle.base)
-    expected = oracle_bundle_associativity(bundle)
+    expected = oracle_bundle_associativity(dense)
     if expected is None:
         assert result is bundle
     else:

@@ -430,7 +430,7 @@ class TestQuotientBundle:
         out = quotient_bundle(sign_congruence)
         assert out.base_quotient.n_arrows == 1
         # representative fiber keeps the representative's constants
-        assert out.bundle.constants[(0, 0)] == (((Q.one,),),)
+        assert out.bundle.fiber_mul(0, 0, (Q.one,), (Q.one,)) == (Q.one,)
 
 
 class TestQuotientMapAndKernel:

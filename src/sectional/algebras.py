@@ -10,15 +10,19 @@ basis elements i and j as a sparse row, a tuple of (index, nonzero value)
 pairs sorted by index, and zero products are absent. Products, maps, actions
 and the exhaustive checks iterate only over these nonzeros, in the row-wise
 scheme of Gustavson (ACM TOMS 4(3), 1978), through the single kernel
-rings.combine. Dense coordinate tuples remain the public form of vectors:
-basis_product, mul, arguments and results, reports.
+rings.combine. Linear maps are held the same way (maps.LinearMapOnBasis,
+bundles.AlgebraAction, and the fiber maps and transports of theorems): one
+sparse image row per basis element, applied only through combine. Dense
+coordinate tuples remain the form of vectors handed across the public API
+(basis_product, mul, the span tests of rings) and of file literals,
+validator-local matrices, ExactMatrix and reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rings import Ring, Vector, combine, dense, sparse_row, vec_add, vec_is_zero, zero_vector
+from .rings import Ring, Vector, combine, dense, sparse_row, vec_is_zero, zero_vector
 from .semigroupoids import FiniteSemigroupoid
 
 
@@ -81,14 +85,8 @@ class AlgebraPresentation:
             self.ring,
         )
 
-    def add(self, u: Vector, v: Vector) -> Vector:
-        return vec_add(u, v, self.ring)
-
     def sub(self, u: Vector, v: Vector) -> Vector:
         return tuple(self.ring.sub(x, y) for x, y in zip(u, v))
-
-    def scale(self, r, v: Vector) -> Vector:
-        return tuple(self.ring.mul(r, x) for x in v)
 
     def is_zero_vector(self, v: Vector) -> bool:
         return vec_is_zero(v, self.ring)
@@ -96,11 +94,6 @@ class AlgebraPresentation:
     def support(self, v: Vector) -> tuple[int, ...]:
         is_zero = self.ring.is_zero
         return tuple(i for i, x in enumerate(v) if not is_zero(x))
-
-    def degree_of_basis(self, i: int) -> int:
-        if self.degrees is None:
-            raise ValueError("algebra is not graded")
-        return self.degrees[i]
 
     def homogeneous_indices(self, g: int) -> tuple[int, ...]:
         if self.degrees is None:
@@ -150,8 +143,3 @@ class AlgebraPresentation:
                 elif prod:
                     return (self.basis[i], self.basis[j])
         return None
-
-    def format_vector(self, v: Vector) -> str:
-        ring = self.ring
-        parts = [f"{ring.to_json(v[i])}*{self.basis[i]}" for i in self.support(v)]
-        return " + ".join(parts) if parts else "0"

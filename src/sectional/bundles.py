@@ -94,14 +94,11 @@ def pullback_bundle(bundle: Bundle, base: FiniteSemigroupoid, along) -> Bundle:
 
 def bundle_from_product(ring: Ring, base: FiniteSemigroupoid, ranks: tuple[int, ...],
                         product) -> Bundle:
-    """The bundle whose fiber product over (p, q) is product(p, q, x, y),
-    read off basis vectors."""
+    """The bundle whose e_i * e_j over (p, q) is product(p, q, i, j), a sparse
+    {index: value} dict as combine returns it."""
     rows = {
-        (p, q): fiber_rows(
-            ((product(p, q, unit_vector(ranks[p], i, ring), unit_vector(ranks[q], j, ring))
-              for j in range(ranks[q])) for i in range(ranks[p])),
-            ring,
-        )
+        (p, q): tuple(tuple(tuple(sorted(product(p, q, i, j).items())) for j in range(ranks[q]))
+                      for i in range(ranks[p]))
         for p, q in base.composable
     }
     return must(validate_bundle(Bundle(ring, base, ranks, rows), ring, base))
@@ -470,13 +467,10 @@ def graded_roundtrip_iso(algebra: AlgebraPresentation) -> LinearMapOnBasis:
     rebuilt = sectional_algebra(bundle, identity_homomorphism(g))
     labels = basis_labels(bundle)
     fibers = [algebra.homogeneous_indices(arrow) for arrow in g.arrows()]
-    images = tuple(
-        algebra.unit_vector(fibers[arrow][i]) for arrow, i in labels
-    )
+    one = algebra.ring.one
+    images = tuple(((fibers[arrow][i], one),) for arrow, i in labels)
     back_position = {fibers[arrow][i]: idx for idx, (arrow, i) in enumerate(labels)}
-    back = tuple(
-        rebuilt.unit_vector(back_position[k]) for k in range(algebra.rank)
-    )
+    back = tuple(((back_position[k], one),) for k in range(algebra.rank))
     inverse = LinearMapOnBasis(algebra, rebuilt, back)
     out = LinearMapOnBasis(rebuilt, algebra, images, inverse=inverse)
     inverse.inverse = out
@@ -493,30 +487,21 @@ class AlgebraAction:
 
     Domains are coordinate subspaces (spans of basis subsets), so ideal and
     membership checks reduce to support containment; the per-arrow maps are
-    linear isomorphisms given on the domain basis. rows[s][i] holds the image
-    of basis i under arrow s once more, as a sparse row.
+    linear isomorphisms given on the domain basis: rows[s][i] is the image of
+    basis i under arrow s, as a sparse row.
     """
 
     actor: FiniteInverseSemigroupoid
     algebra: AlgebraPresentation
     domains: tuple[tuple[int, ...], ...]
-    matrices: tuple[dict[int, Vector], ...]
-    rows: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        ring = self.algebra.ring
-        self.rows = tuple({i: sparse_row(v, ring) for i, v in m.items()} for m in self.matrices)
+    rows: tuple[dict[int, tuple], ...]
 
     def dom(self, s: int) -> tuple[int, ...]:
         return self.domains[s]
 
-    def apply(self, s: int, v: Vector) -> Vector:
-        """Linear extension of the basis images; v must be supported in dom(s)."""
-        ring = self.algebra.ring
-        return dense(self.apply_rows(s, sparse_row(v, ring)).items(), self.algebra.rank, ring)
-
     def apply_rows(self, s: int, v) -> dict:
-        """apply() on a sparse vector given as (index, value) pairs."""
+        """Theta_s of a sparse vector given as (index, value) pairs, which must
+        be supported in dom(s)."""
         images = self.rows[s]
         for i, _ in v:
             if i not in images:
@@ -564,22 +549,23 @@ def validate_algebra_action(actor: FiniteInverseSemigroupoid,
                            "image vector has wrong rank")
                 return report
 
-    action = AlgebraAction(actor, algebra, tuple(doms), tuple(mats))
+    rows = tuple({i: sparse_row(vec, algebra.ring) for i, vec in m.items()} for m in mats)
+    action = AlgebraAction(actor, algebra, tuple(doms), rows)
 
-    def in_span(vec: Vector, dom: tuple[int, ...]) -> bool:
-        return set(algebra.support(vec)) <= set(dom)
+    def in_span(row, dom) -> bool:
+        return {k for k, _ in row} <= set(dom)
 
     # images must span the inverse's domain, and the two maps must compose to
     # the identity on basis vectors
     for s in base.arrows():
         t = actor.inv[s]
         for i in doms[s]:
-            img = mats[s][i]
+            img = rows[s][i]
             if not in_span(img, doms[t]):
                 report.add("inverse-compatibility", (names[s], algebra.basis[i]),
                            "image leaves dom of the inverse arrow")
                 return report
-            if action.apply(t, img) != algebra.unit_vector(i):
+            if action.apply_rows(t, img) != {i: algebra.ring.one}:
                 report.add("inverse-compatibility", (names[s], algebra.basis[i]),
                            "Theta_{s*} does not invert Theta_s")
                 return report
@@ -590,8 +576,7 @@ def validate_algebra_action(actor: FiniteInverseSemigroupoid,
         for i in sorted(big):
             for j in range(algebra.rank):
                 for (p, q) in ((i, j), (j, i)):
-                    prod = algebra.basis_product(p, q)
-                    if not in_span(prod, tuple(sorted(big))):
+                    if not in_span(algebra.table.get((p, q), ()), big):
                         report.add("ideal-property",
                                    (base.vertex_names[v], algebra.basis[p], algebra.basis[q]),
                                    "I(Theta, v) is not multiplication closed")
@@ -601,8 +586,7 @@ def validate_algebra_action(actor: FiniteInverseSemigroupoid,
         for i in doms[s]:
             for j in ambient:
                 for (p, q) in ((i, j), (j, i)):
-                    prod = algebra.basis_product(p, q)
-                    if not in_span(prod, doms[s]):
+                    if not in_span(algebra.table.get((p, q), ()), doms[s]):
                         report.add("ideal-property",
                                    (names[s], algebra.basis[p], algebra.basis[q]),
                                    f"dom(Theta_{names[s]}) is not an ideal: a product leaves the span")
@@ -610,7 +594,7 @@ def validate_algebra_action(actor: FiniteInverseSemigroupoid,
 
     # multiplicativity on domain basis pairs
     for s in base.arrows():
-        images = action.rows[s]
+        images = rows[s]
         for i in doms[s]:
             for j in doms[s]:
                 lhs = action.apply_rows(s, algebra.table.get((i, j), ()))
@@ -628,13 +612,13 @@ def validate_algebra_action(actor: FiniteInverseSemigroupoid,
         for d in doms[tstar]:
             if d not in set(doms[s]):
                 continue
-            x = mats[tstar][d]                      # a spanning vector of the preimage
+            x = rows[tstar][d]                      # a spanning vector of the preimage
             if not in_span(x, doms[st]):
                 report.add("extension-law", (names[s], names[t], algebra.basis[d]),
                            "preimage vector leaves dom(Theta_st)")
                 return report
-            lhs = action.apply(st, x)
-            rhs = action.apply(s, action.apply(t, x))
+            lhs = action.apply_rows(st, x)
+            rhs = action.apply_rows(s, action.apply_rows(t, x).items())
             if lhs != rhs:
                 report.add("extension-law", (names[s], names[t], algebra.basis[d]),
                            "Theta_st differs from Theta_s Theta_t on the common domain")
@@ -784,7 +768,6 @@ def lscript_iso(action: AlgebraAction) -> LinearMapOnBasis:
     presentation, with inverse f -> (s -> Theta_{s*}(f(s)))."""
     actor = action.actor
     base = actor.base
-    alg = action.algebra
     crossed = naive_crossed_product(action)
     ranged = lscript_presentation(action)
 
@@ -793,16 +776,11 @@ def lscript_iso(action: AlgebraAction) -> LinearMapOnBasis:
     range_pos = {lab: idx for idx, lab in enumerate(range_labels)}
     cross_pos = {lab: idx for idx, lab in enumerate(cross_labels)}
 
-    def embed(labels_pos, arrow, row, rank):
-        return dense(((labels_pos[(arrow, k)], x) for k, x in row), rank, alg.ring)
-
     fwd = tuple(
-        embed(range_pos, s, action.rows[s][d], ranged.rank)
-        for s, d in cross_labels
+        {range_pos[(s, k)]: x for k, x in action.rows[s][d]} for s, d in cross_labels
     )
     back = tuple(
-        embed(cross_pos, s, action.rows[actor.inv[s]][d], crossed.rank)
-        for s, d in range_labels
+        {cross_pos[(s, k)]: x for k, x in action.rows[actor.inv[s]][d]} for s, d in range_labels
     )
     inverse = LinearMapOnBasis(ranged, crossed, back)
     out = LinearMapOnBasis(crossed, ranged, fwd, inverse=inverse)

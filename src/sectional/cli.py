@@ -8,8 +8,8 @@
 
 Exit codes: 0 everything passed, 1 a verification or validation failed
 (the report carries witnesses; capability refusals count as failures with a
-distinct status in both commands), 2 invalid input (unparseable file,
-dangling reference, unknown selector target).
+distinct status in both commands), 2 invalid input (unparseable or non-UTF-8
+file, dangling reference, unknown selector target, unwritable --out path).
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ def _load(path: str) -> WorkspaceFile:
             text = fh.read()
     except OSError as exc:
         raise WorkspaceError(f"{path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise WorkspaceError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
     return parse_workspace(text, path=path)
 
 
@@ -176,8 +178,12 @@ def _cmd_build(args) -> int:
         print(f"build failed: {result.message or result.witness}", file=sys.stderr)
         return 1
     payload = json.dumps(result.data["structure"], indent=2, sort_keys=True) + "\n"
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(payload)
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        print(f"{args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     print(f"wrote {args.out} ({result.data['arrows']} arrows)")
     return 0
 

@@ -11,31 +11,29 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebras import AlgebraPresentation
-from .rings import (EchelonBasis, ExactMatrix, LinearSolution, Vector, combine, dense,
-                    solve_linear, sparse_row, unit_vector)
+from .rings import (EchelonBasis, ExactMatrix, LinearSolution, combine, dense, solve_linear,
+                    unit_vector)
 
 
 @dataclass
 class LinearMapOnBasis:
-    """Images are given dense; `rows` holds them once as sparse rows."""
+    """rows[i] is the image of source basis i as a sparse row: (index, value)
+    pairs sorted by index, zeros absent. Rows may arrive as dicts or unsorted
+    pairs; they are stored in that canonical form."""
 
     source: AlgebraPresentation
     target: AlgebraPresentation
-    images: tuple[Vector, ...]
+    rows: tuple
     inverse: "LinearMapOnBasis | None" = None
-    rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.images) != self.source.rank:
+        if len(self.rows) != self.source.rank:
             raise ValueError("one image per source basis element required")
-        for vec in self.images:
-            if len(vec) != self.target.rank:
-                raise ValueError("image vector has wrong target rank")
-        self.rows = tuple(sparse_row(vec, self.source.ring) for vec in self.images)
-
-    def apply(self, v: Vector) -> Vector:
-        ring = self.source.ring
-        return dense(self.apply_rows(sparse_row(v, ring)).items(), self.target.rank, ring)
+        is_zero, rank = self.source.ring.is_zero, self.target.rank
+        self.rows = tuple(tuple(sorted((k, x) for k, x in dict(row).items() if not is_zero(x)))
+                          for row in self.rows)
+        if any(not 0 <= k < rank for row in self.rows for k, _ in row):
+            raise ValueError("image vector indexes outside the target basis")
 
     def apply_rows(self, v) -> dict:
         """Image of a sparse vector given as (index, value) pairs."""
@@ -44,11 +42,8 @@ class LinearMapOnBasis:
 
     def matrix(self) -> ExactMatrix:
         """Columns are the basis images; rows indexed by the target basis."""
-        rows = [
-            [self.images[j][i] for j in range(self.source.rank)]
-            for i in range(self.target.rank)
-        ]
-        return ExactMatrix.from_rows(rows)
+        cols = [dense(row, self.target.rank, self.source.ring) for row in self.rows]
+        return ExactMatrix.from_rows([[col[i] for col in cols] for i in range(self.target.rank)])
 
 
 def basis_bijection(source: AlgebraPresentation, target: AlgebraPresentation,
@@ -58,13 +53,11 @@ def basis_bijection(source: AlgebraPresentation, target: AlgebraPresentation,
         assignment.values()
     ) != list(range(target.rank)):
         raise ValueError("assignment must be a bijection between the bases")
-    fwd = tuple(target.unit_vector(assignment[i]) for i in range(source.rank))
-    back = tuple(
-        source.unit_vector(next(i for i, j in assignment.items() if j == k))
-        for k in range(target.rank)
-    )
-    inverse = LinearMapOnBasis(target, source, back)
-    out = LinearMapOnBasis(source, target, fwd, inverse=inverse)
+    one = source.ring.one
+    back = {j: i for i, j in assignment.items()}
+    inverse = LinearMapOnBasis(target, source, tuple({back[k]: one} for k in range(target.rank)))
+    out = LinearMapOnBasis(source, target, tuple({assignment[i]: one} for i in range(source.rank)),
+                           inverse=inverse)
     inverse.inverse = out
     return out
 
@@ -137,14 +130,14 @@ def _check_inverse(cert: Certificate, tmap: LinearMapOnBasis) -> None:
     if tmap.inverse is None:
         cert.add("two-sided-inverse", False, note="no inverse declared")
         return
-    inv = tmap.inverse
+    inv, one = tmap.inverse, tmap.source.ring.one
     for i in range(tmap.source.rank):
-        if inv.apply(tmap.images[i]) != tmap.source.unit_vector(i):
+        if inv.apply_rows(tmap.rows[i]) != {i: one}:
             cert.add("two-sided-inverse", False, (tmap.source.basis[i],),
                      "inverse(map(u)) != u")
             return
     for j in range(tmap.target.rank):
-        if tmap.apply(inv.images[j]) != tmap.target.unit_vector(j):
+        if tmap.apply_rows(inv.rows[j]) != {j: one}:
             cert.add("two-sided-inverse", False, (tmap.target.basis[j],),
                      "map(inverse(w)) != w")
             return

@@ -32,28 +32,25 @@ from .bundles import (
     basis_labels,
     bundle_from_product,
     coefficient_bundle,
-    fiber_rows,
     naive_crossed_product,
     pullback_bundle,
     sectional_algebra,
     semigroupoid_algebra,
     validate_algebra_action,
-    validate_bundle,
 )
 from .maps import (Certificate, LinearMapOnBasis, basis_bijection, certify_linear_iso,
                    multiplicative_witness, surjective)
 from .rings import (
     Vector,
+    combine,
     dense,
     identity_matrix,
     mat_inverse,
     mat_mul,
-    mat_vec,
     solve_linear,
     span_rank,
     spans_equal,
-    unit_vector,
-    vec_is_zero,
+    sparse_row,
 )
 from .semigroupoids import (
     UNDEF,
@@ -161,12 +158,38 @@ def tensor_theorem(bundle: Bundle, factor: FiniteSemigroupoid) -> TensorTheoremR
 # Bundle-level actions, semidirect bundles, crossed products
 # ---------------------------------------------------------------------------
 
+def _columns(mat, ring) -> tuple:
+    """A dense square matrix as its columns, each the sparse image row of a basis vector."""
+    return tuple(sparse_row(col, ring) for col in zip(*mat))
+
+
+def _move(cols, v, ring) -> dict:
+    """The fiber map with image columns cols applied to a sparse vector v; each
+    matrix entry multiplies from the left, as in a matrix times a column."""
+    return combine(((m, ((r, x),)) for j, x in v for r, m in cols[j]), ring)
+
+
+def _intertwines(bundle: Bundle, g1: int, g2: int, h1: int, h2: int, m1, m2, m12) -> bool:
+    """Whether fiber maps m1: fiber(g1) -> fiber(h1), m2: fiber(g2) -> fiber(h2)
+    and m12: fiber(g1 g2) -> fiber(h1 h2), given as image columns, carry
+    products to products: m1(e_i) m2(e_j) == m12(e_i e_j) on basis pairs."""
+    ring = bundle.ring
+    products = bundle.rows[(g1, g2)]
+    for i, x in enumerate(m1):
+        for j, y in enumerate(m2):
+            lhs = combine(bundle._fiber_terms(h1, h2, x, y), ring)
+            if lhs != _move(m12, products[i][j], ring):
+                return False
+    return True
+
+
 @dataclass
 class BundleAction:
-    """Action on a bundle: a base action plus invertible fiber matrices.
+    """Action on a bundle: a base action plus invertible fiber maps.
 
-    fiber_maps[(s, g)] carries the matrix of the fiber isomorphism over base
-    arrow g for actor arrow s; the base action constrains where they exist.
+    fiber_maps[(s, g)] holds the fiber isomorphism over base arrow g for actor
+    arrow s as its columns, the sparse image row of each fiber basis vector;
+    the base action constrains where they exist.
     """
 
     base_action: LandPreaction
@@ -226,28 +249,18 @@ def validate_bundle_action(theta: LandPreaction, bundle: Bundle,
                        "the inverse arrow's matrix does not invert this one")
             return report
 
+    cols = {key: _columns(mat, ring) for key, mat in maps.items()}
     for s in actor.base.arrows():
         dom = set(theta.dom(s))
         for (g1, g2) in theta.space.composable:
             if g1 not in dom or g2 not in dom:
                 continue
             g12 = theta.space.prod[g1][g2]
-            h1, h2 = theta.apply(s, g1), theta.apply(s, g2)
-            for i in range(bundle.ranks[g1]):
-                ei = unit_vector(bundle.ranks[g1], i, ring)
-                for j in range(bundle.ranks[g2]):
-                    ej = unit_vector(bundle.ranks[g2], j, ring)
-                    lhs = bundle.fiber_mul(
-                        h1, h2,
-                        mat_vec(maps[(s, g1)], ei, ring),
-                        mat_vec(maps[(s, g2)], ej, ring),
-                    )
-                    rhs = mat_vec(maps[(s, g12)],
-                                  bundle.fiber_mul(g1, g2, ei, ej), ring)
-                    if lhs != rhs:
-                        report.add("intertwining", (names[s], anames[g1], anames[g2]),
-                                   "fiber matrices do not intertwine the products")
-                        return report
+            if not _intertwines(bundle, g1, g2, theta.apply(s, g1), theta.apply(s, g2),
+                                cols[(s, g1)], cols[(s, g2)], cols[(s, g12)]):
+                report.add("intertwining", (names[s], anames[g1], anames[g2]),
+                           "fiber matrices do not intertwine the products")
+                return report
 
     for s, t in actor.base.composable:
         st = actor.base.prod[s][t]
@@ -262,7 +275,7 @@ def validate_bundle_action(theta: LandPreaction, bundle: Bundle,
                            "fiber matrices violate the extension law")
                 return report
 
-    return BundleAction(theta, bundle, maps)
+    return BundleAction(theta, bundle, cols)
 
 
 @dataclass
@@ -281,14 +294,15 @@ def bundle_semidirect(action: BundleAction) -> BundleSemidirectResult:
     pairs = sp.pairs
     ranks = tuple(inner.ranks[g] for (_s, g) in pairs)
 
-    def pair_product(i: int, j: int, x: Vector, y: Vector) -> Vector:
-        """Fiber product over arrows (s,a)(t,b) of the semidirect base."""
-        _s, a = pairs[i]
-        t, b = pairs[j]
+    def pair_product(p: int, q: int, i: int, j: int) -> dict:
+        """e_i e_j over arrows (s,a)(t,b) of the semidirect base."""
+        _s, a = pairs[p]
+        t, b = pairs[q]
         tb = theta.apply(t, b)
-        lift = action.fiber_maps[(t, b)]
+        lift = action.fiber_maps[(t, b)][j]
         drop = action.fiber_maps[(theta.actor.inv[t], theta.space.compose(a, tb))]
-        return mat_vec(drop, inner.fiber_mul(a, tb, x, mat_vec(lift, y, ring)), ring)
+        inner_product = combine(inner._fiber_terms(a, tb, ((i, ring.one),), lift), ring)
+        return _move(drop, inner_product.items(), ring)
 
     return BundleSemidirectResult(bundle_from_product(ring, base, ranks, pair_product), sp)
 
@@ -313,9 +327,7 @@ def induced_theta(action: BundleAction) -> AlgebraAction:
         for idx in dom_idx:
             g, k = labels[idx]
             h = theta.apply(s, g)
-            image_coords = mat_vec(action.fiber_maps[(s, g)],
-                                   unit_vector(bundle.ranks[g], k, ring), ring)
-            mat[idx] = dense(((pos[(h, k2)], x) for k2, x in enumerate(image_coords)),
+            mat[idx] = dense(((pos[(h, k2)], x) for k2, x in action.fiber_maps[(s, g)][k]),
                              len(labels), ring)
         domains.append(dom_idx)
         matrices.append(mat)
@@ -554,9 +566,11 @@ class BundleCongruence:
     """A rigid base congruence with coherent invertible fiber transports.
 
     transports[(g, g')] identifies the fiber over g with the fiber over g'
-    for every ordered pair of equivalent arrows. The induced relation on the
-    total space relates x over g with transports[(g,g')](x) over g'; linearity
-    makes the zero set saturated and the roll property automatic.
+    for every ordered pair of equivalent arrows; like a fiber map it is held
+    as columns, the sparse image row of each fiber basis vector. The induced
+    relation on the total space relates x over g with transports[(g,g')](x)
+    over g'; linearity makes the zero set saturated and the roll property
+    automatic.
     """
 
     bundle: Bundle
@@ -631,31 +645,18 @@ def validate_bundle_congruence(bundle: Bundle, base: RigidCongruence,
                                    "transports do not compose coherently")
                         return report
 
+    cols = {key: _columns(mat, ring) for key, mat in full.items()}
+    prod = bundle.base.prod
     for (g1, g2) in bundle.base.composable:
-        c1 = base.class_of[g1]
-        c2 = base.class_of[g2]
-        g12 = bundle.base.prod[g1][g2]
-        for h1 in base.classes[c1]:
-            for h2 in base.classes[c2]:
-                h12 = bundle.base.prod[h1][h2]
-                for i in range(bundle.ranks[g1]):
-                    ei = unit_vector(bundle.ranks[g1], i, ring)
-                    for j in range(bundle.ranks[g2]):
-                        ej = unit_vector(bundle.ranks[g2], j, ring)
-                        lhs = bundle.fiber_mul(
-                            h1, h2,
-                            mat_vec(full[(g1, h1)], ei, ring),
-                            mat_vec(full[(g2, h2)], ej, ring),
-                        )
-                        rhs = mat_vec(full[(g12, h12)],
-                                      bundle.fiber_mul(g1, g2, ei, ej), ring)
-                        if lhs != rhs:
-                            report.add("intertwining",
-                                       (names[g1], names[g2], names[h1], names[h2]),
-                                       "transports do not intertwine the fiber products")
-                            return report
+        for h1 in base.classes[base.class_of[g1]]:
+            for h2 in base.classes[base.class_of[g2]]:
+                if not _intertwines(bundle, g1, g2, h1, h2, cols[(g1, h1)], cols[(g2, h2)],
+                                    cols[(prod[g1][g2], prod[h1][h2])]):
+                    report.add("intertwining", (names[g1], names[g2], names[h1], names[h2]),
+                               "transports do not intertwine the fiber products")
+                    return report
 
-    return BundleCongruence(bundle, base, full)
+    return BundleCongruence(bundle, base, cols)
 
 
 @dataclass
@@ -678,51 +679,32 @@ def quotient_bundle(bc: BundleCongruence) -> QuotientBundleResult:
     quotient, projection = quotient_semigroupoid(bc.base)
     reps = [block[0] for block in bc.base.classes]
     ranks = tuple(bundle.ranks[r] for r in reps)
+    transports, one = bc.transports, ring.one
 
-    rows: dict[tuple[int, int], tuple] = {}
+    def moved(a: int, b: int, x, y, rq: int) -> dict:
+        """x * y over (a, b), transported to the representative rq."""
+        xy = combine(bundle._fiber_terms(a, b, x, y), ring)
+        return _move(transports[(bundle.base.prod[a][b], rq)], xy.items(), ring)
+
+    tables: dict[tuple[int, int], list] = {}
     for (ci, cj) in quotient.composable:
         ri, rj = reps[ci], reps[cj]
-        rc = quotient.prod[ci][cj]
-        rq = reps[rc]
-        rij = bundle.base.prod[ri][rj]
-
-        def mul(x: Vector, y: Vector) -> Vector:
-            return mat_vec(bc.transports[(rij, rq)],
-                           bundle.fiber_mul(ri, rj, x, y), ring)
-
-        table = tuple(
-            tuple(
-                mul(unit_vector(ranks[ci], i, ring), unit_vector(ranks[cj], j, ring))
-                for j in range(ranks[cj])
-            )
+        rq = reps[quotient.prod[ci][cj]]
+        table = tables[(ci, cj)] = [
+            [moved(ri, rj, ((i, one),), ((j, one),), rq) for j in range(ranks[cj])]
             for i in range(ranks[ci])
-        )
-
+        ]
         for a in bc.base.classes[ci]:
             for b in bc.base.classes[cj]:
-                ab = bundle.base.prod[a][b]
-                for i in range(ranks[ci]):
-                    ei = unit_vector(ranks[ci], i, ring)
-                    for j in range(ranks[cj]):
-                        ej = unit_vector(ranks[cj], j, ring)
-                        alt = mat_vec(
-                            bc.transports[(ab, rq)],
-                            bundle.fiber_mul(
-                                a, b,
-                                mat_vec(bc.transports[(ri, a)], ei, ring),
-                                mat_vec(bc.transports[(rj, b)], ej, ring),
-                            ),
-                            ring,
-                        )
-                        if alt != table[i][j]:
+                for i, x in enumerate(transports[(ri, a)]):
+                    for j, y in enumerate(transports[(rj, b)]):
+                        if moved(a, b, x, y, rq) != table[i][j]:
                             raise InternalConsistencyError(
                                 "quotient fiber product depends on representatives at "
                                 f"({bundle.base.arrow_names[a]},{bundle.base.arrow_names[b]})"
                             )
-        rows[(ci, cj)] = fiber_rows(table, ring)
-    out = Bundle(ring, quotient, ranks, rows)
-    return QuotientBundleResult(must(validate_bundle(out, ring, quotient)),
-                                quotient, projection, bc)
+    out = bundle_from_product(ring, quotient, ranks, lambda p, q, i, j: tables[(p, q)][i][j])
+    return QuotientBundleResult(out, quotient, projection, bc)
 
 
 @dataclass
@@ -760,10 +742,7 @@ def quotient_map_and_kernel(bc: BundleCongruence) -> QuotientKernelResult:
     images = []
     for (g, i) in src_labels:
         cls = bc.base.class_of[g]
-        coords = mat_vec(bc.transports[(g, reps[cls])],
-                         unit_vector(bundle.ranks[g], i, ring), ring)
-        images.append(dense(((tgt_pos[(cls, k)], x) for k, x in enumerate(coords)),
-                            len(tgt_labels), ring))
+        images.append({tgt_pos[(cls, k)]: x for k, x in bc.transports[(g, reps[cls])][i]})
     tmap = LinearMapOnBasis(source, target, tuple(images))
 
     cert = Certificate("quotient comparison")
@@ -786,16 +765,12 @@ def quotient_map_and_kernel(bc: BundleCongruence) -> QuotientKernelResult:
             for h in block:
                 if g == h:
                     continue
-                for i in range(bundle.ranks[g]):
-                    vec = [ring.zero] * len(src_labels)
-                    vec[src_pos[(g, i)]] = ring.one
-                    moved = mat_vec(bc.transports[(g, h)],
-                                    unit_vector(bundle.ranks[g], i, ring), ring)
-                    for k, x in enumerate(moved):
-                        vec[src_pos[(h, k)]] = ring.sub(vec[src_pos[(h, k)]], x)
-                    generators.append(tuple(vec))
+                for i, col in enumerate(bc.transports[(g, h)]):
+                    moved = [(src_pos[(h, k)], ring.neg(x)) for k, x in col]
+                    generators.append(dense([(src_pos[(g, i)], ring.one)] + moved,
+                                            len(src_labels), ring))
 
-    inside = all(vec_is_zero(tmap.apply(gen), ring) for gen in generators)
+    inside = not any(tmap.apply_rows(sparse_row(gen, ring)) for gen in generators)
     cert.add("generators-in-kernel", inside)
     cert.add("kernel-equals-generator-span",
              spans_equal(sol.kernel_basis, generators, ring))
@@ -883,7 +858,7 @@ def germ_corollary(theta: LandPreaction, coefficients) -> GermCorollaryResult:
         g, i = inner_labels[d]
         sp_arrow = germ.semidirect.index[(s, g)]
         cls = germ.congruence.class_of[sp_arrow]
-        images.append(germ_algebra.unit_vector(cls * fiber_rank + i))
+        images.append(((cls * fiber_rank + i, ring.one),))
     qmap = LinearMapOnBasis(crossed, germ_algebra, tuple(images))
 
     cert = Certificate("germ corollary")
@@ -896,7 +871,7 @@ def germ_corollary(theta: LandPreaction, coefficients) -> GermCorollaryResult:
 
     witness = multiplicative_witness(qmap)
     cert.add("multiplicative", witness is None, witness or ())
-    cert.add("ideal-killed", all(vec_is_zero(qmap.apply(v), ring) for v in ideal))
+    cert.add("ideal-killed", not any(qmap.apply_rows(sparse_row(v, ring)) for v in ideal))
 
     sol = solve_linear(qmap.matrix(), ring)
     cert.add("surjective", surjective(sol))

@@ -177,9 +177,9 @@ def test_criterion_3_graded_roundtrip(acceptance):
         cert = certify_linear_iso(iso, "round trip", graded=True)
         ok = ok and cert.passed
         for i in range(iso.source.rank):
-            ok = ok and iso.inverse.apply(iso.images[i]) == iso.source.unit_vector(i)
+            ok = ok and iso.inverse.apply_rows(iso.rows[i]) == {i: Q.one}
         for j in range(iso.target.rank):
-            ok = ok and iso.apply(iso.inverse.images[j]) == iso.target.unit_vector(j)
+            ok = ok and iso.apply_rows(iso.inverse.rows[j]) == {j: Q.one}
     acceptance(3, ok, "graded round trip is a certified graded isomorphism for "
                       "R[Z/2] and the matrix-unit algebra over the pair groupoid")
     assert ok
@@ -270,9 +270,9 @@ def test_criterion_5_crossed_theorem(acceptance):
         ok = ok and res.certificate.passed
         phi, psi = res.phi, res.psi
         for i in range(phi.source.rank):
-            ok = ok and psi.apply(phi.images[i]) == phi.source.unit_vector(i)
+            ok = ok and psi.apply_rows(phi.rows[i]) == {i: Q.one}
         for j in range(psi.source.rank):
-            ok = ok and phi.apply(psi.images[j]) == psi.source.unit_vector(j)
+            ok = ok and phi.apply_rows(psi.rows[j]) == {j: Q.one}
         names = {c.name: c.ok for c in res.certificate.checks}
         ok = ok and names.get("multiplicative")
         ok = ok and res.lscript_certificate.passed

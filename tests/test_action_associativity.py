@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from sectional.actions import LandPreaction, _associativity, _twisted, validate_preaction
 from sectional.bundles import AlgebraAction, algebra_action_associativity, semigroupoid_algebra
-from sectional.rings import RationalRing, ZModRing, unit_vector
+from sectional.rings import RationalRing, ZModRing, sparse_row, unit_vector
 from sectional.semigroupoids import validate_inverse_semigroupoid, validate_semigroupoid
 from sectional.standard import cyclic2, pair_groupoid, semilattice2, unit_groupoid
 from sectional.validation import must
@@ -163,8 +163,9 @@ def lifted(theta, ring, image=None):
         def image(s, g):
             return unit_vector(algebra.rank, theta.maps[s][g], ring)
     domains = tuple(theta.dom(s) for s in theta.actor.base.arrows())
-    matrices = tuple({g: image(s, g) for g in theta.maps[s]} for s in theta.actor.base.arrows())
-    return AlgebraAction(theta.actor, algebra, domains, matrices)
+    rows = tuple({g: sparse_row(image(s, g), ring) for g in theta.maps[s]}
+                 for s in theta.actor.base.arrows())
+    return AlgebraAction(theta.actor, algebra, domains, rows)
 
 
 RINGS = [RationalRing(), ZModRing(5)]
@@ -211,9 +212,9 @@ def test_valid_lifted_actions_are_associative():
 def test_corrupted_matrix_gives_the_oracle_witness():
     theta = VALID[2]                                   # chain C_3 on three points
     action = lifted(theta, RationalRing())
-    matrices = [dict(m) for m in action.matrices]
-    matrices[1][1] = (Fraction(1), Fraction(1), Fraction(0))   # 1y -> 1x + 1y
-    broken = AlgebraAction(action.actor, action.algebra, action.domains, tuple(matrices))
+    rows = [dict(m) for m in action.rows]
+    rows[1][1] = ((0, Fraction(1)), (1, Fraction(1)))           # 1y -> 1x + 1y
+    broken = AlgebraAction(action.actor, action.algebra, action.domains, tuple(rows))
     witness = algebra_action_associativity(broken)
     assert witness is not None
     assert witness == oracle_algebra_associativity(broken)

@@ -125,6 +125,32 @@ class TestCli:
         code = main(["verify", "all", "--input", "/nonexistent.json"])
         assert code == 2
 
+    @pytest.mark.parametrize("command", [["validate"], ["verify", "all", "--input"]])
+    def test_non_utf8_file_exits_two_with_one_line(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"ring": {"kind": "q"}, "note": "caf\u00e9"}'.encode("latin-1"))
+        code = main(command + [str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and str(path) in err and "UTF-8" in err
+
+    def test_unwritable_build_output_exits_two_with_one_line(self, tmp_path, capsys):
+        with open(os.path.join(FIXTURES, "germ.json"), encoding="utf-8") as fh:
+            germ = json.load(fh)
+        workspace = {
+            "semigroupoids": germ["semigroupoids"],
+            "tasks": [{"kind": "build", "id": "q", "op": "direct_product",
+                       "left": "X", "right": "X"}],
+        }
+        src = tmp_path / "ws.json"
+        src.write_text(json.dumps(workspace))
+        out = tmp_path / "missing" / "x.json"
+        code = main(["build", "q", "--input", str(src), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and str(out) in err
+        assert not out.exists()
+
     def test_dangling_reference_exits_two(self, capsys):
         code = main(["verify", "all",
                      "--input", os.path.join(DATA, "dangling.json")])
@@ -268,14 +294,12 @@ class TestCli:
         )
 
     def test_build_writes_round_trippable_structure(self, tmp_path, capsys):
+        with open(os.path.join(FIXTURES, "germ.json"), encoding="utf-8") as fh:
+            germ = json.load(fh)
         workspace = {
             "ring": {"kind": "q"},
-            "semigroupoids": json.load(
-                open(os.path.join(FIXTURES, "germ.json"))
-            )["semigroupoids"],
-            "actions": json.load(
-                open(os.path.join(FIXTURES, "germ.json"))
-            )["actions"],
+            "semigroupoids": germ["semigroupoids"],
+            "actions": germ["actions"],
             "tasks": [
                 {"kind": "build", "id": "sp1", "op": "semidirect", "action": "theta"},
             ],
@@ -341,8 +365,10 @@ class TestValidateCommandOverFixtures:
 
 class TestBuildOps:
     def _workspace(self):
-        germ = json.load(open(os.path.join(FIXTURES, "germ.json")))
-        smash = json.load(open(os.path.join(FIXTURES, "smash.json")))
+        with open(os.path.join(FIXTURES, "germ.json"), encoding="utf-8") as fh:
+            germ = json.load(fh)
+        with open(os.path.join(FIXTURES, "smash.json"), encoding="utf-8") as fh:
+            smash = json.load(fh)
         return {
             "ring": {"kind": "q"},
             "semigroupoids": {**germ["semigroupoids"], **smash["semigroupoids"]},

@@ -1,8 +1,10 @@
 """The certificate machinery itself: it must catch bad maps, not just bless good ones."""
 
+import pytest
+
 from sectional.bundles import semigroupoid_algebra
 from sectional.maps import LinearMapOnBasis, basis_bijection, certify_linear_iso
-from sectional.rings import RationalRing
+from sectional.rings import RationalRing, dense
 from sectional.standard import cyclic2, unit_groupoid
 
 Q = RationalRing()
@@ -20,15 +22,24 @@ class TestLinearMapOnBasis:
     def test_apply_is_linear(self):
         a = _group_algebra()
         tmap = basis_bijection(a, a, {0: 1, 1: 0})
-        vec = (Q.coerce(2), Q.coerce(3))
-        assert tmap.apply(vec) == (Q.coerce(3), Q.coerce(2))
+        vec = ((0, Q.coerce(2)), (1, Q.coerce(3)))
+        assert tmap.apply_rows(vec) == {0: Q.coerce(3), 1: Q.coerce(2)}
 
     def test_matrix_columns_are_images(self):
         a = _group_algebra()
         tmap = basis_bijection(a, a, {0: 1, 1: 0})
         mat = tmap.matrix()
-        assert mat.column(0) == tmap.images[0]
-        assert mat.column(1) == tmap.images[1]
+        assert mat.column(0) == dense(tmap.rows[0], 2, Q)
+        assert mat.column(1) == dense(tmap.rows[1], 2, Q)
+
+    def test_rows_are_stored_canonically(self):
+        a = _group_algebra()
+        tmap = LinearMapOnBasis(a, a, ({1: Q.one, 0: Q.zero}, ((1, Q.coerce(2)), (0, Q.one))))
+        assert tmap.rows == (((1, Q.one),), ((0, Q.one), (1, Q.coerce(2))))
+        with pytest.raises(ValueError):
+            LinearMapOnBasis(a, a, (((2, Q.one),), ()))
+        with pytest.raises(ValueError):
+            LinearMapOnBasis(a, a, ((),))
 
 
 class TestCertificates:
@@ -52,7 +63,7 @@ class TestCertificates:
 
     def test_missing_inverse_reported(self):
         a = _group_algebra()
-        tmap = LinearMapOnBasis(a, a, tuple(a.unit_vector(i) for i in range(2)))
+        tmap = LinearMapOnBasis(a, a, (((0, Q.one),), ((1, Q.one),)))
         cert = certify_linear_iso(tmap, "no inverse")
         names = {c.name: c.ok for c in cert.checks}
         assert names["multiplicative"]
@@ -60,9 +71,7 @@ class TestCertificates:
 
     def test_singular_map_fails_linear_route(self):
         a = _group_algebra()
-        collapse = LinearMapOnBasis(
-            a, a, (a.unit_vector(0), a.unit_vector(0))
-        )
+        collapse = LinearMapOnBasis(a, a, (((0, Q.one),), ((0, Q.one),)))
         cert = certify_linear_iso(collapse, "collapse")
         names = {c.name: c.ok for c in cert.checks}
         assert not names["kernel-trivial"]
@@ -70,8 +79,8 @@ class TestCertificates:
 
     def test_wrong_inverse_caught(self):
         a = _group_algebra()
-        ident = tuple(a.unit_vector(i) for i in range(2))
-        wrong = LinearMapOnBasis(a, a, (a.unit_vector(1), a.unit_vector(0)))
+        ident = (((0, Q.one),), ((1, Q.one),))
+        wrong = LinearMapOnBasis(a, a, (((1, Q.one),), ((0, Q.one),)))
         tmap = LinearMapOnBasis(a, a, ident, inverse=wrong)
         cert = certify_linear_iso(tmap, "wrong inverse")
         names = {c.name: c.ok for c in cert.checks}

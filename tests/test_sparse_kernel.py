@@ -32,7 +32,8 @@ from sectional.bundles import (
     validate_bundle,
 )
 from sectional.maps import LinearMapOnBasis, basis_bijection, multiplicative_witness
-from sectional.rings import RationalRing, ZModRing, mat_vec, ring_from_spec
+from sectional.rings import RationalRing, ZModRing, mat_vec, ring_from_spec, sparse_row
+from sectional.rings import dense as densify
 from sectional.standard import pair_groupoid, semilattice2
 from sectional.validation import ValidationReport
 
@@ -213,7 +214,7 @@ def oracle_bundle_associativity(dense):
 def oracle_multiplicative(tmap, src_table, tgt_table):
     src, tgt = tmap.source, tmap.target
     ring = src.ring
-    images = dict(enumerate(tmap.images))
+    images = {i: densify(row, tgt.rank, ring) for i, row in enumerate(tmap.rows)}
     zero = (ring.zero,) * src.rank
     for i in range(src.rank):
         for j in range(src.rank):
@@ -263,9 +264,10 @@ def test_map_apply_matches_dense_oracle(ring, data):
     n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
     src, tgt = _presentation(ring, {}, n), _presentation(ring, {}, m)
     images = tuple(_vector(data, ring, m) for _ in range(n))
-    tmap = LinearMapOnBasis(src, tgt, images)
+    tmap = LinearMapOnBasis(src, tgt, tuple(dict(enumerate(im)) for im in images))
     v = _vector(data, ring, n)
-    assert tmap.apply(v) == oracle_apply(dict(enumerate(images)), m, ring, v)
+    image = tmap.apply_rows(sparse_row(v, ring))
+    assert densify(image.items(), m, ring) == oracle_apply(dict(enumerate(images)), m, ring, v)
 
 
 @pytest.mark.parametrize("ring", RINGS.values(), ids=RINGS.keys())
@@ -280,16 +282,17 @@ def test_action_apply_matches_dense_oracle(ring, data):
         dom = tuple(sorted(data.draw(st.sets(st.integers(0, rank - 1)))))
         domains.append(dom)
         matrices.append({i: _vector(data, ring, rank) for i in dom})
-    action = AlgebraAction(actor, alg, tuple(domains), tuple(matrices))
+    rows = tuple({i: sparse_row(vec, ring) for i, vec in m.items()} for m in matrices)
+    action = AlgebraAction(actor, alg, tuple(domains), rows)
     s = data.draw(st.sampled_from(list(actor.base.arrows())))
     v = _vector(data, ring, rank)
     try:
         expected = oracle_apply(matrices[s], rank, ring, v)
     except ValueError:
         with pytest.raises(ValueError):
-            action.apply(s, v)
+            action.apply_rows(s, sparse_row(v, ring))
         return
-    assert action.apply(s, v) == expected
+    assert densify(action.apply_rows(s, sparse_row(v, ring)).items(), rank, ring) == expected
 
 
 class DenseBundle(NamedTuple):

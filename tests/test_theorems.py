@@ -200,12 +200,36 @@ class TestBundleSemidirect:
              "g": {"dom": [arrow], "img": [arrow]}},
             z2, base,
         ))
+        # an involution, so the inverse check passes, but not an automorphism
+        # of the pointwise fiber algebra
         report = validate_bundle_action(
             theta, bundle,
-            {(0, 0): [[1, 0], [0, 1]], (1, 0): [[1, 1], [0, 1]]},
+            {(0, 0): [[1, 0], [0, 1]], (1, 0): [[1, 1], [0, -1]]},
         )
         assert isinstance(report, ValidationReport)
-        assert report.has("intertwining") or report.has("non-invertible-fiber-map")
+        assert report.kinds() == ["intertwining"]
+        assert report.first().witness == ("g", "a", "a")
+
+    def test_extension_law_violation_rejected(self):
+        # on the dual numbers e1 e1 = 0, diag(1, -1) is an automorphism and
+        # its own inverse, but the identity arrow u must act as the identity
+        z2 = cyclic2()
+        base = trivial_monoid().base
+        bundle = must(validate_bundle(
+            {"ranks": {"a": 2}, "mode": "sc",
+             "constants": {"a,a": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]}},
+            Q, base,
+        ))
+        theta = must(validate_preaction(
+            {"u": {"dom": ["a"], "img": ["a"]}, "g": {"dom": ["a"], "img": ["a"]}},
+            z2, base,
+        ))
+        report = validate_bundle_action(
+            theta, bundle, {(0, 0): [[1, 0], [0, -1]], (1, 0): [[1, 0], [0, 1]]},
+        )
+        assert isinstance(report, ValidationReport)
+        assert report.kinds() == ["extension-law"]
+        assert report.first().witness == ("u", "u", "a")
 
     def test_noninvertible_fiber_map_rejected(self):
         ba = semilattice_bundle_action()
@@ -224,15 +248,15 @@ class TestInducedTheta:
         # dom(Theta_e) is the span of the basis section at 1x only
         labels = [induced.algebra.basis[i] for i in induced.domains[1]]
         assert labels == ["1x"]
-        ident = induced.matrices[0]
-        assert all(ident[i] == induced.algebra.unit_vector(i) for i in ident)
+        ident = induced.rows[0]
+        assert all(ident[i] == ((i, Q.one),) for i in ident)
 
     def test_swap_is_transcribed_to_the_matrix(self):
         induced = induced_theta(swap_bundle_action())
         alg = induced.algebra
-        swap = induced.matrices[1]
-        assert swap[0] == alg.unit_vector(1)
-        assert swap[1] == alg.unit_vector(0)
+        swap = induced.rows[1]
+        assert swap[0] == ((1, alg.ring.one),)
+        assert swap[1] == ((0, alg.ring.one),)
 
 
 class TestCrossedTheorem:
@@ -263,9 +287,9 @@ class TestCrossedTheorem:
         res = crossed_theorem(semilattice_bundle_action())
         phi, psi = res.phi, res.psi
         for i in range(phi.source.rank):
-            assert psi.apply(phi.images[i]) == phi.source.unit_vector(i)
+            assert psi.apply_rows(phi.rows[i]) == {i: Q.one}
         for j in range(psi.source.rank):
-            assert phi.apply(psi.images[j]) == psi.source.unit_vector(j)
+            assert phi.apply_rows(psi.rows[j]) == {j: Q.one}
 
 
 class TestSmashProduct:
@@ -375,8 +399,8 @@ def sign_congruence():
 
 class TestBundleCongruence:
     def test_sign_congruence_validates(self, sign_congruence):
-        assert sign_congruence.transports[(0, 1)] == ((Q.coerce(-1),),)
-        assert sign_congruence.transports[(1, 0)] == ((Q.coerce(-1),),)
+        assert sign_congruence.transports[(0, 1)] == (((0, Q.coerce(-1)),),)
+        assert sign_congruence.transports[(1, 0)] == (((0, Q.coerce(-1)),),)
 
     def test_rank_mismatch_rejected(self):
         base = parallel_arrows()

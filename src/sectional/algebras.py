@@ -12,17 +12,18 @@ and the exhaustive checks iterate only over these nonzeros, in the row-wise
 scheme of Gustavson (ACM TOMS 4(3), 1978), through the single kernel
 rings.combine. Linear maps are held the same way (maps.LinearMapOnBasis,
 bundles.AlgebraAction, and the fiber maps and transports of theorems): one
-sparse image row per basis element, applied only through combine. Dense
-coordinate tuples remain the form of vectors handed across the public API
-(basis_product, mul, the span tests of rings) and of file literals,
-validator-local matrices, ExactMatrix and reports.
+sparse image row per basis element, applied only through combine. Vectors
+are sparse too: mul takes two vectors as (index, value) pairs (a stored row or
+the items of a {index: value} dict) and returns a dict. Dense coordinate
+tuples remain only for file literals, validator-local matrices, ExactMatrix
+and reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rings import Ring, Vector, combine, dense, sparse_row, vec_is_zero, zero_vector
+from .rings import Ring, combine, sparse_vector
 from .semigroupoids import FiniteSemigroupoid
 
 
@@ -37,14 +38,12 @@ class AlgebraPresentation:
 
     def __post_init__(self):
         # rows arrive as {index: value} or (index, value) pairs
-        is_zero = self.ring.is_zero
         cleaned = {}
         for key, row in self.table.items():
             row = dict(row)
             if any(not isinstance(k, int) or not 0 <= k < self.rank for k in row):
                 raise ValueError(f"structure constant at {key} indexes outside the basis")
-            row = tuple(sorted((k, c) for k, c in row.items() if not is_zero(c)))
-            if row:
+            if row := tuple(sorted(sparse_vector(row, self.ring).items())):
                 cleaned[key] = row
         self.table = cleaned
         if (self.grading is None) != (self.degrees is None):
@@ -60,23 +59,7 @@ class AlgebraPresentation:
     def graded(self) -> bool:
         return self.grading is not None
 
-    def zero(self) -> Vector:
-        return zero_vector(self.rank, self.ring)
-
-    def unit_vector(self, i: int) -> Vector:
-        return tuple(
-            self.ring.one if j == i else self.ring.zero for j in range(self.rank)
-        )
-
-    def basis_product(self, i: int, j: int) -> Vector:
-        return dense(self.table.get((i, j), ()), self.rank, self.ring)
-
-    def mul(self, u: Vector, v: Vector) -> Vector:
-        ring = self.ring
-        prod = self.mul_rows(sparse_row(u, ring), sparse_row(v, ring))
-        return dense(prod.items(), self.rank, ring)
-
-    def mul_rows(self, u, v) -> dict:
+    def mul(self, u, v) -> dict:
         """Product of two sparse vectors given as (index, value) pairs."""
         table, mul = self.table, self.ring.mul
         return combine(
@@ -85,25 +68,10 @@ class AlgebraPresentation:
             self.ring,
         )
 
-    def sub(self, u: Vector, v: Vector) -> Vector:
-        return tuple(self.ring.sub(x, y) for x, y in zip(u, v))
-
-    def is_zero_vector(self, v: Vector) -> bool:
-        return vec_is_zero(v, self.ring)
-
-    def support(self, v: Vector) -> tuple[int, ...]:
-        is_zero = self.ring.is_zero
-        return tuple(i for i, x in enumerate(v) if not is_zero(x))
-
     def homogeneous_indices(self, g: int) -> tuple[int, ...]:
         if self.degrees is None:
             raise ValueError("algebra is not graded")
         return tuple(i for i, d in enumerate(self.degrees) if d == g)
-
-    def vanishes_outside(self, v: Vector, g: int) -> bool:
-        """Membership test for the degree-g homogeneous component."""
-        keep = set(self.homogeneous_indices(g))
-        return all(i in keep for i in self.support(v))
 
     def check_associativity(self) -> tuple | None:
         """Enumerate basis triples; returns the first failing (i,j,k) or None.
@@ -116,8 +84,8 @@ class AlgebraPresentation:
             for j in range(self.rank):
                 ij = table.get((i, j), ())
                 for k in range(self.rank):
-                    left = self.mul_rows(ij, ((k, one),))
-                    right = self.mul_rows(ei, table.get((j, k), ()))
+                    left = self.mul(ij, ((k, one),))
+                    right = self.mul(ei, table.get((j, k), ()))
                     if left != right:
                         return (self.basis[i], self.basis[j], self.basis[k])
         return None

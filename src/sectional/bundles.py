@@ -22,17 +22,7 @@ from dataclasses import dataclass, field
 from .actions import first_twisted_triple, twisted_partners
 from .algebras import AlgebraPresentation
 from .maps import LinearMapOnBasis
-from .rings import (
-    Ring,
-    Vector,
-    combine,
-    dense,
-    sparse_row,
-    unit_vector,
-    vec_add,
-    vec_is_zero,
-    zero_vector,
-)
+from .rings import Ring, combine, dense, sparse_row, sparse_vector
 from .semigroupoids import (
     FiniteInverseSemigroupoid,
     FiniteSemigroupoid,
@@ -58,17 +48,12 @@ class Bundle:
     ranks: tuple[int, ...]
     rows: dict[tuple[int, int], tuple]
 
-    def zero_fiber(self, arrow: int) -> Vector:
-        return zero_vector(self.ranks[arrow], self.ring)
-
-    def fiber_mul(self, a: int, b: int, x: Vector, y: Vector) -> Vector:
-        """Balanced product fiber(a) x fiber(b) -> fiber(ab)."""
-        ring = self.ring
-        c = self.base.compose(a, b)
-        if c is None:
+    def fiber_mul(self, a: int, b: int, x, y) -> dict:
+        """Balanced product fiber(a) x fiber(b) -> fiber(ab) of sparse vectors
+        given as (index, value) pairs."""
+        if self.base.compose(a, b) is None:
             raise ValueError("fiber_mul on a non-composable pair")
-        prod = self._fiber_terms(a, b, sparse_row(x, ring), sparse_row(y, ring))
-        return dense(combine(prod, ring).items(), self.ranks[c], ring)
+        return combine(self._fiber_terms(a, b, x, y), self.ring)
 
     def _fiber_terms(self, a: int, b: int, x, y):
         """The combine terms of x * y for sparse x in fiber(a), y in fiber(b)."""
@@ -254,43 +239,37 @@ def validate_bundle(raw, ring: Ring, base: FiniteSemigroupoid) -> Bundle | Valid
 class Section:
     """Finitely supported right-inverse of the bundle projection.
 
-    Stored sparsely, arrow -> fiber vector; absent means the zero vector.
-    Zero vectors are pruned so equality of normalized forms is literal.
+    Stored sparsely, arrow -> sparse fiber vector {index: nonzero value}
+    (given as a dict or (index, value) pairs); absent means the zero vector.
+    Zero entries and vectors are pruned so equality of normalized forms is
+    literal.
     """
 
     bundle: Bundle
-    values: dict[int, Vector] = field(default_factory=dict)
+    values: dict[int, dict] = field(default_factory=dict)
 
     def __post_init__(self):
         ring = self.bundle.ring
-        self.values = {
-            a: tuple(v) for a, v in self.values.items() if not vec_is_zero(v, ring)
-        }
+        self.values = {a: w for a, v in self.values.items() if (w := sparse_vector(v, ring))}
 
-    def at(self, arrow: int) -> Vector:
-        return self.values.get(arrow, self.bundle.zero_fiber(arrow))
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.values))
+    def at(self, arrow: int) -> dict:
+        return self.values.get(arrow, {})
 
     def add(self, other: "Section") -> "Section":
         _same_bundle(self, other)
         ring = self.bundle.ring
-        values = dict(self.values)
-        for a, v in other.values.items():
-            values[a] = vec_add(values.get(a, self.bundle.zero_fiber(a)), v, ring)
-        return Section(self.bundle, values)
+        return Section(self.bundle, {
+            a: combine(((ring.one, self.at(a).items()), (ring.one, other.at(a).items())), ring)
+            for a in self.values.keys() | other.values.keys()
+        })
 
     def neg(self) -> "Section":
-        ring = self.bundle.ring
-        return Section(self.bundle, {
-            a: tuple(ring.neg(x) for x in v) for a, v in self.values.items()
-        })
+        return self.scale(self.bundle.ring.neg(self.bundle.ring.one))
 
     def scale(self, r) -> "Section":
         ring = self.bundle.ring
         return Section(self.bundle, {
-            a: tuple(ring.mul(r, x) for x in v) for a, v in self.values.items()
+            a: combine(((r, v.items()),), ring) for a, v in self.values.items()
         })
 
     def __eq__(self, other):
@@ -305,12 +284,9 @@ def zero_section(bundle: Bundle) -> Section:
     return Section(bundle, {})
 
 
-def delta_section(bundle: Bundle, arrow: int, coords: Vector | None = None,
-                  index: int = 0) -> Section:
+def delta_section(bundle: Bundle, arrow: int, coords=None, index: int = 0) -> Section:
     """Section supported on one arrow; defaults to the index-th basis vector."""
-    if coords is None:
-        coords = unit_vector(bundle.ranks[arrow], index, bundle.ring)
-    return Section(bundle, {arrow: tuple(coords)})
+    return Section(bundle, {arrow: {index: bundle.ring.one} if coords is None else coords})
 
 
 def _same_bundle(a: Section, b: Section) -> None:
@@ -325,27 +301,21 @@ def convolve(alpha: Section, beta: Section) -> Section:
     ring = bundle.ring
     terms: dict[int, list] = {}
     for a, va in alpha.values.items():
-        xa = sparse_row(va, ring)
         for b, vb in beta.values.items():
             c = bundle.base.compose(a, b)
             if c is not None:
                 terms.setdefault(c, []).extend(
-                    bundle._fiber_terms(a, b, xa, sparse_row(vb, ring)))
-    return Section(bundle, {
-        c: dense(combine(t, ring).items(), bundle.ranks[c], ring)
-        for c, t in terms.items()
-    })
+                    bundle._fiber_terms(a, b, va.items(), vb.items()))
+    return Section(bundle, {c: combine(t, ring) for c, t in terms.items()})
 
 
-def section_from_vector(bundle: Bundle, labels: tuple, v: Vector) -> Section:
-    """Reassemble a coordinate vector of the sectional algebra into a section."""
-    values: dict[int, list] = {}
-    ring = bundle.ring
-    for idx, x in sparse_row(v, ring):
+def section_from_vector(bundle: Bundle, labels: tuple, v: dict) -> Section:
+    """Reassemble a sparse vector of the sectional algebra into a section."""
+    values: dict[int, dict] = {}
+    for idx, x in v.items():
         arrow, i = labels[idx]
-        vec = values.setdefault(arrow, list(bundle.zero_fiber(arrow)))
-        vec[i] = ring.add(vec[i], x)
-    return Section(bundle, {a: tuple(vec) for a, vec in values.items()})
+        values.setdefault(arrow, {})[i] = x
+    return Section(bundle, values)
 
 
 def basis_labels(bundle: Bundle) -> tuple[tuple[int, int], ...]:
@@ -379,7 +349,7 @@ def sectional_algebra(bundle: Bundle, grading: Homomorphism | None = None) -> Al
             product = convolve(da, delta_section(bundle, b, index=j))
             table[(p, q)] = {
                 position[(c, k)]: x
-                for c, coords in product.values.items() for k, x in enumerate(coords)
+                for c, coords in product.values.items() for k, x in coords.items()
             }
     degrees = None
     g = None
@@ -445,12 +415,13 @@ def bundle_from_graded(algebra: AlgebraPresentation) -> Bundle:
         raise CapabilityError(
             "non-commutative coefficients need rank-1 homogeneous components"
         )
-    rows = {}
-    for a, b in g.composable:
-        c = g.prod[a][b]
-        table = [[algebra.basis_product(i, j) for j in fibers[b]] for i in fibers[a]]
-        rows[(a, b)] = fiber_rows(
-            [[[prod[k] for k in fibers[c]] for prod in row] for row in table], ring)
+    # fiber coordinates of basis elements; they keep the basis order
+    local = {k: i for fiber in fibers for i, k in enumerate(fiber)}
+    rows = {
+        (a, b): tuple(tuple(tuple((local[k], x) for k, x in algebra.table.get((i, j), ()))
+                            for j in fibers[b]) for i in fibers[a])
+        for a, b in g.composable
+    }
     return must(validate_bundle(Bundle(ring, g, ranks, rows), ring, g))
 
 
@@ -598,7 +569,7 @@ def validate_algebra_action(actor: FiniteInverseSemigroupoid,
         for i in doms[s]:
             for j in doms[s]:
                 lhs = action.apply_rows(s, algebra.table.get((i, j), ()))
-                if lhs != algebra.mul_rows(images[i], images[j]):
+                if lhs != algebra.mul(images[i], images[j]):
                     report.add("isomorphism", (names[s], algebra.basis[i], algebra.basis[j]),
                                "Theta_s is not multiplicative on its domain")
                     return report
@@ -654,14 +625,14 @@ def algebra_action_associativity(action: AlgebraAction) -> tuple | None:
             va = ((a, one),)
             for b in doms[t]:
                 tb = action.rows[t][b]                      # Theta_t(e_b)
-                inner = action.apply_rows(inv[t], alg.mul_rows(va, tb).items()).items()
+                inner = action.apply_rows(inv[t], alg.mul(va, tb).items()).items()
                 for c in cs:
                     t_bc = theta_bc.get((b, c))
                     if t_bc is None:
                         bc = alg.table.get((b, c), ())
                         t_bc = theta_bc[b, c] = action.apply_rows(t, bc).items()
-                    left = alg.mul_rows(inner, ((c, one),))
-                    right = action.apply_rows(inv[t], alg.mul_rows(va, t_bc).items())
+                    left = alg.mul(inner, ((c, one),))
+                    right = action.apply_rows(inv[t], alg.mul(va, t_bc).items())
                     if left != right:
                         failing.add((t, a, b, c))
     if not failing:
@@ -677,7 +648,7 @@ def trivial_algebra_action(actor: FiniteInverseSemigroupoid,
                            algebra: AlgebraPresentation) -> AlgebraAction:
     """Every arrow acts as the identity on the whole algebra."""
     full = tuple(range(algebra.rank))
-    identity = {i: algebra.unit_vector(i) for i in full}
+    identity = {i: dense(((i, algebra.ring.one),), algebra.rank, algebra.ring) for i in full}
     return must(validate_algebra_action(
         actor, algebra,
         [full] * actor.base.n_arrows,
@@ -710,7 +681,7 @@ def naive_crossed_product(action: AlgebraAction,
             if not base.is_composable(s, t):
                 continue
             st = base.prod[s][t]
-            a_tb = alg.mul_rows(((a, ring.one),), action.rows[t][b])
+            a_tb = alg.mul(((a, ring.one),), action.rows[t][b])
             value = action.apply_rows(actor.inv[t], a_tb.items())
             if not set(value) <= set(action.domains[st]):
                 raise InternalConsistencyError(
@@ -747,7 +718,7 @@ def lscript_presentation(action: AlgebraAction) -> AlgebraPresentation:
             if not base.is_composable(x, y):
                 continue
             xy = base.prod[x][y]
-            pulled_b = alg.mul_rows(action.rows[actor.inv[x]][a], ((b, ring.one),))
+            pulled_b = alg.mul(action.rows[actor.inv[x]][a], ((b, ring.one),))
             value = action.apply_rows(x, pulled_b.items())
             if not set(value) <= set(action.domains[actor.inv[xy]]):
                 raise InternalConsistencyError(

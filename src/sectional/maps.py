@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .algebras import AlgebraPresentation
 from .rings import (EchelonBasis, ExactMatrix, LinearSolution, combine, dense, solve_linear,
-                    unit_vector)
+                    sparse_vector)
 
 
 @dataclass
@@ -29,9 +29,8 @@ class LinearMapOnBasis:
     def __post_init__(self):
         if len(self.rows) != self.source.rank:
             raise ValueError("one image per source basis element required")
-        is_zero, rank = self.source.ring.is_zero, self.target.rank
-        self.rows = tuple(tuple(sorted((k, x) for k, x in dict(row).items() if not is_zero(x)))
-                          for row in self.rows)
+        ring, rank = self.source.ring, self.target.rank
+        self.rows = tuple(tuple(sorted(sparse_vector(row, ring).items())) for row in self.rows)
         if any(not 0 <= k < rank for row in self.rows for k, _ in row):
             raise ValueError("image vector indexes outside the target basis")
 
@@ -115,7 +114,7 @@ def multiplicative_witness(tmap: LinearMapOnBasis) -> tuple | None:
     for i in range(src.rank):
         for j in range(src.rank):
             lhs = tmap.apply_rows(src.table.get((i, j), ()))
-            if lhs != tgt.mul_rows(rows[i], rows[j]):
+            if lhs != tgt.mul(rows[i], rows[j]):
                 return (src.basis[i], src.basis[j])
     return None
 
@@ -170,7 +169,7 @@ def surjective(sol: LinearSolution) -> bool:
     if ring.is_field:
         return sol.rank == sol.rows
     image = EchelonBasis(ring, sol.image_basis)
-    return all(image.contains(unit_vector(sol.rows, k, ring)) for k in range(sol.rows))
+    return all(image.contains({k: ring.one}) for k in range(sol.rows))
 
 
 def _linear_route(cert: Certificate, tmap: LinearMapOnBasis) -> None:
@@ -181,7 +180,7 @@ def _linear_route(cert: Certificate, tmap: LinearMapOnBasis) -> None:
         return
     sol = solve_linear(tmap.matrix(), ring)
     cert.add("kernel-trivial", not sol.kernel_basis,
-             tuple(sol.kernel_basis[:1]) if sol.kernel_basis else ())
+             (dense(sol.kernel_basis[0].items(), sol.cols, ring),) if sol.kernel_basis else ())
     cert.add("surjective", surjective(sol))
     cert.data["linear_route"] = "ran"
     cert.data["matrix_rank"] = sol.rank

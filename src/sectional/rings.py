@@ -3,7 +3,9 @@
 Ring elements are plain Python values in canonical form (int for the integers
 and residues, Fraction for rationals, table index for finite-table rings); the
 ring object supplies the operations. All arithmetic is exact, so structural
-identities can be asserted with ==.
+identities can be asserted with ==. A vector is a sparse {index: nonzero
+value} dict, the form combine returns; dense tuples remain only in ExactMatrix,
+small local matrices and at the file and report boundary (sparse_row, dense).
 
 Span tests run on one incremental echelon basis (EchelonBasis): reduced row
 echelon form over fields (rationals, prime residues), reduced Howell form over
@@ -28,15 +30,34 @@ Element = Any
 Vector = tuple
 
 
-def _is_prime(n: int) -> bool:
+# Miller-Rabin on these bases is exact below the bound (J. Sorenson and
+# J. Webster, Math. Comp. 86, 2017); above it only "composite" is exact
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool | None:
+    """Whether n is prime, in time polynomial in its bit length; None when
+    n lies above the exact bound and passes every base."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
-    return True
+    return True if n < _MR_EXACT_BELOW else None
 
 
 class Ring:
@@ -197,6 +218,8 @@ class ZModRing(Ring):
         self.zero = 0
         self.one = 1 % n
         self._is_field = _is_prime(n)
+        if self._is_field is None:
+            raise ValueError(f"cannot decide whether the modulus {n} is prime")
 
     def add(self, a, b):
         return (a + b) % self.n
@@ -342,7 +365,11 @@ def validate_ring(spec) -> Ring | ValidationReport:
         if not isinstance(n, int) or n < 2:
             report.add("structural", (repr(n),), "zmod needs an integer modulus n >= 2")
             return report
-        return ZModRing(n)
+        try:
+            return ZModRing(n)
+        except ValueError as exc:
+            report.add("structural", (str(n),), str(exc))
+            return report
     if kind == "table":
         return _validate_table_ring(spec)
     report.add("structural", (repr(kind),), f"unknown ring kind {kind!r}")
@@ -483,26 +510,17 @@ class ExactMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
 
-def zero_vector(k: int, ring: Ring) -> Vector:
-    return (ring.zero,) * k
-
-
-def unit_vector(k: int, i: int, ring: Ring) -> Vector:
-    return tuple(ring.one if j == i else ring.zero for j in range(k))
-
-
-def vec_add(u: Vector, v: Vector, ring: Ring) -> Vector:
-    return tuple(ring.add(a, b) for a, b in zip(u, v))
-
-
-def vec_is_zero(v: Vector, ring: Ring) -> bool:
-    return all(map(ring.is_zero, v))
-
-
 def sparse_row(v: Vector, ring: Ring) -> tuple:
     """The nonzero coordinates of a dense vector as (index, value) pairs."""
     is_zero = ring.is_zero
     return tuple((k, x) for k, x in enumerate(v) if not is_zero(x))
+
+
+def sparse_vector(v, ring: Ring) -> dict:
+    """A sparse vector given as a dict or (index, value) pairs, as the one
+    vector form {index: nonzero value}: zero entries are dropped."""
+    is_zero = ring.is_zero
+    return {k: x for k, x in dict(v).items() if not is_zero(x)}
 
 
 def dense(row, k: int, ring: Ring) -> Vector:
@@ -534,15 +552,7 @@ def combine(terms, ring: Ring) -> dict:
 
 
 def identity_matrix(k: int, ring: Ring) -> tuple:
-    return tuple(unit_vector(k, i, ring) for i in range(k))
-
-
-def mat_vec(mat: Sequence[Vector], vec: Vector, ring: Ring) -> Vector:
-    """mat * vec. Each matrix entry is a coefficient whose image is the single
-    pair (row, x), so the entry stays on the left of x."""
-    nonzero = sparse_row(vec, ring)
-    terms = ((row[j], ((r, x),)) for r, row in enumerate(mat) for j, x in nonzero)
-    return dense(combine(terms, ring).items(), len(mat), ring)
+    return tuple(tuple(ring.one if j == i else ring.zero for j in range(k)) for i in range(k))
 
 
 def _dot(u: Sequence, v: Sequence, ring: Ring) -> Element:
@@ -686,7 +696,8 @@ class LinearSolution:
 
     Over a field: `rank` is the usual rank and `pivots` the pivot columns.
     Over Z/n with composite n the bases are spanning sets (free bases need not
-    exist) and `rank` counts invariant factors with a nonzero image.
+    exist) and `rank` counts invariant factors with a nonzero image. Basis
+    vectors are sparse {index: nonzero value} dicts.
     """
 
     ring: Ring
@@ -694,8 +705,8 @@ class LinearSolution:
     cols: int
     rank: int
     pivots: tuple
-    kernel_basis: list[Vector]
-    image_basis: list[Vector]
+    kernel_basis: list[dict]
+    image_basis: list[dict]
 
 
 class EchelonBasis:
@@ -710,10 +721,12 @@ class EchelonBasis:
     pivot, lies in the span of the later rows. Both forms are unique, so two
     spans are equal exactly when their bases have equal rows, and v lies in
     the span exactly when reducing it by the rows leaves nothing. Every span
-    test in the package runs here; inputs are dense vectors.
+    test in the package runs here; inputs are sparse vectors, a dict or
+    (index, value) pairs, whose zero entries are dropped (an explicit zero
+    must not become a Howell pivot).
     """
 
-    def __init__(self, ring: Ring, vectors: Sequence[Vector] = ()):
+    def __init__(self, ring: Ring, vectors=()):
         if not (ring.is_field or ring.kind == "zmod"):
             raise CapabilityError(
                 f"span computations need a field or Z/n; ring kind {ring.kind!r} is unsupported"
@@ -723,9 +736,9 @@ class EchelonBasis:
         for v in vectors:
             self.insert(v)
 
-    def _residue(self, v: Vector) -> dict:
+    def _residue(self, v) -> dict:
         ring, rows = self.ring, self.rows
-        acc = dict(sparse_row(v, ring))
+        acc = sparse_vector(v, ring)
         if not ring.is_field:
             return self._reduce(acc, -1)
         # the rows vanish at each other's pivots, so v minus v[p] * row_p over
@@ -744,10 +757,10 @@ class EchelonBasis:
                                (-(acc[p] // rows[p][p]), rows[p].items())), ring)
         return acc
 
-    def contains(self, v: Vector) -> bool:
+    def contains(self, v) -> bool:
         return not self._residue(v)
 
-    def insert(self, v: Vector) -> bool:
+    def insert(self, v) -> bool:
         """Add v to the span; False when it already lies there."""
         ring, rows = self.ring, self.rows
         res = self._residue(v)
@@ -786,26 +799,25 @@ class EchelonBasis:
         for p in sorted(rows, reverse=True):
             rows[p] = self._reduce(rows[p], p)
 
-    def dense_rows(self, width: int) -> list[Vector]:
-        """The rows in pivot order as dense vectors of the given length."""
-        return [dense(self.rows[p].items(), width, self.ring) for p in sorted(self.rows)]
+    def pivot_rows(self) -> list[dict]:
+        """The rows in pivot order."""
+        return [self.rows[p] for p in sorted(self.rows)]
 
 
 def solve_linear(m: ExactMatrix, ring: Ring) -> LinearSolution:
     """Exact rank/kernel/image data; see LinearSolution for conventions."""
     if ring.is_field:
-        rows = EchelonBasis(ring, m.to_rows()).rows
+        rows = EchelonBasis(ring, (sparse_row(m.row(i), ring) for i in range(m.rows))).rows
         pivots = tuple(sorted(rows))
         # free column f: 1 at f, minus column f of the rows at their pivots
-        kernel = [dense([(f, ring.one)] + [(p, ring.neg(row[f])) for p, row in rows.items()
-                                           if f in row], m.cols, ring)
+        kernel = [{f: ring.one, **{p: ring.neg(row[f]) for p, row in rows.items() if f in row}}
                   for f in range(m.cols) if f not in rows]
-        image = [m.column(p) for p in pivots]
+        image = [dict(sparse_row(m.column(p), ring)) for p in pivots]
         return LinearSolution(ring, m.rows, m.cols, len(pivots), pivots, kernel, image)
 
     if ring.kind == "zmod":
         n = ring.n
-        kernel: list[Vector] = []
+        kernel: list[dict] = []
         rank = 0
         if m.cols:
             if m.rows:
@@ -814,17 +826,15 @@ def solve_linear(m: ExactMatrix, ring: Ring) -> LinearSolution:
             else:
                 d, v = [], [[int(i == j) for j in range(m.cols)] for i in range(m.cols)]
             diag = [math.gcd(d[i][i], n) if i < m.rows else n for i in range(m.cols)]
-            for i, di in enumerate(diag):
-                col = tuple((v[r][i] * (n // di)) % n for r in range(m.cols))
-                if not vec_is_zero(col, ring):
-                    kernel.append(col)
+            kernel = [{r: (v[r][i] * (n // di)) % n for r in range(m.cols)}
+                      for i, di in enumerate(diag)]
             factors = diag[:m.rows]     # gcd/lcm passes make it the invariant factors
             for i, j in itertools.combinations(range(len(factors)), 2):
                 a, b = factors[i], factors[j]
                 factors[i], factors[j] = math.gcd(a, b), math.lcm(a, b)
             rank = sum(1 for f in factors if f != n)
         kernel = span_reduce(kernel, ring)
-        image = span_reduce([m.column(j) for j in range(m.cols)], ring)
+        image = span_reduce((sparse_row(m.column(j), ring) for j in range(m.cols)), ring)
         return LinearSolution(ring, m.rows, m.cols, rank, (), kernel, image)
 
     raise CapabilityError(
@@ -832,36 +842,35 @@ def solve_linear(m: ExactMatrix, ring: Ring) -> LinearSolution:
     )
 
 
-def vector_in_span(v: Vector, generators: Sequence[Vector], ring: Ring) -> bool:
+def vector_in_span(v, generators, ring: Ring) -> bool:
     """Decide membership of v in the span of the generators (exactly)."""
     return EchelonBasis(ring, generators).contains(v)
 
 
-def span_reduce(generators: Sequence[Vector], ring: Ring) -> list[Vector]:
+def span_reduce(generators, ring: Ring) -> list[dict]:
     """Deterministically thin a generating set without changing its span: over
     a field to its reduced row echelon form, over composite Z/n to the
     generators that enlarge the span of those before them."""
     if ring.is_field:
-        width = len(generators[0]) if generators else 0
-        return EchelonBasis(ring, generators).dense_rows(width)
+        return EchelonBasis(ring, generators).pivot_rows()
     basis = EchelonBasis(ring)
-    return [tuple(g) for g in generators if basis.insert(g)]
+    return [g for g in (sparse_vector(g, ring) for g in generators) if basis.insert(g)]
 
 
-def spans_equal(a: Sequence[Vector], b: Sequence[Vector], ring: Ring) -> bool:
+def spans_equal(a, b, ring: Ring) -> bool:
     return EchelonBasis(ring, a).rows == EchelonBasis(ring, b).rows
 
 
-def span_rank(generators: Sequence[Vector], ring: Ring) -> int:
+def span_rank(generators, ring: Ring) -> int:
     if not ring.is_field:
         raise CapabilityError("span rank is defined here only over fields")
     return len(EchelonBasis(ring, generators).rows)
 
 
-def ideal_closure(generators: Sequence[Vector], algebra) -> list[Vector]:
+def ideal_closure(generators, algebra) -> list[dict]:
     """Smallest two-sided multiplication-closed subspace containing the generators.
 
-    `algebra` is any presentation exposing ring, rank, and mul on coordinate
+    `algebra` is any presentation exposing ring, rank, and mul on sparse
     vectors. Saturation multiplies every vector that enlarges the span by every
     basis element on both sides until nothing new appears; the submodule lattice
     of a finite free module over a field or Z/n has finite height, so this
@@ -870,15 +879,16 @@ def ideal_closure(generators: Sequence[Vector], algebra) -> list[Vector]:
     """
     ring = algebra.ring
     basis = EchelonBasis(ring)
-    span: list[Vector] = []
-    queue = deque(tuple(ring.coerce(x) for x in g) for g in generators)
+    span: list[dict] = []
+    queue = deque(sparse_vector({k: ring.coerce(x) for k, x in dict(g).items()}, ring)
+                  for g in generators)
     while queue:
         vec = queue.popleft()
         if not basis.insert(vec):
             continue
         span.append(vec)
         for i in range(algebra.rank):
-            unit = algebra.unit_vector(i)
-            queue.append(algebra.mul(unit, vec))
-            queue.append(algebra.mul(vec, unit))
-    return basis.dense_rows(algebra.rank) if ring.is_field else span
+            unit = ((i, ring.one),)
+            queue.append(algebra.mul(unit, vec.items()))
+            queue.append(algebra.mul(vec.items(), unit))
+    return basis.pivot_rows() if ring.is_field else span

@@ -70,12 +70,6 @@ class FiniteSemigroupoid:
     def arrow_index(self, name: str) -> int:
         return self.arrow_names.index(name)
 
-    def vertex_index(self, name: str) -> int:
-        return self.vertex_names.index(name)
-
-    def describe_arrow(self, a: int) -> str:
-        return self.arrow_names[a]
-
 
 def semigroupoid_to_raw(sgpd: FiniteSemigroupoid, inv: "FiniteInverseSemigroupoid | None" = None) -> dict:
     """Serialize into the structure-file stanza; parses back to an equal object."""

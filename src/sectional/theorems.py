@@ -41,7 +41,6 @@ from .bundles import (
 from .maps import (Certificate, LinearMapOnBasis, basis_bijection, certify_linear_iso,
                    multiplicative_witness, surjective)
 from .rings import (
-    Vector,
     combine,
     dense,
     identity_matrix,
@@ -177,8 +176,7 @@ def _intertwines(bundle: Bundle, g1: int, g2: int, h1: int, h2: int, m1, m2, m12
     products = bundle.rows[(g1, g2)]
     for i, x in enumerate(m1):
         for j, y in enumerate(m2):
-            lhs = combine(bundle._fiber_terms(h1, h2, x, y), ring)
-            if lhs != _move(m12, products[i][j], ring):
+            if bundle.fiber_mul(h1, h2, x, y) != _move(m12, products[i][j], ring):
                 return False
     return True
 
@@ -301,7 +299,7 @@ def bundle_semidirect(action: BundleAction) -> BundleSemidirectResult:
         tb = theta.apply(t, b)
         lift = action.fiber_maps[(t, b)][j]
         drop = action.fiber_maps[(theta.actor.inv[t], theta.space.compose(a, tb))]
-        inner_product = combine(inner._fiber_terms(a, tb, ((i, ring.one),), lift), ring)
+        inner_product = inner.fiber_mul(a, tb, ((i, ring.one),), lift)
         return _move(drop, inner_product.items(), ring)
 
     return BundleSemidirectResult(bundle_from_product(ring, base, ranks, pair_product), sp)
@@ -323,7 +321,7 @@ def induced_theta(action: BundleAction) -> AlgebraAction:
     for s in theta.actor.base.arrows():
         dom_arrows = set(theta.dom(s))
         dom_idx = tuple(i for i, (g, _k) in enumerate(labels) if g in dom_arrows)
-        mat: dict[int, Vector] = {}
+        mat = {}
         for idx in dom_idx:
             g, k = labels[idx]
             h = theta.apply(s, g)
@@ -683,7 +681,7 @@ def quotient_bundle(bc: BundleCongruence) -> QuotientBundleResult:
 
     def moved(a: int, b: int, x, y, rq: int) -> dict:
         """x * y over (a, b), transported to the representative rq."""
-        xy = combine(bundle._fiber_terms(a, b, x, y), ring)
+        xy = bundle.fiber_mul(a, b, x, y)
         return _move(transports[(bundle.base.prod[a][b], rq)], xy.items(), ring)
 
     tables: dict[tuple[int, int], list] = {}
@@ -711,8 +709,8 @@ def quotient_bundle(bc: BundleCongruence) -> QuotientBundleResult:
 class QuotientKernelResult:
     map: LinearMapOnBasis
     certificate: Certificate
-    kernel_basis: list[Vector]
-    generators: list[Vector]
+    kernel_basis: list[dict]
+    generators: list[dict]
     source: AlgebraPresentation
     target: AlgebraPresentation
     quotient: QuotientBundleResult
@@ -759,18 +757,13 @@ def quotient_map_and_kernel(bc: BundleCongruence) -> QuotientKernelResult:
     # decomposes into arrow-to-arrow transports, and alpha - psi alpha phi
     # ranges over differences of one fiber basis vector at g against its
     # transport at an equivalent g'
-    generators: list[Vector] = []
-    for block in bc.base.classes:
-        for g in block:
-            for h in block:
-                if g == h:
-                    continue
-                for i, col in enumerate(bc.transports[(g, h)]):
-                    moved = [(src_pos[(h, k)], ring.neg(x)) for k, x in col]
-                    generators.append(dense([(src_pos[(g, i)], ring.one)] + moved,
-                                            len(src_labels), ring))
+    generators = [
+        dict([(src_pos[(g, i)], ring.one)] + [(src_pos[(h, k)], ring.neg(x)) for k, x in col])
+        for block in bc.base.classes for g in block for h in block if g != h
+        for i, col in enumerate(bc.transports[(g, h)])
+    ]
 
-    inside = not any(tmap.apply_rows(sparse_row(gen, ring)) for gen in generators)
+    inside = not any(tmap.apply_rows(gen.items()) for gen in generators)
     cert.add("generators-in-kernel", inside)
     cert.add("kernel-equals-generator-span",
              spans_equal(sol.kernel_basis, generators, ring))
@@ -789,7 +782,7 @@ class GermCorollaryResult:
     certificate: Certificate
     germ: GermQuotient
     crossed: AlgebraPresentation
-    ideal_basis: list[Vector]
+    ideal_basis: list[dict]
     germ_algebra: AlgebraPresentation
     map: LinearMapOnBasis
     induced_action: AlgebraAction
@@ -831,20 +824,11 @@ def germ_corollary(theta: LandPreaction, coefficients) -> GermCorollaryResult:
     ]
     cross_pos = {lab: i for i, lab in enumerate(cross_labels)}
 
-    def order_generators():
-        gens = []
-        for (s, t) in sorted(actor.leq):
-            if s == t:
-                continue
-            common = set(induced.domains[s]) & set(induced.domains[t])
-            for d in sorted(common):
-                vec = [ring.zero] * len(cross_labels)
-                vec[cross_pos[(s, d)]] = ring.one
-                vec[cross_pos[(t, d)]] = ring.sub(vec[cross_pos[(t, d)]], ring.one)
-                gens.append(tuple(vec))
-        return gens
-
-    generators = order_generators()
+    generators = [
+        {cross_pos[(s, d)]: ring.one, cross_pos[(t, d)]: ring.neg(ring.one)}
+        for s, t in sorted(actor.leq) if s != t
+        for d in sorted(set(induced.domains[s]) & set(induced.domains[t]))
+    ]
     ideal = stage("ideal", lambda: ideal_closure(generators, crossed))
 
     germ_algebra = stage("germ-algebra",
@@ -871,7 +855,7 @@ def germ_corollary(theta: LandPreaction, coefficients) -> GermCorollaryResult:
 
     witness = multiplicative_witness(qmap)
     cert.add("multiplicative", witness is None, witness or ())
-    cert.add("ideal-killed", not any(qmap.apply_rows(sparse_row(v, ring)) for v in ideal))
+    cert.add("ideal-killed", not any(qmap.apply_rows(v.items()) for v in ideal))
 
     sol = solve_linear(qmap.matrix(), ring)
     cert.add("surjective", surjective(sol))

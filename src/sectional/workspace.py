@@ -406,9 +406,9 @@ class TaskResult:
 def _random_section(bundle, rnd) -> Section:
     values = {}
     for arrow in bundle.base.arrows():
-        values[arrow] = tuple(
+        values[arrow] = dict(enumerate(
             bundle.ring.sample(rnd) for _ in range(bundle.ranks[arrow])
-        )
+        ))
     return Section(bundle, values)
 
 

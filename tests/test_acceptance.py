@@ -155,7 +155,7 @@ def test_criterion_2_convolution_associativity(ring, acceptance):
 
     def sample():
         return Section(bundle, {
-            arrow: (ring.sample(rnd),) for arrow in bundle.base.arrows()
+            arrow: {0: ring.sample(rnd)} for arrow in bundle.base.arrows()
         })
 
     ok = True

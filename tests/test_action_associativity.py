@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from sectional.actions import LandPreaction, _associativity, _twisted, validate_preaction
 from sectional.bundles import AlgebraAction, algebra_action_associativity, semigroupoid_algebra
-from sectional.rings import RationalRing, ZModRing, sparse_row, unit_vector
+from sectional.rings import RationalRing, ZModRing, sparse_row
 from sectional.semigroupoids import validate_inverse_semigroupoid, validate_semigroupoid
 from sectional.standard import cyclic2, pair_groupoid, semilattice2, unit_groupoid
 from sectional.validation import must
@@ -71,12 +71,12 @@ def oracle_algebra_associativity(action):
                 va = ((a, one),)
                 for b in action.domains[t]:
                     tb = action.rows[t][b]
-                    inner = action.apply_rows(inv[t], alg.mul_rows(va, tb).items())
+                    inner = action.apply_rows(inv[t], alg.mul(va, tb).items())
                     for c in ran_u:
-                        left = alg.mul_rows(inner.items(), ((c, one),))
+                        left = alg.mul(inner.items(), ((c, one),))
                         bc = alg.table.get((b, c), ())
                         t_bc = action.apply_rows(t, bc).items()
-                        right = action.apply_rows(inv[t], alg.mul_rows(va, t_bc).items())
+                        right = action.apply_rows(inv[t], alg.mul(va, t_bc).items())
                         if left != right:
                             return (
                                 base.arrow_names[s], base.arrow_names[t],
@@ -84,6 +84,10 @@ def oracle_algebra_associativity(action):
                                 alg.basis[c],
                             )
     return None
+
+
+def unit_vector(k, i, ring):
+    return tuple(ring.one if j == i else ring.zero for j in range(k))
 
 
 def chain(n):

@@ -24,7 +24,7 @@ from sectional.bundles import (
     zero_section,
 )
 from sectional.maps import certify_linear_iso
-from sectional.rings import IntegerRing, RationalRing, TableRing, ZModRing
+from sectional.rings import IntegerRing, RationalRing, TableRing, ZModRing, dense
 from sectional.semigroupoids import identity_homomorphism
 from sectional.standard import (
     cyclic2,
@@ -37,6 +37,11 @@ from sectional.validation import CapabilityError, ValidationReport, must
 
 Q = RationalRing()
 Z4 = ZModRing(4)
+
+
+def _unit(alg, i):
+    """Basis vector i of alg as a dense literal, the form action matrices take."""
+    return dense(((i, alg.ring.one),), alg.rank, alg.ring)
 
 
 def matrix_unit_bundle(ring):
@@ -166,7 +171,8 @@ class TestConvolution:
             b = _random_section(bundle, rnd)
             out = convolve(a, b)
             for arrow in bundle.base.arrows():
-                assert out.at(arrow)[0] == Q.mul(a.at(arrow)[0], b.at(arrow)[0])
+                x, y = a.at(arrow).get(0, Q.zero), b.at(arrow).get(0, Q.zero)
+                assert out.at(arrow).get(0, Q.zero) == Q.mul(x, y)
 
     def test_zero_absorbs(self):
         bundle = trivial_bundle(Q, pair_groupoid().base)
@@ -202,8 +208,8 @@ class TestConvolution:
         unit1 = delta_section(bundle, base.arrow_index("(1,1)"))
         # sections supported where the source is vertex 1
         supported = Section(bundle, {
-            base.arrow_index("(1,1)"): (Q.coerce(3),),
-            base.arrow_index("(2,1)"): (Q.coerce(5),),
+            base.arrow_index("(1,1)"): {0: Q.coerce(3)},
+            base.arrow_index("(2,1)"): {0: Q.coerce(5)},
         })
         assert convolve(supported, unit1) == supported
         other = delta_section(bundle, base.arrow_index("(1,2)"))
@@ -212,7 +218,7 @@ class TestConvolution:
 
 def _random_section(bundle, rnd):
     return Section(bundle, {
-        arrow: tuple(bundle.ring.sample(rnd) for _ in range(bundle.ranks[arrow]))
+        arrow: dict(enumerate(bundle.ring.sample(rnd) for _ in range(bundle.ranks[arrow])))
         for arrow in bundle.base.arrows()
     })
 
@@ -228,8 +234,8 @@ class TestSectionalAlgebra:
         alg = sectional_algebra(trivial_bundle(Q, unit_groupoid(("x", "y")).base))
         for i in range(2):
             for j in range(2):
-                expected = alg.unit_vector(i) if i == j else alg.zero()
-                assert alg.basis_product(i, j) == expected
+                expected = ((i, Q.one),) if i == j else ()
+                assert alg.table.get((i, j), ()) == expected
 
     def test_grading_and_homogeneous_membership(self):
         # homogeneous-component lemma, both directions, over every 0/1
@@ -241,11 +247,11 @@ class TestSectionalAlgebra:
         alg = sectional_algebra(trivial_bundle(Q, base), identity_homomorphism(base))
         assert alg.check_graded_closure() is None
         for bits in itertools.product((0, 1), repeat=alg.rank):
-            vec = tuple(Q.coerce(b) for b in bits)
-            support_degrees = {alg.degrees[i] for i in alg.support(vec)}
+            vec = {i: Q.one for i, b in enumerate(bits) if b}
+            support_degrees = {alg.degrees[i] for i in vec}
             for g in base.arrows():
-                in_component = set(alg.support(vec)) <= set(alg.homogeneous_indices(g))
-                vanishes = alg.vanishes_outside(vec, g)
+                in_component = set(vec) <= set(alg.homogeneous_indices(g))
+                vanishes = all(alg.degrees[i] == g for i in vec)
                 assert in_component == vanishes
                 if support_degrees and support_degrees != {g}:
                     assert not vanishes
@@ -260,9 +266,9 @@ class TestSectionalAlgebra:
         labels = basis_labels(bundle)
         rnd = random.Random("dualroute")
         for _ in range(25):
-            u = tuple(Q.sample(rnd) for _ in range(alg.rank))
-            v = tuple(Q.sample(rnd) for _ in range(alg.rank))
-            via_algebra = section_from_vector(bundle, labels, alg.mul(u, v))
+            u = dict(enumerate(Q.sample(rnd) for _ in range(alg.rank)))
+            v = dict(enumerate(Q.sample(rnd) for _ in range(alg.rank)))
+            via_algebra = section_from_vector(bundle, labels, alg.mul(u.items(), v.items()))
             via_convolution = convolve(
                 section_from_vector(bundle, labels, u),
                 section_from_vector(bundle, labels, v),
@@ -286,7 +292,7 @@ class TestGradedRoundTrip:
         bundle = bundle_from_graded(alg)
         assert bundle.ranks == (1, 1, 1, 1)
         assert all(
-            bundle.fiber_mul(a, b, (Q.one,), (Q.one,)) == (Q.one,)
+            bundle.fiber_mul(a, b, ((0, Q.one),), ((0, Q.one),)) == {0: Q.one}
             for a, b in bundle.base.composable
         )
         cert = certify_linear_iso(graded_roundtrip_iso(alg), "round trip", graded=True)
@@ -315,16 +321,14 @@ class TestSemigroupoidAlgebra:
         alg = semigroupoid_algebra(Q, cyclic2().base)
         assert alg.rank == 2
         # delta_g * delta_g = delta_u
-        assert alg.basis_product(1, 1) == alg.unit_vector(0)
+        assert alg.table[(1, 1)] == ((0, Q.one),)
 
     def test_unit_groupoid_gives_pointwise_functions(self):
         alg = semigroupoid_algebra(Q, unit_groupoid(("a", "b", "c")).base)
         assert alg.rank == 3
         for i in range(3):
             for j in range(3):
-                assert alg.basis_product(i, j) == (
-                    alg.unit_vector(i) if i == j else alg.zero()
-                )
+                assert alg.table.get((i, j), ()) == (((i, Q.one),) if i == j else ())
 
     def test_algebra_coefficients_tensor_the_base(self):
         coeff = semigroupoid_algebra(Q, cyclic2().base)   # rank 2 algebra
@@ -343,8 +347,8 @@ def swap_action():
     """Z/2 swapping the two coordinates of Q^2 (pointwise product)."""
     z2 = cyclic2()
     qq = semigroupoid_algebra(Q, unit_groupoid(("p", "q")).base)
-    swap = {0: qq.unit_vector(1), 1: qq.unit_vector(0)}
-    ident = {0: qq.unit_vector(0), 1: qq.unit_vector(1)}
+    swap = {0: _unit(qq, 1), 1: _unit(qq, 0)}
+    ident = {0: _unit(qq, 0), 1: _unit(qq, 1)}
     return must(validate_algebra_action(
         z2, qq, [(0, 1), (0, 1)], [ident, swap]
     ))
@@ -357,7 +361,7 @@ class TestAlgebraActions:
         report = validate_algebra_action(
             z2, qq,
             [(0, 1), (0,)],
-            [{0: qq.unit_vector(0), 1: qq.unit_vector(1)}, {0: qq.unit_vector(0)}],
+            [{0: _unit(qq, 0), 1: _unit(qq, 1)}, {0: _unit(qq, 0)}],
         )
         assert isinstance(report, ValidationReport)
         assert report.has("ideal-property")
@@ -367,8 +371,8 @@ class TestAlgebraActions:
         z2 = swap_action.actor
         bad = validate_algebra_action(
             z2, qq, [(0, 1), (0, 1)],
-            [{0: qq.unit_vector(0), 1: qq.unit_vector(1)},
-             {0: qq.unit_vector(1), 1: qq.unit_vector(1)}],
+            [{0: _unit(qq, 0), 1: _unit(qq, 1)},
+             {0: _unit(qq, 1), 1: _unit(qq, 1)}],
         )
         assert isinstance(bad, ValidationReport)
         assert bad.has("structural") or bad.has("inverse-compatibility")
@@ -391,8 +395,8 @@ class TestNaiveCrossedProduct:
         qx = semigroupoid_algebra(Q, unit_groupoid(("x", "y")).base)
         action = must(validate_algebra_action(
             s, qx, [(0, 1), (0,)],
-            [{0: qx.unit_vector(0), 1: qx.unit_vector(1)},
-             {0: qx.unit_vector(0)}],
+            [{0: _unit(qx, 0), 1: _unit(qx, 1)},
+             {0: _unit(qx, 0)}],
         ))
         crossed = naive_crossed_product(action)
         assert crossed.rank == 3
@@ -432,8 +436,8 @@ class TestLscript:
         qx = semigroupoid_algebra(Q, unit_groupoid(("x", "y")).base)
         action = must(validate_algebra_action(
             s, qx, [(0, 1), (0,)],
-            [{0: qx.unit_vector(0), 1: qx.unit_vector(1)},
-             {0: qx.unit_vector(0)}],
+            [{0: _unit(qx, 0), 1: _unit(qx, 1)},
+             {0: _unit(qx, 0)}],
         ))
         iso = lscript_iso(action)
         assert certify_linear_iso(iso, "semilattice lscript").passed
@@ -488,7 +492,7 @@ _Z4_BUNDLE = trivial_bundle(Z4, pair_groupoid().base)
 @st.composite
 def _z4_sections(draw):
     values = {
-        arrow: (draw(st.integers(0, 3)),) for arrow in _Z4_BUNDLE.base.arrows()
+        arrow: {0: draw(st.integers(0, 3))} for arrow in _Z4_BUNDLE.base.arrows()
     }
     return Section(_Z4_BUNDLE, values)
 

@@ -29,13 +29,12 @@ from sectional.rings import (
     ExactMatrix,
     RationalRing,
     ZModRing,
+    dense,
     ideal_closure,
-    mat_vec,
     solve_linear,
     span_rank,
     span_reduce,
     spans_equal,
-    vec_is_zero,
     vector_in_span,
 )
 
@@ -81,6 +80,37 @@ def oracle_in_span(v, gens, ring):
     return all(x == ring.zero for x in residue)
 
 
+def oracle_mat_vec(mat, vec, ring):
+    out = []
+    for row in mat:
+        acc = ring.zero
+        for a, x in zip(row, vec):
+            acc = ring.add(acc, ring.mul(a, x))
+        out.append(acc)
+    return tuple(out)
+
+
+def oracle_mul(algebra, u, v):
+    """u * v for dense u, v, summed over the stored structure constants."""
+    ring = algebra.ring
+    out = [ring.zero] * algebra.rank
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            for k, c in algebra.table.get((i, j), ()):
+                out[k] = ring.add(out[k], ring.mul(ring.mul(x, y), c))
+    return tuple(out)
+
+
+def sparse(v):
+    """A dense vector as a dict that keeps its zero entries; the span tests
+    must drop them."""
+    return dict(enumerate(v))
+
+
+def densify(vectors, k, ring):
+    return [dense(v.items(), k, ring) for v in vectors]
+
+
 def _elements(ring):
     if isinstance(ring, RationalRing):
         nonzero = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
@@ -112,10 +142,10 @@ widths = st.integers(0, 5)
 @given(rings, widths, st.data())
 def test_span_reduce_is_the_oracle_rref(ring, k, data):
     gens = _vectors(data, ring, k)
-    basis = span_reduce(gens, ring)
-    assert basis == oracle_basis(gens, ring)
-    assert span_rank(gens, ring) == len(basis)
-    assert EchelonBasis(ring, gens).dense_rows(k) == basis
+    basis = span_reduce(map(sparse, gens), ring)
+    assert densify(basis, k, ring) == oracle_basis(gens, ring)
+    assert all(ring.zero not in v.values() for v in basis)
+    assert span_rank(map(sparse, gens), ring) == len(basis)
 
 
 @settings(max_examples=150, deadline=None)
@@ -123,21 +153,23 @@ def test_span_reduce_is_the_oracle_rref(ring, k, data):
 def test_insert_order_does_not_change_the_rows(ring, k, data):
     gens = _vectors(data, ring, k)
     shuffled = data.draw(st.permutations(gens))
-    assert EchelonBasis(ring, gens).rows == EchelonBasis(ring, shuffled).rows
+    assert (EchelonBasis(ring, map(sparse, gens)).rows
+            == EchelonBasis(ring, map(sparse, shuffled)).rows)
 
 
 @settings(max_examples=150, deadline=None)
 @given(rings, widths, st.data())
 def test_contains_agrees_with_the_oracle(ring, k, data):
     gens = _vectors(data, ring, k)
-    basis = EchelonBasis(ring, gens)
+    basis = EchelonBasis(ring, map(sparse, gens))
     inside = _combination(data, ring, gens, k)
     probe = tuple(data.draw(st.lists(_elements(ring), min_size=k, max_size=k)))
     for v in (inside, probe):
         expected = oracle_in_span(v, gens, ring)
-        assert basis.contains(v) == expected
-        assert vector_in_span(v, gens, ring) == expected
-    assert basis.contains(inside)
+        assert basis.contains(sparse(v)) == expected
+        assert basis.contains(tuple(enumerate(v))) == expected
+        assert vector_in_span(sparse(v), map(sparse, gens), ring) == expected
+    assert basis.contains(sparse(inside))
 
 
 @settings(max_examples=150, deadline=None)
@@ -146,8 +178,8 @@ def test_insert_reports_whether_the_span_grew(ring, k, data):
     gens = _vectors(data, ring, k)
     basis = EchelonBasis(ring)
     for i, g in enumerate(gens):
-        assert basis.insert(g) == (not oracle_in_span(g, gens[:i], ring))
-        assert basis.contains(g)
+        assert basis.insert(sparse(g)) == (not oracle_in_span(g, gens[:i], ring))
+        assert basis.contains(sparse(g))
 
 
 @settings(max_examples=150, deadline=None)
@@ -161,6 +193,7 @@ def test_spans_equal_is_membership_both_ways(ring, k, data):
         b = _vectors(data, ring, k)
     expected = (all(oracle_in_span(v, b, ring) for v in a)
                 and all(oracle_in_span(v, a, ring) for v in b))
+    a, b = [sparse(v) for v in a], [sparse(v) for v in b]
     assert spans_equal(a, b, ring) == expected
     assert spans_equal(b, a, ring) == expected
 
@@ -172,13 +205,13 @@ def test_solve_linear_kernel_and_rank(ring, rows, cols, data):
     entries += [[ring.zero] * cols for _ in range(rows - len(entries))]
     m = ExactMatrix(rows, cols, tuple(x for row in entries for x in row))
     sol = solve_linear(m, ring)
-    for kv in sol.kernel_basis:
-        assert vec_is_zero(mat_vec(entries, kv, ring), ring)
+    for kv in densify(sol.kernel_basis, cols, ring):
+        assert oracle_mat_vec(entries, kv, ring) == (ring.zero,) * rows
     assert sol.rank + len(sol.kernel_basis) == cols
     assert len(span_reduce(sol.kernel_basis, ring)) == len(sol.kernel_basis)
     _, pivots = oracle_rref(entries, ring)
     assert sol.pivots == tuple(pivots)
-    assert sol.image_basis == [m.column(p) for p in pivots]
+    assert densify(sol.image_basis, rows, ring) == [m.column(p) for p in pivots]
 
 
 def _algebra(data, ring, rank):
@@ -196,9 +229,9 @@ def naive_closure(gens, algebra):
     ring = algebra.ring
     span = oracle_basis(gens, ring)
     while True:
-        units = [algebra.unit_vector(i) for i in range(algebra.rank)]
-        grown = oracle_basis(span + [algebra.mul(e, v) for e in units for v in span]
-                             + [algebra.mul(v, e) for e in units for v in span], ring)
+        units = [dense(((i, ring.one),), algebra.rank, ring) for i in range(algebra.rank)]
+        grown = oracle_basis(span + [oracle_mul(algebra, e, v) for e in units for v in span]
+                             + [oracle_mul(algebra, v, e) for e in units for v in span], ring)
         if len(grown) == len(span):
             return span
         span = grown
@@ -209,15 +242,15 @@ def naive_closure(gens, algebra):
 def test_ideal_closure_is_closed(ring, rank, data):
     algebra = _algebra(data, ring, rank)
     gens = _vectors(data, ring, rank, max_count=2)
-    closure = ideal_closure(gens, algebra)
+    closure = densify(ideal_closure(map(sparse, gens), algebra), rank, ring)
     assert closure == oracle_basis(closure, ring)
     for g in gens:
         assert oracle_in_span(g, closure, ring)
     for i in range(rank):
-        e = algebra.unit_vector(i)
+        e = dense(((i, ring.one),), rank, ring)
         for v in closure:
-            assert oracle_in_span(algebra.mul(e, v), closure, ring)
-            assert oracle_in_span(algebra.mul(v, e), closure, ring)
+            assert oracle_in_span(oracle_mul(algebra, e, v), closure, ring)
+            assert oracle_in_span(oracle_mul(algebra, v, e), closure, ring)
     assert closure == naive_closure(gens, algebra)
 
 
@@ -228,12 +261,12 @@ def test_composite_closure_is_closed_and_already_thinned(ring, rank, data):
     # greedy thinning leaves as it is
     algebra = _algebra(data, ring, rank)
     gens = _vectors(data, ring, rank, max_count=2)
-    closure = ideal_closure(gens, algebra)
+    closure = ideal_closure(map(sparse, gens), algebra)
     assert span_reduce(closure, ring) == closure
     for g in gens:
-        assert vector_in_span(g, closure, ring)
+        assert vector_in_span(sparse(g), closure, ring)
     for i in range(rank):
-        e = algebra.unit_vector(i)
+        e = ((i, ring.one),)
         for v in closure:
-            assert vector_in_span(algebra.mul(e, v), closure, ring)
-            assert vector_in_span(algebra.mul(v, e), closure, ring)
+            assert vector_in_span(algebra.mul(e, v.items()), closure, ring)
+            assert vector_in_span(algebra.mul(v.items(), e), closure, ring)

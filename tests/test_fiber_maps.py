@@ -5,10 +5,11 @@ matrix loops they replaced.
 intertwining on the columns of their matrices, and `bundle_semidirect` and
 `quotient_bundle` read products off those columns. The oracles below are the
 previous dense implementations: every fiber basis vector is pushed through
-`mat_vec(M, unit_vector(...))`. On small bundles over Q and Z/5, with
-invertible fiber matrices and transports and sometimes one corrupted entry,
-both validators must return the oracle's verdict and witness, and the built
-bundles must carry the oracle's product rows.
+`mat_vec(M, unit_vector(...))` and multiplied by a dense `fiber_mul`, all
+three kept below. On small bundles over Q and Z/5, with invertible fiber
+matrices and transports and sometimes one corrupted entry, both validators
+must return the oracle's verdict and witness, and the built bundles must
+carry the oracle's product rows.
 """
 
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from sectional.actions import semidirect_product, validate_preaction, validate_rigid_congruence
 from sectional.bundles import fiber_rows, validate_bundle
 from sectional.rings import (RationalRing, ZModRing, identity_matrix, mat_inverse, mat_mul,
-                             mat_vec, sparse_row, unit_vector)
+                             sparse_row)
 from sectional.standard import cyclic2, trivial_monoid, unit_groupoid
 from sectional.theorems import (BundleAction, BundleCongruence, bundle_semidirect,
                                 quotient_bundle, validate_bundle_action,
@@ -39,6 +40,33 @@ FIBERS = {
 # ---------------------------------------------------------------------------
 # The dense reference loops
 # ---------------------------------------------------------------------------
+
+def unit_vector(k, i, ring):
+    return tuple(ring.one if j == i else ring.zero for j in range(k))
+
+
+def mat_vec(mat, vec, ring):
+    """mat * vec, each matrix entry on the left."""
+    out = []
+    for row in mat:
+        acc = ring.zero
+        for a, x in zip(row, vec):
+            acc = ring.add(acc, ring.mul(a, x))
+        out.append(acc)
+    return tuple(out)
+
+
+def fiber_mul(bundle, a, b, x, y):
+    """x * y in fiber(ab) for dense x, y, summed over the stored product rows."""
+    ring = bundle.ring
+    table = bundle.rows[(a, b)]
+    out = [ring.zero] * bundle.ranks[bundle.base.prod[a][b]]
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            for k, c in table[i][j]:
+                out[k] = ring.add(out[k], ring.mul(ring.mul(xi, yj), c))
+    return tuple(out)
+
 
 def oracle_bundle_action(theta, bundle, maps):
     """(kind, witness) of the first failing check after the structural ones,
@@ -62,9 +90,9 @@ def oracle_bundle_action(theta, bundle, maps):
                 ei = unit_vector(bundle.ranks[g1], i, ring)
                 for j in range(bundle.ranks[g2]):
                     ej = unit_vector(bundle.ranks[g2], j, ring)
-                    lhs = bundle.fiber_mul(h1, h2, mat_vec(maps[(s, g1)], ei, ring),
+                    lhs = fiber_mul(bundle, h1, h2, mat_vec(maps[(s, g1)], ei, ring),
                                            mat_vec(maps[(s, g2)], ej, ring))
-                    rhs = mat_vec(maps[(s, g12)], bundle.fiber_mul(g1, g2, ei, ej), ring)
+                    rhs = mat_vec(maps[(s, g12)], fiber_mul(bundle, g1, g2, ei, ej), ring)
                     if lhs != rhs:
                         return ("intertwining", (names[s], anames[g1], anames[g2]))
     for s, t in actor.base.composable:
@@ -91,7 +119,7 @@ def oracle_semidirect_tables(theta, bundle, maps):
         drop = maps[(theta.actor.inv[t], theta.space.compose(a, tb))]
         ra, rb = bundle.ranks[a], bundle.ranks[b]
         tables[(p, q)] = [
-            [mat_vec(drop, bundle.fiber_mul(a, tb, unit_vector(ra, i, ring),
+            [mat_vec(drop, fiber_mul(bundle, a, tb, unit_vector(ra, i, ring),
                                             mat_vec(lift, unit_vector(rb, j, ring), ring)),
                      ring)
              for j in range(rb)]
@@ -132,9 +160,9 @@ def oracle_bundle_congruence(bundle, cong, transports):
                     ei = unit_vector(bundle.ranks[g1], i, ring)
                     for j in range(bundle.ranks[g2]):
                         ej = unit_vector(bundle.ranks[g2], j, ring)
-                        lhs = bundle.fiber_mul(h1, h2, mat_vec(full[(g1, h1)], ei, ring),
+                        lhs = fiber_mul(bundle, h1, h2, mat_vec(full[(g1, h1)], ei, ring),
                                                mat_vec(full[(g2, h2)], ej, ring))
-                        rhs = mat_vec(full[(g12, h12)], bundle.fiber_mul(g1, g2, ei, ej), ring)
+                        rhs = mat_vec(full[(g12, h12)], fiber_mul(bundle, g1, g2, ei, ej), ring)
                         if lhs != rhs:
                             return ("intertwining",
                                     (names[g1], names[g2], names[h1], names[h2])), None
@@ -151,7 +179,7 @@ def oracle_quotient_tables(bundle, cong, full, quotient):
         rq = reps[quotient.prod[ci][cj]]
         move = full[(bundle.base.prod[ri][rj], rq)]
         tables[(ci, cj)] = [
-            [mat_vec(move, bundle.fiber_mul(ri, rj, unit_vector(bundle.ranks[ri], i, ring),
+            [mat_vec(move, fiber_mul(bundle, ri, rj, unit_vector(bundle.ranks[ri], i, ring),
                                             unit_vector(bundle.ranks[rj], j, ring)), ring)
              for j in range(bundle.ranks[rj])]
             for i in range(bundle.ranks[ri])

@@ -1,6 +1,9 @@
 """Ring validation and the exact linear algebra backend."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,8 @@ from sectional.rings import (
     RationalRing,
     TableRing,
     ZModRing,
+    _is_prime,
+    dense,
     ideal_closure,
     ring_from_spec,
     smith_normal_form,
@@ -21,6 +26,7 @@ from sectional.rings import (
     validate_ring,
     vector_in_span,
 )
+from sectional.cli import main
 from sectional.validation import CapabilityError, ValidationReport
 
 Q = RationalRing()
@@ -91,6 +97,59 @@ class TestValidateRing:
         assert report.kinds() == ["mul-commutativity"]
 
 
+def oracle_is_prime(n):
+    """Trial division: exact, but exponential in the bit length of n."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+QUOTIENT_FIXTURE = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures", "quotient.json")
+
+
+class TestPrimality:
+    def test_agrees_with_trial_division_below_20000(self):
+        assert [n for n in range(20000) if _is_prime(n) != oracle_is_prime(n)] == []
+
+    @pytest.mark.parametrize("n", [2047, 3215031751, 3825123056546413051,
+                                   318665857834031151167461])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        # each is a strong pseudoprime to every prime base up to 2, 7, 23 or 37
+        assert _is_prime(n) is False
+        assert not ZModRing(n).is_field
+
+    def test_mersenne_prime_2_61_is_a_field(self):
+        assert _is_prime(2 ** 61 - 1) is True
+        assert ZModRing(2 ** 61 - 1).is_field
+
+    def test_huge_composite_modulus_builds_as_non_field(self):
+        ring = validate_ring({"kind": "zmod", "n": 10 ** 30})
+        assert isinstance(ring, ZModRing) and not ring.is_field
+
+    def test_undecided_modulus_is_refused_as_structural(self):
+        # a prime above the exact bound passes every base; it is not assumed prime
+        n = 2 ** 89 - 1
+        assert _is_prime(n) is None
+        report = validate_ring({"kind": "zmod", "n": n})
+        assert isinstance(report, ValidationReport)
+        assert report.kinds() == ["structural"]
+        assert main(["validate", QUOTIENT_FIXTURE, "--ring", f"zmod{n}"]) == 2
+
+    def test_cli_with_a_61_bit_prime_modulus_returns_promptly(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sectional.cli", "validate", QUOTIENT_FIXTURE,
+             "--ring", f"zmod{2 ** 61 - 1}"],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 0
+        assert f"Z/{2 ** 61 - 1}" in proc.stdout
+
+
 class TestSmithNormalForm:
     def test_unimodular_factorization_random(self):
         rnd = random.Random(12)
@@ -125,16 +184,16 @@ class TestSolveLinear:
 
         sol = solve_linear(ExactMatrix.from_rows([[2]], Z4), Z4)
         assert sol.rank == 1
-        assert spans_equal(sol.kernel_basis, [(2,)], Z4)
-        assert vector_in_span((2,), sol.image_basis, Z4)
-        assert not vector_in_span((1,), sol.image_basis, Z4)
-        assert not vector_in_span((3,), sol.image_basis, Z4)
+        assert spans_equal(sol.kernel_basis, [{0: 2}], Z4)
+        assert vector_in_span({0: 2}, sol.image_basis, Z4)
+        assert not vector_in_span({0: 1}, sol.image_basis, Z4)
+        assert not vector_in_span({0: 3}, sol.image_basis, Z4)
 
     def test_rank_one_over_z5(self):
         # oracle: row reduction by hand gives pivot (0,0), kernel span {(1,-1)}
         sol = solve_linear(ExactMatrix.from_rows([[1, 1], [1, 1]], Z5), Z5)
         assert sol.rank == 1
-        assert spans_equal(sol.kernel_basis, [(1, 4)], Z5)
+        assert spans_equal(sol.kernel_basis, [{0: 1, 1: 4}], Z5)
 
     def test_unsupported_rings_refuse(self):
         with pytest.raises(CapabilityError):
@@ -155,11 +214,12 @@ class TestSolveLinear:
             sol = solve_linear(mat, ring)
             for k in sol.kernel_basis:
                 image = [
-                    _dot(ring, mat.row(i), k) for i in range(rows)
+                    _dot(ring, mat.row(i), dense(k.items(), cols, ring)) for i in range(rows)
                 ]
                 assert all(x == ring.zero for x in image)
             for j in range(cols):
-                assert vector_in_span(mat.column(j), sol.image_basis, ring)
+                # explicit zero entries are allowed in a span test's input
+                assert vector_in_span(dict(enumerate(mat.column(j))), sol.image_basis, ring)
 
     def test_zmod_composite_kernel_is_complete(self):
         # brute force oracle: enumerate the full kernel of a fixed map over Z/6
@@ -173,9 +233,9 @@ class TestSolveLinear:
             if (2 * x + 3 * y) % 6 == 0 and (3 * y) % 6 == 0
         ]
         for point in kernel_points:
-            assert vector_in_span(point, sol.kernel_basis, ring), point
+            assert vector_in_span(dict(enumerate(point)), sol.kernel_basis, ring), point
         for gen in sol.kernel_basis:
-            assert tuple(x % 6 for x in gen) in set(kernel_points)
+            assert dense(gen.items(), 2, ring) in set(kernel_points)
 
 
 def _dot(ring, row, vec):
@@ -193,7 +253,7 @@ def test_kernel_vectors_annihilate_over_z5(rows):
     sol = solve_linear(mat, Z5)
     for k in sol.kernel_basis:
         for i in range(2):
-            assert _dot(Z5, mat.row(i), k) == 0
+            assert _dot(Z5, mat.row(i), dense(k.items(), 2, Z5)) == 0
 
 
 class TestIdealClosure:
@@ -209,7 +269,7 @@ class TestIdealClosure:
 
     def test_unit_generates_everything(self):
         algebra = self._group_algebra_z2(Q)
-        unit = algebra.unit_vector(0)  # delta_u is the unit of Q[Z/2]
+        unit = {0: Q.one}  # delta_u is the unit of Q[Z/2]
         closure = ideal_closure([unit], algebra)
         assert span_rank(closure, Q) == algebra.rank
 
@@ -230,34 +290,31 @@ class TestIdealClosure:
         action = must(validate_algebra_action(
             s, qx,
             [(0, 1), (0,)],
-            [{0: qx.unit_vector(0), 1: qx.unit_vector(1)},
-             {0: qx.unit_vector(0)}],
+            [{0: (Q.one, Q.zero), 1: (Q.zero, Q.one)},
+             {0: (Q.one, Q.zero)}],
         ))
         crossed = naive_crossed_product(action)
         assert crossed.basis == ("d_1.1x", "d_1.1y", "d_e.1x")
-        generator = crossed.sub(crossed.unit_vector(0), crossed.unit_vector(2))
+        generator = {0: Q.one, 2: Q.neg(Q.one)}
         # oracle: multiplying the generator by each of the three basis
         # elements on both sides returns 0 or +-generator, so rank stays 1
         for i in range(3):
-            e = crossed.unit_vector(i)
-            for prod in (crossed.mul(e, generator), crossed.mul(generator, e)):
-                assert prod in (
-                    crossed.zero(), generator,
-                    tuple(Q.neg(c) for c in generator),
-                )
+            e = ((i, Q.one),)
+            for prod in (crossed.mul(e, generator.items()), crossed.mul(generator.items(), e)):
+                assert prod in ({}, generator, {k: Q.neg(c) for k, c in generator.items()})
         closure = ideal_closure([generator], crossed)
         assert span_rank(closure, Q) == 1
 
     def test_closure_is_multiplication_stable(self):
         algebra = self._group_algebra_z2(Z5)
-        closure = ideal_closure([algebra.unit_vector(1)], algebra)
+        closure = ideal_closure([{1: Z5.one}], algebra)
         for i in range(algebra.rank):
-            e = algebra.unit_vector(i)
+            e = ((i, Z5.one),)
             for v in closure:
-                assert vector_in_span(algebra.mul(e, v), closure, Z5)
-                assert vector_in_span(algebra.mul(v, e), closure, Z5)
+                assert vector_in_span(algebra.mul(e, v.items()), closure, Z5)
+                assert vector_in_span(algebra.mul(v.items(), e), closure, Z5)
 
     def test_unsupported_ring_refuses(self):
         algebra = self._group_algebra_z2(IntegerRing())
         with pytest.raises(CapabilityError):
-            ideal_closure([algebra.unit_vector(0)], algebra)
+            ideal_closure([{0: 1}], algebra)

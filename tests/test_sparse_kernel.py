@@ -32,9 +32,10 @@ from sectional.bundles import (
     validate_bundle,
 )
 from sectional.maps import LinearMapOnBasis, basis_bijection, multiplicative_witness
-from sectional.rings import RationalRing, ZModRing, mat_vec, ring_from_spec, sparse_row
+from sectional.rings import RationalRing, ZModRing, ring_from_spec, sparse_row
 from sectional.rings import dense as densify
 from sectional.standard import pair_groupoid, semilattice2
+from sectional.theorems import _columns, _move
 from sectional.validation import ValidationReport
 
 
@@ -250,11 +251,12 @@ def test_mul_matches_dense_oracle(ring, data):
     table = _random_table(data, ring, rank)
     alg = _presentation(ring, table, rank)
     u, v = _vector(data, ring, rank), _vector(data, ring, rank)
-    assert alg.mul(u, v) == oracle_mul(table, rank, ring, u, v)
+    product = alg.mul(sparse_row(u, ring), sparse_row(v, ring))
+    assert densify(product.items(), rank, ring) == oracle_mul(table, rank, ring, u, v)
     zero = (ring.zero,) * rank
     for i in range(rank):
         for j in range(rank):
-            assert alg.basis_product(i, j) == table.get((i, j), zero)
+            assert _dense_product(alg, i, j) == table.get((i, j), zero)
 
 
 @pytest.mark.parametrize("ring", RINGS.values(), ids=RINGS.keys())
@@ -335,25 +337,34 @@ def test_fiber_mul_matches_dense_oracle(ring, mode, data):
     a, b = data.draw(st.sampled_from(list(bundle.base.composable)))
     x = _vector(data, ring, bundle.ranks[a])
     y = _vector(data, ring, bundle.ranks[b])
-    assert bundle.fiber_mul(a, b, x, y) == oracle_fiber_mul(dense, a, b, x, y)
+    product = bundle.fiber_mul(a, b, sparse_row(x, ring), sparse_row(y, ring))
+    c = bundle.base.prod[a][b]
+    assert densify(product.items(), bundle.ranks[c], ring) == oracle_fiber_mul(dense, a, b, x, y)
 
 
 @pytest.mark.parametrize("ring", RINGS.values(), ids=RINGS.keys())
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
-def test_mat_vec_matches_dense_oracle(ring, data):
-    rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(1, 4))
+def test_fiber_map_columns_match_dense_oracle(ring, data):
+    """A matrix held as its columns moves a sparse vector as the matrix times
+    the vector, each entry on the left: the product rings.mat_vec computed."""
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
     mat = tuple(_vector(data, ring, cols) for _ in range(rows))
     vec = _vector(data, ring, cols)
-    assert mat_vec(mat, vec, ring) == oracle_mat_vec(mat, vec, ring)
+    moved = _move(_columns(mat, ring), sparse_row(vec, ring), ring)
+    assert densify(moved.items(), rows, ring) == oracle_mat_vec(mat, vec, ring)
 
 
 # ---------------------------------------------------------------------------
 # Exhaustive checks: the same witness as the oracle after one corruption
 # ---------------------------------------------------------------------------
 
+def _dense_product(alg, i, j):
+    return densify(alg.table.get((i, j), ()), alg.rank, alg.ring)
+
+
 def _dense_table(alg):
-    return {key: alg.basis_product(*key) for key in alg.table}
+    return {key: _dense_product(alg, *key) for key in alg.table}
 
 
 def _corrupt(data, ring, table, rank):

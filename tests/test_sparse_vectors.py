@@ -1,0 +1,326 @@
+"""Sparse vectors against the dense coordinate loops they replaced.
+
+A vector is a {index: nonzero value} dict: section values, algebra and fiber
+products, span-test inputs and outputs, kernel and image bases. The dense
+loops below are the reference, kept here only as an oracle. Over Q, Z/5 and
+Z/6, on small derandomized inputs:
+
+  - Section add, neg and scale, convolve and fiber_mul equal the dense
+    coordinatewise loops;
+  - EchelonBasis.insert and contains, fed dicts and (index, value) pairs
+    that carry explicit zero entries, agree with dense membership;
+  - ideal_closure has the dense saturation loop's rank over a field and, over
+    Z/6, its accepted sequence;
+  - solve_linear's kernel is annihilated by the matrix and spans the whole
+    kernel, and its image spans the columns.
+
+Membership over Z/n enumerates the span (widths stay at most 3); over Q it is
+dense Gauss-Jordan elimination. Every property records a yes/no outcome per
+example and must see both.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sectional.algebras import AlgebraPresentation
+from sectional.bundles import Bundle, Section, convolve, fiber_rows
+from sectional.rings import (
+    EchelonBasis,
+    ExactMatrix,
+    RationalRing,
+    ZModRing,
+    dense,
+    ideal_closure,
+    solve_linear,
+)
+from sectional.standard import pair_groupoid
+
+RINGS = [RationalRing(), ZModRing(5), ZModRing(6)]
+SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+
+# ---------------------------------------------------------------------------
+# The dense reference loops
+# ---------------------------------------------------------------------------
+
+def oracle_span(gens, ring):
+    """Membership in the span of dense gens: the enumerated span over Z/n,
+    reduction by the reduced row echelon form over Q."""
+    if isinstance(ring, ZModRing):
+        n = ring.n
+        span = {tuple(0 for _ in gens[0])} if gens else set()
+        for g in gens:
+            span = {tuple((x + c * y) % n for x, y in zip(s, g)) for s in span for c in range(n)}
+        return lambda v: not any(v) or tuple(v) in span
+    rows = []
+    for g in gens:
+        r = _reduce(list(g), rows)
+        p = next((i for i, x in enumerate(r) if x), None)
+        if p is not None:
+            r = [x / r[p] for x in r]
+            rows = [[x - row[p] * y for x, y in zip(row, r)] for row in rows] + [r]
+    return lambda v: not any(_reduce(list(v), rows))
+
+
+def _reduce(v, rows):
+    for row in rows:
+        p = next(i for i, x in enumerate(row) if x)
+        v = [x - v[p] * y for x, y in zip(v, row)]
+    return v
+
+
+def _dot(ring, u, v):
+    acc = ring.zero
+    for a, x in zip(u, v):
+        acc = ring.add(acc, ring.mul(a, x))
+    return acc
+
+
+def oracle_fiber_mul(bundle, tables, a, b, x, y):
+    ring = bundle.ring
+    out = [ring.zero] * bundle.ranks[bundle.base.prod[a][b]]
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            for k, c in enumerate(tables[(a, b)][i][j]):
+                out[k] = ring.add(out[k], ring.mul(ring.mul(xi, yj), c))
+    return out
+
+
+def oracle_convolve(bundle, tables, alpha, beta):
+    ring = bundle.ring
+    out = {c: [ring.zero] * r for c, r in enumerate(bundle.ranks)}
+    for a, x in alpha.items():
+        for b, y in beta.items():
+            c = bundle.base.compose(a, b)
+            if c is not None:
+                prod = oracle_fiber_mul(bundle, tables, a, b, x, y)
+                out[c] = [ring.add(u, v) for u, v in zip(out[c], prod)]
+    return out
+
+
+def oracle_mul(algebra, u, v):
+    ring = algebra.ring
+    out = [ring.zero] * algebra.rank
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            for k, c in algebra.table.get((i, j), ()):
+                out[k] = ring.add(out[k], ring.mul(ring.mul(x, y), c))
+    return tuple(out)
+
+
+def oracle_closure(gens, algebra):
+    """The saturation loop on dense vectors: the vectors that enlarged the span."""
+    ring, rank = algebra.ring, algebra.rank
+    accepted = []
+    queue = list(gens)
+    while queue:
+        vec = queue.pop(0)
+        if oracle_span(accepted, ring)(vec):
+            continue
+        accepted.append(vec)
+        for i in range(rank):
+            e = tuple(ring.one if j == i else ring.zero for j in range(rank))
+            queue += [oracle_mul(algebra, e, vec), oracle_mul(algebra, vec, e)]
+    return accepted
+
+
+# ---------------------------------------------------------------------------
+# Generated inputs
+# ---------------------------------------------------------------------------
+
+def _elements(ring):
+    if isinstance(ring, RationalRing):
+        nonzero = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    else:
+        nonzero = st.integers(1, ring.n - 1)
+    # zeros often, so vectors come out sparse and spans dependent
+    return st.one_of(st.just(ring.zero), nonzero)
+
+
+def _vector(data, ring, k):
+    return tuple(data.draw(st.lists(_elements(ring), min_size=k, max_size=k)))
+
+
+def _with_zeros(data, v):
+    """v as a dict or as (index, value) pairs, zero entries kept."""
+    pairs = list(enumerate(v))
+    return dict(pairs) if data.draw(st.booleans()) else pairs
+
+
+def _dense(vec, k, ring):
+    return list(dense(vec.items(), k, ring))
+
+
+def _bundle(data, ring):
+    """A bundle over P_2 with ranks 1-2 and random constants; convolution and
+    fiber products are bilinear, so they need no associativity."""
+    base = pair_groupoid().base
+    ranks = tuple(data.draw(st.integers(1, 2)) for _ in base.arrows())
+    tables = {(a, b): [[_vector(data, ring, ranks[base.prod[a][b]]) for _ in range(ranks[b])]
+                       for _ in range(ranks[a])]
+              for a, b in base.composable}
+    rows = {pair: fiber_rows(table, ring) for pair, table in tables.items()}
+    return Bundle(ring, base, ranks, rows), tables
+
+
+def _section(data, bundle):
+    arrows = data.draw(st.sets(st.sampled_from(list(bundle.base.arrows()))))
+    return {a: _vector(data, bundle.ring, bundle.ranks[a]) for a in arrows}
+
+
+def _values(section, bundle):
+    """Every fiber of a Section as a dense list."""
+    return {a: _dense(section.at(a), r, bundle.ring) for a, r in enumerate(bundle.ranks)}
+
+
+def _padded(values, bundle):
+    ring = bundle.ring
+    return {a: list(values.get(a, [ring.zero] * r)) for a, r in enumerate(bundle.ranks)}
+
+
+# ---------------------------------------------------------------------------
+# Sections and fiber products
+# ---------------------------------------------------------------------------
+
+def test_section_arithmetic_matches_dense_oracle():
+    outcomes = set()
+
+    @SETTINGS
+    @given(st.sampled_from(RINGS), st.data())
+    def check(ring, data):
+        bundle, _ = _bundle(data, ring)
+        x, y = _section(data, bundle), _section(data, bundle)
+        r = data.draw(_elements(ring))
+        alpha = Section(bundle, {a: _with_zeros(data, v) for a, v in x.items()})
+        beta = Section(bundle, {a: _with_zeros(data, v) for a, v in y.items()})
+        px, py = _padded(x, bundle), _padded(y, bundle)
+        total = alpha.add(beta)
+        assert _values(total, bundle) == {
+            a: [ring.add(u, v) for u, v in zip(px[a], py[a])] for a in px}
+        assert _values(alpha.neg(), bundle) == {a: [ring.neg(u) for u in px[a]] for a in px}
+        assert _values(alpha.scale(r), bundle) == {a: [ring.mul(r, u) for u in px[a]] for a in px}
+        # stored values are canonical, so equal sections compare equal
+        assert all(ring.zero not in v.values()
+                   for sec in (alpha, beta, total) for v in sec.values.values())
+        # whether some nonzero fiber of alpha cancels against beta's
+        outcomes.add(len(total.values) < len(alpha.values.keys() | beta.values.keys()))
+
+    check()
+    assert outcomes == {True, False}
+
+
+def test_convolve_and_fiber_mul_match_dense_oracle():
+    outcomes = set()
+
+    @SETTINGS
+    @given(st.sampled_from(RINGS), st.data())
+    def check(ring, data):
+        bundle, tables = _bundle(data, ring)
+        x, y = _section(data, bundle), _section(data, bundle)
+        alpha = Section(bundle, {a: _with_zeros(data, v) for a, v in x.items()})
+        beta = Section(bundle, {a: _with_zeros(data, v) for a, v in y.items()})
+        product = convolve(alpha, beta)
+        assert _values(product, bundle) == oracle_convolve(bundle, tables, x, y)
+        a, b = data.draw(st.sampled_from(list(bundle.base.composable)))
+        u = _vector(data, ring, bundle.ranks[a])
+        v = _vector(data, ring, bundle.ranks[b])
+        fiber = bundle.fiber_mul(a, b, list(enumerate(u)), list(enumerate(v)))
+        c = bundle.base.prod[a][b]
+        assert _dense(fiber, bundle.ranks[c], ring) == oracle_fiber_mul(bundle, tables, a, b, u, v)
+        assert ring.zero not in fiber.values()
+        outcomes.add(product == Section(bundle, {}))
+
+    check()
+    assert outcomes == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# Span tests
+# ---------------------------------------------------------------------------
+
+def test_insert_and_contains_match_dense_membership():
+    outcomes = set()
+
+    @SETTINGS
+    @given(st.sampled_from(RINGS), st.integers(1, 3), st.data())
+    def check(ring, k, data):
+        gens = [_vector(data, ring, k) for _ in range(data.draw(st.integers(0, 4)))]
+        basis = EchelonBasis(ring)
+        for i, g in enumerate(gens):
+            grew = basis.insert(_with_zeros(data, g))
+            assert grew == (not oracle_span(gens[:i], ring)(g))
+            outcomes.add(("insert", grew))
+        for v in [_vector(data, ring, k) for _ in range(3)]:
+            inside = basis.contains(_with_zeros(data, v))
+            assert inside == oracle_span(gens, ring)(v)
+            outcomes.add(("contains", inside))
+
+    check()
+    assert outcomes == {(name, verdict) for name in ("insert", "contains")
+                        for verdict in (True, False)}
+
+
+def _algebra(data, ring, rank):
+    """Random structure constants; closure needs only bilinearity."""
+    table = {(i, j): dict(enumerate(_vector(data, ring, rank)))
+             for i in range(rank) for j in range(rank)}
+    return AlgebraPresentation(ring, tuple(f"e{i}" for i in range(rank)), table)
+
+
+def test_ideal_closure_matches_the_dense_saturation_loop():
+    outcomes = set()
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(RINGS), st.integers(1, 3), st.data())
+    def check(ring, rank, data):
+        algebra = _algebra(data, ring, rank)
+        gens = [_vector(data, ring, rank) for _ in range(data.draw(st.integers(0, 2)))]
+        closure = ideal_closure([_with_zeros(data, g) for g in gens], algebra)
+        expected = oracle_closure(gens, algebra)
+        dense_closure = [tuple(_dense(v, rank, ring)) for v in closure]
+        if ring.is_field:
+            assert len(closure) == len(expected)
+            assert all(oracle_span(dense_closure, ring)(v) for v in expected)
+            assert all(oracle_span(expected, ring)(v) for v in dense_closure)
+        else:
+            assert dense_closure == expected
+        units = [tuple(ring.one if j == i else ring.zero for j in range(rank))
+                 for i in range(rank)]
+        outcomes.add(all(oracle_span(dense_closure, ring)(e) for e in units))
+
+    check()
+    assert outcomes == {True, False}
+
+
+def test_solve_linear_kernel_and_image_match_dense_oracle():
+    outcomes = set()
+
+    @SETTINGS
+    @given(st.sampled_from(RINGS), st.integers(1, 3), st.integers(1, 3), st.data())
+    def check(ring, rows, cols, data):
+        entries = [_vector(data, ring, cols) for _ in range(rows)]
+        sol = solve_linear(ExactMatrix.from_rows(entries, ring), ring)
+        kernel = [tuple(_dense(v, cols, ring)) for v in sol.kernel_basis]
+        image = [tuple(_dense(v, rows, ring)) for v in sol.image_basis]
+        for v in kernel:
+            assert all(_dot(ring, row, v) == ring.zero for row in entries)
+        in_kernel, in_image = oracle_span(kernel, ring), oracle_span(image, ring)
+        columns = [tuple(row[j] for row in entries) for j in range(cols)]
+        assert all(in_image(col) for col in columns)
+        assert all(oracle_span(columns, ring)(v) for v in image)
+        if isinstance(ring, ZModRing):
+            n = ring.n
+            points = [()]
+            for _ in range(cols):
+                points = [p + (x,) for p in points for x in range(n)]
+            for p in points:
+                if all(_dot(ring, row, p) == 0 for row in entries):
+                    assert in_kernel(p)
+        else:
+            assert sol.rank + len(kernel) == cols
+        outcomes.add(bool(kernel))
+
+    check()
+    assert outcomes == {True, False}

@@ -21,6 +21,7 @@ from .semigroupoids import (
     FiniteSemigroupoid,
     GroupoidCheck,
     Homomorphism,
+    composable_labels,
     is_groupoid,
     validate_homomorphism,
     validate_semigroupoid,
@@ -369,22 +370,20 @@ def semidirect_product(theta: LandPreaction) -> SemidirectProduct:
 
     n = len(pairs)
     prod = [[UNDEF] * n for _ in range(n)]
-    for i, (s, a) in enumerate(pairs):
-        for j, (t, b) in enumerate(pairs):
-            if not actor.is_composable(s, t):
-                continue
-            tb = theta.apply(t, b)
-            if space.rng[tb] != space.src[a]:
-                continue
-            st = actor.prod[s][t]
-            value = _twisted(theta, t, a, b)
-            if value is None or value not in theta.maps[st]:
-                raise InternalConsistencyError(
-                    "semidirect product formula left its domain at "
-                    f"({arrow_names[i]},{arrow_names[j]}); the action validator "
-                    "should have prevented this"
-                )
-            prod[i][j] = index[(st, value)]
+    for i, j in composable_labels(actor, pairs):
+        (s, a), (t, b) = pairs[i], pairs[j]
+        tb = theta.apply(t, b)
+        if space.rng[tb] != space.src[a]:
+            continue
+        st = actor.prod[s][t]
+        value = _twisted(theta, t, a, b)
+        if value is None or value not in theta.maps[st]:
+            raise InternalConsistencyError(
+                "semidirect product formula left its domain at "
+                f"({arrow_names[i]},{arrow_names[j]}); the action validator "
+                "should have prevented this"
+            )
+        prod[i][j] = index[(st, value)]
 
     sgpd = FiniteSemigroupoid(
         vertex_names, arrow_names, tuple(src), tuple(rng),
@@ -448,20 +447,30 @@ def validate_rigid_congruence(partition, base: FiniteSemigroupoid) -> RigidCongr
     if not report.ok:
         return report
 
+    # x1 ~ y1 and x2 ~ y2 imply x1x2 ~ y1y2 exactly when every composable
+    # (x1, x2) has x1x2 ~ rep(x1)x2 ~ x1rep(x2): classes share src and rng, so
+    # x1x2 ~ rep(y1)x2 ~ y1x2 ~ y1rep(y2) ~ y1y2 by transitivity
+    prod = base.prod
+    rep = [resolved[ci][0] for ci in class_of]
+    for x1, x2 in base.composable:
+        cls = class_of[prod[x1][x2]]
+        if class_of[prod[rep[x1]][x2]] != cls or class_of[prod[x1][rep[x2]]] != cls:
+            report.add("product-incompatibility", _first_incompatibility(base, resolved, class_of),
+                       "x1x2 and y1y2 land in different classes")
+            return report
+    return RigidCongruence(base, tuple(tuple(b) for b in resolved), tuple(class_of))
+
+
+def _first_incompatibility(base: FiniteSemigroupoid, resolved, class_of) -> tuple[str, ...]:
+    """The first (x1, y1, x2, y2) with x1 ~ y1, x2 ~ y2 composable and x1x2 !~ y1y2."""
+    names, prod = base.arrow_names, base.prod
     for x1 in base.arrows():
         for y1 in resolved[class_of[x1]]:
-            for x2 in base.arrows():
-                if not base.is_composable(x1, x2):
-                    continue
+            for x2 in base.into[base.src[x1]]:
                 for y2 in resolved[class_of[x2]]:
-                    left = base.prod[x1][x2]
-                    right = base.prod[y1][y2]
-                    if class_of[left] != class_of[right]:
-                        report.add("product-incompatibility",
-                                   (names[x1], names[y1], names[x2], names[y2]),
-                                   "x1x2 and y1y2 land in different classes")
-                        return report
-    return RigidCongruence(base, tuple(tuple(b) for b in resolved), tuple(class_of))
+                    if class_of[prod[x1][x2]] != class_of[prod[y1][y2]]:
+                        return (names[x1], names[y1], names[x2], names[y2])
+    raise InternalConsistencyError("generator-pair congruence check failed with no witness")
 
 
 def quotient_semigroupoid(cong: RigidCongruence) -> tuple[FiniteSemigroupoid, Homomorphism]:

@@ -27,6 +27,7 @@ from .semigroupoids import (
     FiniteInverseSemigroupoid,
     FiniteSemigroupoid,
     Homomorphism,
+    composable_labels,
     identity_homomorphism,
 )
 from .validation import (
@@ -676,19 +677,17 @@ def naive_crossed_product(action: AlgebraAction,
         f"d_{base.arrow_names[s]}.{alg.basis[d]}" for s, d in labels
     )
     table: dict[tuple[int, int], dict] = {}
-    for p, (s, a) in enumerate(labels):
-        for q, (t, b) in enumerate(labels):
-            if not base.is_composable(s, t):
-                continue
-            st = base.prod[s][t]
-            a_tb = alg.mul(((a, ring.one),), action.rows[t][b])
-            value = action.apply_rows(actor.inv[t], a_tb.items())
-            if not set(value) <= set(action.domains[st]):
-                raise InternalConsistencyError(
-                    "crossed product landed outside dom(Theta_st); the action "
-                    "validator should have refused this input"
-                )
-            table[(p, q)] = {position[(st, k)]: x for k, x in value.items()}
+    for p, q in composable_labels(base, labels):
+        (s, a), (t, b) = labels[p], labels[q]
+        st = base.prod[s][t]
+        a_tb = alg.mul(((a, ring.one),), action.rows[t][b])
+        value = action.apply_rows(actor.inv[t], a_tb.items())
+        if not set(value) <= set(action.domains[st]):
+            raise InternalConsistencyError(
+                "crossed product landed outside dom(Theta_st); the action "
+                "validator should have refused this input"
+            )
+        table[(p, q)] = {position[(st, k)]: x for k, x in value.items()}
     degrees = tuple(grading.map[s] for s, _ in labels)
     return AlgebraPresentation(
         ring=ring, basis=names, table=table,
@@ -713,18 +712,16 @@ def lscript_presentation(action: AlgebraAction) -> AlgebraPresentation:
         f"L_{base.arrow_names[s]}.{alg.basis[d]}" for s, d in labels
     )
     table: dict[tuple[int, int], dict] = {}
-    for p, (x, a) in enumerate(labels):
-        for q, (y, b) in enumerate(labels):
-            if not base.is_composable(x, y):
-                continue
-            xy = base.prod[x][y]
-            pulled_b = alg.mul(action.rows[actor.inv[x]][a], ((b, ring.one),))
-            value = action.apply_rows(x, pulled_b.items())
-            if not set(value) <= set(action.domains[actor.inv[xy]]):
-                raise InternalConsistencyError(
-                    "range-side product landed outside ran(Theta_xy)"
-                )
-            table[(p, q)] = {position[(xy, k)]: val for k, val in value.items()}
+    for p, q in composable_labels(base, labels):
+        (x, a), (y, b) = labels[p], labels[q]
+        xy = base.prod[x][y]
+        pulled_b = alg.mul(action.rows[actor.inv[x]][a], ((b, ring.one),))
+        value = action.apply_rows(x, pulled_b.items())
+        if not set(value) <= set(action.domains[actor.inv[xy]]):
+            raise InternalConsistencyError(
+                "range-side product landed outside ran(Theta_xy)"
+            )
+        table[(p, q)] = {position[(xy, k)]: val for k, val in value.items()}
     grading = identity_homomorphism(base)
     degrees = tuple(grading.map[s] for s, _ in labels)
     return AlgebraPresentation(

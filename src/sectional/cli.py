@@ -22,7 +22,7 @@ import sys
 
 from . import __version__
 from .rings import Ring, ring_from_spec
-from .validation import SectionalError, StructureError
+from .validation import StructureError
 from .workspace import (
     THEOREMS,
     Builder,
@@ -55,11 +55,12 @@ def parse_ring_override(text: str) -> Ring:
     if match:
         return ring_from_spec({"kind": "zmod", "n": int(match.group(1))})
     try:
-        return ring_from_spec(json.loads(text))
-    except (json.JSONDecodeError, SectionalError):
+        spec = json.loads(text)
+    except json.JSONDecodeError:
         raise WorkspaceError(
             f"cannot parse ring override {text!r}; use q, z, zmodN, or a JSON literal"
         )
+    return ring_from_spec(spec)
 
 
 def _workspace_ring(override: str | None, ws: WorkspaceFile) -> Ring:

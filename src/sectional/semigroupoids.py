@@ -25,23 +25,30 @@ UNDEF = -1
 
 @dataclass
 class FiniteSemigroupoid:
+    """Arrows with source, range and a product table (UNDEF off the composable pairs).
+
+    into[v] lists the arrows with range v in ascending order. Every walk over
+    composable pairs or triples goes through it, so it costs what it yields
+    and meets the tuples in lexicographic order.
+    """
+
     vertex_names: tuple[str, ...]
     arrow_names: tuple[str, ...]
     src: tuple[int, ...]
     rng: tuple[int, ...]
     prod: tuple[tuple[int, ...], ...]
     name: str = ""
-    composable: tuple[tuple[int, int], ...] = field(
-        default=(), compare=False, repr=False
-    )
+    into: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    composable: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        pairs = []
-        for a in range(len(self.arrow_names)):
-            for b in range(len(self.arrow_names)):
-                if self.src[a] == self.rng[b]:
-                    pairs.append((a, b))
-        object.__setattr__(self, "composable", tuple(pairs))
+        into: list[list[int]] = [[] for _ in self.vertex_names]
+        for c, v in enumerate(self.rng):
+            into[v].append(c)
+        self.into = tuple(map(tuple, into))
+        self.composable = tuple(
+            (a, b) for a, v in enumerate(self.src) for b in self.into[v]
+        )
 
     @property
     def n_arrows(self) -> int:
@@ -62,13 +69,25 @@ class FiniteSemigroupoid:
         return None if c == UNDEF else c
 
     def composable_triples(self) -> Iterator[tuple[int, int, int]]:
+        into, src = self.into, self.src
         for a, b in self.composable:
-            for c in range(self.n_arrows):
-                if self.src[b] == self.rng[c]:
-                    yield a, b, c
+            for c in into[src[b]]:
+                yield a, b, c
 
     def arrow_index(self, name: str) -> int:
         return self.arrow_names.index(name)
+
+
+def composable_labels(sgpd: FiniteSemigroupoid, labels) -> Iterator[tuple[int, int]]:
+    """Index pairs (p, q), ascending, whose labels (s, _) and (t, _) have (s, t)
+    composable; labels must be grouped by arrow in ascending arrow order."""
+    at: list[list[int]] = [[] for _ in sgpd.arrow_names]
+    for q, (t, _) in enumerate(labels):
+        at[t].append(q)
+    for p, (s, _) in enumerate(labels):
+        for t in sgpd.into[sgpd.src[s]]:
+            for q in at[t]:
+                yield p, q
 
 
 def semigroupoid_to_raw(sgpd: FiniteSemigroupoid, inv: "FiniteInverseSemigroupoid | None" = None) -> dict:
@@ -85,8 +104,7 @@ def semigroupoid_to_raw(sgpd: FiniteSemigroupoid, inv: "FiniteInverseSemigroupoi
         ],
         "prod": [
             [base.arrow_names[a], base.arrow_names[b], base.arrow_names[base.prod[a][b]]]
-            for a in base.arrows() for b in base.arrows()
-            if base.prod[a][b] != UNDEF
+            for a, b in base.composable
         ],
     }
     if inv is not None:
@@ -159,6 +177,7 @@ def validate_semigroupoid(raw) -> FiniteSemigroupoid | ValidationReport:
 
 def _check_axioms(sgpd: FiniteSemigroupoid, report: ValidationReport) -> None:
     names = sgpd.arrow_names
+    src, rng, prod = sgpd.src, sgpd.rng, sgpd.prod
     seen: set[str] = set()
 
     def fail(kind, witness, message):
@@ -166,18 +185,18 @@ def _check_axioms(sgpd: FiniteSemigroupoid, report: ValidationReport) -> None:
             seen.add(kind)
             report.add(kind, witness, message)
 
-    for a in sgpd.arrows():
-        for b in sgpd.arrows():
-            c = sgpd.prod[a][b]
-            if sgpd.is_composable(a, b):
+    for a, row in enumerate(prod):
+        sa, ra = src[a], rng[a]
+        for b, c in enumerate(row):
+            if sa == rng[b]:
                 if c == UNDEF:
                     fail("undefined-product", (names[a], names[b]),
                          f"({names[a]},{names[b]}) is composable but has no product")
                 else:
-                    if sgpd.src[c] != sgpd.src[b]:
+                    if src[c] != src[b]:
                         fail("source-compatibility", (names[a], names[b]),
                              f"src({names[a]}{names[b]}) != src({names[b]})")
-                    if sgpd.rng[c] != sgpd.rng[a]:
+                    if rng[c] != ra:
                         fail("range-compatibility", (names[a], names[b]),
                              f"rng({names[a]}{names[b]}) != rng({names[a]})")
             elif c != UNDEF:
@@ -186,13 +205,15 @@ def _check_axioms(sgpd: FiniteSemigroupoid, report: ValidationReport) -> None:
 
     if seen:
         return
-    for a, b, c in sgpd.composable_triples():
-        left = sgpd.prod[sgpd.prod[a][b]][c]
-        right = sgpd.prod[a][sgpd.prod[b][c]]
-        if left != right:
-            fail("associativity", (names[a], names[b], names[c]),
-                 f"({names[a]}{names[b]}){names[c]} != {names[a]}({names[b]}{names[c]})")
-            return
+    into = sgpd.into
+    for a, b in sgpd.composable:
+        row_a, row_b = prod[a], prod[b]
+        row_ab = prod[row_a[b]]
+        for c in into[src[b]]:
+            if row_ab[c] != row_a[row_b[c]]:
+                fail("associativity", (names[a], names[b], names[c]),
+                     f"({names[a]}{names[b]}){names[c]} != {names[a]}({names[b]}{names[c]})")
+                return
 
 
 @dataclass
@@ -227,25 +248,29 @@ def _idempotents(sgpd: FiniteSemigroupoid) -> list[int]:
 
 
 def _order_by_characterizations(sgpd, inv, idems):
-    """The relation s <= t computed four ways; returns the list of relations."""
-    n = sgpd.n_arrows
+    """The relation s <= t computed four ways; returns the list of relations.
+
+    Each characterization is an equation s = xy with a composable pair (x, y),
+    so each is read off the composable pairs independently: (i) s = t(s*s),
+    (ii) s = te, (iii) s = (ss*)t, (iv) s = ft, with e, f idempotent.
+    """
+    prod = sgpd.prod
+    is_idem = [False] * sgpd.n_arrows
+    for e in idems:
+        is_idem[e] = True
+    left_unit = [prod[inv[s]][s] for s in sgpd.arrows()]    # s*s, endo at src(s)
+    right_unit = [prod[s][inv[s]] for s in sgpd.arrows()]   # ss*, endo at rng(s)
     rel_i, rel_ii, rel_iii, rel_iv = set(), set(), set(), set()
-    for s in range(n):
-        for t in range(n):
-            ss = sgpd.compose(inv[s], s)          # s*s, endo at src(s)
-            if ss is not None and sgpd.is_composable(t, ss) and sgpd.prod[t][ss] == s:
-                rel_i.add((s, t))
-            for e in idems:
-                if sgpd.is_composable(t, e) and sgpd.prod[t][e] == s:
-                    rel_ii.add((s, t))
-                    break
-            rr = sgpd.compose(s, inv[s])          # ss*, endo at rng(s)
-            if rr is not None and sgpd.is_composable(rr, t) and sgpd.prod[rr][t] == s:
-                rel_iii.add((s, t))
-            for f in idems:
-                if sgpd.is_composable(f, t) and sgpd.prod[f][t] == s:
-                    rel_iv.add((s, t))
-                    break
+    for x, y in sgpd.composable:
+        s = prod[x][y]
+        if y == left_unit[s]:
+            rel_i.add((s, x))
+        if is_idem[y]:
+            rel_ii.add((s, x))
+        if x == right_unit[s]:
+            rel_iii.add((s, y))
+        if is_idem[x]:
+            rel_iv.add((s, y))
     return [rel_i, rel_ii, rel_iii, rel_iv]
 
 
@@ -295,7 +320,7 @@ def validate_inverse_semigroupoid(sgpd: FiniteSemigroupoid, inv_raw) -> FiniteIn
         return report
 
     for s in range(n):
-        others = [t for t in range(n) if t != inv[s] and is_inverse_pair(s, t)]
+        others = [t for t in sgpd.into[sgpd.src[s]] if t != inv[s] and is_inverse_pair(s, t)]
         if others:
             report.add("non-unique-inverse", (names[s], names[inv[s]], names[others[0]]),
                        f"{names[s]} admits two generalized inverses")
@@ -360,7 +385,8 @@ def validate_homomorphism(raw_map, source: FiniteSemigroupoid, target: FiniteSem
     """Check multiplicativity on all composable pairs and decide rigidity.
 
     Rigidity is the set equality: a pair maps to a composable pair exactly
-    when it is composable. Both inclusions are enumerated.
+    when it is composable. Multiplicativity gives one inclusion; the other is
+    decided by counting the pairs with composable images per target vertex.
     """
     report = ValidationReport("homomorphism")
     n = source.n_arrows
@@ -394,14 +420,15 @@ def validate_homomorphism(raw_map, source: FiniteSemigroupoid, target: FiniteSem
     if not report.ok:
         return report
 
-    rigid = True
-    for a in range(n):
-        for b in range(n):
-            if target.is_composable(mapping[a], mapping[b]) and not source.is_composable(a, b):
-                rigid = False
-                break
-        if not rigid:
-            break
+    # composable pairs map to composable pairs, so the converse holds exactly
+    # when there are as many pairs with composable images as composable pairs
+    leaving = [0] * target.n_vertices
+    entering = [0] * target.n_vertices
+    for fa in mapping:
+        leaving[target.src[fa]] += 1
+        entering[target.rng[fa]] += 1
+    image_pairs = sum(out * in_ for out, in_ in zip(leaving, entering))
+    rigid = image_pairs == len(source.composable)
     return Homomorphism(source, target, tuple(mapping), rigid)
 
 
@@ -426,17 +453,10 @@ def direct_product(a: FiniteSemigroupoid, b: FiniteSemigroupoid) -> FiniteSemigr
             rng.append(a.rng[x] * nvb + b.rng[y])
     n = len(arrows)
     prod = [[UNDEF] * n for _ in range(n)]
-    for x1 in a.arrows():
-        for y1 in b.arrows():
-            i = x1 * nb + y1
-            for x2 in a.arrows():
-                if a.prod[x1][x2] == UNDEF:
-                    continue
-                for y2 in b.arrows():
-                    if b.prod[y1][y2] == UNDEF:
-                        continue
-                    j = x2 * nb + y2
-                    prod[i][j] = a.prod[x1][x2] * nb + b.prod[y1][y2]
+    for x1, x2 in a.composable:
+        x12 = a.prod[x1][x2] * nb
+        for y1, y2 in b.composable:
+            prod[x1 * nb + y1][x2 * nb + y2] = x12 + b.prod[y1][y2]
     out = FiniteSemigroupoid(
         vertices, arrows, tuple(src), tuple(rng),
         tuple(tuple(row) for row in prod),
@@ -458,17 +478,14 @@ def is_groupoid(sgpd: FiniteSemigroupoid) -> GroupoidCheck:
     """Decide whether every vertex has an identity and every arrow an inverse."""
     units: dict[int, int] = {}
     for v in range(sgpd.n_vertices):
-        for e in sgpd.arrows():
-            if sgpd.src[e] != v or sgpd.rng[e] != v:
+        for e in sgpd.into[v]:
+            if sgpd.src[e] != v:
                 continue
             left_ok = all(
                 sgpd.prod[a][e] == a
                 for a in sgpd.arrows() if sgpd.src[a] == v
             )
-            right_ok = all(
-                sgpd.prod[e][b] == b
-                for b in sgpd.arrows() if sgpd.rng[b] == v
-            )
+            right_ok = all(sgpd.prod[e][b] == b for b in sgpd.into[v])
             if left_ok and right_ok:
                 units[v] = e
                 break
@@ -479,7 +496,7 @@ def is_groupoid(sgpd: FiniteSemigroupoid) -> GroupoidCheck:
             )
     inverses: dict[int, int] = {}
     for a in sgpd.arrows():
-        for x in sgpd.arrows():
+        for x in sgpd.into[sgpd.src[a]]:
             if (
                 sgpd.compose(a, x) == units[sgpd.rng[a]]
                 and sgpd.compose(x, a) == units[sgpd.src[a]]
@@ -505,7 +522,7 @@ def find_isomorphism(a: FiniteSemigroupoid, b: FiniteSemigroupoid) -> dict[int, 
 
     def profile(s: FiniteSemigroupoid, x: int):
         out_deg = sum(1 for y in s.arrows() if s.src[y] == s.src[x])
-        in_deg = sum(1 for y in s.arrows() if s.rng[y] == s.rng[x])
+        in_deg = len(s.into[s.rng[x]])
         loop = s.src[x] == s.rng[x]
         idem = s.prod[x][x] == x if s.is_composable(x, x) else None
         return (loop, idem, out_deg, in_deg)

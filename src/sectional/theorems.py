@@ -55,6 +55,7 @@ from .semigroupoids import (
     UNDEF,
     FiniteSemigroupoid,
     Homomorphism,
+    composable_labels,
     is_groupoid,
     validate_homomorphism,
     validate_semigroupoid,
@@ -501,12 +502,9 @@ def skew_product(sgpd: FiniteSemigroupoid, d: Homomorphism) -> SkewProduct:
 
     n = len(pairs)
     prod = [[UNDEF] * n for _ in range(n)]
-    for i, (x1, h1) in enumerate(pairs):
-        for j, (x2, h2) in enumerate(pairs):
-            if not sgpd.is_composable(x1, x2):
-                continue
-            if h1 != g.prod[d.map[x2]][h2]:
-                continue
+    for i, j in composable_labels(sgpd, pairs):
+        (x1, h1), (x2, h2) = pairs[i], pairs[j]
+        if h1 == g.prod[d.map[x2]][h2]:
             prod[i][j] = index[(sgpd.prod[x1][x2], h2)]
 
     out = FiniteSemigroupoid(

@@ -166,6 +166,29 @@ class TestCli:
         assert code == 2
         assert "modulus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", [
+        "zmod618970019642690137449562111",
+        '{"kind": "zmod", "n": 618970019642690137449562111}',
+    ])
+    def test_ring_override_refusal_keeps_its_report(self, override, capsys):
+        # the same refused ring, given in either form, prints the validator's report
+        code = main(["validate", os.path.join(FIXTURES, "quotient.json"), "--ring", override])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "cannot decide whether the modulus 618970019642690137449562111 is prime" in err
+        assert "cannot parse ring override" not in err
+
+    def test_non_object_ring_literal_exits_two_with_its_report(self, capsys):
+        code = main(["validate", os.path.join(FIXTURES, "quotient.json"), "--ring", "5"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "ring literal must be an object with a 'kind'" in err
+
+    def test_unparseable_ring_override_exits_two(self, capsys):
+        code = main(["validate", os.path.join(FIXTURES, "quotient.json"), "--ring", "{kind"])
+        assert code == 2
+        assert "cannot parse ring override '{kind'" in capsys.readouterr().err
+
     def test_boolean_rank_exits_two(self, tmp_path, capsys):
         with open(os.path.join(FIXTURES, "convolution.json"), encoding="utf-8") as fh:
             doc = json.load(fh)

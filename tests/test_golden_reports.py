@@ -10,11 +10,20 @@ and `tests/data/golden/NAME.validate.json` the output of
     sectional validate fixtures/NAME.json --format json
 
 both run from the repository root. Only the workspace `path` field is
-normalised, since it echoes the path given on the command line. A refactor
-that must not change any report keeps these passing; a change that means to
-alter a report regenerates the golden copy with the commands above.
+normalised, since it echoes the path given on the command line.
+
+No fixture has a build task, so `tests/data/builds.json` holds one build task
+per constructor (semidirect, germ, quotient, direct_product, skew), each over
+a small multi-vertex workspace, and `tests/data/golden_build/ID.json` holds the
+file written by
+
+    sectional build ID --input tests/data/builds.json --out tests/data/golden_build/ID.json
+
+A refactor that must not change any report keeps these passing; a change that
+means to alter a report regenerates the golden copy with the commands above.
 """
 
+import json
 import os
 import re
 
@@ -24,6 +33,8 @@ from sectional.cli import main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "data", "golden")
+GOLDEN_BUILD = os.path.join(HERE, "data", "golden_build")
+BUILDS = os.path.join(HERE, "data", "builds.json")
 FIXTURES = os.path.abspath(os.path.join(HERE, os.pardir, "fixtures"))
 NAMES = sorted(name[:-len(".json")] for name in os.listdir(FIXTURES)
                if name.endswith(".json"))
@@ -60,3 +71,22 @@ def test_validate_report_matches_golden(name, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert _normalised(out) == _normalised(_golden(name, "validate"))
+
+
+def _build_ids():
+    with open(BUILDS, encoding="utf-8") as fh:
+        return [task["id"] for task in json.load(fh)["tasks"]]
+
+
+def test_every_build_task_has_a_golden_output():
+    assert sorted(os.listdir(GOLDEN_BUILD)) == sorted(f"{tid}.json" for tid in _build_ids())
+
+
+@pytest.mark.parametrize("task_id", _build_ids())
+def test_build_output_matches_golden(task_id, tmp_path, capsys):
+    out = tmp_path / f"{task_id}.json"
+    code = main(["build", task_id, "--input", BUILDS, "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    with open(os.path.join(GOLDEN_BUILD, f"{task_id}.json"), encoding="utf-8") as fh:
+        assert out.read_text(encoding="utf-8") == fh.read()

@@ -13,7 +13,6 @@ from .validation import (
     must,
 )
 from .rings import (
-    ExactMatrix,
     IntegerRing,
     LinearSolution,
     RationalRing,

@@ -12,11 +12,12 @@ and the exhaustive checks iterate only over these nonzeros, in the row-wise
 scheme of Gustavson (ACM TOMS 4(3), 1978), through the single kernel
 rings.combine. Linear maps are held the same way (maps.LinearMapOnBasis,
 bundles.AlgebraAction, and the fiber maps and transports of theorems): one
-sparse image row per basis element, applied only through combine. Vectors
+sparse image row per basis element, applied only through combine; a matrix
+handed to rings.solve_linear is those rows, read as its columns. Vectors
 are sparse too: mul takes two vectors as (index, value) pairs (a stored row or
 the items of a {index: value} dict) and returns a dict. Dense coordinate
-tuples remain only for file literals, validator-local matrices, ExactMatrix
-and reports.
+tuples remain only for file literals, the transports inverted by
+rings.mat_inverse, and reports.
 """
 
 from __future__ import annotations

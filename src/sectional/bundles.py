@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from .actions import first_twisted_triple, twisted_partners
 from .algebras import AlgebraPresentation
 from .maps import LinearMapOnBasis
-from .rings import Ring, combine, dense, sparse_row, sparse_vector
+from .rings import Ring, combine, sparse_row, sparse_vector
 from .semigroupoids import (
     FiniteInverseSemigroupoid,
     FiniteSemigroupoid,
@@ -497,7 +497,8 @@ def validate_algebra_action(actor: FiniteInverseSemigroupoid,
     """Check the wedge-preaction axioms at the algebra level.
 
     domains: per actor arrow, the basis indices spanning dom(Theta_s);
-    matrices: per actor arrow, {basis index: image vector}. Checks: domains
+    matrices: per actor arrow, {basis index: image}, each image a sparse
+    vector (a dict or (index, value) pairs). Checks: domains
     are multiplication-closed against the ambient span (ideals), the maps are
     multiplicative bijections, Theta_{s*} inverts Theta_s, and the extension
     law for composable pairs holds on the computable spanning vectors.
@@ -516,12 +517,13 @@ def validate_algebra_action(actor: FiniteInverseSemigroupoid,
                        "matrix rows must cover exactly the domain basis")
             return report
         for i, vec in mats[s].items():
-            if len(vec) != algebra.rank:
+            if any(not 0 <= k < algebra.rank for k in dict(vec)):
                 report.add("structural", (names[s], algebra.basis[i]),
-                           "image vector has wrong rank")
+                           "image vector indexes outside the basis")
                 return report
 
-    rows = tuple({i: sparse_row(vec, algebra.ring) for i, vec in m.items()} for m in mats)
+    rows = tuple({i: tuple(sorted(sparse_vector(vec, algebra.ring).items()))
+                  for i, vec in m.items()} for m in mats)
     action = AlgebraAction(actor, algebra, tuple(doms), rows)
 
     def in_span(row, dom) -> bool:
@@ -649,12 +651,9 @@ def trivial_algebra_action(actor: FiniteInverseSemigroupoid,
                            algebra: AlgebraPresentation) -> AlgebraAction:
     """Every arrow acts as the identity on the whole algebra."""
     full = tuple(range(algebra.rank))
-    identity = {i: dense(((i, algebra.ring.one),), algebra.rank, algebra.ring) for i in full}
+    identity = {i: ((i, algebra.ring.one),) for i in full}
     return must(validate_algebra_action(
-        actor, algebra,
-        [full] * actor.base.n_arrows,
-        [dict(identity) for _ in actor.base.arrows()],
-    ))
+        actor, algebra, [full] * actor.base.n_arrows, [identity] * actor.base.n_arrows))
 
 
 def naive_crossed_product(action: AlgebraAction,

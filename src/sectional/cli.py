@@ -32,6 +32,7 @@ from .workspace import (
     parse_workspace,
     run_guarded,
     run_workspace,
+    workspace_ring,
 )
 
 
@@ -64,10 +65,8 @@ def parse_ring_override(text: str) -> Ring:
 
 
 def _workspace_ring(override: str | None, ws: WorkspaceFile) -> Ring:
-    """The --ring override, else the workspace's own ring, else Q."""
-    if override:
-        return parse_ring_override(override)
-    return ring_from_spec(ws.ring_spec or {"kind": "q"})
+    """The ring a command runs ws over, given the --ring text if any."""
+    return workspace_ring(ws, parse_ring_override(override) if override else None)
 
 
 def _render(report: dict, fmt: str) -> str:

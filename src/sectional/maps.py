@@ -11,15 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebras import AlgebraPresentation
-from .rings import (EchelonBasis, ExactMatrix, LinearSolution, combine, dense, solve_linear,
-                    sparse_vector)
+from .rings import EchelonBasis, LinearSolution, combine, dense, solve_linear, sparse_vector
 
 
 @dataclass
 class LinearMapOnBasis:
     """rows[i] is the image of source basis i as a sparse row: (index, value)
     pairs sorted by index, zeros absent. Rows may arrive as dicts or unsorted
-    pairs; they are stored in that canonical form."""
+    pairs; they are stored in that canonical form. Read as a matrix, the
+    rows are its columns, the form rings.solve_linear takes."""
 
     source: AlgebraPresentation
     target: AlgebraPresentation
@@ -38,11 +38,6 @@ class LinearMapOnBasis:
         """Image of a sparse vector given as (index, value) pairs."""
         rows = self.rows
         return combine(((x, rows[i]) for i, x in v), self.source.ring)
-
-    def matrix(self) -> ExactMatrix:
-        """Columns are the basis images; rows indexed by the target basis."""
-        cols = [dense(row, self.target.rank, self.source.ring) for row in self.rows]
-        return ExactMatrix.from_rows([[col[i] for col in cols] for i in range(self.target.rank)])
 
 
 def basis_bijection(source: AlgebraPresentation, target: AlgebraPresentation,
@@ -178,7 +173,7 @@ def _linear_route(cert: Certificate, tmap: LinearMapOnBasis) -> None:
     if not (ring.kind == "q" or ring.kind == "zmod"):
         cert.data["linear_route"] = "skipped: unsupported ring kind"
         return
-    sol = solve_linear(tmap.matrix(), ring)
+    sol = solve_linear(tmap.rows, tmap.target.rank, ring)
     cert.add("kernel-trivial", not sol.kernel_basis,
              (dense(sol.kernel_basis[0].items(), sol.cols, ring),) if sol.kernel_basis else ())
     cert.add("surjective", surjective(sol))

@@ -4,8 +4,11 @@ Ring elements are plain Python values in canonical form (int for the integers
 and residues, Fraction for rationals, table index for finite-table rings); the
 ring object supplies the operations. All arithmetic is exact, so structural
 identities can be asserted with ==. A vector is a sparse {index: nonzero
-value} dict, the form combine returns; dense tuples remain only in ExactMatrix,
-small local matrices and at the file and report boundary (sparse_row, dense).
+value} dict, the form combine returns. A matrix passed between functions is
+its columns, the sparse image of each source basis vector, as in a linear
+map's rows; dense tuples remain only inside mat_inverse, in the integer
+matrix of solve_linear's Smith normal form, and at the file and report
+boundary (sparse_row, dense).
 
 Span tests run on one incremental echelon basis (EchelonBasis): reduced row
 echelon form over fields (rationals, prime residues), reduced Howell form over
@@ -476,40 +479,6 @@ def ring_from_spec(spec) -> Ring:
 # Matrices and exact linear algebra
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExactMatrix:
-    """Dense row-major matrix of ring elements."""
-
-    rows: int
-    cols: int
-    entries: tuple
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count must equal rows*cols")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Element]], ring: Ring | None = None):
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        flat = [ring.coerce(x) if ring else x for row in rows for x in row]
-        return cls(len(rows), ncols, tuple(flat))
-
-    def at(self, i: int, j: int) -> Element:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i * self.cols: (i + 1) * self.cols]
-
-    def column(self, j: int) -> Vector:
-        return tuple(self.at(i, j) for i in range(self.rows))
-
-    def to_rows(self) -> list[list[Element]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-
 def sparse_row(v: Vector, ring: Ring) -> tuple:
     """The nonzero coordinates of a dense vector as (index, value) pairs."""
     is_zero = ring.is_zero
@@ -804,38 +773,46 @@ class EchelonBasis:
         return [self.rows[p] for p in sorted(self.rows)]
 
 
-def solve_linear(m: ExactMatrix, ring: Ring) -> LinearSolution:
-    """Exact rank/kernel/image data; see LinearSolution for conventions."""
+def solve_linear(columns, rows: int, ring: Ring) -> LinearSolution:
+    """Exact rank/kernel/image data of the matrix with the given columns, each a
+    sparse vector (a dict or (index, value) pairs) of height rows; see
+    LinearSolution for conventions."""
+    columns = [sparse_vector(col, ring) for col in columns]
+    cols = len(columns)
+    transposed: list[dict] = [{} for _ in range(rows)]
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            transposed[i][j] = x
     if ring.is_field:
-        rows = EchelonBasis(ring, (sparse_row(m.row(i), ring) for i in range(m.rows))).rows
-        pivots = tuple(sorted(rows))
+        echelon = EchelonBasis(ring, transposed).rows
+        pivots = tuple(sorted(echelon))
         # free column f: 1 at f, minus column f of the rows at their pivots
-        kernel = [{f: ring.one, **{p: ring.neg(row[f]) for p, row in rows.items() if f in row}}
-                  for f in range(m.cols) if f not in rows]
-        image = [dict(sparse_row(m.column(p), ring)) for p in pivots]
-        return LinearSolution(ring, m.rows, m.cols, len(pivots), pivots, kernel, image)
+        kernel = [{f: ring.one, **{p: ring.neg(row[f]) for p, row in echelon.items() if f in row}}
+                  for f in range(cols) if f not in echelon]
+        image = [columns[p] for p in pivots]
+        return LinearSolution(ring, rows, cols, len(pivots), pivots, kernel, image)
 
     if ring.kind == "zmod":
         n = ring.n
         kernel: list[dict] = []
         rank = 0
-        if m.cols:
-            if m.rows:
-                d, _u, v = smith_normal_form([[int(x) % n for x in m.row(i)]
-                                              for i in range(m.rows)])
+        if cols:
+            if rows:
+                d, _u, v = smith_normal_form([[int(row.get(j, 0)) % n for j in range(cols)]
+                                              for row in transposed])
             else:
-                d, v = [], [[int(i == j) for j in range(m.cols)] for i in range(m.cols)]
-            diag = [math.gcd(d[i][i], n) if i < m.rows else n for i in range(m.cols)]
-            kernel = [{r: (v[r][i] * (n // di)) % n for r in range(m.cols)}
+                d, v = [], [[int(i == j) for j in range(cols)] for i in range(cols)]
+            diag = [math.gcd(d[i][i], n) if i < rows else n for i in range(cols)]
+            kernel = [{r: (v[r][i] * (n // di)) % n for r in range(cols)}
                       for i, di in enumerate(diag)]
-            factors = diag[:m.rows]     # gcd/lcm passes make it the invariant factors
+            factors = diag[:rows]     # gcd/lcm passes make it the invariant factors
             for i, j in itertools.combinations(range(len(factors)), 2):
                 a, b = factors[i], factors[j]
                 factors[i], factors[j] = math.gcd(a, b), math.lcm(a, b)
             rank = sum(1 for f in factors if f != n)
         kernel = span_reduce(kernel, ring)
-        image = span_reduce((sparse_row(m.column(j), ring) for j in range(m.cols)), ring)
-        return LinearSolution(ring, m.rows, m.cols, rank, (), kernel, image)
+        image = span_reduce(columns, ring)
+        return LinearSolution(ring, rows, cols, rank, (), kernel, image)
 
     raise CapabilityError(
         f"linear solving needs a field or Z/n; ring kind {ring.kind!r} is unsupported"

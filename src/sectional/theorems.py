@@ -42,10 +42,8 @@ from .maps import (Certificate, LinearMapOnBasis, basis_bijection, certify_linea
                    multiplicative_witness, surjective)
 from .rings import (
     combine,
-    dense,
     identity_matrix,
     mat_inverse,
-    mat_mul,
     solve_linear,
     span_rank,
     spans_equal,
@@ -163,10 +161,19 @@ def _columns(mat, ring) -> tuple:
     return tuple(sparse_row(col, ring) for col in zip(*mat))
 
 
+def _identity_columns(k: int, ring) -> tuple:
+    return tuple(((i, ring.one),) for i in range(k))
+
+
 def _move(cols, v, ring) -> dict:
     """The fiber map with image columns cols applied to a sparse vector v; each
     matrix entry multiplies from the left, as in a matrix times a column."""
     return combine(((m, ((r, x),)) for j, x in v for r, m in cols[j]), ring)
+
+
+def _compose(a, b, ring) -> tuple:
+    """The columns of fiber map a after fiber map b: the matrix product a b."""
+    return tuple(tuple(sorted(_move(a, col, ring).items())) for col in b)
 
 
 def _intertwines(bundle: Bundle, g1: int, g2: int, h1: int, h2: int, m1, m2, m12) -> bool:
@@ -239,16 +246,15 @@ def validate_bundle_action(theta: LandPreaction, bundle: Bundle,
             report.add("structural", (names[s], anames[g]),
                        f"matrix for ({names[s]},{anames[g]}) has the wrong shape")
             return report
+    cols = {key: _columns(mat, ring) for key, mat in maps.items()}
 
-    for (s, g), mat in sorted(maps.items()):
-        h = theta.apply(s, g)
-        back = maps[(actor.inv[s], h)]
-        if mat_mul(back, mat, ring) != identity_matrix(bundle.ranks[g], ring):
+    for (s, g), mat in sorted(cols.items()):
+        back = cols[(actor.inv[s], theta.apply(s, g))]
+        if _compose(back, mat, ring) != _identity_columns(bundle.ranks[g], ring):
             report.add("non-invertible-fiber-map", (names[s], anames[g]),
                        "the inverse arrow's matrix does not invert this one")
             return report
 
-    cols = {key: _columns(mat, ring) for key, mat in maps.items()}
     for s in actor.base.arrows():
         dom = set(theta.dom(s))
         for (g1, g2) in theta.space.composable:
@@ -267,9 +273,7 @@ def validate_bundle_action(theta: LandPreaction, bundle: Bundle,
             tx = theta.apply(t, x)
             if tx not in set(theta.dom(s)):
                 continue
-            lhs = maps[(st, x)]
-            rhs = mat_mul(maps[(s, tx)], maps[(t, x)], ring)
-            if lhs != rhs:
+            if cols[(st, x)] != _compose(cols[(s, tx)], cols[(t, x)], ring):
                 report.add("extension-law", (names[s], names[t], anames[x]),
                            "fiber matrices violate the extension law")
                 return report
@@ -315,7 +319,6 @@ def induced_theta(action: BundleAction) -> AlgebraAction:
     algebra = sectional_algebra(bundle)
     labels = basis_labels(bundle)
     pos = {lab: i for i, lab in enumerate(labels)}
-    ring = bundle.ring
 
     domains = []
     matrices = []
@@ -326,8 +329,7 @@ def induced_theta(action: BundleAction) -> AlgebraAction:
         for idx in dom_idx:
             g, k = labels[idx]
             h = theta.apply(s, g)
-            mat[idx] = dense(((pos[(h, k2)], x) for k2, x in action.fiber_maps[(s, g)][k]),
-                             len(labels), ring)
+            mat[idx] = tuple((pos[(h, k2)], x) for k2, x in action.fiber_maps[(s, g)][k])
         domains.append(dom_idx)
         matrices.append(mat)
 
@@ -589,7 +591,8 @@ def validate_bundle_congruence(bundle: Bundle, base: RigidCongruence,
     names = bundle.base.arrow_names
 
     rep_to: dict[int, tuple] = {}
-    inverse: dict[int, tuple | None] = {}
+    to_cols: dict[int, tuple] = {}
+    from_cols: dict[int, tuple] = {}
     raw = transports or {}
     for key, mat in raw.items():
         k = str(key)
@@ -616,43 +619,42 @@ def validate_bundle_congruence(bundle: Bundle, base: RigidCongruence,
                 report.add("structural", (names[g],),
                            f"transport for {names[g]} must be {k}x{k}")
                 return report
-            inverse[g] = mat_inverse(mat, ring)
-            if inverse[g] is None:
+            inverse = mat_inverse(mat, ring)
+            if inverse is None:
                 report.add("non-invertible-transport", (names[g],),
                            f"transport for {names[g]} is not invertible")
                 return report
+            to_cols[g], from_cols[g] = _columns(mat, ring), _columns(inverse, ring)
 
     full: dict[tuple[int, int], tuple] = {}
     for block in base.classes:
         for g in block:
             for h in block:
-                full[(g, h)] = mat_mul(rep_to[h], inverse[g], ring)
+                full[(g, h)] = _compose(to_cols[h], from_cols[g], ring)
 
     for block in base.classes:
         for g in block:
-            if full[(g, g)] != identity_matrix(bundle.ranks[g], ring):
+            if full[(g, g)] != _identity_columns(bundle.ranks[g], ring):
                 report.add("cocycle", (names[g],), "transport g->g is not the identity")
                 return report
             for h in block:
                 for k in block:
-                    lhs = mat_mul(full[(h, k)], full[(g, h)], ring)
-                    if lhs != full[(g, k)]:
+                    if _compose(full[(h, k)], full[(g, h)], ring) != full[(g, k)]:
                         report.add("cocycle", (names[g], names[h], names[k]),
                                    "transports do not compose coherently")
                         return report
 
-    cols = {key: _columns(mat, ring) for key, mat in full.items()}
     prod = bundle.base.prod
     for (g1, g2) in bundle.base.composable:
         for h1 in base.classes[base.class_of[g1]]:
             for h2 in base.classes[base.class_of[g2]]:
-                if not _intertwines(bundle, g1, g2, h1, h2, cols[(g1, h1)], cols[(g2, h2)],
-                                    cols[(prod[g1][g2], prod[h1][h2])]):
+                if not _intertwines(bundle, g1, g2, h1, h2, full[(g1, h1)], full[(g2, h2)],
+                                    full[(prod[g1][g2], prod[h1][h2])]):
                     report.add("intertwining", (names[g1], names[g2], names[h1], names[h2]),
                                "transports do not intertwine the fiber products")
                     return report
 
-    return BundleCongruence(bundle, base, cols)
+    return BundleCongruence(bundle, base, full)
 
 
 @dataclass
@@ -747,7 +749,7 @@ def quotient_map_and_kernel(bc: BundleCongruence) -> QuotientKernelResult:
     witness = multiplicative_witness(tmap)
     cert.add("algebra-homomorphism", witness is None, witness or ())
 
-    sol = solve_linear(tmap.matrix(), ring)
+    sol = solve_linear(tmap.rows, tmap.target.rank, ring)
     cert.add("surjective", surjective(sol))
 
     # discrete reduction of the conjugate sections: every open set splits
@@ -855,7 +857,7 @@ def germ_corollary(theta: LandPreaction, coefficients) -> GermCorollaryResult:
     cert.add("multiplicative", witness is None, witness or ())
     cert.add("ideal-killed", not any(qmap.apply_rows(v.items()) for v in ideal))
 
-    sol = solve_linear(qmap.matrix(), ring)
+    sol = solve_linear(qmap.rows, qmap.target.rank, ring)
     cert.add("surjective", surjective(sol))
     cert.add("kernel-is-ideal", spans_equal(sol.kernel_basis, ideal, ring))
     if ring.is_field:

@@ -544,44 +544,36 @@ def _run_verify(builder: Builder, params: dict, index: int, seed: int) -> TaskRe
                           witness=witness)
 
     if theorem == "tensor":
-        res = tensor_theorem(builder.bundle(params["bundle"]),
-                             builder.semigroupoid(params["factor"]))
-        cert = res.certificate
+        certs = [tensor_theorem(builder.bundle(params["bundle"]),
+                                builder.semigroupoid(params["factor"])).certificate]
     elif theorem == "crossed":
         res = crossed_theorem(builder.bundle_action(params["action"]))
-        cert = res.certificate
-        lcert = res.lscript_certificate
-        result = TaskResult(index, "verify", summary,
-                            "pass" if cert.passed and lcert.passed else "fail",
-                            data=dict(cert.data),
-                            checks=[c.to_json() for c in cert.checks]
-                            + [c.to_json() for c in lcert.checks])
-        fail = cert.first_failure() or lcert.first_failure()
-        if fail is not None:
-            result.witness = [str(w) for w in fail.witness]
-        return result
+        certs = [res.certificate, res.lscript_certificate]
     elif theorem == "smash":
-        res = smash_theorem(builder.bundle(params["bundle"]),
-                            builder.homomorphism(params["grading"]))
-        cert = res.certificate
+        certs = [smash_theorem(builder.bundle(params["bundle"]),
+                               builder.homomorphism(params["grading"])).certificate]
     elif theorem == "quotient":
         bc = builder.bundle_congruence(params["congruence"], params["bundle"])
-        res = quotient_map_and_kernel(bc)
-        cert = res.certificate
+        certs = [quotient_map_and_kernel(bc).certificate]
     elif theorem == "germ":
-        res = germ_corollary(builder.action(params["action"]), builder.ring)
-        cert = res.certificate
+        certs = [germ_corollary(builder.action(params["action"]), builder.ring).certificate]
     else:  # unreachable; parse_workspace vets theorems
         raise WorkspaceError(f"unknown theorem {theorem!r}")
 
-    result = TaskResult(index, "verify", summary,
-                        "pass" if cert.passed else "fail",
-                        data=dict(cert.data),
-                        checks=[c.to_json() for c in cert.checks])
-    fail = cert.first_failure()
-    if fail is not None:
-        result.witness = [str(w) for w in fail.witness]
-    return result
+    # one report per task: the first certificate's data, every check, and
+    # the first failure across the certificates as the witness
+    fail = next((c for cert in certs for c in cert.checks if not c.ok), None)
+    return TaskResult(index, "verify", summary, "pass" if fail is None else "fail",
+                      data=dict(certs[0].data),
+                      checks=[c.to_json() for cert in certs for c in cert.checks],
+                      witness=[] if fail is None else [str(w) for w in fail.witness])
+
+
+def workspace_ring(ws: WorkspaceFile, override: Ring | None = None) -> Ring:
+    """The override, else the workspace's own ring, else Q."""
+    if override is not None:
+        return override
+    return ring_from_spec({"kind": "q"} if ws.ring_spec is None else ws.ring_spec)
 
 
 def run_workspace(ws: WorkspaceFile, selector: str = "all", seed: int = 0,
@@ -591,12 +583,7 @@ def run_workspace(ws: WorkspaceFile, selector: str = "all", seed: int = 0,
     Selector "all" runs every task in file order; a theorem name runs only the
     matching verify tasks.
     """
-    if ring_override is not None:
-        ring = ring_override
-    elif ws.ring_spec is not None:
-        ring = ring_from_spec(ws.ring_spec)
-    else:
-        ring = ring_from_spec({"kind": "q"})
+    ring = workspace_ring(ws, ring_override)
 
     if selector == "all":
         chosen = list(enumerate(ws.tasks))

@@ -142,3 +142,10 @@ def upper_triangular_f2_ring_spec():
         "zero": idx[(0, 0, 0)],
         "one": idx[(1, 0, 1)],
     }
+
+
+def columns_of(entries, cols):
+    """The columns of a dense row-major matrix, each a {row: entry} dict with
+    its zero entries kept: the form rings.solve_linear takes, with the height
+    len(entries)."""
+    return [{i: row[j] for i, row in enumerate(entries)} for j in range(cols)]

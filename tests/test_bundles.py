@@ -24,7 +24,7 @@ from sectional.bundles import (
     zero_section,
 )
 from sectional.maps import certify_linear_iso
-from sectional.rings import IntegerRing, RationalRing, TableRing, ZModRing, dense
+from sectional.rings import IntegerRing, RationalRing, TableRing, ZModRing
 from sectional.semigroupoids import identity_homomorphism
 from sectional.standard import (
     cyclic2,
@@ -40,8 +40,8 @@ Z4 = ZModRing(4)
 
 
 def _unit(alg, i):
-    """Basis vector i of alg as a dense literal, the form action matrices take."""
-    return dense(((i, alg.ring.one),), alg.rank, alg.ring)
+    """Basis vector i of alg as a sparse row, the form action images take."""
+    return ((i, alg.ring.one),)
 
 
 def matrix_unit_bundle(ring):
@@ -376,6 +376,23 @@ class TestAlgebraActions:
         )
         assert isinstance(bad, ValidationReport)
         assert bad.has("structural") or bad.has("inverse-compatibility")
+
+    def test_image_outside_the_basis_is_structural(self, swap_action):
+        qq, z2 = swap_action.algebra, swap_action.actor
+        for image in ({2: Q.one}, ((0, Q.one), (-1, Q.one))):
+            bad = validate_algebra_action(
+                z2, qq, [(0, 1), (0, 1)],
+                [{0: _unit(qq, 0), 1: _unit(qq, 1)}, {0: _unit(qq, 1), 1: image}],
+            )
+            assert [(f.kind, f.witness) for f in bad.failures] == [("structural", ("g", "1q"))]
+
+    def test_images_are_stored_as_sorted_sparse_rows(self, swap_action):
+        qq, z2 = swap_action.algebra, swap_action.actor
+        action = must(validate_algebra_action(
+            z2, qq, [(0, 1), (0, 1)],
+            [{0: {1: Q.zero, 0: Q.one}, 1: _unit(qq, 1)}, {0: {1: Q.one}, 1: ((0, Q.one),)}],
+        ))
+        assert action.rows == swap_action.rows
 
     def test_swap_action_is_associative(self, swap_action):
         assert algebra_action_associativity(swap_action) is None

@@ -10,7 +10,7 @@ import pytest
 from sectional.cli import main, parse_ring_override
 from sectional.semigroupoids import semigroupoid_to_raw, validate_semigroupoid
 from sectional.standard import pair_groupoid
-from sectional.validation import must
+from sectional.validation import StructureError, must
 from sectional.workspace import (
     WorkspaceError,
     parse_workspace,
@@ -93,6 +93,52 @@ class TestRunWorkspace:
                                timing=False)
         assert report["ok"]
         assert report["ring"] == "Z/5"
+
+    @pytest.mark.parametrize("spec, ring", [(None, "Q"), ({"kind": "zmod", "n": 7}, "Z/7")])
+    def test_workspace_ring_is_the_files_else_q(self, spec, ring, tmp_path, capsys):
+        with open(os.path.join(FIXTURES, "germ.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["ring"] = spec
+        assert run_workspace(parse_workspace(json.dumps(doc)), timing=False)["ring"] == ring
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "all", "--input", str(path), "--no-timestamp",
+                     "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["workspaces"][0]["ring"] == ring
+
+    def test_an_empty_ring_literal_is_refused_not_read_as_q(self, tmp_path, capsys):
+        # the API and the CLI share one rule: only an absent ring means Q
+        with open(os.path.join(FIXTURES, "germ.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["ring"] = {}
+        with pytest.raises(StructureError):
+            run_workspace(parse_workspace(json.dumps(doc)), timing=False)
+        path = tmp_path / "empty-ring.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "all", "--input", str(path), "--no-timestamp"]) == 2
+        assert "kind" in capsys.readouterr().err
+
+    def test_crossed_report_joins_both_certificates(self, monkeypatch):
+        # the first failure across the certificates is the witness; the data
+        # is the first certificate's
+        import sectional.workspace as workspace
+        from sectional.maps import Certificate
+
+        first, second = Certificate("first", data={"rank": 1}), Certificate("second")
+        first.add("a", True)
+        second.add("b", False, ("x", "y"))
+        second.add("c", False, ("z",))
+
+        class Result:
+            certificate, lscript_certificate = first, second
+
+        monkeypatch.setattr(workspace, "crossed_theorem", lambda action: Result)
+        ws = load(os.path.join(FIXTURES, "crossed.json"))
+        task = run_workspace(ws, selector="crossed", timing=False)["tasks"][0]
+        assert task["status"] == "fail"
+        assert task["data"]["rank"] == 1
+        assert [c["name"] for c in task["checks"]] == ["a", "b", "c"]
+        assert task["witness"] == ["x", "y"]
 
 
 class TestRoundTrip:

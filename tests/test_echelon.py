@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 from sectional.algebras import AlgebraPresentation
 from sectional.rings import (
     EchelonBasis,
-    ExactMatrix,
     RationalRing,
     ZModRing,
     dense,
@@ -37,6 +36,7 @@ from sectional.rings import (
     spans_equal,
     vector_in_span,
 )
+from structures import columns_of
 
 RINGS = [RationalRing(), ZModRing(5), ZModRing(2)]
 
@@ -203,15 +203,15 @@ def test_spans_equal_is_membership_both_ways(ring, k, data):
 def test_solve_linear_kernel_and_rank(ring, rows, cols, data):
     entries = [list(v) for v in _vectors(data, ring, cols, max_count=rows)]
     entries += [[ring.zero] * cols for _ in range(rows - len(entries))]
-    m = ExactMatrix(rows, cols, tuple(x for row in entries for x in row))
-    sol = solve_linear(m, ring)
+    sol = solve_linear(columns_of(entries, cols), rows, ring)
     for kv in densify(sol.kernel_basis, cols, ring):
         assert oracle_mat_vec(entries, kv, ring) == (ring.zero,) * rows
     assert sol.rank + len(sol.kernel_basis) == cols
     assert len(span_reduce(sol.kernel_basis, ring)) == len(sol.kernel_basis)
     _, pivots = oracle_rref(entries, ring)
     assert sol.pivots == tuple(pivots)
-    assert densify(sol.image_basis, rows, ring) == [m.column(p) for p in pivots]
+    assert densify(sol.image_basis, rows, ring) == [tuple(row[p] for row in entries)
+                                                    for p in pivots]
 
 
 def _algebra(data, ring, rank):

@@ -6,10 +6,14 @@ intertwining on the columns of their matrices, and `bundle_semidirect` and
 `quotient_bundle` read products off those columns. The oracles below are the
 previous dense implementations: every fiber basis vector is pushed through
 `mat_vec(M, unit_vector(...))` and multiplied by a dense `fiber_mul`, all
-three kept below. On small bundles over Q and Z/5, with invertible fiber
-matrices and transports and sometimes one corrupted entry, both validators
-must return the oracle's verdict and witness, and the built bundles must
-carry the oracle's product rows.
+three kept below, and the inverse, extension-law and cocycle checks multiply
+dense matrices with `mat_mul`. On small bundles over Q, Z/5 and Z/6, with
+invertible fiber matrices and transports, sometimes an involutive
+automorphism on the unit arrow (it inverts itself and intertwines the
+products, but breaks the extension law) and sometimes one corrupted entry,
+both validators must return the oracle's verdict and witness, and the built
+bundles must carry the oracle's product rows. Every verdict kind the
+generators can reach must occur.
 """
 
 from hypothesis import given, settings
@@ -25,7 +29,7 @@ from sectional.theorems import (BundleAction, BundleCongruence, bundle_semidirec
                                 validate_bundle_congruence)
 from sectional.validation import must
 
-RINGS = [RationalRing(), ZModRing(5)]
+RINGS = [RationalRing(), ZModRing(5), ZModRing(6)]
 
 # fiber algebras as structure constants: constants[i][j] = e_i * e_j
 FIBERS = {
@@ -34,6 +38,15 @@ FIBERS = {
     "diagonal-3": [[[1 if i == j == k else 0 for k in range(3)] for j in range(3)]
                    for i in range(3)],
     "dual-numbers": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]],
+}
+
+# an automorphism of each fiber algebra that is its own inverse, the
+# identity only where the algebra has no other
+SWAPS = {
+    "diagonal-1": [[1]],
+    "diagonal-2": [[0, 1], [1, 0]],
+    "diagonal-3": [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+    "dual-numbers": [[1, 0], [0, -1]],
 }
 
 
@@ -194,7 +207,8 @@ def oracle_quotient_tables(bundle, cong, full, quotient):
 def _invertible(data, ring, k):
     """A permutation matrix, its columns scaled by units, times a random
     unitriangular matrix when the draw asks for a generic one."""
-    units = [ring.coerce(x) for x in (1, -1, 2, 3)]
+    units = [u for u in (ring.coerce(x) for x in (1, -1, 2, 3))
+             if ring.unit_inverse(u) is not None]
     perm = data.draw(st.permutations(range(k)))
     scales = [data.draw(st.sampled_from(units)) for _ in range(k)]
     mat = [[scales[j] if perm[j] == i else ring.zero for j in range(k)] for i in range(k)]
@@ -246,7 +260,10 @@ def _action_instance(data, ring):
         base = trivial_monoid().base
         theta = must(validate_preaction({"u": {"dom": ["a"], "img": ["a"]},
                                          "g": {"dom": ["a"], "img": ["a"]}}, z2, base))
-        maps = {(0, 0): identity, (1, 0): _involution(data, ring, k)}
+        unit = identity
+        if data.draw(st.booleans()):
+            unit = tuple(tuple(ring.coerce(x) for x in row) for row in SWAPS[fiber])
+        maps = {(0, 0): unit, (1, 0): _involution(data, ring, k)}
     else:
         base = unit_groupoid(("x", "y")).base
         theta = must(validate_preaction({"u": {"dom": ["1x", "1y"], "img": ["1x", "1y"]},
@@ -281,7 +298,7 @@ def test_intertwining_checks_match_the_dense_oracle():
         result = validate_bundle_action(theta, bundle, maps)
         expected = oracle_bundle_action(theta, bundle, maps)
         assert _verdict(result, BundleAction) == expected
-        action_verdicts.append(expected is None)
+        action_verdicts.append(expected and expected[0])
         if expected is None:
             assert result.fiber_maps == {key: _columns(m, ring) for key, m in maps.items()}
             built = bundle_semidirect(result).bundle
@@ -297,7 +314,7 @@ def test_intertwining_checks_match_the_dense_oracle():
         result = validate_bundle_congruence(bundle, cong, transport)
         expected, full = oracle_bundle_congruence(bundle, cong, transport)
         assert _verdict(result, BundleCongruence) == expected
-        congruence_verdicts.append(expected is None)
+        congruence_verdicts.append(expected and expected[0])
         if expected is None:
             assert result.transports == {key: _columns(m, ring) for key, m in full.items()}
             out = quotient_bundle(result)
@@ -305,5 +322,6 @@ def test_intertwining_checks_match_the_dense_oracle():
             assert out.bundle.rows == {key: fiber_rows(t, ring) for key, t in tables.items()}
 
     check()
-    assert True in action_verdicts and False in action_verdicts
-    assert True in congruence_verdicts and False in congruence_verdicts
+    assert set(action_verdicts) == {None, "non-invertible-fiber-map", "intertwining",
+                                    "extension-law"}
+    assert set(congruence_verdicts) == {None, "non-invertible-transport", "intertwining"}

@@ -5,7 +5,10 @@ output of
 
     sectional verify all --input fixtures/NAME.json --seed 7 --no-timestamp --format json
 
-and `tests/data/golden/NAME.validate.json` the output of
+For each ring override R in `RINGS`, `tests/data/golden/NAME.verify.R.json`
+holds the same `verify all` run with `--ring R` appended; these pin the
+prime-field and composite Z/n linear algebra (kernels, images, span tests).
+`tests/data/golden/NAME.validate.json` holds the output of
 
     sectional validate fixtures/NAME.json --format json
 
@@ -38,6 +41,7 @@ BUILDS = os.path.join(HERE, "data", "builds.json")
 FIXTURES = os.path.abspath(os.path.join(HERE, os.pardir, "fixtures"))
 NAMES = sorted(name[:-len(".json")] for name in os.listdir(FIXTURES)
                if name.endswith(".json"))
+RINGS = ("zmod5", "zmod6")
 
 
 def _normalised(text):
@@ -50,19 +54,25 @@ def _golden(name, command):
 
 
 def test_every_fixture_has_golden_reports():
+    commands = ["verify", "validate"] + [f"verify.{ring}" for ring in RINGS]
     assert sorted(os.listdir(GOLDEN)) == sorted(
-        f"{name}.{command}.json" for name in NAMES for command in ("verify", "validate")
+        f"{name}.{command}.json" for name in NAMES for command in commands
     )
 
 
-@pytest.mark.parametrize("name", NAMES)
-def test_verify_report_matches_golden(name, capsys):
+@pytest.mark.parametrize("name, ring", [
+    pytest.param(name, ring, id=name if ring is None else f"{name}-{ring}")
+    for name in NAMES for ring in (None,) + RINGS
+])
+def test_verify_report_matches_golden(name, ring, capsys):
     path = os.path.join(FIXTURES, f"{name}.json")
-    code = main(["verify", "all", "--input", path, "--seed", "7",
-                 "--no-timestamp", "--format", "json"])
+    argv = ["verify", "all", "--input", path, "--seed", "7",
+            "--no-timestamp", "--format", "json"]
+    code = main(argv + (["--ring", ring] if ring else []))
     out = capsys.readouterr().out
     assert code == 0
-    assert _normalised(out) == _normalised(_golden(name, "verify"))
+    golden = _golden(name, "verify" if ring is None else f"verify.{ring}")
+    assert _normalised(out) == _normalised(golden)
 
 
 @pytest.mark.parametrize("name", NAMES)

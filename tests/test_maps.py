@@ -4,7 +4,7 @@ import pytest
 
 from sectional.bundles import semigroupoid_algebra
 from sectional.maps import LinearMapOnBasis, basis_bijection, certify_linear_iso
-from sectional.rings import RationalRing, dense
+from sectional.rings import RationalRing
 from sectional.standard import cyclic2, unit_groupoid
 
 Q = RationalRing()
@@ -24,13 +24,6 @@ class TestLinearMapOnBasis:
         tmap = basis_bijection(a, a, {0: 1, 1: 0})
         vec = ((0, Q.coerce(2)), (1, Q.coerce(3)))
         assert tmap.apply_rows(vec) == {0: Q.coerce(3), 1: Q.coerce(2)}
-
-    def test_matrix_columns_are_images(self):
-        a = _group_algebra()
-        tmap = basis_bijection(a, a, {0: 1, 1: 0})
-        mat = tmap.matrix()
-        assert mat.column(0) == dense(tmap.rows[0], 2, Q)
-        assert mat.column(1) == dense(tmap.rows[1], 2, Q)
 
     def test_rows_are_stored_canonically(self):
         a = _group_algebra()

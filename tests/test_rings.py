@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sectional.rings import (
-    ExactMatrix,
     IntegerRing,
     RationalRing,
     TableRing,
@@ -28,6 +27,7 @@ from sectional.rings import (
 )
 from sectional.cli import main
 from sectional.validation import CapabilityError, ValidationReport
+from structures import columns_of
 
 Q = RationalRing()
 Z4 = ZModRing(4)
@@ -171,7 +171,7 @@ class TestSmithNormalForm:
 
 class TestSolveLinear:
     def test_identity_over_q(self):
-        sol = solve_linear(ExactMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]], Q), Q)
+        sol = solve_linear([{0: 1}, {1: 1}, {2: 1}], 3, Q)
         assert sol.rank == 3
         assert sol.kernel_basis == []
         assert len(sol.image_basis) == 3
@@ -182,7 +182,7 @@ class TestSolveLinear:
         image_points = {(2 * x) % 4 for x in range(4)}
         assert kernel_points == {0, 2} and image_points == {0, 2}
 
-        sol = solve_linear(ExactMatrix.from_rows([[2]], Z4), Z4)
+        sol = solve_linear([{0: 2}], 1, Z4)
         assert sol.rank == 1
         assert spans_equal(sol.kernel_basis, [{0: 2}], Z4)
         assert vector_in_span({0: 2}, sol.image_basis, Z4)
@@ -191,16 +191,16 @@ class TestSolveLinear:
 
     def test_rank_one_over_z5(self):
         # oracle: row reduction by hand gives pivot (0,0), kernel span {(1,-1)}
-        sol = solve_linear(ExactMatrix.from_rows([[1, 1], [1, 1]], Z5), Z5)
+        sol = solve_linear([((0, 1), (1, 1)), ((0, 1), (1, 1))], 2, Z5)
         assert sol.rank == 1
         assert spans_equal(sol.kernel_basis, [{0: 1, 1: 4}], Z5)
 
     def test_unsupported_rings_refuse(self):
         with pytest.raises(CapabilityError):
-            solve_linear(ExactMatrix.from_rows([[1]], IntegerRing()), IntegerRing())
+            solve_linear([{0: 1}], 1, IntegerRing())
         table = ring_from_spec(BOOLEAN_RING)
         with pytest.raises(CapabilityError):
-            solve_linear(ExactMatrix(1, 1, (1,)), table)
+            solve_linear([{0: 1}], 1, table)
 
     @pytest.mark.parametrize("ring", [Q, Z5, ZModRing(6), Z4])
     def test_kernel_and_image_postconditions(self, ring):
@@ -208,25 +208,19 @@ class TestSolveLinear:
         for _ in range(40):
             rows = rnd.randint(1, 4)
             cols = rnd.randint(1, 4)
-            mat = ExactMatrix.from_rows(
-                [[ring.sample(rnd) for _ in range(cols)] for _ in range(rows)], ring
-            )
-            sol = solve_linear(mat, ring)
+            entries = [[ring.sample(rnd) for _ in range(cols)] for _ in range(rows)]
+            sol = solve_linear(columns_of(entries, cols), rows, ring)
             for k in sol.kernel_basis:
-                image = [
-                    _dot(ring, mat.row(i), dense(k.items(), cols, ring)) for i in range(rows)
-                ]
+                image = [_dot(ring, row, dense(k.items(), cols, ring)) for row in entries]
                 assert all(x == ring.zero for x in image)
-            for j in range(cols):
+            for column in columns_of(entries, cols):
                 # explicit zero entries are allowed in a span test's input
-                assert vector_in_span(dict(enumerate(mat.column(j))), sol.image_basis, ring)
+                assert vector_in_span(column, sol.image_basis, ring)
 
     def test_zmod_composite_kernel_is_complete(self):
         # brute force oracle: enumerate the full kernel of a fixed map over Z/6
         ring = ZModRing(6)
-        rows = [[2, 3], [0, 3]]
-        mat = ExactMatrix.from_rows(rows, ring)
-        sol = solve_linear(mat, ring)
+        sol = solve_linear(columns_of([[2, 3], [0, 3]], 2), 2, ring)
         kernel_points = [
             (x, y)
             for x in range(6) for y in range(6)
@@ -249,11 +243,11 @@ def _dot(ring, row, vec):
                 min_size=2, max_size=2))
 @settings(max_examples=60, deadline=None)
 def test_kernel_vectors_annihilate_over_z5(rows):
-    mat = ExactMatrix.from_rows(rows, Z5)
-    sol = solve_linear(mat, Z5)
+    rows = [[Z5.coerce(x) for x in row] for row in rows]
+    sol = solve_linear(columns_of(rows, 2), 2, Z5)
     for k in sol.kernel_basis:
-        for i in range(2):
-            assert _dot(Z5, mat.row(i), dense(k.items(), 2, Z5)) == 0
+        for row in rows:
+            assert _dot(Z5, row, dense(k.items(), 2, Z5)) == 0
 
 
 class TestIdealClosure:
@@ -290,8 +284,8 @@ class TestIdealClosure:
         action = must(validate_algebra_action(
             s, qx,
             [(0, 1), (0,)],
-            [{0: (Q.one, Q.zero), 1: (Q.zero, Q.one)},
-             {0: (Q.one, Q.zero)}],
+            [{0: {0: Q.one}, 1: {1: Q.one}},
+             {0: {0: Q.one}}],
         ))
         crossed = naive_crossed_product(action)
         assert crossed.basis == ("d_1.1x", "d_1.1y", "d_e.1x")

@@ -12,7 +12,11 @@ Z/6, on small derandomized inputs:
   - ideal_closure has the dense saturation loop's rank over a field and, over
     Z/6, its accepted sequence;
   - solve_linear's kernel is annihilated by the matrix and spans the whole
-    kernel, and its image spans the columns.
+    kernel, and its image spans the columns;
+  - on sparse columns given as dicts or (index, value) pairs, solve_linear
+    meets invariants that need no oracle: every kernel vector k has
+    sum_j k_j col_j = 0 through combine, rank + nullity = cols over a field,
+    and the image basis spans the same module as the columns.
 
 Membership over Z/n enumerates the span (widths stay at most 3); over Q it is
 dense Gauss-Jordan elimination. Every property records a yes/no outcome per
@@ -28,14 +32,16 @@ from sectional.algebras import AlgebraPresentation
 from sectional.bundles import Bundle, Section, convolve, fiber_rows
 from sectional.rings import (
     EchelonBasis,
-    ExactMatrix,
     RationalRing,
     ZModRing,
+    combine,
     dense,
     ideal_closure,
     solve_linear,
+    spans_equal,
 )
 from sectional.standard import pair_groupoid
+from structures import columns_of
 
 RINGS = [RationalRing(), ZModRing(5), ZModRing(6)]
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -301,7 +307,7 @@ def test_solve_linear_kernel_and_image_match_dense_oracle():
     @given(st.sampled_from(RINGS), st.integers(1, 3), st.integers(1, 3), st.data())
     def check(ring, rows, cols, data):
         entries = [_vector(data, ring, cols) for _ in range(rows)]
-        sol = solve_linear(ExactMatrix.from_rows(entries, ring), ring)
+        sol = solve_linear(columns_of(entries, cols), rows, ring)
         kernel = [tuple(_dense(v, cols, ring)) for v in sol.kernel_basis]
         image = [tuple(_dense(v, rows, ring)) for v in sol.image_basis]
         for v in kernel:
@@ -321,6 +327,29 @@ def test_solve_linear_kernel_and_image_match_dense_oracle():
         else:
             assert sol.rank + len(kernel) == cols
         outcomes.add(bool(kernel))
+
+    check()
+    assert outcomes == {True, False}
+
+
+def test_solve_linear_on_sparse_columns_meets_its_invariants():
+    outcomes = set()
+
+    @SETTINGS
+    @given(st.sampled_from(RINGS), st.integers(0, 4), st.integers(0, 4), st.data())
+    def check(ring, rows, cols, data):
+        nonzero = _elements(ring).filter(lambda x: x != ring.zero)
+        columns = [data.draw(st.dictionaries(st.integers(0, rows - 1), nonzero, max_size=rows))
+                   if rows else {} for _ in range(cols)]
+        given_as = [col if data.draw(st.booleans()) else tuple(col.items()) for col in columns]
+        sol = solve_linear(given_as, rows, ring)
+        assert (sol.rows, sol.cols) == (rows, cols)
+        for k in sol.kernel_basis:
+            assert combine(((x, columns[j].items()) for j, x in k.items()), ring) == {}
+        if ring.is_field:
+            assert sol.rank + len(sol.kernel_basis) == cols
+        assert spans_equal(sol.image_basis, columns, ring)
+        outcomes.add(bool(sol.kernel_basis))
 
     check()
     assert outcomes == {True, False}

@@ -33,7 +33,6 @@ from sectional.algebras import AlgebraPresentation
 from sectional.cli import main
 from sectional.rings import (
     EchelonBasis,
-    ExactMatrix,
     IntegerRing,
     RationalRing,
     ZModRing,
@@ -50,7 +49,7 @@ from sectional.rings import (
     vector_in_span,
 )
 from sectional.validation import CapabilityError
-from structures import upper_triangular_f2_ring_spec
+from structures import columns_of, upper_triangular_f2_ring_spec
 
 
 def _relabeled_z4():
@@ -330,17 +329,16 @@ def test_ideal_closure_is_closed(ring, rank, data):
 def test_kernel_is_the_whole_kernel_with_one_smith_form(ring, rows, cols, data):
     entries = [data.draw(st.lists(st.integers(0, ring.n - 1), min_size=cols, max_size=cols))
                for _ in range(rows)]
-    m = ExactMatrix.from_rows(entries, ring) if rows else ExactMatrix(0, cols, ())
     calls = []
     snf = rings_module.smith_normal_form
     rings_module.smith_normal_form = lambda a: calls.append(a) or snf(a)
     try:
-        sol = solve_linear(m, ring)
+        sol = solve_linear(columns_of(entries, cols), rows, ring)
     finally:
         rings_module.smith_normal_form = snf
     assert len(calls) <= 1
     kernel = [x for x in _all_vectors(ring.n, cols)
-              if not any(oracle_mat_vec(m.to_rows(), x, ring))]
+              if not any(oracle_mat_vec(entries, x, ring))]
     kernel_basis = densify(sol.kernel_basis, cols, ring)
     for x in kernel:
         assert oracle_solvable(x, kernel_basis, ring.n)
@@ -363,7 +361,7 @@ def _all_vectors(n, k):
 ])
 def test_composite_rank_counts_normalized_invariant_factors(entries, rank):
     z6 = ZModRing(6)
-    assert solve_linear(ExactMatrix.from_rows(entries, z6), z6).rank == rank
+    assert solve_linear(columns_of(entries, 2), 2, z6).rank == rank
 
 
 # ---------------------------------------------------------------------------

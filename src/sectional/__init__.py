@@ -31,7 +31,6 @@ from .semigroupoids import (
     FiniteInverseSemigroupoid,
     FiniteSemigroupoid,
     Homomorphism,
-    are_isomorphic,
     direct_product,
     identity_homomorphism,
     is_groupoid,

@@ -29,6 +29,7 @@ from .workspace import (
     TaskResult,
     WorkspaceError,
     WorkspaceFile,
+    execute_task,
     parse_workspace,
     run_guarded,
     run_workspace,
@@ -172,7 +173,6 @@ def _cmd_build(args) -> int:
         print(str(exc), file=sys.stderr)
         return 2
 
-    from .workspace import execute_task
     result = execute_task(Builder(ws, ring), task, 0, args.seed)
     if result.status != "pass":
         print(f"build failed: {result.message or result.witness}", file=sys.stderr)

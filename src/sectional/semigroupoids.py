@@ -510,107 +510,3 @@ def is_groupoid(sgpd: FiniteSemigroupoid) -> GroupoidCheck:
             )
     return GroupoidCheck(True, units, inverses)
 
-
-def find_isomorphism(a: FiniteSemigroupoid, b: FiniteSemigroupoid) -> dict[int, int] | None:
-    """Search for an arrow bijection realizing an isomorphism (desk scale only).
-
-    Backtracks over arrow assignments with a consistent vertex bijection and
-    product preservation, pruning by src/rng profiles.
-    """
-    if a.n_arrows != b.n_arrows or a.n_vertices != b.n_vertices:
-        return None
-
-    def profile(s: FiniteSemigroupoid, x: int):
-        out_deg = sum(1 for y in s.arrows() if s.src[y] == s.src[x])
-        in_deg = len(s.into[s.rng[x]])
-        loop = s.src[x] == s.rng[x]
-        idem = s.prod[x][x] == x if s.is_composable(x, x) else None
-        return (loop, idem, out_deg, in_deg)
-
-    prof_a = [profile(a, x) for x in a.arrows()]
-    prof_b = [profile(b, x) for x in b.arrows()]
-    if sorted(prof_a) != sorted(prof_b):
-        return None
-
-    arrow_map: dict[int, int] = {}
-    vertex_map: dict[int, int] = {}
-    used_arrows: set[int] = set()
-    used_vertices: set[int] = set()
-
-    def vertex_compatible(va: int, vb: int) -> bool:
-        if va in vertex_map:
-            return vertex_map[va] == vb
-        return vb not in used_vertices
-
-    def assign_vertex(va: int, vb: int) -> bool:
-        if va in vertex_map:
-            return False
-        vertex_map[va] = vb
-        used_vertices.add(vb)
-        return True
-
-    def unassign_vertex(va: int):
-        used_vertices.discard(vertex_map.pop(va))
-
-    def consistent(x: int, y: int) -> bool:
-        for x2, y2 in arrow_map.items():
-            for (p, q, fp, fq) in ((x, x2, y, y2), (x2, x, y2, y)):
-                ca = a.prod[p][q]
-                cb = b.prod[fp][fq]
-                if (ca == UNDEF) != (cb == UNDEF):
-                    return False
-                if ca != UNDEF and ca in arrow_map and arrow_map[ca] != cb:
-                    return False
-        ca = a.prod[x][x]
-        cb = b.prod[y][y]
-        if (ca == UNDEF) != (cb == UNDEF):
-            return False
-        if ca != UNDEF and ca in arrow_map and arrow_map[ca] != cb:
-            return False
-        return True
-
-    def total_check() -> bool:
-        for x in a.arrows():
-            for y in a.arrows():
-                ca = a.prod[x][y]
-                cb = b.prod[arrow_map[x]][arrow_map[y]]
-                if (ca == UNDEF) != (cb == UNDEF):
-                    return False
-                if ca != UNDEF and arrow_map[ca] != cb:
-                    return False
-        return True
-
-    def backtrack(x: int) -> bool:
-        if x == a.n_arrows:
-            return total_check()
-        for y in b.arrows():
-            if y in used_arrows or prof_a[x] != prof_b[y]:
-                continue
-            new_vs = []
-            ok = True
-            for va, vb in ((a.src[x], b.src[y]), (a.rng[x], b.rng[y])):
-                if va in vertex_map:
-                    if vertex_map[va] != vb:
-                        ok = False
-                        break
-                else:
-                    if not vertex_compatible(va, vb):
-                        ok = False
-                        break
-                    assign_vertex(va, vb)
-                    new_vs.append(va)
-            if ok and consistent(x, y):
-                arrow_map[x] = y
-                used_arrows.add(y)
-                if backtrack(x + 1):
-                    return True
-                used_arrows.discard(arrow_map.pop(x))
-            for va in new_vs:
-                unassign_vertex(va)
-        return False
-
-    return dict(arrow_map) if backtrack(0) else None
-
-
-def are_isomorphic(a: FiniteSemigroupoid, b: FiniteSemigroupoid) -> bool:
-    return find_isomorphism(a, b) is not None

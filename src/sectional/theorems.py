@@ -32,6 +32,7 @@ from .bundles import (
     basis_labels,
     bundle_from_product,
     coefficient_bundle,
+    lscript_iso,
     naive_crossed_product,
     pullback_bundle,
     sectional_algebra,
@@ -42,7 +43,7 @@ from .maps import (Certificate, LinearMapOnBasis, basis_bijection, certify_linea
                    multiplicative_witness, surjective)
 from .rings import (
     combine,
-    identity_matrix,
+    ideal_closure,
     mat_inverse,
     solve_linear,
     span_rank,
@@ -54,6 +55,7 @@ from .semigroupoids import (
     FiniteSemigroupoid,
     Homomorphism,
     composable_labels,
+    direct_product,
     is_groupoid,
     validate_homomorphism,
     validate_semigroupoid,
@@ -111,8 +113,6 @@ class TensorTheoremResult:
 
 def product_bundle(bundle: Bundle, factor: FiniteSemigroupoid) -> Bundle:
     """The bundle over base x factor whose fiber over (g,e) is the fiber over g."""
-    from .semigroupoids import direct_product
-
     base = direct_product(bundle.base, factor)
     nf = factor.n_arrows
     return pullback_bundle(bundle, base, [p // nf for p in base.arrows()])
@@ -206,8 +206,11 @@ class BundleAction:
 def validate_bundle_action(theta: LandPreaction, bundle: Bundle,
                            fiber_maps=None) -> BundleAction | ValidationReport:
     """Check fiber matrices: shapes, invertibility through the inverse arrow,
-    product intertwining, and the extension law. fiber_maps=None means
-    identity matrices everywhere."""
+    product intertwining, and the extension law.
+
+    fiber_maps: {(s, g): matrix} on pairs of the action domains; a pair it
+    omits (all of them when it is None) acts as the identity.
+    """
     report = ValidationReport("bundle action")
     if bundle.base is not theta.space and bundle.base != theta.space:
         report.add("structural", (), "the action must act on the bundle base")
@@ -218,35 +221,36 @@ def validate_bundle_action(theta: LandPreaction, bundle: Bundle,
     anames = theta.space.arrow_names
 
     maps: dict[tuple[int, int], tuple] = {}
-    if fiber_maps is None:
-        for s in actor.base.arrows():
-            for g in theta.dom(s):
-                maps[(s, g)] = identity_matrix(bundle.ranks[g], ring)
-    else:
-        for key, mat in fiber_maps.items():
-            try:
-                maps[key] = tuple(tuple(ring.coerce(x) for x in row) for row in mat)
-            except ValueError as exc:
-                report.add("structural", (names[key[0]], anames[key[1]]), str(exc))
-                return report
+    for key, mat in (fiber_maps or {}).items():
+        try:
+            maps[key] = tuple(tuple(ring.coerce(x) for x in row) for row in mat)
+        except ValueError as exc:
+            report.add("structural", (names[key[0]], anames[key[1]]), str(exc))
+            return report
 
-    expected = {(s, g) for s in actor.base.arrows() for g in theta.dom(s)}
-    if set(maps) != expected:
-        diff = sorted(expected.symmetric_difference(set(maps)))[0]
-        report.add("structural", (names[diff[0]], anames[diff[1]]),
+    expected = [(s, g) for s in actor.base.arrows() for g in theta.dom(s)]
+    outside = set(maps).difference(expected)
+    if outside:
+        s, g = min(outside)
+        report.add("structural", (names[s], anames[g]),
                    "fiber matrices must exist exactly on the action domains")
         return report
-    for (s, g), mat in maps.items():
+    cols: dict[tuple[int, int], tuple] = {}
+    for s, g in [*maps, *(key for key in expected if key not in maps)]:
         h = theta.apply(s, g)
         if bundle.ranks[g] != bundle.ranks[h]:
             report.add("structural", (names[s], anames[g]),
                        "fiber ranks must match along the action")
             return report
+        mat = maps.get((s, g))
+        if mat is None:
+            cols[(s, g)] = _identity_columns(bundle.ranks[g], ring)
+            continue
         if len(mat) != bundle.ranks[h] or any(len(row) != bundle.ranks[g] for row in mat):
             report.add("structural", (names[s], anames[g]),
                        f"matrix for ({names[s]},{anames[g]}) has the wrong shape")
             return report
-    cols = {key: _columns(mat, ring) for key, mat in maps.items()}
+        cols[(s, g)] = _columns(mat, ring)
 
     for (s, g), mat in sorted(cols.items()):
         back = cols[(actor.inv[s], theta.apply(s, g))]
@@ -362,8 +366,6 @@ def crossed_theorem(action: BundleAction) -> CrossedTheoremResult:
     identity, Psi multiplicative, and the range-side comparison map phi is
     certified alongside.
     """
-    from .bundles import lscript_iso
-
     bsd = bundle_semidirect(action)
     left = sectional_algebra(bsd.bundle)
 
@@ -583,7 +585,8 @@ def validate_bundle_congruence(bundle: Bundle, base: RigidCongruence,
 
     transports: {arrow name: matrix} giving the transport from the class
     representative (minimal arrow id) to that arrow; omitted arrows get the
-    identity. Arbitrary ordered pairs are derived by composing through the
+    identity, and a representative's own transport must be the identity.
+    Arbitrary ordered pairs are derived by composing through the
     representative and then re-checked.
     """
     report = ValidationReport("bundle congruence")
@@ -613,18 +616,27 @@ def validate_bundle_congruence(bundle: Bundle, base: RigidCongruence,
                 report.add("structural", (names[rep], names[g]),
                            "equivalent arrows must carry fibers of equal rank")
                 return report
-            mat = rep_to.setdefault(g, identity_matrix(bundle.ranks[g], ring))
             k = bundle.ranks[rep]
-            if len(mat) != k or any(len(row) != k for row in mat):
+            identity = _identity_columns(k, ring)
+            mat = rep_to.get(g)
+            if mat is not None and (len(mat) != k or any(len(row) != k for row in mat)):
                 report.add("structural", (names[g],),
                            f"transport for {names[g]} must be {k}x{k}")
                 return report
+            cols = identity if mat is None else _columns(mat, ring)
+            if g == rep and cols != identity:
+                report.add("cocycle", (names[g],),
+                           f"transport for the representative {names[g]} is not the identity")
+                return report
+            if cols == identity:
+                to_cols[g] = from_cols[g] = identity
+                continue
             inverse = mat_inverse(mat, ring)
             if inverse is None:
                 report.add("non-invertible-transport", (names[g],),
                            f"transport for {names[g]} is not invertible")
                 return report
-            to_cols[g], from_cols[g] = _columns(mat, ring), _columns(inverse, ring)
+            to_cols[g], from_cols[g] = cols, _columns(inverse, ring)
 
     full: dict[tuple[int, int], tuple] = {}
     for block in base.classes:
@@ -797,8 +809,6 @@ def germ_corollary(theta: LandPreaction, coefficients) -> GermCorollaryResult:
     algebra of the germ groupoid; and the certified induced isomorphism.
     StageErrors tag which stage refused.
     """
-    from .rings import ideal_closure
-
     def stage(name, thunk):
         try:
             out = thunk()

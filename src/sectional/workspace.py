@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from .actions import (
     germ_quotient,
+    quotient_semigroupoid,
     semidirect_product,
     validate_preaction,
     validate_rigid_congruence,
@@ -332,21 +333,12 @@ class Builder:
                 stanza = self.ws.bundle_actions[name]
                 theta = self.action(stanza["action"])
                 bundle = self.bundle(stanza["bundle"])
-                fibers = None
-                if "fibers" in stanza:
-                    fibers = {}
-                    for s_name, per_arrow in stanza["fibers"].items():
-                        s = theta.actor.base.arrow_index(str(s_name))
-                        for g_name, mat in per_arrow.items():
-                            g = theta.space.arrow_index(str(g_name))
-                            fibers[(s, g)] = mat
-                    for s in theta.actor.base.arrows():
-                        for g in theta.dom(s):
-                            if (s, g) not in fibers:
-                                from .rings import identity_matrix
-                                fibers[(s, g)] = identity_matrix(
-                                    bundle.ranks[g], self.ring
-                                )
+                fibers = {}
+                for s_name, per_arrow in stanza.get("fibers", {}).items():
+                    s = theta.actor.base.arrow_index(str(s_name))
+                    for g_name, mat in per_arrow.items():
+                        g = theta.space.arrow_index(str(g_name))
+                        fibers[(s, g)] = mat
                 return must(validate_bundle_action(theta, bundle, fibers))
             theta = self.action(name)
             bundle = trivial_bundle(self.ring, theta.space)
@@ -510,7 +502,6 @@ def _run_build(builder: Builder, params: dict, index: int) -> TaskResult:
         germ = must(germ_quotient(builder.action(params["action"])))
         built = germ.quotient
     elif op == "quotient":
-        from .actions import quotient_semigroupoid
         built, _proj = quotient_semigroupoid(builder.congruence(params["congruence"]))
     elif op == "direct_product":
         built = direct_product(

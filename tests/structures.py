@@ -1,11 +1,27 @@
-"""Raw table builders shared across the test modules.
+"""Raw table builders and checks shared across the test modules.
 
-These return plain stanza dicts so tests can perturb single entries and watch
-the validators reject them; the library's own constructors live in
+The builders return plain stanza dicts so tests can perturb single entries and
+watch the validators reject them; the library's own constructors live in
 sectional.standard.
 """
 
 import copy
+
+from sectional.semigroupoids import Homomorphism, validate_homomorphism
+
+
+def is_isomorphism(mapping, source, target):
+    """Whether the arrow map {source name: target name} is an isomorphism: a
+    rigid homomorphism, a bijection onto the target's arrows, and as many
+    vertices on each side."""
+    hom = validate_homomorphism(mapping, source, target)
+    return (isinstance(hom, Homomorphism) and hom.rigid
+            and sorted(hom.map) == list(target.arrows())
+            and source.n_vertices == target.n_vertices)
+
+
+# the skew product of Z/2 graded by itself, onto the pair groupoid P_2
+SKEW_Z2_TO_PAIR = {"(u,u)": "(1,1)", "(u,g)": "(2,2)", "(g,u)": "(2,1)", "(g,g)": "(1,2)"}
 
 
 def trivial_monoid_raw():

@@ -22,7 +22,6 @@ from sectional.bundles import (
 from sectional.maps import certify_linear_iso
 from sectional.rings import RationalRing, ZModRing, spans_equal
 from sectional.semigroupoids import (
-    are_isomorphic,
     identity_homomorphism,
     validate_inverse_semigroupoid,
     validate_semigroupoid,
@@ -48,7 +47,9 @@ from sectional.theorems import (
 from sectional.validation import ValidationReport, must
 
 from structures import (
+    SKEW_Z2_TO_PAIR,
     cyclic2_raw,
+    is_isomorphism,
     klein_four_raw,
     pair_groupoid_raw,
     semilattice_on_points_action,
@@ -289,7 +290,7 @@ def test_criterion_6_smash_theorem(acceptance):
     ok = ok and res.smash.rank == 4 and res.skew_algebra.rank == 4
     names = {c.name: c.ok for c in res.certificate.checks}
     ok = ok and names.get("degree-preserving")
-    ok = ok and are_isomorphic(res.skew.semigroupoid, pair_groupoid().base)
+    ok = ok and is_isomorphism(SKEW_Z2_TO_PAIR, res.skew.semigroupoid, pair_groupoid().base)
     acceptance(6, ok, "smash comparison certified graded on Z/2 with both ranks "
                       "4 and the skew product isomorphic to the pair groupoid")
     assert ok

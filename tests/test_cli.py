@@ -167,6 +167,21 @@ class TestCli:
         assert code == 1
         assert "witness" in out
 
+    @pytest.mark.parametrize("transport, code, witness", [([[1]], 0, None), ([[-1]], 1, ["u"])])
+    def test_representative_transport_must_be_the_identity(self, tmp_path, capsys, transport,
+                                                            code, witness):
+        # u represents the class {u, g}; transports compose through it, so a
+        # declared u -> u of -1 would turn the declared u -> g of -1 into +1
+        with open(os.path.join(FIXTURES, "quotient.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["congruences"]["sign"]["transports"]["u"] = transport
+        path = tmp_path / "quotient.json"
+        path.write_text(json.dumps(doc))
+        argv = ["verify", "quotient", "--input", str(path), "--no-timestamp", "--format", "json"]
+        assert main(argv) == code
+        task = json.loads(capsys.readouterr().out)["workspaces"][0]["tasks"][0]
+        assert task.get("witness") == witness
+
     def test_missing_file_is_invalid_input(self, capsys):
         code = main(["verify", "all", "--input", "/nonexistent.json"])
         assert code == 2

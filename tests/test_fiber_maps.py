@@ -12,8 +12,11 @@ invertible fiber matrices and transports, sometimes an involutive
 automorphism on the unit arrow (it inverts itself and intertwines the
 products, but breaks the extension law) and sometimes one corrupted entry,
 both validators must return the oracle's verdict and witness, and the built
-bundles must carry the oracle's product rows. Every verdict kind the
-generators can reach must occur.
+bundles must carry the oracle's product rows. The validators default what
+the input omits to the identity, so the identity fiber maps are sometimes
+left out of what `validate_bundle_action` is given (the oracle keeps them),
+and the class representative's transport, which must be the identity, is
+sometimes declared. Every verdict kind the generators can reach must occur.
 """
 
 from hypothesis import given, settings
@@ -150,7 +153,10 @@ def oracle_bundle_congruence(bundle, cong, transports):
     inverse = {}
     for block in cong.classes:
         for g in block:
-            mat = rep_to.setdefault(g, identity_matrix(bundle.ranks[g], ring))
+            identity = identity_matrix(bundle.ranks[g], ring)
+            if g == block[0] and rep_to.get(g, identity) != identity:
+                return ("cocycle", (names[g],)), None
+            mat = rep_to.setdefault(g, identity)
             inverse[g] = mat_inverse(mat, ring)
             if inverse[g] is None:
                 return ("non-invertible-transport", (names[g],)), None
@@ -295,7 +301,11 @@ def test_intertwining_checks_match_the_dense_oracle():
         ring = data.draw(st.sampled_from(RINGS))
 
         theta, bundle, maps = _action_instance(data, ring)
-        result = validate_bundle_action(theta, bundle, maps)
+        given_maps = maps
+        if data.draw(st.booleans()):
+            given_maps = {(s, g): m for (s, g), m in maps.items()
+                          if m != identity_matrix(bundle.ranks[g], ring)}
+        result = validate_bundle_action(theta, bundle, given_maps)
         expected = oracle_bundle_action(theta, bundle, maps)
         assert _verdict(result, BundleAction) == expected
         action_verdicts.append(expected and expected[0])
@@ -310,7 +320,10 @@ def test_intertwining_checks_match_the_dense_oracle():
         k = len(FIBERS[fiber])
         bundle = _fiber_bundle(ring, z2, z2.arrow_names, fiber)
         cong = must(validate_rigid_congruence([["u", "g"]], z2))
-        transport = _corrupt(data, ring, {"g": _invertible(data, ring, k)})
+        transport = {"g": _invertible(data, ring, k)}
+        if data.draw(st.booleans()):
+            transport["u"] = identity_matrix(k, ring)
+        transport = _corrupt(data, ring, transport)
         result = validate_bundle_congruence(bundle, cong, transport)
         expected, full = oracle_bundle_congruence(bundle, cong, transport)
         assert _verdict(result, BundleCongruence) == expected
@@ -324,4 +337,5 @@ def test_intertwining_checks_match_the_dense_oracle():
     check()
     assert set(action_verdicts) == {None, "non-invertible-fiber-map", "intertwining",
                                     "extension-law"}
-    assert set(congruence_verdicts) == {None, "non-invertible-transport", "intertwining"}
+    assert set(congruence_verdicts) == {None, "non-invertible-transport", "intertwining",
+                                        "cocycle"}

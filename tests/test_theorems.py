@@ -11,7 +11,6 @@ from sectional.bundles import (
 )
 from sectional.rings import RationalRing, ZModRing, dense, spans_equal
 from sectional.semigroupoids import (
-    are_isomorphic,
     identity_homomorphism,
     validate_homomorphism,
 )
@@ -45,7 +44,7 @@ from sectional.validation import (
     must,
 )
 
-from structures import semilattice_on_points_action
+from structures import SKEW_Z2_TO_PAIR, is_isomorphism, semilattice_on_points_action
 
 Q = RationalRing()
 Z5 = ZModRing(5)
@@ -245,6 +244,14 @@ class TestBundleSemidirect:
         assert isinstance(report, ValidationReport)
         assert report.has("non-invertible-fiber-map")
 
+    def test_fiber_map_outside_the_domains_is_structural(self):
+        # e acts on 1x only, so (e, 1y) lies outside the action domains
+        ba = semilattice_bundle_action()
+        report = validate_bundle_action(ba.base_action, ba.bundle, {(1, 1): [[1]]})
+        assert isinstance(report, ValidationReport)
+        assert report.kinds() == ["structural"]
+        assert report.first().witness == ("e", "1y")
+
 
 class TestInducedTheta:
     def test_trivial_action_induces_trivial_action(self):
@@ -349,14 +356,16 @@ class TestSkewProduct:
         z2 = cyclic2().base
         skew = skew_product(z2, identity_homomorphism(z2))
         assert skew.semigroupoid.n_arrows == 4
-        assert are_isomorphic(skew.semigroupoid, pair_groupoid().base)
+        assert is_isomorphism(SKEW_Z2_TO_PAIR, skew.semigroupoid, pair_groupoid().base)
+        swapped = {**SKEW_Z2_TO_PAIR, "(u,u)": "(2,2)", "(u,g)": "(1,1)"}
+        assert not is_isomorphism(swapped, skew.semigroupoid, pair_groupoid().base)
 
     def test_constant_grading_reproduces_base(self):
         p2 = pair_groupoid().base
         tm = trivial_monoid().base
         d = must(validate_homomorphism({a: "a" for a in p2.arrow_names}, p2, tm))
         skew = skew_product(p2, d)
-        assert are_isomorphic(skew.semigroupoid, p2)
+        assert is_isomorphism({f"({x},a)": x for x in p2.arrow_names}, skew.semigroupoid, p2)
 
     def test_grading_homomorphism_returned(self):
         z2 = cyclic2().base
@@ -371,7 +380,7 @@ class TestSmashTheorem:
         res = smash_theorem(trivial_bundle(Q, z2), identity_homomorphism(z2))
         assert res.certificate.passed
         assert res.smash.rank == 4 and res.skew_algebra.rank == 4
-        assert are_isomorphic(res.skew.semigroupoid, pair_groupoid().base)
+        assert is_isomorphism(SKEW_Z2_TO_PAIR, res.skew.semigroupoid, pair_groupoid().base)
 
     def test_trivial_group_instance(self):
         p2 = pair_groupoid().base
@@ -442,7 +451,7 @@ class TestQuotientBundle:
         bc = must(validate_bundle_congruence(bundle, cong, None))
         out = quotient_bundle(bc)
         assert out.bundle.ranks == bundle.ranks
-        assert are_isomorphic(out.base_quotient, z2)
+        assert is_isomorphism({"[u]": "u", "[g]": "g"}, out.base_quotient, z2)
 
     def test_germ_congruence_gives_two_point_unit_bundle(self):
         ba = semilattice_bundle_action()
@@ -453,7 +462,8 @@ class TestQuotientBundle:
         bc = must(validate_bundle_congruence(sp.bundle, cong, None))
         out = quotient_bundle(bc)
         assert out.bundle.ranks == (1, 1)
-        assert are_isomorphic(out.base_quotient, unit_groupoid(("x", "y")).base)
+        assert is_isomorphism({"[(1,1x)]": "1x", "[(1,1y)]": "1y"},
+                              out.base_quotient, unit_groupoid(("x", "y")).base)
 
     def test_sign_congruence_quotient_constants(self, sign_congruence):
         out = quotient_bundle(sign_congruence)
@@ -655,7 +665,9 @@ class TestMultiVertexActor:
         assert res.certificate.passed
         data = res.certificate.data
         assert (data["crossed_rank"], data["ideal_rank"], data["quotient_rank"]) == (4, 0, 4)
-        assert are_isomorphic(res.germ.quotient, pair_groupoid().base)
+        assert is_isomorphism({"[((1,1),1x1)]": "(1,1)", "[((1,2),1x2)]": "(1,2)",
+                               "[((2,1),1x1)]": "(2,1)", "[((2,2),1x2)]": "(2,2)"},
+                              res.germ.quotient, pair_groupoid().base)
 
 
 class TestChainSemilattice:
@@ -696,7 +708,8 @@ class TestChainSemilattice:
         assert res.certificate.passed
         data = res.certificate.data
         assert (data["crossed_rank"], data["ideal_rank"], data["quotient_rank"]) == (6, 3, 3)
-        assert are_isomorphic(res.germ.quotient, unit_groupoid(("x", "y", "z")).base)
+        assert is_isomorphism({f"[(1,1{x})]": f"1{x}" for x in "xyz"},
+                              res.germ.quotient, unit_groupoid(("x", "y", "z")).base)
 
     def test_crossed_theorem_rank_six(self):
         theta = self._theta()

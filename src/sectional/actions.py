@@ -405,7 +405,8 @@ class RigidCongruence:
 
 
 def validate_rigid_congruence(partition, base: FiniteSemigroupoid) -> RigidCongruence | ValidationReport:
-    """Partition of the arrows with class-wise constant src/rng, product compatible."""
+    """Partition of the arrows, each member an arrow id, with class-wise
+    constant src/rng, product compatible."""
     report = ValidationReport("rigid congruence")
     names = base.arrow_names
     resolved: list[list[int]] = []
@@ -413,13 +414,11 @@ def validate_rigid_congruence(partition, base: FiniteSemigroupoid) -> RigidCongr
     for block in partition:
         ids = []
         for x in block:
-            if isinstance(x, int) and not isinstance(x, bool) and 0 <= x < base.n_arrows:
-                xi = x
-            elif not isinstance(x, int) and str(x) in names:
-                xi = base.arrow_index(str(x))
-            else:
+            # a member is an arrow id, as in every other stanza, never a position
+            if str(x) not in names:
                 report.add("structural", (str(x),), f"unknown arrow {x!r}")
                 return report
+            xi = base.arrow_index(str(x))
             if xi in seen:
                 report.add("structural", (names[xi],), f"arrow {names[xi]!r} appears twice")
                 return report

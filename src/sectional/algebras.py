@@ -5,6 +5,14 @@ tensor and smash products, quotients) comes out in this uniform shape:
 a labeled basis, a multiplication table, and an optional degree map into a
 grading semigroupoid.
 
+Each basis element has a display name (basis, report text only) and a
+structural label: the coordinates the construction writes it in, such as
+(arrow, i) for a basis section or (s, d) for a crossed-product generator
+delta_s e_d. index maps each label to its basis position. The builder that
+fixes a basis order is the only code that knows it; every comparison map,
+induced action and generator set finds a basis element by looking up its
+label in index.
+
 The table is stored row by row and only once: table[(i, j)] is the product of
 basis elements i and j as a sparse row, a tuple of (index, nonzero value)
 pairs sorted by index, and zero products are absent. Products, maps, actions
@@ -28,6 +36,14 @@ from .rings import Ring, combine, sparse_vector
 from .semigroupoids import FiniteSemigroupoid
 
 
+def label_index(labels) -> dict:
+    """label -> basis position; labels must be unique."""
+    index = {label: i for i, label in enumerate(labels)}
+    if len(index) != len(labels):
+        raise ValueError("basis labels must be unique")
+    return index
+
+
 @dataclass
 class AlgebraPresentation:
     ring: Ring
@@ -36,8 +52,15 @@ class AlgebraPresentation:
     grading: FiniteSemigroupoid | None = None
     degrees: tuple[int, ...] | None = None
     provenance: str = ""
+    labels: tuple | None = None
+    index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # labels default to the names, so a hand-built basis is its own key
+        self.labels = self.basis if self.labels is None else tuple(self.labels)
+        if len(self.labels) != self.rank:
+            raise ValueError("one label per basis element required")
+        self.index = label_index(self.labels)
         # rows arrive as {index: value} or (index, value) pairs
         cleaned = {}
         for key, row in self.table.items():

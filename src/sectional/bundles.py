@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .actions import first_twisted_triple, twisted_partners
-from .algebras import AlgebraPresentation
-from .maps import LinearMapOnBasis
+from .algebras import AlgebraPresentation, label_index
+from .maps import LinearMapOnBasis, basis_bijection
 from .rings import Ring, combine, sparse_row, sparse_vector
 from .semigroupoids import (
     FiniteInverseSemigroupoid,
@@ -311,7 +311,8 @@ def convolve(alpha: Section, beta: Section) -> Section:
 
 
 def section_from_vector(bundle: Bundle, labels: tuple, v: dict) -> Section:
-    """Reassemble a sparse vector of the sectional algebra into a section."""
+    """Reassemble a sparse vector of the sectional algebra with basis labels
+    labels (the algebra's labels) into a section."""
     values: dict[int, dict] = {}
     for idx, x in v.items():
         arrow, i = labels[idx]
@@ -319,25 +320,22 @@ def section_from_vector(bundle: Bundle, labels: tuple, v: dict) -> Section:
     return Section(bundle, values)
 
 
-def basis_labels(bundle: Bundle) -> tuple[tuple[int, int], ...]:
-    return tuple(
-        (arrow, i) for arrow in bundle.base.arrows() for i in range(bundle.ranks[arrow])
-    )
-
-
 def sectional_algebra(bundle: Bundle, grading: Homomorphism | None = None) -> AlgebraPresentation:
     """Convolution algebra on the basis sections, optionally graded.
 
     The structure constants are computed by literally convolving basis
     sections, so the presentation is an independent record of the convolution
-    product. With a grading homomorphism c on the base, basis section (γ,i)
-    gets degree c(γ); a section is homogeneous of degree g exactly when it
-    vanishes off the preimage of g.
+    product. The basis section (γ,i), the i-th fiber basis vector at γ, is
+    labeled (γ, i). With a grading homomorphism c on the base it gets degree
+    c(γ); a section is homogeneous of degree g exactly when it vanishes off
+    the preimage of g.
     """
     if grading is not None and grading.source is not bundle.base and grading.source != bundle.base:
         raise ValueError("grading must be a homomorphism out of the bundle base")
-    labels = basis_labels(bundle)
-    position = {lab: idx for idx, lab in enumerate(labels)}
+    labels = tuple(
+        (arrow, i) for arrow in bundle.base.arrows() for i in range(bundle.ranks[arrow])
+    )
+    position = label_index(labels)
     names = tuple(
         f"{bundle.base.arrow_names[arrow]}" + (f"#{i}" if bundle.ranks[arrow] > 1 else "")
         for arrow, i in labels
@@ -359,7 +357,7 @@ def sectional_algebra(bundle: Bundle, grading: Homomorphism | None = None) -> Al
         degrees = tuple(grading.map[arrow] for arrow, _ in labels)
     return AlgebraPresentation(
         ring=ring, basis=names, table=table, grading=g, degrees=degrees,
-        provenance=f"sectional algebra over {bundle.base.name or 'base'}",
+        provenance=f"sectional algebra over {bundle.base.name or 'base'}", labels=labels,
     )
 
 
@@ -437,16 +435,10 @@ def graded_roundtrip_iso(algebra: AlgebraPresentation) -> LinearMapOnBasis:
     bundle = bundle_from_graded(algebra)
     g = algebra.grading
     rebuilt = sectional_algebra(bundle, identity_homomorphism(g))
-    labels = basis_labels(bundle)
     fibers = [algebra.homogeneous_indices(arrow) for arrow in g.arrows()]
-    one = algebra.ring.one
-    images = tuple(((fibers[arrow][i], one),) for arrow, i in labels)
-    back_position = {fibers[arrow][i]: idx for idx, (arrow, i) in enumerate(labels)}
-    back = tuple(((back_position[k], one),) for k in range(algebra.rank))
-    inverse = LinearMapOnBasis(algebra, rebuilt, back)
-    out = LinearMapOnBasis(rebuilt, algebra, images, inverse=inverse)
-    inverse.inverse = out
-    return out
+    return basis_bijection(rebuilt, algebra, {
+        p: fibers[arrow][i] for p, (arrow, i) in enumerate(rebuilt.labels)
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +518,9 @@ def validate_algebra_action(actor: FiniteInverseSemigroupoid,
                   for i, vec in m.items()} for m in mats)
     action = AlgebraAction(actor, algebra, tuple(doms), rows)
 
-    def in_span(row, dom) -> bool:
-        return {k for k, _ in row} <= set(dom)
+    # rows[s] is keyed by dom(Theta_s), so it serves as that domain's basis set
+    def in_span(row, span) -> bool:
+        return all(k in span for k, _ in row)
 
     # images must span the inverse's domain, and the two maps must compose to
     # the identity on basis vectors
@@ -535,7 +528,7 @@ def validate_algebra_action(actor: FiniteInverseSemigroupoid,
         t = actor.inv[s]
         for i in doms[s]:
             img = rows[s][i]
-            if not in_span(img, doms[t]):
+            if not in_span(img, rows[t]):
                 report.add("inverse-compatibility", (names[s], algebra.basis[i]),
                            "image leaves dom of the inverse arrow")
                 return report
@@ -560,7 +553,7 @@ def validate_algebra_action(actor: FiniteInverseSemigroupoid,
         for i in doms[s]:
             for j in ambient:
                 for (p, q) in ((i, j), (j, i)):
-                    if not in_span(algebra.table.get((p, q), ()), doms[s]):
+                    if not in_span(algebra.table.get((p, q), ()), rows[s]):
                         report.add("ideal-property",
                                    (names[s], algebra.basis[p], algebra.basis[q]),
                                    f"dom(Theta_{names[s]}) is not an ideal: a product leaves the span")
@@ -584,10 +577,10 @@ def validate_algebra_action(actor: FiniteInverseSemigroupoid,
         st = base.prod[s][t]
         tstar = actor.inv[t]
         for d in doms[tstar]:
-            if d not in set(doms[s]):
+            if d not in rows[s]:
                 continue
             x = rows[tstar][d]                      # a spanning vector of the preimage
-            if not in_span(x, doms[st]):
+            if not in_span(x, rows[st]):
                 report.add("extension-law", (names[s], names[t], algebra.basis[d]),
                            "preimage vector leaves dom(Theta_st)")
                 return report
@@ -662,7 +655,8 @@ def naive_crossed_product(action: AlgebraAction,
 
     Product on generators: (delta_s a)(delta_t b) = delta_{st}
     Theta_{t*}(a Theta_t(b)) when (s,t) is composable, zero otherwise.
-    Graded by the supplied homomorphism, defaulting to the actor itself.
+    The generator delta_s e_d is labeled (s, d). Graded by the supplied
+    homomorphism, defaulting to the actor itself.
     """
     actor = action.actor
     base = actor.base
@@ -671,7 +665,7 @@ def naive_crossed_product(action: AlgebraAction,
     if grading is None:
         grading = identity_homomorphism(base)
     labels = [(s, d) for s in base.arrows() for d in action.domains[s]]
-    position = {lab: idx for idx, lab in enumerate(labels)}
+    position = label_index(labels)
     names = tuple(
         f"d_{base.arrow_names[s]}.{alg.basis[d]}" for s, d in labels
     )
@@ -681,7 +675,7 @@ def naive_crossed_product(action: AlgebraAction,
         st = base.prod[s][t]
         a_tb = alg.mul(((a, ring.one),), action.rows[t][b])
         value = action.apply_rows(actor.inv[t], a_tb.items())
-        if not set(value) <= set(action.domains[st]):
+        if not value.keys() <= action.rows[st].keys():     # rows[st] is keyed by dom
             raise InternalConsistencyError(
                 "crossed product landed outside dom(Theta_st); the action "
                 "validator should have refused this input"
@@ -691,7 +685,7 @@ def naive_crossed_product(action: AlgebraAction,
     return AlgebraPresentation(
         ring=ring, basis=names, table=table,
         grading=grading.target, degrees=degrees,
-        provenance="naive crossed product",
+        provenance="naive crossed product", labels=labels,
     )
 
 
@@ -699,14 +693,15 @@ def lscript_presentation(action: AlgebraAction) -> AlgebraPresentation:
     """Range-side twist of the crossed product: f(s) in ran(Theta_s).
 
     Product on generators: (delta_x a)(delta_y b) = delta_{xy}
-    Theta_x(Theta_{x*}(a) b).
+    Theta_x(Theta_{x*}(a) b). The generator delta_s e_d, d in dom(Theta_{s*}),
+    is labeled (s, d).
     """
     actor = action.actor
     base = actor.base
     alg = action.algebra
     ring = alg.ring
     labels = [(s, d) for s in base.arrows() for d in action.domains[actor.inv[s]]]
-    position = {lab: idx for idx, lab in enumerate(labels)}
+    position = label_index(labels)
     names = tuple(
         f"L_{base.arrow_names[s]}.{alg.basis[d]}" for s, d in labels
     )
@@ -716,7 +711,7 @@ def lscript_presentation(action: AlgebraAction) -> AlgebraPresentation:
         xy = base.prod[x][y]
         pulled_b = alg.mul(action.rows[actor.inv[x]][a], ((b, ring.one),))
         value = action.apply_rows(x, pulled_b.items())
-        if not set(value) <= set(action.domains[actor.inv[xy]]):
+        if not value.keys() <= action.rows[actor.inv[xy]].keys():
             raise InternalConsistencyError(
                 "range-side product landed outside ran(Theta_xy)"
             )
@@ -726,28 +721,21 @@ def lscript_presentation(action: AlgebraAction) -> AlgebraPresentation:
     return AlgebraPresentation(
         ring=ring, basis=names, table=table,
         grading=grading.target, degrees=degrees,
-        provenance="range-side crossed product",
+        provenance="range-side crossed product", labels=labels,
     )
 
 
 def lscript_iso(action: AlgebraAction) -> LinearMapOnBasis:
     """phi(f)(s) = Theta_s(f(s)) from the crossed product onto the range-side
     presentation, with inverse f -> (s -> Theta_{s*}(f(s)))."""
-    actor = action.actor
-    base = actor.base
+    inv = action.actor.inv
     crossed = naive_crossed_product(action)
     ranged = lscript_presentation(action)
-
-    cross_labels = [(s, d) for s in base.arrows() for d in action.domains[s]]
-    range_labels = [(s, d) for s in base.arrows() for d in action.domains[actor.inv[s]]]
-    range_pos = {lab: idx for idx, lab in enumerate(range_labels)}
-    cross_pos = {lab: idx for idx, lab in enumerate(cross_labels)}
-
     fwd = tuple(
-        {range_pos[(s, k)]: x for k, x in action.rows[s][d]} for s, d in cross_labels
+        {ranged.index[(s, k)]: x for k, x in action.rows[s][d]} for s, d in crossed.labels
     )
     back = tuple(
-        {cross_pos[(s, k)]: x for k, x in action.rows[actor.inv[s]][d]} for s, d in range_labels
+        {crossed.index[(s, k)]: x for k, x in action.rows[inv[s]][d]} for s, d in ranged.labels
     )
     inverse = LinearMapOnBasis(ranged, crossed, back)
     out = LinearMapOnBasis(crossed, ranged, fwd, inverse=inverse)

@@ -24,12 +24,11 @@ from .actions import (
     quotient_semigroupoid,
     semidirect_product,
 )
-from .algebras import AlgebraPresentation
+from .algebras import AlgebraPresentation, label_index
 from .bundles import (
     AlgebraAction,
     Bundle,
     algebra_action_associativity,
-    basis_labels,
     bundle_from_product,
     coefficient_bundle,
     lscript_iso,
@@ -75,7 +74,8 @@ from .validation import (
 # ---------------------------------------------------------------------------
 
 def tensor_product_algebra(a: AlgebraPresentation, b: AlgebraPresentation) -> AlgebraPresentation:
-    """Pairwise basis with (x1 (x) y1)(x2 (x) y2) = x1x2 (x) y1y2.
+    """Pairwise basis with (x1 (x) y1)(x2 (x) y2) = x1x2 (x) y1y2, x (x) y
+    labeled (label of x, label of y).
 
     Needs a shared commutative ring; free fibers carry the symmetric bimodule
     structure, so the entrywise product formula is balanced.
@@ -90,6 +90,7 @@ def tensor_product_algebra(a: AlgebraPresentation, b: AlgebraPresentation) -> Al
         )
     rank_b = b.rank
     basis = tuple(f"{x}(x){y}" for x in a.basis for y in b.basis)
+    labels = tuple((x, y) for x in a.labels for y in b.labels)
     table: dict[tuple[int, int], dict] = {}
     for (i1, i2), pa in a.table.items():
         for (j1, j2), pb in b.table.items():
@@ -97,7 +98,7 @@ def tensor_product_algebra(a: AlgebraPresentation, b: AlgebraPresentation) -> Al
                 k * rank_b + l: ring.mul(x, y) for k, x in pa for l, y in pb
             }
     return AlgebraPresentation(ring=ring, basis=basis, table=table,
-                               provenance="tensor product")
+                               provenance="tensor product", labels=labels)
 
 
 @dataclass
@@ -128,19 +129,12 @@ def tensor_theorem(bundle: Bundle, factor: FiniteSemigroupoid) -> TensorTheoremR
     pbundle = product_bundle(bundle, factor)
     product_algebra = sectional_algebra(pbundle)
 
+    # (g, e) is arrow g * |factor| + e of the direct product base
     nf = factor.n_arrows
-    a_labels = basis_labels(bundle)
-    a_pos = {lab: i for i, lab in enumerate(a_labels)}
-    p_labels = basis_labels(pbundle)
-    p_pos = {lab: i for i, lab in enumerate(p_labels)}
-
-    assignment = {}
-    for (g, i) in a_labels:
-        p = a_pos[(g, i)]
-        for e in range(nf):
-            tensor_index = p * factor_algebra.rank + e
-            assignment[tensor_index] = p_pos[(g * nf + e, i)]
-    tmap = basis_bijection(tensor, product_algebra, assignment)
+    tmap = basis_bijection(tensor, product_algebra, {
+        t: product_algebra.index[(g * nf + e, i)]
+        for t, ((g, i), (e, _)) in enumerate(tensor.labels)
+    })
     cert = certify_linear_iso(tmap, "tensor comparison")
     cert.data["rank_identity"] = (
         product_algebra.rank == section.rank * factor_algebra.rank
@@ -275,7 +269,7 @@ def validate_bundle_action(theta: LandPreaction, bundle: Bundle,
         st = actor.base.prod[s][t]
         for x in theta.dom(t):
             tx = theta.apply(t, x)
-            if tx not in set(theta.dom(s)):
+            if tx not in theta.maps[s]:
                 continue
             if cols[(st, x)] != _compose(cols[(s, tx)], cols[(t, x)], ring):
                 report.add("extension-law", (names[s], names[t], anames[x]),
@@ -317,25 +311,18 @@ def bundle_semidirect(action: BundleAction) -> BundleSemidirectResult:
 def induced_theta(action: BundleAction) -> AlgebraAction:
     """Action on the sectional algebra: shift supports along the base action
     and apply the fiber matrices; the domain of arrow s is the span of basis
-    sections supported inside dom(theta_s)."""
-    theta = action.base_action
-    bundle = action.bundle
-    algebra = sectional_algebra(bundle)
-    labels = basis_labels(bundle)
-    pos = {lab: i for i, lab in enumerate(labels)}
-
-    domains = []
-    matrices = []
-    for s in theta.actor.base.arrows():
-        dom_arrows = set(theta.dom(s))
-        dom_idx = tuple(i for i, (g, _k) in enumerate(labels) if g in dom_arrows)
-        mat = {}
-        for idx in dom_idx:
-            g, k = labels[idx]
-            h = theta.apply(s, g)
-            mat[idx] = tuple((pos[(h, k2)], x) for k2, x in action.fiber_maps[(s, g)][k])
-        domains.append(dom_idx)
-        matrices.append(mat)
+    sections supported inside dom(theta_s): (g, k) goes to the column k of
+    the fiber map at (s, g), placed over theta_s(g)."""
+    theta, fiber_maps = action.base_action, action.fiber_maps
+    algebra = sectional_algebra(action.bundle)
+    matrices = [
+        {
+            idx: tuple((algebra.index[(moved[g], j)], x) for j, x in fiber_maps[(s, g)][k])
+            for idx, (g, k) in enumerate(algebra.labels) if g in moved
+        }
+        for s, moved in enumerate(theta.maps)
+    ]
+    domains = [tuple(mat) for mat in matrices]
 
     out = must(validate_algebra_action(theta.actor, algebra, domains, matrices))
     witness = algebra_action_associativity(out)
@@ -370,28 +357,19 @@ def crossed_theorem(action: BundleAction) -> CrossedTheoremResult:
     left = sectional_algebra(bsd.bundle)
 
     induced = induced_theta(action)
-    right = naive_crossed_product(induced)
-
-    inner_labels = basis_labels(action.bundle)
-    inner_pos = {lab: i for i, lab in enumerate(inner_labels)}
-    left_labels = basis_labels(bsd.bundle)
-
-    cross_labels = [
-        (s, d)
-        for s in action.base_action.actor.base.arrows()
-        for d in induced.domains[s]
-    ]
-    cross_pos = {lab: i for i, lab in enumerate(cross_labels)}
+    inner = induced.algebra
+    lscript = lscript_iso(induced)
+    right = lscript.source          # the naive crossed product, built once
 
     assignment = {}
-    for li, (sp_arrow, k) in enumerate(left_labels):
-        s, g = bsd.semidirect.pairs[sp_arrow]
-        assignment[li] = cross_pos[(s, inner_pos[(g, k)])]
+    for li, (p, k) in enumerate(left.labels):
+        s, g = bsd.semidirect.pairs[p]
+        assignment[li] = right.index[(s, inner.index[(g, k)])]
     phi = basis_bijection(left, right, assignment)
     psi = phi.inverse
     cert = certify_linear_iso(psi, "crossed product comparison")
 
-    lcert = certify_linear_iso(lscript_iso(induced), "range-side crossed comparison")
+    lcert = certify_linear_iso(lscript, "range-side crossed comparison")
     return CrossedTheoremResult(phi, psi, cert, lcert, left, right, induced)
 
 
@@ -399,24 +377,13 @@ def crossed_theorem(action: BundleAction) -> CrossedTheoremResult:
 # Smash and skew products
 # ---------------------------------------------------------------------------
 
-def smash_basis_labels(algebra: AlgebraPresentation) -> list[tuple[int, int]]:
-    """Pairs (basis index, grading arrow) with src(deg u) = rng(h), in the
-    order the smash product enumerates its basis."""
-    g = algebra.grading
-    return [
-        (u, h)
-        for u in range(algebra.rank)
-        for h in g.arrows()
-        if g.src[algebra.degrees[u]] == g.rng[h]
-    ]
-
-
 def smash_product(algebra: AlgebraPresentation) -> AlgebraPresentation:
     """Formal sums a delta_h over a groupoid-graded algebra.
 
-    Basis pairs (u, h) with src(deg u) = rng(h); the product twists by the
-    degree projection: (a delta_g)(b delta_h) keeps only the part of b in
-    degree g h^{-1} and lands on delta_h. Associativity is re-proved on this
+    Basis pairs (u, h) with src(deg u) = rng(h), labeled (u, h) with u a
+    basis position of the input; the product twists by the degree
+    projection: (a delta_g)(b delta_h) keeps only the part of b in degree
+    g h^{-1} and lands on delta_h. Associativity is re-proved on this
     instance by enumeration.
     """
     if not algebra.graded:
@@ -428,8 +395,11 @@ def smash_product(algebra: AlgebraPresentation) -> AlgebraPresentation:
         raise StructureError(ValidationReport.single(
             "smash product", "grading-not-groupoid", check.witness, check.message))
     ring = algebra.ring
-    labels = smash_basis_labels(algebra)
-    pos = {lab: i for i, lab in enumerate(labels)}
+    labels = [
+        (u, h) for u in range(algebra.rank) for h in g.arrows()
+        if g.src[algebra.degrees[u]] == g.rng[h]
+    ]
+    pos = label_index(labels)
     basis = tuple(f"{algebra.basis[u]}.d{g.arrow_names[h]}" for u, h in labels)
     table: dict[tuple[int, int], dict] = {}
     for p, (u, gu) in enumerate(labels):
@@ -444,7 +414,7 @@ def smash_product(algebra: AlgebraPresentation) -> AlgebraPresentation:
     out = AlgebraPresentation(
         ring=ring, basis=basis, table=table,
         grading=g, degrees=tuple(algebra.degrees[u] for u, _h in labels),
-        provenance="smash product",
+        provenance="smash product", labels=labels,
     )
     witness = out.check_associativity()
     if witness is not None:
@@ -463,7 +433,7 @@ class SkewProduct:
     index: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.index = {p: i for i, p in enumerate(self.pairs)}
+        self.index = label_index(self.pairs)
 
 
 def skew_product(sgpd: FiniteSemigroupoid, d: Homomorphism) -> SkewProduct:
@@ -484,7 +454,7 @@ def skew_product(sgpd: FiniteSemigroupoid, d: Homomorphism) -> SkewProduct:
         for h in g.arrows()
         if g.src[d.map[x]] == g.rng[h]
     ]
-    index = {p: i for i, p in enumerate(pairs)}
+    index = label_index(pairs)
 
     # vertices live in base^(0) x arrows(G); keep only those met by an arrow
     src_pairs = []
@@ -493,7 +463,7 @@ def skew_product(sgpd: FiniteSemigroupoid, d: Homomorphism) -> SkewProduct:
         src_pairs.append((sgpd.src[x], h))
         rng_pairs.append((sgpd.rng[x], g.prod[d.map[x]][h]))
     touched = sorted(set(src_pairs) | set(rng_pairs))
-    vid = {pair: i for i, pair in enumerate(touched)}
+    vid = label_index(touched)
     vertex_names = tuple(
         f"({sgpd.vertex_names[v]},{g.arrow_names[h]})" for v, h in touched
     )
@@ -543,15 +513,10 @@ def smash_theorem(bundle: Bundle, d: Homomorphism) -> SmashTheoremResult:
     skew_bundle = pullback_bundle(bundle, skew.semigroupoid, [x for x, _h in skew.pairs])
     skew_algebra = sectional_algebra(skew_bundle, skew.grading)
 
-    section_labels = basis_labels(bundle)
-    smash_labels = smash_basis_labels(graded_section)
-    skew_labels = basis_labels(skew_bundle)
-    skew_pos = {lab: i for i, lab in enumerate(skew_labels)}
-
     assignment = {}
-    for p, (u, h) in enumerate(smash_labels):
-        x, k = section_labels[u]
-        assignment[p] = skew_pos[(skew.index[(x, h)], k)]
+    for p, (u, h) in enumerate(smash.labels):
+        x, k = graded_section.labels[u]
+        assignment[p] = skew_algebra.index[(skew.index[(x, h)], k)]
     tmap = basis_bijection(smash, skew_algebra, assignment)
     cert = certify_linear_iso(tmap, "smash comparison", graded=True)
     return SmashTheoremResult(tmap, cert, smash, skew, skew_algebra)
@@ -743,16 +708,12 @@ def quotient_map_and_kernel(bc: BundleCongruence) -> QuotientKernelResult:
     source = sectional_algebra(bundle)
     target = sectional_algebra(qb.bundle)
 
-    src_labels = basis_labels(bundle)
-    src_pos = {lab: i for i, lab in enumerate(src_labels)}
-    tgt_labels = basis_labels(qb.bundle)
-    tgt_pos = {lab: i for i, lab in enumerate(tgt_labels)}
-    reps = [block[0] for block in bc.base.classes]
-
+    # the quotient arrow of g is its class, whose fiber is the representative's
     images = []
-    for (g, i) in src_labels:
+    for g, i in source.labels:
         cls = bc.base.class_of[g]
-        images.append({tgt_pos[(cls, k)]: x for k, x in bc.transports[(g, reps[cls])][i]})
+        to_rep = bc.transports[(g, bc.base.representative(cls))]
+        images.append({target.index[(cls, k)]: x for k, x in to_rep[i]})
     tmap = LinearMapOnBasis(source, target, tuple(images))
 
     cert = Certificate("quotient comparison")
@@ -770,7 +731,8 @@ def quotient_map_and_kernel(bc: BundleCongruence) -> QuotientKernelResult:
     # ranges over differences of one fiber basis vector at g against its
     # transport at an equivalent g'
     generators = [
-        dict([(src_pos[(g, i)], ring.one)] + [(src_pos[(h, k)], ring.neg(x)) for k, x in col])
+        dict([(source.index[(g, i)], ring.one)]
+             + [(source.index[(h, k)], ring.neg(x)) for k, x in col])
         for block in bc.base.classes for g in block for h in block if g != h
         for i, col in enumerate(bc.transports[(g, h)])
     ]
@@ -829,13 +791,8 @@ def germ_corollary(theta: LandPreaction, coefficients) -> GermCorollaryResult:
 
     actor = theta.actor
     ring = crossed.ring
-    cross_labels = [
-        (s, d) for s in actor.base.arrows() for d in induced.domains[s]
-    ]
-    cross_pos = {lab: i for i, lab in enumerate(cross_labels)}
-
     generators = [
-        {cross_pos[(s, d)]: ring.one, cross_pos[(t, d)]: ring.neg(ring.one)}
+        {crossed.index[(s, d)]: ring.one, crossed.index[(t, d)]: ring.neg(ring.one)}
         for s, t in sorted(actor.leq) if s != t
         for d in sorted(set(induced.domains[s]) & set(induced.domains[t]))
     ]
@@ -844,15 +801,12 @@ def germ_corollary(theta: LandPreaction, coefficients) -> GermCorollaryResult:
     germ_algebra = stage("germ-algebra",
                       lambda: semigroupoid_algebra(coefficients, germ.quotient))
 
-    inner_labels = basis_labels(inner_bundle)
-    fiber_rank = inner_bundle.ranks[0] if inner_bundle.ranks else 1
-
+    # delta_s e_(g, i) goes to e_i at the germ (class) of the arrow (s, g)
     images = []
-    for (s, d) in cross_labels:
-        g, i = inner_labels[d]
-        sp_arrow = germ.semidirect.index[(s, g)]
-        cls = germ.congruence.class_of[sp_arrow]
-        images.append(((cls * fiber_rank + i, ring.one),))
+    for s, d in crossed.labels:
+        g, i = induced.algebra.labels[d]
+        cls = germ.congruence.class_of[germ.semidirect.index[(s, g)]]
+        images.append(((germ_algebra.index[(cls, i)], ring.one),))
     qmap = LinearMapOnBasis(crossed, germ_algebra, tuple(images))
 
     cert = Certificate("germ corollary")

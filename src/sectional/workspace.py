@@ -434,13 +434,16 @@ def execute_task(builder: Builder, task: Task, index: int, seed: int) -> TaskRes
 
 def run_guarded(index: int, kind: str, summary: str, run) -> TaskResult:
     """run()'s result, or the refusal it raised as a result: a CapabilityError
-    has status "capability", any other SectionalError "fail" with the
-    witness it carries."""
+    has status "capability", also when a pipeline stage raised it, and any
+    other SectionalError "fail" with the witness it carries."""
     try:
         return run()
     except CapabilityError as exc:
         return TaskResult(index, kind, summary, "capability", message=str(exc))
     except StageError as exc:
+        if isinstance(exc.cause, CapabilityError):
+            return TaskResult(index, kind, summary, "capability",
+                              data={"stage": exc.stage}, message=str(exc))
         witness = []
         if isinstance(exc.cause, StructureError):
             f = exc.cause.report.first()

@@ -259,11 +259,11 @@ class TestSectionalAlgebra:
     def test_structure_constants_agree_with_convolution(self):
         # dual route: multiply coordinate vectors through the presentation and
         # compare with literal convolution of the reassembled sections
-        from sectional.bundles import basis_labels, section_from_vector
+        from sectional.bundles import section_from_vector
 
         bundle = trivial_bundle(Q, pair_groupoid().base)
         alg = sectional_algebra(bundle)
-        labels = basis_labels(bundle)
+        labels = alg.labels
         rnd = random.Random("dualroute")
         for _ in range(25):
             u = dict(enumerate(Q.sample(rnd) for _ in range(alg.rank)))

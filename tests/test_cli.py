@@ -420,6 +420,17 @@ class TestCapabilityStatus:
         }
         assert statuses == {"capability"}
 
+    def test_germ_stage_refusal_is_capability(self, capsys):
+        # the germ pipeline's ideal stage needs spans over a field or Z/n
+        code = main(["verify", "germ",
+                     "--input", os.path.join(FIXTURES, "germ.json"),
+                     "--ring", "z", "--no-timestamp", "--format", "json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        [task] = report["workspaces"][0]["tasks"]
+        assert task["status"] == "capability"
+        assert task["data"] == {"stage": "ideal"}
+
     def test_refusal_reads_capability_in_validate_and_verify(self, capsys):
         # structure constants over a non-commutative ring are refused, not failed
         from structures import upper_triangular_f2_ring_spec
@@ -437,6 +448,46 @@ class TestCapabilityStatus:
         assert code == 1
         by_summary = {t["summary"]: t["status"] for t in verified["workspaces"][0]["tasks"]}
         assert by_summary["verify convolution"] == "capability"
+
+
+class TestNumericArrowIds:
+    """Congruence members are arrow ids, also when the file spells an id as
+    a JSON number; a number is never read as an arrow position."""
+
+    def _write(self, tmp_path, ids, classes):
+        doc = {
+            "ring": {"kind": "q"},
+            "semigroupoids": {"par": {
+                "vertices": ["v", "w"],
+                "arrows": [{"id": x, "src": "v", "rng": "w"} for x in ids],
+                "prod": [],
+            }},
+            "congruences": {"c": {"base": "par", "classes": classes}},
+            "tasks": [{"kind": "build", "id": "q", "op": "quotient", "congruence": "c"}],
+        }
+        path = tmp_path / "numeric.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    def test_ids_beyond_the_arrow_count_validate(self, tmp_path, capsys):
+        path = self._write(tmp_path, [7, 8], [[7, 8]])
+        assert main(["validate", path]) == 0
+        out = tmp_path / "q.json"
+        assert main(["build", "q", "--input", path, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert len(json.loads(out.read_text(encoding="utf-8"))["arrows"]) == 1
+
+    def test_ids_are_not_positions(self, tmp_path, capsys):
+        from sectional.rings import RationalRing
+        from sectional.workspace import Builder
+
+        path = self._write(tmp_path, [1, 0, 2], [[1, 2], [0]])
+        assert main(["validate", path]) == 0
+        capsys.readouterr()
+        cong = Builder(load(path), RationalRing()).congruence("c")
+        names = cong.base.arrow_names
+        assert sorted(sorted(names[x] for x in block) for block in cong.classes) == [
+            ["0"], ["1", "2"]]
 
 
 class TestValidateCommandOverFixtures:

@@ -295,6 +295,23 @@ class TestCrossedTheorem:
         assert res.certificate.passed and res.lscript_certificate.passed
         assert res.crossed.rank == 4
 
+    def test_naive_crossed_product_is_built_once(self, monkeypatch):
+        # the comparison map and the range-side certificate share one build
+        from sectional import bundles, theorems
+
+        calls = []
+        build = bundles.naive_crossed_product
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(bundles, "naive_crossed_product", counting)
+        monkeypatch.setattr(theorems, "naive_crossed_product", counting)
+        res = crossed_theorem(swap_bundle_action())
+        assert res.certificate.passed and res.lscript_certificate.passed
+        assert len(calls) == 1
+
     def test_composites_are_identities(self):
         res = crossed_theorem(semilattice_bundle_action())
         phi, psi = res.phi, res.psi

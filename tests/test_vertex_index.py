@@ -104,13 +104,10 @@ def oracle_rigid_congruence(partition, base):
     for block in partition:
         ids = []
         for x in block:
-            if isinstance(x, int) and not isinstance(x, bool) and 0 <= x < base.n_arrows:
-                xi = x
-            elif not isinstance(x, int) and str(x) in names:
-                xi = base.arrow_index(str(x))
-            else:
+            if str(x) not in names:
                 report.add("structural", (str(x),), f"unknown arrow {x!r}")
                 return report
+            xi = base.arrow_index(str(x))
             if xi in seen:
                 report.add("structural", (names[xi],), f"arrow {names[xi]!r} appears twice")
                 return report

@@ -9,7 +9,8 @@
 Exit codes: 0 everything passed, 1 a verification or validation failed
 (the report carries witnesses; capability refusals count as failures with a
 distinct status in both commands), 2 invalid input (unparseable or non-UTF-8
-file, dangling reference, unknown selector target, unwritable --out path).
+file, dangling reference, unknown selector target or build task id,
+unwritable --out path).
 """
 
 from __future__ import annotations
@@ -37,7 +38,22 @@ from .workspace import (
 )
 
 
-def _load(path: str) -> WorkspaceFile:
+def parse_ring_override(text: str) -> Ring:
+    if text in ("q", "z"):
+        return ring_from_spec({"kind": text})
+    match = re.fullmatch(r"zmod:?(\d+)", text)
+    try:  # a JSON syntax error, or an integer past Python's digit limit
+        spec = {"kind": "zmod", "n": int(match.group(1))} if match else json.loads(text)
+    except ValueError:
+        raise WorkspaceError(
+            f"cannot parse ring override {text!r}; use q, z, zmodN, or a JSON literal"
+        )
+    return ring_from_spec(spec)
+
+
+def _open(path: str, ring_text: str | None) -> tuple[WorkspaceFile, Ring]:
+    """The workspace at path and the ring a command runs it over: the --ring
+    text if given, else the file's own ring, else Q."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -45,29 +61,8 @@ def _load(path: str) -> WorkspaceFile:
         raise WorkspaceError(f"{path}: {exc.strerror or exc}")
     except UnicodeDecodeError as exc:
         raise WorkspaceError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
-    return parse_workspace(text, path=path)
-
-
-def parse_ring_override(text: str) -> Ring:
-    if text == "q":
-        return ring_from_spec({"kind": "q"})
-    if text == "z":
-        return ring_from_spec({"kind": "z"})
-    match = re.fullmatch(r"zmod:?(\d+)", text)
-    if match:
-        return ring_from_spec({"kind": "zmod", "n": int(match.group(1))})
-    try:
-        spec = json.loads(text)
-    except json.JSONDecodeError:
-        raise WorkspaceError(
-            f"cannot parse ring override {text!r}; use q, z, zmodN, or a JSON literal"
-        )
-    return ring_from_spec(spec)
-
-
-def _workspace_ring(override: str | None, ws: WorkspaceFile) -> Ring:
-    """The ring a command runs ws over, given the --ring text if any."""
-    return workspace_ring(ws, parse_ring_override(override) if override else None)
+    ws = parse_workspace(text, path=path)
+    return ws, workspace_ring(ws, parse_ring_override(ring_text) if ring_text else None)
 
 
 def _render(report: dict, fmt: str) -> str:
@@ -100,18 +95,17 @@ def _render(report: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_validate(args) -> int:
-    try:
-        ws = _load(args.file)
-    except WorkspaceError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    try:
-        ring = _workspace_ring(args.ring, ws)
-    except (WorkspaceError, StructureError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+def _report(command: str, fmt: str, workspaces: list[dict], **extra) -> int:
+    """Print the report envelope around the per-workspace reports; the exit
+    code is 0 when every workspace passed, else 1."""
+    report = {"command": command, "tool": "sectional", "version": __version__,
+              "workspaces": workspaces, "ok": all(w["ok"] for w in workspaces), **extra}
+    sys.stdout.write(_render(report, fmt))
+    return 0 if report["ok"] else 1
 
+
+def _cmd_validate(args) -> int:
+    ws, ring = _open(args.file, args.ring)
     builder = Builder(ws, ring)
     tasks = []
 
@@ -139,39 +133,19 @@ def _cmd_validate(args) -> int:
     for name in ws.bundle_actions:
         attempt(f"validate bundle action {name}", lambda n=name: builder.bundle_action(n))
 
-    report = {
-        "command": "validate",
-        "tool": "sectional",
-        "version": __version__,
-        "workspaces": [{
-            "path": ws.path,
-            "ring": ring.describe(),
-            "tasks": tasks,
-            "ok": all(t["status"] == "pass" for t in tasks),
-        }],
-    }
-    report["ok"] = report["workspaces"][0]["ok"]
-    sys.stdout.write(_render(report, args.format))
-    return 0 if report["ok"] else 1
+    return _report("validate", args.format, [{
+        "path": ws.path,
+        "ring": ring.describe(),
+        "tasks": tasks,
+        "ok": all(t["status"] == "pass" for t in tasks),
+    }])
 
 
 def _cmd_build(args) -> int:
-    try:
-        ws = _load(args.input)
-    except WorkspaceError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    task = next(
-        (t for t in ws.tasks if t.kind == "build" and t.id == args.name), None
-    )
+    ws, ring = _open(args.input, args.ring)
+    task = next((t for t in ws.tasks if t.kind == "build" and t.id == args.name), None)
     if task is None:
-        print(f"{args.input}: no build task with id {args.name!r}", file=sys.stderr)
-        return 2
-    try:
-        ring = _workspace_ring(args.ring, ws)
-    except (WorkspaceError, StructureError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        raise WorkspaceError(f"{args.input}: no build task with id {args.name!r}")
 
     result = execute_task(Builder(ws, ring), task, 0, args.seed)
     if result.status != "pass":
@@ -182,43 +156,25 @@ def _cmd_build(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
     except OSError as exc:
-        print(f"{args.out}: {exc.strerror or exc}", file=sys.stderr)
-        return 2
+        raise WorkspaceError(f"{args.out}: {exc.strerror or exc}")
     print(f"wrote {args.out} ({result.data['arrows']} arrows)")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    try:
-        workspaces = [_load(path) for path in args.input]
-        rings = [_workspace_ring(args.ring, ws) for ws in workspaces]
-    except (WorkspaceError, StructureError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
-    reports = []
-    for ws, ring in zip(workspaces, rings):
-        reports.append(run_workspace(
-            ws, selector=args.selector, seed=args.seed,
-            ring_override=ring, timing=not args.no_timestamp,
-        ))
+    opened = [_open(path, args.ring) for path in args.input]
+    reports = [
+        run_workspace(ws, selector=args.selector, seed=args.seed,
+                      ring_override=ring, timing=not args.no_timestamp)
+        for ws, ring in opened
+    ]
     if args.selector != "all" and all(r["matched_tasks"] == 0 for r in reports):
-        print(f"no verify tasks match selector {args.selector!r}", file=sys.stderr)
-        return 2
+        raise WorkspaceError(f"no verify tasks match selector {args.selector!r}")
 
-    report = {
-        "command": "verify",
-        "tool": "sectional",
-        "version": __version__,
-        "selector": args.selector,
-        "seed": args.seed,
-        "workspaces": reports,
-        "ok": all(r["ok"] for r in reports),
-    }
-    if not args.no_timestamp:
-        report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    sys.stdout.write(_render(report, args.format))
-    return 0 if report["ok"] else 1
+    extra = {} if args.no_timestamp else {
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()}
+    return _report("verify", args.format, reports,
+                   selector=args.selector, seed=args.seed, **extra)
 
 
 def main(argv=None) -> int:
@@ -255,7 +211,11 @@ def main(argv=None) -> int:
     p_ver.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (WorkspaceError, StructureError) as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -96,12 +96,6 @@ class Certificate:
             "data": self.data,
         }
 
-    def summary(self) -> str:
-        if self.passed:
-            return f"{self.subject}: certified"
-        c = self.first_failure()
-        return f"{self.subject}: FAILED {c.name} at {c.witness}"
-
 
 def multiplicative_witness(tmap: LinearMapOnBasis) -> tuple | None:
     """First basis pair (i, j) with map(e_i e_j) != map(e_i) map(e_j), or None."""

@@ -194,8 +194,12 @@ class RationalRing(Ring):
             return Fraction(x)
         if isinstance(x, Fraction):
             return x
-        if isinstance(x, str):
-            return Fraction(x)
+        # an exponent ("1e-8000000") would cost time exponential in its length
+        if isinstance(x, str) and "e" not in x.lower():
+            try:
+                return Fraction(x)
+            except ZeroDivisionError:  # "1/0", "0/0"
+                pass
         raise ValueError(f"not a rational literal: {x!r}")
 
     def to_json(self, a):

@@ -50,16 +50,6 @@ class ValidationReport:
     def kinds(self) -> list[str]:
         return [f.kind for f in self.failures]
 
-    def to_json(self) -> dict:
-        return {
-            "subject": self.subject,
-            "ok": self.ok,
-            "failures": [
-                {"kind": f.kind, "witness": list(f.witness), "message": f.message}
-                for f in self.failures
-            ],
-        }
-
     def summary(self) -> str:
         if self.ok:
             return f"{self.subject}: ok"

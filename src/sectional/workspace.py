@@ -101,6 +101,8 @@ def parse_workspace(text: str, path: str = "") -> WorkspaceFile:
             f"{path or '<workspace>'}: parse error at line {exc.lineno}, "
             f"column {exc.colno}: {exc.msg}"
         )
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise WorkspaceError(f"{path or '<workspace>'}: parse error: {exc}")
     if not isinstance(doc, dict):
         raise WorkspaceError(f"{path or '<workspace>'}: top level must be an object")
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -186,7 +187,11 @@ class TestCli:
         code = main(["verify", "all", "--input", "/nonexistent.json"])
         assert code == 2
 
-    @pytest.mark.parametrize("command", [["validate"], ["verify", "all", "--input"]])
+    @pytest.mark.parametrize("command", [
+        ["validate"],
+        ["verify", "all", "--input"],
+        ["verify", "all", "--input", os.path.join(FIXTURES, "germ.json")],
+    ])
     def test_non_utf8_file_exits_two_with_one_line(self, tmp_path, capsys, command):
         path = tmp_path / "latin1.json"
         path.write_bytes('{"ring": {"kind": "q"}, "note": "caf\u00e9"}'.encode("latin-1"))
@@ -211,6 +216,35 @@ class TestCli:
         assert code == 2
         assert err.count("\n") == 1 and str(out) in err
         assert not out.exists()
+
+    def test_unknown_build_task_exits_two_with_one_line(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code = main(["build", "nope", "--input", os.path.join(DATA, "builds.json"),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "no build task with id 'nope'" in err
+        assert not out.exists()
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python has no integer-string digit limit")
+    @pytest.mark.parametrize("where", ["file", "second file", "zmod", "json ring"])
+    def test_over_long_integer_exits_two_with_one_line(self, tmp_path, capsys, where):
+        digits = "7" * 4400
+        path = tmp_path / "long.json"
+        path.write_text('{"note": %s}' % digits)
+        germ = os.path.join(FIXTURES, "germ.json")
+        argv = {
+            "file": ["validate", str(path)],
+            "second file": ["verify", "all", "--input", germ, str(path)],
+            "zmod": ["validate", germ, "--ring", "zmod" + digits],
+            "json ring": ["validate", germ, "--ring", '{"kind": "zmod", "n": %s}' % digits],
+        }[where]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1
+        assert (str(path) if "file" in where else "cannot parse ring override") in err
 
     def test_dangling_reference_exits_two(self, capsys):
         code = main(["verify", "all",
@@ -406,6 +440,55 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "verify germ" in proc.stdout
+
+
+def one_arrow_q_bundle(literal):
+    """A rank-1 bundle over Q on a single idempotent arrow a, with e*e = literal*e."""
+    return {
+        "ring": {"kind": "q"},
+        "semigroupoids": {"A": {"vertices": ["v"],
+                                "arrows": [{"id": "a", "src": "v", "rng": "v"}],
+                                "prod": [["a", "a", "a"]]}},
+        "bundles": {"b": {"base": "A", "ranks": {"a": 1},
+                          "constants": {"a,a": [[[literal]]]}}},
+    }
+
+
+class TestRationalLiterals:
+    @pytest.mark.parametrize("literal", ["1/0", "0/0", "1e-8000000"])
+    def test_refused_constant_is_a_structural_failure(self, tmp_path, capsys, literal):
+        path = tmp_path / "one_arrow.json"
+        path.write_text(json.dumps(one_arrow_q_bundle(literal)))
+        start = time.perf_counter()
+        code = main(["validate", str(path), "--format", "json"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        task = json.loads(capsys.readouterr().out)["workspaces"][0]["tasks"][-1]
+        assert task["status"] == "fail" and task["witness"] == ["a,a"]
+        assert f"structural at ('a,a',): not a rational literal: {literal!r}" in task["message"]
+
+    @pytest.mark.parametrize("fixture, where, command, witness", [
+        ("crossed.json", ("bundle_actions", "swap", "fibers", "g", "m", 1, 0),
+         ["validate"], ["g", "m"]),
+        ("quotient.json", ("congruences", "sign", "transports", "g", 0, 0),
+         ["verify", "quotient", "--no-timestamp", "--input"], ["g"]),
+    ], ids=["fibers", "transports"])
+    def test_zero_denominator_in_a_matrix_is_a_structural_failure(
+            self, tmp_path, capsys, fixture, where, command, witness):
+        with open(os.path.join(FIXTURES, fixture), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        node = doc
+        for step in where[:-1]:
+            node = node[step]
+        node[where[-1]] = "1/0"
+        path = tmp_path / fixture
+        path.write_text(json.dumps(doc))
+        assert main(command + [str(path), "--format", "json"]) == 1
+        tasks = json.loads(capsys.readouterr().out)["workspaces"][0]["tasks"]
+        failed = [t for t in tasks if t["status"] != "pass"]
+        assert [t["witness"] for t in failed] == [witness]
+        assert "structural" in failed[0]["message"]
+        assert "not a rational literal: '1/0'" in failed[0]["message"]
 
 
 class TestCapabilityStatus:

@@ -23,7 +23,8 @@ from sectional.cli import main
 FIXTURES = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "fixtures"))
 NAMES = sorted(f for f in os.listdir(FIXTURES) if f.endswith(".json"))
 
-SWAPS = [None, True, 0, 1.5, "x", "", [], {}, [1], ["x"], [[1]], {"x": 1}, {"x": {}}]
+SWAPS = [None, True, 0, 1.5, "x", "", "1/0", [], {}, [1], ["x"], [[1]], {"x": 1},
+         {"x": {}}]
 OUT_OF_RANGE = [-2, -1, 0, 3, 99]
 
 

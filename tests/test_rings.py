@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +96,21 @@ class TestValidateRing:
         report = validate_ring(spec)
         assert isinstance(report, ValidationReport)
         assert report.kinds() == ["mul-commutativity"]
+
+
+class TestRationalCoerce:
+    @pytest.mark.parametrize("literal, value", [
+        (3, Fraction(3)), ("-4", Fraction(-4)), ("0.25", Fraction(1, 4)),
+        ("-1/2", Fraction(-1, 2)), (" 7/14 ", Fraction(1, 2)),
+    ])
+    def test_integers_decimals_and_quotients_are_accepted(self, literal, value):
+        assert Q.coerce(literal) == value
+
+    @pytest.mark.parametrize("literal", ["1/0", "0/0", "-3/0", "1e-8000000", "1E5", "2.5e3",
+                                         True, 1.5])
+    def test_zero_denominators_and_exponents_are_refused(self, literal):
+        with pytest.raises(ValueError, match="not a rational literal"):
+            Q.coerce(literal)
 
 
 def oracle_is_prime(n):

@@ -9,7 +9,8 @@
 Exit codes: 0 everything passed, 1 a verification or validation failed
 (the report carries witnesses; capability refusals count as failures with a
 distinct status in both commands), 2 invalid input (unparseable or non-UTF-8
-file, dangling reference, unknown selector target or build task id,
+file, dangling reference, a task parameter naming the wrong kind of structure
+or structures on different bases, unknown selector target or build task id,
 unwritable --out path).
 """
 
@@ -34,6 +35,7 @@ from .workspace import (
     parse_workspace,
     run_guarded,
     run_workspace,
+    structure_checks,
     workspace_ring,
 )
 
@@ -42,9 +44,9 @@ def parse_ring_override(text: str) -> Ring:
     if text in ("q", "z"):
         return ring_from_spec({"kind": text})
     match = re.fullmatch(r"zmod:?(\d+)", text)
-    try:  # a JSON syntax error, or an integer past Python's digit limit
+    try:  # a JSON syntax error, an integer past Python's digit limit, deep nesting
         spec = {"kind": "zmod", "n": int(match.group(1))} if match else json.loads(text)
-    except ValueError:
+    except (ValueError, RecursionError):
         raise WorkspaceError(
             f"cannot parse ring override {text!r}; use q, z, zmodN, or a JSON literal"
         )
@@ -108,30 +110,14 @@ def _cmd_validate(args) -> int:
     ws, ring = _open(args.file, args.ring)
     builder = Builder(ws, ring)
     tasks = []
-
-    def attempt(summary, thunk):
+    for summary, check in structure_checks(builder):
         index = len(tasks)
 
         def run():
-            thunk()
+            check()
             return TaskResult(index, "validate", summary, "pass")
 
         tasks.append(run_guarded(index, "validate", summary, run).to_json())
-
-    for name, stanza in ws.semigroupoids.items():
-        attempt(f"validate semigroupoid {name}", lambda n=name: builder.semigroupoid(n))
-        if "inv" in stanza:
-            attempt(f"validate inverse structure {name}", lambda n=name: builder.inverse(n))
-    for name in ws.homomorphisms:
-        attempt(f"validate homomorphism {name}", lambda n=name: builder.homomorphism(n))
-    for name in ws.actions:
-        attempt(f"validate action {name}", lambda n=name: builder.action(n))
-    for name in ws.bundles:
-        attempt(f"validate bundle {name}", lambda n=name: builder.bundle(n))
-    for name in ws.congruences:
-        attempt(f"validate congruence {name}", lambda n=name: builder.congruence(n))
-    for name in ws.bundle_actions:
-        attempt(f"validate bundle action {name}", lambda n=name: builder.bundle_action(n))
 
     return _report("validate", args.format, [{
         "path": ws.path,

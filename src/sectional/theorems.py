@@ -555,6 +555,9 @@ def validate_bundle_congruence(bundle: Bundle, base: RigidCongruence,
     representative and then re-checked.
     """
     report = ValidationReport("bundle congruence")
+    if base.base is not bundle.base and base.base != bundle.base:
+        report.add("structural", (), "the congruence must live on the bundle base")
+        return report
     ring = bundle.ring
     names = bundle.base.arrow_names
 

@@ -3,8 +3,9 @@
 A workspace is a single JSON document holding a coefficient ring, named
 structures (semigroupoids with optional inverse tables, homomorphisms,
 actions, bundles, bundle actions, congruences), and an ordered task list.
-Parsing performs structural validation only (shapes and id references);
-semantics run when a task touches a structure.
+Parsing performs structural validation only: shapes, id references, and
+the kinds and shared bases that each task's entry in TASKS asks of the
+structures it names. Semantics run when a task touches a structure.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 from .actions import (
     germ_quotient,
@@ -54,13 +57,9 @@ from .validation import (
     must,
 )
 
-TASK_KINDS = ("validate", "build", "verify")
-THEOREMS = ("tensor", "crossed", "smash", "quotient", "germ", "convolution")
-BUILD_OPS = ("semidirect", "germ", "quotient", "direct_product", "skew")
-
-
 class WorkspaceError(SectionalError):
-    """Structural problem in a workspace file (parse error or dangling id)."""
+    """Structural problem in a workspace file: a parse error, a dangling id, or
+    a task naming the wrong kind of structure or structures on different bases."""
 
 
 @dataclass
@@ -90,9 +89,10 @@ class WorkspaceFile:
 def parse_workspace(text: str, path: str = "") -> WorkspaceFile:
     """Parse and structurally validate one workspace document.
 
-    Raises WorkspaceError with a position annotation on malformed JSON and a
-    list of missing ids on dangling references. Semantic validation (axiom
-    checks) is deferred to task execution.
+    Raises WorkspaceError with a position annotation on malformed JSON, and
+    with a list of problems on dangling references and on task parameters
+    that break their TASKS entry. Semantic validation (axiom checks) is
+    deferred to task execution.
     """
     try:
         doc = json.loads(text)
@@ -103,6 +103,8 @@ def parse_workspace(text: str, path: str = "") -> WorkspaceFile:
         )
     except ValueError as exc:  # an integer literal past Python's digit limit
         raise WorkspaceError(f"{path or '<workspace>'}: parse error: {exc}")
+    except RecursionError:
+        raise WorkspaceError(f"{path or '<workspace>'}: parse error: nested too deeply")
     if not isinstance(doc, dict):
         raise WorkspaceError(f"{path or '<workspace>'}: top level must be an object")
 
@@ -114,23 +116,14 @@ def parse_workspace(text: str, path: str = "") -> WorkspaceFile:
             raise WorkspaceError(f"{path}: section {key!r} must map names to objects")
         return {str(k): v for k, v in section.items()}
 
-    ws = WorkspaceFile(
-        ring_spec=doc.get("ring"),
-        semigroupoids=named_section("semigroupoids"),
-        homomorphisms=named_section("homomorphisms"),
-        actions=named_section("actions"),
-        bundles=named_section("bundles"),
-        bundle_actions=named_section("bundle_actions"),
-        congruences=named_section("congruences"),
-        tasks=[],
-        path=path,
-    )
+    ws = WorkspaceFile(ring_spec=doc.get("ring"), tasks=[], path=path,
+                       **{section: named_section(section) for section in SECTIONS})
 
-    dangling: list[str] = []
+    problems: list[str] = []
 
     def check_ref(section: dict, ref, context: str):
         if not isinstance(ref, str) or ref not in section:
-            dangling.append(f"{context} references missing id {ref!r}")
+            problems.append(f"{context} references missing id {ref!r}")
 
     def require(ok: bool, context: str, key: str, what: str) -> None:
         if not ok:
@@ -182,10 +175,10 @@ def parse_workspace(text: str, path: str = "") -> WorkspaceFile:
         space_ids = arrow_ids(action.get("space")) if action else None
         for s_name, per_arrow in fibers.items():
             if actor_ids is not None and s_name not in actor_ids:
-                dangling.append(f"{ctx} gives fibers for unknown actor arrow {s_name!r}")
+                problems.append(f"{ctx} gives fibers for unknown actor arrow {s_name!r}")
             for g_name in per_arrow:
                 if space_ids is not None and g_name not in space_ids:
-                    dangling.append(f"{ctx} gives fibers for unknown space arrow {g_name!r}")
+                    problems.append(f"{ctx} gives fibers for unknown space arrow {g_name!r}")
     for name, stanza in ws.congruences.items():
         ctx = f"congruence {name!r}"
         check_ref(ws.semigroupoids, stanza.get("base"), ctx)
@@ -198,66 +191,49 @@ def parse_workspace(text: str, path: str = "") -> WorkspaceFile:
         raise WorkspaceError(f"{path}: 'tasks' must be a list")
     for idx, raw in enumerate(raw_tasks):
         if not isinstance(raw, dict) or raw.get("kind") not in TASK_KINDS:
-            raise WorkspaceError(
-                f"{path}: task {idx} must have a kind from {TASK_KINDS}"
-            )
+            raise WorkspaceError(f"{path}: task {idx} must have a kind from {TASK_KINDS}")
         task = Task(kind=raw["kind"], params=dict(raw), id=str(raw.get("id", "")))
+        spec = _spec(task)
+        if spec is None:
+            key = _ENTRY_KEY[task.kind]
+            raise WorkspaceError(f"{path}: task {idx} names unknown {key} {raw.get(key)!r}")
         ctx = f"task {idx} ({task.kind})"
-        if task.kind == "validate":
-            target = raw.get("target")
-            known = (
-                set(ws.semigroupoids) | set(ws.actions) | set(ws.bundles)
-                | set(ws.congruences) | set(ws.homomorphisms) | set(ws.bundle_actions)
-            )
-            if not isinstance(target, str) or target not in known:
-                dangling.append(f"{ctx} references missing id {target!r}")
-        elif task.kind == "verify":
-            theorem = raw.get("theorem")
-            if theorem not in THEOREMS:
-                raise WorkspaceError(
-                    f"{path}: task {idx} names unknown theorem {theorem!r}"
-                )
-            if theorem in ("tensor", "smash", "quotient", "convolution"):
-                check_ref(ws.bundles, raw.get("bundle"), ctx)
-            if theorem == "convolution":
-                triples, seed = raw.get("triples", 0), raw.get("seed", 0)
-                if any(isinstance(x, bool) or not isinstance(x, int)
-                       for x in (triples, seed)) or triples < 0:
-                    raise WorkspaceError(f"{path}: {ctx}: 'triples' must be a non-negative "
-                                         "integer and 'seed' an integer")
-            if theorem == "tensor":
-                check_ref(ws.semigroupoids, raw.get("factor"), ctx)
-            if theorem == "smash":
-                check_ref(ws.homomorphisms, raw.get("grading"), ctx)
-            if theorem == "quotient":
-                check_ref(ws.congruences, raw.get("congruence"), ctx)
-            if theorem in ("crossed", "germ"):
-                ref = raw.get("action")
-                if not isinstance(ref, str) or (
-                    ref not in ws.bundle_actions and ref not in ws.actions
-                ):
-                    dangling.append(f"{ctx} references missing id {ref!r}")
-        elif task.kind == "build":
-            op = raw.get("op")
-            if op not in BUILD_OPS:
-                raise WorkspaceError(
-                    f"{path}: task {idx} names unknown build op {op!r}"
-                )
-            if op in ("semidirect", "germ"):
-                check_ref(ws.actions, raw.get("action"), ctx)
-            elif op == "quotient":
-                check_ref(ws.congruences, raw.get("congruence"), ctx)
-            elif op == "direct_product":
-                check_ref(ws.semigroupoids, raw.get("left"), ctx)
-                check_ref(ws.semigroupoids, raw.get("right"), ctx)
-            elif op == "skew":
-                check_ref(ws.semigroupoids, raw.get("base"), ctx)
-                check_ref(ws.homomorphisms, raw.get("grading"), ctx)
+        found = len(problems)
+        homes = {}
+        for param, sections in spec.refs.items():
+            ref = raw.get(param)
+            declared = [s for s in SECTIONS if isinstance(ref, str) and ref in getattr(ws, s)]
+            homes[param] = next((s for s in declared if s in sections), None)
+            if not declared:
+                problems.append(f"{ctx} references missing id {ref!r}")
+            elif homes[param] is None:
+                problems.append(f"{ctx}: {param!r} must name an id from "
+                                f"{' or '.join(sections)}, not {ref!r} from "
+                                f"{' and '.join(declared)}")
+        bases = [] if len(problems) > found else [
+            _base_of(ws, homes[p], raw[p]) for p in spec.same_base]
+        if all(isinstance(b, str) for b in bases) and len(set(bases)) > 1:
+            problems.append(f"{ctx}: {' and '.join(map(repr, spec.same_base))} must lie "
+                            f"over one base semigroupoid, not {' and '.join(map(repr, bases))}")
+        try:
+            spec.vet(raw)
+        except WorkspaceError as exc:
+            raise WorkspaceError(f"{path}: {ctx}: {exc}")
         ws.tasks.append(task)
 
-    if dangling:
-        raise WorkspaceError(f"{path or '<workspace>'}: " + "; ".join(dangling))
+    if problems:
+        raise WorkspaceError(f"{path or '<workspace>'}: " + "; ".join(problems))
     return ws
+
+
+# The stanza key naming the semigroupoid a structure lives on, for the
+# sections whose structures a task may need to share a base.
+_BASE_KEY = {"bundles": "base", "homomorphisms": "source", "congruences": "base"}
+
+
+def _base_of(ws: WorkspaceFile, section: str, ref: str):
+    """The base semigroupoid id of a declared structure; a semigroupoid is its own."""
+    return ref if section == "semigroupoids" else getattr(ws, section)[ref].get(_BASE_KEY[section])
 
 
 def _is_matrix(value) -> bool:
@@ -366,6 +342,31 @@ class Builder:
         return self._memo(("bcong", cong_name, bundle_name), build)
 
 
+# Every section of named structures, in `sectional validate` order, with the
+# noun its summaries use and the Builder method that validates one entry.
+SECTIONS = {
+    "semigroupoids": ("semigroupoid", Builder.semigroupoid),
+    "homomorphisms": ("homomorphism", Builder.homomorphism),
+    "actions": ("action", Builder.action),
+    "bundles": ("bundle", Builder.bundle),
+    "congruences": ("congruence", Builder.congruence),
+    "bundle_actions": ("bundle action", Builder.bundle_action),
+}
+
+
+def structure_checks(builder: Builder, only: str | None = None):
+    """(summary, check) for each validation `sectional validate` runs, in
+    SECTIONS order: one per declared structure, plus the inverse structure of
+    a semigroupoid with `inv`. With `only`, just those of the structures
+    declared under that id."""
+    for section, (noun, build) in SECTIONS.items():
+        for name in getattr(builder.ws, section):
+            if only is None or name == only:
+                yield f"validate {noun} {name}", partial(build, builder, name)
+                if section == "semigroupoids" and "inv" in builder.ws.semigroupoids[name]:
+                    yield f"validate inverse structure {name}", partial(builder.inverse, name)
+
+
 @dataclass
 class TaskResult:
     index: int
@@ -398,40 +399,145 @@ class TaskResult:
 
 
 def _random_section(bundle, rnd) -> Section:
-    values = {}
-    for arrow in bundle.base.arrows():
-        values[arrow] = dict(enumerate(
-            bundle.ring.sample(rnd) for _ in range(bundle.ranks[arrow])
-        ))
-    return Section(bundle, values)
+    return Section(bundle, {
+        arrow: dict(enumerate(bundle.ring.sample(rnd) for _ in range(bundle.ranks[arrow])))
+        for arrow in bundle.base.arrows()})
 
 
-def _convolution_task(bundle, triples: int, seed: int) -> tuple[bool, list]:
+def _convolution_args(params: dict) -> tuple[int, int]:
+    """The task's triple count (default 200) and seed (default 0)."""
+    triples, seed = params.get("triples", 200), params.get("seed", 0)
+    if any(isinstance(x, bool) or not isinstance(x, int)
+           for x in (triples, seed)) or triples < 0:
+        raise WorkspaceError("'triples' must be a non-negative integer and 'seed' an integer")
+    return triples, seed
+
+
+def _convolution(builder: Builder, params: dict) -> dict:
+    bundle = builder.bundle(params["bundle"])
+    triples, seed = _convolution_args(params)
     rnd = random.Random(f"convolution:{seed}")
+    witness = []
     for k in range(triples):
-        a = _random_section(bundle, rnd)
-        b = _random_section(bundle, rnd)
-        c = _random_section(bundle, rnd)
+        a, b, c = (_random_section(bundle, rnd) for _ in range(3))
         if convolve(convolve(a, b), c) != convolve(a, convolve(b, c)):
-            return False, [f"triple {k}"]
-    return True, []
+            witness = [f"triple {k}"]
+            break
+    return {"status": "fail" if witness else "pass",
+            "data": {"triples": triples, "seed": seed}, "witness": witness}
+
+
+def _certified(*certs) -> dict:
+    """One report per task: the first certificate's data, every check, and
+    the first failure across the certificates as the witness."""
+    fail = next((c for cert in certs for c in cert.checks if not c.ok), None)
+    return {"status": "pass" if fail is None else "fail",
+            "data": dict(certs[0].data),
+            "checks": [c.to_json() for cert in certs for c in cert.checks],
+            "witness": [] if fail is None else [str(w) for w in fail.witness]}
+
+
+def _crossed(builder: Builder, params: dict) -> dict:
+    res = crossed_theorem(builder.bundle_action(params["action"]))
+    return _certified(res.certificate, res.lscript_certificate)
+
+
+def _built(sgpd) -> dict:
+    return {"status": "pass", "data": {"structure": semigroupoid_to_raw(sgpd),
+                                       "arrows": sgpd.n_arrows,
+                                       "vertices": sgpd.n_vertices}}
+
+
+def _validate(builder: Builder, params: dict) -> dict:
+    for _summary, check in structure_checks(builder, params["target"]):
+        check()
+    return {"status": "pass"}
+
+
+@dataclass(frozen=True)
+class TaskSpec:
+    """One kind of task: the sections each id parameter may name, the
+    parameters whose structures must lie over one base semigroupoid, a
+    check of its other parameters that raises WorkspaceError, and the run
+    that turns a Builder and the task's parameters (with the run's seed
+    under "seed" unless the task sets one) into TaskResult fields."""
+
+    refs: dict[str, tuple[str, ...]]
+    run: Callable[[Builder, dict], dict]
+    same_base: tuple[str, ...] = ()
+    vet: Callable[[dict], object] = lambda params: None
+
+
+TASKS: dict[str, dict[str, TaskSpec]] = {
+    "validate": {"": TaskSpec({"target": tuple(SECTIONS)}, _validate)},
+    "build": {
+        "semidirect": TaskSpec(
+            {"action": ("actions",)},
+            lambda b, p: _built(semidirect_product(b.action(p["action"])).semigroupoid)),
+        "germ": TaskSpec(
+            {"action": ("actions",)},
+            lambda b, p: _built(must(germ_quotient(b.action(p["action"]))).quotient)),
+        "quotient": TaskSpec(
+            {"congruence": ("congruences",)},
+            lambda b, p: _built(quotient_semigroupoid(b.congruence(p["congruence"]))[0])),
+        "direct_product": TaskSpec(
+            {"left": ("semigroupoids",), "right": ("semigroupoids",)},
+            lambda b, p: _built(direct_product(b.semigroupoid(p["left"]),
+                                               b.semigroupoid(p["right"])))),
+        "skew": TaskSpec(
+            {"base": ("semigroupoids",), "grading": ("homomorphisms",)},
+            lambda b, p: _built(skew_product(b.semigroupoid(p["base"]),
+                                             b.homomorphism(p["grading"])).semigroupoid),
+            same_base=("base", "grading")),
+    },
+    "verify": {
+        "tensor": TaskSpec(
+            {"bundle": ("bundles",), "factor": ("semigroupoids",)},
+            lambda b, p: _certified(tensor_theorem(b.bundle(p["bundle"]),
+                                                   b.semigroupoid(p["factor"])).certificate)),
+        "crossed": TaskSpec({"action": ("bundle_actions", "actions")}, _crossed),
+        "smash": TaskSpec(
+            {"bundle": ("bundles",), "grading": ("homomorphisms",)},
+            lambda b, p: _certified(smash_theorem(b.bundle(p["bundle"]),
+                                                  b.homomorphism(p["grading"])).certificate),
+            same_base=("bundle", "grading")),
+        "quotient": TaskSpec(
+            {"bundle": ("bundles",), "congruence": ("congruences",)},
+            lambda b, p: _certified(quotient_map_and_kernel(
+                b.bundle_congruence(p["congruence"], p["bundle"])).certificate),
+            same_base=("bundle", "congruence")),
+        "germ": TaskSpec(
+            {"action": ("actions",)},
+            lambda b, p: _certified(germ_corollary(b.action(p["action"]), b.ring).certificate)),
+        "convolution": TaskSpec({"bundle": ("bundles",)}, _convolution, vet=_convolution_args),
+    },
+}
+TASK_KINDS = tuple(TASKS)
+THEOREMS = tuple(TASKS["verify"])
+BUILD_OPS = tuple(TASKS["build"])
+# The parameter naming a verify or build task's entry, and its summary; a
+# validate task has one entry, and its summary names the `target`.
+_ENTRY_KEY = {"verify": "theorem", "build": "op"}
+
+
+def _spec(task: Task) -> TaskSpec | None:
+    """The entry a task runs, or None when it names none."""
+    key = _ENTRY_KEY.get(task.kind)
+    name = task.params.get(key) if key else ""
+    return TASKS[task.kind].get(name) if isinstance(name, str) else None
 
 
 def execute_task(builder: Builder, task: Task, index: int, seed: int) -> TaskResult:
     """Run one task; refusals become results as `run_guarded` maps them."""
-    params = task.params
+    summary = f"{task.kind} {task.params.get(_ENTRY_KEY.get(task.kind, 'target'))}"
 
     def run() -> TaskResult:
-        if task.kind == "validate":
-            result = _run_validate(builder, params, index)
-        elif task.kind == "build":
-            result = _run_build(builder, params, index)
-        else:
-            result = _run_verify(builder, params, index, seed)
-        result.data.setdefault("instance", _instance_ids(params))
+        fields = _spec(task).run(builder, {"seed": seed, **task.params})
+        result = TaskResult(index, task.kind, summary, **fields)
+        result.data.setdefault("instance", _instance_ids(task.params))
         return result
 
-    return run_guarded(index, task.kind, _summary(task), run)
+    return run_guarded(index, task.kind, summary, run)
 
 
 def run_guarded(index: int, kind: str, summary: str, run) -> TaskResult:
@@ -470,101 +576,6 @@ def _instance_ids(params: dict) -> dict:
     }
 
 
-def _summary(task: Task) -> str:
-    if task.kind == "verify":
-        return f"verify {task.theorem}"
-    if task.kind == "build":
-        return f"build {task.params.get('op')}"
-    return f"validate {task.params.get('target')}"
-
-
-def _run_validate(builder: Builder, params: dict, index: int) -> TaskResult:
-    target = params["target"]
-    ws = builder.ws
-    if target in ws.semigroupoids:
-        builder.semigroupoid(target)
-        if "inv" in ws.semigroupoids[target]:
-            builder.inverse(target)
-    elif target in ws.actions:
-        builder.action(target)
-    elif target in ws.bundles:
-        builder.bundle(target)
-    elif target in ws.congruences:
-        builder.congruence(target)
-    elif target in ws.homomorphisms:
-        builder.homomorphism(target)
-    elif target in ws.bundle_actions:
-        builder.bundle_action(target)
-    return TaskResult(index, "validate", f"validate {target}", "pass")
-
-
-def _run_build(builder: Builder, params: dict, index: int) -> TaskResult:
-    op = params["op"]
-    if op == "semidirect":
-        sp = semidirect_product(builder.action(params["action"]))
-        built = sp.semigroupoid
-    elif op == "germ":
-        germ = must(germ_quotient(builder.action(params["action"])))
-        built = germ.quotient
-    elif op == "quotient":
-        built, _proj = quotient_semigroupoid(builder.congruence(params["congruence"]))
-    elif op == "direct_product":
-        built = direct_product(
-            builder.semigroupoid(params["left"]),
-            builder.semigroupoid(params["right"]),
-        )
-    elif op == "skew":
-        built = skew_product(
-            builder.semigroupoid(params["base"]),
-            builder.homomorphism(params["grading"]),
-        ).semigroupoid
-    else:  # unreachable; parse_workspace vets ops
-        raise WorkspaceError(f"unknown build op {op!r}")
-    stanza = semigroupoid_to_raw(built)
-    return TaskResult(index, "build", f"build {op}", "pass",
-                      data={"structure": stanza,
-                            "arrows": built.n_arrows,
-                            "vertices": built.n_vertices})
-
-
-def _run_verify(builder: Builder, params: dict, index: int, seed: int) -> TaskResult:
-    theorem = params["theorem"]
-    summary = f"verify {theorem}"
-    if theorem == "convolution":
-        bundle = builder.bundle(params["bundle"])
-        triples = int(params.get("triples", 200))
-        task_seed = int(params.get("seed", seed))
-        ok, witness = _convolution_task(bundle, triples, task_seed)
-        return TaskResult(index, "verify", summary, "pass" if ok else "fail",
-                          data={"triples": triples, "seed": task_seed},
-                          witness=witness)
-
-    if theorem == "tensor":
-        certs = [tensor_theorem(builder.bundle(params["bundle"]),
-                                builder.semigroupoid(params["factor"])).certificate]
-    elif theorem == "crossed":
-        res = crossed_theorem(builder.bundle_action(params["action"]))
-        certs = [res.certificate, res.lscript_certificate]
-    elif theorem == "smash":
-        certs = [smash_theorem(builder.bundle(params["bundle"]),
-                               builder.homomorphism(params["grading"])).certificate]
-    elif theorem == "quotient":
-        bc = builder.bundle_congruence(params["congruence"], params["bundle"])
-        certs = [quotient_map_and_kernel(bc).certificate]
-    elif theorem == "germ":
-        certs = [germ_corollary(builder.action(params["action"]), builder.ring).certificate]
-    else:  # unreachable; parse_workspace vets theorems
-        raise WorkspaceError(f"unknown theorem {theorem!r}")
-
-    # one report per task: the first certificate's data, every check, and
-    # the first failure across the certificates as the witness
-    fail = next((c for cert in certs for c in cert.checks if not c.ok), None)
-    return TaskResult(index, "verify", summary, "pass" if fail is None else "fail",
-                      data=dict(certs[0].data),
-                      checks=[c.to_json() for cert in certs for c in cert.checks],
-                      witness=[] if fail is None else [str(w) for w in fail.witness])
-
-
 def workspace_ring(ws: WorkspaceFile, override: Ring | None = None) -> Ring:
     """The override, else the workspace's own ring, else Q."""
     if override is not None:
@@ -581,13 +592,8 @@ def run_workspace(ws: WorkspaceFile, selector: str = "all", seed: int = 0,
     """
     ring = workspace_ring(ws, ring_override)
 
-    if selector == "all":
-        chosen = list(enumerate(ws.tasks))
-    else:
-        chosen = [
-            (i, t) for i, t in enumerate(ws.tasks)
-            if t.kind == "verify" and t.theorem == selector
-        ]
+    chosen = [(i, t) for i, t in enumerate(ws.tasks)
+              if selector == "all" or t.kind == "verify" and t.theorem == selector]
 
     builder = Builder(ws, ring)
     results = []

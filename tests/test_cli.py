@@ -246,6 +246,23 @@ class TestCli:
         assert err.count("\n") == 1
         assert (str(path) if "file" in where else "cannot parse ring override") in err
 
+    @pytest.mark.parametrize("where", ["file", "json ring"])
+    def test_deeply_nested_json_exits_two_with_one_line(self, tmp_path, capsys, where):
+        depth = 100_000
+        path = tmp_path / "deep.json"
+        path.write_text('{"x": %s}' % ("[" * depth + "]" * depth))
+        germ = os.path.join(FIXTURES, "germ.json")
+        argv = {
+            "file": ["validate", str(path)],
+            "json ring": ["validate", germ, "--ring", "[" * depth],
+        }[where]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1
+        assert (f"{path}: parse error" if where == "file"
+                else "cannot parse ring override") in err
+
     def test_dangling_reference_exits_two(self, capsys):
         code = main(["verify", "all",
                      "--input", os.path.join(DATA, "dangling.json")])

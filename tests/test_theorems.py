@@ -1,5 +1,7 @@
 """The four isomorphism pipelines on the worked instances."""
 
+import os
+
 import pytest
 
 from sectional.actions import validate_preaction, validate_rigid_congruence
@@ -43,11 +45,13 @@ from sectional.validation import (
     ValidationReport,
     must,
 )
+from sectional.workspace import Builder, parse_workspace
 
 from structures import SKEW_Z2_TO_PAIR, is_isomorphism, semilattice_on_points_action
 
 Q = RationalRing()
 Z5 = ZModRing(5)
+FIXTURES = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "fixtures"))
 
 
 def matrix_unit_bundle(ring):
@@ -458,6 +462,17 @@ class TestBundleCongruence:
         report = validate_bundle_congruence(bundle, cong, {"g": [[0]]})
         assert isinstance(report, ValidationReport)
         assert report.has("non-invertible-transport")
+
+    def test_congruence_on_another_base_rejected(self):
+        # quotient.json's bundle bZ2 lives on Z2, its congruence collapse on
+        # the parallel arrows: the pair is refused, not certified or failed
+        with open(os.path.join(FIXTURES, "quotient.json"), encoding="utf-8") as fh:
+            builder = Builder(parse_workspace(fh.read()), Q)
+        report = validate_bundle_congruence(builder.bundle("bZ2"),
+                                            builder.congruence("collapse"), None)
+        assert isinstance(report, ValidationReport)
+        assert [(f.kind, f.message) for f in report.failures] == [
+            ("structural", "the congruence must live on the bundle base")]
 
 
 class TestQuotientBundle:

@@ -43,7 +43,6 @@ from .actions import (
     GermQuotient,
     LandPreaction,
     RigidCongruence,
-    SemidirectProduct,
     germ_quotient,
     quotient_semigroupoid,
     semidirect_product,

@@ -13,7 +13,7 @@ product. Germ transitivity is checked at runtime, never assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .semigroupoids import (
     UNDEF,
@@ -23,6 +23,7 @@ from .semigroupoids import (
     Homomorphism,
     composable_labels,
     is_groupoid,
+    pair_semigroupoid,
     validate_homomorphism,
     validate_semigroupoid,
 )
@@ -319,23 +320,13 @@ def trivial_action(actor: FiniteInverseSemigroupoid, space: FiniteSemigroupoid) 
     return must(validate_preaction(raw, actor, space))
 
 
-@dataclass
-class SemidirectProduct:
-    """Semigroupoid of pairs (s, a) with a in dom(theta_s), plus bookkeeping."""
+def semidirect_product(theta: LandPreaction) -> FiniteSemigroupoid:
+    """Arrows (s,a) with a in dom(theta_s), labeled (s, a); product
+    (s,a)(t,b) = (st, theta_{t*}(a theta_t(b))).
 
-    action: LandPreaction
-    semigroupoid: FiniteSemigroupoid
-    pairs: tuple[tuple[int, int], ...]
-    index: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.index = {p: i for i, p in enumerate(self.pairs)}
-
-
-def semidirect_product(theta: LandPreaction) -> SemidirectProduct:
-    """Arrows (s,a), product (s,a)(t,b) = (st, theta_{t*}(a theta_t(b))).
-
-    Refuses non-associative actions: the table it would produce could violate
+    Vertex pairs live in actor^(0) x space^(0); only those met by an arrow
+    are kept, so groupoid detection sees the operative graph. Refuses
+    non-associative actions: the table it would produce could violate
     associativity, so the failing triple is reported instead.
     """
     if not theta.is_associative:
@@ -346,52 +337,31 @@ def semidirect_product(theta: LandPreaction) -> SemidirectProduct:
     actor = theta.actor.base
     space = theta.space
     pairs = [(s, a) for s in actor.arrows() for a in theta.dom(s)]
-    index = {p: i for i, p in enumerate(pairs)}
+    ends = [((actor.src[s], space.src[a]), (actor.rng[s], space.rng[theta.apply(s, a)]))
+            for s, a in pairs]
 
-    # vertex pairs live in actor^(0) x space^(0); only those met by an arrow
-    # are kept, so groupoid detection sees the operative graph
-    src_pairs = []
-    rng_pairs = []
-    for s, a in pairs:
-        src_pairs.append((actor.src[s], space.src[a]))
-        image = theta.apply(s, a)
-        rng_pairs.append((actor.rng[s], space.rng[image]))
-    touched = sorted(set(src_pairs) | set(rng_pairs))
-    vid = {pair: i for i, pair in enumerate(touched)}
-    vertex_names = tuple(
-        f"({actor.vertex_names[v]},{space.vertex_names[w]})" for v, w in touched
-    )
+    def products():
+        for i, j in composable_labels(actor, pairs):
+            (s, a), (t, b) = pairs[i], pairs[j]
+            tb = theta.apply(t, b)
+            if space.rng[tb] != space.src[a]:
+                continue
+            st = actor.prod[s][t]
+            value = _twisted(theta, t, a, b)
+            if value is None or value not in theta.maps[st]:
+                raise InternalConsistencyError(
+                    "semidirect product formula left its domain at "
+                    f"(({actor.arrow_names[s]},{space.arrow_names[a]}),"
+                    f"({actor.arrow_names[t]},{space.arrow_names[b]})); the action "
+                    "validator should have prevented this"
+                )
+            yield i, j, (st, value)
 
-    arrow_names = tuple(
-        f"({actor.arrow_names[s]},{space.arrow_names[a]})" for s, a in pairs
-    )
-    src = [vid[p] for p in src_pairs]
-    rng = [vid[p] for p in rng_pairs]
-
-    n = len(pairs)
-    prod = [[UNDEF] * n for _ in range(n)]
-    for i, j in composable_labels(actor, pairs):
-        (s, a), (t, b) = pairs[i], pairs[j]
-        tb = theta.apply(t, b)
-        if space.rng[tb] != space.src[a]:
-            continue
-        st = actor.prod[s][t]
-        value = _twisted(theta, t, a, b)
-        if value is None or value not in theta.maps[st]:
-            raise InternalConsistencyError(
-                "semidirect product formula left its domain at "
-                f"({arrow_names[i]},{arrow_names[j]}); the action validator "
-                "should have prevented this"
-            )
-        prod[i][j] = index[(st, value)]
-
-    sgpd = FiniteSemigroupoid(
-        vertex_names, arrow_names, tuple(src), tuple(rng),
-        tuple(tuple(row) for row in prod),
+    return pair_semigroupoid(
+        pairs, ends, (actor.arrow_names, space.arrow_names),
+        (actor.vertex_names, space.vertex_names), products(),
         name=f"{actor.name}|x{space.name}",
     )
-    sgpd = must(validate_semigroupoid(sgpd))
-    return SemidirectProduct(theta, sgpd, tuple(pairs))
 
 
 @dataclass
@@ -523,7 +493,7 @@ def quotient_semigroupoid(cong: RigidCongruence) -> tuple[FiniteSemigroupoid, Ho
 
 @dataclass
 class GermQuotient:
-    semidirect: SemidirectProduct
+    semidirect: FiniteSemigroupoid
     congruence: RigidCongruence
     quotient: FiniteSemigroupoid
     projection: Homomorphism
@@ -548,7 +518,7 @@ def germ_quotient(theta: LandPreaction) -> GermQuotient | ValidationReport:
 
     sp = semidirect_product(theta)
     actor = theta.actor
-    pairs = sp.pairs
+    pairs = sp.labels
     n = len(pairs)
 
     def related(i: int, j: int) -> bool:
@@ -568,7 +538,7 @@ def germ_quotient(theta: LandPreaction) -> GermQuotient | ValidationReport:
                 continue
             for k in range(n):
                 if rel[j][k] and not rel[i][k]:
-                    names = sp.semigroupoid.arrow_names
+                    names = sp.arrow_names
                     return ValidationReport.single(
                         "germ quotient", "germ-transitivity",
                         (names[i], names[j], names[k]),
@@ -586,8 +556,7 @@ def germ_quotient(theta: LandPreaction) -> GermQuotient | ValidationReport:
         blocks.append(block)
 
     cong = validate_rigid_congruence(
-        [[sp.semigroupoid.arrow_names[j] for j in block] for block in blocks],
-        sp.semigroupoid,
+        [[sp.arrow_names[j] for j in block] for block in blocks], sp,
     )
     if isinstance(cong, ValidationReport):
         return cong

@@ -33,15 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .rings import Ring, combine, sparse_vector
-from .semigroupoids import FiniteSemigroupoid
-
-
-def label_index(labels) -> dict:
-    """label -> basis position; labels must be unique."""
-    index = {label: i for i, label in enumerate(labels)}
-    if len(index) != len(labels):
-        raise ValueError("basis labels must be unique")
-    return index
+from .semigroupoids import FiniteSemigroupoid, label_index
 
 
 @dataclass

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .actions import first_twisted_triple, twisted_partners
-from .algebras import AlgebraPresentation, label_index
+from .algebras import AlgebraPresentation
 from .maps import LinearMapOnBasis, basis_bijection
 from .rings import Ring, combine, sparse_row, sparse_vector
 from .semigroupoids import (
@@ -29,6 +29,7 @@ from .semigroupoids import (
     Homomorphism,
     composable_labels,
     identity_homomorphism,
+    label_index,
 )
 from .validation import (
     CapabilityError,
@@ -649,21 +650,17 @@ def trivial_algebra_action(actor: FiniteInverseSemigroupoid,
         actor, algebra, [full] * actor.base.n_arrows, [identity] * actor.base.n_arrows))
 
 
-def naive_crossed_product(action: AlgebraAction,
-                          grading: Homomorphism | None = None) -> AlgebraPresentation:
+def naive_crossed_product(action: AlgebraAction) -> AlgebraPresentation:
     """Formal sums of delta_s a with a in dom(Theta_s), twisted convolution.
 
     Product on generators: (delta_s a)(delta_t b) = delta_{st}
     Theta_{t*}(a Theta_t(b)) when (s,t) is composable, zero otherwise.
-    The generator delta_s e_d is labeled (s, d). Graded by the supplied
-    homomorphism, defaulting to the actor itself.
+    The generator delta_s e_d is labeled (s, d) and has degree s in the actor.
     """
     actor = action.actor
     base = actor.base
     alg = action.algebra
     ring = alg.ring
-    if grading is None:
-        grading = identity_homomorphism(base)
     labels = [(s, d) for s in base.arrows() for d in action.domains[s]]
     position = label_index(labels)
     names = tuple(
@@ -681,10 +678,9 @@ def naive_crossed_product(action: AlgebraAction,
                 "validator should have refused this input"
             )
         table[(p, q)] = {position[(st, k)]: x for k, x in value.items()}
-    degrees = tuple(grading.map[s] for s, _ in labels)
     return AlgebraPresentation(
         ring=ring, basis=names, table=table,
-        grading=grading.target, degrees=degrees,
+        grading=base, degrees=tuple(s for s, _ in labels),
         provenance="naive crossed product", labels=labels,
     )
 
@@ -694,7 +690,7 @@ def lscript_presentation(action: AlgebraAction) -> AlgebraPresentation:
 
     Product on generators: (delta_x a)(delta_y b) = delta_{xy}
     Theta_x(Theta_{x*}(a) b). The generator delta_s e_d, d in dom(Theta_{s*}),
-    is labeled (s, d).
+    is labeled (s, d) and has degree s in the actor.
     """
     actor = action.actor
     base = actor.base
@@ -716,11 +712,9 @@ def lscript_presentation(action: AlgebraAction) -> AlgebraPresentation:
                 "range-side product landed outside ran(Theta_xy)"
             )
         table[(p, q)] = {position[(xy, k)]: val for k, val in value.items()}
-    grading = identity_homomorphism(base)
-    degrees = tuple(grading.map[s] for s, _ in labels)
     return AlgebraPresentation(
         ring=ring, basis=names, table=table,
-        grading=grading.target, degrees=degrees,
+        grading=base, degrees=tuple(s for s, _ in labels),
         provenance="range-side crossed product", labels=labels,
     )
 

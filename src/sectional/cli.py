@@ -1,7 +1,7 @@
 """Command line entry points.
 
-    sectional validate FILE [--format ...]
-    sectional build NAME --input FILE --out FILE
+    sectional validate FILE [--ring R] [--format {json,text}]
+    sectional build NAME --input FILE --out FILE [--ring R]
     sectional verify {tensor,crossed,smash,quotient,germ,convolution,all}
               --input FILE [FILE ...] [--ring R] [--seed N]
               [--format {json,text}] [--no-timestamp]
@@ -47,8 +47,10 @@ def parse_ring_override(text: str) -> Ring:
     try:  # a JSON syntax error, an integer past Python's digit limit, deep nesting
         spec = {"kind": "zmod", "n": int(match.group(1))} if match else json.loads(text)
     except (ValueError, RecursionError):
+        # quote a bounded prefix: the text can be arbitrarily long
+        shown = repr(text[:40]) + ("..." if len(text) > 40 else "")
         raise WorkspaceError(
-            f"cannot parse ring override {text!r}; use q, z, zmodN, or a JSON literal"
+            f"cannot parse ring override {shown}; use q, z, zmodN, or a JSON literal"
         )
     return ring_from_spec(spec)
 
@@ -133,7 +135,7 @@ def _cmd_build(args) -> int:
     if task is None:
         raise WorkspaceError(f"{args.input}: no build task with id {args.name!r}")
 
-    result = execute_task(Builder(ws, ring), task, 0, args.seed)
+    result = execute_task(Builder(ws, ring), task, 0)
     if result.status != "pass":
         print(f"build failed: {result.message or result.witness}", file=sys.stderr)
         return 1
@@ -182,7 +184,6 @@ def main(argv=None) -> int:
     p_build.add_argument("--input", required=True)
     p_build.add_argument("--out", required=True)
     p_build.add_argument("--ring", default=None)
-    p_build.add_argument("--seed", type=int, default=0)
     p_build.set_defaults(func=_cmd_build)
 
     p_ver = sub.add_parser("verify", help="run verification tasks")

@@ -23,9 +23,22 @@ from .validation import (
 UNDEF = -1
 
 
+def label_index(labels) -> dict:
+    """label -> position; labels must be unique."""
+    index = {label: i for i, label in enumerate(labels)}
+    if len(index) != len(labels):
+        raise ValueError("labels must be unique")
+    return index
+
+
 @dataclass
 class FiniteSemigroupoid:
     """Arrows with source, range and a product table (UNDEF off the composable pairs).
+
+    Each arrow has a display name and a label, the coordinates its builder
+    writes it in, such as (x, y) for an arrow of a product; labels default to
+    the names. index maps each label to its arrow, so only the builder knows
+    the arrow order.
 
     into[v] lists the arrows with range v in ascending order. Every walk over
     composable pairs or triples goes through it, so it costs what it yields
@@ -38,10 +51,16 @@ class FiniteSemigroupoid:
     rng: tuple[int, ...]
     prod: tuple[tuple[int, ...], ...]
     name: str = ""
+    labels: tuple | None = field(default=None, compare=False, repr=False)
+    index: dict = field(init=False, compare=False, repr=False)
     into: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
     composable: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        self.labels = self.arrow_names if self.labels is None else tuple(self.labels)
+        if len(self.labels) != self.n_arrows:
+            raise ValueError("one label per arrow required")
+        self.index = label_index(self.labels)
         into: list[list[int]] = [[] for _ in self.vertex_names]
         for c, v in enumerate(self.rng):
             into[v].append(c)
@@ -122,8 +141,17 @@ def validate_semigroupoid(raw) -> FiniteSemigroupoid | ValidationReport:
     reported with kind "structural", distinct from axiom failures.
     """
     if isinstance(raw, FiniteSemigroupoid):
+        # a built object must parse back from semigroupoid_to_raw, so its
+        # names are held to the file's uniqueness rules
         report = ValidationReport(f"semigroupoid {raw.name or '<anonymous>'}")
-        _check_axioms(raw, report)
+        names = raw.arrow_names
+        if len(set(raw.vertex_names)) != raw.n_vertices:
+            report.add("structural", (), "duplicate vertex ids")
+        elif len(set(names)) != raw.n_arrows:
+            repeat = next(a for i, a in enumerate(names) if names.index(a) != i)
+            report.add("structural", (repeat,), f"duplicate arrow id {repeat!r}")
+        else:
+            _check_axioms(raw, report)
         return raw if report.ok else report
 
     name = str(raw.get("id", ""))
@@ -436,8 +464,35 @@ def identity_homomorphism(sgpd: FiniteSemigroupoid) -> Homomorphism:
     return Homomorphism(sgpd, sgpd, tuple(range(sgpd.n_arrows)), rigid=True)
 
 
+def pair_semigroupoid(labels, ends, arrow_names, vertex_names, products,
+                      name: str) -> FiniteSemigroupoid:
+    """The validated semigroupoid whose arrow i is labeled by the pair labels[i].
+
+    ends[i] is the (source, range) pair of vertex pairs of arrow i; the
+    vertices are the pairs some arrow meets, sorted. A pair (x, y) is named
+    "(x,y)" from the two name tables of arrow_names or vertex_names.
+    products yields (i, j, label of the product) for each composable (i, j).
+    """
+    index = label_index(labels)
+    touched = sorted({v for end in ends for v in end})
+    vid = label_index(touched)
+    left, right = vertex_names
+    vertices = tuple(f"({left[v]},{right[w]})" for v, w in touched)
+    left, right = arrow_names
+    arrows = tuple(f"({left[x]},{right[y]})" for x, y in labels)
+    n = len(labels)
+    prod = [[UNDEF] * n for _ in range(n)]
+    for i, j, label in products:
+        prod[i][j] = index[label]
+    out = FiniteSemigroupoid(
+        vertices, arrows, tuple(vid[s] for s, _ in ends), tuple(vid[r] for _, r in ends),
+        tuple(map(tuple, prod)), name=name, labels=labels,
+    )
+    return must(validate_semigroupoid(out))
+
+
 def direct_product(a: FiniteSemigroupoid, b: FiniteSemigroupoid) -> FiniteSemigroupoid:
-    """Componentwise product; arrow (x,y) at index x*|b| + y."""
+    """Componentwise product over every vertex pair; arrow (x,y) is labeled (x, y)."""
     vertices = tuple(
         f"({va},{vb})" for va in a.vertex_names for vb in b.vertex_names
     )
@@ -461,6 +516,7 @@ def direct_product(a: FiniteSemigroupoid, b: FiniteSemigroupoid) -> FiniteSemigr
         vertices, arrows, tuple(src), tuple(rng),
         tuple(tuple(row) for row in prod),
         name=f"{a.name}x{b.name}" if a.name and b.name else "",
+        labels=tuple((x, y) for x in a.arrows() for y in b.arrows()),
     )
     return must(validate_semigroupoid(out))
 

@@ -13,18 +13,17 @@ where the coefficient ring allows, an exact kernel/image cross-check:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .actions import (
     LandPreaction,
     RigidCongruence,
-    SemidirectProduct,
     GermQuotient,
     germ_quotient,
     quotient_semigroupoid,
     semidirect_product,
 )
-from .algebras import AlgebraPresentation, label_index
+from .algebras import AlgebraPresentation
 from .bundles import (
     AlgebraAction,
     Bundle,
@@ -50,14 +49,14 @@ from .rings import (
     sparse_row,
 )
 from .semigroupoids import (
-    UNDEF,
     FiniteSemigroupoid,
     Homomorphism,
     composable_labels,
     direct_product,
     is_groupoid,
+    label_index,
+    pair_semigroupoid,
     validate_homomorphism,
-    validate_semigroupoid,
 )
 from .validation import (
     CapabilityError,
@@ -115,8 +114,7 @@ class TensorTheoremResult:
 def product_bundle(bundle: Bundle, factor: FiniteSemigroupoid) -> Bundle:
     """The bundle over base x factor whose fiber over (g,e) is the fiber over g."""
     base = direct_product(bundle.base, factor)
-    nf = factor.n_arrows
-    return pullback_bundle(bundle, base, [p // nf for p in base.arrows()])
+    return pullback_bundle(bundle, base, [g for g, _e in base.labels])
 
 
 def tensor_theorem(bundle: Bundle, factor: FiniteSemigroupoid) -> TensorTheoremResult:
@@ -129,10 +127,9 @@ def tensor_theorem(bundle: Bundle, factor: FiniteSemigroupoid) -> TensorTheoremR
     pbundle = product_bundle(bundle, factor)
     product_algebra = sectional_algebra(pbundle)
 
-    # (g, e) is arrow g * |factor| + e of the direct product base
-    nf = factor.n_arrows
+    arrow = pbundle.base.index
     tmap = basis_bijection(tensor, product_algebra, {
-        t: product_algebra.index[(g * nf + e, i)]
+        t: product_algebra.index[(arrow[(g, e)], i)]
         for t, ((g, i), (e, _)) in enumerate(tensor.labels)
     })
     cert = certify_linear_iso(tmap, "tensor comparison")
@@ -279,20 +276,13 @@ def validate_bundle_action(theta: LandPreaction, bundle: Bundle,
     return BundleAction(theta, bundle, cols)
 
 
-@dataclass
-class BundleSemidirectResult:
-    bundle: Bundle
-    semidirect: SemidirectProduct
-
-
-def bundle_semidirect(action: BundleAction) -> BundleSemidirectResult:
+def bundle_semidirect(action: BundleAction) -> Bundle:
     """The bundle over the semidirect product base with transported products."""
     theta = action.base_action
     inner = action.bundle
     ring = inner.ring
-    sp = semidirect_product(theta)
-    base = sp.semigroupoid
-    pairs = sp.pairs
+    base = semidirect_product(theta)
+    pairs = base.labels
     ranks = tuple(inner.ranks[g] for (_s, g) in pairs)
 
     def pair_product(p: int, q: int, i: int, j: int) -> dict:
@@ -305,7 +295,7 @@ def bundle_semidirect(action: BundleAction) -> BundleSemidirectResult:
         inner_product = inner.fiber_mul(a, tb, ((i, ring.one),), lift)
         return _move(drop, inner_product.items(), ring)
 
-    return BundleSemidirectResult(bundle_from_product(ring, base, ranks, pair_product), sp)
+    return bundle_from_product(ring, base, ranks, pair_product)
 
 
 def induced_theta(action: BundleAction) -> AlgebraAction:
@@ -354,7 +344,7 @@ def crossed_theorem(action: BundleAction) -> CrossedTheoremResult:
     certified alongside.
     """
     bsd = bundle_semidirect(action)
-    left = sectional_algebra(bsd.bundle)
+    left = sectional_algebra(bsd)
 
     induced = induced_theta(action)
     inner = induced.algebra
@@ -363,7 +353,7 @@ def crossed_theorem(action: BundleAction) -> CrossedTheoremResult:
 
     assignment = {}
     for li, (p, k) in enumerate(left.labels):
-        s, g = bsd.semidirect.pairs[p]
+        s, g = bsd.base.labels[p]
         assignment[li] = right.index[(s, inner.index[(g, k)])]
     phi = basis_bijection(left, right, assignment)
     psi = phi.inverse
@@ -428,18 +418,14 @@ def smash_product(algebra: AlgebraPresentation) -> AlgebraPresentation:
 @dataclass
 class SkewProduct:
     semigroupoid: FiniteSemigroupoid
-    pairs: tuple[tuple[int, int], ...]
     grading: Homomorphism
-    index: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.index = label_index(self.pairs)
 
 
 def skew_product(sgpd: FiniteSemigroupoid, d: Homomorphism) -> SkewProduct:
-    """Pairs (g, h) with src(d(g)) = rng(h), product (g1,h1)(g2,h2) = (g1g2,h2)
-    defined when the factors compose and h1 = d(g2) h2; graded back to the
-    grading groupoid by the first coordinate's degree."""
+    """Pairs (g, h) with src(d(g)) = rng(h), labeled (g, h); product
+    (g1,h1)(g2,h2) = (g1g2,h2), defined when the factors compose and
+    h1 = d(g2) h2; graded back to the grading groupoid by the first
+    coordinate's degree."""
     g = d.target
     check = is_groupoid(g)
     if not check.ok:
@@ -454,44 +440,19 @@ def skew_product(sgpd: FiniteSemigroupoid, d: Homomorphism) -> SkewProduct:
         for h in g.arrows()
         if g.src[d.map[x]] == g.rng[h]
     ]
-    index = label_index(pairs)
-
-    # vertices live in base^(0) x arrows(G); keep only those met by an arrow
-    src_pairs = []
-    rng_pairs = []
-    for x, h in pairs:
-        src_pairs.append((sgpd.src[x], h))
-        rng_pairs.append((sgpd.rng[x], g.prod[d.map[x]][h]))
-    touched = sorted(set(src_pairs) | set(rng_pairs))
-    vid = label_index(touched)
-    vertex_names = tuple(
-        f"({sgpd.vertex_names[v]},{g.arrow_names[h]})" for v, h in touched
-    )
-
-    arrow_names = tuple(
-        f"({sgpd.arrow_names[x]},{g.arrow_names[h]})" for x, h in pairs
-    )
-    src = [vid[p] for p in src_pairs]
-    rng_ = [vid[p] for p in rng_pairs]
-
-    n = len(pairs)
-    prod = [[UNDEF] * n for _ in range(n)]
+    # vertices live in base^(0) x arrows(G)
+    ends = [((sgpd.src[x], h), (sgpd.rng[x], g.prod[d.map[x]][h])) for x, h in pairs]
+    products = []
     for i, j in composable_labels(sgpd, pairs):
         (x1, h1), (x2, h2) = pairs[i], pairs[j]
         if h1 == g.prod[d.map[x2]][h2]:
-            prod[i][j] = index[(sgpd.prod[x1][x2], h2)]
-
-    out = FiniteSemigroupoid(
-        vertex_names, arrow_names, tuple(src), tuple(rng_),
-        tuple(tuple(row) for row in prod),
-        name=f"{sgpd.name}#{g.name}" if sgpd.name else "",
+            products.append((i, j, (sgpd.prod[x1][x2], h2)))
+    out = pair_semigroupoid(
+        pairs, ends, (sgpd.arrow_names, g.arrow_names), (sgpd.vertex_names, g.arrow_names),
+        products, name=f"{sgpd.name}#{g.name}" if sgpd.name else "",
     )
-    out = must(validate_semigroupoid(out))
-    grading = must(validate_homomorphism(
-        {arrow_names[i]: g.arrow_names[d.map[pairs[i][0]]] for i in range(n)},
-        out, g,
-    ))
-    return SkewProduct(out, tuple(pairs), grading)
+    grading = must(validate_homomorphism([d.map[x] for x, _h in pairs], out, g))
+    return SkewProduct(out, grading)
 
 
 @dataclass
@@ -510,13 +471,14 @@ def smash_theorem(bundle: Bundle, d: Homomorphism) -> SmashTheoremResult:
     smash = smash_product(graded_section)
     skew = skew_product(bundle.base, d)
 
-    skew_bundle = pullback_bundle(bundle, skew.semigroupoid, [x for x, _h in skew.pairs])
+    skew_bundle = pullback_bundle(bundle, skew.semigroupoid,
+                                  [x for x, _h in skew.semigroupoid.labels])
     skew_algebra = sectional_algebra(skew_bundle, skew.grading)
 
     assignment = {}
     for p, (u, h) in enumerate(smash.labels):
         x, k = graded_section.labels[u]
-        assignment[p] = skew_algebra.index[(skew.index[(x, h)], k)]
+        assignment[p] = skew_algebra.index[(skew.semigroupoid.index[(x, h)], k)]
     tmap = basis_bijection(smash, skew_algebra, assignment)
     cert = certify_linear_iso(tmap, "smash comparison", graded=True)
     return SmashTheoremResult(tmap, cert, smash, skew, skew_algebra)

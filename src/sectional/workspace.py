@@ -473,7 +473,7 @@ TASKS: dict[str, dict[str, TaskSpec]] = {
     "build": {
         "semidirect": TaskSpec(
             {"action": ("actions",)},
-            lambda b, p: _built(semidirect_product(b.action(p["action"])).semigroupoid)),
+            lambda b, p: _built(semidirect_product(b.action(p["action"])))),
         "germ": TaskSpec(
             {"action": ("actions",)},
             lambda b, p: _built(must(germ_quotient(b.action(p["action"]))).quotient)),
@@ -527,7 +527,7 @@ def _spec(task: Task) -> TaskSpec | None:
     return TASKS[task.kind].get(name) if isinstance(name, str) else None
 
 
-def execute_task(builder: Builder, task: Task, index: int, seed: int) -> TaskResult:
+def execute_task(builder: Builder, task: Task, index: int, seed: int = 0) -> TaskResult:
     """Run one task; refusals become results as `run_guarded` maps them."""
     summary = f"{task.kind} {task.params.get(_ENTRY_KEY.get(task.kind, 'target'))}"
 

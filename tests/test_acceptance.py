@@ -313,9 +313,9 @@ def _quotient_corpus(ring):
         theta, trivial_bundle(ring, space.base), None
     )))
     cong = must(validate_rigid_congruence(
-        [["(1,1x)", "(e,1x)"], ["(1,1y)"]], sp.bundle.base
+        [["(1,1x)", "(e,1x)"], ["(1,1y)"]], sp.base
     ))
-    out.append(must(validate_bundle_congruence(sp.bundle, cong, None)))
+    out.append(must(validate_bundle_congruence(sp, cong, None)))
 
     par = parallel_arrows()
     cong = must(validate_rigid_congruence([["a", "b"]], par))

@@ -99,10 +99,10 @@ class TestSemidirectProduct:
     def test_running_example_table(self, germ_example):
         _actor, _space, theta = germ_example
         sp = semidirect_product(theta)
-        assert sp.semigroupoid.arrow_names == ("(1,1x)", "(1,1y)", "(e,1x)")
+        assert sp.arrow_names == ("(1,1x)", "(1,1y)", "(e,1x)")
         i_1x = sp.index[(0, 0)]
         i_ex = sp.index[(1, 0)]
-        assert sp.semigroupoid.prod[i_1x][i_ex] == i_ex
+        assert sp.prod[i_1x][i_ex] == i_ex
 
     def test_translation_action_gives_action_groupoid(self):
         theta = must(validate_preaction(
@@ -111,12 +111,12 @@ class TestSemidirectProduct:
             cyclic2(), unit_groupoid(("0", "1")).base,
         ))
         sp = semidirect_product(theta)
-        sgpd = sp.semigroupoid
+        sgpd = sp
         assert sgpd.n_arrows == 4
         assert is_groupoid(sgpd).ok
         # oracle: evaluate the defining formula directly on all pairs
-        for i, (s, a) in enumerate(sp.pairs):
-            for j, (t, b) in enumerate(sp.pairs):
+        for i, (s, a) in enumerate(sp.labels):
+            for j, (t, b) in enumerate(sp.labels):
                 tb = theta.apply(t, b)
                 composable = (
                     theta.actor.base.is_composable(s, t)
@@ -129,22 +129,22 @@ class TestSemidirectProduct:
                 value = theta.apply(
                     theta.actor.inv[t], theta.space.prod[a][tb]
                 )
-                assert sp.pairs[sgpd.prod[i][j]] == (st, value)
+                assert sp.labels[sgpd.prod[i][j]] == (st, value)
 
     def test_trivial_action_gives_direct_product(self):
         space = pair_groupoid().base
         theta = trivial_action(cyclic2(), space)
         sp = semidirect_product(theta)
         product = direct_product(cyclic2().base, space)
-        assert is_isomorphism({x: x for x in product.arrow_names}, sp.semigroupoid, product)
+        assert is_isomorphism({x: x for x in product.arrow_names}, sp, product)
 
     def test_src_rng_formulas(self, germ_example):
         _actor, _space, theta = germ_example
         sp = semidirect_product(theta)
-        sgpd = sp.semigroupoid
+        sgpd = sp
         base = theta.actor.base
         space = theta.space
-        for i, (s, a) in enumerate(sp.pairs):
+        for i, (s, a) in enumerate(sp.labels):
             src_name = f"({base.vertex_names[base.src[s]]},{space.vertex_names[space.src[a]]})"
             image = theta.apply(s, a)
             rng_name = f"({base.vertex_names[base.rng[s]]},{space.vertex_names[space.rng[image]]})"
@@ -157,18 +157,18 @@ class TestRigidCongruence:
         _actor, _space, theta = germ_example
         sp = semidirect_product(theta)
         cong = must(validate_rigid_congruence(
-            [[a] for a in sp.semigroupoid.arrow_names], sp.semigroupoid
+            [[a] for a in sp.arrow_names], sp
         ))
         quotient, projection = quotient_semigroupoid(cong)
-        names = sp.semigroupoid.arrow_names
-        assert is_isomorphism({f"[{x}]": x for x in names}, quotient, sp.semigroupoid)
+        names = sp.arrow_names
+        assert is_isomorphism({f"[{x}]": x for x in names}, quotient, sp)
         assert projection.rigid
 
     def test_germ_partition_accepts(self, germ_example):
         _actor, _space, theta = germ_example
         sp = semidirect_product(theta)
         cong = must(validate_rigid_congruence(
-            [["(1,1x)", "(e,1x)"], ["(1,1y)"]], sp.semigroupoid
+            [["(1,1x)", "(e,1x)"], ["(1,1y)"]], sp
         ))
         quotient, _ = quotient_semigroupoid(cong)
         assert is_isomorphism({"[(1,1x)]": "1x", "[(1,1y)]": "1y"},
@@ -178,7 +178,7 @@ class TestRigidCongruence:
         _actor, _space, theta = germ_example
         sp = semidirect_product(theta)
         report = validate_rigid_congruence(
-            [["(1,1x)", "(1,1y)"], ["(e,1x)"]], sp.semigroupoid
+            [["(1,1x)", "(1,1y)"], ["(e,1x)"]], sp
         )
         assert isinstance(report, ValidationReport)
         assert report.has("source-range-mismatch")
@@ -240,10 +240,10 @@ class TestGermQuotient:
             cyclic2(), unit_groupoid(("0", "1")).base,
         ))
         germ = germ_quotient(theta)
-        assert germ.quotient.n_arrows == germ.semidirect.semigroupoid.n_arrows
-        names = germ.semidirect.semigroupoid.arrow_names
+        assert germ.quotient.n_arrows == germ.semidirect.n_arrows
+        names = germ.semidirect.arrow_names
         assert is_isomorphism({f"[{x}]": x for x in names},
-                              germ.quotient, germ.semidirect.semigroupoid)
+                              germ.quotient, germ.semidirect)
 
     def test_empty_domain_means_no_collapse(self):
         actor = semilattice2()
@@ -254,7 +254,7 @@ class TestGermQuotient:
             actor, space.base,
         ))
         germ = germ_quotient(theta)
-        assert germ.quotient.n_arrows == germ.semidirect.semigroupoid.n_arrows
+        assert germ.quotient.n_arrows == germ.semidirect.n_arrows
 
     def test_non_groupoid_space_refused(self, germ_example):
         actor, _space, _theta = germ_example

@@ -1,12 +1,13 @@
-"""Every builder labels its basis: the labels are unique, index inverts them,
-and each label names the element its display name (built separately, from
-the arrow and basis names) describes."""
+"""Every builder labels its basis, and every product semigroupoid its arrows:
+the labels are unique, index inverts them, and each label names the element
+its display name (built separately, from the arrow and basis names)
+describes."""
 
 from itertools import product
 
 import pytest
 
-from sectional.actions import validate_preaction
+from sectional.actions import semidirect_product, validate_preaction
 from sectional.algebras import AlgebraPresentation
 from sectional.bundles import (
     coefficient_bundle,
@@ -18,17 +19,23 @@ from sectional.bundles import (
     validate_bundle,
 )
 from sectional.rings import RationalRing
-from sectional.semigroupoids import identity_homomorphism, validate_homomorphism
+from sectional.semigroupoids import (
+    direct_product,
+    identity_homomorphism,
+    validate_homomorphism,
+    validate_semigroupoid,
+)
 from sectional.standard import cyclic2, pair_groupoid, semilattice2, unit_groupoid
 from sectional.theorems import (
     induced_theta,
+    skew_product,
     smash_product,
     tensor_product_algebra,
     validate_bundle_action,
 )
 from sectional.validation import must
 
-from structures import semilattice_on_points_action
+from structures import pair_groupoid_raw, semilattice_on_points_action
 
 Q = RationalRing()
 # the group algebra of Z/2: rank-2 commutative coefficients, so fibers of rank 2
@@ -170,3 +177,62 @@ class TestHandBuiltPresentation:
     def test_one_label_per_basis_element(self):
         with pytest.raises(ValueError, match="one label"):
             AlgebraPresentation(Q, ("a", "b"), labels=((0, 0),))
+
+
+P2 = pair_groupoid().base
+P3 = pair_groupoid(("1", "2", "3")).base
+Z2 = cyclic2().base
+PARITY = must(validate_homomorphism(
+    {"(1,1)": "u", "(2,2)": "u", "(1,2)": "g", "(2,1)": "g"}, P2, Z2))
+
+
+def direct_case(a, b):
+    return (direct_product(a, b), {(x, y) for x in a.arrows() for y in b.arrows()},
+            a.arrow_names, b.arrow_names)
+
+
+def semidirect_case(actor, space_points, maps):
+    space = unit_groupoid(space_points).base
+    theta = must(validate_preaction(maps, actor, space))
+    expected = {(s, a) for s in actor.base.arrows() for a in theta.maps[s]}
+    return semidirect_product(theta), expected, actor.base.arrow_names, space.arrow_names
+
+
+def skew_case(d):
+    base, g = d.source, d.target
+    expected = {(x, h) for x in base.arrows() for h in g.arrows()
+                if g.src[d.map[x]] == g.rng[h]}
+    return skew_product(base, d).semigroupoid, expected, base.arrow_names, g.arrow_names
+
+
+def product_cases():
+    # P_3 moves the points of its unit groupoid: (i,j) carries 1j to 1i
+    moves = {f"({i},{j})": {"dom": [f"1{j}"], "img": [f"1{i}"]}
+             for i in "123" for j in "123"}
+    return {
+        "direct P2xP3": direct_case(P2, P3),
+        "direct P3xZ2": direct_case(P3, Z2),
+        "semidirect chain": semidirect_case(semilattice2(), ("x", "y"),
+                                            semilattice_on_points_action()),
+        "semidirect P3 moves": semidirect_case(pair_groupoid(("1", "2", "3")),
+                                               ("1", "2", "3"), moves),
+        "skew P2 by parity": skew_case(PARITY),
+        "skew Z2 by itself": skew_case(identity_homomorphism(Z2)),
+    }
+
+
+@pytest.mark.parametrize("case", product_cases().values(), ids=list(product_cases()))
+def test_product_arrows_are_labeled_by_their_pairs(case):
+    sgpd, expected, left, right = case
+    assert len(sgpd.labels) == sgpd.n_arrows
+    assert len(set(sgpd.labels)) == sgpd.n_arrows
+    assert set(sgpd.labels) == expected
+    for i, (x, y) in enumerate(sgpd.labels):
+        assert sgpd.index[(x, y)] == i
+        assert sgpd.arrow_names[i] == f"({left[x]},{right[y]})"
+
+
+def test_a_validated_stanza_is_labeled_by_its_arrow_names():
+    sgpd = must(validate_semigroupoid(pair_groupoid_raw()))
+    assert sgpd.labels == sgpd.arrow_names
+    assert sgpd.index == {name: i for i, name in enumerate(sgpd.arrow_names)}

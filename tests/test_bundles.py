@@ -487,7 +487,7 @@ class TestCorpusConvolutionInvariant:
             semilattice_on_points_action(), actor, space.base
         ))
         ba = must(validate_bundle_action(theta, trivial_bundle(Q, space.base), None))
-        out.append(("semidirect/Q", bundle_semidirect(ba).bundle))
+        out.append(("semidirect/Q", bundle_semidirect(ba)))
         return out
 
     def test_two_hundred_seeded_triples_per_bundle(self):

@@ -301,6 +301,17 @@ class TestCli:
         assert code == 2
         assert "cannot parse ring override '{kind'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["[" * 100_000, "zmod" + "7" * 4400],
+                             ids=["deep-json", "long-zmod"])
+    def test_unreadable_ring_override_quotes_a_bounded_prefix(self, text, capsys):
+        if text.startswith("zmod") and not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("this Python has no integer-string digit limit")
+        code = main(["validate", os.path.join(FIXTURES, "quotient.json"), "--ring", text])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and len(err.encode()) < 200
+        assert f"cannot parse ring override {text[:40]!r}..." in err
+
     def test_boolean_rank_exits_two(self, tmp_path, capsys):
         with open(os.path.join(FIXTURES, "convolution.json"), encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -631,6 +642,34 @@ class TestBuildOps:
         for task in report["tasks"]:
             rebuilt = must(validate_semigroupoid(task["data"]["structure"]))
             assert rebuilt.n_arrows == task["data"]["arrows"]
+
+    def test_repeated_product_arrow_names_fail_build_and_tensor(self, tmp_path, capsys):
+        # left-zero semigroups whose product names collide: (a,(b,c)) and ((a,b),c)
+        def left_zero(vertex, arrows):
+            return {"vertices": [vertex],
+                    "arrows": [{"id": x, "src": vertex, "rng": vertex} for x in arrows],
+                    "prod": [[x, y, x] for x in arrows for y in arrows]}
+        src = tmp_path / "collide.json"
+        src.write_text(json.dumps({
+            "semigroupoids": {"A": left_zero("v", ["a", "a,b"]),
+                              "B": left_zero("w", ["b,c", "c"])},
+            "bundles": {"F": {"base": "A"}},
+            "tasks": [{"kind": "build", "id": "AB", "op": "direct_product",
+                       "left": "A", "right": "B"},
+                      {"kind": "verify", "theorem": "tensor", "bundle": "F", "factor": "B"}],
+        }))
+        out = tmp_path / "AB.json"
+        code = main(["build", "AB", "--input", str(src), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("build failed") and "duplicate arrow id '(a,b,c)'" in err
+        assert not out.exists()
+
+        code = main(["verify", "tensor", "--input", str(src), "--no-timestamp",
+                     "--format", "json"])
+        task = json.loads(capsys.readouterr().out)["workspaces"][0]["tasks"][0]
+        assert code == 1
+        assert task["status"] == "fail" and task["witness"] == ["(a,b,c)"]
 
     def test_build_task_with_missing_reference_is_rejected(self):
         ws = self._workspace()

@@ -127,9 +127,9 @@ def oracle_semidirect_tables(theta, bundle, maps):
     ring = bundle.ring
     sp = semidirect_product(theta)
     tables = {}
-    for p, q in sp.semigroupoid.composable:
-        _s, a = sp.pairs[p]
-        t, b = sp.pairs[q]
+    for p, q in sp.composable:
+        _s, a = sp.labels[p]
+        t, b = sp.labels[q]
         tb = theta.apply(t, b)
         lift = maps[(t, b)]
         drop = maps[(theta.actor.inv[t], theta.space.compose(a, tb))]
@@ -311,7 +311,7 @@ def test_intertwining_checks_match_the_dense_oracle():
         action_verdicts.append(expected and expected[0])
         if expected is None:
             assert result.fiber_maps == {key: _columns(m, ring) for key, m in maps.items()}
-            built = bundle_semidirect(result).bundle
+            built = bundle_semidirect(result)
             tables = oracle_semidirect_tables(theta, bundle, maps)
             assert built.rows == {key: fiber_rows(t, ring) for key, t in tables.items()}
 

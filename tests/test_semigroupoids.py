@@ -18,8 +18,9 @@ from sectional.standard import (
     pair_groupoid,
     semilattice2,
     trivial_monoid,
+    unit_groupoid,
 )
-from sectional.validation import ValidationReport, must
+from sectional.validation import StructureError, ValidationReport, must
 
 from structures import (
     cyclic2_raw,
@@ -243,6 +244,27 @@ class TestDirectProduct:
         assert left.src == right.src
         assert left.rng == right.rng
         assert left.prod == right.prod
+
+    def test_repeated_product_names_are_structural(self):
+        # (a,(b,c)) and ((a,b),c) get one name, as arrows and as vertices
+        def left_zero(arrows):
+            return must(validate_semigroupoid({
+                "vertices": ["v"],
+                "arrows": [{"id": x, "src": "v", "rng": "v"} for x in arrows],
+                "prod": [[x, y, x] for x in arrows for y in arrows],
+            }))
+        cases = [
+            (left_zero(["a", "a,b"]), left_zero(["b,c", "c"]),
+             ("(a,b,c)",), "duplicate arrow id '(a,b,c)'"),
+            (unit_groupoid(("a", "a,b")).base, unit_groupoid(("b,c", "c")).base,
+             (), "duplicate vertex ids"),
+        ]
+        for left, right, witness, message in cases:
+            with pytest.raises(StructureError) as exc:
+                direct_product(left, right)
+            failure = exc.value.report.first()
+            assert (failure.kind, failure.witness, failure.message) == (
+                "structural", witness, message)
 
 
 class TestIsGroupoid:

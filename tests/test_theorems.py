@@ -185,12 +185,12 @@ class TestBundleSemidirect:
     def test_identity_fibers_over_trivial_bundle(self):
         ba = semilattice_bundle_action()
         out = bundle_semidirect(ba)
-        assert out.bundle.base.arrow_names == ("(1,1x)", "(1,1y)", "(e,1x)")
-        assert out.bundle.ranks == (1, 1, 1)
+        assert out.base.arrow_names == ("(1,1x)", "(1,1y)", "(e,1x)")
+        assert out.ranks == (1, 1, 1)
 
     def test_swap_fibers_give_rank_four_sectional_algebra(self):
         out = bundle_semidirect(swap_bundle_action())
-        alg = sectional_algebra(out.bundle)
+        alg = sectional_algebra(out)
         assert alg.rank == 4
         assert alg.check_associativity() is None
 
@@ -391,7 +391,7 @@ class TestSkewProduct:
     def test_grading_homomorphism_returned(self):
         z2 = cyclic2().base
         skew = skew_product(z2, identity_homomorphism(z2))
-        for i, (x, _h) in enumerate(skew.pairs):
+        for i, (x, _h) in enumerate(skew.semigroupoid.labels):
             assert skew.grading.map[i] == x
 
 
@@ -489,9 +489,9 @@ class TestQuotientBundle:
         ba = semilattice_bundle_action()
         sp = bundle_semidirect(ba)
         cong = must(validate_rigid_congruence(
-            [["(1,1x)", "(e,1x)"], ["(1,1y)"]], sp.bundle.base
+            [["(1,1x)", "(e,1x)"], ["(1,1y)"]], sp.base
         ))
-        bc = must(validate_bundle_congruence(sp.bundle, cong, None))
+        bc = must(validate_bundle_congruence(sp, cong, None))
         out = quotient_bundle(bc)
         assert out.bundle.ranks == (1, 1)
         assert is_isomorphism({"[(1,1x)]": "1x", "[(1,1y)]": "1y"},
@@ -519,9 +519,9 @@ class TestQuotientMapAndKernel:
         ba = semilattice_bundle_action(ring)
         sp = bundle_semidirect(ba)
         cong = must(validate_rigid_congruence(
-            [["(1,1x)", "(e,1x)"], ["(1,1y)"]], sp.bundle.base
+            [["(1,1x)", "(e,1x)"], ["(1,1y)"]], sp.base
         ))
-        bc = must(validate_bundle_congruence(sp.bundle, cong, None))
+        bc = must(validate_bundle_congruence(sp, cong, None))
         res = quotient_map_and_kernel(bc)
         assert res.certificate.passed
         names = res.source.basis

@@ -205,7 +205,7 @@ def nested_chain_semidirect(n):
     maps = {f"e{i}": {"dom": [f"1x{j}" for j in range(i + 1)],
                       "img": [f"1x{j}" for j in range(i + 1)]} for i in range(n)}
     theta = must(validate_preaction(maps, chain(n), unit_groupoid(points).base))
-    return semidirect_product(theta).semigroupoid
+    return semidirect_product(theta)
 
 
 def moves_semidirect(n):
@@ -213,7 +213,7 @@ def moves_semidirect(n):
     points = tuple(f"q{i}" for i in range(n))
     maps = {f"({i},{j})": {"dom": [f"1{j}"], "img": [f"1{i}"]} for i in points for j in points}
     theta = must(validate_preaction(maps, pair_groupoid(points), unit_groupoid(points).base))
-    return semidirect_product(theta).semigroupoid
+    return semidirect_product(theta)
 
 
 def order_semigroupoid(n, below):

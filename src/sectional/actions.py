@@ -503,9 +503,13 @@ class GermQuotient:
 def germ_quotient(theta: LandPreaction) -> GermQuotient | ValidationReport:
     """Collapse (s1,g) ~ (s2,g) when some u below both has g in its domain.
 
-    The relation is reflexive and symmetric by construction; transitivity and
-    the congruence conditions are checked, with a structured refusal carrying
-    a witness when they fail (possible for general wedge-preactions).
+    Each semidirect arrow (s, g) has its germ set, the u <= s with g in
+    dom theta_u; arrows over the same g are related when their germ sets
+    meet, so the relation is reflexive and symmetric and rows[i] is a set.
+    It is transitive exactly when rows[j] <= rows[i] for every j in rows[i];
+    otherwise the first failing (i, j, k) is refused as the witness (possible
+    for general wedge-preactions). The classes are the distinct rows, checked
+    as a rigid congruence.
     """
     space_check = is_groupoid(theta.space)
     if not space_check.ok:
@@ -517,46 +521,24 @@ def germ_quotient(theta: LandPreaction) -> GermQuotient | ValidationReport:
                                        "germ quotients need an associative action")
 
     sp = semidirect_product(theta)
-    actor = theta.actor
-    pairs = sp.labels
-    n = len(pairs)
-
-    def related(i: int, j: int) -> bool:
-        s1, g1 = pairs[i]
-        s2, g2 = pairs[j]
-        if g1 != g2:
-            return False
-        return any(
-            actor.le(u, s1) and actor.le(u, s2) and g1 in theta.maps[u]
-            for u in actor.base.arrows()
-        )
-
-    rel = [[related(i, j) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if not rel[i][j]:
-                continue
-            for k in range(n):
-                if rel[j][k] and not rel[i][k]:
-                    names = sp.arrow_names
-                    return ValidationReport.single(
-                        "germ quotient", "germ-transitivity",
-                        (names[i], names[j], names[k]),
-                        "the germ relation is not transitive for this action",
-                    )
-
-    blocks: list[list[int]] = []
-    assigned = [False] * n
-    for i in range(n):
-        if assigned[i]:
-            continue
-        block = [j for j in range(n) if rel[i][j]]
-        for j in block:
-            assigned[j] = True
-        blocks.append(block)
+    names = sp.arrow_names
+    germs = [{u for u in theta.actor.below(s) if g in theta.maps[u]} for s, g in sp.labels]
+    over: dict[int, list[int]] = {}
+    for i, (_s, g) in enumerate(sp.labels):
+        over.setdefault(g, []).append(i)
+    rows = [frozenset(j for j in over[g] if germs[i] & germs[j])
+            for i, (_s, g) in enumerate(sp.labels)]
+    for i, row in enumerate(rows):
+        for j in sorted(row):
+            if not rows[j] <= row:
+                return ValidationReport.single(
+                    "germ quotient", "germ-transitivity",
+                    (names[i], names[j], names[min(rows[j] - row)]),
+                    "the germ relation is not transitive for this action",
+                )
 
     cong = validate_rigid_congruence(
-        [[sp.arrow_names[j] for j in block] for block in blocks], sp,
+        [[names[j] for j in row] for row in set(rows)], sp,
     )
     if isinstance(cong, ValidationReport):
         return cong

@@ -111,19 +111,18 @@ class AlgebraPresentation:
 
         For composable degrees every nonzero coordinate of the product sits in
         degree deg(u)deg(v); for non-composable degrees the product is zero.
-        Returns the first failing pair or None.
+        Returns the first failing pair or None. Only the stored products are
+        walked: an absent product is zero and respects every grading.
         """
         if not self.graded:
             return None
         g = self.grading
-        for i in range(self.rank):
-            for j in range(self.rank):
-                prod = self.table.get((i, j), ())
-                di, dj = self.degrees[i], self.degrees[j]
-                if g.is_composable(di, dj):
-                    target = g.prod[di][dj]
-                    if any(self.degrees[k] != target for k, _ in prod):
-                        return (self.basis[i], self.basis[j])
-                elif prod:
+        for (i, j), prod in sorted(self.table.items()):
+            di, dj = self.degrees[i], self.degrees[j]
+            if g.is_composable(di, dj):
+                target = g.prod[di][dj]
+                if any(self.degrees[k] != target for k, _ in prod):
                     return (self.basis[i], self.basis[j])
+            elif prod:
+                return (self.basis[i], self.basis[j])
         return None

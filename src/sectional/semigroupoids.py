@@ -258,9 +258,6 @@ class FiniteInverseSemigroupoid:
     idempotents: tuple[int, ...] = ()
     leq: frozenset = frozenset()
 
-    def inverse(self, s: int) -> int:
-        return self.inv[s]
-
     def le(self, s: int, t: int) -> bool:
         return (s, t) in self.leq
 
@@ -404,9 +401,6 @@ class Homomorphism:
     target: FiniteSemigroupoid
     map: tuple[int, ...]
     rigid: bool = False
-
-    def __call__(self, a: int) -> int:
-        return self.map[a]
 
 
 def validate_homomorphism(raw_map, source: FiniteSemigroupoid, target: FiniteSemigroupoid) -> Homomorphism | ValidationReport:

@@ -507,14 +507,15 @@ class BundleCongruence:
 
 def validate_bundle_congruence(bundle: Bundle, base: RigidCongruence,
                                transports=None) -> BundleCongruence | ValidationReport:
-    """Complete rep-to-member transports to all ordered pairs and verify the
-    cocycle identities and product intertwining by enumeration.
+    """Complete rep-to-member transports to all ordered pairs, check the
+    cocycle identities on the diagonal and product intertwining by enumeration.
 
     transports: {arrow name: matrix} giving the transport from the class
     representative (minimal arrow id) to that arrow; omitted arrows get the
     identity, and a representative's own transport must be the identity.
-    Arbitrary ordered pairs are derived by composing through the
-    representative and then re-checked.
+    Arbitrary ordered pairs g -> h are derived by composing through the
+    representative; each g -> g must be the identity, which implies every
+    triple identity (see the comment at the check).
     """
     report = ValidationReport("bundle congruence")
     if base.base is not bundle.base and base.base != bundle.base:
@@ -574,17 +575,16 @@ def validate_bundle_congruence(bundle: Bundle, base: RigidCongruence,
             for h in block:
                 full[(g, h)] = _compose(to_cols[h], from_cols[g], ring)
 
+    # The diagonal check is every cocycle identity: to_g.from_g = I makes
+    # from_g a two-sided inverse of the square to_g (by the determinant over
+    # a commutative ring; a non-commutative ring here is a finite table ring
+    # with 1x1 transports, and finite rings are Dedekind-finite), so
+    # full[(h,k)].full[(g,h)] = to_k.(from_h.to_h).from_g = full[(g,k)].
     for block in base.classes:
         for g in block:
             if full[(g, g)] != _identity_columns(bundle.ranks[g], ring):
                 report.add("cocycle", (names[g],), "transport g->g is not the identity")
                 return report
-            for h in block:
-                for k in block:
-                    if _compose(full[(h, k)], full[(g, h)], ring) != full[(g, k)]:
-                        report.add("cocycle", (names[g], names[h], names[k]),
-                                   "transports do not compose coherently")
-                        return report
 
     prod = bundle.base.prod
     for (g1, g2) in bundle.base.composable:

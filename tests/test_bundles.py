@@ -1,5 +1,6 @@
 """Bundles, convolution, sectional algebras, graded round trips, crossed products."""
 
+import dataclasses
 import random
 
 import pytest
@@ -33,7 +34,7 @@ from sectional.standard import (
     trivial_monoid,
     unit_groupoid,
 )
-from sectional.validation import CapabilityError, ValidationReport, must
+from sectional.validation import CapabilityError, StructureError, ValidationReport, must
 
 Q = RationalRing()
 Z4 = ZModRing(4)
@@ -276,7 +277,49 @@ class TestSectionalAlgebra:
             assert via_algebra == via_convolution
 
 
+def oracle_graded_closure(alg):
+    """The first pair over all rank^2 basis pairs whose product leaves the
+    degree deg(u)deg(v), or is nonzero on non-composable degrees."""
+    g = alg.grading
+    for i in range(alg.rank):
+        for j in range(alg.rank):
+            prod = alg.table.get((i, j), ())
+            di, dj = alg.degrees[i], alg.degrees[j]
+            if g.is_composable(di, dj):
+                if any(alg.degrees[k] != g.prod[di][dj] for k, _ in prod):
+                    return (alg.basis[i], alg.basis[j])
+            elif prod:
+                return (alg.basis[i], alg.basis[j])
+    return None
+
+
+# matrix units of P_2, basis (1,1), (1,2), (2,1), (2,2): extra products on
+# non-composable degrees ((1,1)(2,1), (2,2)(1,1)) and products that leave
+# their degree ((1,2)(2,1) gains e_(1,2), (2,1)(1,1) gains e_(2,2))
+GRADING_BREAKS = {
+    "non-composable": ({(0, 2): ((0, 1),)}, ("(1,1)", "(2,1)")),
+    "leaves-degree": ({(1, 2): ((0, 1), (1, 1))}, ("(1,2)", "(2,1)")),
+    "both": ({(0, 2): ((0, 1),), (1, 2): ((0, 1), (1, 1))}, ("(1,1)", "(2,1)")),
+    "later-first": ({(3, 0): ((3, 1),), (2, 0): ((2, 1), (3, 1))}, ("(2,1)", "(1,1)")),
+}
+
+
 class TestGradedRoundTrip:
+    @pytest.mark.parametrize("case", sorted(GRADING_BREAKS))
+    def test_graded_closure_names_the_first_failing_pair(self, case):
+        changes, witness = GRADING_BREAKS[case]
+        p2 = pair_groupoid().base
+        alg = semigroupoid_algebra(Q, p2, identity_homomorphism(p2))
+        assert alg.check_graded_closure() is None and oracle_graded_closure(alg) is None
+        # stored in descending order, so the witness cannot lean on insertion order
+        table = dict(sorted({**alg.table, **changes}.items(), reverse=True))
+        broken = dataclasses.replace(alg, table=table)
+        assert broken.check_graded_closure() == witness == oracle_graded_closure(broken)
+        with pytest.raises(StructureError) as err:
+            bundle_from_graded(broken)
+        assert [(f.kind, f.witness) for f in err.value.report.failures] == [
+            ("graded-closure", witness)]
+
     def test_group_algebra_round_trip_is_identity(self):
         z2 = cyclic2().base
         alg = semigroupoid_algebra(Q, z2, identity_homomorphism(z2))

@@ -15,6 +15,7 @@ from sectional.rings import RationalRing, ZModRing, dense, spans_equal
 from sectional.semigroupoids import (
     identity_homomorphism,
     validate_homomorphism,
+    validate_semigroupoid,
 )
 from sectional.standard import (
     cyclic2,
@@ -462,6 +463,20 @@ class TestBundleCongruence:
         report = validate_bundle_congruence(bundle, cong, {"g": [[0]]})
         assert isinstance(report, ValidationReport)
         assert report.has("non-invertible-transport")
+
+    def test_wrong_inverse_fails_on_the_diagonal(self, monkeypatch):
+        # from_b = to_b when mat_inverse returns its input, so b -> b is
+        # [[1,2],[0,1]]: the diagonal check names b before any triple could
+        base = must(validate_semigroupoid({
+            "id": "parallel3", "vertices": ["v", "w"],
+            "arrows": [{"id": x, "src": "v", "rng": "w"} for x in "abc"], "prod": [],
+        }))
+        cong = must(validate_rigid_congruence([["a", "b", "c"]], base))
+        bundle = must(validate_bundle({"ranks": {x: 2 for x in "abc"}}, Q, base))
+        monkeypatch.setattr("sectional.theorems.mat_inverse", lambda mat, ring: mat)
+        report = validate_bundle_congruence(bundle, cong, {"b": [[1, 1], [0, 1]]})
+        assert isinstance(report, ValidationReport)
+        assert [(f.kind, f.witness) for f in report.failures] == [("cocycle", ("b",))]
 
     def test_congruence_on_another_base_rejected(self):
         # quotient.json's bundle bZ2 lives on Z2, its congruence collapse on

@@ -26,6 +26,13 @@ are sparse too: mul takes two vectors as (index, value) pairs (a stored row or
 the items of a {index: value} dict) and returns a dict. Dense coordinate
 tuples remain only for file literals, the transports inverted by
 rings.mat_inverse, and reports.
+
+The table's keys also give a support index, built once with it: after[l] is
+the set of k with e_l e_k != 0 and before[l] the set of i with e_i e_l != 0.
+The exhaustive checks compare two sides that are sums over stored products,
+so a basis tuple where both sums are empty is 0 = 0; the index finds the
+other tuples, and the checks walk those in the dense order, which keeps
+every check exhaustive and every witness the same.
 """
 
 from __future__ import annotations
@@ -46,6 +53,8 @@ class AlgebraPresentation:
     provenance: str = ""
     labels: tuple | None = None
     index: dict = field(init=False, repr=False, compare=False)
+    after: tuple = field(init=False, repr=False, compare=False)
+    before: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # labels default to the names, so a hand-built basis is its own key
@@ -57,11 +66,19 @@ class AlgebraPresentation:
         cleaned = {}
         for key, row in self.table.items():
             row = dict(row)
-            if any(not isinstance(k, int) or not 0 <= k < self.rank for k in row):
+            if any(not isinstance(k, int) or not 0 <= k < self.rank for k in (*key, *row)):
                 raise ValueError(f"structure constant at {key} indexes outside the basis")
             if row := tuple(sorted(sparse_vector(row, self.ring).items())):
                 cleaned[key] = row
         self.table = cleaned
+        # the support index: after[l] = {k : e_l e_k != 0}, before[l] = {i : e_i e_l != 0}
+        after = [set() for _ in self.labels]
+        before = [set() for _ in self.labels]
+        for i, j in cleaned:
+            after[i].add(j)
+            before[j].add(i)
+        self.after = tuple(map(frozenset, after))
+        self.before = tuple(map(frozenset, before))
         if (self.grading is None) != (self.degrees is None):
             raise ValueError("grading and degrees must be supplied together")
         if self.degrees is not None and len(self.degrees) != self.rank:
@@ -84,6 +101,14 @@ class AlgebraPresentation:
             self.ring,
         )
 
+    def after_support(self, v) -> set:
+        """The k for which v e_k can be nonzero, v given as (index, value) pairs."""
+        return set().union(*(self.after[l] for l, _ in v))
+
+    def before_support(self, v) -> set:
+        """The i for which e_i v can be nonzero, v given as (index, value) pairs."""
+        return set().union(*(self.before[l] for l, _ in v))
+
     def homogeneous_indices(self, g: int) -> tuple[int, ...]:
         if self.degrees is None:
             raise ValueError("algebra is not graded")
@@ -92,14 +117,21 @@ class AlgebraPresentation:
     def check_associativity(self) -> tuple | None:
         """Enumerate basis triples; returns the first failing (i,j,k) or None.
 
-        e_i e_j and e_j e_k are read off the stored rows.
+        e_i e_j and e_j e_k are read off the stored rows. (e_i e_j) e_k is an
+        empty sum unless k lies after the support of e_i e_j, and e_i (e_j e_k)
+        unless i lies before the support of e_j e_k; every other k is 0 = 0
+        and is skipped.
         """
         table, one = self.table, self.ring.one
+        # reach[j][k]: the i for which e_i (e_j e_k) can be nonzero
+        reach = [{k: self.before_support(table[(j, k)]) for k in self.after[j]}
+                 for j in range(self.rank)]
         for i in range(self.rank):
             ei = ((i, one),)
             for j in range(self.rank):
                 ij = table.get((i, j), ())
-                for k in range(self.rank):
+                right = {k for k, left_of in reach[j].items() if i in left_of}
+                for k in sorted(right | self.after_support(ij)):
                     left = self.mul(ij, ((k, one),))
                     right = self.mul(ei, table.get((j, k), ()))
                     if left != right:

@@ -97,14 +97,31 @@ class Certificate:
         }
 
 
+def product_pairs(source: AlgebraPresentation, target: AlgebraPresentation, images: dict):
+    """The pairs (i, j) of keys of images, in order, at which map(e_i e_j) or
+    map(e_i) map(e_j) can be nonzero, images[i] being the image of e_i as
+    (index, value) pairs: those with e_i e_j != 0, and those where an image
+    entry of e_j lies after one of e_i in the target. Both sides of every
+    other pair are empty sums."""
+    owners: dict[int, list] = {}
+    for j, row in images.items():
+        for l, _ in row:
+            owners.setdefault(l, []).append(j)
+    for i in sorted(images):
+        partners = {j for j in source.after[i] if j in images}
+        for l in target.after_support(images[i]):
+            partners.update(owners.get(l, ()))
+        for j in sorted(partners):
+            yield i, j
+
+
 def multiplicative_witness(tmap: LinearMapOnBasis) -> tuple | None:
     """First basis pair (i, j) with map(e_i e_j) != map(e_i) map(e_j), or None."""
     src, tgt, rows = tmap.source, tmap.target, tmap.rows
-    for i in range(src.rank):
-        for j in range(src.rank):
-            lhs = tmap.apply_rows(src.table.get((i, j), ()))
-            if lhs != tgt.mul(rows[i], rows[j]):
-                return (src.basis[i], src.basis[j])
+    for i, j in product_pairs(src, tgt, dict(enumerate(rows))):
+        lhs = tmap.apply_rows(src.table.get((i, j), ()))
+        if lhs != tgt.mul(rows[i], rows[j]):
+            return (src.basis[i], src.basis[j])
     return None
 
 

@@ -848,28 +848,53 @@ def span_rank(generators, ring: Ring) -> int:
     return len(EchelonBasis(ring, generators).rows)
 
 
-def ideal_closure(generators, algebra) -> list[dict]:
+def ideal_closure(generators, algebra, until=None) -> list[dict]:
     """Smallest two-sided multiplication-closed subspace containing the generators.
 
-    `algebra` is any presentation exposing ring, rank, and mul on sparse
-    vectors. Saturation multiplies every vector that enlarges the span by every
-    basis element on both sides until nothing new appears; the submodule lattice
-    of a finite free module over a field or Z/n has finite height, so this
-    stops. Over a field the result is the ideal's reduced row echelon form,
-    over composite Z/n the vectors that enlarged the span.
+    `algebra` is any presentation exposing ring, mul on sparse vectors, and
+    after_support/before_support from its support index. Saturation multiplies every vector that
+    enlarges the span by every basis element on both sides until nothing new
+    appears; the submodule lattice of a finite free module over a field or
+    Z/n has finite height, so this stops. The products of each accepted
+    vector form one lazy stream, read in order after the streams before it,
+    and only the products that can be nonzero are formed: a zero product
+    never enlarges the span.
+
+    `until` spans a submodule known to contain the closure, such as the
+    kernel of a multiplicative map that kills every generator (a two-sided
+    ideal containing them). Saturation then stops as soon as the span's
+    echelon rows equal until's: the span already is that submodule, so no
+    later product could enlarge it, and the result is the one full
+    saturation gives. Over a field the result is the ideal's reduced row
+    echelon form, over composite Z/n the vectors that enlarged the span.
     """
     ring = algebra.ring
     basis = EchelonBasis(ring)
+    target = None if until is None else EchelonBasis(ring, until).rows
     span: list[dict] = []
-    queue = deque(sparse_vector({k: ring.coerce(x) for k, x in dict(g).items()}, ring)
-                  for g in generators)
-    while queue:
-        vec = queue.popleft()
+    streams = deque([(sparse_vector({k: ring.coerce(x) for k, x in dict(g).items()}, ring)
+                      for g in generators)])
+    while streams:
+        vec = next(streams[0], None)
+        if vec is None:
+            streams.popleft()
+            continue
         if not basis.insert(vec):
             continue
         span.append(vec)
-        for i in range(algebra.rank):
-            unit = ((i, ring.one),)
-            queue.append(algebra.mul(unit, vec.items()))
-            queue.append(algebra.mul(vec.items(), unit))
+        if basis.rows == target:
+            break
+        streams.append(_unit_products(algebra, vec))
     return basis.pivot_rows() if ring.is_field else span
+
+
+def _unit_products(algebra, vec: dict):
+    """e_i vec and vec e_i by ascending i, each only where it can be nonzero."""
+    one, items = algebra.ring.one, vec.items()
+    left, right = algebra.before_support(items), algebra.after_support(items)
+    for i in sorted(left | right):
+        unit = ((i, one),)
+        if i in left:
+            yield algebra.mul(unit, items)
+        if i in right:
+            yield algebra.mul(items, unit)

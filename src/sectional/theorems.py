@@ -734,6 +734,8 @@ def germ_corollary(theta: LandPreaction, coefficients) -> GermCorollaryResult:
     the space with the shift action; naive crossed product; the two-sided
     ideal generated by delta_s a - delta_t a for s below t; the coefficient
     algebra of the germ groupoid; and the certified induced isomorphism.
+    The map is built before the ideal, so when it is multiplicative and kills
+    every generator its kernel bounds the saturation, which stops there.
     StageErrors tag which stage refused.
     """
     def stage(name, thunk):
@@ -761,8 +763,6 @@ def germ_corollary(theta: LandPreaction, coefficients) -> GermCorollaryResult:
         for s, t in sorted(actor.leq) if s != t
         for d in sorted(set(induced.domains[s]) & set(induced.domains[t]))
     ]
-    ideal = stage("ideal", lambda: ideal_closure(generators, crossed))
-
     germ_algebra = stage("germ-algebra",
                       lambda: semigroupoid_algebra(coefficients, germ.quotient))
 
@@ -773,6 +773,13 @@ def germ_corollary(theta: LandPreaction, coefficients) -> GermCorollaryResult:
         cls = germ.congruence.class_of[germ.semidirect.index[(s, g)]]
         images.append(((germ_algebra.index[(cls, i)], ring.one),))
     qmap = LinearMapOnBasis(crossed, germ_algebra, tuple(images))
+    witness = multiplicative_witness(qmap)
+    sol = stage("ideal", lambda: solve_linear(qmap.rows, qmap.target.rank, ring))
+    kills = not any(qmap.apply_rows(gen.items()) for gen in generators)
+    # the kernel of a multiplicative map that kills every generator is a
+    # two-sided ideal containing them, so the saturation may stop there
+    until = sol.kernel_basis if witness is None and kills else None
+    ideal = stage("ideal", lambda: ideal_closure(generators, crossed, until))
 
     cert = Certificate("germ corollary")
     cert.data["crossed_rank"] = crossed.rank
@@ -782,11 +789,9 @@ def germ_corollary(theta: LandPreaction, coefficients) -> GermCorollaryResult:
     else:
         cert.data["ideal_generators"] = len(ideal)
 
-    witness = multiplicative_witness(qmap)
     cert.add("multiplicative", witness is None, witness or ())
     cert.add("ideal-killed", not any(qmap.apply_rows(v.items()) for v in ideal))
 
-    sol = solve_linear(qmap.rows, qmap.target.rank, ring)
     cert.add("surjective", surjective(sol))
     cert.add("kernel-is-ideal", spans_equal(sol.kernel_basis, ideal, ring))
     if ring.is_field:

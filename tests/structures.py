@@ -7,7 +7,14 @@ sectional.standard.
 
 import copy
 
-from sectional.semigroupoids import Homomorphism, validate_homomorphism
+from sectional.actions import validate_preaction
+from sectional.semigroupoids import (
+    Homomorphism,
+    validate_homomorphism,
+    validate_inverse_semigroupoid,
+    validate_semigroupoid,
+)
+from sectional.validation import must
 
 
 def is_isomorphism(mapping, source, target):
@@ -165,3 +172,88 @@ def columns_of(entries, cols):
     its zero entries kept: the form rings.solve_linear takes, with the height
     len(entries)."""
     return [{i: row[j] for i, row in enumerate(entries)} for j in range(cols)]
+
+
+def components_semidirect_action(k, m, group):
+    """E ⋊ Γ acting on k disjoint copies of the pair groupoid P_m.
+
+    group lists permutations of the k components (tuples, gamma[c] the image
+    of c), closed under composition. E is the semilattice of component sets
+    under intersection, and the actor's arrows are the pairs (U, gamma) with
+    (U, gamma)(V, delta) = (U ∩ gamma V, gamma delta) and
+    (U, gamma)* = (gamma⁻¹ U, gamma⁻¹). theta_(U, gamma) moves the copies
+    gamma⁻¹(U) onto U, arrow by arrow. Returns (actor, space, maps) as raw
+    stanzas for validate_semigroupoid, validate_inverse_semigroupoid and
+    validate_preaction.
+    """
+    sets = [frozenset(c for c in range(k) if mask >> c & 1) for mask in range(1 << k)]
+    inverse = {g: tuple(g.index(c) for c in range(k)) for g in group}
+
+    def name(u, g):
+        return "".join(map(str, sorted(u))) + ":" + "".join(map(str, g))
+
+    def image(g, u):
+        return frozenset(g[c] for c in u)
+
+    def compose(g, h):
+        return tuple(g[h[c]] for c in range(k))
+
+    arrows = [(u, g) for u in sets for g in group]
+    actor = {
+        "id": f"E{k}xG",
+        "vertices": ["*"],
+        "arrows": [{"id": name(u, g), "src": "*", "rng": "*"} for u, g in arrows],
+        "prod": [[name(u, g), name(v, h), name(u & image(g, v), compose(g, h))]
+                 for u, g in arrows for v, h in arrows],
+        "inv": {name(u, g): name(image(inverse[g], u), inverse[g]) for u, g in arrows},
+    }
+
+    def arrow(c, i, j):
+        return f"{c}({i},{j})"
+
+    points = range(1, m + 1)
+    space = {
+        "id": f"{k}P{m}",
+        "vertices": [f"{c}.{i}" for c in range(k) for i in points],
+        "arrows": [{"id": arrow(c, i, j), "src": f"{c}.{j}", "rng": f"{c}.{i}"}
+                   for c in range(k) for i in points for j in points],
+        "prod": [[arrow(c, i, j), arrow(c, j, l), arrow(c, i, l)]
+                 for c in range(k) for i in points for j in points for l in points],
+        "inv": {arrow(c, i, j): arrow(c, j, i) for c in range(k) for i in points for j in points},
+    }
+    maps = {}
+    for u, g in arrows:
+        moved = [c for c in range(k) if g[c] in u]
+        maps[name(u, g)] = {
+            "dom": [arrow(c, i, j) for c in moved for i in points for j in points],
+            "img": [arrow(g[c], i, j) for c in moved for i in points for j in points],
+        }
+    return actor, space, maps
+
+
+def nested_chain_action(n):
+    """The chain semilattice C_n = {0..n-1}, i * j = min(i, j), acting by
+    identities on nested domains {x0} ⊂ {x0, x1} ⊂ ... of n points: the
+    crossed product has rank n(n+1)/2 and the germ algebra rank n."""
+    ids = [str(i) for i in range(n)]
+    actor = {
+        "id": f"C{n}",
+        "vertices": ["*"],
+        "arrows": [{"id": i, "src": "*", "rng": "*"} for i in ids],
+        "prod": [[i, j, str(min(int(i), int(j)))] for i in ids for j in ids],
+        "inv": {i: i for i in ids},
+    }
+    space = unit_groupoid_raw(tuple(f"x{i}" for i in range(n)))
+    maps = {}
+    for i in range(n):
+        dom = [f"1x{p}" for p in range(i + 1)]
+        maps[str(i)] = {"dom": dom, "img": dom}
+    return actor, space, maps
+
+
+def preaction(actor, space, maps):
+    """The validated preaction of raw actor, space and maps stanzas."""
+    sgpd = must(validate_semigroupoid(actor))
+    return must(validate_preaction(
+        maps, must(validate_inverse_semigroupoid(sgpd, actor["inv"])),
+        must(validate_semigroupoid(space))))

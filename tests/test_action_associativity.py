@@ -13,6 +13,13 @@ not filter out the failing cases. Algebra level: valid preactions lifted to
 the semigroupoid algebra, with each image a random unit multiple of the
 honest one plus, at times, one more basis vector of the same range, and one
 corrupted matrix entry.
+
+The algebra-level loops (this check, and the ideal and multiplicativity
+loops of `validate_algebra_action`) walk only the tuples the algebra's
+support index leaves. So honest lifts over Q, Z/6 and a non-commutative
+table ring also get one corrupted structure constant; the validator must
+then give the dense loops' first failure, and an action it accepts the
+oracle's associativity witness.
 """
 
 from fractions import Fraction
@@ -21,13 +28,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sectional.actions import LandPreaction, _associativity, _twisted, validate_preaction
-from sectional.bundles import AlgebraAction, algebra_action_associativity, semigroupoid_algebra
-from sectional.rings import RationalRing, ZModRing, sparse_row
+from sectional.algebras import AlgebraPresentation
+from sectional.bundles import (
+    AlgebraAction,
+    algebra_action_associativity,
+    semigroupoid_algebra,
+    validate_algebra_action,
+)
+from sectional.rings import RationalRing, ZModRing, ring_from_spec, sparse_row
 from sectional.semigroupoids import validate_inverse_semigroupoid, validate_semigroupoid
 from sectional.standard import cyclic2, pair_groupoid, semilattice2, unit_groupoid
-from sectional.validation import must
+from sectional.validation import ValidationReport, must
 
-from structures import semilattice_on_points_action
+from structures import semilattice_on_points_action, upper_triangular_f2_ring_spec
 
 
 def oracle_associativity(theta):
@@ -83,6 +96,41 @@ def oracle_algebra_associativity(action):
                                 base.arrow_names[u], alg.basis[a], alg.basis[b],
                                 alg.basis[c],
                             )
+    return None
+
+
+def oracle_ideal_and_multiplicative(action):
+    """The ideal and multiplicativity loops of validate_algebra_action as
+    they stood before: every basis index j, every domain pair. Returns the
+    first (kind, witness) or None."""
+    base = action.actor.base
+    alg = action.algebra
+    names, rows, doms = base.arrow_names, action.rows, action.domains
+
+    def in_span(row, span):
+        return all(k in span for k, _ in row)
+
+    for v in range(base.n_vertices):
+        big = action.big_ideal(v)
+        for i in sorted(big):
+            for j in range(alg.rank):
+                for (p, q) in ((i, j), (j, i)):
+                    if not in_span(alg.table.get((p, q), ()), big):
+                        return "ideal-property", (base.vertex_names[v], alg.basis[p],
+                                                  alg.basis[q])
+    for s in base.arrows():
+        ambient = sorted(action.big_ideal(base.src[s]))
+        for i in doms[s]:
+            for j in ambient:
+                for (p, q) in ((i, j), (j, i)):
+                    if not in_span(alg.table.get((p, q), ()), rows[s]):
+                        return "ideal-property", (names[s], alg.basis[p], alg.basis[q])
+    for s in base.arrows():
+        for i in doms[s]:
+            for j in doms[s]:
+                lhs = action.apply_rows(s, alg.table.get((i, j), ()))
+                if lhs != alg.mul(rows[s][i], rows[s][j]):
+                    return "isomorphism", (names[s], alg.basis[i], alg.basis[j])
     return None
 
 
@@ -222,3 +270,43 @@ def test_corrupted_matrix_gives_the_oracle_witness():
     witness = algebra_action_associativity(broken)
     assert witness is not None
     assert witness == oracle_algebra_associativity(broken)
+
+
+CORRUPTION_RINGS = [RationalRing(), ZModRing(6), ring_from_spec(upper_triangular_f2_ring_spec())]
+
+
+def test_corrupted_constant_gives_the_oracle_verdicts():
+    """One structure constant of an honest lift redrawn: the validator's
+    first failure is the dense loops' first one (inverse compatibility and
+    the extension law never read the table), and an action it accepts has
+    the oracle's associativity witness."""
+    verdicts = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def check(data):
+        theta = data.draw(st.sampled_from(VALID))
+        ring = data.draw(st.sampled_from(CORRUPTION_RINGS))
+        honest = lifted(theta, ring)
+        alg = honest.algebra
+        i, j, k = (data.draw(st.integers(0, alg.rank - 1)) for _ in range(3))
+        row = dict(alg.table.get((i, j), ()))
+        row[k] = data.draw(st.sampled_from([ring.zero, ring.one, ring.coerce(2)]))
+        table = {**alg.table, (i, j): row}
+        broken = AlgebraPresentation(ring, alg.basis, table, labels=alg.labels)
+        expected = oracle_ideal_and_multiplicative(
+            AlgebraAction(theta.actor, broken, honest.domains, honest.rows))
+        result = validate_algebra_action(theta.actor, broken, honest.domains, honest.rows)
+        if expected is not None:
+            assert isinstance(result, ValidationReport)
+            first = result.first()
+            assert (first.kind, first.witness) == expected
+            verdicts.add(expected[0])
+        else:
+            assert isinstance(result, AlgebraAction)
+            witness = oracle_algebra_associativity(result)
+            assert algebra_action_associativity(result) == witness
+            verdicts.add(witness is None)
+
+    check()
+    assert verdicts == {"ideal-property", "isomorphism", True, False}

@@ -12,7 +12,11 @@ must equal its oracle exactly over Q, Z/6 and two finite table rings:
 
 The exhaustive checks (algebra and bundle associativity, multiplicativity of
 a basis map) must also return the oracle's witness after one structure
-constant is corrupted.
+constant is corrupted. The algebra-level checks walk only the tuples the
+support index leaves, so they are also run on generated sparse tables (the
+semigroupoid algebras of small groupoids and random constants on a few
+products) over Q, Z/6 and the non-commutative table ring, each with one
+corrupted constant; both verdicts must occur.
 """
 
 import itertools
@@ -34,7 +38,7 @@ from sectional.bundles import (
 from sectional.maps import LinearMapOnBasis, basis_bijection, multiplicative_witness
 from sectional.rings import RationalRing, ZModRing, ring_from_spec, sparse_row
 from sectional.rings import dense as densify
-from sectional.standard import pair_groupoid, semilattice2
+from sectional.standard import pair_groupoid, semilattice2, unit_groupoid
 from sectional.theorems import _columns, _move
 from sectional.validation import ValidationReport
 
@@ -412,3 +416,91 @@ def test_multiplicative_witness_matches_oracle(ring, data):
     tmap = basis_bijection(matrix_units, corrupted, {i: i for i in range(rank)})
     expected = oracle_multiplicative(tmap, _dense_table(matrix_units), table)
     assert multiplicative_witness(tmap) == expected
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive checks on sparse tables: the oracle's verdict and witness
+# ---------------------------------------------------------------------------
+
+SPARSE_RINGS = {name: RINGS[name] for name in ("Q", "Z6", "UT2-F2")}
+SPARSE_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+SPARSE_BASES = [pair_groupoid().base, unit_groupoid(("x", "y", "z")).base, semilattice2().base]
+
+
+def _sparse_table(data, ring):
+    """Dense tables of a sparse algebra, and its rank: the semigroupoid
+    algebra of a small groupoid or semilattice, or random constants on at
+    most rank + 1 products."""
+    base = data.draw(st.sampled_from(SPARSE_BASES + [None]))
+    if base is not None:
+        alg = semigroupoid_algebra(ring, base)
+        return _dense_table(alg), alg.rank
+    rank = data.draw(st.integers(2, 5))
+    keys = [(i, j) for i in range(rank) for j in range(rank)]
+    chosen = data.draw(st.lists(st.sampled_from(keys), max_size=rank + 1, unique=True))
+    return {key: _vector(data, ring, rank) for key in chosen}, rank
+
+
+def _corrupt_constant(data, ring, table, rank):
+    """The table with the coefficient of e_k in e_i e_j redrawn."""
+    i, j, k = (data.draw(st.integers(0, rank - 1)) for _ in range(3))
+    row = list(table.get((i, j), (ring.zero,) * rank))
+    row[k] = data.draw(_elements(ring))
+    return {**table, (i, j): tuple(row)}
+
+
+@pytest.mark.parametrize("ring", SPARSE_RINGS.values(), ids=SPARSE_RINGS.keys())
+def test_associativity_on_sparse_tables_matches_oracle(ring):
+    verdicts = set()
+
+    @SPARSE_SETTINGS
+    @given(data=st.data())
+    def check(data):
+        table, rank = _sparse_table(data, ring)
+        table = _corrupt_constant(data, ring, table, rank)
+        alg = _presentation(ring, table, rank)
+        expected = oracle_associativity(table, alg.basis, ring)
+        assert alg.check_associativity() == expected
+        verdicts.add(expected is None)
+
+    check()
+    assert verdicts == {True, False}
+
+
+def _sparse_images(data, ring, source_rank, target_rank):
+    """Basis images with at most two nonzero entries each."""
+    images = []
+    for _ in range(source_rank):
+        keys = data.draw(st.lists(st.integers(0, target_rank - 1), max_size=2, unique=True))
+        images.append({k: data.draw(_elements(ring)) for k in keys})
+    return tuple(images)
+
+
+@pytest.mark.parametrize("ring", SPARSE_RINGS.values(), ids=SPARSE_RINGS.keys())
+def test_multiplicative_witness_on_sparse_tables_matches_oracle(ring):
+    """The identity of a sparse table into a copy with one corrupted constant
+    (either side), or random sparse images between two sparse tables."""
+    verdicts = set()
+
+    @SPARSE_SETTINGS
+    @given(data=st.data())
+    def check(data):
+        src_table, rank = _sparse_table(data, ring)
+        if data.draw(st.booleans()):
+            tgt_table = _corrupt_constant(data, ring, src_table, rank)
+            if data.draw(st.booleans()):
+                src_table, tgt_table = tgt_table, src_table
+            tgt_rank = rank
+            images = tuple({i: ring.one} for i in range(rank))
+        else:
+            tgt_table, tgt_rank = _sparse_table(data, ring)
+            images = _sparse_images(data, ring, rank, tgt_rank)
+        src = _presentation(ring, src_table, rank)
+        tgt = _presentation(ring, tgt_table, tgt_rank)
+        tmap = LinearMapOnBasis(src, tgt, images)
+        expected = oracle_multiplicative(tmap, src_table, tgt_table)
+        assert multiplicative_witness(tmap) == expected
+        verdicts.add(expected is None)
+
+    check()
+    assert verdicts == {True, False}

@@ -23,11 +23,16 @@ dense Gauss-Jordan elimination. Every property records a yes/no outcome per
 example and must see both.
 """
 
+import itertools
+from collections import deque
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sectional.rings as rings_module
+import sectional.theorems as theorems
 from sectional.algebras import AlgebraPresentation
 from sectional.bundles import Bundle, Section, convolve, fiber_rows
 from sectional.rings import (
@@ -38,10 +43,13 @@ from sectional.rings import (
     dense,
     ideal_closure,
     solve_linear,
+    sparse_vector,
     spans_equal,
 )
+from sectional.rings import _unit_products as unit_products
 from sectional.standard import pair_groupoid
-from structures import columns_of
+from sectional.theorems import germ_corollary
+from structures import columns_of, components_semidirect_action, nested_chain_action, preaction
 
 RINGS = [RationalRing(), ZModRing(5), ZModRing(6)]
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -275,13 +283,24 @@ def _algebra(data, ring, rank):
     return AlgebraPresentation(ring, tuple(f"e{i}" for i in range(rank)), table)
 
 
+def _sparse_algebra(data, ring, rank):
+    """Structure constants on a few products only, so the support index
+    leaves most basis elements out of most products."""
+    keys = [(i, j) for i in range(rank) for j in range(rank)]
+    chosen = data.draw(st.lists(st.sampled_from(keys), max_size=rank + 1, unique=True))
+    table = {key: dict(enumerate(_vector(data, ring, rank))) for key in chosen}
+    return AlgebraPresentation(ring, tuple(f"e{i}" for i in range(rank)), table)
+
+
 def test_ideal_closure_matches_the_dense_saturation_loop():
+    """Full saturation against the oracle; and a run told that the closure
+    lies in its own span stops early with the same result."""
     outcomes = set()
 
-    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-    @given(st.sampled_from(RINGS), st.integers(1, 3), st.data())
-    def check(ring, rank, data):
-        algebra = _algebra(data, ring, rank)
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(RINGS), st.integers(1, 3), st.booleans(), st.data())
+    def check(ring, rank, sparse, data):
+        algebra = (_sparse_algebra if sparse else _algebra)(data, ring, rank)
         gens = [_vector(data, ring, rank) for _ in range(data.draw(st.integers(0, 2)))]
         closure = ideal_closure([_with_zeros(data, g) for g in gens], algebra)
         expected = oracle_closure(gens, algebra)
@@ -292,12 +311,145 @@ def test_ideal_closure_matches_the_dense_saturation_loop():
             assert all(oracle_span(expected, ring)(v) for v in dense_closure)
         else:
             assert dense_closure == expected
+        assert ideal_closure([_with_zeros(data, g) for g in gens], algebra,
+                             until=closure) == closure
         units = [tuple(ring.one if j == i else ring.zero for j in range(rank))
                  for i in range(rank)]
         outcomes.add(all(oracle_span(dense_closure, ring)(e) for e in units))
 
     check()
     assert outcomes == {True, False}
+
+
+def test_ideal_closure_stops_on_equal_rows_not_equal_rank():
+    """Over Z/6, 2Z/6 and Z/6 both have one Howell row: the span of 2 has the
+    rank of the target but is not it, so the 3 after it is still accepted."""
+    z6 = ZModRing(6)
+    algebra = AlgebraPresentation(z6, ("e",), {(0, 0): {0: 1}})
+    closure = ideal_closure([{0: 2}, {0: 3}], algebra, until=[{0: 1}])
+    assert closure == [{0: 2}, {0: 3}] == ideal_closure([{0: 2}, {0: 3}], algebra)
+
+
+def eager_closure(generators, algebra):
+    """The saturation loop as it stood before the early stop and the support
+    index: each accepted vector queues all 2·rank of its products at once, in
+    FIFO order, and nothing stops it before the queue runs dry. Returns the
+    accepted vectors and the echelon rows."""
+    ring = algebra.ring
+    basis = EchelonBasis(ring)
+    accepted = []
+    queue = deque(sparse_vector(dict(g), ring) for g in generators)
+    while queue:
+        vec = queue.popleft()
+        if not basis.insert(vec):
+            continue
+        accepted.append(vec)
+        for i in range(algebra.rank):
+            unit = ((i, ring.one),)
+            queue.append(algebra.mul(unit, vec.items()))
+            queue.append(algebra.mul(vec.items(), unit))
+    return accepted, basis.pivot_rows()
+
+
+GERM_INSTANCES = {
+    "C3": lambda: nested_chain_action(3),
+    "C6": lambda: nested_chain_action(6),
+    "2P2-Z2": lambda: components_semidirect_action(2, 2, [(0, 1), (1, 0)]),
+    "3P1-S3": lambda: components_semidirect_action(3, 1, list(itertools.permutations(range(3)))),
+}
+GERM_RINGS = {"Q": RationalRing(), "Z6": ZModRing(6)}
+
+
+def _spy_closure(monkeypatch, replacement=None):
+    """Record each ideal_closure call the germ pipeline makes: its
+    generators, algebra and whether it got a stop target."""
+    calls = []
+    run = replacement or ideal_closure
+
+    def spy(generators, algebra, until=None):
+        generators = list(generators)
+        calls.append((generators, algebra, until is not None))
+        return run(generators, algebra, until)
+
+    monkeypatch.setattr(theorems, "ideal_closure", spy)
+    return calls
+
+
+def _eager_result(generators, algebra, until=None):
+    accepted, rows = eager_closure(generators, algebra)
+    return rows if algebra.ring.is_field else accepted
+
+
+@pytest.mark.parametrize("ring", GERM_RINGS.values(), ids=GERM_RINGS.keys())
+@pytest.mark.parametrize("instance", GERM_INSTANCES.values(), ids=GERM_INSTANCES.keys())
+def test_germ_ideal_early_stop_matches_full_saturation(instance, ring, monkeypatch):
+    """The germ pipeline stops its saturation at the kernel; the eager loop
+    saturates fully. Same accepted list over Z/6, same reduced row echelon
+    form over Q, same certificate. On chain actions the generators already
+    span the kernel, so the early stop forms no product at all."""
+    theta = preaction(*instance())
+    formed = []
+
+    def counted(algebra, vec):
+        for product in unit_products(algebra, vec):
+            formed.append(product)
+            yield product
+
+    monkeypatch.setattr(rings_module, "_unit_products", counted)
+    calls = _spy_closure(monkeypatch)
+    early = germ_corollary(theta, ring)
+    ((generators, crossed, stopped),) = calls
+    assert stopped
+    accepted, rows = eager_closure(generators, crossed)
+    assert early.ideal_basis == (rows if ring.is_field else accepted)
+    if theta.actor.base.n_arrows == theta.space.n_arrows:          # the chains
+        assert formed == []
+
+    _spy_closure(monkeypatch, _eager_result)
+    full = germ_corollary(theta, ring)
+    assert full.ideal_basis == early.ideal_basis
+    assert full.certificate.to_json() == early.certificate.to_json()
+    assert early.certificate.passed
+
+
+class Negated(theorems.LinearMapOnBasis):
+    """Every image negated: the kernel stays, multiplicativity breaks
+    ((-1)(-1) = 1)."""
+
+    def __post_init__(self):
+        ring = self.source.ring
+        minus = ring.coerce(-1)
+        self.rows = tuple({k: ring.mul(minus, x) for k, x in dict(row).items()}
+                          for row in self.rows)
+        super().__post_init__()
+
+
+class Identity(theorems.LinearMapOnBasis):
+    """The identity of the source: multiplicative, but it kills no generator."""
+
+    def __post_init__(self):
+        self.target = self.source
+        self.rows = tuple({i: self.source.ring.one} for i in range(self.source.rank))
+        super().__post_init__()
+
+
+@pytest.mark.parametrize("ring", GERM_RINGS.values(), ids=GERM_RINGS.keys())
+@pytest.mark.parametrize("bent, failing", [(Negated, "multiplicative"),
+                                           (Identity, "ideal-killed")],
+                         ids=["non-multiplicative", "kills-no-generator"])
+def test_germ_ideal_saturates_fully_unless_the_kernel_bounds_it(bent, failing, ring,
+                                                               monkeypatch):
+    """The kernel contains the ideal only when the map is multiplicative and
+    kills every generator; under a map that misses either, the pipeline must
+    not stop the saturation at the kernel."""
+    theta = preaction(*GERM_INSTANCES["2P2-Z2"]())
+    monkeypatch.setattr(theorems, "LinearMapOnBasis", bent)
+    calls = _spy_closure(monkeypatch)
+    res = germ_corollary(theta, ring)
+    ((generators, crossed, stopped),) = calls
+    assert not stopped
+    assert res.ideal_basis == _eager_result(generators, crossed)
+    assert res.certificate.first_failure().name == failing
 
 
 def test_solve_linear_kernel_and_image_match_dense_oracle():

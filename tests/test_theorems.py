@@ -1,5 +1,6 @@
 """The four isomorphism pipelines on the worked instances."""
 
+import itertools
 import os
 
 import pytest
@@ -11,7 +12,7 @@ from sectional.bundles import (
     trivial_bundle,
     validate_bundle,
 )
-from sectional.rings import RationalRing, ZModRing, dense, spans_equal
+from sectional.rings import EchelonBasis, RationalRing, ZModRing, dense, spans_equal
 from sectional.semigroupoids import (
     identity_homomorphism,
     validate_homomorphism,
@@ -48,7 +49,13 @@ from sectional.validation import (
 )
 from sectional.workspace import Builder, parse_workspace
 
-from structures import SKEW_Z2_TO_PAIR, is_isomorphism, semilattice_on_points_action
+from structures import (
+    SKEW_Z2_TO_PAIR,
+    components_semidirect_action,
+    is_isomorphism,
+    preaction,
+    semilattice_on_points_action,
+)
 
 Q = RationalRing()
 Z5 = ZModRing(5)
@@ -631,6 +638,34 @@ class TestGermCorollary:
             assert res.certificate.passed
             data = res.certificate.data
             assert data["crossed_rank"] - data["ideal_rank"] == data["quotient_rank"]
+
+
+class TestGermOnPairGroupoidCopies:
+    """E ⋊ Γ acting on k disjoint copies of P_m: a non-commutative actor with
+    a non-trivial order on a space with non-identity arrows. From the
+    combinatorics alone: crossed rank |Γ|·|G|·2^(k-1), since each arrow of
+    G = kP_m lies in the domain of (U, γ) for half the U; quotient rank
+    |Γ|·|G|, the transformation groupoid Γ ⋉ G; the ideal is the
+    difference."""
+
+    @pytest.mark.parametrize("ring", [Q, ZModRing(6)], ids=["Q", "Z6"])
+    @pytest.mark.parametrize("k, m, group, ranks", [
+        (2, 2, [(0, 1), (1, 0)], (32, 16, 16)),
+        (3, 1, list(itertools.permutations(range(3))), (72, 18, 54)),
+    ], ids=["k2-m2-Z2", "k3-m1-S3"])
+    def test_ranks(self, k, m, group, ranks, ring):
+        theta = preaction(*components_semidirect_action(k, m, group))
+        assert theta.is_partial and theta.is_global and theta.is_associative
+        res = germ_corollary(theta, ring)
+        assert res.certificate.passed
+        data = res.certificate.data
+        assert (data["crossed_rank"], data["quotient_rank"]) == (ranks[0], ranks[1])
+        # over Z/6 the ideal is free: its Howell form has one unit pivot per rank
+        rows = EchelonBasis(ring, res.ideal_basis).pivot_rows()
+        assert len(rows) == ranks[2]
+        assert all(row[min(row)] == ring.one for row in rows)
+        if ring.is_field:
+            assert data["ideal_rank"] == ranks[2]
 
 
 class TestCertificationRoutes:

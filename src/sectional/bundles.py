@@ -661,6 +661,9 @@ def naive_crossed_product(action: AlgebraAction) -> AlgebraPresentation:
     Product on generators: (delta_s a)(delta_t b) = delta_{st}
     Theta_{t*}(a Theta_t(b)) when (s,t) is composable, zero otherwise.
     The generator delta_s e_d is labeled (s, d) and has degree s in the actor.
+    A pair is formed only when some basis vector in the support of
+    Theta_t(b) is after a in the support index; otherwise a Theta_t(b) is an
+    empty sum and the product is zero, which the table leaves out anyway.
     """
     actor = action.actor
     base = actor.base
@@ -674,8 +677,11 @@ def naive_crossed_product(action: AlgebraAction) -> AlgebraPresentation:
     table: dict[tuple[int, int], dict] = {}
     for p, q in composable_labels(base, labels):
         (s, a), (t, b) = labels[p], labels[q]
+        tb = action.rows[t][b]
+        if alg.after[a].isdisjoint(k for k, _ in tb):
+            continue
         st = base.prod[s][t]
-        a_tb = alg.mul(((a, ring.one),), action.rows[t][b])
+        a_tb = alg.mul(((a, ring.one),), tb)
         value = action.apply_rows(actor.inv[t], a_tb.items())
         if not value.keys() <= action.rows[st].keys():     # rows[st] is keyed by dom
             raise InternalConsistencyError(

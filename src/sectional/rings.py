@@ -1,14 +1,16 @@
 """Exact coefficient rings and the linear algebra every verification reduces to.
 
 Ring elements are plain Python values in canonical form (int for the integers
-and residues, Fraction for rationals, table index for finite-table rings); the
-ring object supplies the operations. All arithmetic is exact, so structural
-identities can be asserted with ==. A vector is a sparse {index: nonzero
-value} dict, the form combine returns. A matrix passed between functions is
-its columns, the sparse image of each source basis vector, as in a linear
-map's rows; dense tuples remain only inside mat_inverse, in the integer
-matrix of solve_linear's Smith normal form, and at the file and report
-boundary (sparse_row, dense).
+and residues; for rationals an int when integral and a Fraction otherwise;
+table index for finite-table rings); the ring object supplies the operations,
+for Z and Q the C builtins of the operator module. All arithmetic is exact,
+so structural identities can be asserted with ==; an integral Fraction that
+rational arithmetic produces equals its int. A vector is a sparse {index:
+nonzero value} dict, the form combine returns. A matrix passed between
+functions is its columns, the sparse image of each source basis vector, as in
+a linear map's rows; dense tuples remain only inside mat_inverse, in the
+integer matrix of solve_linear's Smith normal form, and at the file and
+report boundary (sparse_row, dense).
 
 Span tests run on one incremental echelon basis (EchelonBasis): reduced row
 echelon form over fields (rationals, prime residues), reduced Howell form over
@@ -124,21 +126,29 @@ class Ring:
         return f"Ring({self.describe()})"
 
 
+class _BuiltinOp(staticmethod):
+    """A ring operation that is a C builtin such as operator.add.
+
+    As a staticmethod, `ring.add` is the builtin itself: neither the lookup
+    nor the call runs a Python frame. The descriptor object, called as a
+    method in Ring's signature with the ring first, drops the ring, so code
+    that takes the class attribute as a method (a counting wrapper set on
+    the class, say) still adds.
+    """
+
+    def __call__(self, ring, *args):
+        return self.__func__(*args)
+
+
 class IntegerRing(Ring):
     kind = "z"
     zero = 0
     one = 1
+    add = _BuiltinOp(operator.add)
+    neg = _BuiltinOp(operator.neg)
+    mul = _BuiltinOp(operator.mul)
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    # canonical ints, residues and Fractions are false exactly at zero
+    # canonical ints, residues and rationals are false exactly at zero
     is_zero = staticmethod(operator.not_)
 
     def unit_inverse(self, a):
@@ -159,20 +169,24 @@ class IntegerRing(Ring):
         return "Z"
 
 
+def _rational(x: Fraction) -> int | Fraction:
+    """The canonical form of a rational: its numerator when it is integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class RationalRing(Ring):
+    """The rationals. An element is an int when it is integral and a Fraction
+    only otherwise, so the 0, 1 and -1 of structure constants, delta sections
+    and pivots multiply as C integers. Arithmetic does not normalise: an
+    integral Fraction it produces (1/2 * 2) is a valid element too, equal and
+    hash-equal to the int, and to_json and str print it the same way."""
+
     kind = "q"
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
+    zero = 0
+    one = 1
+    add = _BuiltinOp(operator.add)
+    neg = _BuiltinOp(operator.neg)
+    mul = _BuiltinOp(operator.mul)
     is_zero = staticmethod(operator.not_)
 
     @property
@@ -182,22 +196,22 @@ class RationalRing(Ring):
     def inv(self, a):
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of 0")
-        return 1 / Fraction(a)
+        return _rational(1 / Fraction(a))
 
     def unit_inverse(self, a):
-        return None if self.is_zero(a) else 1 / Fraction(a)
+        return None if self.is_zero(a) else _rational(1 / Fraction(a))
 
     def coerce(self, x):
         if isinstance(x, bool):
             raise ValueError(f"not a rational literal: {x!r}")
         if isinstance(x, int):
-            return Fraction(x)
-        if isinstance(x, Fraction):
             return x
+        if isinstance(x, Fraction):
+            return _rational(x)
         # an exponent ("1e-8000000") would cost time exponential in its length
         if isinstance(x, str) and "e" not in x.lower():
             try:
-                return Fraction(x)
+                return _rational(Fraction(x))
             except ZeroDivisionError:  # "1/0", "0/0"
                 pass
         raise ValueError(f"not a rational literal: {x!r}")
@@ -209,7 +223,7 @@ class RationalRing(Ring):
         return {"kind": "q"}
 
     def sample(self, rnd):
-        return Fraction(rnd.randint(-9, 9), rnd.randint(1, 9))
+        return _rational(Fraction(rnd.randint(-9, 9), rnd.randint(1, 9)))
 
     def describe(self):
         return "Q"
@@ -860,17 +874,17 @@ def ideal_closure(generators, algebra, until=None) -> list[dict]:
     and only the products that can be nonzero are formed: a zero product
     never enlarges the span.
 
-    `until` spans a submodule known to contain the closure, such as the
-    kernel of a multiplicative map that kills every generator (a two-sided
-    ideal containing them). Saturation then stops as soon as the span's
-    echelon rows equal until's: the span already is that submodule, so no
-    later product could enlarge it, and the result is the one full
+    `until` is an EchelonBasis of a submodule known to contain the closure,
+    such as the kernel of a multiplicative map that kills every generator (a
+    two-sided ideal containing them). Saturation then stops as soon as the
+    span's echelon rows equal until's: the span already is that submodule,
+    so no later product could enlarge it, and the result is the one full
     saturation gives. Over a field the result is the ideal's reduced row
     echelon form, over composite Z/n the vectors that enlarged the span.
     """
     ring = algebra.ring
     basis = EchelonBasis(ring)
-    target = None if until is None else EchelonBasis(ring, until).rows
+    target = None if until is None else until.rows
     span: list[dict] = []
     streams = deque([(sparse_vector({k: ring.coerce(x) for k, x in dict(g).items()}, ring)
                       for g in generators)])

@@ -22,6 +22,13 @@ file written by
 
     sectional build ID --input tests/data/builds.json --out tests/data/golden_build/ID.json
 
+`tests/data/golden/rational_twist.verify.json` holds the output of
+
+    sectional verify all --input tests/data/rational_twist.json --format json --no-timestamp
+
+(exit 1: two of its tasks must fail), the one report whose bundles have
+non-integral rational constants.
+
 A refactor that must not change any report keeps these passing; a change that
 means to alter a report regenerates the golden copy with the commands above.
 """
@@ -42,6 +49,7 @@ FIXTURES = os.path.abspath(os.path.join(HERE, os.pardir, "fixtures"))
 NAMES = sorted(name[:-len(".json")] for name in os.listdir(FIXTURES)
                if name.endswith(".json"))
 RINGS = ("zmod5", "zmod6")
+RATIONAL_TWIST = os.path.join(HERE, "data", "rational_twist.json")
 
 
 def _normalised(text):
@@ -56,7 +64,8 @@ def _golden(name, command):
 def test_every_fixture_has_golden_reports():
     commands = ["verify", "validate"] + [f"verify.{ring}" for ring in RINGS]
     assert sorted(os.listdir(GOLDEN)) == sorted(
-        f"{name}.{command}.json" for name in NAMES for command in commands
+        [f"{name}.{command}.json" for name in NAMES for command in commands]
+        + ["rational_twist.verify.json"]
     )
 
 
@@ -81,6 +90,14 @@ def test_validate_report_matches_golden(name, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert _normalised(out) == _normalised(_golden(name, "validate"))
+
+
+def test_rational_twist_report_matches_golden(capsys):
+    code = main(["verify", "all", "--input", RATIONAL_TWIST, "--format", "json",
+                 "--no-timestamp"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert _normalised(out) == _normalised(_golden("rational_twist", "verify"))
 
 
 def _build_ids():

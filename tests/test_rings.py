@@ -11,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sectional.rings import (
+    EchelonBasis,
     IntegerRing,
     RationalRing,
     TableRing,
     ZModRing,
     _is_prime,
+    combine,
     dense,
     ideal_closure,
     ring_from_spec,
@@ -111,6 +113,72 @@ class TestRationalCoerce:
     def test_zero_denominators_and_exponents_are_refused(self, literal):
         with pytest.raises(ValueError, match="not a rational literal"):
             Q.coerce(literal)
+
+
+class TestRationalElements:
+    """A rational is an int when integral and a Fraction only otherwise; an
+    integral Fraction that arithmetic produces is an equally valid element."""
+
+    @pytest.mark.parametrize("literal", [2, "4/2", Fraction(6, 3), "-0", " -12 "])
+    def test_integral_literals_coerce_to_int(self, literal):
+        assert type(Q.coerce(literal)) is int
+
+    def test_non_integral_literal_coerces_to_fraction(self):
+        assert Q.coerce("1/2") == Fraction(1, 2)
+        assert type(Q.coerce("1/2")) is Fraction
+
+    @pytest.mark.parametrize("unit", [1, -1, Fraction(1), Fraction(-1)])
+    def test_inverse_of_a_sign_is_an_int(self, unit):
+        assert type(Q.inv(unit)) is int and Q.inv(unit) == unit
+        assert type(Q.unit_inverse(unit)) is int and Q.unit_inverse(unit) == unit
+
+    def test_inverse_of_a_non_integral_rational(self):
+        assert Q.inv(Fraction(2, 3)) == Fraction(3, 2)
+        assert type(Q.inv(Fraction(1, 3))) is int and Q.inv(Fraction(1, 3)) == 3
+        assert Q.unit_inverse(0) is None
+
+    def test_to_json_agrees_on_int_and_integral_fraction(self):
+        assert Q.to_json(2) == Q.to_json(Fraction(2)) == 2
+        assert type(Q.to_json(Fraction(-3))) is int
+        assert Q.to_json(Fraction(-1, 2)) == "-1/2"
+        assert str(Fraction(1, 2) * 2) == str(1)
+
+    def test_sample_draws_the_old_stream(self):
+        new, old = random.Random(11), random.Random(11)
+        for _ in range(1000):
+            x = Q.sample(new)
+            expected = Fraction(old.randint(-9, 9), old.randint(1, 9))
+            assert x == expected
+            assert type(x) is (int if expected.denominator == 1 else Fraction)
+
+    def test_zero_and_one_are_ints(self):
+        assert type(Q.zero) is int and type(Q.one) is int
+        assert Q.is_zero(Fraction(0)) and not Q.is_zero(Fraction(1, 2))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_combine_and_echelon_agree_on_mixed_inputs(self, data):
+        """The same values given as ints, as integral Fractions or mixed
+        give equal combine sums and equal echelon rows."""
+        values = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 1, 2]))
+        rows = data.draw(st.lists(st.dictionaries(st.integers(0, 3), values, max_size=4),
+                                  max_size=4))
+        coeffs = data.draw(st.lists(values, min_size=len(rows), max_size=len(rows)))
+
+        def spelled(x):
+            canonical = Q.coerce(x)
+            return data.draw(st.sampled_from([canonical, Fraction(canonical)]))
+
+        mixed_rows = [{k: spelled(x) for k, x in row.items()} for row in rows]
+        mixed_coeffs = [spelled(c) for c in coeffs]
+        as_fractions = combine(zip(coeffs, (r.items() for r in rows)), Q)
+        mixed = combine(zip(mixed_coeffs, (r.items() for r in mixed_rows)), Q)
+        assert mixed == as_fractions
+        assert EchelonBasis(Q, mixed_rows).rows == EchelonBasis(Q, rows).rows
+        probe = {k: spelled(x) for k, x in data.draw(
+            st.dictionaries(st.integers(0, 3), values, max_size=4)).items()}
+        assert EchelonBasis(Q, mixed_rows).contains(probe) == \
+            EchelonBasis(Q, rows).contains(probe)
 
 
 def oracle_is_prime(n):

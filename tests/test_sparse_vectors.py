@@ -11,6 +11,8 @@ Z/6, on small derandomized inputs:
     that carry explicit zero entries, agree with dense membership;
   - ideal_closure has the dense saturation loop's rank over a field and, over
     Z/6, its accepted sequence;
+  - the crossed product's table, which skips the label pairs the support
+    index shows to be zero, equals the loop over every composable pair;
   - solve_linear's kernel is annihilated by the matrix and spans the whole
     kernel, and its image spans the columns;
   - on sparse columns given as dicts or (index, value) pairs, solve_linear
@@ -24,6 +26,7 @@ example and must see both.
 """
 
 import itertools
+import json
 from collections import deque
 from fractions import Fraction
 
@@ -34,7 +37,7 @@ from hypothesis import strategies as st
 import sectional.rings as rings_module
 import sectional.theorems as theorems
 from sectional.algebras import AlgebraPresentation
-from sectional.bundles import Bundle, Section, convolve, fiber_rows
+from sectional.bundles import Bundle, Section, convolve, fiber_rows, naive_crossed_product
 from sectional.rings import (
     EchelonBasis,
     RationalRing,
@@ -47,8 +50,10 @@ from sectional.rings import (
     spans_equal,
 )
 from sectional.rings import _unit_products as unit_products
+from sectional.semigroupoids import composable_labels
 from sectional.standard import pair_groupoid
-from sectional.theorems import germ_corollary
+from sectional.theorems import germ_corollary, induced_theta
+from sectional.workspace import Builder, parse_workspace
 from structures import columns_of, components_semidirect_action, nested_chain_action, preaction
 
 RINGS = [RationalRing(), ZModRing(5), ZModRing(6)]
@@ -312,7 +317,7 @@ def test_ideal_closure_matches_the_dense_saturation_loop():
         else:
             assert dense_closure == expected
         assert ideal_closure([_with_zeros(data, g) for g in gens], algebra,
-                             until=closure) == closure
+                             until=EchelonBasis(ring, closure)) == closure
         units = [tuple(ring.one if j == i else ring.zero for j in range(rank))
                  for i in range(rank)]
         outcomes.add(all(oracle_span(dense_closure, ring)(e) for e in units))
@@ -326,7 +331,7 @@ def test_ideal_closure_stops_on_equal_rows_not_equal_rank():
     rank of the target but is not it, so the 3 after it is still accepted."""
     z6 = ZModRing(6)
     algebra = AlgebraPresentation(z6, ("e",), {(0, 0): {0: 1}})
-    closure = ideal_closure([{0: 2}, {0: 3}], algebra, until=[{0: 1}])
+    closure = ideal_closure([{0: 2}, {0: 3}], algebra, until=EchelonBasis(z6, [{0: 1}]))
     assert closure == [{0: 2}, {0: 3}] == ideal_closure([{0: 2}, {0: 3}], algebra)
 
 
@@ -450,6 +455,114 @@ def test_germ_ideal_saturates_fully_unless_the_kernel_bounds_it(bent, failing, r
     assert not stopped
     assert res.ideal_basis == _eager_result(generators, crossed)
     assert res.certificate.first_failure().name == failing
+
+
+def oracle_crossed_table(action):
+    """naive_crossed_product's table as it stood before the support test:
+    a Theta_t(b) formed for every composable label pair, empty rows kept."""
+    base, alg = action.actor.base, action.algebra
+    one = alg.ring.one
+    labels = [(s, d) for s in base.arrows() for d in action.domains[s]]
+    position = {label: i for i, label in enumerate(labels)}
+    table = {}
+    for p, q in composable_labels(base, labels):
+        (s, a), (t, b) = labels[p], labels[q]
+        value = action.apply_rows(action.actor.inv[t],
+                                  alg.mul(((a, one),), action.rows[t][b]).items())
+        table[(p, q)] = {position[(base.prod[s][t], k)]: x for k, x in value.items()}
+    return labels, table
+
+
+def conjugation_action(ring):
+    """Z2 acting on M_2 (matrix units e11, e12, e21, e22 over one arrow) by
+    conjugation with P = [[1, 1], [0, -1]], P^2 = I: the images have up to
+    four terms, so a Theta_t(b) can vanish on the first and not on a later."""
+    units = ["11", "12", "21", "22"]
+    z2 = {"vertices": ["*"], "arrows": [{"id": x, "src": "*", "rng": "*"} for x in "ug"],
+          "prod": [["u", "u", "u"], ["u", "g", "g"], ["g", "u", "g"], ["g", "g", "u"]],
+          "inv": {"u": "u", "g": "g"}}
+    point = {"vertices": ["*"], "arrows": [{"id": "m", "src": "*", "rng": "*"}],
+             "prod": [["m", "m", "m"]], "inv": {"m": "m"}}
+    doc = {
+        "semigroupoids": {"Z2": z2, "pt": point},
+        "actions": {"fix": {"actor": "Z2", "space": "pt", "maps": {
+            x: {"dom": ["m"], "img": ["m"]} for x in "ug"}}},
+        "bundles": {"M2": {"base": "pt", "ranks": {"m": 4}, "constants": {"m,m": [
+            [[int(x[1] == y[0] and x[0] + y[1] == z) for z in units] for y in units]
+            for x in units]}}},
+        "bundle_actions": {"conj": {"action": "fix", "bundle": "M2", "fibers": {"g": {"m": [
+            [1, 0, 1, 0], [1, -1, 1, -1], [0, 0, -1, 0], [0, 0, -1, 1]]}}}},
+    }
+    return induced_theta(Builder(parse_workspace(json.dumps(doc)), ring).bundle_action("conj"))
+
+
+CROSSED_ACTIONS = {
+    **{name: (lambda ring, make=make: germ_corollary(preaction(*make()), ring).induced_action)
+       for name, make in GERM_INSTANCES.items()},
+    "M2-conj": conjugation_action,
+}
+
+
+@pytest.mark.parametrize("ring", GERM_RINGS.values(), ids=GERM_RINGS.keys())
+@pytest.mark.parametrize("action", CROSSED_ACTIONS.values(), ids=CROSSED_ACTIONS.keys())
+def test_crossed_product_skips_only_zero_pairs(action, ring):
+    """The crossed product forms a pair only where the support index says
+    a Theta_t(b) can be nonzero; its table equals the unskipped loop's once
+    that loop's empty rows are dropped."""
+    induced = action(ring)
+    crossed = naive_crossed_product(induced)
+    labels, table = oracle_crossed_table(induced)
+    assert crossed.labels == tuple(labels)
+    assert crossed.table == AlgebraPresentation(ring, crossed.basis, table).table
+    assert len(crossed.table) < len(table)          # some pairs were zero
+
+
+def test_germ_corollary_reduces_the_kernel_once(monkeypatch):
+    """One echelon form of the kernel is both the saturation's stop target
+    and the span the ideal is compared with."""
+    solutions, built = [], []
+
+    def spy(*args):
+        solutions.append(solve_linear(*args))
+        return solutions[-1]
+
+    monkeypatch.setattr(theorems, "solve_linear", spy)
+
+    class Counted(EchelonBasis):
+        def __init__(self, ring, vectors=()):
+            built.append(vectors)
+            super().__init__(ring, vectors)
+
+    monkeypatch.setattr(theorems, "EchelonBasis", Counted)
+    res = germ_corollary(preaction(*GERM_INSTANCES["2P2-Z2"]()), RationalRing())
+    (sol,) = solutions
+    assert [v for v in built if v is sol.kernel_basis] == [sol.kernel_basis]
+    assert res.certificate.passed
+
+
+class Zero(theorems.LinearMapOnBasis):
+    """Every image zero: multiplicative and kills every generator, but its
+    kernel is the whole algebra, larger than the ideal."""
+
+    def __post_init__(self):
+        self.rows = tuple({} for _ in self.rows)
+        super().__post_init__()
+
+
+@pytest.mark.parametrize("ring", GERM_RINGS.values(), ids=GERM_RINGS.keys())
+def test_kernel_larger_than_the_ideal_fails_kernel_is_ideal(ring, monkeypatch):
+    """The saturation gets the kernel as its stop target, never reaches it,
+    saturates fully, and the certificate says the kernel is not the ideal."""
+    theta = preaction(*GERM_INSTANCES["2P2-Z2"]())
+    monkeypatch.setattr(theorems, "LinearMapOnBasis", Zero)
+    calls = _spy_closure(monkeypatch)
+    res = germ_corollary(theta, ring)
+    ((generators, crossed, stopped),) = calls
+    assert stopped
+    assert res.ideal_basis == _eager_result(generators, crossed)
+    checks = {c.name: c.ok for c in res.certificate.checks}
+    assert checks["multiplicative"] and checks["ideal-killed"]
+    assert not checks["kernel-is-ideal"]
 
 
 def test_solve_linear_kernel_and_image_match_dense_oracle():

@@ -297,18 +297,19 @@ def _same_bundle(a: Section, b: Section) -> None:
 
 
 def convolve(alpha: Section, beta: Section) -> Section:
-    """(alpha * beta)(c) = sum over factorizations ab = c of the fiber products."""
+    """(alpha * beta)(c) = sum over factorizations ab = c of the fiber products;
+    beta is grouped by range, so a meets only the composable b ending at src[a]."""
     _same_bundle(alpha, beta)
     bundle = alpha.bundle
-    ring = bundle.ring
+    base = bundle.base
+    ending: dict[int, list] = {}
+    for b, vb in beta.values.items():
+        ending.setdefault(base.rng[b], []).append((b, vb.items()))
     terms: dict[int, list] = {}
     for a, va in alpha.values.items():
-        for b, vb in beta.values.items():
-            c = bundle.base.compose(a, b)
-            if c is not None:
-                terms.setdefault(c, []).extend(
-                    bundle._fiber_terms(a, b, va.items(), vb.items()))
-    return Section(bundle, {c: combine(t, ring) for c, t in terms.items()})
+        for b, vb in ending.get(base.src[a], ()):
+            terms.setdefault(base.prod[a][b], []).extend(bundle._fiber_terms(a, b, va.items(), vb))
+    return Section(bundle, {c: combine(t, bundle.ring) for c, t in terms.items()})
 
 
 def section_from_vector(bundle: Bundle, labels: tuple, v: dict) -> Section:
@@ -326,10 +327,11 @@ def sectional_algebra(bundle: Bundle, grading: Homomorphism | None = None) -> Al
 
     The structure constants are computed by literally convolving basis
     sections, so the presentation is an independent record of the convolution
-    product. The basis section (γ,i), the i-th fiber basis vector at γ, is
-    labeled (γ, i). With a grading homomorphism c on the base it gets degree
-    c(γ); a section is homogeneous of degree g exactly when it vanishes off
-    the preimage of g.
+    product. Only composable label pairs are convolved: any other pair has the
+    empty product, which the table drops. The basis section (γ,i), the i-th
+    fiber basis vector at γ, is labeled (γ, i). With a grading homomorphism c
+    on the base it gets degree c(γ); a section is homogeneous of degree g
+    exactly when it vanishes off the preimage of g.
     """
     if grading is not None and grading.source is not bundle.base and grading.source != bundle.base:
         raise ValueError("grading must be a homomorphism out of the bundle base")
@@ -341,23 +343,16 @@ def sectional_algebra(bundle: Bundle, grading: Homomorphism | None = None) -> Al
         f"{bundle.base.arrow_names[arrow]}" + (f"#{i}" if bundle.ranks[arrow] > 1 else "")
         for arrow, i in labels
     )
-    ring = bundle.ring
-    table: dict[tuple[int, int], dict] = {}
-    for p, (a, i) in enumerate(labels):
-        da = delta_section(bundle, a, index=i)
-        for q, (b, j) in enumerate(labels):
-            product = convolve(da, delta_section(bundle, b, index=j))
-            table[(p, q)] = {
-                position[(c, k)]: x
-                for c, coords in product.values.items() for k, x in coords.items()
-            }
-    degrees = None
-    g = None
-    if grading is not None:
-        g = grading.target
-        degrees = tuple(grading.map[arrow] for arrow, _ in labels)
+    deltas = [delta_section(bundle, a, index=i) for a, i in labels]
+    table = {
+        (p, q): {position[(c, k)]: x for c, coords in convolve(deltas[p], deltas[q]).values.items()
+                 for k, x in coords.items()}
+        for p, q in composable_labels(bundle.base, labels)
+    }
+    g, degrees = (None, None) if grading is None else (
+        grading.target, tuple(grading.map[arrow] for arrow, _ in labels))
     return AlgebraPresentation(
-        ring=ring, basis=names, table=table, grading=g, degrees=degrees,
+        ring=bundle.ring, basis=names, table=table, grading=g, degrees=degrees,
         provenance=f"sectional algebra over {bundle.base.name or 'base'}", labels=labels,
     )
 

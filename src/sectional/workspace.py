@@ -11,6 +11,7 @@ structures it names. Semantics run when a task touches a structure.
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from collections.abc import Callable
@@ -30,7 +31,7 @@ from .bundles import (
     trivial_bundle,
     validate_bundle,
 )
-from .rings import Ring, ring_from_spec
+from .rings import RationalRing, Ring, ring_from_spec
 from .semigroupoids import (
     direct_product,
     semigroupoid_to_raw,
@@ -399,9 +400,17 @@ class TaskResult:
 
 
 def _random_section(bundle, rnd) -> Section:
-    return Section(bundle, {
-        arrow: dict(enumerate(bundle.ring.sample(rnd) for _ in range(bundle.ranks[arrow])))
-        for arrow in bundle.base.arrows()})
+    """One ring.sample per coordinate, then over Q scaled to ints by the lcm d of
+    the denominators. Convolution is Q-bilinear, so (a'b')c' - a'(b'c') is d_a d_b
+    d_c != 0 times (ab)c - a(bc): each triple keeps the unscaled draw's verdict."""
+    ring = bundle.ring
+    values = {arrow: dict(enumerate(ring.sample(rnd) for _ in range(bundle.ranks[arrow])))
+              for arrow in bundle.base.arrows()}
+    if isinstance(ring, RationalRing):
+        d = math.lcm(*(x.denominator for v in values.values() for x in v.values()))
+        values = {a: {i: x.numerator * d // x.denominator for i, x in v.items()}
+                  for a, v in values.items()}
+    return Section(bundle, values)
 
 
 def _convolution_args(params: dict) -> tuple[int, int]:
@@ -414,6 +423,7 @@ def _convolution_args(params: dict) -> tuple[int, int]:
 
 
 def _convolution(builder: Builder, params: dict) -> dict:
+    """Associativity of convolution on seeded random triples (_random_section)."""
     bundle = builder.bundle(params["bundle"])
     triples, seed = _convolution_args(params)
     rnd = random.Random(f"convolution:{seed}")

@@ -22,6 +22,11 @@ file written by
 
     sectional build ID --input tests/data/builds.json --out tests/data/golden_build/ID.json
 
+The fixtures with a convolution task run over their own rings (Z/4 and a
+table ring), so `tests/data/golden/NAME.verify.q.json` for each NAME in
+`Q_NAMES` holds the `--ring q` run as well, which pins the sampled check over
+Q, where the random sections have non-integral values.
+
 `tests/data/golden/rational_twist.verify.json` holds the output of
 
     sectional verify all --input tests/data/rational_twist.json --format json --no-timestamp
@@ -49,6 +54,7 @@ FIXTURES = os.path.abspath(os.path.join(HERE, os.pardir, "fixtures"))
 NAMES = sorted(name[:-len(".json")] for name in os.listdir(FIXTURES)
                if name.endswith(".json"))
 RINGS = ("zmod5", "zmod6")
+Q_NAMES = ("convolution", "tablering")
 RATIONAL_TWIST = os.path.join(HERE, "data", "rational_twist.json")
 
 
@@ -65,6 +71,7 @@ def test_every_fixture_has_golden_reports():
     commands = ["verify", "validate"] + [f"verify.{ring}" for ring in RINGS]
     assert sorted(os.listdir(GOLDEN)) == sorted(
         [f"{name}.{command}.json" for name in NAMES for command in commands]
+        + [f"{name}.verify.q.json" for name in Q_NAMES]
         + ["rational_twist.verify.json"]
     )
 
@@ -72,7 +79,7 @@ def test_every_fixture_has_golden_reports():
 @pytest.mark.parametrize("name, ring", [
     pytest.param(name, ring, id=name if ring is None else f"{name}-{ring}")
     for name in NAMES for ring in (None,) + RINGS
-])
+] + [pytest.param(name, "q", id=f"{name}-q") for name in Q_NAMES])
 def test_verify_report_matches_golden(name, ring, capsys):
     path = os.path.join(FIXTURES, f"{name}.json")
     argv = ["verify", "all", "--input", path, "--seed", "7",

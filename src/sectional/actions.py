@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .semigroupoids import (
-    UNDEF,
     FiniteInverseSemigroupoid,
     FiniteSemigroupoid,
     GroupoidCheck,
@@ -92,7 +91,7 @@ def validate_preaction(raw_maps, actor: FiniteInverseSemigroupoid, space: Finite
         return report
     for key, entry in raw_maps.items():
         k = str(key)
-        if k not in base.arrow_names:
+        if k not in base.by_name:
             report.add("structural", (k,), f"unknown actor arrow {k!r}")
             return report
         dom = [str(x) for x in entry.get("dom", [])]
@@ -102,7 +101,7 @@ def validate_preaction(raw_maps, actor: FiniteInverseSemigroupoid, space: Finite
             return report
         table: dict[int, int] = {}
         for d, i in zip(dom, img):
-            if d not in space.arrow_names or i not in space.arrow_names:
+            if d not in space.by_name or i not in space.by_name:
                 report.add("structural", (k, d, i), "dom/img reference unknown space arrows")
                 return report
             di, ii = space.arrow_index(d), space.arrow_index(i)
@@ -385,7 +384,7 @@ def validate_rigid_congruence(partition, base: FiniteSemigroupoid) -> RigidCongr
         ids = []
         for x in block:
             # a member is an arrow id, as in every other stanza, never a position
-            if str(x) not in names:
+            if str(x) not in base.by_name:
                 report.add("structural", (str(x),), f"unknown arrow {x!r}")
                 return report
             xi = base.arrow_index(str(x))
@@ -453,8 +452,7 @@ def quotient_semigroupoid(cong: RigidCongruence) -> tuple[FiniteSemigroupoid, Ho
     arrow_names = tuple(f"[{names[block[0]]}]" for block in cong.classes)
     src = tuple(base.src[block[0]] for block in cong.classes)
     rng = tuple(base.rng[block[0]] for block in cong.classes)
-    k = len(cong.classes)
-    prod = [[UNDEF] * k for _ in range(k)]
+    prod: list[dict[int, int]] = [{} for _ in cong.classes]
     for i, bi in enumerate(cong.classes):
         for j, bj in enumerate(cong.classes):
             if base.src[bi[0]] != base.rng[bj[0]]:
@@ -477,8 +475,7 @@ def quotient_semigroupoid(cong: RigidCongruence) -> tuple[FiniteSemigroupoid, Ho
             prod[i][j] = expected
 
     quotient = FiniteSemigroupoid(
-        base.vertex_names, arrow_names, src, rng,
-        tuple(tuple(row) for row in prod),
+        base.vertex_names, arrow_names, src, rng, tuple(prod),
         name=f"{base.name}/~" if base.name else "",
     )
     quotient = must(validate_semigroupoid(quotient))

@@ -117,7 +117,7 @@ def validate_bundle(raw, ring: Ring, base: FiniteSemigroupoid) -> Bundle | Valid
         ranks = [1] * base.n_arrows
         for key, val in raw.get("ranks", {}).items():
             k = str(key)
-            if k not in base.arrow_names:
+            if k not in base.by_name:
                 report.add("structural", (k,), f"rank given for unknown arrow {k!r}")
                 return report
             if isinstance(val, bool) or not isinstance(val, int) or val < 0:
@@ -134,7 +134,7 @@ def validate_bundle(raw, ring: Ring, base: FiniteSemigroupoid) -> Bundle | Valid
                 if text[cut] != ",":
                     continue
                 left, right = text[:cut], text[cut + 1:]
-                if left in base.arrow_names and right in base.arrow_names:
+                if left in base.by_name and right in base.by_name:
                     candidates.append((base.arrow_index(left), base.arrow_index(right)))
             if len(candidates) != 1 or not base.is_composable(*candidates[0]):
                 return None

@@ -3,7 +3,8 @@
 A semigroupoid is a directed graph with an associative partial product defined
 exactly on composable arrow pairs (source of the left factor equals range of
 the right factor). Arrows and vertices are dense integer ids; names live in
-sidecar tables and appear in every witness.
+sidecar tables and appear in every witness. Each arrow maps only its declared
+products, so a semigroupoid takes memory O(arrows + products).
 
 All validators enumerate exhaustively and report the lexicographically
 smallest failing tuple per violated axiom.
@@ -20,8 +21,6 @@ from .validation import (
     must,
 )
 
-UNDEF = -1
-
 
 def label_index(labels) -> dict:
     """label -> position; labels must be unique."""
@@ -33,12 +32,13 @@ def label_index(labels) -> dict:
 
 @dataclass
 class FiniteSemigroupoid:
-    """Arrows with source, range and a product table (UNDEF off the composable pairs).
+    """Arrows with source, range and, per arrow a, the map prod[a] from each b
+    with a declared product to ab.
 
     Each arrow has a display name and a label, the coordinates its builder
     writes it in, such as (x, y) for an arrow of a product; labels default to
     the names. index maps each label to its arrow, so only the builder knows
-    the arrow order.
+    the arrow order; by_name maps each name to its first arrow.
 
     into[v] lists the arrows with range v in ascending order. Every walk over
     composable pairs or triples goes through it, so it costs what it yields
@@ -49,10 +49,11 @@ class FiniteSemigroupoid:
     arrow_names: tuple[str, ...]
     src: tuple[int, ...]
     rng: tuple[int, ...]
-    prod: tuple[tuple[int, ...], ...]
+    prod: tuple[dict[int, int], ...]
     name: str = ""
     labels: tuple | None = field(default=None, compare=False, repr=False)
     index: dict = field(init=False, compare=False, repr=False)
+    by_name: dict = field(init=False, compare=False, repr=False)
     into: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
     composable: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
 
@@ -61,6 +62,8 @@ class FiniteSemigroupoid:
         if len(self.labels) != self.n_arrows:
             raise ValueError("one label per arrow required")
         self.index = label_index(self.labels)
+        # filled last to first, so a repeated name keeps its first arrow
+        self.by_name = dict(zip(reversed(self.arrow_names), range(self.n_arrows - 1, -1, -1)))
         into: list[list[int]] = [[] for _ in self.vertex_names]
         for c, v in enumerate(self.rng):
             into[v].append(c)
@@ -84,8 +87,8 @@ class FiniteSemigroupoid:
         return self.src[a] == self.rng[b]
 
     def compose(self, a: int, b: int) -> int | None:
-        c = self.prod[a][b]
-        return None if c == UNDEF else c
+        """ab, or None when no product is declared for (a, b)."""
+        return self.prod[a].get(b)
 
     def composable_triples(self) -> Iterator[tuple[int, int, int]]:
         into, src = self.into, self.src
@@ -94,7 +97,7 @@ class FiniteSemigroupoid:
                 yield a, b, c
 
     def arrow_index(self, name: str) -> int:
-        return self.arrow_names.index(name)
+        return self.by_name[name]
 
 
 def composable_labels(sgpd: FiniteSemigroupoid, labels) -> Iterator[tuple[int, int]]:
@@ -148,7 +151,7 @@ def validate_semigroupoid(raw) -> FiniteSemigroupoid | ValidationReport:
         if len(set(raw.vertex_names)) != raw.n_vertices:
             report.add("structural", (), "duplicate vertex ids")
         elif len(set(names)) != raw.n_arrows:
-            repeat = next(a for i, a in enumerate(names) if names.index(a) != i)
+            repeat = next(a for i, a in enumerate(names) if raw.by_name[a] != i)
             report.add("structural", (repeat,), f"duplicate arrow id {repeat!r}")
         else:
             _check_axioms(raw, report)
@@ -162,25 +165,23 @@ def validate_semigroupoid(raw) -> FiniteSemigroupoid | ValidationReport:
         return report
     vindex = {v: i for i, v in enumerate(vertices)}
 
-    arrow_names: list[str] = []
+    aindex: dict[str, int] = {}
     src: list[int] = []
     rng: list[int] = []
     for entry in raw.get("arrows", []):
         aid = str(entry.get("id"))
-        if aid in arrow_names:
+        if aid in aindex:
             report.add("structural", (aid,), f"duplicate arrow id {aid!r}")
             return report
         s, r = str(entry.get("src")), str(entry.get("rng"))
         if s not in vindex or r not in vindex:
             report.add("structural", (aid,), f"arrow {aid!r} references an unknown vertex")
             return report
-        arrow_names.append(aid)
+        aindex[aid] = len(src)
         src.append(vindex[s])
         rng.append(vindex[r])
-    aindex = {a: i for i, a in enumerate(arrow_names)}
 
-    n = len(arrow_names)
-    prod = [[UNDEF] * n for _ in range(n)]
+    prod: list[dict[int, int]] = [{} for _ in src]
     for entry in raw.get("prod", []):
         if len(entry) != 3:
             report.add("structural", tuple(map(str, entry)), "prod entries must be [a, b, ab]")
@@ -190,14 +191,13 @@ def validate_semigroupoid(raw) -> FiniteSemigroupoid | ValidationReport:
             report.add("structural", (a, b, c), "prod entry references an unknown arrow")
             return report
         ia, ib, ic = aindex[a], aindex[b], aindex[c]
-        if prod[ia][ib] not in (UNDEF, ic):
+        if prod[ia].get(ib, ic) != ic:
             report.add("structural", (a, b), f"conflicting products declared for ({a},{b})")
             return report
         prod[ia][ib] = ic
 
     sgpd = FiniteSemigroupoid(
-        tuple(vertices), tuple(arrow_names), tuple(src), tuple(rng),
-        tuple(tuple(row) for row in prod), name=name,
+        tuple(vertices), tuple(aindex), tuple(src), tuple(rng), tuple(prod), name=name,
     )
     _check_axioms(sgpd, report)
     return sgpd if report.ok else report
@@ -205,7 +205,7 @@ def validate_semigroupoid(raw) -> FiniteSemigroupoid | ValidationReport:
 
 def _check_axioms(sgpd: FiniteSemigroupoid, report: ValidationReport) -> None:
     names = sgpd.arrow_names
-    src, rng, prod = sgpd.src, sgpd.rng, sgpd.prod
+    src, rng, prod, into = sgpd.src, sgpd.rng, sgpd.prod, sgpd.into
     seen: set[str] = set()
 
     def fail(kind, witness, message):
@@ -213,11 +213,14 @@ def _check_axioms(sgpd: FiniteSemigroupoid, report: ValidationReport) -> None:
             seen.add(kind)
             report.add(kind, witness, message)
 
+    # only declared products and composable pairs can fail; sorting them (a
+    # file declares in any order) keeps the witnesses lexicographic
     for a, row in enumerate(prod):
         sa, ra = src[a], rng[a]
-        for b, c in enumerate(row):
+        for b in sorted(row.keys() | into[sa]):
+            c = row.get(b)
             if sa == rng[b]:
-                if c == UNDEF:
+                if c is None:
                     fail("undefined-product", (names[a], names[b]),
                          f"({names[a]},{names[b]}) is composable but has no product")
                 else:
@@ -227,13 +230,12 @@ def _check_axioms(sgpd: FiniteSemigroupoid, report: ValidationReport) -> None:
                     if rng[c] != ra:
                         fail("range-compatibility", (names[a], names[b]),
                              f"rng({names[a]}{names[b]}) != rng({names[a]})")
-            elif c != UNDEF:
+            else:
                 fail("product-on-noncomposable", (names[a], names[b]),
                      f"product declared on non-composable pair ({names[a]},{names[b]})")
 
     if seen:
         return
-    into = sgpd.into
     for a, b in sgpd.composable:
         row_a, row_b = prod[a], prod[b]
         row_ab = prod[row_a[b]]
@@ -266,10 +268,7 @@ class FiniteInverseSemigroupoid:
 
 
 def _idempotents(sgpd: FiniteSemigroupoid) -> list[int]:
-    return [
-        e for e in sgpd.arrows()
-        if sgpd.src[e] == sgpd.rng[e] and sgpd.prod[e][e] == e
-    ]
+    return [e for e in sgpd.arrows() if sgpd.compose(e, e) == e]
 
 
 def _order_by_characterizations(sgpd, inv, idems):
@@ -311,18 +310,19 @@ def validate_inverse_semigroupoid(sgpd: FiniteSemigroupoid, inv_raw) -> FiniteIn
     names = sgpd.arrow_names
     n = sgpd.n_arrows
 
-    inv = [UNDEF] * n
+    inv: list[int | None] = [None] * n
     if isinstance(inv_raw, dict):
+        ids = sgpd.by_name
         for key, val in inv_raw.items():
             k, v = str(key), str(val)
-            if k not in names or v not in names:
+            if k not in ids or v not in ids:
                 report.add("structural", (k, v), "inv entry references an unknown arrow")
                 return report
-            inv[names.index(k)] = names.index(v)
+            inv[ids[k]] = ids[v]
     else:
         inv = list(inv_raw)
-    if any(x == UNDEF for x in inv):
-        missing = names[inv.index(UNDEF)]
+    if None in inv:
+        missing = names[inv.index(None)]
         report.add("structural", (missing,), f"no inverse declared for {missing!r}")
         return report
 
@@ -362,9 +362,13 @@ def validate_inverse_semigroupoid(sgpd: FiniteSemigroupoid, inv_raw) -> FiniteIn
             report.add("antihomomorphism", (names[a], names[b]), "(st)* != t* s*")
             break
 
+    # idempotents are loops, so ef and fe are both defined when e and f sit at
+    # one vertex and both undefined otherwise: walking the idempotents into
+    # src(e) in ascending order meets the same first failing f as walking all
     idems = _idempotents(sgpd)
+    is_idem = set(idems)
     for e in idems:
-        for f in idems:
+        for f in (x for x in sgpd.into[sgpd.src[e]] if x in is_idem):
             ef = sgpd.compose(e, f)
             fe = sgpd.compose(f, e)
             if (ef is None) != (fe is None) or (ef is not None and ef != fe):
@@ -411,19 +415,18 @@ def validate_homomorphism(raw_map, source: FiniteSemigroupoid, target: FiniteSem
     decided by counting the pairs with composable images per target vertex.
     """
     report = ValidationReport("homomorphism")
-    n = source.n_arrows
-    mapping = [UNDEF] * n
+    mapping: list[int | None] = [None] * source.n_arrows
     if isinstance(raw_map, dict):
         for key, val in raw_map.items():
             k, v = str(key), str(val)
-            if k not in source.arrow_names or v not in target.arrow_names:
+            if k not in source.by_name or v not in target.by_name:
                 report.add("structural", (k, v), "map entry references an unknown arrow")
                 return report
-            mapping[source.arrow_index(k)] = target.arrow_index(v)
+            mapping[source.by_name[k]] = target.by_name[v]
     else:
         mapping = list(raw_map)
-    if any(x == UNDEF for x in mapping):
-        missing = source.arrow_names[mapping.index(UNDEF)]
+    if None in mapping:
+        missing = source.arrow_names[mapping.index(None)]
         report.add("structural", (missing,), f"map does not cover arrow {missing!r}")
         return report
 
@@ -474,13 +477,12 @@ def pair_semigroupoid(labels, ends, arrow_names, vertex_names, products,
     vertices = tuple(f"({left[v]},{right[w]})" for v, w in touched)
     left, right = arrow_names
     arrows = tuple(f"({left[x]},{right[y]})" for x, y in labels)
-    n = len(labels)
-    prod = [[UNDEF] * n for _ in range(n)]
+    prod: list[dict[int, int]] = [{} for _ in labels]
     for i, j, label in products:
         prod[i][j] = index[label]
     out = FiniteSemigroupoid(
         vertices, arrows, tuple(vid[s] for s, _ in ends), tuple(vid[r] for _, r in ends),
-        tuple(map(tuple, prod)), name=name, labels=labels,
+        tuple(prod), name=name, labels=labels,
     )
     return must(validate_semigroupoid(out))
 
@@ -500,15 +502,13 @@ def direct_product(a: FiniteSemigroupoid, b: FiniteSemigroupoid) -> FiniteSemigr
         for y in b.arrows():
             src.append(a.src[x] * nvb + b.src[y])
             rng.append(a.rng[x] * nvb + b.rng[y])
-    n = len(arrows)
-    prod = [[UNDEF] * n for _ in range(n)]
+    prod: list[dict[int, int]] = [{} for _ in arrows]
     for x1, x2 in a.composable:
         x12 = a.prod[x1][x2] * nb
         for y1, y2 in b.composable:
             prod[x1 * nb + y1][x2 * nb + y2] = x12 + b.prod[y1][y2]
     out = FiniteSemigroupoid(
-        vertices, arrows, tuple(src), tuple(rng),
-        tuple(tuple(row) for row in prod),
+        vertices, arrows, tuple(src), tuple(rng), tuple(prod),
         name=f"{a.name}x{b.name}" if a.name and b.name else "",
         labels=tuple((x, y) for x in a.arrows() for y in b.arrows()),
     )

@@ -531,7 +531,7 @@ def validate_bundle_congruence(bundle: Bundle, base: RigidCongruence,
     raw = transports or {}
     for key, mat in raw.items():
         k = str(key)
-        if k not in names:
+        if k not in bundle.base.by_name:
             report.add("structural", (k,), f"transport given for unknown arrow {k!r}")
             return report
         g = bundle.base.arrow_index(k)

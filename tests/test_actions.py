@@ -123,7 +123,7 @@ class TestSemidirectProduct:
                     and theta.space.src[a] == theta.space.rng[tb]
                 )
                 if not composable:
-                    assert sgpd.prod[i][j] == -1
+                    assert sgpd.compose(i, j) is None
                     continue
                 st = theta.actor.base.prod[s][t]
                 value = theta.apply(

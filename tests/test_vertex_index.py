@@ -6,7 +6,9 @@ tests two generator pairs per composable pair and walks the old
 (x1, y1, x2, y2) order only to name a failure. The functions below are the
 previous implementations, kept here only as the oracle: enumerations must
 match them element for element and in order, and reports must match them
-kind for kind and witness for witness.
+kind for kind and witness for witness. The axiom oracle scans the n x n
+table the old code held, with -1 for "no product"; the object under test
+holds only the declared products, inserted in a drawn order.
 """
 
 from hypothesis import given, settings
@@ -19,7 +21,6 @@ from sectional.actions import (
     validate_rigid_congruence,
 )
 from sectional.semigroupoids import (
-    UNDEF,
     FiniteSemigroupoid,
     _idempotents,
     _order_by_characterizations,
@@ -39,6 +40,7 @@ from sectional.standard import (
 from sectional.validation import ValidationReport, must
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+UNDEF = -1   # no product, in the dense tables below
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +60,14 @@ def oracle_triples(sgpd):
                 yield a, b, c
 
 
+def dense(sgpd):
+    """The n x n product table, UNDEF off the declared products."""
+    return [[sgpd.prod[a].get(b, UNDEF) for b in sgpd.arrows()] for a in sgpd.arrows()]
+
+
 def oracle_check_axioms(sgpd, report):
     names = sgpd.arrow_names
+    prod = dense(sgpd)
     seen = set()
 
     def fail(kind, witness, message):
@@ -69,7 +77,7 @@ def oracle_check_axioms(sgpd, report):
 
     for a in sgpd.arrows():
         for b in sgpd.arrows():
-            c = sgpd.prod[a][b]
+            c = prod[a][b]
             if sgpd.is_composable(a, b):
                 if c == UNDEF:
                     fail("undefined-product", (names[a], names[b]),
@@ -88,8 +96,8 @@ def oracle_check_axioms(sgpd, report):
     if seen:
         return
     for a, b, c in oracle_triples(sgpd):
-        left = sgpd.prod[sgpd.prod[a][b]][c]
-        right = sgpd.prod[a][sgpd.prod[b][c]]
+        left = prod[prod[a][b]][c]
+        right = prod[a][prod[b][c]]
         if left != right:
             fail("associativity", (names[a], names[b], names[c]),
                  f"({names[a]}{names[b]}){names[c]} != {names[a]}({names[b]}{names[c]})")
@@ -262,6 +270,17 @@ VALID = [
 ]
 
 
+def rows(draw, table):
+    """The object's rows for a dense table, each row's keys inserted in a drawn
+    order, so a scan that followed dict order would name other witnesses."""
+    out = tuple({} for _ in table)
+    for a, row in enumerate(table):
+        for b in draw(st.permutations(range(len(row)))):
+            if row[b] != UNDEF:
+                out[a][b] = row[b]
+    return out
+
+
 @st.composite
 def random_graphs(draw):
     """Any directed graph with any product table, valid or not."""
@@ -269,13 +288,11 @@ def random_graphs(draw):
     n = draw(st.integers(0, 12))
     src = draw(st.lists(st.integers(0, v - 1), min_size=n, max_size=n))
     rng = draw(st.lists(st.integers(0, v - 1), min_size=n, max_size=n))
-    prod = tuple(
-        tuple(draw(st.lists(st.integers(UNDEF, n - 1), min_size=n, max_size=n)))
-        for _ in range(n)
-    )
+    prod = [draw(st.lists(st.integers(UNDEF, n - 1), min_size=n, max_size=n))
+            for _ in range(n)]
     return FiniteSemigroupoid(
         tuple(f"v{i}" for i in range(v)), tuple(f"a{i}" for i in range(n)),
-        tuple(src), tuple(rng), prod,
+        tuple(src), tuple(rng), rows(draw, prod),
     )
 
 
@@ -296,7 +313,7 @@ def random_magmas(draw):
                 prod[a][b] = draw(st.sampled_from(fits)) if fits else UNDEF
     return FiniteSemigroupoid(
         tuple(f"v{i}" for i in range(v)), tuple(f"a{i}" for i in range(n)),
-        tuple(src), tuple(rng), tuple(tuple(row) for row in prod),
+        tuple(src), tuple(rng), rows(draw, prod),
     )
 
 
@@ -315,7 +332,7 @@ def corrupted(draw):
     the associativity walk."""
     sgpd = draw(st.one_of(st.sampled_from(VALID), random_orders()))
     n = sgpd.n_arrows
-    prod = [list(row) for row in sgpd.prod]
+    prod = dense(sgpd)
     structural = draw(st.booleans())
     for _ in range(draw(st.integers(1, 3))):
         a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
@@ -330,7 +347,7 @@ def corrupted(draw):
                         if sgpd.src[x] == sgpd.src[c] and sgpd.rng[x] == sgpd.rng[c]]
             prod[a][b] = draw(st.sampled_from(parallel))
     return FiniteSemigroupoid(sgpd.vertex_names, sgpd.arrow_names, sgpd.src, sgpd.rng,
-                              tuple(tuple(row) for row in prod), name=sgpd.name)
+                              rows(draw, prod), name=sgpd.name)
 
 
 # ---------------------------------------------------------------------------

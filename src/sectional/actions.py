@@ -453,13 +453,16 @@ def quotient_semigroupoid(cong: RigidCongruence) -> tuple[FiniteSemigroupoid, Ho
     src = tuple(base.src[block[0]] for block in cong.classes)
     rng = tuple(base.rng[block[0]] for block in cong.classes)
     prod: list[dict[int, int]] = [{} for _ in cong.classes]
+    # prod is filled in place: into, the classes by range, needs only rng
+    quotient = FiniteSemigroupoid(
+        base.vertex_names, arrow_names, src, rng, tuple(prod),
+        name=f"{base.name}/~" if base.name else "",
+    )
     for i, bi in enumerate(cong.classes):
-        for j, bj in enumerate(cong.classes):
-            if base.src[bi[0]] != base.rng[bj[0]]:
-                continue
+        for j in quotient.into[src[i]]:
             expected = None
             for x in bi:
-                for y in bj:
+                for y in cong.classes[j]:
                     c = base.compose(x, y)
                     if c is None:
                         raise InternalConsistencyError(
@@ -473,11 +476,6 @@ def quotient_semigroupoid(cong: RigidCongruence) -> tuple[FiniteSemigroupoid, Ho
                             f"quotient product ill-defined on ({arrow_names[i]},{arrow_names[j]})"
                         )
             prod[i][j] = expected
-
-    quotient = FiniteSemigroupoid(
-        base.vertex_names, arrow_names, src, rng, tuple(prod),
-        name=f"{base.name}/~" if base.name else "",
-    )
     quotient = must(validate_semigroupoid(quotient))
     projection = must(validate_homomorphism(
         {names[a]: arrow_names[cong.class_of[a]] for a in base.arrows()},

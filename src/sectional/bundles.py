@@ -30,6 +30,8 @@ from .semigroupoids import (
     composable_labels,
     identity_homomorphism,
     label_index,
+    validate_homomorphism,
+    validate_semigroupoid,
 )
 from .validation import (
     CapabilityError,
@@ -43,7 +45,8 @@ from .validation import (
 @dataclass
 class Bundle:
     """rows[(a, b)][i][j] is e_i * e_j in fiber(ab) as a sparse row, for every
-    composable pair; every product is (x_i y_j) * row, summed."""
+    composable pair; every product is (x_i y_j) * row, summed. A Bundle is
+    made only by validate_bundle or by a builder that returns a checked one."""
 
     ring: Ring
     base: FiniteSemigroupoid
@@ -71,12 +74,14 @@ def fiber_rows(table, ring: Ring) -> tuple:
 def pullback_bundle(bundle: Bundle, base: FiniteSemigroupoid, along) -> Bundle:
     """The bundle over base whose fiber over p is the fiber over along[p].
 
-    along maps base arrows to arrows of bundle.base (a homomorphism, so
-    composable pairs land on composable pairs); the parent's rows are shared.
+    along lists an arrow of bundle.base per arrow of base. Once it is checked to
+    be a homomorphism (O(composable pairs)), the shared rows' identity at (p, q, r)
+    is the parent's at (along[p], along[q], along[r]), which is already decided.
     """
+    must(validate_homomorphism(along, base, bundle.base))
     ranks = tuple(bundle.ranks[along[p]] for p in base.arrows())
     rows = {(p, q): bundle.rows[(along[p], along[q])] for p, q in base.composable}
-    return must(validate_bundle(Bundle(bundle.ring, base, ranks, rows), bundle.ring, base))
+    return Bundle(bundle.ring, base, ranks, rows)
 
 
 def bundle_from_product(ring: Ring, base: FiniteSemigroupoid, ranks: tuple[int, ...],
@@ -92,10 +97,11 @@ def bundle_from_product(ring: Ring, base: FiniteSemigroupoid, ranks: tuple[int, 
 
 
 def trivial_bundle(ring: Ring, base: FiniteSemigroupoid) -> Bundle:
-    """Rank-1 fibers, every constant 1: the direct-product bundle R x base."""
+    """Rank-1 fibers, every constant 1: the direct-product bundle R x base.
+    Each identity reads 1 = 1, so validating base (lookups only) checks it."""
+    must(validate_semigroupoid(base))
     one = fiber_rows((((ring.one,),),), ring)
-    bundle = Bundle(ring, base, (1,) * base.n_arrows, dict.fromkeys(base.composable, one))
-    return must(validate_bundle(bundle, ring, base))
+    return Bundle(ring, base, (1,) * base.n_arrows, dict.fromkeys(base.composable, one))
 
 
 def validate_bundle(raw, ring: Ring, base: FiniteSemigroupoid) -> Bundle | ValidationReport:

@@ -21,6 +21,7 @@ import datetime
 import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .rings import Ring, ring_from_spec
@@ -69,9 +70,31 @@ def _open(path: str, ring_text: str | None) -> tuple[WorkspaceFile, Ring]:
     return ws, workspace_ring(ws, parse_ring_override(ring_text) if ring_text else None)
 
 
+def _json(value, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte, for dicts with
+    str keys, lists, tuples, str, int, float, bool and None (else TypeError).
+    Strings are quoted in line, so a list of them is one str.join."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, (int, float)):
+        text = int.__repr__(value) if isinstance(value, int) else float.__repr__(value)
+        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+    inner = newline + "  "
+    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
+        items, ends = [_quote(k) + ": " + (_quote(v) if type(v) is str else _json(v, inner))
+                       for k, v in sorted(value.items())], "{}"
+    elif isinstance(value, (list, tuple)):
+        items, ends = [_quote(x) if type(x) is str else _json(x, inner) for x in value], "[]"
+    else:  # a dict lands here only with a key that is not a str
+        raise TypeError(f"cannot write {type(value).__name__} as JSON")
+    return ends[0] + inner + ("," + inner).join(items) + newline + ends[1] if value else ends
+
+
 def _render(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return _json(report) + "\n"
     lines = [f"sectional {report['command']} report"]
     if "selector" in report:
         lines.append(f"selector: {report['selector']}  seed: {report.get('seed')}")
@@ -139,7 +162,7 @@ def _cmd_build(args) -> int:
     if result.status != "pass":
         print(f"build failed: {result.message or result.witness}", file=sys.stderr)
         return 1
-    payload = json.dumps(result.data["structure"], indent=2, sort_keys=True) + "\n"
+    payload = _json(result.data["structure"]) + "\n"
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)

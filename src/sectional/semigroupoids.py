@@ -144,16 +144,8 @@ def validate_semigroupoid(raw) -> FiniteSemigroupoid | ValidationReport:
     reported with kind "structural", distinct from axiom failures.
     """
     if isinstance(raw, FiniteSemigroupoid):
-        # a built object must parse back from semigroupoid_to_raw, so its
-        # names are held to the file's uniqueness rules
-        report = ValidationReport(f"semigroupoid {raw.name or '<anonymous>'}")
-        names = raw.arrow_names
-        if len(set(raw.vertex_names)) != raw.n_vertices:
-            report.add("structural", (), "duplicate vertex ids")
-        elif len(set(names)) != raw.n_arrows:
-            repeat = next(a for i, a in enumerate(names) if raw.by_name[a] != i)
-            report.add("structural", (repeat,), f"duplicate arrow id {repeat!r}")
-        else:
+        report = _check_names(raw)
+        if report.ok:
             _check_axioms(raw, report)
         return raw if report.ok else report
 
@@ -201,6 +193,18 @@ def validate_semigroupoid(raw) -> FiniteSemigroupoid | ValidationReport:
     )
     _check_axioms(sgpd, report)
     return sgpd if report.ok else report
+
+
+def _check_names(sgpd: FiniteSemigroupoid) -> ValidationReport:
+    """A built object's names, held to the file's rules so that it parses back."""
+    report = ValidationReport(f"semigroupoid {sgpd.name or '<anonymous>'}")
+    names = sgpd.arrow_names
+    if len(set(sgpd.vertex_names)) != sgpd.n_vertices:
+        report.add("structural", (), "duplicate vertex ids")
+    elif len(set(names)) != sgpd.n_arrows:
+        repeat = next(a for i, a in enumerate(names) if sgpd.by_name[a] != i)
+        report.add("structural", (repeat,), f"duplicate arrow id {repeat!r}")
+    return report
 
 
 def _check_axioms(sgpd: FiniteSemigroupoid, report: ValidationReport) -> None:
@@ -410,6 +414,7 @@ class Homomorphism:
 def validate_homomorphism(raw_map, source: FiniteSemigroupoid, target: FiniteSemigroupoid) -> Homomorphism | ValidationReport:
     """Check multiplicativity on all composable pairs and decide rigidity.
 
+    raw_map maps names to names, or lists a target arrow per source arrow.
     Rigidity is the set equality: a pair maps to a composable pair exactly
     when it is composable. Multiplicativity gives one inclusion; the other is
     decided by counting the pairs with composable images per target vertex.
@@ -425,6 +430,9 @@ def validate_homomorphism(raw_map, source: FiniteSemigroupoid, target: FiniteSem
             mapping[source.by_name[k]] = target.by_name[v]
     else:
         mapping = list(raw_map)
+        if len(mapping) != source.n_arrows or not all(x in range(target.n_arrows) for x in mapping):
+            report.add("structural", (), "map must list a target arrow per source arrow")
+            return report
     if None in mapping:
         missing = source.arrow_names[mapping.index(None)]
         report.add("structural", (missing,), f"map does not cover arrow {missing!r}")
@@ -488,7 +496,10 @@ def pair_semigroupoid(labels, ends, arrow_names, vertex_names, products,
 
 
 def direct_product(a: FiniteSemigroupoid, b: FiniteSemigroupoid) -> FiniteSemigroupoid:
-    """Componentwise product over every vertex pair; arrow (x,y) is labeled (x, y)."""
+    """Componentwise product over every vertex pair; arrow (x,y) is labeled (x, y).
+    Its axioms are pairs of factor axioms: a and b are validated, then its names."""
+    must(validate_semigroupoid(a))
+    must(validate_semigroupoid(b))
     vertices = tuple(
         f"({va},{vb})" for va in a.vertex_names for vb in b.vertex_names
     )
@@ -512,7 +523,8 @@ def direct_product(a: FiniteSemigroupoid, b: FiniteSemigroupoid) -> FiniteSemigr
         name=f"{a.name}x{b.name}" if a.name and b.name else "",
         labels=tuple((x, y) for x in a.arrows() for y in b.arrows()),
     )
-    return must(validate_semigroupoid(out))
+    report = _check_names(out)
+    return must(out if report.ok else report)
 
 
 @dataclass
@@ -526,15 +538,15 @@ class GroupoidCheck:
 
 def is_groupoid(sgpd: FiniteSemigroupoid) -> GroupoidCheck:
     """Decide whether every vertex has an identity and every arrow an inverse."""
+    leaving: list[list[int]] = [[] for _ in sgpd.vertex_names]
+    for a, v in enumerate(sgpd.src):
+        leaving[v].append(a)
     units: dict[int, int] = {}
     for v in range(sgpd.n_vertices):
         for e in sgpd.into[v]:
             if sgpd.src[e] != v:
                 continue
-            left_ok = all(
-                sgpd.prod[a][e] == a
-                for a in sgpd.arrows() if sgpd.src[a] == v
-            )
+            left_ok = all(sgpd.prod[a][e] == a for a in leaving[v])
             right_ok = all(sgpd.prod[e][b] == b for b in sgpd.into[v])
             if left_ok and right_ok:
                 units[v] = e

@@ -400,16 +400,17 @@ class TaskResult:
 
 
 def _random_section(bundle, rnd) -> Section:
-    """One ring.sample per coordinate, then over Q scaled to ints by the lcm d of
-    the denominators. Convolution is Q-bilinear, so (a'b')c' - a'(b'c') is d_a d_b
-    d_c != 0 times (ab)c - a(bc): each triple keeps the unscaled draw's verdict."""
-    ring = bundle.ring
-    values = {arrow: dict(enumerate(ring.sample(rnd) for _ in range(bundle.ranks[arrow])))
-              for arrow in bundle.base.arrows()}
-    if isinstance(ring, RationalRing):
-        d = math.lcm(*(x.denominator for v in values.values() for x in v.values()))
-        values = {a: {i: x.numerator * d // x.denominator for i, x in v.items()}
-                  for a, v in values.items()}
+    """One ring.sample per coordinate; over Q the same two draws n, m, made n d / m
+    in ints by the lcm d of the reduced denominators, with no Fraction. Convolution is
+    Q-bilinear, so (a'b')c' - a'(b'c') is d_a d_b d_c != 0 times (ab)c - a(bc): each
+    triple keeps the unscaled draw's verdict."""
+    ring, q = bundle.ring, isinstance(bundle.ring, RationalRing)
+    draw = (lambda: (rnd.randint(-9, 9), rnd.randint(1, 9))) if q else (lambda: ring.sample(rnd))
+    values = {a: dict(enumerate(draw() for _ in range(bundle.ranks[a])))
+              for a in bundle.base.arrows()}
+    if q:
+        d = math.lcm(*(m // math.gcd(n, m) for v in values.values() for n, m in v.values()))
+        values = {a: {i: n * d // m for i, (n, m) in v.items()} for a, v in values.items()}
     return Section(bundle, values)
 
 

@@ -5,10 +5,13 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sectional.cli import main, parse_ring_override
+from sectional.cli import _json, main, parse_ring_override
 from sectional.semigroupoids import semigroupoid_to_raw, validate_semigroupoid
 from sectional.standard import pair_groupoid
 from sectional.validation import StructureError, must
@@ -676,3 +679,27 @@ class TestBuildOps:
         ws["tasks"] = [{"kind": "build", "id": "x", "op": "germ", "action": "nope"}]
         with pytest.raises(WorkspaceError):
             parse_workspace(json.dumps(ws))
+
+
+_TRICKY = st.text(st.sampled_from('"\\/\x00\x1f\n\t\x7f\u00e9\u2028\ud800\U0001f600a, ') | st.characters())
+_SCALARS = (st.none() | st.booleans() | st.integers(-10**30, 10**30)
+            | st.floats(allow_nan=True, allow_infinity=True) | _TRICKY)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(_TRICKY, max_size=4)
+                   | st.tuples(inner, inner) | st.dictionaries(_TRICKY, inner, max_size=4)),
+    max_leaves=30,
+)
+
+
+@given(value=_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_json_writer_matches_json_dumps(value):
+    assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, {"a": {None: 1}}, {"a", "b"}, b"x", [1, object()],
+                                   {"a": [Fraction(1, 2)]}])
+def test_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _json(value)

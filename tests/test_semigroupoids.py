@@ -282,6 +282,16 @@ class TestIsGroupoid:
         assert check.ok
         assert check.inverses == {0: 0, 1: 1}
 
+    def test_unit_groupoid_of_many_loops(self):
+        # each vertex's identity is tested against the arrows leaving it only;
+        # testing against every arrow took 0.44 s here
+        n = 3000
+        loops = must(validate_semigroupoid(unit_groupoid([f"p{i}" for i in range(n)]).base))
+        check = is_groupoid(loops)
+        assert check.ok
+        assert check.units == {v: v for v in range(n)}
+        assert check.inverses == {a: a for a in range(n)}
+
 
 class TestSerialization:
     def test_round_trip_preserves_structure(self):

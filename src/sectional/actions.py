@@ -53,19 +53,20 @@ class LandPreaction:
     def apply(self, s: int, a: int) -> int | None:
         return self.maps[s].get(a)
 
-    def big_ideal(self, v: int) -> set[int]:
-        """Union of the domains over arrows with source v."""
-        out: set[int] = set()
-        for s in self.actor.base.arrows():
-            if self.actor.base.src[s] == v:
-                out.update(self.maps[s])
+    def big_ideals(self) -> list[set[int]]:
+        """Per actor vertex v, the union of the domains over arrows with source v."""
+        out: list[set[int]] = [set() for _ in self.actor.base.vertex_names]
+        for s, v in enumerate(self.actor.base.src):
+            out[v].update(self.maps[s])
         return out
 
 
 def _is_ideal(subset: set[int], ambient: set[int], space: FiniteSemigroupoid) -> tuple | None:
-    """Check subset absorbs products with ambient inside the space; witness or None."""
+    """Check subset absorbs products with ambient inside the space; witness or None.
+    In a validated space xy exists only for y into src x, yx for y leaving rng x."""
     for x in sorted(subset):
-        for y in sorted(ambient):
+        near = (*space.into[space.src[x]], *space.leaving[space.rng[x]])
+        for y in sorted(ambient.intersection(near)):
             for p, q in ((x, y), (y, x)):
                 c = space.compose(p, q)
                 if c is not None and c not in subset:
@@ -135,8 +136,8 @@ def validate_preaction(raw_maps, actor: FiniteInverseSemigroupoid, space: Finite
         return report
 
     # (i) the union of domains at each actor vertex is an ideal of the space
-    for v in range(base.n_vertices):
-        big = theta.big_ideal(v)
+    bigs = theta.big_ideals()
+    for v, big in enumerate(bigs):
         w = _is_ideal(big, set(space.arrows()), space)
         if w is not None:
             report.add("ideal-property", (base.vertex_names[v],) + w,
@@ -149,18 +150,22 @@ def validate_preaction(raw_maps, actor: FiniteInverseSemigroupoid, space: Finite
     for s in base.arrows():
         dom = set(maps[s])
         ran = set(maps[s].values())
-        w = _is_ideal(dom, theta.big_ideal(base.src[s]), space)
+        w = _is_ideal(dom, bigs[base.src[s]], space)
         if w is not None:
             report.add("ideal-property", (names[s],) + w,
                        f"dom(theta_{names[s]}) is not an ideal of I(theta,src)")
             continue
-        w = _is_ideal(ran, theta.big_ideal(base.rng[s]), space)
+        w = _is_ideal(ran, bigs[base.rng[s]], space)
         if w is not None:
             report.add("ideal-property", (names[s],) + w,
                        f"ran(theta_{names[s]}) is not an ideal of I(theta,rng)")
             continue
+        # xy and theta_s(x)theta_s(y) are undefined together unless y is into
+        # src x or theta_s(y) into src theta_s(x); theta_{s*} inverts theta_s
+        back = maps[actor.inv[s]]
         for x in sorted(dom):
-            for y in sorted(dom):
+            pulled = map(back.get, space.into[space.src[maps[s][x]]])
+            for y in sorted(dom.intersection((*space.into[space.src[x]], *pulled))):
                 xy = space.compose(x, y)
                 fxy = space.compose(maps[s][x], maps[s][y])
                 if (xy is None) != (fxy is None):
@@ -283,6 +288,7 @@ def _associativity(theta: LandPreaction) -> tuple[bool, tuple]:
     """
     base = theta.actor.base
     space = theta.space
+    into, src = space.into, space.src
     doms = [theta.dom(s) for s in base.arrows()]
     rans = [theta.ran(u) for u in base.arrows()]
     failing: set[tuple[int, int, int, int]] = set()
@@ -290,7 +296,9 @@ def _associativity(theta: LandPreaction) -> tuple[bool, tuple]:
         for a, cs in partners.items():
             for b in doms[t]:
                 inner = _twisted(theta, t, a, b)
-                for c in cs:
+                # both sides are undefined unless c is into src b or src inner
+                near = into[src[b]] if inner is None else (*into[src[b]], *into[src[inner]])
+                for c in cs.intersection(near):
                     left = None if inner is None else space.compose(inner, c)
                     bc = space.compose(b, c)
                     right = None if bc is None else _twisted(theta, t, a, bc)
@@ -340,11 +348,10 @@ def semidirect_product(theta: LandPreaction) -> FiniteSemigroupoid:
             for s, a in pairs]
 
     def products():
-        for i, j in composable_labels(actor, pairs):
+        # (s, a)(t, b) is defined when src a = rng theta_t(b)
+        for i, j in composable_labels(actor, pairs, lambda s, a: space.src[a],
+                                      lambda t, b: (space.rng[theta.apply(t, b)],)):
             (s, a), (t, b) = pairs[i], pairs[j]
-            tb = theta.apply(t, b)
-            if space.rng[tb] != space.src[a]:
-                continue
             st = actor.prod[s][t]
             value = _twisted(theta, t, a, b)
             if value is None or value not in theta.maps[st]:

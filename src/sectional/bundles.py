@@ -477,11 +477,10 @@ class AlgebraAction:
                 )
         return combine(((x, images[i]) for i, x in v), self.algebra.ring)
 
-    def big_ideal(self, v: int) -> set[int]:
-        out: set[int] = set()
-        for s in self.actor.base.arrows():
-            if self.actor.base.src[s] == v:
-                out.update(self.domains[s])
+    def big_ideals(self) -> list[set[int]]:
+        out: list[set[int]] = [set() for _ in self.actor.base.vertex_names]
+        for s, v in enumerate(self.actor.base.src):
+            out[v].update(self.domains[s])
         return out
 
 
@@ -544,8 +543,8 @@ def validate_algebra_action(actor: FiniteInverseSemigroupoid,
     def near(i):
         return algebra.after[i] | algebra.before[i]
 
-    for v in range(base.n_vertices):
-        big = action.big_ideal(v)
+    bigs = action.big_ideals()
+    for v, big in enumerate(bigs):
         for i in sorted(big):
             for j in sorted(near(i)):
                 for (p, q) in ((i, j), (j, i)):
@@ -555,7 +554,7 @@ def validate_algebra_action(actor: FiniteInverseSemigroupoid,
                                    "I(Theta, v) is not multiplication closed")
                         return report
     for s in base.arrows():
-        ambient = action.big_ideal(base.src[s])
+        ambient = bigs[base.src[s]]
         for i in doms[s]:
             for j in sorted(near(i) & ambient):
                 for (p, q) in ((i, j), (j, i)):
@@ -662,9 +661,9 @@ def naive_crossed_product(action: AlgebraAction) -> AlgebraPresentation:
     Product on generators: (delta_s a)(delta_t b) = delta_{st}
     Theta_{t*}(a Theta_t(b)) when (s,t) is composable, zero otherwise.
     The generator delta_s e_d is labeled (s, d) and has degree s in the actor.
-    A pair is formed only when some basis vector in the support of
-    Theta_t(b) is after a in the support index; otherwise a Theta_t(b) is an
-    empty sum and the product is zero, which the table leaves out anyway.
+    A pair is met only when a is before the support of Theta_t(b) in the
+    support index; otherwise a Theta_t(b) is an empty sum and the product is
+    zero, which the table leaves out anyway.
     """
     actor = action.actor
     base = actor.base
@@ -676,13 +675,11 @@ def naive_crossed_product(action: AlgebraAction) -> AlgebraPresentation:
         f"d_{base.arrow_names[s]}.{alg.basis[d]}" for s, d in labels
     )
     table: dict[tuple[int, int], dict] = {}
-    for p, q in composable_labels(base, labels):
+    for p, q in composable_labels(base, labels, lambda s, a: a,
+                                  lambda t, b: alg.before_support(action.rows[t][b])):
         (s, a), (t, b) = labels[p], labels[q]
-        tb = action.rows[t][b]
-        if alg.after[a].isdisjoint(k for k, _ in tb):
-            continue
         st = base.prod[s][t]
-        a_tb = alg.mul(((a, ring.one),), tb)
+        a_tb = alg.mul(((a, ring.one),), action.rows[t][b])
         value = action.apply_rows(actor.inv[t], a_tb.items())
         if not value.keys() <= action.rows[st].keys():     # rows[st] is keyed by dom
             raise InternalConsistencyError(

@@ -92,6 +92,26 @@ def _json(value, newline: str = "\n") -> str:
     return ends[0] + inner + ("," + inner).join(items) + newline + ends[1] if value else ends
 
 
+def _stanza(raw: dict) -> str:
+    """_json(raw) + "\n" for a semigroupoid stanza (`semigroupoid_to_raw`): each
+    name is quoted once, and each list is one format string, its entry repeated,
+    over a flat tuple of the quoted names, so no string is made per entry."""
+    q = {name: _quote(name) for name in raw["vertices"]}
+    q.update((a["id"], _quote(a["id"])) for a in raw["arrows"])
+
+    def block(entry: str, names: tuple) -> str:
+        n = len(names) // entry.count("%s")
+        return ("[\n    " + ",\n    ".join([entry] * n) + "\n  ]") % names if n else "[]"
+
+    fields = {k: _json(v, "\n  ") for k, v in raw.items() if k not in ("vertices", "arrows", "prod")}
+    fields["vertices"] = block("%s", tuple(q[v] for v in raw["vertices"]))
+    fields["arrows"] = block('{\n      "id": %s,\n      "rng": %s,\n      "src": %s\n    }',
+                             tuple(q[a[k]] for a in raw["arrows"] for k in ("id", "rng", "src")))
+    fields["prod"] = block("[\n      %s,\n      %s,\n      %s\n    ]",
+                           tuple(q[x] for triple in raw["prod"] for x in triple))
+    return "{\n  " + ",\n  ".join(_quote(k) + ": " + fields[k] for k in sorted(fields)) + "\n}\n"
+
+
 def _render(report: dict, fmt: str) -> str:
     if fmt == "json":
         return _json(report) + "\n"
@@ -162,7 +182,7 @@ def _cmd_build(args) -> int:
     if result.status != "pass":
         print(f"build failed: {result.message or result.witness}", file=sys.stderr)
         return 1
-    payload = _json(result.data["structure"]) + "\n"
+    payload = _stanza(result.data["structure"])
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)

@@ -40,9 +40,9 @@ class FiniteSemigroupoid:
     the names. index maps each label to its arrow, so only the builder knows
     the arrow order; by_name maps each name to its first arrow.
 
-    into[v] lists the arrows with range v in ascending order. Every walk over
-    composable pairs or triples goes through it, so it costs what it yields
-    and meets the tuples in lexicographic order.
+    into[v] and leaving[v] list the arrows with range and source v, ascending.
+    Every walk over composable pairs or triples goes through them, so it costs
+    what it yields and meets the tuples in lexicographic order.
     """
 
     vertex_names: tuple[str, ...]
@@ -55,6 +55,7 @@ class FiniteSemigroupoid:
     index: dict = field(init=False, compare=False, repr=False)
     by_name: dict = field(init=False, compare=False, repr=False)
     into: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    leaving: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
     composable: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -65,9 +66,12 @@ class FiniteSemigroupoid:
         # filled last to first, so a repeated name keeps its first arrow
         self.by_name = dict(zip(reversed(self.arrow_names), range(self.n_arrows - 1, -1, -1)))
         into: list[list[int]] = [[] for _ in self.vertex_names]
+        leaving: list[list[int]] = [[] for _ in self.vertex_names]
         for c, v in enumerate(self.rng):
             into[v].append(c)
+            leaving[self.src[c]].append(c)
         self.into = tuple(map(tuple, into))
+        self.leaving = tuple(map(tuple, leaving))
         self.composable = tuple(
             (a, b) for a, v in enumerate(self.src) for b in self.into[v]
         )
@@ -100,15 +104,19 @@ class FiniteSemigroupoid:
         return self.by_name[name]
 
 
-def composable_labels(sgpd: FiniteSemigroupoid, labels) -> Iterator[tuple[int, int]]:
-    """Index pairs (p, q), ascending, whose labels (s, _) and (t, _) have (s, t)
-    composable; labels must be grouped by arrow in ascending arrow order."""
-    at: list[list[int]] = [[] for _ in sgpd.arrow_names]
-    for q, (t, _) in enumerate(labels):
-        at[t].append(q)
-    for p, (s, _) in enumerate(labels):
+def composable_labels(sgpd: FiniteSemigroupoid, labels, left=None, right=None) -> Iterator[tuple[int, int]]:
+    """Index pairs (p, q), ascending, whose labels (s, x) and (t, y) have (s, t)
+    composable; labels must be grouped by arrow in ascending arrow order. With
+    keys, a pair is met only when left(s, x) is one of the distinct keys that
+    right(t, y) yields: a hash join on (arrow, key) that costs what it yields."""
+    at: list[dict] = [{} for _ in sgpd.arrow_names]
+    for q, (t, y) in enumerate(labels):
+        for key in (None,) if right is None else right(t, y):
+            at[t].setdefault(key, []).append(q)
+    for p, (s, x) in enumerate(labels):
+        key = None if left is None else left(s, x)
         for t in sgpd.into[sgpd.src[s]]:
-            for q in at[t]:
+            for q in at[t].get(key, ()):
                 yield p, q
 
 
@@ -538,15 +546,12 @@ class GroupoidCheck:
 
 def is_groupoid(sgpd: FiniteSemigroupoid) -> GroupoidCheck:
     """Decide whether every vertex has an identity and every arrow an inverse."""
-    leaving: list[list[int]] = [[] for _ in sgpd.vertex_names]
-    for a, v in enumerate(sgpd.src):
-        leaving[v].append(a)
     units: dict[int, int] = {}
     for v in range(sgpd.n_vertices):
         for e in sgpd.into[v]:
             if sgpd.src[e] != v:
                 continue
-            left_ok = all(sgpd.prod[a][e] == a for a in leaving[v])
+            left_ok = all(sgpd.prod[a][e] == a for a in sgpd.leaving[v])
             right_ok = all(sgpd.prod[e][b] == b for b in sgpd.into[v])
             if left_ok and right_ok:
                 units[v] = e

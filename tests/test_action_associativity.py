@@ -14,6 +14,12 @@ the semigroupoid algebra, with each image a random unit multiple of the
 honest one plus, at times, one more basis vector of the same range, and one
 corrupted matrix entry.
 
+The ideal and isomorphism steps (i) and (ii) of `validate_preaction` walk,
+for each x, only the y that can meet a product with x (or whose image can
+meet one with x's image). `oracle_ideal_and_isomorphism` keeps the loops over
+every y; on random partial injections that satisfy (iii), so that (i) and
+(ii) run, the validator's failures must be the oracle's, in order.
+
 The algebra-level loops (this check, and the ideal and multiplicativity
 loops of `validate_algebra_action`) walk only the tuples the algebra's
 support index leaves. So honest lifts over Q, Z/6 and a non-commutative
@@ -22,6 +28,7 @@ then give the dense loops' first failure, and an action it accepts the
 oracle's associativity witness.
 """
 
+import itertools
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -110,8 +117,11 @@ def oracle_ideal_and_multiplicative(action):
     def in_span(row, span):
         return all(k in span for k, _ in row)
 
+    def big_ideal(v):
+        return {i for s in base.arrows() if base.src[s] == v for i in doms[s]}
+
     for v in range(base.n_vertices):
-        big = action.big_ideal(v)
+        big = big_ideal(v)
         for i in sorted(big):
             for j in range(alg.rank):
                 for (p, q) in ((i, j), (j, i)):
@@ -119,7 +129,7 @@ def oracle_ideal_and_multiplicative(action):
                         return "ideal-property", (base.vertex_names[v], alg.basis[p],
                                                   alg.basis[q])
     for s in base.arrows():
-        ambient = sorted(action.big_ideal(base.src[s]))
+        ambient = sorted(big_ideal(base.src[s]))
         for i in doms[s]:
             for j in ambient:
                 for (p, q) in ((i, j), (j, i)):
@@ -132,6 +142,57 @@ def oracle_ideal_and_multiplicative(action):
                 if lhs != alg.mul(rows[s][i], rows[s][j]):
                     return "isomorphism", (names[s], alg.basis[i], alg.basis[j])
     return None
+
+
+def oracle_ideal_and_isomorphism(actor, space, maps):
+    """Steps (i) and (ii) of validate_preaction as they stood before, every y
+    walked; returns the step that failed and its (kind, witness, message)s,
+    or (None, []) when both pass."""
+    base, names, anames = actor.base, actor.base.arrow_names, space.arrow_names
+
+    def is_ideal(subset, ambient):
+        for x in sorted(subset):
+            for y in sorted(ambient):
+                for p, q in ((x, y), (y, x)):
+                    c = space.compose(p, q)
+                    if c is not None and c not in subset:
+                        return (anames[p], anames[q])
+        return None
+
+    def big(v):
+        return {a for s in base.arrows() if base.src[s] == v for a in maps[s]}
+
+    failures = []
+    for v in range(base.n_vertices):
+        w = is_ideal(big(v), set(space.arrows()))
+        if w is not None:
+            failures.append(("ideal-property", (base.vertex_names[v],) + w,
+                             f"I(theta,{base.vertex_names[v]}) is not an ideal of the space"))
+    if failures:
+        return "i", failures
+    for s in base.arrows():
+        f = maps[s]
+        w = is_ideal(set(f), big(base.src[s]))
+        if w is not None:
+            failures.append(("ideal-property", (names[s],) + w,
+                             f"dom(theta_{names[s]}) is not an ideal of I(theta,src)"))
+            continue
+        w = is_ideal(set(f.values()), big(base.rng[s]))
+        if w is not None:
+            failures.append(("ideal-property", (names[s],) + w,
+                             f"ran(theta_{names[s]}) is not an ideal of I(theta,rng)"))
+            continue
+        for x, y in itertools.product(sorted(f), repeat=2):
+            xy, fxy = space.compose(x, y), space.compose(f[x], f[y])
+            if (xy is None) != (fxy is None):
+                failures.append(("isomorphism", (names[s], anames[x], anames[y]),
+                                 f"theta_{names[s]} does not preserve composability"))
+                break
+            if xy is not None and f.get(xy) != fxy:
+                failures.append(("isomorphism", (names[s], anames[x], anames[y]),
+                                 f"theta_{names[s]}(xy) != theta_{names[s]}(x)theta_{names[s]}(y)"))
+                break
+    return ("ii" if failures else None), failures
 
 
 def unit_vector(k, i, ring):
@@ -167,6 +228,88 @@ def partial_injections(draw, actor, space):
         img = dom if draw(st.booleans()) else draw(st.permutations(range(n)))[:len(dom)]
         maps.append(dict(zip(dom, img)))
     return LandPreaction(actor, space, tuple(maps))
+
+
+def relation_space(name, related):
+    """The semigroupoid of a transitive relation: an arrow ij from j to i for
+    each related pair (i, j), and ij jk = ik."""
+    arrows = sorted(related)
+    return must(validate_semigroupoid({
+        "id": name, "vertices": sorted({v for pair in arrows for v in pair}),
+        "arrows": [{"id": i + j, "src": j, "rng": i} for i, j in arrows],
+        "prod": [[i + j, j + k, i + k] for i, j in arrows for j2, k in arrows if j == j2],
+    }))
+
+
+# a chain category u < v < w, whose ideals are not unions of components, and
+# pair groupoids on blocks of 2, 1, 1, 2 and 3 points: block {5, 6} has arrow
+# ids 6 to 9, so a set of them is not always iterated in ascending order
+IDEAL_SPACES = SPACES + [
+    relation_space("A3", {(i, j) for i in "uvw" for j in "uvw" if j <= i}),
+    relation_space("blocks", {(i, j) for block in ("12", "3", "4", "56", "789")
+                              for i in block for j in block}),
+]
+
+
+@st.composite
+def inverse_closed_injections(draw, actor, space):
+    """Partial injections with theta_{s*} = theta_s^-1, axiom (iii): a
+    self-inverse arrow acts by an involution of its domain. A domain is any
+    set of arrows or, so that (i) and (ii) can pass, a union of connected
+    components with at times one arrow toggled; an image is the domain, a
+    permutation of it, or any arrows."""
+    component = {v: frozenset([v]) for v in range(space.n_vertices)}
+    for g in space.arrows():                # merge the classes of src g and rng g
+        merged = component[space.src[g]] | component[space.rng[g]]
+        component.update(dict.fromkeys(merged, merged))
+    classes = sorted(set(component.values()), key=min)
+    maps = [None] * actor.base.n_arrows
+    for s in actor.base.arrows():
+        if maps[s] is not None:
+            continue
+        if draw(st.booleans()):
+            dom = [g for g in space.arrows() if draw(st.booleans())]
+        else:
+            chosen = {c for c in classes if draw(st.booleans())}
+            dom = {g for g in space.arrows() if component[space.src[g]] in chosen}
+            if draw(st.booleans()):
+                dom ^= {draw(st.sampled_from(space.arrows()))}
+            dom = sorted(dom)
+        if actor.inv[s] == s:
+            order = draw(st.permutations(dom))
+            swaps = [(p, q) for p, q in zip(order[::2], order[1::2]) if draw(st.booleans())]
+            maps[s] = {g: g for g in dom} | {p: q for p, q in swaps} | {q: p for p, q in swaps}
+        else:
+            img = draw(st.sampled_from([dom, draw(st.permutations(dom)),
+                                        draw(st.permutations(space.arrows()))[:len(dom)]]))
+            maps[s] = dict(zip(dom, img))
+            maps[actor.inv[s]] = dict(zip(img, dom))
+    return maps
+
+
+def test_ideal_and_isomorphism_witnesses_match_oracle():
+    verdicts = set()
+
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def check(data):
+        actor = data.draw(st.sampled_from(ACTORS))
+        space = data.draw(st.sampled_from(IDEAL_SPACES))
+        maps = data.draw(inverse_closed_injections(actor, space))
+        raw = {actor.base.arrow_names[s]: {"dom": [space.arrow_names[g] for g in m],
+                                          "img": [space.arrow_names[g] for g in m.values()]}
+               for s, m in enumerate(maps)}
+        result = validate_preaction(raw, actor, space)
+        stage, expected = oracle_ideal_and_isomorphism(actor, space, maps)
+        got = [] if not isinstance(result, ValidationReport) else [
+            (f.kind, f.witness, f.message) for f in result.failures
+            if f.kind in ("ideal-property", "isomorphism")]
+        assert got == expected
+        verdicts.add((stage, expected[0][0] if expected else None))
+
+    check()
+    assert verdicts == {("i", "ideal-property"), ("ii", "ideal-property"),
+                        ("ii", "isomorphism"), (None, None)}
 
 
 def test_semigroupoid_witness_matches_oracle():

@@ -11,12 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sectional.cli import _json, main, parse_ring_override
+from sectional.cli import _json, _stanza, main, parse_ring_override
 from sectional.semigroupoids import semigroupoid_to_raw, validate_semigroupoid
 from sectional.standard import pair_groupoid
 from sectional.validation import StructureError, must
+from sectional.rings import RationalRing
 from sectional.workspace import (
+    Builder,
     WorkspaceError,
+    execute_task,
     parse_workspace,
     run_workspace,
 )
@@ -703,3 +706,39 @@ def test_json_writer_matches_json_dumps(value):
 def test_json_writer_refuses_other_types(value):
     with pytest.raises(TypeError):
         _json(value)
+
+
+@st.composite
+def _stanzas(draw):
+    """Semigroupoid stanzas as semigroupoid_to_raw writes them, with tricky
+    names, possibly no arrows or products, with or without an inv table."""
+    vertices = draw(st.lists(_TRICKY, max_size=4, unique=True))
+    names = draw(st.lists(_TRICKY, max_size=5, unique=True)) if vertices else []
+    arrows = [{"id": a, "src": draw(st.sampled_from(vertices)),
+               "rng": draw(st.sampled_from(vertices))} for a in names]
+    triples = st.lists(st.sampled_from(names), min_size=3, max_size=3)
+    raw = {"id": draw(_TRICKY), "vertices": vertices, "arrows": arrows,
+           "prod": draw(st.lists(triples, max_size=6)) if names else []}
+    if draw(st.booleans()):
+        raw["inv"] = {a: draw(st.sampled_from(names)) for a in names}
+    return raw
+
+
+@given(raw=_stanzas())
+@settings(max_examples=300, deadline=None)
+def test_stanza_writer_matches_json_dumps(raw):
+    assert _stanza(raw) == json.dumps(raw, indent=2, sort_keys=True) + "\n"
+
+
+def test_stanza_writer_matches_json_dumps_on_every_build():
+    with open(os.path.join(DATA, "builds.json"), encoding="utf-8") as fh:
+        ws = parse_workspace(fh.read())
+    builder = Builder(ws, RationalRing())
+    raws = [execute_task(builder, task, 0).data["structure"] for task in ws.tasks]
+    raws += [semigroupoid_to_raw(builder.semigroupoid(name)) for name in ws.semigroupoids]
+    inverses = [builder.inverse(name) for name, stanza in ws.semigroupoids.items()
+                if "inv" in stanza]
+    raws += [semigroupoid_to_raw(inv.base, inv) for inv in inverses]
+    assert len(raws) > len(ws.tasks) and any("inv" in raw for raw in raws)
+    for raw in raws:
+        assert _stanza(raw) == json.dumps(raw, indent=2, sort_keys=True) + "\n"

@@ -8,6 +8,11 @@ cell runs over all actor arrows, an n^3 transitivity walk, and blocks
 collected by an `assigned` sweep. Verdict, witness, quotient arrow names and
 class_of must match it exactly.
 
+`semidirect_product` meets only the label pairs (s, a), (t, b) with
+src a = rng theta_t(b), through a keyed join; `oracle_semidirect_prod` is the
+dense loop over every pair of labels, and the product tables must match it
+cell for cell and in fill order.
+
 The actions: chain semilattices acting by identities on random nested
 domains, Z/2 acting on points by a random involution of a random domain, the
 germ actions of the fixture files, and E x| Gamma on k copies of the pair
@@ -26,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sectional.actions import (
+    _twisted,
     germ_quotient,
     quotient_semigroupoid,
     semidirect_product,
@@ -34,7 +40,7 @@ from sectional.actions import (
 )
 from sectional.rings import RationalRing
 from sectional.semigroupoids import validate_inverse_semigroupoid, validate_semigroupoid
-from sectional.standard import cyclic2, unit_groupoid
+from sectional.standard import cyclic2, pair_groupoid, unit_groupoid
 from sectional.validation import ValidationReport, must
 from sectional.workspace import Builder, parse_workspace
 
@@ -82,6 +88,21 @@ def oracle_germ_relation(theta, sp):
             assigned[j] = True
         blocks.append(block)
     return None, blocks
+
+
+def oracle_semidirect_prod(theta):
+    """(labels, prod): every pair of labels (s, a), (t, b) visited, and the
+    product (st, theta_{t*}(a theta_t(b))) kept where (s, t) is composable
+    and src a = rng theta_t(b)."""
+    actor, space = theta.actor.base, theta.space
+    labels = [(s, a) for s in actor.arrows() for a in theta.dom(s)]
+    position = {label: i for i, label in enumerate(labels)}
+    prod = [{} for _ in labels]
+    for i, (s, a) in enumerate(labels):
+        for j, (t, b) in enumerate(labels):
+            if actor.is_composable(s, t) and space.rng[theta.apply(t, b)] == space.src[a]:
+                prod[i][j] = position[(actor.prod[s][t], _twisted(theta, t, a, b))]
+    return labels, prod
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +211,17 @@ def e_rtimes_gamma(k, m, gamma):
     return must(validate_preaction(maps, actor, space)), len(gamma) * len(cells)
 
 
+def pair_moves(points):
+    """The pair groupoid on points moving the unit arrow 1j to 1i: an actor
+    with several vertices, so src and rng of the actor arrows differ."""
+    moves = {f"({i},{j})": {"dom": [f"1{j}"], "img": [f"1{i}"]} for i in points for j in points}
+    return must(validate_preaction(moves, pair_groupoid(tuple(points)), unit_groupoid(points).base))
+
+
 FIXED = [(theta, None) for theta in _fixture_actions()] + [
     e_rtimes_gamma(2, 2, [(0, 1), (1, 0)]),
     e_rtimes_gamma(3, 1, itertools.permutations(range(3))),
+    (pair_moves("xy"), None),
 ]
 
 
@@ -258,3 +287,20 @@ def test_dropped_order_pair_breaks_transitivity():
     broken = drop_order_pairs(theta, [(0, 2)])
     assert _verdict(broken) == "germ-transitivity"
     assert germ_quotient(broken).first().witness == ("(e0,1x)", "(e1,1x)", "(e2,1x)")
+
+
+def test_semidirect_table_matches_the_dense_loop():
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def check(data):
+        theta, _ = data.draw(st.one_of(
+            chain_actions().map(lambda t: (t, None)),
+            z2_actions().map(lambda t: (t, None)),
+            st.sampled_from(range(len(FIXED))).map(FIXED.__getitem__),
+        ))
+        sp = semidirect_product(theta)
+        labels, prod = oracle_semidirect_prod(theta)
+        assert sp.labels == tuple(labels)
+        assert [list(row.items()) for row in sp.prod] == [list(row.items()) for row in prod]
+
+    check()

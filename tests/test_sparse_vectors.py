@@ -11,8 +11,9 @@ Z/6, on small derandomized inputs:
     that carry explicit zero entries, agree with dense membership;
   - ideal_closure has the dense saturation loop's rank over a field and, over
     Z/6, its accepted sequence;
-  - the crossed product's table, which skips the label pairs the support
-    index shows to be zero, equals the loop over every composable pair;
+  - the crossed product's table, which meets only the label pairs the
+    support index allows (a keyed join), and the range-side table equal the
+    loops over every composable pair, cell for cell and in fill order;
   - solve_linear's kernel is annihilated by the matrix and spans the whole
     kernel, and its image spans the columns;
   - on sparse columns given as dicts or (index, value) pairs, solve_linear
@@ -37,7 +38,14 @@ from hypothesis import strategies as st
 import sectional.rings as rings_module
 import sectional.theorems as theorems
 from sectional.algebras import AlgebraPresentation
-from sectional.bundles import Bundle, Section, convolve, fiber_rows, naive_crossed_product
+from sectional.bundles import (
+    Bundle,
+    Section,
+    convolve,
+    fiber_rows,
+    lscript_presentation,
+    naive_crossed_product,
+)
 from sectional.rings import (
     EchelonBasis,
     RationalRing,
@@ -473,11 +481,39 @@ def oracle_crossed_table(action):
     return labels, table
 
 
-def conjugation_action(ring):
+def oracle_lscript_table(action):
+    """lscript_presentation's table by the loop over every composable label
+    pair: Theta_x(Theta_{x*}(a) b) formed for each, empty rows kept."""
+    base, alg, inv = action.actor.base, action.algebra, action.actor.inv
+    labels = [(s, d) for s in base.arrows() for d in action.domains[inv[s]]]
+    position = {label: i for i, label in enumerate(labels)}
+    table = {}
+    for p, q in composable_labels(base, labels):
+        (x, a), (y, b) = labels[p], labels[q]
+        pulled = alg.mul(action.rows[inv[x]][a], ((b, alg.ring.one),))
+        value = action.apply_rows(x, pulled.items())
+        table[(p, q)] = {position[(base.prod[x][y], k)]: v for k, v in value.items()}
+    return labels, table
+
+
+def assert_tables_match(built, labels, table):
+    """built has the oracle's labels and, once the oracle's empty rows are
+    dropped, its table, filled in the same order."""
+    expected = AlgebraPresentation(built.ring, built.basis, table)
+    assert built.labels == tuple(labels)
+    assert list(built.table.items()) == list(expected.table.items())
+
+
+def conjugation_action(ring, x=1):
     """Z2 acting on M_2 (matrix units e11, e12, e21, e22 over one arrow) by
-    conjugation with P = [[1, 1], [0, -1]], P^2 = I: the images have up to
-    four terms, so a Theta_t(b) can vanish on the first and not on a later."""
+    conjugation with P = [[1, x], [0, -1]], P^2 = I: for x != 0 the images
+    have up to four terms, so a Theta_t(b) can vanish on the first and not on
+    a later."""
     units = ["11", "12", "21", "22"]
+    p = [[1, x], [0, -1]]
+    # column ij is P e_ij P^-1 = P e_ij P, whose kl entry is P_ki P_jl
+    conj = [[p[int(k) - 1][int(i) - 1] * p[int(j) - 1][int(l) - 1] for i, j in units]
+            for k, l in units]
     z2 = {"vertices": ["*"], "arrows": [{"id": x, "src": "*", "rng": "*"} for x in "ug"],
           "prod": [["u", "u", "u"], ["u", "g", "g"], ["g", "u", "g"], ["g", "g", "u"]],
           "inv": {"u": "u", "g": "g"}}
@@ -490,8 +526,8 @@ def conjugation_action(ring):
         "bundles": {"M2": {"base": "pt", "ranks": {"m": 4}, "constants": {"m,m": [
             [[int(x[1] == y[0] and x[0] + y[1] == z) for z in units] for y in units]
             for x in units]}}},
-        "bundle_actions": {"conj": {"action": "fix", "bundle": "M2", "fibers": {"g": {"m": [
-            [1, 0, 1, 0], [1, -1, 1, -1], [0, 0, -1, 0], [0, 0, -1, 1]]}}}},
+        "bundle_actions": {"conj": {"action": "fix", "bundle": "M2",
+                                    "fibers": {"g": {"m": conj}}}},
     }
     return induced_theta(Builder(parse_workspace(json.dumps(doc)), ring).bundle_action("conj"))
 
@@ -508,13 +544,24 @@ CROSSED_ACTIONS = {
 def test_crossed_product_skips_only_zero_pairs(action, ring):
     """The crossed product forms a pair only where the support index says
     a Theta_t(b) can be nonzero; its table equals the unskipped loop's once
-    that loop's empty rows are dropped."""
+    that loop's empty rows are dropped, and so does the range-side table."""
     induced = action(ring)
     crossed = naive_crossed_product(induced)
     labels, table = oracle_crossed_table(induced)
-    assert crossed.labels == tuple(labels)
-    assert crossed.table == AlgebraPresentation(ring, crossed.basis, table).table
+    assert_tables_match(crossed, labels, table)
     assert len(crossed.table) < len(table)          # some pairs were zero
+    assert_tables_match(lscript_presentation(induced), *oracle_lscript_table(induced))
+
+
+def test_crossed_tables_match_the_loops_under_any_conjugation():
+    @SETTINGS
+    @given(st.sampled_from(list(GERM_RINGS.values())), st.integers(-3, 3))
+    def check(ring, x):
+        induced = conjugation_action(ring, x)
+        assert_tables_match(naive_crossed_product(induced), *oracle_crossed_table(induced))
+        assert_tables_match(lscript_presentation(induced), *oracle_lscript_table(induced))
+
+    check()
 
 
 def test_germ_corollary_reduces_the_kernel_once(monkeypatch):

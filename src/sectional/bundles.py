@@ -17,6 +17,7 @@ semigroupoid algebras, graded round trips, and naive crossed products.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .actions import first_twisted_triple, twisted_partners
@@ -58,12 +59,9 @@ class Bundle:
         given as (index, value) pairs."""
         if self.base.compose(a, b) is None:
             raise ValueError("fiber_mul on a non-composable pair")
-        return combine(self._fiber_terms(a, b, x, y), self.ring)
-
-    def _fiber_terms(self, a: int, b: int, x, y):
-        """The combine terms of x * y for sparse x in fiber(a), y in fiber(b)."""
         table, mul = self.rows[(a, b)], self.ring.mul
-        return ((mul(xi, yj), row) for i, xi in x for j, yj in y if (row := table[i][j]))
+        return combine(((mul(xi, yj), row) for i, xi in x for j, yj in y if (row := table[i][j])),
+                       self.ring)
 
 
 def fiber_rows(table, ring: Ring) -> tuple:
@@ -106,7 +104,9 @@ def trivial_bundle(ring: Ring, base: FiniteSemigroupoid) -> Bundle:
 
 def validate_bundle(raw, ring: Ring, base: FiniteSemigroupoid) -> Bundle | ValidationReport:
     """Build a bundle from a stanza, or take a built one, and enumerate
-    total-product associativity.
+    total-product associativity: (e_i e_j) e_l = e_i (e_j e_l) for every
+    composable (a, b, c) and basis indices (i, j, l), each side summed in place
+    from the stored rows; the witness is the first failing (a, b, c, i, j, l).
 
     Stanza fields: "ranks" {arrow: k} (default 1), "mode" ("sc"/"ringfiber"),
     "constants" {"a,b": [[[r]]]} for sc, "twist" {"a,b": r} for ringfiber.
@@ -223,23 +223,28 @@ def validate_bundle(raw, ring: Ring, base: FiniteSemigroupoid) -> Bundle | Valid
                            "twist constants must be central in the ring")
                 return report
 
-    # (e_i e_j) e_l against e_i (e_j e_l), read off the stored rows
-    names = bundle.base.arrow_names
-    rows = bundle.rows
+    # (e_i e_j) e_l against e_i (e_j e_l), read off the stored rows, each side
+    # summed in place; sums that differ are pruned to be compared
+    ranks, rows, prod = bundle.ranks, bundle.rows, bundle.base.prod
+    add, mul = ring.add, ring.mul
     for a, b, c in bundle.base.composable_triples():
-        ab_c = rows[(bundle.base.prod[a][b], c)]
-        a_bc = rows[(a, bundle.base.prod[b][c])]
-        for i in range(bundle.ranks[a]):
-            for j in range(bundle.ranks[b]):
-                left_inner = rows[(a, b)][i][j]
-                for l in range(bundle.ranks[c]):
-                    left = combine(((x, ab_c[m][l]) for m, x in left_inner), ring)
-                    right = combine(((x, a_bc[i][m]) for m, x in rows[(b, c)][j][l]), ring)
-                    if left != right:
-                        report.add("associativity",
-                                   (names[a], names[b], names[c], str(i), str(j), str(l)),
-                                   "fiber products are not associative on this triple")
-                        return report
+        ab, bc = rows[(a, b)], rows[(b, c)]
+        ab_c, a_bc = rows[(prod[a][b], c)], rows[(a, prod[b][c])]
+        for i, j, l in itertools.product(range(ranks[a]), range(ranks[b]), range(ranks[c])):
+            left, right = {}, {}
+            for m, x in ab[i][j]:
+                for k, y in ab_c[m][l]:
+                    prev = left.get(k)
+                    left[k] = mul(x, y) if prev is None else add(prev, mul(x, y))
+            for m, x in bc[j][l]:
+                for k, y in a_bc[i][m]:
+                    prev = right.get(k)
+                    right[k] = mul(x, y) if prev is None else add(prev, mul(x, y))
+            if left != right and sparse_vector(left, ring) != sparse_vector(right, ring):
+                names = bundle.base.arrow_names
+                report.add("associativity", (names[a], names[b], names[c], str(i), str(j), str(l)),
+                           "fiber products are not associative on this triple")
+                return report
     return bundle
 
 
@@ -259,6 +264,13 @@ class Section:
     def __post_init__(self):
         ring = self.bundle.ring
         self.values = {a: w for a, v in self.values.items() if (w := sparse_vector(v, ring))}
+
+    @classmethod
+    def normal(cls, bundle: Bundle, values: dict) -> "Section":
+        """A section on values already in normal form, taken as they are."""
+        section = cls.__new__(cls)
+        section.bundle, section.values = bundle, values
+        return section
 
     def at(self, arrow: int) -> dict:
         return self.values.get(arrow, {})
@@ -304,18 +316,29 @@ def _same_bundle(a: Section, b: Section) -> None:
 
 def convolve(alpha: Section, beta: Section) -> Section:
     """(alpha * beta)(c) = sum over factorizations ab = c of the fiber products;
-    beta is grouped by range, so a meets only the composable b ending at src[a]."""
+    beta is grouped by range, so a meets only the composable b ending at src[a].
+    Each x_i y_j * row is summed in place into one dict per arrow c, in combine's
+    term order, and pruned once, so the section is in normal form as built."""
     _same_bundle(alpha, beta)
     bundle = alpha.bundle
-    base = bundle.base
+    base, rows, add, mul = bundle.base, bundle.rows, bundle.ring.add, bundle.ring.mul
     ending: dict[int, list] = {}
     for b, vb in beta.values.items():
         ending.setdefault(base.rng[b], []).append((b, vb.items()))
-    terms: dict[int, list] = {}
+    sums: dict[int, dict] = {}
     for a, va in alpha.values.items():
         for b, vb in ending.get(base.src[a], ()):
-            terms.setdefault(base.prod[a][b], []).extend(bundle._fiber_terms(a, b, va.items(), vb))
-    return Section(bundle, {c: combine(t, bundle.ring) for c, t in terms.items()})
+            table, acc = rows[(a, b)], sums.setdefault(base.prod[a][b], {})
+            for i, xi in va.items():
+                for j, yj in vb:
+                    if row := table[i][j]:
+                        coeff = mul(xi, yj)
+                        for k, c in row:
+                            prev = acc.get(k)
+                            acc[k] = mul(coeff, c) if prev is None else add(prev, mul(coeff, c))
+    is_zero = bundle.ring.is_zero
+    return Section.normal(bundle, {c: w for c, acc in sums.items()
+                                   if (w := {k: x for k, x in acc.items() if not is_zero(x)})})
 
 
 def section_from_vector(bundle: Bundle, labels: tuple, v: dict) -> Section:

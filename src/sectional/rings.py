@@ -522,10 +522,12 @@ def combine(terms, ring: Ring) -> dict:
     """Sum of coeff * row over (coeff, row) terms, as a sparse {index: value}.
 
     Every "coefficient times image, summed" product in the package runs
-    here: algebra and fiber products, linear maps, actions, matrix-vector
-    products. A row is any iterable of (index, value) pairs. The coefficient
-    always multiplies from the left. The loop tests no zeros; only the sum is
-    pruned, through ring.is_zero, so equal results compare equal as dicts.
+    here (algebra and fiber products, linear maps, actions, matrix-vector
+    products) except bundles.convolve and validate_bundle, which sum in place
+    in the same term order. A row is any iterable of (index, value) pairs.
+    The coefficient always multiplies from the left. The loop tests no zeros;
+    only the sum is pruned, through ring.is_zero, so equal results compare
+    equal as dicts.
     """
     add, mul = ring.add, ring.mul
     acc: dict = {}

@@ -400,18 +400,22 @@ class TaskResult:
 
 
 def _random_section(bundle, rnd) -> Section:
-    """One ring.sample per coordinate; over Q the same two draws n, m, made n d / m
-    in ints by the lcm d of the reduced denominators, with no Fraction. Convolution is
-    Q-bilinear, so (a'b')c' - a'(b'c') is d_a d_b d_c != 0 times (ab)c - a(bc): each
-    triple keeps the unscaled draw's verdict."""
+    """One ring.sample per coordinate, drawn straight into the section's dict and
+    left out when zero; over Q the same two draws n, m, made n d / m in ints by the
+    lcm d of the reduced denominators, with no Fraction. Convolution is Q-bilinear,
+    so (a'b')c' - a'(b'c') is d_a d_b d_c != 0 times (ab)c - a(bc): each triple
+    keeps the unscaled draw's verdict."""
     ring, q = bundle.ring, isinstance(bundle.ring, RationalRing)
     draw = (lambda: (rnd.randint(-9, 9), rnd.randint(1, 9))) if q else (lambda: ring.sample(rnd))
-    values = {a: dict(enumerate(draw() for _ in range(bundle.ranks[a])))
-              for a in bundle.base.arrows()}
+    kept = (lambda x: x[0]) if q else (lambda x: not ring.is_zero(x))
+    values = {a: v for a in bundle.base.arrows()
+              if (v := {i: x for i in range(bundle.ranks[a]) if kept(x := draw())})}
     if q:
         d = math.lcm(*(m // math.gcd(n, m) for v in values.values() for n, m in v.values()))
-        values = {a: {i: n * d // m for i, (n, m) in v.items()} for a, v in values.items()}
-    return Section(bundle, values)
+        for v in values.values():
+            for i, (n, m) in v.items():
+                v[i] = n * d // m
+    return Section.normal(bundle, values)
 
 
 def _convolution_args(params: dict) -> tuple[int, int]:

@@ -1,21 +1,30 @@
-"""Convolution walks only composable pairs, and the sampled check over Q.
+"""Convolution walks only composable pairs, sums in place, and the sampled check.
 
-`bundles.convolve` groups the right section's arrows by range and pairs each
-arrow a of the left one only with the group ending at src[a], and
-`sectional_algebra` convolves only the label pairs `composable_labels`
-yields. The all-pairs loops they replaced are kept here as the oracle:
+`bundles.convolve` groups the right section's arrows by range, pairs each
+arrow a of the left one only with the group ending at src[a], and adds every
+fiber product x_i y_j * row straight into one dict per product arrow, which it
+prunes once; `sectional_algebra` convolves only the label pairs
+`composable_labels` yields. Two earlier versions are kept here as oracles:
 `oracle_convolve` calls `compose` on every pair of supported arrows, and
-`oracle_sectional_algebra` convolves every pair of basis sections with it.
-The Hypothesis test compares both over Q (fractional section values and
-coboundary-twisted constants), Z/6 and a non-commutative table ring, on bases
-with pairs that do not compose (parallel arrows, with and without units, and
-P_3 beside a chain), with section keys in drawn, not ascending, order.
+`grouped_convolve` is the range-grouped walk that built a term generator per
+pair and summed each product arrow with `rings.combine`; their term order is
+the one `convolve` must keep, so the key order of the section and of every
+fiber vector is compared too. `oracle_sectional_algebra` convolves every pair
+of basis sections. The Hypothesis test compares them over Q (fractional
+section values and coboundary-twisted constants), Z/6 and a non-commutative
+table ring, on bases with pairs that do not compose (parallel arrows, with
+and without units, and P_3 beside a chain), with section keys in drawn, not
+ascending, order. Sums that cancel (2 * 3 over Z/6, x + (-x) over Q) must
+leave no zero entry and no empty vector, and the table ring's products must
+keep their factor order.
 
-The sampled `verify convolution` check scales each Q section to integers.
-Its verdict and `triple k` witness must be those of the raw draw, so a
-bilinear mutant of `convolve` that drops one factorization is patched into
-the workspace and must fail on the triple an oracle over the raw Fraction
-sections of `test_bundles._random_section` finds first.
+The sampled `verify convolution` check draws each section straight into its
+normal form and scales each Q section to integers. Its verdict and `triple k`
+witness must be those of the raw draw, so a bilinear mutant of `convolve`
+that drops one factorization is patched into the workspace and must fail on
+the triple an oracle over the raw Fraction sections of
+`test_bundles._random_section` finds first; off Q the drawn section is the
+raw one, key for key.
 """
 
 import json
@@ -35,6 +44,7 @@ from sectional.bundles import (
     convolve,
     delta_section,
     sectional_algebra,
+    trivial_bundle,
 )
 from sectional.cli import main
 from sectional.rings import RationalRing, ZModRing, combine, ring_from_spec
@@ -53,17 +63,49 @@ Z6 = ZModRing(6)
 TABLE = ring_from_spec(upper_triangular_f2_ring_spec())
 
 
+def fiber_terms(bundle, a, b, x, y):
+    """The combine terms of x * y for sparse x in fiber(a), y in fiber(b)."""
+    table, mul = bundle.rows[(a, b)], bundle.ring.mul
+    return ((mul(xi, yj), row) for i, xi in x for j, yj in y if (row := table[i][j]))
+
+
 def oracle_convolve(alpha, beta):
-    """Convolution as it was: compose every supported pair, keep the defined."""
+    """Convolution as it was first: compose every supported pair, keep the defined."""
     bundle = alpha.bundle
     terms = {}
     for a, va in alpha.values.items():
         for b, vb in beta.values.items():
             c = bundle.base.compose(a, b)
             if c is not None:
-                terms.setdefault(c, []).extend(
-                    bundle._fiber_terms(a, b, va.items(), vb.items()))
+                terms.setdefault(c, []).extend(fiber_terms(bundle, a, b, va.items(), vb.items()))
     return Section(bundle, {c: combine(t, bundle.ring) for c, t in terms.items()})
+
+
+def grouped_convolve(alpha, beta):
+    """Convolution as it was next: the range-grouped walk, a term generator per
+    pair and one combine per product arrow, normalised again by Section."""
+    bundle = alpha.bundle
+    base = bundle.base
+    ending = {}
+    for b, vb in beta.values.items():
+        ending.setdefault(base.rng[b], []).append((b, vb.items()))
+    terms = {}
+    for a, va in alpha.values.items():
+        for b, vb in ending.get(base.src[a], ()):
+            terms.setdefault(base.prod[a][b], []).extend(
+                fiber_terms(bundle, a, b, va.items(), vb))
+    return Section(bundle, {c: combine(t, bundle.ring) for c, t in terms.items()})
+
+
+def layout(section):
+    """Every arrow and fiber entry of a section in its stored order."""
+    return [(a, list(v.items())) for a, v in section.values.items()]
+
+
+def assert_normal(section):
+    """No empty fiber vector and no zero entry."""
+    is_zero = section.bundle.ring.is_zero
+    assert all(v and not any(is_zero(x) for x in v.values()) for v in section.values.values())
 
 
 def oracle_sectional_algebra(bundle, grading=None):
@@ -185,7 +227,10 @@ def _cases(draw):
 def test_convolve_and_sectional_algebra_match_the_all_pairs_oracle(case):
     bundle, alpha, beta, graded = case
     for x, y in ((alpha, beta), (beta, alpha), (alpha, alpha)):
-        assert convolve(x, y) == oracle_convolve(x, y)
+        out, oracle, grouped = convolve(x, y), oracle_convolve(x, y), grouped_convolve(x, y)
+        assert out == oracle == grouped
+        assert layout(out) == layout(grouped) == layout(oracle)
+        assert_normal(out)
     grading = identity_homomorphism(bundle.base) if graded else None
     alg = sectional_algebra(bundle, grading)
     want = oracle_sectional_algebra(bundle, grading)
@@ -208,6 +253,53 @@ def test_the_oracle_sees_fractional_constants_and_idle_pairs():
     assert any(base.compose(a, b) is None for a in full.values for b in full.values)
     assert convolve(full, full) == oracle_convolve(full, full)
     assert convolve(full, full).values
+
+
+def test_cancelling_sums_leave_no_zero_entry_and_no_empty_vector():
+    """On the fiber R x R (e_i e_j = delta_ij e_i) over P_2: 2 * 3 = 0 over Z/6
+    empties the (1,1) vector, x + (-x) = 0 over Q drops one of its entries,
+    and a pair whose fiber products all vanish leaves no vector behind."""
+    base = pair_groupoid().base
+    p11, p12, p21, p22 = (base.arrow_index(f"({i},{j})") for i in "12" for j in "12")
+
+    def square(ring):
+        return bundle_from_product(ring, base, (2,) * base.n_arrows,
+                                   lambda p, q, i, j: {i: ring.one} if i == j else {})
+
+    z6 = square(Z6)
+    alpha = Section(z6, {p11: {0: 2, 1: 1}, p12: {0: 1}})
+    beta = Section(z6, {p11: {0: 3}, p22: {0: 1, 1: 1}})
+    cases = [(alpha, beta, {p12: {0: 1}})]
+    x = Fraction(2, 3)
+    q = square(Q)
+    alpha = Section(q, {p11: {0: x, 1: 1}, p12: {0: 1}})
+    beta = Section(q, {p11: {0: 1, 1: 1}, p21: {0: -x}, p22: {1: 1}})
+    cases.append((alpha, beta, {p11: {1: 1}}))
+    for alpha, beta, want in cases:
+        out = convolve(alpha, beta)
+        assert out.values == want
+        assert_normal(out)
+        assert out == oracle_convolve(alpha, beta)
+        assert layout(out) == layout(grouped_convolve(alpha, beta))
+
+
+def test_table_ring_products_keep_their_factor_order():
+    """Over upper-triangular 2x2 matrices over F2 x * y != y * x for some
+    values, and convolve must give x * y in the order alpha, beta."""
+    bundle = trivial_bundle(TABLE, pair_groupoid().base)
+    base = bundle.base
+    p11 = base.arrow_index("(1,1)")
+    elements = range(len(TABLE.names))
+    pairs = [(x, y) for x in elements for y in elements
+             if TABLE.mul(x, y) != TABLE.mul(y, x)]
+    assert pairs
+    for x, y in pairs:
+        alpha, beta = delta_section(bundle, p11, {0: x}), delta_section(bundle, p11, {0: y})
+        for u, v, want in ((alpha, beta, TABLE.mul(x, y)), (beta, alpha, TABLE.mul(y, x))):
+            out = convolve(u, v)
+            assert out.at(p11).get(0, TABLE.zero) == want
+            assert layout(out) == layout(grouped_convolve(u, v))
+            assert_normal(out)
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +349,29 @@ def test_dropped_factorization_fails_on_the_oracles_triple(ring_name, ring, seed
     assert _verify_convolution(ring_name, seed, capsys) == (1, "fail", [f"triple {first}"])
 
 
+def _assert_zero_draws_absent(section, dense):
+    """Each coordinate of the dense draw is in the section exactly when it is
+    nonzero; returns whether a zero was drawn."""
+    is_zero = section.bundle.ring.is_zero
+    for a, coords in enumerate(dense):
+        assert list(section.at(a)) == [i for i, x in enumerate(coords) if not is_zero(x)]
+    assert_normal(section)
+    return any(is_zero(x) for coords in dense for x in coords)
+
+
+def _dense_draw(bundle, rnd):
+    return [[bundle.ring.sample(rnd) for _ in range(bundle.ranks[a])] for a in bundle.base.arrows()]
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_scaled_q_sections_are_integral_multiples_of_the_raw_draw(seed):
     bundle = _fixture_bundle(Q)
-    raw_rnd, rnd = random.Random(f"convolution:{seed}"), random.Random(f"convolution:{seed}")
-    saw_fraction = False
+    raw_rnd, rnd, dense_rnd = (random.Random(f"convolution:{seed}") for _ in range(3))
+    saw_fraction = saw_zero = False
     for _ in range(30):
         raw = raw_random_section(bundle, raw_rnd)
         scaled = workspace._random_section(bundle, rnd)
+        saw_zero |= _assert_zero_draws_absent(scaled, _dense_draw(bundle, dense_rnd))
         saw_fraction |= any(isinstance(x, Fraction) for v in raw.values.values() for x in v.values())
         assert all(type(x) is int for v in scaled.values.values() for x in v.values())
         arrow = next(iter(raw.values))
@@ -272,5 +379,25 @@ def test_scaled_q_sections_are_integral_multiples_of_the_raw_draw(seed):
         d = Fraction(scaled.at(arrow)[i]) / x
         assert d.denominator == 1 and d > 0
         assert scaled == raw.scale(d.numerator)
-    assert raw_rnd.random() == rnd.random()
-    assert saw_fraction
+        assert layout(scaled) == [(a, [(i, x * d.numerator) for i, x in v])
+                                  for a, v in layout(raw)]
+    assert raw_rnd.random() == rnd.random() == dense_rnd.random()
+    assert saw_fraction and saw_zero
+
+
+@pytest.mark.parametrize("ring_name", ["zmod6", "table"])
+@pytest.mark.parametrize("seed", range(3))
+def test_sampled_sections_off_q_are_the_raw_draw(ring_name, seed):
+    """Over Z/6 and the non-commutative table ring each coordinate is one
+    ring.sample, kept as drawn; a zero draw leaves no entry behind."""
+    base = _fixture_bundle(Z6).base
+    bundle = trivial_bundle(Z6 if ring_name == "zmod6" else TABLE, base)
+    raw_rnd, rnd, dense_rnd = (random.Random(f"convolution:{seed}") for _ in range(3))
+    saw_zero = False
+    for _ in range(30):
+        raw = raw_random_section(bundle, raw_rnd)
+        drawn = workspace._random_section(bundle, rnd)
+        saw_zero |= _assert_zero_draws_absent(drawn, _dense_draw(bundle, dense_rnd))
+        assert drawn == raw and layout(drawn) == layout(raw)
+    assert raw_rnd.random() == rnd.random() == dense_rnd.random()
+    assert saw_zero

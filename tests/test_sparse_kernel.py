@@ -36,7 +36,7 @@ from sectional.bundles import (
     validate_bundle,
 )
 from sectional.maps import LinearMapOnBasis, basis_bijection, multiplicative_witness
-from sectional.rings import RationalRing, ZModRing, ring_from_spec, sparse_row
+from sectional.rings import RationalRing, ZModRing, combine, ring_from_spec, sparse_row
 from sectional.rings import dense as densify
 from sectional.standard import pair_groupoid, semilattice2, unit_groupoid
 from sectional.theorems import _columns, _move
@@ -504,3 +504,104 @@ def test_multiplicative_witness_on_sparse_tables_matches_oracle(ring):
 
     check()
     assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# validate_bundle's in-place triple walk against the combine loop it replaced
+# ---------------------------------------------------------------------------
+
+def oracle_triple_walk(bundle, ring):
+    """Bundle associativity as it was summed: one combine over a generator per
+    side and (a, b, c, i, j, l); the first failing tuple, or None."""
+    names, rows = bundle.base.arrow_names, bundle.rows
+    for a, b, c in bundle.base.composable_triples():
+        ab_c = rows[(bundle.base.prod[a][b], c)]
+        a_bc = rows[(a, bundle.base.prod[b][c])]
+        for i in range(bundle.ranks[a]):
+            for j in range(bundle.ranks[b]):
+                left_inner = rows[(a, b)][i][j]
+                for l in range(bundle.ranks[c]):
+                    left = combine(((x, ab_c[m][l]) for m, x in left_inner), ring)
+                    right = combine(((x, a_bc[i][m]) for m, x in rows[(b, c)][j][l]), ring)
+                    if left != right:
+                        return (names[a], names[b], names[c], str(i), str(j), str(l))
+    return None
+
+
+# the upper-triangular 2x2 matrices on the basis e22, e12 + e22, e11: the
+# product e11 (e12 + e22) = e12 has two terms, so e22 (e11 (e12 + e22)) sums
+# e22 - e22 to a zero that a prune must drop, where e22 e11 = 0 has no terms
+TRIANGULAR = {(0, 0): {0: 1}, (0, 1): {0: 1}, (1, 0): {1: 1}, (1, 1): {1: 1},
+              (2, 1): {0: -1, 1: 1}, (2, 2): {2: 1}}
+
+
+def _fiber_algebra(ring, rank):
+    """Dense constants of an associative fiber: the ring (rank 1), R x R
+    (rank 2), TRIANGULAR (rank 3) or the 2x2 matrix units e_pq e_rs =
+    delta_qr e_ps (rank 4)."""
+    def unit(k):
+        return tuple(ring.one if m == k else ring.zero for m in range(rank))
+
+    zero = (ring.zero,) * rank
+    if rank == 3:
+        sign = {1: ring.one, -1: ring.neg(ring.one)}
+
+        def vec(entries):
+            return tuple(sign[entries[m]] if m in entries else ring.zero for m in range(3))
+
+        return tuple(tuple(vec(TRIANGULAR.get((i, j), {})) for j in range(3)) for i in range(3))
+    if rank == 4:
+        return tuple(tuple(unit(2 * (i // 2) + j % 2) if i % 2 == j // 2 else zero
+                           for j in range(4)) for i in range(4))
+    return tuple(tuple(unit(i) if i == j else zero for j in range(rank)) for i in range(rank))
+
+
+# the units f may take, so the twist f(a) f(b) / f(ab) is a coboundary; over
+# UT2-F2 only central constants pass validate_bundle's first check, and the
+# only central unit is 1
+TWIST_UNITS = {"Q": (1, -1, 2, Fraction(1, 3), Fraction(-3, 2)), "Z6": (1, 5)}
+
+
+def _twisted_bundle(data, name, ring):
+    """A coboundary-twisted bundle of one fiber algebra over a small base, with
+    one structure constant redrawn in about half the draws."""
+    base = data.draw(st.sampled_from(SPARSE_BASES))
+    rank = 1 if name == "UT2-F2" else data.draw(st.sampled_from((1, 2, 3, 4)))
+    f = [data.draw(st.sampled_from(TWIST_UNITS.get(name, (ring.one,)))) for _ in base.arrows()]
+    fiber = _fiber_algebra(ring, rank)
+    tables = {}
+    for a, b in base.composable:
+        t = ring.mul(ring.mul(f[a], f[b]), ring.unit_inverse(f[base.prod[a][b]]))
+        tables[(a, b)] = [[[ring.mul(t, x) for x in vec] for vec in row] for row in fiber]
+    if data.draw(st.booleans()):
+        a, b = data.draw(st.sampled_from(list(base.composable)))
+        i, j, k = (data.draw(st.integers(0, rank - 1)) for _ in range(3))
+        central = st.sampled_from((ring.zero, ring.one))
+        tables[(a, b)][i][j][k] = data.draw(central if name == "UT2-F2" else _elements(ring))
+    rows = {pair: fiber_rows(table, ring) for pair, table in tables.items()}
+    return Bundle(ring, base, (rank,) * base.n_arrows, rows)
+
+
+@pytest.mark.parametrize("name", SPARSE_RINGS)
+def test_bundle_triple_walk_matches_the_combine_loop(name):
+    """validate_bundle's verdict and first (a, b, c, i, j, l) witness are the
+    combine loop's, on twisted bundles with and without a redrawn constant."""
+    ring = SPARSE_RINGS[name]
+    verdicts = set()
+
+    @SPARSE_SETTINGS
+    @given(data=st.data())
+    def check(data):
+        bundle = _twisted_bundle(data, name, ring)
+        expected = oracle_triple_walk(bundle, ring)
+        result = validate_bundle(bundle, ring, bundle.base)
+        if expected is None:
+            assert result is bundle
+        else:
+            assert isinstance(result, ValidationReport)
+            assert (result.first().kind, result.first().witness) == ("associativity", expected)
+        verdicts.add(expected is None)
+
+    check()
+    assert verdicts == {True, False}
+

@@ -285,25 +285,36 @@ def _associativity(theta: LandPreaction) -> tuple[bool, tuple]:
     depend on (t,a,b,c) alone, so each such tuple of the exact projection
     (`twisted_partners`) is checked once, with the inner twisted value once
     per (t,a,b); the witness is the first failure in the (s,t,u,a,b,c) order.
+    A product a x is declared only when src a = rng x, so each b is keyed on
+    rng theta_t(b) and rng theta_t(bc), for the c some a meets, where each is
+    defined; an a whose source is no key has both sides undefined for every c
+    and is not met. The rule reads only the tables, no preaction axiom.
     """
     base = theta.actor.base
     space = theta.space
-    into, src = space.into, space.src
+    into, src, rng = space.into, space.src, space.rng
     doms = [theta.dom(s) for s in base.arrows()]
     rans = [theta.ran(u) for u in base.arrows()]
     failing: set[tuple[int, int, int, int]] = set()
     for t, partners in twisted_partners(base, doms, rans).items():
-        for a, cs in partners.items():
-            for b in doms[t]:
-                inner = _twisted(theta, t, a, b)
-                # both sides are undefined unless c is into src b or src inner
-                near = into[src[b]] if inner is None else (*into[src[b]], *into[src[inner]])
-                for c in cs.intersection(near):
-                    left = None if inner is None else space.compose(inner, c)
-                    bc = space.compose(b, c)
-                    right = None if bc is None else _twisted(theta, t, a, bc)
-                    if left != right:
-                        failing.add((t, a, b, c))
+        leaving: dict[int, list[int]] = {}          # v -> the partners a with src a = v
+        for a in partners:
+            leaving.setdefault(src[a], []).append(a)
+        met = set().union(*partners.values())       # every c some a meets
+        for b in doms[t]:
+            bcs = (space.compose(b, c) for c in met.intersection(into[src[b]]))
+            images = (theta.apply(t, x) for x in (b, *bcs) if x is not None)
+            for v in {rng[y] for y in images if y is not None}:
+                for a in leaving.get(v, ()):
+                    inner = _twisted(theta, t, a, b)
+                    # both sides are undefined unless c is into src b or src inner
+                    near = into[src[b]] if inner is None else (*into[src[b]], *into[src[inner]])
+                    for c in partners[a].intersection(near):
+                        left = None if inner is None else space.compose(inner, c)
+                        bc = space.compose(b, c)
+                        right = None if bc is None else _twisted(theta, t, a, bc)
+                        if left != right:
+                            failing.add((t, a, b, c))
     if not failing:
         return True, ()
     s, t, u, a, b, c = first_twisted_triple(base, doms, rans, failing)
@@ -349,7 +360,7 @@ def semidirect_product(theta: LandPreaction) -> FiniteSemigroupoid:
 
     def products():
         # (s, a)(t, b) is defined when src a = rng theta_t(b)
-        for i, j in composable_labels(actor, pairs, lambda s, a: space.src[a],
+        for i, j in composable_labels(actor, pairs, lambda s, a: (space.src[a],),
                                       lambda t, b: (space.rng[theta.apply(t, b)],)):
             (s, a), (t, b) = pairs[i], pairs[j]
             st = actor.prod[s][t]

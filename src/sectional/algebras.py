@@ -17,14 +17,14 @@ The table is stored row by row and only once: table[(i, j)] is the product of
 basis elements i and j as a sparse row, a tuple of (index, nonzero value)
 pairs sorted by index, and zero products are absent. Products, maps, actions
 and the exhaustive checks iterate only over these nonzeros, in the row-wise
-scheme of Gustavson (ACM TOMS 4(3), 1978), through the single kernel
-rings.combine. Linear maps are held the same way (maps.LinearMapOnBasis,
-bundles.AlgebraAction, and the fiber maps and transports of theorems): one
-sparse image row per basis element, applied only through combine; a matrix
-handed to rings.solve_linear is those rows, read as its columns. Vectors
-are sparse too: mul takes two vectors as (index, value) pairs (a stored row or
-the items of a {index: value} dict) and returns a dict. Dense coordinate
-tuples remain only for file literals, the transports inverted by
+scheme of Gustavson (ACM TOMS 4(3), 1978): mul adds each coefficient times
+row into one dict, in rings.combine's term order, and prunes the sum once.
+Linear maps are held the same way (maps.LinearMapOnBasis, bundles.AlgebraAction,
+and the fiber maps and transports of theorems): one sparse image row per basis
+element; a matrix handed to rings.solve_linear is those rows, read as its
+columns. Vectors are sparse too: mul takes two vectors as (index, value) pairs
+(a stored row or the items of a {index: value} dict) and returns a dict. Dense
+coordinate tuples remain only for file literals, the transports inverted by
 rings.mat_inverse, and reports.
 
 The table's keys also give a support index, built once with it: after[l] is
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rings import Ring, combine, sparse_vector
+from .rings import Ring, sparse_vector
 from .semigroupoids import FiniteSemigroupoid, label_index
 
 
@@ -93,13 +93,21 @@ class AlgebraPresentation:
         return self.grading is not None
 
     def mul(self, u, v) -> dict:
-        """Product of two sparse vectors given as (index, value) pairs."""
-        table, mul = self.table, self.ring.mul
-        return combine(
-            ((mul(x, y), row) for i, x in u for j, y in v
-             if (row := table.get((i, j)))),
-            self.ring,
-        )
+        """Product of two sparse vectors given as (index, value) pairs; v is
+        walked once per term of u. Each x y * row is summed in place, in
+        combine's term order, and the sum is pruned once."""
+        table, add, mul = self.table, self.ring.add, self.ring.mul
+        acc: dict = {}
+        get = acc.get
+        for i, x in u:
+            for j, y in v:
+                if row := table.get((i, j)):
+                    coeff = mul(x, y)
+                    for k, c in row:
+                        prev = get(k)
+                        acc[k] = mul(coeff, c) if prev is None else add(prev, mul(coeff, c))
+        is_zero = self.ring.is_zero
+        return {k: x for k, x in acc.items() if not is_zero(x)}
 
     def after_support(self, v) -> set:
         """The k for which v e_k can be nonzero, v given as (index, value) pairs."""

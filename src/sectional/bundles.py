@@ -491,14 +491,22 @@ class AlgebraAction:
     def apply_rows(self, s: int, v) -> dict:
         """Theta_s of a sparse vector given as (index, value) pairs, which must
         be supported in dom(s)."""
-        images = self.rows[s]
-        for i, _ in v:
-            if i not in images:
+        images, ring = self.rows[s], self.algebra.ring
+        add, mul = ring.add, ring.mul
+        acc: dict = {}
+        get = acc.get
+        for i, x in v:
+            row = images.get(i)
+            if row is None:
                 raise ValueError(
                     f"vector leaves dom at basis {self.algebra.basis[i]} for arrow "
                     f"{self.actor.base.arrow_names[s]}"
                 )
-        return combine(((x, images[i]) for i, x in v), self.algebra.ring)
+            for k, c in row:
+                prev = get(k)
+                acc[k] = mul(x, c) if prev is None else add(prev, mul(x, c))
+        is_zero = ring.is_zero
+        return {k: y for k, y in acc.items() if not is_zero(y)}
 
     def big_ideals(self) -> list[set[int]]:
         out: list[set[int]] = [set() for _ in self.actor.base.vertex_names]
@@ -629,11 +637,14 @@ def algebra_action_associativity(action: AlgebraAction) -> tuple | None:
     Theta_{t*}(a Theta_t(b)) c == Theta_{t*}(a Theta_t(bc)).
     Both sides depend on (t, a, b, c) alone; s and u only decide which a and
     c are drawn. So each tuple of the exact projection of that enumeration
-    (`actions.twisted_partners`) is checked once, with the inner value
-    Theta_{t*}(a Theta_t(b)) computed once per (t, a, b) and Theta_t(bc) once
-    per (t, b, c). The witness is the first failure in (s, t, u, a, b, c)
-    order. The action must have passed validate_algebra_action's ideal and
-    inverse checks, which keep every apply inside its domain.
+    (`actions.twisted_partners`) is checked once. For each (t, b), Theta_t(bc)
+    is formed once per c after b that some a meets, and a is met only where
+    a Theta_t(b) or some a Theta_t(bc) can be nonzero, before the support of
+    one of them: for any other a both sides are empty sums for every c. The
+    inner value Theta_{t*}(a Theta_t(b)) is computed once per (t, a, b). The
+    witness is the first failure in (s, t, u, a, b, c) order. The action
+    must have passed validate_algebra_action's ideal and inverse checks,
+    which keep every apply inside its domain.
     """
     base = action.actor.base
     inv = action.actor.inv
@@ -643,21 +654,19 @@ def algebra_action_associativity(action: AlgebraAction) -> tuple | None:
     rans = [doms[inv[u]] for u in base.arrows()]
     failing: set[tuple[int, int, int, int]] = set()
     for t, partners in twisted_partners(base, doms, rans).items():
-        theta_bc: dict[tuple[int, int], object] = {}      # (b, c) -> Theta_t(e_b e_c)
-        for a, cs in partners.items():
-            va = ((a, one),)
-            for b in doms[t]:
-                tb = action.rows[t][b]                      # Theta_t(e_b)
+        met = set().union(*partners.values())               # every c some a meets
+        for b in doms[t]:
+            tb = action.rows[t][b]                          # Theta_t(e_b)
+            t_bc = {c: action.apply_rows(t, alg.table[(b, c)]).items()
+                    for c in alg.after[b] & met}            # c -> Theta_t(e_b e_c)
+            keys = alg.before_support(tb).union(*map(alg.before_support, t_bc.values()))
+            for a in keys & partners.keys():
+                va = ((a, one),)
                 inner = action.apply_rows(inv[t], alg.mul(va, tb).items()).items()
                 # both sides are empty sums unless c is after b or after inner
-                near = alg.after[b] | alg.after_support(inner)
-                for c in cs & near:
-                    t_bc = theta_bc.get((b, c))
-                    if t_bc is None:
-                        bc = alg.table.get((b, c), ())
-                        t_bc = theta_bc[b, c] = action.apply_rows(t, bc).items()
+                for c in partners[a] & (alg.after[b] | alg.after_support(inner)):
                     left = alg.mul(inner, ((c, one),))
-                    right = action.apply_rows(inv[t], alg.mul(va, t_bc).items())
+                    right = action.apply_rows(inv[t], alg.mul(va, t_bc.get(c, ())).items())
                     if left != right:
                         failing.add((t, a, b, c))
     if not failing:
@@ -698,7 +707,7 @@ def naive_crossed_product(action: AlgebraAction) -> AlgebraPresentation:
         f"d_{base.arrow_names[s]}.{alg.basis[d]}" for s, d in labels
     )
     table: dict[tuple[int, int], dict] = {}
-    for p, q in composable_labels(base, labels, lambda s, a: a,
+    for p, q in composable_labels(base, labels, lambda s, a: (a,),
                                   lambda t, b: alg.before_support(action.rows[t][b])):
         (s, a), (t, b) = labels[p], labels[q]
         st = base.prod[s][t]
@@ -722,7 +731,9 @@ def lscript_presentation(action: AlgebraAction) -> AlgebraPresentation:
 
     Product on generators: (delta_x a)(delta_y b) = delta_{xy}
     Theta_x(Theta_{x*}(a) b). The generator delta_s e_d, d in dom(Theta_{s*}),
-    is labeled (s, d) and has degree s in the actor.
+    is labeled (s, d) and has degree s in the actor. The keyed join meets a
+    pair only when b is after the support of Theta_{x*}(a); otherwise
+    Theta_{x*}(a) b is an empty sum and the product is zero.
     """
     actor = action.actor
     base = actor.base
@@ -734,7 +745,9 @@ def lscript_presentation(action: AlgebraAction) -> AlgebraPresentation:
         f"L_{base.arrow_names[s]}.{alg.basis[d]}" for s, d in labels
     )
     table: dict[tuple[int, int], dict] = {}
-    for p, q in composable_labels(base, labels):
+    for p, q in composable_labels(base, labels,
+                                  lambda x, a: alg.after_support(action.rows[actor.inv[x]][a]),
+                                  lambda y, b: (b,)):
         (x, a), (y, b) = labels[p], labels[q]
         xy = base.prod[x][y]
         pulled_b = alg.mul(action.rows[actor.inv[x]][a], ((b, ring.one),))

@@ -12,12 +12,15 @@ distinct status in both commands), 2 invalid input (unparseable or non-UTF-8
 file, dangling reference, a task parameter naming the wrong kind of structure
 or structures on different bases, unknown selector target or build task id,
 unwritable --out path).
+
+The argument parser is built once per process, by the first main call.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import re
 import sys
@@ -208,7 +211,10 @@ def _cmd_verify(args) -> int:
                    selector=args.selector, seed=args.seed, **extra)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process:
+    parse_args leaves it unchanged, so every later main call reuses it."""
     parser = argparse.ArgumentParser(
         prog="sectional",
         description="exact workbench for finite semigroupoids, bundles, and "
@@ -239,8 +245,11 @@ def main(argv=None) -> int:
                        help="omit the timestamp and wall-time fields so reports "
                             "are byte-identical across runs")
     p_ver.set_defaults(func=_cmd_verify)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (WorkspaceError, StructureError) as exc:

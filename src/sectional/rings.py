@@ -521,10 +521,10 @@ def dense(row, k: int, ring: Ring) -> Vector:
 def combine(terms, ring: Ring) -> dict:
     """Sum of coeff * row over (coeff, row) terms, as a sparse {index: value}.
 
-    Every "coefficient times image, summed" product in the package runs
-    here (algebra and fiber products, linear maps, actions, matrix-vector
-    products) except bundles.convolve and validate_bundle, which sum in place
-    in the same term order. A row is any iterable of (index, value) pairs.
+    fiber_mul, linear maps, section arithmetic, echelon row operations and
+    matrix-vector products run here; the hot products (convolve, validate_bundle,
+    AlgebraPresentation.mul, AlgebraAction.apply_rows) sum in place in the same
+    term order instead. A row is any iterable of (index, value) pairs.
     The coefficient always multiplies from the left. The loop tests no zeros;
     only the sum is pruned, through ring.is_zero, so equal results compare
     equal as dicts.

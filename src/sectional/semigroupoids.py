@@ -107,16 +107,19 @@ class FiniteSemigroupoid:
 def composable_labels(sgpd: FiniteSemigroupoid, labels, left=None, right=None) -> Iterator[tuple[int, int]]:
     """Index pairs (p, q), ascending, whose labels (s, x) and (t, y) have (s, t)
     composable; labels must be grouped by arrow in ascending arrow order. With
-    keys, a pair is met only when left(s, x) is one of the distinct keys that
-    right(t, y) yields: a hash join on (arrow, key) that costs what it yields."""
+    keys, a pair is met only when the distinct keys left(s, x) yields and those
+    right(t, y) yields share one: a hash join on (arrow, key) that costs what it
+    yields. The partners a left label finds through several keys are met once
+    each, merged into ascending order."""
     at: list[dict] = [{} for _ in sgpd.arrow_names]
     for q, (t, y) in enumerate(labels):
         for key in (None,) if right is None else right(t, y):
             at[t].setdefault(key, []).append(q)
     for p, (s, x) in enumerate(labels):
-        key = None if left is None else left(s, x)
+        keys = (None,) if left is None else left(s, x)
         for t in sgpd.into[sgpd.src[s]]:
-            for q in at[t].get(key, ()):
+            hits = [q for key in keys for q in at[t].get(key, ())]
+            for q in sorted(set(hits)) if len(keys) > 1 else hits:
                 yield p, q
 
 

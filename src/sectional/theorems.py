@@ -444,7 +444,7 @@ def skew_product(sgpd: FiniteSemigroupoid, d: Homomorphism) -> SkewProduct:
     # vertices live in base^(0) x arrows(G)
     ends = [((sgpd.src[x], h), (sgpd.rng[x], g.prod[d.map[x]][h])) for x, h in pairs]
     products = []
-    for i, j in composable_labels(sgpd, pairs, lambda x1, h1: h1,
+    for i, j in composable_labels(sgpd, pairs, lambda x1, h1: (h1,),
                                   lambda x2, h2: (g.prod[d.map[x2]][h2],)):
         (x1, _h1), (x2, h2) = pairs[i], pairs[j]
         products.append((i, j, (sgpd.prod[x1][x2], h2)))

@@ -26,6 +26,14 @@ support index leaves. So honest lifts over Q, Z/6 and a non-commutative
 table ring also get one corrupted structure constant; the validator must
 then give the dense loops' first failure, and an action it accepts the
 oracle's associativity witness.
+
+`algebra_action_associativity` now meets, for each (t, b), only the a before
+the support of Theta_t(b) or of some Theta_t(bc). `projection_algebra_associativity`
+keeps the walk it replaced, every a of the projection for every b. Random
+unvalidated actions on random sparse algebras over Q and Z/6 must give the
+verdict and witness of both loops, and their first failures must include a
+tuple where only a Theta_t(b) is nonzero, one where only some a Theta_t(bc)
+is, and passes.
 """
 
 import itertools
@@ -34,7 +42,14 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sectional.actions import LandPreaction, _associativity, _twisted, validate_preaction
+from sectional.actions import (
+    LandPreaction,
+    _associativity,
+    _twisted,
+    first_twisted_triple,
+    twisted_partners,
+    validate_preaction,
+)
 from sectional.algebras import AlgebraPresentation
 from sectional.bundles import (
     AlgebraAction,
@@ -453,3 +468,95 @@ def test_corrupted_constant_gives_the_oracle_verdicts():
 
     check()
     assert verdicts == {"ideal-property", "isomorphism", True, False}
+
+
+def projection_algebra_associativity(action):
+    """algebra_action_associativity before its keyed walk: every a of the
+    projection is met for every b, and Theta_t(bc) formed once per (t, b, c)."""
+    base = action.actor.base
+    inv = action.actor.inv
+    alg = action.algebra
+    one = alg.ring.one
+    doms = action.domains
+    rans = [doms[inv[u]] for u in base.arrows()]
+    failing = set()
+    for t, partners in twisted_partners(base, doms, rans).items():
+        theta_bc = {}
+        for a, cs in partners.items():
+            va = ((a, one),)
+            for b in doms[t]:
+                tb = action.rows[t][b]
+                inner = action.apply_rows(inv[t], alg.mul(va, tb).items()).items()
+                near = alg.after[b] | alg.after_support(inner)
+                for c in cs & near:
+                    t_bc = theta_bc.get((b, c))
+                    if t_bc is None:
+                        bc = alg.table.get((b, c), ())
+                        t_bc = theta_bc[b, c] = action.apply_rows(t, bc).items()
+                    left = alg.mul(inner, ((c, one),))
+                    right = action.apply_rows(inv[t], alg.mul(va, t_bc).items())
+                    if left != right:
+                        failing.add((t, a, b, c))
+    if not failing:
+        return None
+    s, t, u, a, b, c = first_twisted_triple(base, doms, rans, failing)
+    return (
+        base.arrow_names[s], base.arrow_names[t], base.arrow_names[u],
+        alg.basis[a], alg.basis[b], alg.basis[c],
+    )
+
+
+@st.composite
+def sparse_actions(draw, ring):
+    """An unvalidated action of a small actor on a random sparse algebra of
+    rank 2 to 4: each product is present with probability 1/3, and each
+    product and image has one or two terms with coefficients 1, 2, 3 or -1
+    (over Z/6, 2 * 3 = 0). Every domain is the whole basis, so every apply
+    is defined."""
+    actor = draw(st.sampled_from([semilattice2(), cyclic2(), chain(3)]))
+    n = draw(st.integers(2, 4))
+    coeffs = [ring.coerce(x) for x in (1, 2, 3, -1)]
+
+    def vector():
+        support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+        return sorted((k, draw(st.sampled_from(coeffs))) for k in support)
+
+    table = {(i, j): vector() for i in range(n) for j in range(n)
+             if draw(st.integers(0, 2)) == 0}
+    alg = AlgebraPresentation(ring, tuple(f"e{i}" for i in range(n)), table)
+    full = tuple(range(n))
+    rows = tuple({i: tuple(vector()) for i in full} for _ in actor.base.arrows())
+    return AlgebraAction(actor, alg, (full,) * actor.base.n_arrows, rows)
+
+
+def failing_sides(action, witness):
+    """Which of a Theta_t(b) and the a Theta_t(bc) over every c are nonzero
+    at the witness's (t, a, b): "left", "right" or "both"."""
+    alg, one = action.algebra, action.algebra.ring.one
+    t = action.actor.base.arrow_names.index(witness[1])
+    a, b = alg.basis.index(witness[3]), alg.basis.index(witness[4])
+    left = bool(alg.mul(((a, one),), action.rows[t][b]))
+    right = any(alg.mul(((a, one),), action.apply_rows(t, alg.table.get((b, c), ())).items())
+                for c in range(alg.rank))
+    return {(True, False): "left", (False, True): "right", (True, True): "both"}[left, right]
+
+
+def test_keyed_algebra_walk_matches_both_oracles():
+    """A pair where only a Theta_t(b) is nonzero is lost if the key drops
+    before_support(Theta_t(b)); one where only an a Theta_t(bc) is, if it
+    drops the Theta_t(bc) side. Each must be some draw's first failure."""
+    verdicts = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def check(data):
+        ring = data.draw(st.sampled_from([RationalRing(), ZModRing(6)]))
+        action = data.draw(sparse_actions(ring))
+        expected = oracle_algebra_associativity(action)
+        assert projection_algebra_associativity(action) == expected
+        assert algebra_action_associativity(action) == expected
+        verdicts.add((ring.describe(), None if expected is None else failing_sides(action, expected)))
+
+    check()
+    for ring in ("Q", "Z/6"):
+        assert {(ring, None), (ring, "left"), (ring, "right")} <= verdicts

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sectional import cli
 from sectional.cli import _json, _stanza, main, parse_ring_override
 from sectional.semigroupoids import semigroupoid_to_raw, validate_semigroupoid
 from sectional.standard import pair_groupoid
@@ -742,3 +743,38 @@ def test_stanza_writer_matches_json_dumps_on_every_build():
     assert len(raws) > len(ws.tasks) and any("inv" in raw for raw in raws)
     for raw in raws:
         assert _stanza(raw) == json.dumps(raw, indent=2, sort_keys=True) + "\n"
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    """main builds its parser on the first call and reuses it: each later
+    call, a usage error included, prints exactly what a call on a freshly
+    built parser prints, and exits with the same code."""
+    inputs = [os.path.join(FIXTURES, name) for name in ("germ.json", "tensor.json")]
+    bad = ["verify", "everything", "--input", inputs[0]]
+    runs = [
+        ["verify", "all", "--input", *inputs, "--seed", "7", "--format", "text", "--no-timestamp"],
+        ["verify", "all", "--input", *inputs, "--no-timestamp"],
+        ["validate", inputs[0]],
+        bad,
+        bad,
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    cli._parser.cache_clear()
+    reused = [run(argv) for argv in runs]
+    assert cli._parser.cache_info().misses == 1
+    fresh = []
+    for argv in runs:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 0, 2, 2]
+    assert "seed: 7" in reused[0][1] and "seed: 0" in reused[1][1]
+    assert "invalid choice" in reused[3][2]

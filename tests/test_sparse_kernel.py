@@ -1,7 +1,7 @@
 """The sparse product kernel against the dense loops it replaced.
 
-Every "coefficient times image, summed" product now runs through
-rings.combine over sparse rows. The dense loops below are the reference: they
+Every "coefficient times image, summed" product now runs over sparse rows,
+through rings.combine or in place. The dense loops below are the reference: they
 are the previous implementations, kept here only as an oracle. Each product
 must equal its oracle exactly over Q, Z/6 and two finite table rings:
 
@@ -17,6 +17,11 @@ support index leaves, so they are also run on generated sparse tables (the
 semigroupoid algebras of small groupoids and random constants on a few
 products) over Q, Z/6 and the non-commutative table ring, each with one
 corrupted constant; both verdicts must occur.
+
+AlgebraPresentation.mul and AlgebraAction.apply_rows now sum in place
+instead of calling combine; the combine calls they replaced are kept below
+as the reference, and the values and key order of each result must be
+theirs over Q, Z/6 and the non-commutative table ring.
 """
 
 import itertools
@@ -393,7 +398,7 @@ def test_associativity_witness_matches_oracle(ring, data):
 @pytest.mark.parametrize("ring", [RINGS["Q"], RINGS["Z6"], RINGS["Z3-zero-at-1"]],
                          ids=["Q", "Z6", "Z3-zero-at-1"])
 @given(data=st.data())
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
 def test_bundle_associativity_witness_matches_oracle(ring, data):
     bundle, dense = _random_bundle(data, ring, "sc")
     result = validate_bundle(bundle, ring, bundle.base)
@@ -605,3 +610,85 @@ def test_bundle_triple_walk_matches_the_combine_loop(name):
     check()
     assert verdicts == {True, False}
 
+
+
+# ---------------------------------------------------------------------------
+# The in-place algebra kernel against the combine calls it replaced
+# ---------------------------------------------------------------------------
+
+def combine_mul(alg, u, v):
+    """AlgebraPresentation.mul as it stood before: one combine over the
+    stored products of each term of u with each term of v."""
+    table, mul = alg.table, alg.ring.mul
+    return combine(((mul(x, y), row) for i, x in u for j, y in v
+                    if (row := table.get((i, j)))), alg.ring)
+
+
+def combine_apply_rows(action, s, v):
+    """AlgebraAction.apply_rows as it stood before: every index checked
+    against the domain, then one combine."""
+    images = action.rows[s]
+    for i, _ in v:
+        if i not in images:
+            raise ValueError(
+                f"vector leaves dom at basis {action.algebra.basis[i]} for arrow "
+                f"{action.actor.base.arrow_names[s]}"
+            )
+    return combine(((x, images[i]) for i, x in v), action.algebra.ring)
+
+
+def _terms(data, ring, rank):
+    """A sparse vector as (index, nonzero value) pairs in a drawn order."""
+    support = data.draw(st.lists(st.integers(0, rank - 1), min_size=1, max_size=rank,
+                                 unique=True))
+    if isinstance(ring, RationalRing):
+        pool = [ring.coerce(x) for x in (1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-2, 3))]
+    else:
+        pool = [x for x in range(ring.n if isinstance(ring, ZModRing) else len(ring.names))
+                if not ring.is_zero(x)]
+    return [(i, data.draw(st.sampled_from(pool))) for i in support]
+
+
+@pytest.mark.parametrize("ring", SPARSE_RINGS.values(), ids=SPARSE_RINGS.keys())
+def test_in_place_kernel_matches_combine(ring):
+    """mul and apply_rows on random sparse tables, images and vectors: the
+    same dict as combine's, key order included, and no zero entry. Some
+    draws must sum an entry to zero (over Z/6, 2 * 3 = 0 too)."""
+    pruned = []
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def check(data):
+        rank = data.draw(st.integers(1, 4))
+        table = {(i, j): dict(_terms(data, ring, rank))
+                 for i in range(rank) for j in range(rank) if data.draw(st.booleans())}
+        alg = AlgebraPresentation(ring, tuple(f"b{i}" for i in range(rank)), table)
+        u, v = _terms(data, ring, rank), _terms(data, ring, rank)
+        product = alg.mul(u, v)
+        assert list(product.items()) == list(combine_mul(alg, u, v).items())
+        touched = {k for i, _ in u for j, _ in v for k, _ in alg.table.get((i, j), ())}
+        pruned.append(len(product) < len(touched))
+
+        actor = semilattice2()
+        domains = tuple(tuple(sorted(data.draw(st.sets(st.integers(0, rank - 1)))))
+                        for _ in actor.base.arrows())
+        rows = tuple({i: tuple(sorted(dict(_terms(data, ring, rank)).items())) for i in dom}
+                     for dom in domains)
+        action = AlgebraAction(actor, alg, domains, rows)
+        s, w = data.draw(st.sampled_from(actor.base.arrows())), _terms(data, ring, rank)
+        try:
+            expected = combine_apply_rows(action, s, w)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                action.apply_rows(s, w)
+            assert str(err.value) == str(exc)
+            return
+        image = action.apply_rows(s, w)
+        assert list(image.items()) == list(expected.items())
+        for out in (product, image):
+            assert not any(ring.is_zero(x) for x in out.values())
+        touched = {k for i, _ in w for k, _ in rows[s][i]}
+        pruned.append(len(image) < len(touched))
+
+    check()
+    assert any(pruned)

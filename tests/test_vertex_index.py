@@ -8,7 +8,9 @@ previous implementations, kept here only as the oracle: enumerations must
 match them element for element and in order, and reports must match them
 kind for kind and witness for witness. The axiom oracle scans the n x n
 table the old code held, with -1 for "no product"; the object under test
-holds only the declared products, inserted in a drawn order.
+holds only the declared products, inserted in a drawn order. The keyed
+partner join `composable_labels` must yield what the scan over every label
+pair yields once it keeps only the pairs whose key sets meet.
 """
 
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from sectional.semigroupoids import (
     FiniteSemigroupoid,
     _idempotents,
     _order_by_characterizations,
+    composable_labels,
     direct_product,
     validate_homomorphism,
     validate_inverse_semigroupoid,
@@ -367,6 +370,28 @@ def test_enumerations_match_full_scans():
     def check(sgpd):
         assert sgpd.composable == oracle_composable(sgpd)
         assert list(sgpd.composable_triples()) == list(oracle_triples(sgpd))
+
+    check()
+
+
+def test_keyed_join_matches_the_filtered_scan():
+    """composable_labels with key sets on both sides yields the pairs of the
+    scan over every label pair with rng t = src s whose key sets meet, each
+    once and in ascending order; without keys, every such pair."""
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def check(data):
+        sgpd = data.draw(st.one_of(random_graphs(), st.sampled_from(VALID)))
+        labels = [(s, x) for s in sgpd.arrows() for x in range(data.draw(st.integers(0, 3)))]
+        keys = st.frozensets(st.integers(0, 3), max_size=3)
+        left = {label: data.draw(keys) for label in labels}
+        right = {label: data.draw(keys) for label in labels}
+        pairs = [(p, q) for p, (s, _) in enumerate(labels) for q, (t, _) in enumerate(labels)
+                 if sgpd.rng[t] == sgpd.src[s]]
+        assert list(composable_labels(sgpd, labels)) == pairs
+        keyed = composable_labels(sgpd, labels, lambda s, x: left[s, x],
+                                  lambda t, y: right[t, y])
+        assert list(keyed) == [(p, q) for p, q in pairs if left[labels[p]] & right[labels[q]]]
 
     check()
 

@@ -53,12 +53,14 @@ class LandPreaction:
     def apply(self, s: int, a: int) -> int | None:
         return self.maps[s].get(a)
 
-    def big_ideals(self) -> list[set[int]]:
-        """Per actor vertex v, the union of the domains over arrows with source v."""
-        out: list[set[int]] = [set() for _ in self.actor.base.vertex_names]
-        for s, v in enumerate(self.actor.base.src):
-            out[v].update(self.maps[s])
-        return out
+
+def big_ideals(actor: FiniteInverseSemigroupoid, domains) -> list[set[int]]:
+    """Per actor vertex v, the union of the domains over arrows with source v;
+    domains[s] iterates over the domain of arrow s."""
+    out: list[set[int]] = [set() for _ in actor.base.vertex_names]
+    for s, v in enumerate(actor.base.src):
+        out[v].update(domains[s])
+    return out
 
 
 def _is_ideal(subset: set[int], ambient: set[int], space: FiniteSemigroupoid) -> tuple | None:
@@ -136,7 +138,7 @@ def validate_preaction(raw_maps, actor: FiniteInverseSemigroupoid, space: Finite
         return report
 
     # (i) the union of domains at each actor vertex is an ideal of the space
-    bigs = theta.big_ideals()
+    bigs = big_ideals(theta.actor, theta.maps)
     for v, big in enumerate(bigs):
         w = _is_ideal(big, set(space.arrows()), space)
         if w is not None:

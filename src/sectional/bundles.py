@@ -20,10 +20,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .actions import first_twisted_triple, twisted_partners
+from .actions import big_ideals, first_twisted_triple, twisted_partners
 from .algebras import AlgebraPresentation
 from .maps import LinearMapOnBasis, basis_bijection, product_pairs
-from .rings import Ring, combine, sparse_row, sparse_vector
+from .rings import Ring, apply_linear, combine, sparse_row, sparse_vector
 from .semigroupoids import (
     FiniteInverseSemigroupoid,
     FiniteSemigroupoid,
@@ -341,16 +341,6 @@ def convolve(alpha: Section, beta: Section) -> Section:
                                    if (w := {k: x for k, x in acc.items() if not is_zero(x)})})
 
 
-def section_from_vector(bundle: Bundle, labels: tuple, v: dict) -> Section:
-    """Reassemble a sparse vector of the sectional algebra with basis labels
-    labels (the algebra's labels) into a section."""
-    values: dict[int, dict] = {}
-    for idx, x in v.items():
-        arrow, i = labels[idx]
-        values.setdefault(arrow, {})[i] = x
-    return Section(bundle, values)
-
-
 def sectional_algebra(bundle: Bundle, grading: Homomorphism | None = None) -> AlgebraPresentation:
     """Convolution algebra on the basis sections, optionally graded.
 
@@ -491,28 +481,13 @@ class AlgebraAction:
     def apply_rows(self, s: int, v) -> dict:
         """Theta_s of a sparse vector given as (index, value) pairs, which must
         be supported in dom(s)."""
-        images, ring = self.rows[s], self.algebra.ring
-        add, mul = ring.add, ring.mul
-        acc: dict = {}
-        get = acc.get
-        for i, x in v:
-            row = images.get(i)
-            if row is None:
-                raise ValueError(
-                    f"vector leaves dom at basis {self.algebra.basis[i]} for arrow "
-                    f"{self.actor.base.arrow_names[s]}"
-                )
-            for k, c in row:
-                prev = get(k)
-                acc[k] = mul(x, c) if prev is None else add(prev, mul(x, c))
-        is_zero = ring.is_zero
-        return {k: y for k, y in acc.items() if not is_zero(y)}
-
-    def big_ideals(self) -> list[set[int]]:
-        out: list[set[int]] = [set() for _ in self.actor.base.vertex_names]
-        for s, v in enumerate(self.actor.base.src):
-            out[v].update(self.domains[s])
-        return out
+        try:
+            return apply_linear(self.rows[s], v, self.algebra.ring)
+        except KeyError as missing:
+            raise ValueError(
+                f"vector leaves dom at basis {self.algebra.basis[missing.args[0]]} for arrow "
+                f"{self.actor.base.arrow_names[s]}"
+            ) from None
 
 
 def validate_algebra_action(actor: FiniteInverseSemigroupoid,
@@ -574,7 +549,7 @@ def validate_algebra_action(actor: FiniteInverseSemigroupoid,
     def near(i):
         return algebra.after[i] | algebra.before[i]
 
-    bigs = action.big_ideals()
+    bigs = big_ideals(actor, doms)
     for v, big in enumerate(bigs):
         for i in sorted(big):
             for j in sorted(near(i)):

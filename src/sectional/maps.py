@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebras import AlgebraPresentation
-from .rings import EchelonBasis, LinearSolution, combine, dense, solve_linear, sparse_vector
+from .rings import EchelonBasis, LinearSolution, apply_linear, dense, solve_linear, sparse_vector
 
 
 @dataclass
@@ -36,8 +36,7 @@ class LinearMapOnBasis:
 
     def apply_rows(self, v) -> dict:
         """Image of a sparse vector given as (index, value) pairs."""
-        rows = self.rows
-        return combine(((x, rows[i]) for i, x in v), self.source.ring)
+        return apply_linear(self.rows, v, self.source.ring)
 
 
 def basis_bijection(source: AlgebraPresentation, target: AlgebraPresentation,
@@ -84,17 +83,6 @@ class Certificate:
 
     def add(self, name: str, ok: bool, witness=(), note: str = "") -> None:
         self.checks.append(Check(name, ok, tuple(witness), note))
-
-    def first_failure(self) -> Check | None:
-        return next((c for c in self.checks if not c.ok), None)
-
-    def to_json(self) -> dict:
-        return {
-            "subject": self.subject,
-            "passed": self.passed,
-            "checks": [c.to_json() for c in self.checks],
-            "data": self.data,
-        }
 
 
 def product_pairs(source: AlgebraPresentation, target: AlgebraPresentation, images: dict):

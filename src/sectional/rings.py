@@ -521,10 +521,10 @@ def dense(row, k: int, ring: Ring) -> Vector:
 def combine(terms, ring: Ring) -> dict:
     """Sum of coeff * row over (coeff, row) terms, as a sparse {index: value}.
 
-    fiber_mul, linear maps, section arithmetic, echelon row operations and
-    matrix-vector products run here; the hot products (convolve, validate_bundle,
-    AlgebraPresentation.mul, AlgebraAction.apply_rows) sum in place in the same
-    term order instead. A row is any iterable of (index, value) pairs.
+    fiber_mul, section arithmetic and echelon row operations run here; the hot
+    products (convolve, validate_bundle, AlgebraPresentation.mul, apply_linear
+    and the fiber maps of theorems) sum in place in the same term order instead.
+    A row is any iterable of (index, value) pairs.
     The coefficient always multiplies from the left. The loop tests no zeros;
     only the sum is pruned, through ring.is_zero, so equal results compare
     equal as dicts.
@@ -538,6 +538,22 @@ def combine(terms, ring: Ring) -> dict:
             acc[k] = mul(coeff, c) if prev is None else add(prev, mul(coeff, c))
     is_zero = ring.is_zero
     return {k: x for k, x in acc.items() if not is_zero(x)}
+
+
+def apply_linear(rows, v, ring: Ring) -> dict:
+    """The image of a sparse vector v, given as (index, value) pairs, under the
+    linear map whose image of basis i is rows[i]: the sum of x * rows[i], summed
+    in place in combine's term order. An index with no row raises the lookup's
+    KeyError or IndexError."""
+    add, mul = ring.add, ring.mul
+    acc: dict = {}
+    get = acc.get
+    for i, x in v:
+        for k, c in rows[i]:
+            prev = get(k)
+            acc[k] = mul(x, c) if prev is None else add(prev, mul(x, c))
+    is_zero = ring.is_zero
+    return {k: y for k, y in acc.items() if not is_zero(y)}
 
 
 def identity_matrix(k: int, ring: Ring) -> tuple:

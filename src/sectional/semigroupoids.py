@@ -265,18 +265,15 @@ def _check_axioms(sgpd: FiniteSemigroupoid, report: ValidationReport) -> None:
 class FiniteInverseSemigroupoid:
     """Semigroupoid where every arrow has a unique generalized inverse.
 
-    Carries the idempotent set and the natural order s <= t (s = te for an
-    idempotent e), which validate_inverse_semigroupoid computes by all four
-    equivalent characterizations and cross-checks.
+    Carries the idempotent set and the natural order, leq = {(s, t) : s <= t}
+    (s = te for an idempotent e), which validate_inverse_semigroupoid computes
+    by all four equivalent characterizations and cross-checks.
     """
 
     base: FiniteSemigroupoid
     inv: tuple[int, ...]
     idempotents: tuple[int, ...] = ()
     leq: frozenset = frozenset()
-
-    def le(self, s: int, t: int) -> bool:
-        return (s, t) in self.leq
 
     def below(self, s: int) -> list[int]:
         return [u for u in self.base.arrows() if (u, s) in self.leq]

@@ -41,7 +41,6 @@ from .maps import (Certificate, LinearMapOnBasis, basis_bijection, certify_linea
                    multiplicative_witness, surjective)
 from .rings import (
     EchelonBasis,
-    combine,
     ideal_closure,
     mat_inverse,
     solve_linear,
@@ -158,9 +157,20 @@ def _identity_columns(k: int, ring) -> tuple:
 
 
 def _move(cols, v, ring) -> dict:
-    """The fiber map with image columns cols applied to a sparse vector v; each
-    matrix entry multiplies from the left, as in a matrix times a column."""
-    return combine(((m, ((r, x),)) for j, x in v for r, m in cols[j]), ring)
+    """The fiber map with image columns cols applied to a sparse vector v, summed
+    in place in combine's term order. The matrix entry multiplies from the left,
+    as in a matrix times a column: over a non-commutative table ring the extension
+    law compares m_st with m_s m_t, so rings.apply_linear, which puts the
+    vector's coefficient on the left, cannot serve here."""
+    add, mul = ring.add, ring.mul
+    acc: dict = {}
+    get = acc.get
+    for j, x in v:
+        for r, m in cols[j]:
+            prev = get(r)
+            acc[r] = mul(m, x) if prev is None else add(prev, mul(m, x))
+    is_zero = ring.is_zero
+    return {k: y for k, y in acc.items() if not is_zero(y)}
 
 
 def _compose(a, b, ring) -> tuple:

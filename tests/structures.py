@@ -1,8 +1,8 @@
 """Raw table builders and checks shared across the test modules.
 
 The builders return plain stanza dicts so tests can perturb single entries and
-watch the validators reject them; the library's own constructors live in
-sectional.standard.
+watch the validators reject them; built(raw) validates a stanza into the
+structure the library works on.
 """
 
 import copy
@@ -15,6 +15,13 @@ from sectional.semigroupoids import (
     validate_semigroupoid,
 )
 from sectional.validation import must
+
+
+def built(raw):
+    """The validated structure of a raw stanza: an inverse semigroupoid when the
+    stanza carries an inverse table, a semigroupoid otherwise."""
+    sgpd = must(validate_semigroupoid(raw))
+    return must(validate_inverse_semigroupoid(sgpd, raw["inv"])) if "inv" in raw else sgpd
 
 
 def is_isomorphism(mapping, source, target):
@@ -67,14 +74,15 @@ def semilattice_raw():
     }
 
 
-def pair_groupoid_raw():
-    points = ("1", "2")
+def pair_groupoid_raw(points=("1", "2")):
+    """Arrows (i,j) with source j and range i; (i,j)(j,k) = (i,k)."""
+    points = tuple(map(str, points))
 
     def name(i, j):
         return f"({i},{j})"
 
     return {
-        "id": "P2",
+        "id": f"P{len(points)}",
         "vertices": list(points),
         "arrows": [
             {"id": name(i, j), "src": j, "rng": i} for i in points for j in points
@@ -104,12 +112,24 @@ def klein_four_raw():
 
 
 def unit_groupoid_raw(labels=("x", "y")):
+    """One identity loop per point; the discrete groupoid on the label set."""
+    labels = tuple(map(str, labels))
     return {
-        "id": "X",
+        "id": f"unit({','.join(labels)})",
         "vertices": list(labels),
         "arrows": [{"id": f"1{x}", "src": x, "rng": x} for x in labels],
         "prod": [[f"1{x}", f"1{x}", f"1{x}"] for x in labels],
         "inv": {f"1{x}": f"1{x}" for x in labels},
+    }
+
+
+def parallel_arrows_raw():
+    """Two parallel arrows between distinct vertices; no composable pairs."""
+    return {
+        "id": "parallel",
+        "vertices": ["v", "w"],
+        "arrows": [{"id": "a", "src": "v", "rng": "w"}, {"id": "b", "src": "v", "rng": "w"}],
+        "prod": [],
     }
 
 
@@ -243,7 +263,7 @@ def nested_chain_action(n):
         "prod": [[i, j, str(min(int(i), int(j)))] for i in ids for j in ids],
         "inv": {i: i for i in ids},
     }
-    space = unit_groupoid_raw(tuple(f"x{i}" for i in range(n)))
+    space = {**unit_groupoid_raw(tuple(f"x{i}" for i in range(n))), "id": "X"}
     maps = {}
     for i in range(n):
         dom = [f"1x{p}" for p in range(i + 1)]
@@ -253,7 +273,4 @@ def nested_chain_action(n):
 
 def preaction(actor, space, maps):
     """The validated preaction of raw actor, space and maps stanzas."""
-    sgpd = must(validate_semigroupoid(actor))
-    return must(validate_preaction(
-        maps, must(validate_inverse_semigroupoid(sgpd, actor["inv"])),
-        must(validate_semigroupoid(space))))
+    return must(validate_preaction(maps, built(actor), must(validate_semigroupoid(space))))

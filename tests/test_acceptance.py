@@ -26,14 +26,6 @@ from sectional.semigroupoids import (
     validate_inverse_semigroupoid,
     validate_semigroupoid,
 )
-from sectional.standard import (
-    cyclic2,
-    pair_groupoid,
-    parallel_arrows,
-    semilattice2,
-    trivial_monoid,
-    unit_groupoid,
-)
 from sectional.theorems import (
     bundle_semidirect,
     crossed_theorem,
@@ -48,13 +40,16 @@ from sectional.validation import ValidationReport, must
 
 from structures import (
     SKEW_Z2_TO_PAIR,
+    built,
     cyclic2_raw,
     is_isomorphism,
     klein_four_raw,
     pair_groupoid_raw,
+    parallel_arrows_raw,
     semilattice_on_points_action,
     semilattice_raw,
     trivial_monoid_raw,
+    unit_groupoid_raw,
     with_inverse_entry,
     with_product_entry,
     without_product_entry,
@@ -151,7 +146,7 @@ def test_criterion_1_axiom_validators(acceptance):
 
 @pytest.mark.parametrize("ring", [Z4, Q], ids=["Z4", "Q"])
 def test_criterion_2_convolution_associativity(ring, acceptance):
-    bundle = trivial_bundle(ring, pair_groupoid().base)
+    bundle = trivial_bundle(ring, built(pair_groupoid_raw()).base)
     rnd = random.Random(f"acceptance-2:{ring.describe()}")
 
     def sample():
@@ -169,8 +164,8 @@ def test_criterion_2_convolution_associativity(ring, acceptance):
 
 
 def test_criterion_3_graded_roundtrip(acceptance):
-    z2 = cyclic2().base
-    p2 = pair_groupoid().base
+    z2 = built(cyclic2_raw()).base
+    p2 = built(pair_groupoid_raw()).base
     ok = True
     for base in (z2, p2):
         algebra = semigroupoid_algebra(Q, base, identity_homomorphism(base))
@@ -187,7 +182,7 @@ def test_criterion_3_graded_roundtrip(acceptance):
 
 
 def _matrix_unit_bundle(ring):
-    base = trivial_monoid().base
+    base = built(trivial_monoid_raw()).base
     arrow = base.arrow_names[0]
     units = {}
     for p in range(4):
@@ -208,9 +203,9 @@ def _matrix_unit_bundle(ring):
 
 def test_criterion_4_tensor_theorem(acceptance):
     instances = [
-        (trivial_bundle(Q, trivial_monoid().base), pair_groupoid().base),
-        (trivial_bundle(Q, pair_groupoid().base), cyclic2().base),
-        (_matrix_unit_bundle(Q), unit_groupoid(("x", "y")).base),
+        (trivial_bundle(Q, built(trivial_monoid_raw()).base), built(pair_groupoid_raw()).base),
+        (trivial_bundle(Q, built(pair_groupoid_raw()).base), built(cyclic2_raw()).base),
+        (_matrix_unit_bundle(Q), built(unit_groupoid_raw(("x", "y"))).base),
     ]
     ok = True
     for bundle, factor in instances:
@@ -222,7 +217,8 @@ def test_criterion_4_tensor_theorem(acceptance):
         names = {c.name: c.ok for c in res.certificate.checks}
         ok = ok and names.get("multiplicative") and names.get("kernel-trivial") \
             and names.get("surjective")
-    second = tensor_theorem(trivial_bundle(Q, pair_groupoid().base), cyclic2().base)
+    p2, z2 = built(pair_groupoid_raw()).base, built(cyclic2_raw()).base
+    second = tensor_theorem(trivial_bundle(Q, p2), z2)
     ok = ok and (second.section_algebra.rank, second.factor_algebra.rank,
                  second.product_algebra.rank) == (4, 2, 8)
     acceptance(4, ok, "tensor comparison certified multiplicative and bijective "
@@ -233,20 +229,20 @@ def test_criterion_4_tensor_theorem(acceptance):
 def _crossed_instances():
     from sectional.actions import trivial_action
 
-    theta0 = trivial_action(trivial_monoid(), pair_groupoid().base)
+    theta0 = trivial_action(built(trivial_monoid_raw()), built(pair_groupoid_raw()).base)
     inst0 = must(validate_bundle_action(
-        theta0, trivial_bundle(Q, pair_groupoid().base), None
+        theta0, trivial_bundle(Q, built(pair_groupoid_raw()).base), None
     ))
 
-    actor = semilattice2()
-    space = unit_groupoid(("x", "y"))
+    actor = built(semilattice_raw())
+    space = built(unit_groupoid_raw(("x", "y")))
     theta1 = must(validate_preaction(
         semilattice_on_points_action(), actor, space.base
     ))
     inst1 = must(validate_bundle_action(theta1, trivial_bundle(Q, space.base), None))
 
-    z2 = cyclic2()
-    point = trivial_monoid().base
+    z2 = built(cyclic2_raw())
+    point = built(trivial_monoid_raw()).base
     arrow = point.arrow_names[0]
     bundle = must(validate_bundle(
         {"ranks": {arrow: 2}, "mode": "sc",
@@ -284,28 +280,29 @@ def test_criterion_5_crossed_theorem(acceptance):
 
 
 def test_criterion_6_smash_theorem(acceptance):
-    z2 = cyclic2().base
+    z2 = built(cyclic2_raw()).base
     res = smash_theorem(trivial_bundle(Q, z2), identity_homomorphism(z2))
     ok = res.certificate.passed
     ok = ok and res.smash.rank == 4 and res.skew_algebra.rank == 4
     names = {c.name: c.ok for c in res.certificate.checks}
     ok = ok and names.get("degree-preserving")
-    ok = ok and is_isomorphism(SKEW_Z2_TO_PAIR, res.skew.semigroupoid, pair_groupoid().base)
+    p2 = built(pair_groupoid_raw()).base
+    ok = ok and is_isomorphism(SKEW_Z2_TO_PAIR, res.skew.semigroupoid, p2)
     acceptance(6, ok, "smash comparison certified graded on Z/2 with both ranks "
                       "4 and the skew product isomorphic to the pair groupoid")
     assert ok
 
 
 def _quotient_corpus(ring):
-    z2 = cyclic2().base
+    z2 = built(cyclic2_raw()).base
     out = []
 
     cong = must(validate_rigid_congruence([["u"], ["g"]], z2))
     out.append(must(validate_bundle_congruence(
         trivial_bundle(ring, z2), cong, None)))
 
-    actor = semilattice2()
-    space = unit_groupoid(("x", "y"))
+    actor = built(semilattice_raw())
+    space = built(unit_groupoid_raw(("x", "y")))
     theta = must(validate_preaction(
         semilattice_on_points_action(), actor, space.base
     ))
@@ -317,7 +314,7 @@ def _quotient_corpus(ring):
     ))
     out.append(must(validate_bundle_congruence(sp, cong, None)))
 
-    par = parallel_arrows()
+    par = built(parallel_arrows_raw())
     cong = must(validate_rigid_congruence([["a", "b"]], par))
     out.append(must(validate_bundle_congruence(
         trivial_bundle(ring, par), cong, None)))
@@ -344,8 +341,8 @@ def test_criterion_7_quotient_theorem(ring, acceptance):
 
 
 def test_criterion_8_germ_corollary(acceptance):
-    actor = semilattice2()
-    space = unit_groupoid(("x", "y"))
+    actor = built(semilattice_raw())
+    space = built(unit_groupoid_raw(("x", "y")))
     theta = must(validate_preaction(
         semilattice_on_points_action(), actor, space.base
     ))

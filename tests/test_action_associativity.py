@@ -59,10 +59,17 @@ from sectional.bundles import (
 )
 from sectional.rings import RationalRing, ZModRing, ring_from_spec, sparse_row
 from sectional.semigroupoids import validate_inverse_semigroupoid, validate_semigroupoid
-from sectional.standard import cyclic2, pair_groupoid, semilattice2, unit_groupoid
 from sectional.validation import ValidationReport, must
 
-from structures import semilattice_on_points_action, upper_triangular_f2_ring_spec
+from structures import (
+    built,
+    cyclic2_raw,
+    pair_groupoid_raw,
+    semilattice_on_points_action,
+    semilattice_raw,
+    unit_groupoid_raw,
+    upper_triangular_f2_ring_spec,
+)
 
 
 def oracle_associativity(theta):
@@ -227,10 +234,10 @@ def chain(n):
                                               {i: i for i in ids}))
 
 
-ACTORS = [semilattice2(), cyclic2(), pair_groupoid(), pair_groupoid(("1", "2", "3")),
-          unit_groupoid(), chain(3)]
-SPACES = [unit_groupoid().base, unit_groupoid(("x", "y", "z")).base, pair_groupoid().base,
-          cyclic2().base]
+ACTORS = [*map(built, (semilattice_raw(), cyclic2_raw(), pair_groupoid_raw(),
+                       pair_groupoid_raw(("1", "2", "3")), unit_groupoid_raw())), chain(3)]
+SPACES = [built(raw).base for raw in (unit_groupoid_raw(), unit_groupoid_raw(("x", "y", "z")),
+                                      pair_groupoid_raw(), cyclic2_raw())]
 
 
 @st.composite
@@ -353,11 +360,12 @@ def _valid_actions():
               "2": {"dom": [x, y, z], "img": [x, y, z]}}
     moves = {f"({i},{j})": {"dom": [f"1{j}"], "img": [f"1{i}"]} for i in "xy" for j in "xy"}
     return [
-        must(validate_preaction(semilattice_on_points_action(), semilattice2(),
-                                unit_groupoid().base)),
-        must(validate_preaction(swap, cyclic2(), unit_groupoid().base)),
-        must(validate_preaction(nested, chain(3), unit_groupoid(("x", "y", "z")).base)),
-        must(validate_preaction(moves, pair_groupoid(("x", "y")), unit_groupoid().base)),
+        must(validate_preaction(semilattice_on_points_action(), built(semilattice_raw()),
+                                built(unit_groupoid_raw()).base)),
+        must(validate_preaction(swap, built(cyclic2_raw()), built(unit_groupoid_raw()).base)),
+        must(validate_preaction(nested, chain(3), built(unit_groupoid_raw(("x", "y", "z"))).base)),
+        must(validate_preaction(moves, built(pair_groupoid_raw(("x", "y"))),
+                                built(unit_groupoid_raw()).base)),
     ]
 
 
@@ -513,7 +521,7 @@ def sparse_actions(draw, ring):
     product and image has one or two terms with coefficients 1, 2, 3 or -1
     (over Z/6, 2 * 3 = 0). Every domain is the whole basis, so every apply
     is defined."""
-    actor = draw(st.sampled_from([semilattice2(), cyclic2(), chain(3)]))
+    actor = draw(st.sampled_from([built(semilattice_raw()), built(cyclic2_raw()), chain(3)]))
     n = draw(st.integers(2, 4))
     coeffs = [ring.coerce(x) for x in (1, 2, 3, -1)]
 

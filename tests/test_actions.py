@@ -11,22 +11,24 @@ from sectional.actions import (
     validate_rigid_congruence,
 )
 from sectional.semigroupoids import direct_product, is_groupoid
-from sectional.standard import (
-    cyclic2,
-    pair_groupoid,
-    semilattice2,
-    trivial_monoid,
-    unit_groupoid,
-)
 from sectional.validation import StructureError, ValidationReport, must
 
-from structures import is_isomorphism, semilattice_on_points_action
+from structures import (
+    built,
+    cyclic2_raw,
+    is_isomorphism,
+    pair_groupoid_raw,
+    semilattice_on_points_action,
+    semilattice_raw,
+    trivial_monoid_raw,
+    unit_groupoid_raw,
+)
 
 
 @pytest.fixture
 def germ_example():
-    actor = semilattice2()
-    space = unit_groupoid(("x", "y"))
+    actor = built(semilattice_raw())
+    space = built(unit_groupoid_raw(("x", "y")))
     theta = must(validate_preaction(semilattice_on_points_action(), actor, space.base))
     return actor, space, theta
 
@@ -37,8 +39,8 @@ class TestValidatePreaction:
         assert theta.is_partial and theta.is_global and theta.is_associative
 
     def test_broken_inverse_bookkeeping(self):
-        actor = semilattice2()
-        space = unit_groupoid(("x", "y"))
+        actor = built(semilattice_raw())
+        space = built(unit_groupoid_raw(("x", "y")))
         report = validate_preaction(
             {"1": {"dom": ["1x", "1y"], "img": ["1x", "1y"]},
              "e": {"dom": ["1x"], "img": ["1y"]}},
@@ -48,7 +50,7 @@ class TestValidatePreaction:
         assert report.has("inverse-compatibility")
 
     def test_trivial_action_is_global(self):
-        theta = trivial_action(semilattice2(), pair_groupoid().base)
+        theta = trivial_action(built(semilattice_raw()), built(pair_groupoid_raw()).base)
         assert theta.is_global and theta.is_partial and theta.is_associative
 
     def test_global_implies_partial_on_corpus(self, germ_example):
@@ -56,7 +58,7 @@ class TestValidatePreaction:
         translations = validate_preaction(
             {"u": {"dom": ["10", "11"], "img": ["10", "11"]},
              "g": {"dom": ["10", "11"], "img": ["11", "10"]}},
-            cyclic2(), unit_groupoid(("0", "1")).base,
+            built(cyclic2_raw()), built(unit_groupoid_raw(("0", "1"))).base,
         )
         for action in (theta, translations):
             if action.is_global:
@@ -89,7 +91,7 @@ class TestValidatePreaction:
         space = must(validate_semigroupoid(raw))
         report = validate_preaction(
             {"1": {"dom": ["n"], "img": ["n"]}, "e": {"dom": [], "img": []}},
-            semilattice2(), space,
+            built(semilattice_raw()), space,
         )
         assert isinstance(report, ValidationReport)
         assert report.has("ideal-property")
@@ -108,7 +110,7 @@ class TestSemidirectProduct:
         theta = must(validate_preaction(
             {"u": {"dom": ["10", "11"], "img": ["10", "11"]},
              "g": {"dom": ["10", "11"], "img": ["11", "10"]}},
-            cyclic2(), unit_groupoid(("0", "1")).base,
+            built(cyclic2_raw()), built(unit_groupoid_raw(("0", "1"))).base,
         ))
         sp = semidirect_product(theta)
         sgpd = sp
@@ -132,10 +134,10 @@ class TestSemidirectProduct:
                 assert sp.labels[sgpd.prod[i][j]] == (st, value)
 
     def test_trivial_action_gives_direct_product(self):
-        space = pair_groupoid().base
-        theta = trivial_action(cyclic2(), space)
+        space = built(pair_groupoid_raw()).base
+        theta = trivial_action(built(cyclic2_raw()), space)
         sp = semidirect_product(theta)
-        product = direct_product(cyclic2().base, space)
+        product = direct_product(built(cyclic2_raw()).base, space)
         assert is_isomorphism({x: x for x in product.arrow_names}, sp, product)
 
     def test_src_rng_formulas(self, germ_example):
@@ -172,7 +174,7 @@ class TestRigidCongruence:
         ))
         quotient, _ = quotient_semigroupoid(cong)
         assert is_isomorphism({"[(1,1x)]": "1x", "[(1,1y)]": "1y"},
-                              quotient, unit_groupoid(("x", "y")).base)
+                              quotient, built(unit_groupoid_raw(("x", "y"))).base)
 
     def test_source_mismatch_rejected(self, germ_example):
         _actor, _space, theta = germ_example
@@ -184,10 +186,10 @@ class TestRigidCongruence:
         assert report.has("source-range-mismatch")
 
     def test_total_congruence_on_group(self):
-        z2 = cyclic2().base
+        z2 = built(cyclic2_raw()).base
         cong = must(validate_rigid_congruence([["u", "g"]], z2))
         quotient, _ = quotient_semigroupoid(cong)
-        assert is_isomorphism({"[u]": "a"}, quotient, trivial_monoid().base)
+        assert is_isomorphism({"[u]": "a"}, quotient, built(trivial_monoid_raw()).base)
 
     def test_product_incompatibility_witness(self):
         # a three-element monoid where identifying 1 with a is not compatible
@@ -212,13 +214,13 @@ class TestRigidCongruence:
         assert report.has("product-incompatibility")
 
     def test_partition_must_cover(self):
-        z2 = cyclic2().base
+        z2 = built(cyclic2_raw()).base
         report = validate_rigid_congruence([["u"]], z2)
         assert report.has("structural")
 
     @pytest.mark.parametrize("member", [2, -1, True])
     def test_member_outside_the_arrow_ids_is_structural(self, member):
-        z2 = cyclic2().base
+        z2 = built(cyclic2_raw()).base
         report = validate_rigid_congruence([["u", "g", member]], z2)
         assert isinstance(report, ValidationReport)
         assert report.first().kind == "structural"
@@ -231,13 +233,13 @@ class TestGermQuotient:
         assert germ.quotient.n_arrows == 2
         assert germ.groupoid_check.ok
         assert is_isomorphism({"[(1,1x)]": "1x", "[(1,1y)]": "1y"},
-                              germ.quotient, unit_groupoid(("x", "y")).base)
+                              germ.quotient, built(unit_groupoid_raw(("x", "y"))).base)
 
     def test_group_action_has_trivial_germ_relation(self):
         theta = must(validate_preaction(
             {"u": {"dom": ["10", "11"], "img": ["10", "11"]},
              "g": {"dom": ["10", "11"], "img": ["11", "10"]}},
-            cyclic2(), unit_groupoid(("0", "1")).base,
+            built(cyclic2_raw()), built(unit_groupoid_raw(("0", "1"))).base,
         ))
         germ = germ_quotient(theta)
         assert germ.quotient.n_arrows == germ.semidirect.n_arrows
@@ -246,8 +248,8 @@ class TestGermQuotient:
                               germ.quotient, germ.semidirect)
 
     def test_empty_domain_means_no_collapse(self):
-        actor = semilattice2()
-        space = unit_groupoid(("x", "y"))
+        actor = built(semilattice_raw())
+        space = built(unit_groupoid_raw(("x", "y")))
         theta = must(validate_preaction(
             {"1": {"dom": ["1x", "1y"], "img": ["1x", "1y"]},
              "e": {"dom": [], "img": []}},
@@ -258,7 +260,7 @@ class TestGermQuotient:
 
     def test_non_groupoid_space_refused(self, germ_example):
         actor, _space, _theta = germ_example
-        theta = trivial_action(actor, semilattice2().base)
+        theta = trivial_action(actor, built(semilattice_raw()).base)
         out = germ_quotient(theta)
         assert isinstance(out, ValidationReport)
         assert out.has("space-not-groupoid")
@@ -274,8 +276,8 @@ class TestSemidirectRefusal:
     def test_idempotent_acting_by_swap_breaks_extension_law(self):
         # theta_1 swapping x and y under the idempotent 1 contradicts
         # theta_11 = theta_1 theta_1
-        actor = semilattice2()
-        space = unit_groupoid(("x", "y")).base
+        actor = built(semilattice_raw())
+        space = built(unit_groupoid_raw(("x", "y"))).base
         candidate = validate_preaction(
             {"1": {"dom": ["1x", "1y"], "img": ["1y", "1x"]},
              "e": {"dom": [], "img": []}},

@@ -25,7 +25,6 @@ from sectional.semigroupoids import (
     validate_homomorphism,
     validate_semigroupoid,
 )
-from sectional.standard import cyclic2, pair_groupoid, semilattice2, unit_groupoid
 from sectional.theorems import (
     induced_theta,
     skew_product,
@@ -35,11 +34,18 @@ from sectional.theorems import (
 )
 from sectional.validation import must
 
-from structures import pair_groupoid_raw, semilattice_on_points_action
+from structures import (
+    built,
+    cyclic2_raw,
+    pair_groupoid_raw,
+    semilattice_on_points_action,
+    semilattice_raw,
+    unit_groupoid_raw,
+)
 
 Q = RationalRing()
 # the group algebra of Z/2: rank-2 commutative coefficients, so fibers of rank 2
-GROUP_ALGEBRA = semigroupoid_algebra(Q, cyclic2().base)
+GROUP_ALGEBRA = semigroupoid_algebra(Q, built(cyclic2_raw()).base)
 
 
 def assert_indexed(alg: AlgebraPresentation) -> None:
@@ -51,7 +57,7 @@ def assert_indexed(alg: AlgebraPresentation) -> None:
 
 def mixed_bundle():
     """Rank 2 over 1x (pointwise product), rank 1 over 1y."""
-    space = unit_groupoid(("x", "y")).base
+    space = built(unit_groupoid_raw(("x", "y"))).base
     return must(validate_bundle(
         {"ranks": {"1x": 2}, "mode": "sc",
          "constants": {"1x,1x": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}},
@@ -60,26 +66,26 @@ def mixed_bundle():
 
 
 def semilattice_action():
-    theta = must(validate_preaction(semilattice_on_points_action(), semilattice2(),
-                                    unit_groupoid(("x", "y")).base))
+    theta = must(validate_preaction(semilattice_on_points_action(), built(semilattice_raw()),
+                                    built(unit_groupoid_raw(("x", "y"))).base))
     return induced_theta(must(validate_bundle_action(theta, mixed_bundle(), None)))
 
 
 def pair_action():
     """The pair groupoid moving the two points of a space, rank-2 fibers."""
-    space = unit_groupoid(("x1", "x2")).base
+    space = built(unit_groupoid_raw(("x1", "x2"))).base
     theta = must(validate_preaction({
         "(1,1)": {"dom": ["1x1"], "img": ["1x1"]},
         "(1,2)": {"dom": ["1x2"], "img": ["1x1"]},
         "(2,1)": {"dom": ["1x1"], "img": ["1x2"]},
         "(2,2)": {"dom": ["1x2"], "img": ["1x2"]},
-    }, pair_groupoid(), space))
+    }, built(pair_groupoid_raw()), space))
     bundle = coefficient_bundle(GROUP_ALGEBRA, space)
     return induced_theta(must(validate_bundle_action(theta, bundle, None)))
 
 
 def section_bundles():
-    p2 = pair_groupoid().base
+    p2 = built(pair_groupoid_raw()).base
     return [trivial_bundle(Q, p2), coefficient_bundle(GROUP_ALGEBRA, p2), mixed_bundle()]
 
 
@@ -96,7 +102,7 @@ def test_sectional_labels_are_arrow_and_fiber_index(bundle):
 
 @pytest.mark.parametrize("coefficients", [Q, GROUP_ALGEBRA])
 def test_semigroupoid_algebra_labels(coefficients):
-    p2 = pair_groupoid().base
+    p2 = built(pair_groupoid_raw()).base
     alg = semigroupoid_algebra(coefficients, p2)
     assert_indexed(alg)
     rank = 1 if coefficients is Q else coefficients.rank
@@ -140,7 +146,7 @@ def test_range_side_labels_take_the_inverse_domain(make_action):
 
 
 def smash_inputs():
-    p2, z2 = pair_groupoid().base, cyclic2().base
+    p2, z2 = built(pair_groupoid_raw()).base, built(cyclic2_raw()).base
     parity = must(validate_homomorphism(
         {"(1,1)": "u", "(2,2)": "u", "(1,2)": "g", "(2,1)": "g"}, p2, z2))
     return [
@@ -179,9 +185,9 @@ class TestHandBuiltPresentation:
             AlgebraPresentation(Q, ("a", "b"), labels=((0, 0),))
 
 
-P2 = pair_groupoid().base
-P3 = pair_groupoid(("1", "2", "3")).base
-Z2 = cyclic2().base
+P2 = built(pair_groupoid_raw()).base
+P3 = built(pair_groupoid_raw(("1", "2", "3"))).base
+Z2 = built(cyclic2_raw()).base
 PARITY = must(validate_homomorphism(
     {"(1,1)": "u", "(2,2)": "u", "(1,2)": "g", "(2,1)": "g"}, P2, Z2))
 
@@ -192,7 +198,7 @@ def direct_case(a, b):
 
 
 def semidirect_case(actor, space_points, maps):
-    space = unit_groupoid(space_points).base
+    space = built(unit_groupoid_raw(space_points)).base
     theta = must(validate_preaction(maps, actor, space))
     expected = {(s, a) for s in actor.base.arrows() for a in theta.maps[s]}
     return semidirect_product(theta), expected, actor.base.arrow_names, space.arrow_names
@@ -212,9 +218,9 @@ def product_cases():
     return {
         "direct P2xP3": direct_case(P2, P3),
         "direct P3xZ2": direct_case(P3, Z2),
-        "semidirect chain": semidirect_case(semilattice2(), ("x", "y"),
+        "semidirect chain": semidirect_case(built(semilattice_raw()), ("x", "y"),
                                             semilattice_on_points_action()),
-        "semidirect P3 moves": semidirect_case(pair_groupoid(("1", "2", "3")),
+        "semidirect P3 moves": semidirect_case(built(pair_groupoid_raw(("1", "2", "3"))),
                                                ("1", "2", "3"), moves),
         "skew P2 by parity": skew_case(PARITY),
         "skew Z2 by itself": skew_case(identity_homomorphism(Z2)),

@@ -27,14 +27,16 @@ from sectional.bundles import (
 from sectional.maps import certify_linear_iso
 from sectional.rings import IntegerRing, RationalRing, TableRing, ZModRing
 from sectional.semigroupoids import identity_homomorphism
-from sectional.standard import (
-    cyclic2,
-    pair_groupoid,
-    semilattice2,
-    trivial_monoid,
-    unit_groupoid,
-)
 from sectional.validation import CapabilityError, StructureError, ValidationReport, must
+
+from structures import (
+    built,
+    cyclic2_raw,
+    pair_groupoid_raw,
+    semilattice_raw,
+    trivial_monoid_raw,
+    unit_groupoid_raw,
+)
 
 Q = RationalRing()
 Z4 = ZModRing(4)
@@ -47,7 +49,7 @@ def _unit(alg, i):
 
 def matrix_unit_bundle(ring):
     """Rank-4 fiber over the one-arrow base with 2x2 matrix-unit constants."""
-    base = trivial_monoid().base
+    base = built(trivial_monoid_raw()).base
     units = {}
     for i in range(2):
         for j in range(2):
@@ -69,11 +71,11 @@ def matrix_unit_bundle(ring):
 
 class TestValidateBundle:
     def test_trivial_bundle_over_pair_groupoid(self):
-        bundle = trivial_bundle(Q, pair_groupoid().base)
+        bundle = trivial_bundle(Q, built(pair_groupoid_raw()).base)
         assert bundle.ranks == (1, 1, 1, 1)
 
     def test_broken_constant_has_associativity_witness(self):
-        base = pair_groupoid().base
+        base = built(pair_groupoid_raw()).base
         report = validate_bundle(
             {"mode": "sc", "constants": {"(1,2),(2,1)": [[[0]]], "(2,1),(1,2)": [[[1]]]}},
             Z4, base,
@@ -88,7 +90,7 @@ class TestValidateBundle:
         assert bundle.ranks == (4,)
 
     def test_rank_mismatch_reported(self):
-        base = trivial_monoid().base
+        base = built(trivial_monoid_raw()).base
         report = validate_bundle(
             {"ranks": {"a": 2}, "constants": {"a,a": [[[1]]]}, "mode": "sc"},
             Q, base,
@@ -103,14 +105,14 @@ class TestValidateBundle:
         ring = validate_ring(upper_triangular_f2_ring_spec())
         assert isinstance(ring, TableRing) and not ring.commutative
         with pytest.raises(CapabilityError):
-            validate_bundle({"mode": "sc"}, ring, trivial_monoid().base)
+            validate_bundle({"mode": "sc"}, ring, built(trivial_monoid_raw()).base)
 
     def test_ringfiber_mode_over_noncommutative_table_ring(self):
         from sectional.rings import validate_ring
         from structures import upper_triangular_f2_ring_spec
 
         ring = validate_ring(upper_triangular_f2_ring_spec())
-        bundle = must(validate_bundle({"mode": "ringfiber"}, ring, cyclic2().base))
+        bundle = must(validate_bundle({"mode": "ringfiber"}, ring, built(cyclic2_raw()).base))
         alg = sectional_algebra(bundle)
         assert alg.rank == 2 and alg.check_associativity() is None
 
@@ -123,7 +125,7 @@ class TestValidateBundle:
         # "010" is the strictly upper triangular unit, which is not central
         assert not ring.is_central(ring.coerce("010"))
         report = validate_bundle(
-            {"mode": "ringfiber", "twist": {"u,u": "010"}}, ring, cyclic2().base
+            {"mode": "ringfiber", "twist": {"u,u": "010"}}, ring, built(cyclic2_raw()).base
         )
         assert isinstance(report, ValidationReport)
         assert report.has("structural")
@@ -134,7 +136,7 @@ class TestValidateBundle:
         from structures import upper_triangular_f2_ring_spec
 
         ring = validate_ring(upper_triangular_f2_ring_spec())
-        base = trivial_monoid().base
+        base = built(trivial_monoid_raw()).base
         name = base.arrow_names[0]
 
         def report_for(rank, table):
@@ -157,7 +159,7 @@ class TestValidateBundle:
 
 class TestConvolution:
     def test_single_factorization(self):
-        bundle = trivial_bundle(Q, pair_groupoid().base)
+        bundle = trivial_bundle(Q, built(pair_groupoid_raw()).base)
         base = bundle.base
         a12 = delta_section(bundle, base.arrow_index("(1,2)"))
         a21 = delta_section(bundle, base.arrow_index("(2,1)"))
@@ -165,7 +167,7 @@ class TestConvolution:
         assert out == delta_section(bundle, base.arrow_index("(1,1)"))
 
     def test_unit_groupoid_convolution_is_pointwise(self):
-        bundle = trivial_bundle(Q, unit_groupoid(("x", "y", "z")).base)
+        bundle = trivial_bundle(Q, built(unit_groupoid_raw(("x", "y", "z"))).base)
         rnd = random.Random("pointwise")
         for _ in range(20):
             a = _random_section(bundle, rnd)
@@ -176,7 +178,7 @@ class TestConvolution:
                 assert out.at(arrow).get(0, Q.zero) == Q.mul(x, y)
 
     def test_zero_absorbs(self):
-        bundle = trivial_bundle(Q, pair_groupoid().base)
+        bundle = trivial_bundle(Q, built(pair_groupoid_raw()).base)
         z = zero_section(bundle)
         rnd = random.Random("zero")
         a = _random_section(bundle, rnd)
@@ -186,7 +188,7 @@ class TestConvolution:
 
     @pytest.mark.parametrize("ring", [Z4, Q])
     def test_seeded_associativity_200_triples(self, ring):
-        bundle = trivial_bundle(ring, pair_groupoid().base)
+        bundle = trivial_bundle(ring, built(pair_groupoid_raw()).base)
         rnd = random.Random(f"conv:{ring.describe()}")
         for _ in range(200):
             a = _random_section(bundle, rnd)
@@ -204,7 +206,7 @@ class TestConvolution:
             assert convolve(convolve(a, b), c) == convolve(a, convolve(b, c))
 
     def test_unit_supported_section_acts_one_sided(self):
-        bundle = trivial_bundle(Q, pair_groupoid().base)
+        bundle = trivial_bundle(Q, built(pair_groupoid_raw()).base)
         base = bundle.base
         unit1 = delta_section(bundle, base.arrow_index("(1,1)"))
         # sections supported where the source is vertex 1
@@ -226,13 +228,13 @@ def _random_section(bundle, rnd):
 
 class TestSectionalAlgebra:
     def test_basis_and_structure_constants(self):
-        bundle = trivial_bundle(Q, pair_groupoid().base)
+        bundle = trivial_bundle(Q, built(pair_groupoid_raw()).base)
         alg = sectional_algebra(bundle)
         assert alg.rank == 4
         assert alg.check_associativity() is None
 
     def test_unit_groupoid_gives_product_of_fibers(self):
-        alg = sectional_algebra(trivial_bundle(Q, unit_groupoid(("x", "y")).base))
+        alg = sectional_algebra(trivial_bundle(Q, built(unit_groupoid_raw(("x", "y"))).base))
         for i in range(2):
             for j in range(2):
                 expected = ((i, Q.one),) if i == j else ()
@@ -244,7 +246,7 @@ class TestSectionalAlgebra:
         # coincides with vanishing off the preimage of g
         import itertools
 
-        base = pair_groupoid().base
+        base = built(pair_groupoid_raw()).base
         alg = sectional_algebra(trivial_bundle(Q, base), identity_homomorphism(base))
         assert alg.check_graded_closure() is None
         for bits in itertools.product((0, 1), repeat=alg.rank):
@@ -260,20 +262,22 @@ class TestSectionalAlgebra:
     def test_structure_constants_agree_with_convolution(self):
         # dual route: multiply coordinate vectors through the presentation and
         # compare with literal convolution of the reassembled sections
-        from sectional.bundles import section_from_vector
-
-        bundle = trivial_bundle(Q, pair_groupoid().base)
+        bundle = trivial_bundle(Q, built(pair_groupoid_raw()).base)
         alg = sectional_algebra(bundle)
-        labels = alg.labels
+
+        def section_of(v):
+            values = {}
+            for idx, x in v.items():
+                arrow, i = alg.labels[idx]
+                values.setdefault(arrow, {})[i] = x
+            return Section(bundle, values)
+
         rnd = random.Random("dualroute")
         for _ in range(25):
             u = dict(enumerate(Q.sample(rnd) for _ in range(alg.rank)))
             v = dict(enumerate(Q.sample(rnd) for _ in range(alg.rank)))
-            via_algebra = section_from_vector(bundle, labels, alg.mul(u.items(), v.items()))
-            via_convolution = convolve(
-                section_from_vector(bundle, labels, u),
-                section_from_vector(bundle, labels, v),
-            )
+            via_algebra = section_of(alg.mul(u.items(), v.items()))
+            via_convolution = convolve(section_of(u), section_of(v))
             assert via_algebra == via_convolution
 
 
@@ -308,7 +312,7 @@ class TestGradedRoundTrip:
     @pytest.mark.parametrize("case", sorted(GRADING_BREAKS))
     def test_graded_closure_names_the_first_failing_pair(self, case):
         changes, witness = GRADING_BREAKS[case]
-        p2 = pair_groupoid().base
+        p2 = built(pair_groupoid_raw()).base
         alg = semigroupoid_algebra(Q, p2, identity_homomorphism(p2))
         assert alg.check_graded_closure() is None and oracle_graded_closure(alg) is None
         # stored in descending order, so the witness cannot lean on insertion order
@@ -321,7 +325,7 @@ class TestGradedRoundTrip:
             ("graded-closure", witness)]
 
     def test_group_algebra_round_trip_is_identity(self):
-        z2 = cyclic2().base
+        z2 = built(cyclic2_raw()).base
         alg = semigroupoid_algebra(Q, z2, identity_homomorphism(z2))
         iso = graded_roundtrip_iso(alg)
         cert = certify_linear_iso(iso, "round trip", graded=True)
@@ -330,7 +334,7 @@ class TestGradedRoundTrip:
             assert iso.apply_rows(iso.inverse.rows[i]) == {i: Q.one}
 
     def test_matrix_units_graded_by_pair_groupoid(self):
-        p2 = pair_groupoid().base
+        p2 = built(pair_groupoid_raw()).base
         alg = semigroupoid_algebra(Q, p2, identity_homomorphism(p2))
         bundle = bundle_from_graded(alg)
         assert bundle.ranks == (1, 1, 1, 1)
@@ -342,8 +346,8 @@ class TestGradedRoundTrip:
         assert cert.passed
 
     def test_trivially_graded_algebra_gives_single_fiber(self):
-        tm = trivial_monoid().base
-        alg = semigroupoid_algebra(Q, cyclic2().base)
+        tm = built(trivial_monoid_raw()).base
+        alg = semigroupoid_algebra(Q, built(cyclic2_raw()).base)
         graded = type(alg)(
             ring=alg.ring, basis=alg.basis, table=alg.table,
             grading=tm, degrees=(0, 0), provenance=alg.provenance,
@@ -352,7 +356,7 @@ class TestGradedRoundTrip:
         assert bundle.ranks == (2,)
 
     def test_sectional_round_trip_composes_to_identity(self):
-        base = pair_groupoid().base
+        base = built(pair_groupoid_raw()).base
         alg = sectional_algebra(trivial_bundle(Q, base), identity_homomorphism(base))
         iso = graded_roundtrip_iso(alg)
         for i in range(alg.rank):
@@ -361,26 +365,26 @@ class TestGradedRoundTrip:
 
 class TestSemigroupoidAlgebra:
     def test_group_algebra_rank_two(self):
-        alg = semigroupoid_algebra(Q, cyclic2().base)
+        alg = semigroupoid_algebra(Q, built(cyclic2_raw()).base)
         assert alg.rank == 2
         # delta_g * delta_g = delta_u
         assert alg.table[(1, 1)] == ((0, Q.one),)
 
     def test_unit_groupoid_gives_pointwise_functions(self):
-        alg = semigroupoid_algebra(Q, unit_groupoid(("a", "b", "c")).base)
+        alg = semigroupoid_algebra(Q, built(unit_groupoid_raw(("a", "b", "c"))).base)
         assert alg.rank == 3
         for i in range(3):
             for j in range(3):
                 assert alg.table.get((i, j), ()) == (((i, Q.one),) if i == j else ())
 
     def test_algebra_coefficients_tensor_the_base(self):
-        coeff = semigroupoid_algebra(Q, cyclic2().base)   # rank 2 algebra
-        alg = semigroupoid_algebra(coeff, pair_groupoid().base)
+        coeff = semigroupoid_algebra(Q, built(cyclic2_raw()).base)   # rank 2 algebra
+        alg = semigroupoid_algebra(coeff, built(pair_groupoid_raw()).base)
         assert alg.rank == 8
         assert alg.check_associativity() is None
 
     def test_integer_coefficients_work_for_construction(self):
-        alg = semigroupoid_algebra(IntegerRing(), pair_groupoid().base)
+        alg = semigroupoid_algebra(IntegerRing(), built(pair_groupoid_raw()).base)
         assert alg.rank == 4
         assert alg.check_associativity() is None
 
@@ -388,8 +392,8 @@ class TestSemigroupoidAlgebra:
 @pytest.fixture
 def swap_action():
     """Z/2 swapping the two coordinates of Q^2 (pointwise product)."""
-    z2 = cyclic2()
-    qq = semigroupoid_algebra(Q, unit_groupoid(("p", "q")).base)
+    z2 = built(cyclic2_raw())
+    qq = semigroupoid_algebra(Q, built(unit_groupoid_raw(("p", "q"))).base)
     swap = {0: _unit(qq, 1), 1: _unit(qq, 0)}
     ident = {0: _unit(qq, 0), 1: _unit(qq, 1)}
     return must(validate_algebra_action(
@@ -399,8 +403,9 @@ def swap_action():
 
 class TestAlgebraActions:
     def test_domain_not_ideal_witness(self):
-        qq = semigroupoid_algebra(Q, cyclic2().base)   # group algebra: only ideal is 0 or all
-        z2 = cyclic2()
+        # group algebra: only ideal is 0 or all
+        qq = semigroupoid_algebra(Q, built(cyclic2_raw()).base)
+        z2 = built(cyclic2_raw())
         report = validate_algebra_action(
             z2, qq,
             [(0, 1), (0,)],
@@ -443,16 +448,16 @@ class TestAlgebraActions:
 
 class TestNaiveCrossedProduct:
     def test_trivial_action_matches_semigroupoid_algebra(self):
-        s = semilattice2()
-        coeff = semigroupoid_algebra(Q, unit_groupoid(("x", "y")).base)
+        s = built(semilattice_raw())
+        coeff = semigroupoid_algebra(Q, built(unit_groupoid_raw(("x", "y"))).base)
         crossed = naive_crossed_product(trivial_algebra_action(s, coeff))
         direct = semigroupoid_algebra(coeff, s.base)
         assert crossed.rank == direct.rank
         assert crossed.table == direct.table
 
     def test_semilattice_example_has_rank_three(self):
-        s = semilattice2()
-        qx = semigroupoid_algebra(Q, unit_groupoid(("x", "y")).base)
+        s = built(semilattice_raw())
+        qx = semigroupoid_algebra(Q, built(unit_groupoid_raw(("x", "y"))).base)
         action = must(validate_algebra_action(
             s, qx, [(0, 1), (0,)],
             [{0: _unit(qx, 0), 1: _unit(qx, 1)},
@@ -468,7 +473,7 @@ class TestNaiveCrossedProduct:
         assert crossed.rank == 4
         # oracle: explicit matrix-unit identification derived by hand from the
         # twisted product: e11 = d_u.1p, e22 = d_u.1q, e12 = d_g.1q, e21 = d_g.1p
-        mu = semigroupoid_algebra(Q, pair_groupoid().base)
+        mu = semigroupoid_algebra(Q, built(pair_groupoid_raw()).base)
         pos = {name: i for i, name in enumerate(crossed.basis)}
         assignment = {
             mu.basis.index("(1,1)"): pos["d_u.1p"],
@@ -484,16 +489,16 @@ class TestNaiveCrossedProduct:
 
 class TestLscript:
     def test_trivial_action_gives_identity(self):
-        s = semilattice2()
-        coeff = semigroupoid_algebra(Q, unit_groupoid(("x", "y")).base)
+        s = built(semilattice_raw())
+        coeff = semigroupoid_algebra(Q, built(unit_groupoid_raw(("x", "y"))).base)
         action = trivial_algebra_action(s, coeff)
         iso = lscript_iso(action)
         assert iso.rows == tuple(((i, Q.one),) for i in range(iso.target.rank))
         assert certify_linear_iso(iso, "trivial lscript").passed
 
     def test_semilattice_example_fixes_e_generator(self):
-        s = semilattice2()
-        qx = semigroupoid_algebra(Q, unit_groupoid(("x", "y")).base)
+        s = built(semilattice_raw())
+        qx = semigroupoid_algebra(Q, built(unit_groupoid_raw(("x", "y"))).base)
         action = must(validate_algebra_action(
             s, qx, [(0, 1), (0,)],
             [{0: _unit(qx, 0), 1: _unit(qx, 1)},
@@ -520,12 +525,12 @@ class TestCorpusConvolutionInvariant:
         from structures import semilattice_on_points_action
 
         out = [
-            ("trivial/P2/Z4", trivial_bundle(Z4, pair_groupoid().base)),
-            ("trivial/P2/Q", trivial_bundle(Q, pair_groupoid().base)),
+            ("trivial/P2/Z4", trivial_bundle(Z4, built(pair_groupoid_raw()).base)),
+            ("trivial/P2/Q", trivial_bundle(Q, built(pair_groupoid_raw()).base)),
             ("matrix-unit/Q", matrix_unit_bundle(Q)),
         ]
-        actor = semilattice2()
-        space = unit_groupoid(("x", "y"))
+        actor = built(semilattice_raw())
+        space = built(unit_groupoid_raw(("x", "y")))
         theta = must(validate_preaction(
             semilattice_on_points_action(), actor, space.base
         ))
@@ -546,7 +551,7 @@ class TestCorpusConvolutionInvariant:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-_Z4_BUNDLE = trivial_bundle(Z4, pair_groupoid().base)
+_Z4_BUNDLE = trivial_bundle(Z4, built(pair_groupoid_raw()).base)
 
 
 @st.composite

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from sectional import cli
 from sectional.cli import _json, _stanza, main, parse_ring_override
 from sectional.semigroupoids import semigroupoid_to_raw, validate_semigroupoid
-from sectional.standard import pair_groupoid
 from sectional.validation import StructureError, must
 from sectional.rings import RationalRing
 from sectional.workspace import (
@@ -24,6 +23,8 @@ from sectional.workspace import (
     parse_workspace,
     run_workspace,
 )
+
+from structures import built, pair_groupoid_raw
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DATA = os.path.join(HERE, "data")
@@ -151,7 +152,7 @@ class TestRunWorkspace:
 
 class TestRoundTrip:
     def test_built_structures_reserialize_and_reparse_equal(self):
-        p2 = pair_groupoid()
+        p2 = built(pair_groupoid_raw())
         raw = semigroupoid_to_raw(p2.base, p2)
         rebuilt = must(validate_semigroupoid(raw))
         assert rebuilt == p2.base

@@ -49,10 +49,9 @@ from sectional.bundles import (
 from sectional.cli import main
 from sectional.rings import RationalRing, ZModRing, combine, ring_from_spec
 from sectional.semigroupoids import identity_homomorphism, label_index, validate_semigroupoid
-from sectional.standard import pair_groupoid, parallel_arrows
 from sectional.validation import must
 
-from structures import upper_triangular_f2_ring_spec
+from structures import built, pair_groupoid_raw, parallel_arrows_raw, upper_triangular_f2_ring_spec
 from test_bundles import _random_section as raw_random_section
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -158,10 +157,10 @@ def _pair_beside_chain():
 
 
 BASES = {
-    "parallel": parallel_arrows(),
+    "parallel": built(parallel_arrows_raw()),
     "parallel-units": _parallel_with_units(),
     "P3+chain": _pair_beside_chain(),
-    "P2": pair_groupoid().base,
+    "P2": built(pair_groupoid_raw()).base,
 }
 
 # fiber algebras by the basis indices of each product e_i e_j (every
@@ -259,7 +258,7 @@ def test_cancelling_sums_leave_no_zero_entry_and_no_empty_vector():
     """On the fiber R x R (e_i e_j = delta_ij e_i) over P_2: 2 * 3 = 0 over Z/6
     empties the (1,1) vector, x + (-x) = 0 over Q drops one of its entries,
     and a pair whose fiber products all vanish leaves no vector behind."""
-    base = pair_groupoid().base
+    base = built(pair_groupoid_raw()).base
     p11, p12, p21, p22 = (base.arrow_index(f"({i},{j})") for i in "12" for j in "12")
 
     def square(ring):
@@ -286,7 +285,7 @@ def test_cancelling_sums_leave_no_zero_entry_and_no_empty_vector():
 def test_table_ring_products_keep_their_factor_order():
     """Over upper-triangular 2x2 matrices over F2 x * y != y * x for some
     values, and convolve must give x * y in the order alpha, beta."""
-    bundle = trivial_bundle(TABLE, pair_groupoid().base)
+    bundle = trivial_bundle(TABLE, built(pair_groupoid_raw()).base)
     base = bundle.base
     p11 = base.arrow_index("(1,1)")
     elements = range(len(TABLE.names))

@@ -26,11 +26,12 @@ from sectional.actions import semidirect_product, validate_preaction, validate_r
 from sectional.bundles import fiber_rows, validate_bundle
 from sectional.rings import (RationalRing, ZModRing, identity_matrix, mat_inverse, mat_mul,
                              sparse_row)
-from sectional.standard import cyclic2, trivial_monoid, unit_groupoid
 from sectional.theorems import (BundleAction, BundleCongruence, bundle_semidirect,
                                 quotient_bundle, validate_bundle_action,
                                 validate_bundle_congruence)
 from sectional.validation import must
+
+from structures import built, cyclic2_raw, trivial_monoid_raw, unit_groupoid_raw
 
 RINGS = [RationalRing(), ZModRing(5), ZModRing(6)]
 
@@ -258,12 +259,12 @@ def _fiber_bundle(ring, base, arrows, fiber):
 def _action_instance(data, ring):
     """Z/2 fixing one idempotent arrow, or swapping two points, on a bundle
     whose fibers all carry one of FIBERS."""
-    z2 = cyclic2()
+    z2 = built(cyclic2_raw())
     fiber = data.draw(st.sampled_from(sorted(FIBERS)))
     k = len(FIBERS[fiber])
     identity = identity_matrix(k, ring)
     if data.draw(st.booleans()):
-        base = trivial_monoid().base
+        base = built(trivial_monoid_raw()).base
         theta = must(validate_preaction({"u": {"dom": ["a"], "img": ["a"]},
                                          "g": {"dom": ["a"], "img": ["a"]}}, z2, base))
         unit = identity
@@ -271,7 +272,7 @@ def _action_instance(data, ring):
             unit = tuple(tuple(ring.coerce(x) for x in row) for row in SWAPS[fiber])
         maps = {(0, 0): unit, (1, 0): _involution(data, ring, k)}
     else:
-        base = unit_groupoid(("x", "y")).base
+        base = built(unit_groupoid_raw(("x", "y"))).base
         theta = must(validate_preaction({"u": {"dom": ["1x", "1y"], "img": ["1x", "1y"]},
                                          "g": {"dom": ["1x", "1y"], "img": ["1y", "1x"]}},
                                         z2, base))
@@ -311,11 +312,11 @@ def test_intertwining_checks_match_the_dense_oracle():
         action_verdicts.append(expected and expected[0])
         if expected is None:
             assert result.fiber_maps == {key: _columns(m, ring) for key, m in maps.items()}
-            built = bundle_semidirect(result)
+            semidirect = bundle_semidirect(result)
             tables = oracle_semidirect_tables(theta, bundle, maps)
-            assert built.rows == {key: fiber_rows(t, ring) for key, t in tables.items()}
+            assert semidirect.rows == {key: fiber_rows(t, ring) for key, t in tables.items()}
 
-        z2 = cyclic2().base
+        z2 = built(cyclic2_raw()).base
         fiber = data.draw(st.sampled_from(sorted(FIBERS)))
         k = len(FIBERS[fiber])
         bundle = _fiber_bundle(ring, z2, z2.arrow_names, fiber)

@@ -40,9 +40,10 @@ from sectional.actions import (
 )
 from sectional.rings import RationalRing
 from sectional.semigroupoids import validate_inverse_semigroupoid, validate_semigroupoid
-from sectional.standard import cyclic2, pair_groupoid, unit_groupoid
 from sectional.validation import ValidationReport, must
 from sectional.workspace import Builder, parse_workspace
+
+from structures import built, cyclic2_raw, pair_groupoid_raw, unit_groupoid_raw
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 
@@ -64,7 +65,7 @@ def oracle_germ_relation(theta, sp):
         if g1 != g2:
             return False
         return any(
-            actor.le(u, s1) and actor.le(u, s2) and g1 in theta.maps[u]
+            (u, s1) in actor.leq and (u, s2) in actor.leq and g1 in theta.maps[u]
             for u in actor.base.arrows()
         )
 
@@ -138,7 +139,7 @@ def chain_actions(draw):
     entry = {p: draw(st.integers(0, n)) for p in points}
     maps = {f"e{i}": _identity_on(f"1{p}" for p in points if entry[p] <= i)
             for i in range(n)}
-    return must(validate_preaction(maps, chain(n), unit_groupoid(points).base))
+    return must(validate_preaction(maps, chain(n), built(unit_groupoid_raw(points)).base))
 
 
 @st.composite
@@ -153,7 +154,8 @@ def z2_actions(draw):
             image[p], image[q] = q, p
     maps = {"u": _identity_on(f"1{p}" for p in dom),
             "g": {"dom": [f"1{p}" for p in dom], "img": [f"1{image[p]}" for p in dom]}}
-    return must(validate_preaction(maps, cyclic2(), unit_groupoid(points).base))
+    space = built(unit_groupoid_raw(points)).base
+    return must(validate_preaction(maps, built(cyclic2_raw()), space))
 
 
 def _fixture_actions():
@@ -215,7 +217,8 @@ def pair_moves(points):
     """The pair groupoid on points moving the unit arrow 1j to 1i: an actor
     with several vertices, so src and rng of the actor arrows differ."""
     moves = {f"({i},{j})": {"dom": [f"1{j}"], "img": [f"1{i}"]} for i in points for j in points}
-    return must(validate_preaction(moves, pair_groupoid(tuple(points)), unit_groupoid(points).base))
+    space = built(unit_groupoid_raw(points)).base
+    return must(validate_preaction(moves, built(pair_groupoid_raw(points)), space))
 
 
 FIXED = [(theta, None) for theta in _fixture_actions()] + [
@@ -283,7 +286,7 @@ def test_dropped_order_pair_breaks_transitivity():
     # C_3 fixing x: without e0 <= e2, (e0,1x) ~ (e1,1x) ~ (e2,1x) through e0
     # and e1, but (e0,1x) and (e2,1x) share no germ
     theta = must(validate_preaction({f"e{i}": _identity_on(["1x"]) for i in range(3)},
-                                    chain(3), unit_groupoid(("x",)).base))
+                                    chain(3), built(unit_groupoid_raw(("x",))).base))
     broken = drop_order_pairs(theta, [(0, 2)])
     assert _verdict(broken) == "germ-transitivity"
     assert germ_quotient(broken).first().witness == ("(e0,1x)", "(e1,1x)", "(e2,1x)")

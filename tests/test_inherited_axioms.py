@@ -20,26 +20,29 @@ from sectional.semigroupoids import (
     validate_homomorphism,
     validate_semigroupoid,
 )
-from sectional.standard import (
-    cyclic2,
-    klein_four,
-    pair_groupoid,
-    parallel_arrows,
-    semilattice2,
-    trivial_monoid,
-    unit_groupoid,
-)
 from sectional.theorems import product_bundle, skew_product
 from sectional.validation import StructureError, must
 
 from test_sparse_kernel import RINGS, _random_bundle
 
-P2 = pair_groupoid().base
-Z2 = cyclic2().base
+from structures import (
+    built,
+    cyclic2_raw,
+    klein_four_raw,
+    pair_groupoid_raw,
+    parallel_arrows_raw,
+    semilattice_raw,
+    trivial_monoid_raw,
+    unit_groupoid_raw,
+)
+
+P2 = built(pair_groupoid_raw()).base
+Z2 = built(cyclic2_raw()).base
 FACTORS = {
-    "T": trivial_monoid().base, "Z2": Z2, "V4": klein_four().base, "S2": semilattice2().base,
-    "P2": P2, "P3": pair_groupoid(("a", "b", "c")).base, "U2": unit_groupoid().base,
-    "par": parallel_arrows(),
+    "T": built(trivial_monoid_raw()).base, "Z2": Z2, "V4": built(klein_four_raw()).base,
+    "S2": built(semilattice_raw()).base, "P2": P2,
+    "P3": built(pair_groupoid_raw(("a", "b", "c"))).base, "U2": built(unit_groupoid_raw()).base,
+    "par": built(parallel_arrows_raw()),
 }
 # parity of a pair-groupoid arrow as a grading into Z/2
 PARITY = must(validate_homomorphism({"(1,1)": "u", "(2,2)": "u", "(1,2)": "g", "(2,1)": "g"},

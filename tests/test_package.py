@@ -1,0 +1,32 @@
+"""The package's shape: what README shows runs, and every module under
+src/sectional/ belongs to the library."""
+
+import ast
+import os
+import re
+
+import sectional
+
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+
+
+def test_readme_python_blocks_run():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
+        blocks = re.findall(r"^```python\n(.*?)^```", f.read(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+
+
+def test_every_module_is_imported_by_the_package():
+    """A module that only the tests import does not belong in src/: each one is
+    imported by sectional/__init__, except the console script's entry point."""
+    package = os.path.dirname(sectional.__file__)
+    with open(os.path.join(package, "__init__.py"), encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1}
+    with open(os.path.join(ROOT, "pyproject.toml"), encoding="utf-8") as f:
+        (entry,) = re.findall(r'^sectional = "sectional\.(\w+):', f.read(), re.M)
+    modules = {name[:-3] for name in os.listdir(package) if name.endswith(".py")}
+    assert modules - {"__init__"} == imported | {entry}

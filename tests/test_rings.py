@@ -30,6 +30,7 @@ from sectional.rings import (
 )
 from sectional.cli import main
 from sectional.validation import CapabilityError, ValidationReport
+
 from structures import columns_of
 
 Q = RationalRing()
@@ -337,9 +338,9 @@ def test_kernel_vectors_annihilate_over_z5(rows):
 class TestIdealClosure:
     def _group_algebra_z2(self, ring):
         from sectional.bundles import semigroupoid_algebra
-        from sectional.standard import cyclic2
+        from structures import built, cyclic2_raw
 
-        return semigroupoid_algebra(ring, cyclic2().base)
+        return semigroupoid_algebra(ring, built(cyclic2_raw()).base)
 
     def test_empty_generators_give_zero_ideal(self):
         algebra = self._group_algebra_z2(Q)
@@ -359,11 +360,11 @@ class TestIdealClosure:
             semigroupoid_algebra,
             validate_algebra_action,
         )
-        from sectional.standard import semilattice2, unit_groupoid
+        from structures import built, semilattice_raw, unit_groupoid_raw
         from sectional.validation import must
 
-        s = semilattice2()
-        x = unit_groupoid(("x", "y"))
+        s = built(semilattice_raw())
+        x = built(unit_groupoid_raw(("x", "y")))
         qx = semigroupoid_algebra(Q, x.base)
         action = must(validate_algebra_action(
             s, qx,

@@ -11,21 +11,17 @@ from sectional.semigroupoids import (
     validate_inverse_semigroupoid,
     validate_semigroupoid,
 )
-from sectional.standard import (
-    cyclic2,
-    klein_four,
-    pair_groupoid,
-    semilattice2,
-    trivial_monoid,
-    unit_groupoid,
-)
 from sectional.validation import StructureError, ValidationReport, must
 
 from structures import (
+    built,
     cyclic2_raw,
     is_isomorphism,
+    klein_four_raw,
     pair_groupoid_raw,
+    semilattice_raw,
     trivial_monoid_raw,
+    unit_groupoid_raw,
     with_product_entry,
     without_product_entry,
 )
@@ -70,7 +66,7 @@ class TestValidateSemigroupoid:
         assert report.first("product-on-noncomposable").witness == ("(1,2)", "(1,2)")
 
     def test_associativity_witness_is_smallest(self):
-        bad = with_product_entry(klein_raw_ab_to_a(), "a", "b", "a")
+        bad = with_product_entry(klein_four_raw(), "a", "b", "a")
         report = validate_semigroupoid(bad)
         failure = report.first("associativity")
         assert failure is not None
@@ -86,27 +82,21 @@ class TestValidateSemigroupoid:
         assert report.kinds() == ["structural"]
 
 
-def klein_raw_ab_to_a():
-    from structures import klein_four_raw
-
-    return klein_four_raw()
-
-
 class TestInverseSemigroupoids:
     def test_semilattice_idempotents_and_order(self):
-        inv = semilattice2()
+        inv = built(semilattice_raw())
         names = inv.base.arrow_names
         assert {names[e] for e in inv.idempotents} == {"1", "e"}
-        assert inv.le(names.index("e"), names.index("1"))
-        assert not inv.le(names.index("1"), names.index("e"))
+        assert (names.index("e"), names.index("1")) in inv.leq
+        assert (names.index("1"), names.index("e")) not in inv.leq
 
     def test_group_order_is_equality(self):
-        inv = cyclic2()
+        inv = built(cyclic2_raw())
         assert inv.leq == frozenset({(0, 0), (1, 1)})
         assert {inv.base.arrow_names[e] for e in inv.idempotents} == {"u"}
 
     def test_pair_groupoid_order_is_equality(self):
-        inv = pair_groupoid()
+        inv = built(pair_groupoid_raw())
         n = inv.base.n_arrows
         # oracle: s <= t iff s = t e for an idempotent e, checked directly
         expected = set()
@@ -142,7 +132,7 @@ class TestInverseSemigroupoids:
         assert report.first("inverse-condition").witness == ("g",)
 
     def test_involution_and_antihomomorphism_properties(self):
-        for inv in (pair_groupoid(), semilattice2(), klein_four()):
+        for inv in (built(pair_groupoid_raw()), built(semilattice_raw()), built(klein_four_raw())):
             base = inv.base
             for s in base.arrows():
                 assert inv.inv[inv.inv[s]] == s
@@ -151,23 +141,23 @@ class TestInverseSemigroupoids:
 
     def test_order_is_product_monotone(self):
         # s1 <= t1 and s2 <= t2 with s1 s2 defined forces s1 s2 <= t1 t2
-        for inv in (semilattice2(), pair_groupoid(), cyclic2()):
+        for inv in (built(semilattice_raw()), built(pair_groupoid_raw()), built(cyclic2_raw())):
             base = inv.base
             for (s1, t1) in inv.leq:
                 for (s2, t2) in inv.leq:
                     if base.is_composable(s1, s2):
                         assert base.is_composable(t1, t2)
-                        assert inv.le(base.prod[s1][s2], base.prod[t1][t2])
+                        assert (base.prod[s1][s2], base.prod[t1][t2]) in inv.leq
 
     def test_order_respects_inversion(self):
-        for inv in (semilattice2(), pair_groupoid()):
+        for inv in (built(semilattice_raw()), built(pair_groupoid_raw())):
             for (s, t) in inv.leq:
-                assert inv.le(inv.inv[s], inv.inv[t])
+                assert (inv.inv[s], inv.inv[t]) in inv.leq
 
 
 class TestHomomorphisms:
     def test_identity_is_rigid(self):
-        p2 = pair_groupoid().base
+        p2 = built(pair_groupoid_raw()).base
         hom = identity_homomorphism(p2)
         assert hom.rigid
         revalidated = must(validate_homomorphism(
@@ -176,8 +166,8 @@ class TestHomomorphisms:
         assert revalidated.rigid
 
     def test_collapse_map_is_homomorphism_but_not_rigid(self):
-        p2 = pair_groupoid().base
-        tm = trivial_monoid().base
+        p2 = built(pair_groupoid_raw()).base
+        tm = built(trivial_monoid_raw()).base
         hom = must(validate_homomorphism(
             {a: "a" for a in p2.arrow_names}, p2, tm
         ))
@@ -185,12 +175,12 @@ class TestHomomorphisms:
         assert not hom.rigid
 
     def test_grading_identity_on_group_is_rigid(self):
-        z2 = cyclic2().base
+        z2 = built(cyclic2_raw()).base
         hom = must(validate_homomorphism({"u": "u", "g": "g"}, z2, z2))
         assert hom.rigid
 
     def test_multiplicativity_witness(self):
-        z2 = cyclic2().base
+        z2 = built(cyclic2_raw()).base
         # collapsing g onto u is a homomorphism; sending u to g is not
         assert not isinstance(validate_homomorphism({"u": "u", "g": "u"}, z2, z2),
                               ValidationReport)
@@ -200,8 +190,8 @@ class TestHomomorphisms:
 
     def test_rigid_image_closed_under_products(self):
         # for rigid maps the image is a subsemigroupoid
-        z2 = cyclic2().base
-        p2 = pair_groupoid().base
+        z2 = built(cyclic2_raw()).base
+        p2 = built(pair_groupoid_raw()).base
         hom = must(validate_homomorphism(
             {"u": "(1,1)", "g": "(1,1)"}, z2, p2
         ))
@@ -215,18 +205,18 @@ class TestHomomorphisms:
 
 class TestDirectProduct:
     def test_unit_factor_is_identity(self):
-        p2 = pair_groupoid().base
-        prod = direct_product(trivial_monoid().base, p2)
+        p2 = built(pair_groupoid_raw()).base
+        prod = direct_product(built(trivial_monoid_raw()).base, p2)
         assert prod.n_arrows == 4
         assert is_isomorphism({f"(a,{x})": x for x in p2.arrow_names}, prod, p2)
 
     def test_klein_four_from_two_cyclics(self):
-        z2 = cyclic2().base
+        z2 = built(cyclic2_raw()).base
         assert is_isomorphism({"(u,u)": "e", "(u,g)": "a", "(g,u)": "b", "(g,g)": "c"},
-                              direct_product(z2, z2), klein_four().base)
+                              direct_product(z2, z2), built(klein_four_raw()).base)
 
     def test_pair_squared_counts(self):
-        p2 = pair_groupoid().base
+        p2 = built(pair_groupoid_raw()).base
         prod = direct_product(p2, p2)
         assert prod.n_arrows == 16
         # oracle: composability is componentwise, 8 pairs in each factor
@@ -234,9 +224,9 @@ class TestDirectProduct:
         assert all(b in prod.prod[a] for a, b in prod.composable)
 
     def test_associative_up_to_canonical_relabeling(self):
-        a = cyclic2().base
-        b = semilattice2().base
-        c = trivial_monoid().base
+        a = built(cyclic2_raw()).base
+        b = built(semilattice_raw()).base
+        c = built(trivial_monoid_raw()).base
         left = direct_product(direct_product(a, b), c)
         right = direct_product(a, direct_product(b, c))
         # the canonical arrow bijection is the identity on indices
@@ -255,8 +245,8 @@ class TestDirectProduct:
         cases = [
             (left_zero(["a", "a,b"]), left_zero(["b,c", "c"]),
              ("(a,b,c)",), "duplicate arrow id '(a,b,c)'"),
-            (unit_groupoid(("a", "a,b")).base, unit_groupoid(("b,c", "c")).base,
-             (), "duplicate vertex ids"),
+            (built(unit_groupoid_raw(("a", "a,b"))).base,
+             built(unit_groupoid_raw(("b,c", "c"))).base, (), "duplicate vertex ids"),
         ]
         for left, right, witness, message in cases:
             with pytest.raises(StructureError) as exc:
@@ -268,17 +258,17 @@ class TestDirectProduct:
 
 class TestIsGroupoid:
     def test_pair_groupoid_true(self):
-        check = is_groupoid(pair_groupoid().base)
+        check = is_groupoid(built(pair_groupoid_raw()).base)
         assert check.ok
         assert len(check.units) == 2 and len(check.inverses) == 4
 
     def test_semilattice_false(self):
-        check = is_groupoid(semilattice2().base)
+        check = is_groupoid(built(semilattice_raw()).base)
         assert not check.ok
         assert check.witness  # carries the vertex or arrow that fails
 
     def test_cyclic2_true(self):
-        check = is_groupoid(cyclic2().base)
+        check = is_groupoid(built(cyclic2_raw()).base)
         assert check.ok
         assert check.inverses == {0: 0, 1: 1}
 
@@ -286,7 +276,7 @@ class TestIsGroupoid:
         # each vertex's identity is tested against the arrows leaving it only;
         # testing against every arrow took 0.44 s here
         n = 3000
-        loops = must(validate_semigroupoid(unit_groupoid([f"p{i}" for i in range(n)]).base))
+        loops = must(validate_semigroupoid(unit_groupoid_raw([f"p{i}" for i in range(n)])))
         check = is_groupoid(loops)
         assert check.ok
         assert check.units == {v: v for v in range(n)}
@@ -295,7 +285,7 @@ class TestIsGroupoid:
 
 class TestSerialization:
     def test_round_trip_preserves_structure(self):
-        for inv in (pair_groupoid(), semilattice2(), klein_four()):
+        for inv in (built(pair_groupoid_raw()), built(semilattice_raw()), built(klein_four_raw())):
             raw = semigroupoid_to_raw(inv.base, inv)
             rebuilt = must(validate_semigroupoid(raw))
             assert rebuilt == inv.base
@@ -305,9 +295,9 @@ class TestSerialization:
 
 class TestAssociativityProperty:
     @pytest.mark.parametrize("builder", [
-        trivial_monoid, cyclic2, semilattice2, pair_groupoid, klein_four,
+        trivial_monoid_raw, cyclic2_raw, semilattice_raw, pair_groupoid_raw, klein_four_raw,
     ])
     def test_every_accepted_structure_is_associative(self, builder):
-        base = builder().base
+        base = built(builder()).base
         for a, b, c in base.composable_triples():
             assert base.prod[base.prod[a][b]][c] == base.prod[a][base.prod[b][c]]

@@ -43,9 +43,10 @@ from sectional.bundles import (
 from sectional.maps import LinearMapOnBasis, basis_bijection, multiplicative_witness
 from sectional.rings import RationalRing, ZModRing, combine, ring_from_spec, sparse_row
 from sectional.rings import dense as densify
-from sectional.standard import pair_groupoid, semilattice2, unit_groupoid
-from sectional.theorems import _columns, _move
+from sectional.theorems import _columns, _compose, _move
 from sectional.validation import ValidationReport
+
+from structures import built, pair_groupoid_raw, semilattice_raw, unit_groupoid_raw
 
 
 def _relabeled_z3():
@@ -285,7 +286,7 @@ def test_map_apply_matches_dense_oracle(ring, data):
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_action_apply_matches_dense_oracle(ring, data):
-    actor = semilattice2()
+    actor = built(semilattice_raw())
     rank = data.draw(st.integers(1, 4))
     alg = _presentation(ring, {}, rank)
     domains, matrices = [], []
@@ -318,7 +319,7 @@ class DenseBundle(NamedTuple):
 def _random_bundle(data, ring, mode):
     """A random bundle over P_2 and the dense tables it was built from: rank-1
     fibers with random twists (default 1), or ranks 1-2 with random constants."""
-    base = pair_groupoid().base
+    base = built(pair_groupoid_raw()).base
     if mode == "ringfiber":
         ranks = (1,) * base.n_arrows
         pairs = data.draw(st.lists(st.sampled_from(list(base.composable)), unique=True))
@@ -364,6 +365,18 @@ def test_fiber_map_columns_match_dense_oracle(ring, data):
     assert densify(moved.items(), rows, ring) == oracle_mat_vec(mat, vec, ring)
 
 
+def test_compose_puts_the_left_map_first():
+    """_compose(a, b) is the matrix product a b: on 1x1 maps over UT2-F2 it
+    gives x·y for every pair, also for pairs that do not commute."""
+    ring = RINGS["UT2-F2"]
+    for x in range(len(ring.names)):
+        for y in range(len(ring.names)):
+            composed = _compose(_columns(((x,),), ring), _columns(((y,),), ring), ring)
+            assert composed == _columns(((ring.mul(x, y),),), ring)
+    p, q = ring.names.index("001"), ring.names.index("010")
+    assert ring.mul(p, q) != ring.mul(q, p)
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive checks: the same witness as the oracle after one corruption
 # ---------------------------------------------------------------------------
@@ -387,7 +400,7 @@ def _corrupt(data, ring, table, rank):
 @given(data=st.data())
 @settings(max_examples=20, deadline=None)
 def test_associativity_witness_matches_oracle(ring, data):
-    matrix_units = semigroupoid_algebra(ring, pair_groupoid().base)
+    matrix_units = semigroupoid_algebra(ring, built(pair_groupoid_raw()).base)
     assert matrix_units.check_associativity() is None
     rank = matrix_units.rank
     table = _corrupt(data, ring, _dense_table(matrix_units), rank)
@@ -414,7 +427,7 @@ def test_bundle_associativity_witness_matches_oracle(ring, data):
 @given(data=st.data())
 @settings(max_examples=20, deadline=None)
 def test_multiplicative_witness_matches_oracle(ring, data):
-    matrix_units = semigroupoid_algebra(ring, pair_groupoid().base)
+    matrix_units = semigroupoid_algebra(ring, built(pair_groupoid_raw()).base)
     rank = matrix_units.rank
     table = _corrupt(data, ring, _dense_table(matrix_units), rank)
     corrupted = _presentation(ring, table, rank)
@@ -429,7 +442,8 @@ def test_multiplicative_witness_matches_oracle(ring, data):
 
 SPARSE_RINGS = {name: RINGS[name] for name in ("Q", "Z6", "UT2-F2")}
 SPARSE_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
-SPARSE_BASES = [pair_groupoid().base, unit_groupoid(("x", "y", "z")).base, semilattice2().base]
+SPARSE_BASES = [built(raw).base for raw in (pair_groupoid_raw(), unit_groupoid_raw(("x", "y", "z")),
+                                            semilattice_raw())]
 
 
 def _sparse_table(data, ring):
@@ -669,7 +683,7 @@ def test_in_place_kernel_matches_combine(ring):
         touched = {k for i, _ in u for j, _ in v for k, _ in alg.table.get((i, j), ())}
         pruned.append(len(product) < len(touched))
 
-        actor = semilattice2()
+        actor = built(semilattice_raw())
         domains = tuple(tuple(sorted(data.draw(st.sets(st.integers(0, rank - 1)))))
                         for _ in actor.base.arrows())
         rows = tuple({i: tuple(sorted(dict(_terms(data, ring, rank)).items())) for i in dom}

@@ -32,15 +32,17 @@ from sectional.semigroupoids import (
     validate_inverse_semigroupoid,
     validate_semigroupoid,
 )
-from sectional.standard import (
-    cyclic2,
-    klein_four,
-    pair_groupoid,
-    parallel_arrows,
-    semilattice2,
-    unit_groupoid,
-)
 from sectional.validation import ValidationReport, must
+
+from structures import (
+    built,
+    cyclic2_raw,
+    klein_four_raw,
+    pair_groupoid_raw,
+    parallel_arrows_raw,
+    semilattice_raw,
+    unit_groupoid_raw,
+)
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 UNDEF = -1   # no product, in the dense tables below
@@ -215,7 +217,7 @@ def nested_chain_semidirect(n):
     points = tuple(f"x{i}" for i in range(n))
     maps = {f"e{i}": {"dom": [f"1x{j}" for j in range(i + 1)],
                       "img": [f"1x{j}" for j in range(i + 1)]} for i in range(n)}
-    theta = must(validate_preaction(maps, chain(n), unit_groupoid(points).base))
+    theta = must(validate_preaction(maps, chain(n), built(unit_groupoid_raw(points)).base))
     return semidirect_product(theta)
 
 
@@ -223,7 +225,8 @@ def moves_semidirect(n):
     """P_n acting on the unit groupoid of its points, (i,j) moving 1j to 1i."""
     points = tuple(f"q{i}" for i in range(n))
     maps = {f"({i},{j})": {"dom": [f"1{j}"], "img": [f"1{i}"]} for i in points for j in points}
-    theta = must(validate_preaction(maps, pair_groupoid(points), unit_groupoid(points).base))
+    space = built(unit_groupoid_raw(points)).base
+    theta = must(validate_preaction(maps, built(pair_groupoid_raw(points)), space))
     return semidirect_product(theta)
 
 
@@ -261,12 +264,12 @@ def one_vertex(name, elements, mul):
 T2 = one_vertex("T2", ["01", "10", "00", "11"], lambda x, y: x[int(y[0])] + x[int(y[1])])
 # the left-zero semigroup, xy = x
 L3 = one_vertex("L3", ["l0", "l1", "l2"], lambda x, y: x)
-P2, P3, P4 = (pair_groupoid(tuple(str(i) for i in range(n))) for n in (2, 3, 4))
+P2, P3, P4 = (built(pair_groupoid_raw(tuple(str(i) for i in range(n)))) for n in (2, 3, 4))
 C2, C3, C5 = chain(2), chain(3), chain(5)
 VALID = [
-    P2.base, P3.base, P4.base, C3.base, C5.base, parallel_arrows(),
+    P2.base, P3.base, P4.base, C3.base, C5.base, built(parallel_arrows_raw()),
     direct_product(P2.base, C3.base), direct_product(C2.base, C3.base),
-    direct_product(P3.base, P2.base), direct_product(P2.base, parallel_arrows()),
+    direct_product(P3.base, P2.base), direct_product(P2.base, built(parallel_arrows_raw())),
     nested_chain_semidirect(4), moves_semidirect(3),
     order_semigroupoid(4, [(1, 0), (2, 0), (3, 1)]),
     order_semigroupoid(5, [(1, 0), (3, 2), (4, 3), (4, 1)]),
@@ -506,7 +509,8 @@ def test_congruence_verdict_and_witness_match_oracle():
 # The other scans moved onto the index
 # ---------------------------------------------------------------------------
 
-INVERSE = [P2, P3, C3, C5, cyclic2(), klein_four(), semilattice2(), unit_groupoid()]
+INVERSE = [P2, P3, C3, C5, *map(built, (cyclic2_raw(), klein_four_raw(), semilattice_raw(),
+                                         unit_groupoid_raw()))]
 
 
 def test_order_characterizations_match_old_scan():
@@ -528,7 +532,7 @@ def test_rigidity_matches_old_scan():
         sgpd = inv.base
         cases.append(must(validate_homomorphism(list(sgpd.arrows()), sgpd, sgpd)))
         cases.append(must(validate_homomorphism([0] * sgpd.n_arrows, sgpd, trivial)))
-    z2 = cyclic2().base
+    z2 = built(cyclic2_raw()).base
     color = [0, 1, 1, 0]
     p4 = P4.base
     parity = [1 if color[int(p4.vertex_names[p4.src[x]])] != color[int(p4.vertex_names[p4.rng[x]])]

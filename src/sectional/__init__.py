@@ -10,7 +10,6 @@ from .validation import (
     StageError,
     StructureError,
     ValidationReport,
-    must,
 )
 from .rings import (
     IntegerRing,
@@ -20,7 +19,6 @@ from .rings import (
     TableRing,
     ZModRing,
     ideal_closure,
-    ring_from_spec,
     smith_normal_form,
     solve_linear,
     spans_equal,

@@ -21,6 +21,7 @@ from .semigroupoids import (
     GroupoidCheck,
     Homomorphism,
     composable_labels,
+    in_arrow_order,
     is_groupoid,
     pair_semigroupoid,
     validate_homomorphism,
@@ -30,7 +31,6 @@ from .validation import (
     InternalConsistencyError,
     StructureError,
     ValidationReport,
-    must,
 )
 
 
@@ -76,7 +76,7 @@ def _is_ideal(subset: set[int], ambient: set[int], space: FiniteSemigroupoid) ->
     return None
 
 
-def validate_preaction(raw_maps, actor: FiniteInverseSemigroupoid, space: FiniteSemigroupoid) -> LandPreaction | ValidationReport:
+def validate_preaction(raw_maps, actor: FiniteInverseSemigroupoid, space: FiniteSemigroupoid) -> LandPreaction:
     """Check the four wedge-preaction axioms and classify the action.
 
     raw_maps: {actor arrow name: {"dom": [...], "img": [...]}} with img parallel
@@ -91,31 +91,30 @@ def validate_preaction(raw_maps, actor: FiniteInverseSemigroupoid, space: Finite
 
     if not isinstance(raw_maps, dict):
         report.add("structural", (), "maps must be an object keyed by actor arrows")
-        return report
-    for key, entry in raw_maps.items():
-        k = str(key)
-        if k not in base.by_name:
+        raise StructureError(report)
+    for k, s, entry in in_arrow_order(raw_maps, base.by_name.get):
+        if s is None:
             report.add("structural", (k,), f"unknown actor arrow {k!r}")
-            return report
+            raise StructureError(report)
         dom = [str(x) for x in entry.get("dom", [])]
         img = [str(x) for x in entry.get("img", [])]
         if len(dom) != len(img):
             report.add("structural", (k,), "img must be parallel to dom")
-            return report
+            raise StructureError(report)
         table: dict[int, int] = {}
         for d, i in zip(dom, img):
             if d not in space.by_name or i not in space.by_name:
                 report.add("structural", (k, d, i), "dom/img reference unknown space arrows")
-                return report
+                raise StructureError(report)
             di, ii = space.arrow_index(d), space.arrow_index(i)
             if di in table:
                 report.add("structural", (k, d), f"duplicate domain entry {d!r}")
-                return report
+                raise StructureError(report)
             table[di] = ii
         if len(set(table.values())) != len(table):
             report.add("structural", (k,), f"theta_{k} is not injective")
-            return report
-        maps[base.arrow_index(k)] = table
+            raise StructureError(report)
+        maps[s] = table
 
     theta = LandPreaction(actor, space, tuple(maps))
     names = base.arrow_names
@@ -135,7 +134,7 @@ def validate_preaction(raw_maps, actor: FiniteInverseSemigroupoid, space: Finite
                            f"theta_{names[inv_s]} does not invert theta_{names[s]} at {anames[a]}")
                 break
     if not report.ok:
-        return report
+        raise StructureError(report)
 
     # (i) the union of domains at each actor vertex is an ideal of the space
     bigs = big_ideals(theta.actor, theta.maps)
@@ -145,7 +144,7 @@ def validate_preaction(raw_maps, actor: FiniteInverseSemigroupoid, space: Finite
             report.add("ideal-property", (base.vertex_names[v],) + w,
                        f"I(theta,{base.vertex_names[v]}) is not an ideal of the space")
     if not report.ok:
-        return report
+        raise StructureError(report)
 
     # (ii) each domain and range is an ideal of the relevant big ideal, and
     # theta_s is a semigroupoid isomorphism onto its range
@@ -182,7 +181,7 @@ def validate_preaction(raw_maps, actor: FiniteInverseSemigroupoid, space: Finite
                 continue
             break
     if not report.ok:
-        return report
+        raise StructureError(report)
 
     # (iv) extension law on composable actor pairs
     for s, t in base.composable:
@@ -198,7 +197,7 @@ def validate_preaction(raw_maps, actor: FiniteInverseSemigroupoid, space: Finite
                                "theta_st(x) != theta_s(theta_t(x))")
                     break
     if not report.ok:
-        return report
+        raise StructureError(report)
 
     # classification
     is_partial = all(
@@ -337,7 +336,7 @@ def trivial_action(actor: FiniteInverseSemigroupoid, space: FiniteSemigroupoid) 
         name: {"dom": list(space.arrow_names), "img": list(space.arrow_names)}
         for name in actor.base.arrow_names
     }
-    return must(validate_preaction(raw, actor, space))
+    return validate_preaction(raw, actor, space)
 
 
 def semidirect_product(theta: LandPreaction) -> FiniteSemigroupoid:
@@ -393,7 +392,7 @@ class RigidCongruence:
         return self.classes[cls][0]
 
 
-def validate_rigid_congruence(partition, base: FiniteSemigroupoid) -> RigidCongruence | ValidationReport:
+def validate_rigid_congruence(partition, base: FiniteSemigroupoid) -> RigidCongruence:
     """Partition of the arrows, each member an arrow id, with class-wise
     constant src/rng, product compatible."""
     report = ValidationReport("rigid congruence")
@@ -406,11 +405,11 @@ def validate_rigid_congruence(partition, base: FiniteSemigroupoid) -> RigidCongr
             # a member is an arrow id, as in every other stanza, never a position
             if str(x) not in base.by_name:
                 report.add("structural", (str(x),), f"unknown arrow {x!r}")
-                return report
+                raise StructureError(report)
             xi = base.arrow_index(str(x))
             if xi in seen:
                 report.add("structural", (names[xi],), f"arrow {names[xi]!r} appears twice")
-                return report
+                raise StructureError(report)
             seen.add(xi)
             ids.append(xi)
         if ids:
@@ -418,7 +417,7 @@ def validate_rigid_congruence(partition, base: FiniteSemigroupoid) -> RigidCongr
     if seen != set(base.arrows()):
         missing = sorted(set(base.arrows()) - seen)[0]
         report.add("structural", (names[missing],), f"partition misses arrow {names[missing]!r}")
-        return report
+        raise StructureError(report)
     resolved.sort(key=lambda block: block[0])
     class_of = [0] * base.n_arrows
     for ci, block in enumerate(resolved):
@@ -433,7 +432,7 @@ def validate_rigid_congruence(partition, base: FiniteSemigroupoid) -> RigidCongr
                            "equivalent arrows must share source and range")
                 break
     if not report.ok:
-        return report
+        raise StructureError(report)
 
     # x1 ~ y1 and x2 ~ y2 imply x1x2 ~ y1y2 exactly when every composable
     # (x1, x2) has x1x2 ~ rep(x1)x2 ~ x1rep(x2): classes share src and rng, so
@@ -445,7 +444,7 @@ def validate_rigid_congruence(partition, base: FiniteSemigroupoid) -> RigidCongr
         if class_of[prod[rep[x1]][x2]] != cls or class_of[prod[x1][rep[x2]]] != cls:
             report.add("product-incompatibility", _first_incompatibility(base, resolved, class_of),
                        "x1x2 and y1y2 land in different classes")
-            return report
+            raise StructureError(report)
     return RigidCongruence(base, tuple(tuple(b) for b in resolved), tuple(class_of))
 
 
@@ -496,11 +495,11 @@ def quotient_semigroupoid(cong: RigidCongruence) -> tuple[FiniteSemigroupoid, Ho
                             f"quotient product ill-defined on ({arrow_names[i]},{arrow_names[j]})"
                         )
             prod[i][j] = expected
-    quotient = must(validate_semigroupoid(quotient))
-    projection = must(validate_homomorphism(
+    quotient = validate_semigroupoid(quotient)
+    projection = validate_homomorphism(
         {names[a]: arrow_names[cong.class_of[a]] for a in base.arrows()},
         base, quotient,
-    ))
+    )
     if not projection.rigid:
         raise InternalConsistencyError("quotient projection of a rigid congruence must be rigid")
     return quotient, projection
@@ -515,7 +514,7 @@ class GermQuotient:
     groupoid_check: GroupoidCheck
 
 
-def germ_quotient(theta: LandPreaction) -> GermQuotient | ValidationReport:
+def germ_quotient(theta: LandPreaction) -> GermQuotient:
     """Collapse (s1,g) ~ (s2,g) when some u below both has g in its domain.
 
     Each semidirect arrow (s, g) has its germ set, the u <= s with g in
@@ -528,12 +527,12 @@ def germ_quotient(theta: LandPreaction) -> GermQuotient | ValidationReport:
     """
     space_check = is_groupoid(theta.space)
     if not space_check.ok:
-        return ValidationReport.single("germ quotient", "space-not-groupoid",
-                                       space_check.witness, space_check.message)
+        raise StructureError(ValidationReport.single(
+            "germ quotient", "space-not-groupoid", space_check.witness, space_check.message))
     if not theta.is_associative:
-        return ValidationReport.single("germ quotient", "not-associative",
-                                       theta.associativity_witness,
-                                       "germ quotients need an associative action")
+        raise StructureError(ValidationReport.single(
+            "germ quotient", "not-associative", theta.associativity_witness,
+            "germ quotients need an associative action"))
 
     sp = semidirect_product(theta)
     names = sp.arrow_names
@@ -546,16 +545,12 @@ def germ_quotient(theta: LandPreaction) -> GermQuotient | ValidationReport:
     for i, row in enumerate(rows):
         for j in sorted(row):
             if not rows[j] <= row:
-                return ValidationReport.single(
+                raise StructureError(ValidationReport.single(
                     "germ quotient", "germ-transitivity",
                     (names[i], names[j], names[min(rows[j] - row)]),
                     "the germ relation is not transitive for this action",
-                )
+                ))
 
-    cong = validate_rigid_congruence(
-        [[names[j] for j in row] for row in set(rows)], sp,
-    )
-    if isinstance(cong, ValidationReport):
-        return cong
+    cong = validate_rigid_congruence([[names[j] for j in row] for row in set(rows)], sp)
     quotient, projection = quotient_semigroupoid(cong)
     return GermQuotient(sp, cong, quotient, projection, is_groupoid(quotient))

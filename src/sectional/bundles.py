@@ -30,6 +30,7 @@ from .semigroupoids import (
     Homomorphism,
     composable_labels,
     identity_homomorphism,
+    in_arrow_order,
     label_index,
     validate_homomorphism,
     validate_semigroupoid,
@@ -39,7 +40,6 @@ from .validation import (
     InternalConsistencyError,
     StructureError,
     ValidationReport,
-    must,
 )
 
 
@@ -76,7 +76,7 @@ def pullback_bundle(bundle: Bundle, base: FiniteSemigroupoid, along) -> Bundle:
     be a homomorphism (O(composable pairs)), the shared rows' identity at (p, q, r)
     is the parent's at (along[p], along[q], along[r]), which is already decided.
     """
-    must(validate_homomorphism(along, base, bundle.base))
+    validate_homomorphism(along, base, bundle.base)
     ranks = tuple(bundle.ranks[along[p]] for p in base.arrows())
     rows = {(p, q): bundle.rows[(along[p], along[q])] for p, q in base.composable}
     return Bundle(bundle.ring, base, ranks, rows)
@@ -91,18 +91,18 @@ def bundle_from_product(ring: Ring, base: FiniteSemigroupoid, ranks: tuple[int, 
                       for i in range(ranks[p]))
         for p, q in base.composable
     }
-    return must(validate_bundle(Bundle(ring, base, ranks, rows), ring, base))
+    return validate_bundle(Bundle(ring, base, ranks, rows), ring, base)
 
 
 def trivial_bundle(ring: Ring, base: FiniteSemigroupoid) -> Bundle:
     """Rank-1 fibers, every constant 1: the direct-product bundle R x base.
     Each identity reads 1 = 1, so validating base (lookups only) checks it."""
-    must(validate_semigroupoid(base))
+    validate_semigroupoid(base)
     one = fiber_rows((((ring.one,),),), ring)
     return Bundle(ring, base, (1,) * base.n_arrows, dict.fromkeys(base.composable, one))
 
 
-def validate_bundle(raw, ring: Ring, base: FiniteSemigroupoid) -> Bundle | ValidationReport:
+def validate_bundle(raw, ring: Ring, base: FiniteSemigroupoid) -> Bundle:
     """Build a bundle from a stanza, or take a built one, and enumerate
     total-product associativity: (e_i e_j) e_l = e_i (e_j e_l) for every
     composable (a, b, c) and basis indices (i, j, l), each side summed in place
@@ -119,22 +119,20 @@ def validate_bundle(raw, ring: Ring, base: FiniteSemigroupoid) -> Bundle | Valid
         mode = raw.get("mode", "sc")
         if mode not in ("sc", "ringfiber"):
             report.add("structural", (str(mode),), f"unknown bundle mode {mode!r}")
-            return report
+            raise StructureError(report)
         ranks = [1] * base.n_arrows
-        for key, val in raw.get("ranks", {}).items():
-            k = str(key)
-            if k not in base.by_name:
+        for k, a, val in in_arrow_order(raw.get("ranks", {}), base.by_name.get):
+            if a is None:
                 report.add("structural", (k,), f"rank given for unknown arrow {k!r}")
-                return report
+                raise StructureError(report)
             if isinstance(val, bool) or not isinstance(val, int) or val < 0:
                 report.add("structural", (k,), "ranks must be non-negative integers")
-                return report
-            ranks[base.arrow_index(k)] = val
+                raise StructureError(report)
+            ranks[a] = val
 
-        def parse_pair(key: str):
+        def parse_pair(text: str):
             # arrow ids may themselves contain commas, so try every split
             # point and demand a unique reading as two declared ids
-            text = str(key)
             candidates = []
             for cut in range(len(text)):
                 if text[cut] != ",":
@@ -150,25 +148,23 @@ def validate_bundle(raw, ring: Ring, base: FiniteSemigroupoid) -> Bundle | Valid
         if mode == "ringfiber":
             if any(k != 1 for k in ranks):
                 report.add("structural", (), "ringfiber mode needs every rank equal to 1")
-                return report
-            for key, val in raw.get("twist", {}).items():
-                pair = parse_pair(key)
+                raise StructureError(report)
+            for key, pair, val in in_arrow_order(raw.get("twist", {}), parse_pair):
                 if pair is None:
-                    report.add("structural", (str(key),),
+                    report.add("structural", (key,),
                                f"twist key {key!r} is not a composable arrow pair")
-                    return report
+                    raise StructureError(report)
                 try:
                     tables[pair] = (((ring.coerce(val),),),)
                 except ValueError as exc:
-                    report.add("structural", (str(key),), str(exc))
-                    return report
+                    report.add("structural", (key,), str(exc))
+                    raise StructureError(report)
         else:
-            for key, val in raw.get("constants", {}).items():
-                pair = parse_pair(key)
+            for key, pair, val in in_arrow_order(raw.get("constants", {}), parse_pair):
                 if pair is None:
-                    report.add("structural", (str(key),),
+                    report.add("structural", (key,),
                                f"constants key {key!r} is not a composable arrow pair")
-                    return report
+                    raise StructureError(report)
                 a, b = pair
                 c = base.prod[a][b]
                 name = f"{base.arrow_names[a]},{base.arrow_names[b]}"
@@ -182,7 +178,7 @@ def validate_bundle(raw, ring: Ring, base: FiniteSemigroupoid) -> Bundle | Valid
                 ):
                     report.add("rank-mismatch", (name,),
                                f"constants at ({name}) must be {ranks[a]}x{ranks[b]} vectors of length {ranks[c]}")
-                    return report
+                    raise StructureError(report)
                 try:
                     tables[pair] = tuple(
                         tuple(tuple(ring.coerce(x) for x in vec) for vec in row)
@@ -190,38 +186,39 @@ def validate_bundle(raw, ring: Ring, base: FiniteSemigroupoid) -> Bundle | Valid
                     )
                 except ValueError as exc:
                     report.add("structural", (name,), str(exc))
-                    return report
+                    raise StructureError(report)
+        rows = {}
         for a, b in base.composable:
-            if (a, b) in tables:
-                continue
-            c = base.prod[a][b]
-            if ranks[a] == ranks[b] == ranks[c] == 1:
-                tables[(a, b)] = (((ring.one,),),)
-            else:
-                report.add("rank-mismatch",
-                           (base.arrow_names[a], base.arrow_names[b]),
-                           "constants missing for a composable pair with ranks above 1")
-                return report
+            table = tables.get((a, b))
+            if table is None:
+                if ranks[a] == ranks[b] == ranks[base.prod[a][b]] == 1:
+                    table = (((ring.one,),),)
+                else:
+                    report.add("rank-mismatch",
+                               (base.arrow_names[a], base.arrow_names[b]),
+                               "constants missing for a composable pair with ranks above 1")
+                    raise StructureError(report)
+            rows[(a, b)] = fiber_rows(table, ring)
         if mode == "sc" and not ring.commutative:
             raise CapabilityError(
                 "structure-constants mode needs a commutative ring; "
                 "use ringfiber mode for non-commutative coefficients"
             )
-        bundle = Bundle(ring, base, tuple(ranks),
-                        {pair: fiber_rows(table, ring) for pair, table in tables.items()})
+        bundle = Bundle(ring, base, tuple(ranks), rows)
 
     # a fiber over a non-commutative ring is the ring itself, twisted centrally
     if not ring.commutative:
         if any(k != 1 for k in bundle.ranks):
             report.add("structural", (),
                        "non-commutative coefficients need every rank equal to 1")
-            return report
-        for (a, b), table in bundle.rows.items():
+            raise StructureError(report)
+        for a, b in bundle.base.composable:
+            table = bundle.rows[(a, b)]
             if not all(ring.is_central(t) for row in table for entry in row for _k, t in entry):
                 report.add("structural",
                            (bundle.base.arrow_names[a], bundle.base.arrow_names[b]),
                            "twist constants must be central in the ring")
-                return report
+                raise StructureError(report)
 
     # (e_i e_j) e_l against e_i (e_j e_l), read off the stored rows, each side
     # summed in place; sums that differ are pruned to be compared
@@ -244,7 +241,7 @@ def validate_bundle(raw, ring: Ring, base: FiniteSemigroupoid) -> Bundle | Valid
                 names = bundle.base.arrow_names
                 report.add("associativity", (names[a], names[b], names[c], str(i), str(j), str(l)),
                            "fiber products are not associative on this triple")
-                return report
+                raise StructureError(report)
     return bundle
 
 
@@ -400,7 +397,7 @@ def coefficient_bundle(coefficients, sgpd: FiniteSemigroupoid) -> Bundle:
         tuple(algebra.table.get((i, j), ()) for j in range(m)) for i in range(m)
     )
     bundle = Bundle(ring, sgpd, (m,) * sgpd.n_arrows, dict.fromkeys(sgpd.composable, table))
-    return must(validate_bundle(bundle, ring, sgpd))
+    return validate_bundle(bundle, ring, sgpd)
 
 
 def bundle_from_graded(algebra: AlgebraPresentation) -> Bundle:
@@ -436,7 +433,7 @@ def bundle_from_graded(algebra: AlgebraPresentation) -> Bundle:
                             for j in fibers[b]) for i in fibers[a])
         for a, b in g.composable
     }
-    return must(validate_bundle(Bundle(ring, g, ranks, rows), ring, g))
+    return validate_bundle(Bundle(ring, g, ranks, rows), ring, g)
 
 
 def graded_roundtrip_iso(algebra: AlgebraPresentation) -> LinearMapOnBasis:
@@ -492,7 +489,7 @@ class AlgebraAction:
 
 def validate_algebra_action(actor: FiniteInverseSemigroupoid,
                             algebra: AlgebraPresentation,
-                            domains, matrices) -> AlgebraAction | ValidationReport:
+                            domains, matrices) -> AlgebraAction:
     """Check the wedge-preaction axioms at the algebra level.
 
     domains: per actor arrow, the basis indices spanning dom(Theta_s);
@@ -509,17 +506,17 @@ def validate_algebra_action(actor: FiniteInverseSemigroupoid,
     mats = [dict(m) for m in matrices]
     if len(doms) != base.n_arrows or len(mats) != base.n_arrows:
         report.add("structural", (), "need one domain and one matrix per actor arrow")
-        return report
+        raise StructureError(report)
     for s in base.arrows():
         if set(mats[s]) != set(doms[s]):
             report.add("structural", (names[s],),
                        "matrix rows must cover exactly the domain basis")
-            return report
+            raise StructureError(report)
         for i, vec in mats[s].items():
-            if any(not 0 <= k < algebra.rank for k in dict(vec)):
+            if any(not isinstance(k, int) or not 0 <= k < algebra.rank for k in dict(vec)):
                 report.add("structural", (names[s], algebra.basis[i]),
                            "image vector indexes outside the basis")
-                return report
+                raise StructureError(report)
 
     rows = tuple({i: tuple(sorted(sparse_vector(vec, algebra.ring).items()))
                   for i, vec in m.items()} for m in mats)
@@ -538,11 +535,11 @@ def validate_algebra_action(actor: FiniteInverseSemigroupoid,
             if not in_span(img, rows[t]):
                 report.add("inverse-compatibility", (names[s], algebra.basis[i]),
                            "image leaves dom of the inverse arrow")
-                return report
+                raise StructureError(report)
             if action.apply_rows(t, img) != {i: algebra.ring.one}:
                 report.add("inverse-compatibility", (names[s], algebra.basis[i]),
                            "Theta_{s*} does not invert Theta_s")
-                return report
+                raise StructureError(report)
 
     # ideal conditions on coordinate subspaces; e_i e_j and e_j e_i are both
     # zero, so in every span, unless j is after or before i
@@ -558,7 +555,7 @@ def validate_algebra_action(actor: FiniteInverseSemigroupoid,
                         report.add("ideal-property",
                                    (base.vertex_names[v], algebra.basis[p], algebra.basis[q]),
                                    "I(Theta, v) is not multiplication closed")
-                        return report
+                        raise StructureError(report)
     for s in base.arrows():
         ambient = bigs[base.src[s]]
         for i in doms[s]:
@@ -568,7 +565,7 @@ def validate_algebra_action(actor: FiniteInverseSemigroupoid,
                         report.add("ideal-property",
                                    (names[s], algebra.basis[p], algebra.basis[q]),
                                    f"dom(Theta_{names[s]}) is not an ideal: a product leaves the span")
-                        return report
+                        raise StructureError(report)
 
     # multiplicativity on domain basis pairs
     for s in base.arrows():
@@ -578,7 +575,7 @@ def validate_algebra_action(actor: FiniteInverseSemigroupoid,
             if lhs != algebra.mul(images[i], images[j]):
                 report.add("isomorphism", (names[s], algebra.basis[i], algebra.basis[j]),
                            "Theta_s is not multiplicative on its domain")
-                return report
+                raise StructureError(report)
 
     # extension law: Theta_{st} extends Theta_s Theta_t. The preimage of
     # ran(Theta_t) ∩ dom(Theta_s) is spanned by Theta_{t*} images of the basis
@@ -593,13 +590,13 @@ def validate_algebra_action(actor: FiniteInverseSemigroupoid,
             if not in_span(x, rows[st]):
                 report.add("extension-law", (names[s], names[t], algebra.basis[d]),
                            "preimage vector leaves dom(Theta_st)")
-                return report
+                raise StructureError(report)
             lhs = action.apply_rows(st, x)
             rhs = action.apply_rows(s, action.apply_rows(t, x).items())
             if lhs != rhs:
                 report.add("extension-law", (names[s], names[t], algebra.basis[d]),
                            "Theta_st differs from Theta_s Theta_t on the common domain")
-                return report
+                raise StructureError(report)
 
     return action
 
@@ -658,8 +655,8 @@ def trivial_algebra_action(actor: FiniteInverseSemigroupoid,
     """Every arrow acts as the identity on the whole algebra."""
     full = tuple(range(algebra.rank))
     identity = {i: ((i, algebra.ring.one),) for i in full}
-    return must(validate_algebra_action(
-        actor, algebra, [full] * actor.base.n_arrows, [identity] * actor.base.n_arrows))
+    return validate_algebra_action(
+        actor, algebra, [full] * actor.base.n_arrows, [identity] * actor.base.n_arrows)
 
 
 def naive_crossed_product(action: AlgebraAction) -> AlgebraPresentation:

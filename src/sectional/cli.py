@@ -27,7 +27,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
-from .rings import Ring, ring_from_spec
+from .rings import Ring, validate_ring
 from .validation import StructureError
 from .workspace import (
     THEOREMS,
@@ -46,7 +46,7 @@ from .workspace import (
 
 def parse_ring_override(text: str) -> Ring:
     if text in ("q", "z"):
-        return ring_from_spec({"kind": text})
+        return validate_ring({"kind": text})
     match = re.fullmatch(r"zmod:?(\d+)", text)
     try:  # a JSON syntax error, an integer past Python's digit limit, deep nesting
         spec = {"kind": "zmod", "n": int(match.group(1))} if match else json.loads(text)
@@ -56,7 +56,7 @@ def parse_ring_override(text: str) -> Ring:
         raise WorkspaceError(
             f"cannot parse ring override {shown}; use q, z, zmodN, or a JSON literal"
         )
-    return ring_from_spec(spec)
+    return validate_ring(spec)
 
 
 def _open(path: str, ring_text: str | None) -> tuple[WorkspaceFile, Ring]:

@@ -30,9 +30,10 @@ class LinearMapOnBasis:
         if len(self.rows) != self.source.rank:
             raise ValueError("one image per source basis element required")
         ring, rank = self.source.ring, self.target.rank
-        self.rows = tuple(tuple(sorted(sparse_vector(row, ring).items())) for row in self.rows)
-        if any(not 0 <= k < rank for row in self.rows for k, _ in row):
+        rows = [sparse_vector(row, ring) for row in self.rows]
+        if any(not isinstance(k, int) or not 0 <= k < rank for row in rows for k in row):
             raise ValueError("image vector indexes outside the target basis")
+        self.rows = tuple(tuple(sorted(row.items())) for row in rows)
 
     def apply_rows(self, v) -> dict:
         """Image of a sparse vector given as (index, value) pairs."""

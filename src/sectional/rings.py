@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .validation import CapabilityError, ValidationReport, must
+from .validation import CapabilityError, StructureError, ValidationReport
 
 Element = Any
 Vector = tuple
@@ -360,8 +360,9 @@ class TableRing(Ring):
         return f"table({','.join(self.names)})"
 
 
-def validate_ring(spec) -> Ring | ValidationReport:
-    """Check a ring literal (or a built Ring) and return it, or a failure report.
+def validate_ring(spec) -> Ring:
+    """Check a ring literal (or a built Ring) and return it, or raise
+    StructureError with the failure report.
 
     Built-in kinds are valid axiomatically. Finite-table rings get every axiom
     enumerated; malformed tables are reported as "structural" failures, kept
@@ -372,10 +373,11 @@ def validate_ring(spec) -> Ring | ValidationReport:
             return _validate_table_ring(spec.spec())
         return spec
 
-    report = ValidationReport("ring")
+    def bad(witness, message):
+        return StructureError(ValidationReport.single("ring", "structural", witness, message))
+
     if not isinstance(spec, dict) or "kind" not in spec:
-        report.add("structural", (), "ring literal must be an object with a 'kind'")
-        return report
+        raise bad((), "ring literal must be an object with a 'kind'")
     kind = spec["kind"]
     if kind == "z":
         return IntegerRing()
@@ -384,30 +386,27 @@ def validate_ring(spec) -> Ring | ValidationReport:
     if kind == "zmod":
         n = spec.get("n")
         if not isinstance(n, int) or n < 2:
-            report.add("structural", (repr(n),), "zmod needs an integer modulus n >= 2")
-            return report
+            raise bad((repr(n),), "zmod needs an integer modulus n >= 2")
         try:
             return ZModRing(n)
         except ValueError as exc:
-            report.add("structural", (str(n),), str(exc))
-            return report
+            raise bad((str(n),), str(exc))
     if kind == "table":
         return _validate_table_ring(spec)
-    report.add("structural", (repr(kind),), f"unknown ring kind {kind!r}")
-    return report
+    raise bad((repr(kind),), f"unknown ring kind {kind!r}")
 
 
-def _validate_table_ring(spec: dict) -> TableRing | ValidationReport:
+def _validate_table_ring(spec: dict) -> TableRing:
     report = ValidationReport("table ring")
     names = spec.get("elements")
     if not isinstance(names, list) or not names:
         report.add("structural", (), "table ring needs a nonempty 'elements' list")
-        return report
+        raise StructureError(report)
     names = [str(x) for x in names]
     k = len(names)
     if len(set(names)) != k:
         report.add("structural", (), "duplicate element names")
-        return report
+        raise StructureError(report)
 
     tables = {}
     for key in ("add", "mul"):
@@ -440,7 +439,7 @@ def _validate_table_ring(spec: dict) -> TableRing | ValidationReport:
         else:
             report.add("structural", (key,), f"{key!r} must name a declared element")
     if not report.ok:
-        return report
+        raise StructureError(report)
 
     add, mul = tables["add"], tables["mul"]
     zero, one = tables["zero"], tables["one"]
@@ -484,13 +483,8 @@ def _validate_table_ring(spec: dict) -> TableRing | ValidationReport:
                 if mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]]:
                     fail("right-distributivity", witness(a, b, c), "(a+b)c != ac+bc")
     if not report.ok:
-        return report
+        raise StructureError(report)
     return TableRing(names, add, mul, zero, one, commutative=declared_comm)
-
-
-def ring_from_spec(spec) -> Ring:
-    """Build a ring from a literal, raising StructureError on a bad table."""
-    return must(validate_ring(spec))
 
 
 # ---------------------------------------------------------------------------

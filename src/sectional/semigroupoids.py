@@ -6,8 +6,9 @@ the right factor). Arrows and vertices are dense integer ids; names live in
 sidecar tables and appear in every witness. Each arrow maps only its declared
 products, so a semigroupoid takes memory O(arrows + products).
 
-All validators enumerate exhaustively and report the lexicographically
-smallest failing tuple per violated axiom.
+All validators enumerate exhaustively and return the validated object, or
+raise StructureError carrying a report of the lexicographically smallest
+failing tuple per violated axiom.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from typing import Iterator
 
 from .validation import (
     InternalConsistencyError,
+    StructureError,
     ValidationReport,
-    must,
 )
 
 
@@ -104,6 +105,14 @@ class FiniteSemigroupoid:
         return self.by_name[name]
 
 
+def in_arrow_order(raw: dict, position) -> list[tuple]:
+    """(key, position(key), value) per member of a JSON object, keys as str, in
+    an order its key order cannot change: keys with no position first, the
+    smallest string first, then by position (an arrow, or a pair of arrows)."""
+    members = [(k, position(k), v) for k, v in ((str(k), v) for k, v in raw.items())]
+    return sorted(members, key=lambda m: (0, m[0], ()) if m[1] is None else (1, "", m[1]))
+
+
 def composable_labels(sgpd: FiniteSemigroupoid, labels, left=None, right=None) -> Iterator[tuple[int, int]]:
     """Index pairs (p, q), ascending, whose labels (s, x) and (t, y) have (s, t)
     composable; labels must be grouped by arrow in ascending arrow order. With
@@ -147,7 +156,7 @@ def semigroupoid_to_raw(sgpd: FiniteSemigroupoid, inv: "FiniteInverseSemigroupoi
     return raw
 
 
-def validate_semigroupoid(raw) -> FiniteSemigroupoid | ValidationReport:
+def validate_semigroupoid(raw) -> FiniteSemigroupoid:
     """Build a semigroupoid from raw tables, checking every axiom by enumeration.
 
     Accepts the structure-file stanza (dict) or an already built object to
@@ -158,14 +167,16 @@ def validate_semigroupoid(raw) -> FiniteSemigroupoid | ValidationReport:
         report = _check_names(raw)
         if report.ok:
             _check_axioms(raw, report)
-        return raw if report.ok else report
+        if not report.ok:
+            raise StructureError(report)
+        return raw
 
     name = str(raw.get("id", ""))
     report = ValidationReport(f"semigroupoid {name or '<anonymous>'}")
     vertices = [str(v) for v in raw.get("vertices", [])]
     if len(set(vertices)) != len(vertices):
         report.add("structural", (), "duplicate vertex ids")
-        return report
+        raise StructureError(report)
     vindex = {v: i for i, v in enumerate(vertices)}
 
     aindex: dict[str, int] = {}
@@ -175,11 +186,11 @@ def validate_semigroupoid(raw) -> FiniteSemigroupoid | ValidationReport:
         aid = str(entry.get("id"))
         if aid in aindex:
             report.add("structural", (aid,), f"duplicate arrow id {aid!r}")
-            return report
+            raise StructureError(report)
         s, r = str(entry.get("src")), str(entry.get("rng"))
         if s not in vindex or r not in vindex:
             report.add("structural", (aid,), f"arrow {aid!r} references an unknown vertex")
-            return report
+            raise StructureError(report)
         aindex[aid] = len(src)
         src.append(vindex[s])
         rng.append(vindex[r])
@@ -188,22 +199,24 @@ def validate_semigroupoid(raw) -> FiniteSemigroupoid | ValidationReport:
     for entry in raw.get("prod", []):
         if len(entry) != 3:
             report.add("structural", tuple(map(str, entry)), "prod entries must be [a, b, ab]")
-            return report
+            raise StructureError(report)
         a, b, c = (str(x) for x in entry)
         if a not in aindex or b not in aindex or c not in aindex:
             report.add("structural", (a, b, c), "prod entry references an unknown arrow")
-            return report
+            raise StructureError(report)
         ia, ib, ic = aindex[a], aindex[b], aindex[c]
         if prod[ia].get(ib, ic) != ic:
             report.add("structural", (a, b), f"conflicting products declared for ({a},{b})")
-            return report
+            raise StructureError(report)
         prod[ia][ib] = ic
 
     sgpd = FiniteSemigroupoid(
         tuple(vertices), tuple(aindex), tuple(src), tuple(rng), tuple(prod), name=name,
     )
     _check_axioms(sgpd, report)
-    return sgpd if report.ok else report
+    if not report.ok:
+        raise StructureError(report)
+    return sgpd
 
 
 def _check_names(sgpd: FiniteSemigroupoid) -> ValidationReport:
@@ -310,7 +323,7 @@ def _order_by_characterizations(sgpd, inv, idems):
     return [rel_i, rel_ii, rel_iii, rel_iv]
 
 
-def validate_inverse_semigroupoid(sgpd: FiniteSemigroupoid, inv_raw) -> FiniteInverseSemigroupoid | ValidationReport:
+def validate_inverse_semigroupoid(sgpd: FiniteSemigroupoid, inv_raw) -> FiniteInverseSemigroupoid:
     """Check the inverse axioms and materialize idempotents and the natural order.
 
     inv_raw maps arrow name -> arrow name (or id -> id on a built object).
@@ -325,18 +338,18 @@ def validate_inverse_semigroupoid(sgpd: FiniteSemigroupoid, inv_raw) -> FiniteIn
     inv: list[int | None] = [None] * n
     if isinstance(inv_raw, dict):
         ids = sgpd.by_name
-        for key, val in inv_raw.items():
-            k, v = str(key), str(val)
-            if k not in ids or v not in ids:
+        for k, s, val in in_arrow_order(inv_raw, ids.get):
+            v = str(val)
+            if s is None or v not in ids:
                 report.add("structural", (k, v), "inv entry references an unknown arrow")
-                return report
-            inv[ids[k]] = ids[v]
+                raise StructureError(report)
+            inv[s] = ids[v]
     else:
         inv = list(inv_raw)
     if None in inv:
         missing = names[inv.index(None)]
         report.add("structural", (missing,), f"no inverse declared for {missing!r}")
-        return report
+        raise StructureError(report)
 
     def is_inverse_pair(s: int, t: int) -> bool:
         if sgpd.src[t] != sgpd.rng[s] or sgpd.rng[t] != sgpd.src[s]:
@@ -354,7 +367,7 @@ def validate_inverse_semigroupoid(sgpd: FiniteSemigroupoid, inv_raw) -> FiniteIn
             report.add("inverse-condition", (names[s],),
                        f"declared inverse of {names[s]} fails s s* s = s or s* s s* = s*")
     if not report.ok:
-        return report
+        raise StructureError(report)
 
     for s in range(n):
         others = [t for t in sgpd.into[sgpd.src[s]] if t != inv[s] and is_inverse_pair(s, t)]
@@ -362,7 +375,7 @@ def validate_inverse_semigroupoid(sgpd: FiniteSemigroupoid, inv_raw) -> FiniteIn
             report.add("non-unique-inverse", (names[s], names[inv[s]], names[others[0]]),
                        f"{names[s]} admits two generalized inverses")
     if not report.ok:
-        return report
+        raise StructureError(report)
 
     for s in range(n):
         if inv[inv[s]] != s:
@@ -388,7 +401,7 @@ def validate_inverse_semigroupoid(sgpd: FiniteSemigroupoid, inv_raw) -> FiniteIn
                            f"idempotents {names[e]}, {names[f]} do not commute")
                 break
     if not report.ok:
-        return report
+        raise StructureError(report)
 
     relations = _order_by_characterizations(sgpd, inv, idems)
     if any(rel != relations[0] for rel in relations[1:]):
@@ -419,7 +432,7 @@ class Homomorphism:
     rigid: bool = False
 
 
-def validate_homomorphism(raw_map, source: FiniteSemigroupoid, target: FiniteSemigroupoid) -> Homomorphism | ValidationReport:
+def validate_homomorphism(raw_map, source: FiniteSemigroupoid, target: FiniteSemigroupoid) -> Homomorphism:
     """Check multiplicativity on all composable pairs and decide rigidity.
 
     raw_map maps names to names, or lists a target arrow per source arrow.
@@ -430,21 +443,21 @@ def validate_homomorphism(raw_map, source: FiniteSemigroupoid, target: FiniteSem
     report = ValidationReport("homomorphism")
     mapping: list[int | None] = [None] * source.n_arrows
     if isinstance(raw_map, dict):
-        for key, val in raw_map.items():
-            k, v = str(key), str(val)
-            if k not in source.by_name or v not in target.by_name:
+        for k, a, val in in_arrow_order(raw_map, source.by_name.get):
+            v = str(val)
+            if a is None or v not in target.by_name:
                 report.add("structural", (k, v), "map entry references an unknown arrow")
-                return report
-            mapping[source.by_name[k]] = target.by_name[v]
+                raise StructureError(report)
+            mapping[a] = target.by_name[v]
     else:
         mapping = list(raw_map)
         if len(mapping) != source.n_arrows or not all(x in range(target.n_arrows) for x in mapping):
             report.add("structural", (), "map must list a target arrow per source arrow")
-            return report
+            raise StructureError(report)
     if None in mapping:
         missing = source.arrow_names[mapping.index(None)]
         report.add("structural", (missing,), f"map does not cover arrow {missing!r}")
-        return report
+        raise StructureError(report)
 
     for a, b in source.composable:
         fa, fb = mapping[a], mapping[b]
@@ -459,7 +472,7 @@ def validate_homomorphism(raw_map, source: FiniteSemigroupoid, target: FiniteSem
                        "f(ab) != f(a)f(b)")
             break
     if not report.ok:
-        return report
+        raise StructureError(report)
 
     # composable pairs map to composable pairs, so the converse holds exactly
     # when there are as many pairs with composable images as composable pairs
@@ -500,14 +513,14 @@ def pair_semigroupoid(labels, ends, arrow_names, vertex_names, products,
         vertices, arrows, tuple(vid[s] for s, _ in ends), tuple(vid[r] for _, r in ends),
         tuple(prod), name=name, labels=labels,
     )
-    return must(validate_semigroupoid(out))
+    return validate_semigroupoid(out)
 
 
 def direct_product(a: FiniteSemigroupoid, b: FiniteSemigroupoid) -> FiniteSemigroupoid:
     """Componentwise product over every vertex pair; arrow (x,y) is labeled (x, y).
     Its axioms are pairs of factor axioms: a and b are validated, then its names."""
-    must(validate_semigroupoid(a))
-    must(validate_semigroupoid(b))
+    validate_semigroupoid(a)
+    validate_semigroupoid(b)
     vertices = tuple(
         f"({va},{vb})" for va in a.vertex_names for vb in b.vertex_names
     )
@@ -532,7 +545,9 @@ def direct_product(a: FiniteSemigroupoid, b: FiniteSemigroupoid) -> FiniteSemigr
         labels=tuple((x, y) for x in a.arrows() for y in b.arrows()),
     )
     report = _check_names(out)
-    return must(out if report.ok else report)
+    if not report.ok:
+        raise StructureError(report)
+    return out
 
 
 @dataclass

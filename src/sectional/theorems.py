@@ -53,6 +53,7 @@ from .semigroupoids import (
     Homomorphism,
     composable_labels,
     direct_product,
+    in_arrow_order,
     is_groupoid,
     label_index,
     pair_semigroupoid,
@@ -64,7 +65,6 @@ from .validation import (
     StageError,
     StructureError,
     ValidationReport,
-    must,
 )
 
 
@@ -206,7 +206,7 @@ class BundleAction:
 
 
 def validate_bundle_action(theta: LandPreaction, bundle: Bundle,
-                           fiber_maps=None) -> BundleAction | ValidationReport:
+                           fiber_maps=None) -> BundleAction:
     """Check fiber matrices: shapes, invertibility through the inverse arrow,
     product intertwining, and the extension law.
 
@@ -216,19 +216,19 @@ def validate_bundle_action(theta: LandPreaction, bundle: Bundle,
     report = ValidationReport("bundle action")
     if bundle.base is not theta.space and bundle.base != theta.space:
         report.add("structural", (), "the action must act on the bundle base")
-        return report
+        raise StructureError(report)
     ring = bundle.ring
     actor = theta.actor
     names = actor.base.arrow_names
     anames = theta.space.arrow_names
 
     maps: dict[tuple[int, int], tuple] = {}
-    for key, mat in (fiber_maps or {}).items():
+    for key, mat in sorted((fiber_maps or {}).items()):
         try:
             maps[key] = tuple(tuple(ring.coerce(x) for x in row) for row in mat)
         except ValueError as exc:
             report.add("structural", (names[key[0]], anames[key[1]]), str(exc))
-            return report
+            raise StructureError(report)
 
     expected = [(s, g) for s in actor.base.arrows() for g in theta.dom(s)]
     outside = set(maps).difference(expected)
@@ -236,14 +236,14 @@ def validate_bundle_action(theta: LandPreaction, bundle: Bundle,
         s, g = min(outside)
         report.add("structural", (names[s], anames[g]),
                    "fiber matrices must exist exactly on the action domains")
-        return report
+        raise StructureError(report)
     cols: dict[tuple[int, int], tuple] = {}
-    for s, g in [*maps, *(key for key in expected if key not in maps)]:
+    for s, g in expected:
         h = theta.apply(s, g)
         if bundle.ranks[g] != bundle.ranks[h]:
             report.add("structural", (names[s], anames[g]),
                        "fiber ranks must match along the action")
-            return report
+            raise StructureError(report)
         mat = maps.get((s, g))
         if mat is None:
             cols[(s, g)] = _identity_columns(bundle.ranks[g], ring)
@@ -251,15 +251,15 @@ def validate_bundle_action(theta: LandPreaction, bundle: Bundle,
         if len(mat) != bundle.ranks[h] or any(len(row) != bundle.ranks[g] for row in mat):
             report.add("structural", (names[s], anames[g]),
                        f"matrix for ({names[s]},{anames[g]}) has the wrong shape")
-            return report
+            raise StructureError(report)
         cols[(s, g)] = _columns(mat, ring)
 
-    for (s, g), mat in sorted(cols.items()):
+    for (s, g), mat in cols.items():
         back = cols[(actor.inv[s], theta.apply(s, g))]
         if _compose(back, mat, ring) != _identity_columns(bundle.ranks[g], ring):
             report.add("non-invertible-fiber-map", (names[s], anames[g]),
                        "the inverse arrow's matrix does not invert this one")
-            return report
+            raise StructureError(report)
 
     for s in actor.base.arrows():
         dom = set(theta.dom(s))
@@ -271,7 +271,7 @@ def validate_bundle_action(theta: LandPreaction, bundle: Bundle,
                                 cols[(s, g1)], cols[(s, g2)], cols[(s, g12)]):
                 report.add("intertwining", (names[s], anames[g1], anames[g2]),
                            "fiber matrices do not intertwine the products")
-                return report
+                raise StructureError(report)
 
     for s, t in actor.base.composable:
         st = actor.base.prod[s][t]
@@ -282,7 +282,7 @@ def validate_bundle_action(theta: LandPreaction, bundle: Bundle,
             if cols[(st, x)] != _compose(cols[(s, tx)], cols[(t, x)], ring):
                 report.add("extension-law", (names[s], names[t], anames[x]),
                            "fiber matrices violate the extension law")
-                return report
+                raise StructureError(report)
 
     return BundleAction(theta, bundle, cols)
 
@@ -325,7 +325,7 @@ def induced_theta(action: BundleAction) -> AlgebraAction:
     ]
     domains = [tuple(mat) for mat in matrices]
 
-    out = must(validate_algebra_action(theta.actor, algebra, domains, matrices))
+    out = validate_algebra_action(theta.actor, algebra, domains, matrices)
     witness = algebra_action_associativity(out)
     if witness is not None:
         raise StructureError(ValidationReport.single(
@@ -462,7 +462,7 @@ def skew_product(sgpd: FiniteSemigroupoid, d: Homomorphism) -> SkewProduct:
         pairs, ends, (sgpd.arrow_names, g.arrow_names), (sgpd.vertex_names, g.arrow_names),
         products, name=f"{sgpd.name}#{g.name}" if sgpd.name else "",
     )
-    grading = must(validate_homomorphism([d.map[x] for x, _h in pairs], out, g))
+    grading = validate_homomorphism([d.map[x] for x, _h in pairs], out, g)
     return SkewProduct(out, grading)
 
 
@@ -517,7 +517,7 @@ class BundleCongruence:
 
 
 def validate_bundle_congruence(bundle: Bundle, base: RigidCongruence,
-                               transports=None) -> BundleCongruence | ValidationReport:
+                               transports=None) -> BundleCongruence:
     """Complete rep-to-member transports to all ordered pairs, check the
     cocycle identities on the diagonal and product intertwining by enumeration.
 
@@ -531,25 +531,22 @@ def validate_bundle_congruence(bundle: Bundle, base: RigidCongruence,
     report = ValidationReport("bundle congruence")
     if base.base is not bundle.base and base.base != bundle.base:
         report.add("structural", (), "the congruence must live on the bundle base")
-        return report
+        raise StructureError(report)
     ring = bundle.ring
     names = bundle.base.arrow_names
 
     rep_to: dict[int, tuple] = {}
     to_cols: dict[int, tuple] = {}
     from_cols: dict[int, tuple] = {}
-    raw = transports or {}
-    for key, mat in raw.items():
-        k = str(key)
-        if k not in bundle.base.by_name:
+    for k, g, mat in in_arrow_order(transports or {}, bundle.base.by_name.get):
+        if g is None:
             report.add("structural", (k,), f"transport given for unknown arrow {k!r}")
-            return report
-        g = bundle.base.arrow_index(k)
+            raise StructureError(report)
         try:
             rep_to[g] = tuple(tuple(ring.coerce(x) for x in row) for row in mat)
         except ValueError as exc:
             report.add("structural", (k,), str(exc))
-            return report
+            raise StructureError(report)
 
     for block in base.classes:
         rep = block[0]
@@ -557,19 +554,19 @@ def validate_bundle_congruence(bundle: Bundle, base: RigidCongruence,
             if bundle.ranks[g] != bundle.ranks[rep]:
                 report.add("structural", (names[rep], names[g]),
                            "equivalent arrows must carry fibers of equal rank")
-                return report
+                raise StructureError(report)
             k = bundle.ranks[rep]
             identity = _identity_columns(k, ring)
             mat = rep_to.get(g)
             if mat is not None and (len(mat) != k or any(len(row) != k for row in mat)):
                 report.add("structural", (names[g],),
                            f"transport for {names[g]} must be {k}x{k}")
-                return report
+                raise StructureError(report)
             cols = identity if mat is None else _columns(mat, ring)
             if g == rep and cols != identity:
                 report.add("cocycle", (names[g],),
                            f"transport for the representative {names[g]} is not the identity")
-                return report
+                raise StructureError(report)
             if cols == identity:
                 to_cols[g] = from_cols[g] = identity
                 continue
@@ -577,7 +574,7 @@ def validate_bundle_congruence(bundle: Bundle, base: RigidCongruence,
             if inverse is None:
                 report.add("non-invertible-transport", (names[g],),
                            f"transport for {names[g]} is not invertible")
-                return report
+                raise StructureError(report)
             to_cols[g], from_cols[g] = cols, _columns(inverse, ring)
 
     full: dict[tuple[int, int], tuple] = {}
@@ -595,7 +592,7 @@ def validate_bundle_congruence(bundle: Bundle, base: RigidCongruence,
         for g in block:
             if full[(g, g)] != _identity_columns(bundle.ranks[g], ring):
                 report.add("cocycle", (names[g],), "transport g->g is not the identity")
-                return report
+                raise StructureError(report)
 
     prod = bundle.base.prod
     for (g1, g2) in bundle.base.composable:
@@ -605,7 +602,7 @@ def validate_bundle_congruence(bundle: Bundle, base: RigidCongruence,
                                     full[(prod[g1][g2], prod[h1][h2])]):
                     report.add("intertwining", (names[g1], names[g2], names[h1], names[h2]),
                                "transports do not intertwine the fiber products")
-                    return report
+                    raise StructureError(report)
 
     return BundleCongruence(bundle, base, full)
 
@@ -751,12 +748,9 @@ def germ_corollary(theta: LandPreaction, coefficients) -> GermCorollaryResult:
     """
     def stage(name, thunk):
         try:
-            out = thunk()
+            return thunk()
         except (StructureError, CapabilityError, InternalConsistencyError) as exc:
             raise StageError(name, exc)
-        if isinstance(out, ValidationReport):
-            raise StageError(name, StructureError(out))
-        return out
 
     germ = stage("germ-quotient", lambda: germ_quotient(theta))
 

@@ -1,4 +1,8 @@
-"""Shared validation plumbing: failure records, reports, and error types."""
+"""Shared validation plumbing: failure records, reports, and error types.
+
+Every validator returns the object it validated or raises StructureError,
+whose report lists each failure it found with its witness.
+"""
 
 from __future__ import annotations
 
@@ -86,13 +90,3 @@ class StageError(SectionalError):
         self.stage = stage
         self.cause = cause
 
-
-def must(result):
-    """Unwrap a validator result, raising StructureError on a failed report."""
-    if isinstance(result, ValidationReport):
-        if result.ok:
-            raise InternalConsistencyError(
-                f"validator returned an all-clear report instead of the object: {result.subject}"
-            )
-        raise StructureError(result)
-    return result

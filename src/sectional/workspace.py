@@ -31,7 +31,7 @@ from .bundles import (
     trivial_bundle,
     validate_bundle,
 )
-from .rings import RationalRing, Ring, ring_from_spec
+from .rings import RationalRing, Ring, validate_ring
 from .semigroupoids import (
     direct_product,
     semigroupoid_to_raw,
@@ -55,7 +55,6 @@ from .validation import (
     StageError,
     StructureError,
     ValidationReport,
-    must,
 )
 
 class WorkspaceError(SectionalError):
@@ -263,7 +262,7 @@ class Builder:
         def build():
             stanza = dict(self.ws.semigroupoids[name])
             stanza.setdefault("id", name)
-            return must(validate_semigroupoid(stanza))
+            return validate_semigroupoid(stanza)
         return self._memo(("sgpd", name), build)
 
     def inverse(self, name: str):
@@ -273,37 +272,33 @@ class Builder:
                 raise StructureError(ValidationReport.single(
                     f"inverse semigroupoid {name}", "structural", (name,),
                     f"semigroupoid {name!r} declares no inv table"))
-            return must(validate_inverse_semigroupoid(
-                self.semigroupoid(name), stanza["inv"]
-            ))
+            return validate_inverse_semigroupoid(self.semigroupoid(name), stanza["inv"])
         return self._memo(("inv", name), build)
 
     def homomorphism(self, name: str):
         def build():
             stanza = self.ws.homomorphisms[name]
-            return must(validate_homomorphism(
+            return validate_homomorphism(
                 stanza.get("map", {}),
                 self.semigroupoid(stanza["source"]),
                 self.semigroupoid(stanza["target"]),
-            ))
+            )
         return self._memo(("hom", name), build)
 
     def action(self, name: str):
         def build():
             stanza = self.ws.actions[name]
-            return must(validate_preaction(
+            return validate_preaction(
                 stanza.get("maps", {}),
                 self.inverse(stanza["actor"]),
                 self.semigroupoid(stanza["space"]),
-            ))
+            )
         return self._memo(("action", name), build)
 
     def bundle(self, name: str):
         def build():
             stanza = self.ws.bundles[name]
-            return must(validate_bundle(
-                stanza, self.ring, self.semigroupoid(stanza["base"])
-            ))
+            return validate_bundle(stanza, self.ring, self.semigroupoid(stanza["base"]))
         return self._memo(("bundle", name), build)
 
     def bundle_action(self, name: str):
@@ -318,28 +313,28 @@ class Builder:
                     for g_name, mat in per_arrow.items():
                         g = theta.space.arrow_index(str(g_name))
                         fibers[(s, g)] = mat
-                return must(validate_bundle_action(theta, bundle, fibers))
+                return validate_bundle_action(theta, bundle, fibers)
             theta = self.action(name)
             bundle = trivial_bundle(self.ring, theta.space)
-            return must(validate_bundle_action(theta, bundle, None))
+            return validate_bundle_action(theta, bundle, None)
         return self._memo(("baction", name), build)
 
     def congruence(self, name: str):
         def build():
             stanza = self.ws.congruences[name]
-            return must(validate_rigid_congruence(
+            return validate_rigid_congruence(
                 stanza.get("classes", []), self.semigroupoid(stanza["base"])
-            ))
+            )
         return self._memo(("cong", name), build)
 
     def bundle_congruence(self, cong_name: str, bundle_name: str):
         def build():
             stanza = self.ws.congruences[cong_name]
-            return must(validate_bundle_congruence(
+            return validate_bundle_congruence(
                 self.bundle(bundle_name),
                 self.congruence(cong_name),
                 stanza.get("transports", {}),
-            ))
+            )
         return self._memo(("bcong", cong_name, bundle_name), build)
 
 
@@ -491,7 +486,7 @@ TASKS: dict[str, dict[str, TaskSpec]] = {
             lambda b, p: _built(semidirect_product(b.action(p["action"])))),
         "germ": TaskSpec(
             {"action": ("actions",)},
-            lambda b, p: _built(must(germ_quotient(b.action(p["action"]))).quotient)),
+            lambda b, p: _built(germ_quotient(b.action(p["action"])).quotient)),
         "quotient": TaskSpec(
             {"congruence": ("congruences",)},
             lambda b, p: _built(quotient_semigroupoid(b.congruence(p["congruence"]))[0])),
@@ -595,7 +590,7 @@ def workspace_ring(ws: WorkspaceFile, override: Ring | None = None) -> Ring:
     """The override, else the workspace's own ring, else Q."""
     if override is not None:
         return override
-    return ring_from_spec({"kind": "q"} if ws.ring_spec is None else ws.ring_spec)
+    return validate_ring({"kind": "q"} if ws.ring_spec is None else ws.ring_spec)
 
 
 def run_workspace(ws: WorkspaceFile, selector: str = "all", seed: int = 0,

@@ -9,28 +9,39 @@ import copy
 
 from sectional.actions import validate_preaction
 from sectional.semigroupoids import (
-    Homomorphism,
     validate_homomorphism,
     validate_inverse_semigroupoid,
     validate_semigroupoid,
 )
-from sectional.validation import must
+from sectional.validation import StructureError
 
 
 def built(raw):
     """The validated structure of a raw stanza: an inverse semigroupoid when the
     stanza carries an inverse table, a semigroupoid otherwise."""
-    sgpd = must(validate_semigroupoid(raw))
-    return must(validate_inverse_semigroupoid(sgpd, raw["inv"])) if "inv" in raw else sgpd
+    sgpd = validate_semigroupoid(raw)
+    return validate_inverse_semigroupoid(sgpd, raw["inv"]) if "inv" in raw else sgpd
+
+
+def refusal(call, *args):
+    """The report of the StructureError call(*args) raises, or None when it
+    returns."""
+    try:
+        call(*args)
+    except StructureError as exc:
+        return exc.report
+    return None
 
 
 def is_isomorphism(mapping, source, target):
     """Whether the arrow map {source name: target name} is an isomorphism: a
     rigid homomorphism, a bijection onto the target's arrows, and as many
     vertices on each side."""
-    hom = validate_homomorphism(mapping, source, target)
-    return (isinstance(hom, Homomorphism) and hom.rigid
-            and sorted(hom.map) == list(target.arrows())
+    try:
+        hom = validate_homomorphism(mapping, source, target)
+    except StructureError:
+        return False
+    return (hom.rigid and sorted(hom.map) == list(target.arrows())
             and source.n_vertices == target.n_vertices)
 
 
@@ -273,4 +284,4 @@ def nested_chain_action(n):
 
 def preaction(actor, space, maps):
     """The validated preaction of raw actor, space and maps stanzas."""
-    return must(validate_preaction(maps, built(actor), must(validate_semigroupoid(space))))
+    return validate_preaction(maps, built(actor), validate_semigroupoid(space))

@@ -36,7 +36,6 @@ from sectional.theorems import (
     validate_bundle_action,
     validate_bundle_congruence,
 )
-from sectional.validation import ValidationReport, must
 
 from structures import (
     SKEW_Z2_TO_PAIR,
@@ -46,6 +45,7 @@ from structures import (
     klein_four_raw,
     pair_groupoid_raw,
     parallel_arrows_raw,
+    refusal,
     semilattice_on_points_action,
     semilattice_raw,
     trivial_monoid_raw,
@@ -101,10 +101,7 @@ def test_criterion_1_axiom_validators(acceptance):
               semilattice_raw(), klein_four_raw()]
     ok = True
     for raw in corpus:
-        sgpd = validate_semigroupoid(raw)
-        ok = ok and not isinstance(sgpd, ValidationReport)
-        inv = validate_inverse_semigroupoid(sgpd, raw["inv"])
-        ok = ok and not isinstance(inv, ValidationReport)
+        ok = ok and refusal(built, raw) is None
 
     perturbations = [
         (without_product_entry(trivial_monoid_raw(), "a", "a"),
@@ -127,14 +124,11 @@ def test_criterion_1_axiom_validators(acceptance):
     assert len(perturbations) == 10
     for raw, expected_kind in perturbations:
         if expected_kind == "inverse-condition":
-            sgpd = validate_semigroupoid(raw)
-            ok = ok and not isinstance(sgpd, ValidationReport)
-            report = validate_inverse_semigroupoid(sgpd, raw["inv"])
+            report = refusal(validate_inverse_semigroupoid, validate_semigroupoid(raw), raw["inv"])
         else:
-            report = validate_semigroupoid(raw)
-        rejected = isinstance(report, ValidationReport)
-        ok = ok and rejected
-        if rejected:
+            report = refusal(validate_semigroupoid, raw)
+        ok = ok and report is not None
+        if report is not None:
             failure = report.first(expected_kind)
             ok = ok and failure is not None
             ok = ok and _witness_is_correct(raw, expected_kind, failure.witness)
@@ -193,12 +187,12 @@ def _matrix_unit_bundle(ring):
             if j == k:
                 vec[i * 2 + l] = 1
             units[(p, q)] = vec
-    return must(validate_bundle(
+    return validate_bundle(
         {"ranks": {arrow: 4}, "mode": "sc",
          "constants": {f"{arrow},{arrow}": [[units[(p, q)] for q in range(4)]
                                             for p in range(4)]}},
         ring, base,
-    ))
+    )
 
 
 def test_criterion_4_tensor_theorem(acceptance):
@@ -230,33 +224,33 @@ def _crossed_instances():
     from sectional.actions import trivial_action
 
     theta0 = trivial_action(built(trivial_monoid_raw()), built(pair_groupoid_raw()).base)
-    inst0 = must(validate_bundle_action(
+    inst0 = validate_bundle_action(
         theta0, trivial_bundle(Q, built(pair_groupoid_raw()).base), None
-    ))
+    )
 
     actor = built(semilattice_raw())
     space = built(unit_groupoid_raw(("x", "y")))
-    theta1 = must(validate_preaction(
+    theta1 = validate_preaction(
         semilattice_on_points_action(), actor, space.base
-    ))
-    inst1 = must(validate_bundle_action(theta1, trivial_bundle(Q, space.base), None))
+    )
+    inst1 = validate_bundle_action(theta1, trivial_bundle(Q, space.base), None)
 
     z2 = built(cyclic2_raw())
     point = built(trivial_monoid_raw()).base
     arrow = point.arrow_names[0]
-    bundle = must(validate_bundle(
+    bundle = validate_bundle(
         {"ranks": {arrow: 2}, "mode": "sc",
          "constants": {f"{arrow},{arrow}": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}},
         Q, point,
-    ))
-    theta2 = must(validate_preaction(
+    )
+    theta2 = validate_preaction(
         {"u": {"dom": [arrow], "img": [arrow]},
          "g": {"dom": [arrow], "img": [arrow]}},
         z2, point,
-    ))
-    inst2 = must(validate_bundle_action(
+    )
+    inst2 = validate_bundle_action(
         theta2, bundle, {(0, 0): [[1, 0], [0, 1]], (1, 0): [[0, 1], [1, 0]]}
-    ))
+    )
     return [inst0, inst1, inst2]
 
 
@@ -297,31 +291,31 @@ def _quotient_corpus(ring):
     z2 = built(cyclic2_raw()).base
     out = []
 
-    cong = must(validate_rigid_congruence([["u"], ["g"]], z2))
-    out.append(must(validate_bundle_congruence(
-        trivial_bundle(ring, z2), cong, None)))
+    cong = validate_rigid_congruence([["u"], ["g"]], z2)
+    out.append(validate_bundle_congruence(
+        trivial_bundle(ring, z2), cong, None))
 
     actor = built(semilattice_raw())
     space = built(unit_groupoid_raw(("x", "y")))
-    theta = must(validate_preaction(
+    theta = validate_preaction(
         semilattice_on_points_action(), actor, space.base
-    ))
-    sp = bundle_semidirect(must(validate_bundle_action(
+    )
+    sp = bundle_semidirect(validate_bundle_action(
         theta, trivial_bundle(ring, space.base), None
-    )))
-    cong = must(validate_rigid_congruence(
-        [["(1,1x)", "(e,1x)"], ["(1,1y)"]], sp.base
     ))
-    out.append(must(validate_bundle_congruence(sp, cong, None)))
+    cong = validate_rigid_congruence(
+        [["(1,1x)", "(e,1x)"], ["(1,1y)"]], sp.base
+    )
+    out.append(validate_bundle_congruence(sp, cong, None))
 
     par = built(parallel_arrows_raw())
-    cong = must(validate_rigid_congruence([["a", "b"]], par))
-    out.append(must(validate_bundle_congruence(
-        trivial_bundle(ring, par), cong, None)))
+    cong = validate_rigid_congruence([["a", "b"]], par)
+    out.append(validate_bundle_congruence(
+        trivial_bundle(ring, par), cong, None))
 
-    cong = must(validate_rigid_congruence([["u", "g"]], z2))
-    out.append(must(validate_bundle_congruence(
-        trivial_bundle(ring, z2), cong, {"g": [[-1]]})))
+    cong = validate_rigid_congruence([["u", "g"]], z2)
+    out.append(validate_bundle_congruence(
+        trivial_bundle(ring, z2), cong, {"g": [[-1]]}))
     return out
 
 
@@ -343,9 +337,9 @@ def test_criterion_7_quotient_theorem(ring, acceptance):
 def test_criterion_8_germ_corollary(acceptance):
     actor = built(semilattice_raw())
     space = built(unit_groupoid_raw(("x", "y")))
-    theta = must(validate_preaction(
+    theta = validate_preaction(
         semilattice_on_points_action(), actor, space.base
-    ))
+    )
     res = germ_corollary(theta, Q)
     data = res.certificate.data
     ok = res.certificate.passed

@@ -39,6 +39,7 @@ is, and passes.
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,14 +58,15 @@ from sectional.bundles import (
     semigroupoid_algebra,
     validate_algebra_action,
 )
-from sectional.rings import RationalRing, ZModRing, ring_from_spec, sparse_row
+from sectional.rings import RationalRing, ZModRing, sparse_row, validate_ring
 from sectional.semigroupoids import validate_inverse_semigroupoid, validate_semigroupoid
-from sectional.validation import ValidationReport, must
+from sectional.validation import StructureError
 
 from structures import (
     built,
     cyclic2_raw,
     pair_groupoid_raw,
+    refusal,
     semilattice_on_points_action,
     semilattice_raw,
     unit_groupoid_raw,
@@ -230,8 +232,8 @@ def chain(n):
         "arrows": [{"id": i, "src": "*", "rng": "*"} for i in ids],
         "prod": [[i, j, str(min(int(i), int(j)))] for i in ids for j in ids],
     }
-    return must(validate_inverse_semigroupoid(must(validate_semigroupoid(raw)),
-                                              {i: i for i in ids}))
+    return validate_inverse_semigroupoid(validate_semigroupoid(raw),
+                                         {i: i for i in ids})
 
 
 ACTORS = [*map(built, (semilattice_raw(), cyclic2_raw(), pair_groupoid_raw(),
@@ -256,11 +258,11 @@ def relation_space(name, related):
     """The semigroupoid of a transitive relation: an arrow ij from j to i for
     each related pair (i, j), and ij jk = ik."""
     arrows = sorted(related)
-    return must(validate_semigroupoid({
+    return validate_semigroupoid({
         "id": name, "vertices": sorted({v for pair in arrows for v in pair}),
         "arrows": [{"id": i + j, "src": j, "rng": i} for i, j in arrows],
         "prod": [[i + j, j + k, i + k] for i, j in arrows for j2, k in arrows if j == j2],
-    }))
+    })
 
 
 # a chain category u < v < w, whose ideals are not unions of components, and
@@ -321,10 +323,10 @@ def test_ideal_and_isomorphism_witnesses_match_oracle():
         raw = {actor.base.arrow_names[s]: {"dom": [space.arrow_names[g] for g in m],
                                           "img": [space.arrow_names[g] for g in m.values()]}
                for s, m in enumerate(maps)}
-        result = validate_preaction(raw, actor, space)
+        report = refusal(validate_preaction, raw, actor, space)
         stage, expected = oracle_ideal_and_isomorphism(actor, space, maps)
-        got = [] if not isinstance(result, ValidationReport) else [
-            (f.kind, f.witness, f.message) for f in result.failures
+        got = [] if report is None else [
+            (f.kind, f.witness, f.message) for f in report.failures
             if f.kind in ("ideal-property", "isomorphism")]
         assert got == expected
         verdicts.add((stage, expected[0][0] if expected else None))
@@ -360,12 +362,12 @@ def _valid_actions():
               "2": {"dom": [x, y, z], "img": [x, y, z]}}
     moves = {f"({i},{j})": {"dom": [f"1{j}"], "img": [f"1{i}"]} for i in "xy" for j in "xy"}
     return [
-        must(validate_preaction(semilattice_on_points_action(), built(semilattice_raw()),
-                                built(unit_groupoid_raw()).base)),
-        must(validate_preaction(swap, built(cyclic2_raw()), built(unit_groupoid_raw()).base)),
-        must(validate_preaction(nested, chain(3), built(unit_groupoid_raw(("x", "y", "z"))).base)),
-        must(validate_preaction(moves, built(pair_groupoid_raw(("x", "y"))),
-                                built(unit_groupoid_raw()).base)),
+        validate_preaction(semilattice_on_points_action(), built(semilattice_raw()),
+                           built(unit_groupoid_raw()).base),
+        validate_preaction(swap, built(cyclic2_raw()), built(unit_groupoid_raw()).base),
+        validate_preaction(nested, chain(3), built(unit_groupoid_raw(("x", "y", "z"))).base),
+        validate_preaction(moves, built(pair_groupoid_raw(("x", "y"))),
+                           built(unit_groupoid_raw()).base),
     ]
 
 
@@ -438,7 +440,7 @@ def test_corrupted_matrix_gives_the_oracle_witness():
     assert witness == oracle_algebra_associativity(broken)
 
 
-CORRUPTION_RINGS = [RationalRing(), ZModRing(6), ring_from_spec(upper_triangular_f2_ring_spec())]
+CORRUPTION_RINGS = [RationalRing(), ZModRing(6), validate_ring(upper_triangular_f2_ring_spec())]
 
 
 def test_corrupted_constant_gives_the_oracle_verdicts():
@@ -462,14 +464,14 @@ def test_corrupted_constant_gives_the_oracle_verdicts():
         broken = AlgebraPresentation(ring, alg.basis, table, labels=alg.labels)
         expected = oracle_ideal_and_multiplicative(
             AlgebraAction(theta.actor, broken, honest.domains, honest.rows))
-        result = validate_algebra_action(theta.actor, broken, honest.domains, honest.rows)
         if expected is not None:
-            assert isinstance(result, ValidationReport)
-            first = result.first()
+            with pytest.raises(StructureError) as refused:
+                validate_algebra_action(theta.actor, broken, honest.domains, honest.rows)
+            first = refused.value.report.first()
             assert (first.kind, first.witness) == expected
             verdicts.add(expected[0])
         else:
-            assert isinstance(result, AlgebraAction)
+            result = validate_algebra_action(theta.actor, broken, honest.domains, honest.rows)
             witness = oracle_algebra_associativity(result)
             assert algebra_action_associativity(result) == witness
             verdicts.add(witness is None)

@@ -11,7 +11,7 @@ from sectional.actions import (
     validate_rigid_congruence,
 )
 from sectional.semigroupoids import direct_product, is_groupoid
-from sectional.validation import StructureError, ValidationReport, must
+from sectional.validation import StructureError
 
 from structures import (
     built,
@@ -29,7 +29,7 @@ from structures import (
 def germ_example():
     actor = built(semilattice_raw())
     space = built(unit_groupoid_raw(("x", "y")))
-    theta = must(validate_preaction(semilattice_on_points_action(), actor, space.base))
+    theta = validate_preaction(semilattice_on_points_action(), actor, space.base)
     return actor, space, theta
 
 
@@ -41,12 +41,13 @@ class TestValidatePreaction:
     def test_broken_inverse_bookkeeping(self):
         actor = built(semilattice_raw())
         space = built(unit_groupoid_raw(("x", "y")))
-        report = validate_preaction(
-            {"1": {"dom": ["1x", "1y"], "img": ["1x", "1y"]},
-             "e": {"dom": ["1x"], "img": ["1y"]}},
-            actor, space.base,
-        )
-        assert isinstance(report, ValidationReport)
+        with pytest.raises(StructureError) as refused:
+            validate_preaction(
+                {"1": {"dom": ["1x", "1y"], "img": ["1x", "1y"]},
+                 "e": {"dom": ["1x"], "img": ["1y"]}},
+                actor, space.base,
+            )
+        report = refused.value.report
         assert report.has("inverse-compatibility")
 
     def test_trivial_action_is_global(self):
@@ -88,12 +89,13 @@ class TestValidatePreaction:
                      ["n", "z", "z"], ["n", "n", "z"]],
         }
         from sectional.semigroupoids import validate_semigroupoid
-        space = must(validate_semigroupoid(raw))
-        report = validate_preaction(
-            {"1": {"dom": ["n"], "img": ["n"]}, "e": {"dom": [], "img": []}},
-            built(semilattice_raw()), space,
-        )
-        assert isinstance(report, ValidationReport)
+        space = validate_semigroupoid(raw)
+        with pytest.raises(StructureError) as refused:
+            validate_preaction(
+                {"1": {"dom": ["n"], "img": ["n"]}, "e": {"dom": [], "img": []}},
+                built(semilattice_raw()), space,
+            )
+        report = refused.value.report
         assert report.has("ideal-property")
 
 
@@ -107,11 +109,11 @@ class TestSemidirectProduct:
         assert sp.prod[i_1x][i_ex] == i_ex
 
     def test_translation_action_gives_action_groupoid(self):
-        theta = must(validate_preaction(
+        theta = validate_preaction(
             {"u": {"dom": ["10", "11"], "img": ["10", "11"]},
              "g": {"dom": ["10", "11"], "img": ["11", "10"]}},
             built(cyclic2_raw()), built(unit_groupoid_raw(("0", "1"))).base,
-        ))
+        )
         sp = semidirect_product(theta)
         sgpd = sp
         assert sgpd.n_arrows == 4
@@ -158,9 +160,9 @@ class TestRigidCongruence:
     def test_identity_partition_accepts(self, germ_example):
         _actor, _space, theta = germ_example
         sp = semidirect_product(theta)
-        cong = must(validate_rigid_congruence(
+        cong = validate_rigid_congruence(
             [[a] for a in sp.arrow_names], sp
-        ))
+        )
         quotient, projection = quotient_semigroupoid(cong)
         names = sp.arrow_names
         assert is_isomorphism({f"[{x}]": x for x in names}, quotient, sp)
@@ -169,9 +171,9 @@ class TestRigidCongruence:
     def test_germ_partition_accepts(self, germ_example):
         _actor, _space, theta = germ_example
         sp = semidirect_product(theta)
-        cong = must(validate_rigid_congruence(
+        cong = validate_rigid_congruence(
             [["(1,1x)", "(e,1x)"], ["(1,1y)"]], sp
-        ))
+        )
         quotient, _ = quotient_semigroupoid(cong)
         assert is_isomorphism({"[(1,1x)]": "1x", "[(1,1y)]": "1y"},
                               quotient, built(unit_groupoid_raw(("x", "y"))).base)
@@ -179,15 +181,16 @@ class TestRigidCongruence:
     def test_source_mismatch_rejected(self, germ_example):
         _actor, _space, theta = germ_example
         sp = semidirect_product(theta)
-        report = validate_rigid_congruence(
-            [["(1,1x)", "(1,1y)"], ["(e,1x)"]], sp
-        )
-        assert isinstance(report, ValidationReport)
+        with pytest.raises(StructureError) as refused:
+            validate_rigid_congruence(
+                [["(1,1x)", "(1,1y)"], ["(e,1x)"]], sp
+            )
+        report = refused.value.report
         assert report.has("source-range-mismatch")
 
     def test_total_congruence_on_group(self):
         z2 = built(cyclic2_raw()).base
-        cong = must(validate_rigid_congruence([["u", "g"]], z2))
+        cong = validate_rigid_congruence([["u", "g"]], z2)
         quotient, _ = quotient_semigroupoid(cong)
         assert is_isomorphism({"[u]": "a"}, quotient, built(trivial_monoid_raw()).base)
 
@@ -208,21 +211,24 @@ class TestRigidCongruence:
             ],
         }
         from sectional.semigroupoids import validate_semigroupoid
-        m = must(validate_semigroupoid(raw))
-        report = validate_rigid_congruence([["1", "a"], ["z"]], m)
-        assert isinstance(report, ValidationReport)
+        m = validate_semigroupoid(raw)
+        with pytest.raises(StructureError) as refused:
+            validate_rigid_congruence([["1", "a"], ["z"]], m)
+        report = refused.value.report
         assert report.has("product-incompatibility")
 
     def test_partition_must_cover(self):
         z2 = built(cyclic2_raw()).base
-        report = validate_rigid_congruence([["u"]], z2)
-        assert report.has("structural")
+        with pytest.raises(StructureError) as refused:
+            validate_rigid_congruence([["u"]], z2)
+        assert refused.value.report.has("structural")
 
     @pytest.mark.parametrize("member", [2, -1, True])
     def test_member_outside_the_arrow_ids_is_structural(self, member):
         z2 = built(cyclic2_raw()).base
-        report = validate_rigid_congruence([["u", "g", member]], z2)
-        assert isinstance(report, ValidationReport)
+        with pytest.raises(StructureError) as refused:
+            validate_rigid_congruence([["u", "g", member]], z2)
+        report = refused.value.report
         assert report.first().kind == "structural"
 
 
@@ -236,11 +242,11 @@ class TestGermQuotient:
                               germ.quotient, built(unit_groupoid_raw(("x", "y"))).base)
 
     def test_group_action_has_trivial_germ_relation(self):
-        theta = must(validate_preaction(
+        theta = validate_preaction(
             {"u": {"dom": ["10", "11"], "img": ["10", "11"]},
              "g": {"dom": ["10", "11"], "img": ["11", "10"]}},
             built(cyclic2_raw()), built(unit_groupoid_raw(("0", "1"))).base,
-        ))
+        )
         germ = germ_quotient(theta)
         assert germ.quotient.n_arrows == germ.semidirect.n_arrows
         names = germ.semidirect.arrow_names
@@ -250,19 +256,20 @@ class TestGermQuotient:
     def test_empty_domain_means_no_collapse(self):
         actor = built(semilattice_raw())
         space = built(unit_groupoid_raw(("x", "y")))
-        theta = must(validate_preaction(
+        theta = validate_preaction(
             {"1": {"dom": ["1x", "1y"], "img": ["1x", "1y"]},
              "e": {"dom": [], "img": []}},
             actor, space.base,
-        ))
+        )
         germ = germ_quotient(theta)
         assert germ.quotient.n_arrows == germ.semidirect.n_arrows
 
     def test_non_groupoid_space_refused(self, germ_example):
         actor, _space, _theta = germ_example
         theta = trivial_action(actor, built(semilattice_raw()).base)
-        out = germ_quotient(theta)
-        assert isinstance(out, ValidationReport)
+        with pytest.raises(StructureError) as refused:
+            germ_quotient(theta)
+        out = refused.value.report
         assert out.has("space-not-groupoid")
 
     def test_partial_action_on_groupoid_gives_groupoid(self, germ_example):
@@ -278,12 +285,13 @@ class TestSemidirectRefusal:
         # theta_11 = theta_1 theta_1
         actor = built(semilattice_raw())
         space = built(unit_groupoid_raw(("x", "y"))).base
-        candidate = validate_preaction(
-            {"1": {"dom": ["1x", "1y"], "img": ["1y", "1x"]},
-             "e": {"dom": [], "img": []}},
-            actor, space,
-        )
-        assert isinstance(candidate, ValidationReport)
+        with pytest.raises(StructureError) as refused:
+            validate_preaction(
+                {"1": {"dom": ["1x", "1y"], "img": ["1y", "1x"]},
+                 "e": {"dom": [], "img": []}},
+                actor, space,
+            )
+        candidate = refused.value.report
         assert candidate.has("extension-law")
 
     def test_nonassociative_flag_refuses_with_witness(self, germ_example):

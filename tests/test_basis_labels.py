@@ -32,7 +32,6 @@ from sectional.theorems import (
     tensor_product_algebra,
     validate_bundle_action,
 )
-from sectional.validation import must
 
 from structures import (
     built,
@@ -58,30 +57,30 @@ def assert_indexed(alg: AlgebraPresentation) -> None:
 def mixed_bundle():
     """Rank 2 over 1x (pointwise product), rank 1 over 1y."""
     space = built(unit_groupoid_raw(("x", "y"))).base
-    return must(validate_bundle(
+    return validate_bundle(
         {"ranks": {"1x": 2}, "mode": "sc",
          "constants": {"1x,1x": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}},
         Q, space,
-    ))
+    )
 
 
 def semilattice_action():
-    theta = must(validate_preaction(semilattice_on_points_action(), built(semilattice_raw()),
-                                    built(unit_groupoid_raw(("x", "y"))).base))
-    return induced_theta(must(validate_bundle_action(theta, mixed_bundle(), None)))
+    theta = validate_preaction(semilattice_on_points_action(), built(semilattice_raw()),
+                               built(unit_groupoid_raw(("x", "y"))).base)
+    return induced_theta(validate_bundle_action(theta, mixed_bundle(), None))
 
 
 def pair_action():
     """The pair groupoid moving the two points of a space, rank-2 fibers."""
     space = built(unit_groupoid_raw(("x1", "x2"))).base
-    theta = must(validate_preaction({
+    theta = validate_preaction({
         "(1,1)": {"dom": ["1x1"], "img": ["1x1"]},
         "(1,2)": {"dom": ["1x2"], "img": ["1x1"]},
         "(2,1)": {"dom": ["1x1"], "img": ["1x2"]},
         "(2,2)": {"dom": ["1x2"], "img": ["1x2"]},
-    }, built(pair_groupoid_raw()), space))
+    }, built(pair_groupoid_raw()), space)
     bundle = coefficient_bundle(GROUP_ALGEBRA, space)
-    return induced_theta(must(validate_bundle_action(theta, bundle, None)))
+    return induced_theta(validate_bundle_action(theta, bundle, None))
 
 
 def section_bundles():
@@ -147,8 +146,8 @@ def test_range_side_labels_take_the_inverse_domain(make_action):
 
 def smash_inputs():
     p2, z2 = built(pair_groupoid_raw()).base, built(cyclic2_raw()).base
-    parity = must(validate_homomorphism(
-        {"(1,1)": "u", "(2,2)": "u", "(1,2)": "g", "(2,1)": "g"}, p2, z2))
+    parity = validate_homomorphism(
+        {"(1,1)": "u", "(2,2)": "u", "(1,2)": "g", "(2,1)": "g"}, p2, z2)
     return [
         sectional_algebra(trivial_bundle(Q, p2), identity_homomorphism(p2)),
         sectional_algebra(coefficient_bundle(GROUP_ALGEBRA, p2), parity),
@@ -184,12 +183,17 @@ class TestHandBuiltPresentation:
         with pytest.raises(ValueError, match="one label"):
             AlgebraPresentation(Q, ("a", "b"), labels=((0, 0),))
 
+    def test_index_that_is_not_an_int_is_refused(self):
+        for table in ({(0, 1): {"x": 1}}, {(0, "x"): {1: 1}}, {(0, 1): {2: 1}}):
+            with pytest.raises(ValueError, match="indexes outside the basis"):
+                AlgebraPresentation(Q, ("a", "b"), table)
+
 
 P2 = built(pair_groupoid_raw()).base
 P3 = built(pair_groupoid_raw(("1", "2", "3"))).base
 Z2 = built(cyclic2_raw()).base
-PARITY = must(validate_homomorphism(
-    {"(1,1)": "u", "(2,2)": "u", "(1,2)": "g", "(2,1)": "g"}, P2, Z2))
+PARITY = validate_homomorphism(
+    {"(1,1)": "u", "(2,2)": "u", "(1,2)": "g", "(2,1)": "g"}, P2, Z2)
 
 
 def direct_case(a, b):
@@ -199,7 +203,7 @@ def direct_case(a, b):
 
 def semidirect_case(actor, space_points, maps):
     space = built(unit_groupoid_raw(space_points)).base
-    theta = must(validate_preaction(maps, actor, space))
+    theta = validate_preaction(maps, actor, space)
     expected = {(s, a) for s in actor.base.arrows() for a in theta.maps[s]}
     return semidirect_product(theta), expected, actor.base.arrow_names, space.arrow_names
 
@@ -239,6 +243,6 @@ def test_product_arrows_are_labeled_by_their_pairs(case):
 
 
 def test_a_validated_stanza_is_labeled_by_its_arrow_names():
-    sgpd = must(validate_semigroupoid(pair_groupoid_raw()))
+    sgpd = validate_semigroupoid(pair_groupoid_raw())
     assert sgpd.labels == sgpd.arrow_names
     assert sgpd.index == {name: i for i, name in enumerate(sgpd.arrow_names)}

@@ -27,7 +27,7 @@ from sectional.bundles import (
 from sectional.maps import certify_linear_iso
 from sectional.rings import IntegerRing, RationalRing, TableRing, ZModRing
 from sectional.semigroupoids import identity_homomorphism
-from sectional.validation import CapabilityError, StructureError, ValidationReport, must
+from sectional.validation import CapabilityError, StructureError
 
 from structures import (
     built,
@@ -63,10 +63,10 @@ def matrix_unit_bundle(ring):
         "m,m" if base.arrow_names[0] == "m" else f"{base.arrow_names[0]},{base.arrow_names[0]}":
             [[units[(p, q)] for q in range(4)] for p in range(4)]
     }
-    return must(validate_bundle(
+    return validate_bundle(
         {"ranks": {base.arrow_names[0]: 4}, "constants": constants, "mode": "sc"},
         ring, base,
-    ))
+    )
 
 
 class TestValidateBundle:
@@ -76,11 +76,12 @@ class TestValidateBundle:
 
     def test_broken_constant_has_associativity_witness(self):
         base = built(pair_groupoid_raw()).base
-        report = validate_bundle(
-            {"mode": "sc", "constants": {"(1,2),(2,1)": [[[0]]], "(2,1),(1,2)": [[[1]]]}},
-            Z4, base,
-        )
-        assert isinstance(report, ValidationReport)
+        with pytest.raises(StructureError) as refused:
+            validate_bundle(
+                {"mode": "sc", "constants": {"(1,2),(2,1)": [[[0]]], "(2,1),(1,2)": [[[1]]]}},
+                Z4, base,
+            )
+        report = refused.value.report
         failure = report.first("associativity")
         assert failure.witness[:3] == ("(1,2)", "(2,1)", "(1,2)")
 
@@ -91,11 +92,12 @@ class TestValidateBundle:
 
     def test_rank_mismatch_reported(self):
         base = built(trivial_monoid_raw()).base
-        report = validate_bundle(
-            {"ranks": {"a": 2}, "constants": {"a,a": [[[1]]]}, "mode": "sc"},
-            Q, base,
-        )
-        assert isinstance(report, ValidationReport)
+        with pytest.raises(StructureError) as refused:
+            validate_bundle(
+                {"ranks": {"a": 2}, "constants": {"a,a": [[[1]]]}, "mode": "sc"},
+                Q, base,
+            )
+        report = refused.value.report
         assert report.has("rank-mismatch")
 
     def test_sc_mode_needs_commutative_ring(self):
@@ -112,22 +114,22 @@ class TestValidateBundle:
         from structures import upper_triangular_f2_ring_spec
 
         ring = validate_ring(upper_triangular_f2_ring_spec())
-        bundle = must(validate_bundle({"mode": "ringfiber"}, ring, built(cyclic2_raw()).base))
+        bundle = validate_bundle({"mode": "ringfiber"}, ring, built(cyclic2_raw()).base)
         alg = sectional_algebra(bundle)
         assert alg.rank == 2 and alg.check_associativity() is None
 
     def test_noncentral_twist_rejected(self):
         from sectional.rings import validate_ring
-        from sectional.validation import ValidationReport
         from structures import upper_triangular_f2_ring_spec
 
         ring = validate_ring(upper_triangular_f2_ring_spec())
         # "010" is the strictly upper triangular unit, which is not central
         assert not ring.is_central(ring.coerce("010"))
-        report = validate_bundle(
-            {"mode": "ringfiber", "twist": {"u,u": "010"}}, ring, built(cyclic2_raw()).base
-        )
-        assert isinstance(report, ValidationReport)
+        with pytest.raises(StructureError) as refused:
+            validate_bundle(
+                {"mode": "ringfiber", "twist": {"u,u": "010"}}, ring, built(cyclic2_raw()).base
+            )
+        report = refused.value.report
         assert report.has("structural")
 
 
@@ -145,15 +147,17 @@ class TestValidateBundle:
 
         # the same rows as a ringfiber stanza with a central twist pass
         assert isinstance(report_for(1, (((ring.one,),),)), Bundle)
-        noncentral = report_for(1, (((ring.coerce("010"),),),))
-        assert isinstance(noncentral, ValidationReport)
+        with pytest.raises(StructureError) as refused:
+            report_for(1, (((ring.coerce("010"),),),))
+        noncentral = refused.value.report
         assert noncentral.kinds() == ["structural"]
         assert noncentral.first().witness == (name, name)
         # e_i e_j = [i = j] e_i is associative, but rank 2 needs a commutative ring
         one, zero = ring.one, ring.zero
         idempotents = (((one, zero), (zero, zero)), ((zero, zero), (zero, one)))
-        rank_two = report_for(2, idempotents)
-        assert isinstance(rank_two, ValidationReport)
+        with pytest.raises(StructureError) as refused:
+            report_for(2, idempotents)
+        rank_two = refused.value.report
         assert rank_two.kinds() == ["structural"]
 
 
@@ -396,9 +400,9 @@ def swap_action():
     qq = semigroupoid_algebra(Q, built(unit_groupoid_raw(("p", "q"))).base)
     swap = {0: _unit(qq, 1), 1: _unit(qq, 0)}
     ident = {0: _unit(qq, 0), 1: _unit(qq, 1)}
-    return must(validate_algebra_action(
+    return validate_algebra_action(
         z2, qq, [(0, 1), (0, 1)], [ident, swap]
-    ))
+    )
 
 
 class TestAlgebraActions:
@@ -406,40 +410,44 @@ class TestAlgebraActions:
         # group algebra: only ideal is 0 or all
         qq = semigroupoid_algebra(Q, built(cyclic2_raw()).base)
         z2 = built(cyclic2_raw())
-        report = validate_algebra_action(
-            z2, qq,
-            [(0, 1), (0,)],
-            [{0: _unit(qq, 0), 1: _unit(qq, 1)}, {0: _unit(qq, 0)}],
-        )
-        assert isinstance(report, ValidationReport)
+        with pytest.raises(StructureError) as refused:
+            validate_algebra_action(
+                z2, qq,
+                [(0, 1), (0,)],
+                [{0: _unit(qq, 0), 1: _unit(qq, 1)}, {0: _unit(qq, 0)}],
+            )
+        report = refused.value.report
         assert report.has("ideal-property")
 
     def test_inverse_mismatch_witness(self, swap_action):
         qq = swap_action.algebra
         z2 = swap_action.actor
-        bad = validate_algebra_action(
-            z2, qq, [(0, 1), (0, 1)],
-            [{0: _unit(qq, 0), 1: _unit(qq, 1)},
-             {0: _unit(qq, 1), 1: _unit(qq, 1)}],
-        )
-        assert isinstance(bad, ValidationReport)
+        with pytest.raises(StructureError) as refused:
+            validate_algebra_action(
+                z2, qq, [(0, 1), (0, 1)],
+                [{0: _unit(qq, 0), 1: _unit(qq, 1)},
+                 {0: _unit(qq, 1), 1: _unit(qq, 1)}],
+            )
+        bad = refused.value.report
         assert bad.has("structural") or bad.has("inverse-compatibility")
 
     def test_image_outside_the_basis_is_structural(self, swap_action):
         qq, z2 = swap_action.algebra, swap_action.actor
-        for image in ({2: Q.one}, ((0, Q.one), (-1, Q.one))):
-            bad = validate_algebra_action(
-                z2, qq, [(0, 1), (0, 1)],
-                [{0: _unit(qq, 0), 1: _unit(qq, 1)}, {0: _unit(qq, 1), 1: image}],
-            )
-            assert [(f.kind, f.witness) for f in bad.failures] == [("structural", ("g", "1q"))]
+        for image in ({2: Q.one}, ((0, Q.one), (-1, Q.one)), {0: Q.one, "x": Q.one}):
+            with pytest.raises(StructureError) as refused:
+                validate_algebra_action(
+                    z2, qq, [(0, 1), (0, 1)],
+                    [{0: _unit(qq, 0), 1: _unit(qq, 1)}, {0: _unit(qq, 1), 1: image}],
+                )
+            assert [(f.kind, f.witness, f.message) for f in refused.value.report.failures] == [
+                ("structural", ("g", "1q"), "image vector indexes outside the basis")]
 
     def test_images_are_stored_as_sorted_sparse_rows(self, swap_action):
         qq, z2 = swap_action.algebra, swap_action.actor
-        action = must(validate_algebra_action(
+        action = validate_algebra_action(
             z2, qq, [(0, 1), (0, 1)],
             [{0: {1: Q.zero, 0: Q.one}, 1: _unit(qq, 1)}, {0: {1: Q.one}, 1: ((0, Q.one),)}],
-        ))
+        )
         assert action.rows == swap_action.rows
 
     def test_swap_action_is_associative(self, swap_action):
@@ -458,11 +466,11 @@ class TestNaiveCrossedProduct:
     def test_semilattice_example_has_rank_three(self):
         s = built(semilattice_raw())
         qx = semigroupoid_algebra(Q, built(unit_groupoid_raw(("x", "y"))).base)
-        action = must(validate_algebra_action(
+        action = validate_algebra_action(
             s, qx, [(0, 1), (0,)],
             [{0: _unit(qx, 0), 1: _unit(qx, 1)},
              {0: _unit(qx, 0)}],
-        ))
+        )
         crossed = naive_crossed_product(action)
         assert crossed.rank == 3
         assert crossed.check_associativity() is None
@@ -499,11 +507,11 @@ class TestLscript:
     def test_semilattice_example_fixes_e_generator(self):
         s = built(semilattice_raw())
         qx = semigroupoid_algebra(Q, built(unit_groupoid_raw(("x", "y"))).base)
-        action = must(validate_algebra_action(
+        action = validate_algebra_action(
             s, qx, [(0, 1), (0,)],
             [{0: _unit(qx, 0), 1: _unit(qx, 1)},
              {0: _unit(qx, 0)}],
-        ))
+        )
         iso = lscript_iso(action)
         assert certify_linear_iso(iso, "semilattice lscript").passed
         src_pos = iso.source.basis.index("d_e.1x")
@@ -531,10 +539,10 @@ class TestCorpusConvolutionInvariant:
         ]
         actor = built(semilattice_raw())
         space = built(unit_groupoid_raw(("x", "y")))
-        theta = must(validate_preaction(
+        theta = validate_preaction(
             semilattice_on_points_action(), actor, space.base
-        ))
-        ba = must(validate_bundle_action(theta, trivial_bundle(Q, space.base), None))
+        )
+        ba = validate_bundle_action(theta, trivial_bundle(Q, space.base), None)
         out.append(("semidirect/Q", bundle_semidirect(ba)))
         return out
 

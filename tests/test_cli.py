@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from sectional import cli
 from sectional.cli import _json, _stanza, main, parse_ring_override
 from sectional.semigroupoids import semigroupoid_to_raw, validate_semigroupoid
-from sectional.validation import StructureError, must
+from sectional.validation import StructureError
 from sectional.rings import RationalRing
 from sectional.workspace import (
     Builder,
@@ -154,11 +154,11 @@ class TestRoundTrip:
     def test_built_structures_reserialize_and_reparse_equal(self):
         p2 = built(pair_groupoid_raw())
         raw = semigroupoid_to_raw(p2.base, p2)
-        rebuilt = must(validate_semigroupoid(raw))
+        rebuilt = validate_semigroupoid(raw)
         assert rebuilt == p2.base
         again = semigroupoid_to_raw(rebuilt)
         again["inv"] = raw["inv"]
-        assert must(validate_semigroupoid(again)) == rebuilt
+        assert validate_semigroupoid(again) == rebuilt
 
 
 class TestCli:
@@ -464,7 +464,7 @@ class TestCli:
         code = main(["build", "sp1", "--input", str(src), "--out", str(out)])
         assert code == 0
         built = json.loads(out.read_text())
-        rebuilt = must(validate_semigroupoid(built))
+        rebuilt = validate_semigroupoid(built)
         assert rebuilt.n_arrows == 3
         assert sorted(built["vertices"]) == sorted(rebuilt.vertex_names)
 
@@ -648,7 +648,7 @@ class TestBuildOps:
         arrows = [t["data"]["arrows"] for t in report["tasks"]]
         assert arrows == [3, 2, 1, 4, 4]
         for task in report["tasks"]:
-            rebuilt = must(validate_semigroupoid(task["data"]["structure"]))
+            rebuilt = validate_semigroupoid(task["data"]["structure"])
             assert rebuilt.n_arrows == task["data"]["arrows"]
 
     def test_repeated_product_arrow_names_fail_build_and_tensor(self, tmp_path, capsys):

@@ -47,9 +47,8 @@ from sectional.bundles import (
     trivial_bundle,
 )
 from sectional.cli import main
-from sectional.rings import RationalRing, ZModRing, combine, ring_from_spec
+from sectional.rings import RationalRing, ZModRing, combine, validate_ring
 from sectional.semigroupoids import identity_homomorphism, label_index, validate_semigroupoid
-from sectional.validation import must
 
 from structures import built, pair_groupoid_raw, parallel_arrows_raw, upper_triangular_f2_ring_spec
 from test_bundles import _random_section as raw_random_section
@@ -59,7 +58,7 @@ FIXTURE = os.path.abspath(os.path.join(HERE, os.pardir, "fixtures", "convolution
 
 Q = RationalRing()
 Z6 = ZModRing(6)
-TABLE = ring_from_spec(upper_triangular_f2_ring_spec())
+TABLE = validate_ring(upper_triangular_f2_ring_spec())
 
 
 def fiber_terms(bundle, a, b, x, y):
@@ -131,21 +130,21 @@ def oracle_sectional_algebra(bundle, grading=None):
 def _parallel_with_units():
     """Units at v and w and two arrows v -> w: the arrows never compose with
     each other, only with the units."""
-    return must(validate_semigroupoid({
+    return validate_semigroupoid({
         "id": "parallel-units",
         "vertices": ["v", "w"],
         "arrows": [{"id": "1v", "src": "v", "rng": "v"}, {"id": "1w", "src": "w", "rng": "w"},
                    {"id": "a", "src": "v", "rng": "w"}, {"id": "b", "src": "v", "rng": "w"}],
         "prod": [["1v", "1v", "1v"], ["1w", "1w", "1w"], ["1w", "a", "a"], ["1w", "b", "b"],
                  ["a", "1v", "a"], ["b", "1v", "b"]],
-    }))
+    })
 
 
 def _pair_beside_chain():
     """P_3 on points 1, 2, 3 beside the chain c0 >= c1 >= c2 on its own vertex."""
     points = "123"
     chain = ("c0", "c1", "c2")
-    return must(validate_semigroupoid({
+    return validate_semigroupoid({
         "id": "P3+chain",
         "vertices": [*points, "*"],
         "arrows": [{"id": f"({i},{j})", "src": j, "rng": i} for i in points for j in points]
@@ -153,7 +152,7 @@ def _pair_beside_chain():
         "prod": [[f"({i},{j})", f"({j},{k})", f"({i},{k})"]
                  for i in points for j in points for k in points]
         + [[x, y, chain[max(i, j)]] for i, x in enumerate(chain) for j, y in enumerate(chain)],
-    }))
+    })
 
 
 BASES = {

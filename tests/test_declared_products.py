@@ -21,7 +21,7 @@ from sectional.semigroupoids import (
     validate_inverse_semigroupoid,
     validate_semigroupoid,
 )
-from sectional.validation import ValidationReport, must
+from sectional.validation import StructureError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CAP = 256 * 2 ** 20
@@ -69,7 +69,7 @@ def test_twenty_thousand_arrows_validate_under_a_256_mb_cap(tmp_path, family):
 def test_idempotent_commutation_makes_linear_lookups(monkeypatch):
     n = 2_000
     raw = loops(n)
-    sgpd = must(validate_semigroupoid(raw))
+    sgpd = validate_semigroupoid(raw)
     calls = 0
     compose = FiniteSemigroupoid.compose
 
@@ -79,7 +79,7 @@ def test_idempotent_commutation_makes_linear_lookups(monkeypatch):
         return compose(self, a, b)
 
     monkeypatch.setattr(FiniteSemigroupoid, "compose", counted)
-    inv = must(validate_inverse_semigroupoid(sgpd, raw["inv"]))
+    inv = validate_inverse_semigroupoid(sgpd, raw["inv"])
     assert len(inv.idempotents) == n
     assert calls <= 10 * n
 
@@ -95,8 +95,9 @@ def test_products_declared_in_descending_order_keep_first_witnesses():
                    {"id": "z", "src": "p", "rng": "q"}],
         "prod": [["x0", "y2", "x0"], ["x0", "y1", "x0"], ["x0", "x1", "z"]],
     }
-    report = validate_semigroupoid(raw)
-    assert isinstance(report, ValidationReport)
+    with pytest.raises(StructureError) as refused:
+        validate_semigroupoid(raw)
+    report = refused.value.report
     assert [(f.kind, f.witness) for f in report.failures] == [
         ("undefined-product", ("x0", "x0")),
         ("range-compatibility", ("x0", "x1")),

@@ -26,10 +26,9 @@ from sectional.actions import semidirect_product, validate_preaction, validate_r
 from sectional.bundles import fiber_rows, validate_bundle
 from sectional.rings import (RationalRing, ZModRing, identity_matrix, mat_inverse, mat_mul,
                              sparse_row)
-from sectional.theorems import (BundleAction, BundleCongruence, bundle_semidirect,
-                                quotient_bundle, validate_bundle_action,
+from sectional.theorems import (bundle_semidirect, quotient_bundle, validate_bundle_action,
                                 validate_bundle_congruence)
-from sectional.validation import must
+from sectional.validation import StructureError
 
 from structures import built, cyclic2_raw, trivial_monoid_raw, unit_groupoid_raw
 
@@ -252,8 +251,8 @@ def _fiber_bundle(ring, base, arrows, fiber):
     k = len(constants)
     pairs = {f"{base.arrow_names[a]},{base.arrow_names[b]}": constants
              for a, b in base.composable}
-    return must(validate_bundle({"ranks": {x: k for x in arrows}, "mode": "sc",
-                                 "constants": pairs}, ring, base))
+    return validate_bundle({"ranks": {x: k for x in arrows}, "mode": "sc",
+                            "constants": pairs}, ring, base)
 
 
 def _action_instance(data, ring):
@@ -265,28 +264,31 @@ def _action_instance(data, ring):
     identity = identity_matrix(k, ring)
     if data.draw(st.booleans()):
         base = built(trivial_monoid_raw()).base
-        theta = must(validate_preaction({"u": {"dom": ["a"], "img": ["a"]},
-                                         "g": {"dom": ["a"], "img": ["a"]}}, z2, base))
+        theta = validate_preaction({"u": {"dom": ["a"], "img": ["a"]},
+                                    "g": {"dom": ["a"], "img": ["a"]}}, z2, base)
         unit = identity
         if data.draw(st.booleans()):
             unit = tuple(tuple(ring.coerce(x) for x in row) for row in SWAPS[fiber])
         maps = {(0, 0): unit, (1, 0): _involution(data, ring, k)}
     else:
         base = built(unit_groupoid_raw(("x", "y"))).base
-        theta = must(validate_preaction({"u": {"dom": ["1x", "1y"], "img": ["1x", "1y"]},
-                                         "g": {"dom": ["1x", "1y"], "img": ["1y", "1x"]}},
-                                        z2, base))
+        theta = validate_preaction({"u": {"dom": ["1x", "1y"], "img": ["1x", "1y"]},
+                                    "g": {"dom": ["1x", "1y"], "img": ["1y", "1x"]}},
+                                   z2, base)
         p = _invertible(data, ring, k)
         maps = {(0, 0): identity, (0, 1): identity, (1, 0): p, (1, 1): mat_inverse(p, ring)}
     bundle = _fiber_bundle(ring, base, base.arrow_names, fiber)
     return theta, bundle, _corrupt(data, ring, maps)
 
 
-def _verdict(result, built_type):
-    if isinstance(result, built_type):
-        return None
-    failure = result.failures[0]
-    return (failure.kind, failure.witness)
+def _outcome(validator, *args):
+    """(the validated object, None), or (None, the first failure's kind and
+    witness) when the validator refuses."""
+    try:
+        return validator(*args), None
+    except StructureError as exc:
+        failure = exc.report.failures[0]
+        return None, (failure.kind, failure.witness)
 
 
 def _columns(mat, ring):
@@ -306,9 +308,9 @@ def test_intertwining_checks_match_the_dense_oracle():
         if data.draw(st.booleans()):
             given_maps = {(s, g): m for (s, g), m in maps.items()
                           if m != identity_matrix(bundle.ranks[g], ring)}
-        result = validate_bundle_action(theta, bundle, given_maps)
+        result, verdict = _outcome(validate_bundle_action, theta, bundle, given_maps)
         expected = oracle_bundle_action(theta, bundle, maps)
-        assert _verdict(result, BundleAction) == expected
+        assert verdict == expected
         action_verdicts.append(expected and expected[0])
         if expected is None:
             assert result.fiber_maps == {key: _columns(m, ring) for key, m in maps.items()}
@@ -320,14 +322,14 @@ def test_intertwining_checks_match_the_dense_oracle():
         fiber = data.draw(st.sampled_from(sorted(FIBERS)))
         k = len(FIBERS[fiber])
         bundle = _fiber_bundle(ring, z2, z2.arrow_names, fiber)
-        cong = must(validate_rigid_congruence([["u", "g"]], z2))
+        cong = validate_rigid_congruence([["u", "g"]], z2)
         transport = {"g": _invertible(data, ring, k)}
         if data.draw(st.booleans()):
             transport["u"] = identity_matrix(k, ring)
         transport = _corrupt(data, ring, transport)
-        result = validate_bundle_congruence(bundle, cong, transport)
+        result, verdict = _outcome(validate_bundle_congruence, bundle, cong, transport)
         expected, full = oracle_bundle_congruence(bundle, cong, transport)
-        assert _verdict(result, BundleCongruence) == expected
+        assert verdict == expected
         congruence_verdicts.append(expected and expected[0])
         if expected is None:
             assert result.transports == {key: _columns(m, ring) for key, m in full.items()}

@@ -27,6 +27,7 @@ import dataclasses
 import itertools
 import os
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,10 +41,10 @@ from sectional.actions import (
 )
 from sectional.rings import RationalRing
 from sectional.semigroupoids import validate_inverse_semigroupoid, validate_semigroupoid
-from sectional.validation import ValidationReport, must
+from sectional.validation import StructureError
 from sectional.workspace import Builder, parse_workspace
 
-from structures import built, cyclic2_raw, pair_groupoid_raw, unit_groupoid_raw
+from structures import built, cyclic2_raw, pair_groupoid_raw, refusal, unit_groupoid_raw
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 
@@ -111,7 +112,7 @@ def oracle_semidirect_prod(theta):
 # ---------------------------------------------------------------------------
 
 def _inverse(raw, inv):
-    return must(validate_inverse_semigroupoid(must(validate_semigroupoid(raw)), inv))
+    return validate_inverse_semigroupoid(validate_semigroupoid(raw), inv)
 
 
 def chain(n):
@@ -139,7 +140,7 @@ def chain_actions(draw):
     entry = {p: draw(st.integers(0, n)) for p in points}
     maps = {f"e{i}": _identity_on(f"1{p}" for p in points if entry[p] <= i)
             for i in range(n)}
-    return must(validate_preaction(maps, chain(n), built(unit_groupoid_raw(points)).base))
+    return validate_preaction(maps, chain(n), built(unit_groupoid_raw(points)).base)
 
 
 @st.composite
@@ -155,7 +156,7 @@ def z2_actions(draw):
     maps = {"u": _identity_on(f"1{p}" for p in dom),
             "g": {"dom": [f"1{p}" for p in dom], "img": [f"1{image[p]}" for p in dom]}}
     space = built(unit_groupoid_raw(points)).base
-    return must(validate_preaction(maps, built(cyclic2_raw()), space))
+    return validate_preaction(maps, built(cyclic2_raw()), space)
 
 
 def _fixture_actions():
@@ -200,17 +201,17 @@ def e_rtimes_gamma(k, m, gamma):
         {name(u, c): name(push(invert(c), u), invert(c)) for u, c in arrows},
     )
     cells = [(x, i, j) for x in range(k) for i in range(m) for j in range(m)]
-    space = must(validate_semigroupoid({
+    space = validate_semigroupoid({
         "id": "G", "vertices": [f"{x}.{i}" for x in range(k) for i in range(m)],
         "arrows": [{"id": f"{x}.{i}{j}", "src": f"{x}.{j}", "rng": f"{x}.{i}"}
                    for x, i, j in cells],
         "prod": [[f"{x}.{i}{j}", f"{x}.{j}{l}", f"{x}.{i}{l}"]
                  for x, i, j in cells for l in range(m)],
-    }))
+    })
     maps = {name(u, c): {"dom": [f"{x}.{i}{j}" for x, i, j in cells if c[x] in u],
                          "img": [f"{c[x]}.{i}{j}" for x, i, j in cells if c[x] in u]}
             for u, c in arrows}
-    return must(validate_preaction(maps, actor, space)), len(gamma) * len(cells)
+    return validate_preaction(maps, actor, space), len(gamma) * len(cells)
 
 
 def pair_moves(points):
@@ -218,7 +219,7 @@ def pair_moves(points):
     with several vertices, so src and rng of the actor arrows differ."""
     moves = {f"({i},{j})": {"dom": [f"1{j}"], "img": [f"1{i}"]} for i in points for j in points}
     space = built(unit_groupoid_raw(points)).base
-    return must(validate_preaction(moves, built(pair_groupoid_raw(points)), space))
+    return validate_preaction(moves, built(pair_groupoid_raw(points)), space)
 
 
 FIXED = [(theta, None) for theta in _fixture_actions()] + [
@@ -242,17 +243,19 @@ def _verdict(theta):
     """Compare germ_quotient with the oracle; return the verdict kind or None."""
     sp = semidirect_product(theta)
     names = sp.arrow_names
-    result = germ_quotient(theta)
+    refused = refusal(germ_quotient, theta)
     witness, blocks = oracle_germ_relation(theta, sp)
     if witness is not None:
-        assert isinstance(result, ValidationReport)
-        assert [(f.kind, f.witness) for f in result.failures] == [("germ-transitivity", witness)]
+        assert [(f.kind, f.witness) for f in refused.failures] == [("germ-transitivity", witness)]
         return "germ-transitivity"
-    expected = validate_rigid_congruence([[names[j] for j in b] for b in blocks], sp)
-    if isinstance(expected, ValidationReport):
-        assert isinstance(result, ValidationReport)
-        assert result.failures == expected.failures
+    partition = [[names[j] for j in b] for b in blocks]
+    expected = refusal(validate_rigid_congruence, partition, sp)
+    if expected is not None:
+        assert refused.failures == expected.failures
         return expected.first().kind
+    assert refused is None
+    result = germ_quotient(theta)
+    expected = validate_rigid_congruence(partition, sp)
     quotient, _projection = quotient_semigroupoid(expected)
     assert result.quotient.arrow_names == quotient.arrow_names
     assert result.congruence.class_of == expected.class_of
@@ -285,11 +288,13 @@ def test_germ_relation_matches_the_dense_oracle():
 def test_dropped_order_pair_breaks_transitivity():
     # C_3 fixing x: without e0 <= e2, (e0,1x) ~ (e1,1x) ~ (e2,1x) through e0
     # and e1, but (e0,1x) and (e2,1x) share no germ
-    theta = must(validate_preaction({f"e{i}": _identity_on(["1x"]) for i in range(3)},
-                                    chain(3), built(unit_groupoid_raw(("x",))).base))
+    theta = validate_preaction({f"e{i}": _identity_on(["1x"]) for i in range(3)},
+                               chain(3), built(unit_groupoid_raw(("x",))).base)
     broken = drop_order_pairs(theta, [(0, 2)])
     assert _verdict(broken) == "germ-transitivity"
-    assert germ_quotient(broken).first().witness == ("(e0,1x)", "(e1,1x)", "(e2,1x)")
+    with pytest.raises(StructureError) as refused:
+        germ_quotient(broken)
+    assert refused.value.report.first().witness == ("(e0,1x)", "(e1,1x)", "(e2,1x)")
 
 
 def test_semidirect_table_matches_the_dense_loop():

@@ -30,8 +30,9 @@ class TestLinearMapOnBasis:
         a = _group_algebra()
         tmap = LinearMapOnBasis(a, a, ({1: Q.one, 0: Q.zero}, ((1, Q.coerce(2)), (0, Q.one))))
         assert tmap.rows == (((1, Q.one),), ((0, Q.one), (1, Q.coerce(2))))
-        with pytest.raises(ValueError):
-            LinearMapOnBasis(a, a, (((2, Q.one),), ()))
+        for image in ((2, Q.one),), {"x": Q.one}, {0: Q.one, "x": Q.one}:
+            with pytest.raises(ValueError, match="indexes outside the target basis"):
+                LinearMapOnBasis(a, a, (image, ()))
         with pytest.raises(ValueError):
             LinearMapOnBasis(a, a, ((),))
 

@@ -20,7 +20,6 @@ from sectional.rings import (
     combine,
     dense,
     ideal_closure,
-    ring_from_spec,
     smith_normal_form,
     solve_linear,
     span_rank,
@@ -29,7 +28,7 @@ from sectional.rings import (
     vector_in_span,
 )
 from sectional.cli import main
-from sectional.validation import CapabilityError, ValidationReport
+from sectional.validation import CapabilityError, StructureError
 
 from structures import columns_of
 
@@ -56,8 +55,9 @@ class TestValidateRing:
 
     def test_unit_law_violation_reported_with_witness(self):
         bad = dict(BOOLEAN_RING, mul=[[0, 0], [0, 0]])
-        report = validate_ring(bad)
-        assert isinstance(report, ValidationReport)
+        with pytest.raises(StructureError) as refused:
+            validate_ring(bad)
+        report = refused.value.report
         assert report.first("unit-law").witness == ("1",)
 
     def test_boolean_table_ring_valid_and_commutative(self):
@@ -75,12 +75,16 @@ class TestValidateRing:
 
     def test_structural_error_distinct_from_axiom_failure(self):
         bad = dict(BOOLEAN_RING, mul=[[0, 0]])
-        report = validate_ring(bad)
+        with pytest.raises(StructureError) as refused:
+            validate_ring(bad)
+        report = refused.value.report
         assert report.kinds() == ["structural"]
 
     def test_unknown_element_is_structural(self):
         bad = dict(BOOLEAN_RING, add=[[0, "two"], [1, 0]])
-        report = validate_ring(bad)
+        with pytest.raises(StructureError) as refused:
+            validate_ring(bad)
+        report = refused.value.report
         assert report.has("structural")
 
     def test_noncommutative_table_ring_accepted(self):
@@ -96,8 +100,9 @@ class TestValidateRing:
         from structures import upper_triangular_f2_ring_spec
 
         spec = dict(upper_triangular_f2_ring_spec(), commutative=True)
-        report = validate_ring(spec)
-        assert isinstance(report, ValidationReport)
+        with pytest.raises(StructureError) as refused:
+            validate_ring(spec)
+        report = refused.value.report
         assert report.kinds() == ["mul-commutativity"]
 
 
@@ -220,8 +225,9 @@ class TestPrimality:
         # a prime above the exact bound passes every base; it is not assumed prime
         n = 2 ** 89 - 1
         assert _is_prime(n) is None
-        report = validate_ring({"kind": "zmod", "n": n})
-        assert isinstance(report, ValidationReport)
+        with pytest.raises(StructureError) as refused:
+            validate_ring({"kind": "zmod", "n": n})
+        report = refused.value.report
         assert report.kinds() == ["structural"]
         assert main(["validate", QUOTIENT_FIXTURE, "--ring", f"zmod{n}"]) == 2
 
@@ -283,7 +289,7 @@ class TestSolveLinear:
     def test_unsupported_rings_refuse(self):
         with pytest.raises(CapabilityError):
             solve_linear([{0: 1}], 1, IntegerRing())
-        table = ring_from_spec(BOOLEAN_RING)
+        table = validate_ring(BOOLEAN_RING)
         with pytest.raises(CapabilityError):
             solve_linear([{0: 1}], 1, table)
 
@@ -361,17 +367,16 @@ class TestIdealClosure:
             validate_algebra_action,
         )
         from structures import built, semilattice_raw, unit_groupoid_raw
-        from sectional.validation import must
 
         s = built(semilattice_raw())
         x = built(unit_groupoid_raw(("x", "y")))
         qx = semigroupoid_algebra(Q, x.base)
-        action = must(validate_algebra_action(
+        action = validate_algebra_action(
             s, qx,
             [(0, 1), (0,)],
             [{0: {0: Q.one}, 1: {1: Q.one}},
              {0: {0: Q.one}}],
-        ))
+        )
         crossed = naive_crossed_product(action)
         assert crossed.basis == ("d_1.1x", "d_1.1y", "d_e.1x")
         generator = {0: Q.one, 2: Q.neg(Q.one)}

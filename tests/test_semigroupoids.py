@@ -11,7 +11,7 @@ from sectional.semigroupoids import (
     validate_inverse_semigroupoid,
     validate_semigroupoid,
 )
-from sectional.validation import StructureError, ValidationReport, must
+from sectional.validation import StructureError, ValidationReport
 
 from structures import (
     built,
@@ -29,7 +29,7 @@ from structures import (
 
 class TestValidateSemigroupoid:
     def test_pair_groupoid_accepts_with_eight_composable_pairs(self):
-        sgpd = must(validate_semigroupoid(pair_groupoid_raw()))
+        sgpd = validate_semigroupoid(pair_groupoid_raw())
         # oracle: count pairs with src(a) = rng(b) directly from the raw table
         raw = pair_groupoid_raw()
         src = {e["id"]: e["src"] for e in raw["arrows"]}
@@ -45,29 +45,36 @@ class TestValidateSemigroupoid:
 
     def test_range_compatibility_witness(self):
         bad = with_product_entry(pair_groupoid_raw(), "(1,2)", "(2,1)", "(2,2)")
-        report = validate_semigroupoid(bad)
-        assert isinstance(report, ValidationReport)
+        with pytest.raises(StructureError) as refused:
+            validate_semigroupoid(bad)
+        report = refused.value.report
         failure = report.first("range-compatibility")
         assert failure.witness == ("(1,2)", "(2,1)")
 
     def test_trivial_monoid_accepts(self):
-        sgpd = must(validate_semigroupoid(trivial_monoid_raw()))
+        sgpd = validate_semigroupoid(trivial_monoid_raw())
         assert sgpd.n_arrows == 1 and sgpd.prod[0][0] == 0
 
     def test_missing_product_on_composable_pair(self):
         bad = without_product_entry(trivial_monoid_raw(), "a", "a")
-        report = validate_semigroupoid(bad)
+        with pytest.raises(StructureError) as refused:
+            validate_semigroupoid(bad)
+        report = refused.value.report
         assert report.first("undefined-product").witness == ("a", "a")
 
     def test_product_on_noncomposable_pair(self):
         bad = dict(pair_groupoid_raw())
         bad["prod"] = bad["prod"] + [["(1,2)", "(1,2)", "(1,1)"]]
-        report = validate_semigroupoid(bad)
+        with pytest.raises(StructureError) as refused:
+            validate_semigroupoid(bad)
+        report = refused.value.report
         assert report.first("product-on-noncomposable").witness == ("(1,2)", "(1,2)")
 
     def test_associativity_witness_is_smallest(self):
         bad = with_product_entry(klein_four_raw(), "a", "b", "a")
-        report = validate_semigroupoid(bad)
+        with pytest.raises(StructureError) as refused:
+            validate_semigroupoid(bad)
+        report = refused.value.report
         failure = report.first("associativity")
         assert failure is not None
         # re-evaluate the witness on the perturbed table
@@ -78,7 +85,9 @@ class TestValidateSemigroupoid:
     def test_structural_unknown_vertex(self):
         bad = trivial_monoid_raw()
         bad["arrows"][0]["src"] = "nowhere"
-        report = validate_semigroupoid(bad)
+        with pytest.raises(StructureError) as refused:
+            validate_semigroupoid(bad)
+        report = refused.value.report
         assert report.kinds() == ["structural"]
 
 
@@ -121,14 +130,17 @@ class TestInverseSemigroupoids:
             "prod": [["p", "p", "p"], ["p", "q", "p"],
                      ["q", "p", "q"], ["q", "q", "q"]],
         }
-        sgpd = must(validate_semigroupoid(raw))
-        report = validate_inverse_semigroupoid(sgpd, {"p": "p", "q": "q"})
-        assert isinstance(report, ValidationReport)
+        sgpd = validate_semigroupoid(raw)
+        with pytest.raises(StructureError) as refused:
+            validate_inverse_semigroupoid(sgpd, {"p": "p", "q": "q"})
+        report = refused.value.report
         assert report.has("non-unique-inverse")
 
     def test_broken_inverse_condition(self):
-        sgpd = must(validate_semigroupoid(cyclic2_raw()))
-        report = validate_inverse_semigroupoid(sgpd, {"u": "u", "g": "u"})
+        sgpd = validate_semigroupoid(cyclic2_raw())
+        with pytest.raises(StructureError) as refused:
+            validate_inverse_semigroupoid(sgpd, {"u": "u", "g": "u"})
+        report = refused.value.report
         assert report.first("inverse-condition").witness == ("g",)
 
     def test_involution_and_antihomomorphism_properties(self):
@@ -160,23 +172,23 @@ class TestHomomorphisms:
         p2 = built(pair_groupoid_raw()).base
         hom = identity_homomorphism(p2)
         assert hom.rigid
-        revalidated = must(validate_homomorphism(
+        revalidated = validate_homomorphism(
             {a: a for a in p2.arrow_names}, p2, p2
-        ))
+        )
         assert revalidated.rigid
 
     def test_collapse_map_is_homomorphism_but_not_rigid(self):
         p2 = built(pair_groupoid_raw()).base
         tm = built(trivial_monoid_raw()).base
-        hom = must(validate_homomorphism(
+        hom = validate_homomorphism(
             {a: "a" for a in p2.arrow_names}, p2, tm
-        ))
+        )
         # ((1,2),(1,2)) is non-composable upstairs but lands on a composable pair
         assert not hom.rigid
 
     def test_grading_identity_on_group_is_rigid(self):
         z2 = built(cyclic2_raw()).base
-        hom = must(validate_homomorphism({"u": "u", "g": "g"}, z2, z2))
+        hom = validate_homomorphism({"u": "u", "g": "g"}, z2, z2)
         assert hom.rigid
 
     def test_multiplicativity_witness(self):
@@ -184,17 +196,18 @@ class TestHomomorphisms:
         # collapsing g onto u is a homomorphism; sending u to g is not
         assert not isinstance(validate_homomorphism({"u": "u", "g": "u"}, z2, z2),
                               ValidationReport)
-        report = validate_homomorphism({"u": "g", "g": "g"}, z2, z2)
-        assert isinstance(report, ValidationReport)
+        with pytest.raises(StructureError) as refused:
+            validate_homomorphism({"u": "g", "g": "g"}, z2, z2)
+        report = refused.value.report
         assert report.has("multiplicativity")
 
     def test_rigid_image_closed_under_products(self):
         # for rigid maps the image is a subsemigroupoid
         z2 = built(cyclic2_raw()).base
         p2 = built(pair_groupoid_raw()).base
-        hom = must(validate_homomorphism(
+        hom = validate_homomorphism(
             {"u": "(1,1)", "g": "(1,1)"}, z2, p2
-        ))
+        )
         assert hom.rigid
         image = sorted(set(hom.map))
         for x in image:
@@ -237,11 +250,11 @@ class TestDirectProduct:
     def test_repeated_product_names_are_structural(self):
         # (a,(b,c)) and ((a,b),c) get one name, as arrows and as vertices
         def left_zero(arrows):
-            return must(validate_semigroupoid({
+            return validate_semigroupoid({
                 "vertices": ["v"],
                 "arrows": [{"id": x, "src": "v", "rng": "v"} for x in arrows],
                 "prod": [[x, y, x] for x in arrows for y in arrows],
-            }))
+            })
         cases = [
             (left_zero(["a", "a,b"]), left_zero(["b,c", "c"]),
              ("(a,b,c)",), "duplicate arrow id '(a,b,c)'"),
@@ -276,7 +289,7 @@ class TestIsGroupoid:
         # each vertex's identity is tested against the arrows leaving it only;
         # testing against every arrow took 0.44 s here
         n = 3000
-        loops = must(validate_semigroupoid(unit_groupoid_raw([f"p{i}" for i in range(n)])))
+        loops = validate_semigroupoid(unit_groupoid_raw([f"p{i}" for i in range(n)]))
         check = is_groupoid(loops)
         assert check.ok
         assert check.units == {v: v for v in range(n)}
@@ -287,9 +300,9 @@ class TestSerialization:
     def test_round_trip_preserves_structure(self):
         for inv in (built(pair_groupoid_raw()), built(semilattice_raw()), built(klein_four_raw())):
             raw = semigroupoid_to_raw(inv.base, inv)
-            rebuilt = must(validate_semigroupoid(raw))
+            rebuilt = validate_semigroupoid(raw)
             assert rebuilt == inv.base
-            rebuilt_inv = must(validate_inverse_semigroupoid(rebuilt, raw["inv"]))
+            rebuilt_inv = validate_inverse_semigroupoid(rebuilt, raw["inv"])
             assert rebuilt_inv.inv == inv.inv
 
 

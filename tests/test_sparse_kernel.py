@@ -41,10 +41,10 @@ from sectional.bundles import (
     validate_bundle,
 )
 from sectional.maps import LinearMapOnBasis, basis_bijection, multiplicative_witness
-from sectional.rings import RationalRing, ZModRing, combine, ring_from_spec, sparse_row
+from sectional.rings import RationalRing, ZModRing, combine, sparse_row, validate_ring
 from sectional.rings import dense as densify
 from sectional.theorems import _columns, _compose, _move
-from sectional.validation import ValidationReport
+from sectional.validation import StructureError
 
 from structures import built, pair_groupoid_raw, semilattice_raw, unit_groupoid_raw
 
@@ -52,7 +52,7 @@ from structures import built, pair_groupoid_raw, semilattice_raw, unit_groupoid_
 def _relabeled_z3():
     values = [1, 0, 2]                       # index 1 holds the zero
     k = len(values)
-    return ring_from_spec({
+    return validate_ring({
         "kind": "table",
         "elements": [str(v) for v in values],
         "add": [[values.index((values[a] + values[b]) % 3) for b in range(k)]
@@ -76,7 +76,7 @@ def _upper_triangular_f2():
         return (a1 * a2 % 2, (a1 * b2 + b1 * d2) % 2, d1 * d2 % 2)
 
     k = len(mats)
-    return ring_from_spec({
+    return validate_ring({
         "kind": "table",
         "elements": ["".join(map(str, m)) for m in mats],
         "add": [[mats.index(add(x, y)) for y in mats] for x in mats],
@@ -414,13 +414,13 @@ def test_associativity_witness_matches_oracle(ring, data):
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
 def test_bundle_associativity_witness_matches_oracle(ring, data):
     bundle, dense = _random_bundle(data, ring, "sc")
-    result = validate_bundle(bundle, ring, bundle.base)
     expected = oracle_bundle_associativity(dense)
     if expected is None:
-        assert result is bundle
+        assert validate_bundle(bundle, ring, bundle.base) is bundle
     else:
-        assert isinstance(result, ValidationReport)
-        assert result.first().witness == expected
+        with pytest.raises(StructureError) as refused:
+            validate_bundle(bundle, ring, bundle.base)
+        assert refused.value.report.first().witness == expected
 
 
 @pytest.mark.parametrize("ring", RINGS.values(), ids=RINGS.keys())
@@ -613,12 +613,13 @@ def test_bundle_triple_walk_matches_the_combine_loop(name):
     def check(data):
         bundle = _twisted_bundle(data, name, ring)
         expected = oracle_triple_walk(bundle, ring)
-        result = validate_bundle(bundle, ring, bundle.base)
         if expected is None:
-            assert result is bundle
+            assert validate_bundle(bundle, ring, bundle.base) is bundle
         else:
-            assert isinstance(result, ValidationReport)
-            assert (result.first().kind, result.first().witness) == ("associativity", expected)
+            with pytest.raises(StructureError) as refused:
+                validate_bundle(bundle, ring, bundle.base)
+            first = refused.value.report.first()
+            assert (first.kind, first.witness) == ("associativity", expected)
         verdicts.add(expected is None)
 
     check()

@@ -33,12 +33,7 @@ from sectional.theorems import (
     validate_bundle_action,
     validate_bundle_congruence,
 )
-from sectional.validation import (
-    CapabilityError,
-    StructureError,
-    ValidationReport,
-    must,
-)
+from sectional.validation import CapabilityError, StructureError
 from sectional.workspace import Builder, parse_workspace
 
 from structures import (
@@ -73,20 +68,20 @@ def matrix_unit_bundle(ring):
             if j == k:
                 vec[i * 2 + l] = 1
             units[(p, q)] = vec
-    return must(validate_bundle(
+    return validate_bundle(
         {"ranks": {arrow: 4}, "mode": "sc",
          "constants": {f"{arrow},{arrow}": [[units[(p, q)] for q in range(4)]
                                             for p in range(4)]}},
         ring, base,
-    ))
+    )
 
 
 def semilattice_bundle_action(ring=Q):
     actor = built(semilattice_raw())
     space = built(unit_groupoid_raw(("x", "y")))
-    theta = must(validate_preaction(semilattice_on_points_action(), actor, space.base))
+    theta = validate_preaction(semilattice_on_points_action(), actor, space.base)
     bundle = trivial_bundle(ring, space.base)
-    return must(validate_bundle_action(theta, bundle, None))
+    return validate_bundle_action(theta, bundle, None)
 
 
 def swap_bundle_action(ring=Q):
@@ -94,19 +89,19 @@ def swap_bundle_action(ring=Q):
     z2 = built(cyclic2_raw())
     base = built(trivial_monoid_raw()).base
     arrow = base.arrow_names[0]
-    bundle = must(validate_bundle(
+    bundle = validate_bundle(
         {"ranks": {arrow: 2}, "mode": "sc",
          "constants": {f"{arrow},{arrow}": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}},
         ring, base,
-    ))
-    theta = must(validate_preaction(
+    )
+    theta = validate_preaction(
         {"u": {"dom": [arrow], "img": [arrow]},
          "g": {"dom": [arrow], "img": [arrow]}},
         z2, base,
-    ))
-    return must(validate_bundle_action(
+    )
+    return validate_bundle_action(
         theta, bundle, {(1, 0): [[0, 1], [1, 0]], (0, 0): [[1, 0], [0, 1]]}
-    ))
+    )
 
 
 def _dense_product(alg, i, j):
@@ -207,23 +202,24 @@ class TestBundleSemidirect:
         z2 = built(cyclic2_raw())
         base = built(trivial_monoid_raw()).base
         arrow = base.arrow_names[0]
-        bundle = must(validate_bundle(
+        bundle = validate_bundle(
             {"ranks": {arrow: 2}, "mode": "sc",
              "constants": {f"{arrow},{arrow}": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}},
             Q, base,
-        ))
-        theta = must(validate_preaction(
+        )
+        theta = validate_preaction(
             {"u": {"dom": [arrow], "img": [arrow]},
              "g": {"dom": [arrow], "img": [arrow]}},
             z2, base,
-        ))
+        )
         # an involution, so the inverse check passes, but not an automorphism
         # of the pointwise fiber algebra
-        report = validate_bundle_action(
-            theta, bundle,
-            {(0, 0): [[1, 0], [0, 1]], (1, 0): [[1, 1], [0, -1]]},
-        )
-        assert isinstance(report, ValidationReport)
+        with pytest.raises(StructureError) as refused:
+            validate_bundle_action(
+                theta, bundle,
+                {(0, 0): [[1, 0], [0, 1]], (1, 0): [[1, 1], [0, -1]]},
+            )
+        report = refused.value.report
         assert report.kinds() == ["intertwining"]
         assert report.first().witness == ("g", "a", "a")
 
@@ -232,36 +228,39 @@ class TestBundleSemidirect:
         # its own inverse, but the identity arrow u must act as the identity
         z2 = built(cyclic2_raw())
         base = built(trivial_monoid_raw()).base
-        bundle = must(validate_bundle(
+        bundle = validate_bundle(
             {"ranks": {"a": 2}, "mode": "sc",
              "constants": {"a,a": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]}},
             Q, base,
-        ))
-        theta = must(validate_preaction(
+        )
+        theta = validate_preaction(
             {"u": {"dom": ["a"], "img": ["a"]}, "g": {"dom": ["a"], "img": ["a"]}},
             z2, base,
-        ))
-        report = validate_bundle_action(
-            theta, bundle, {(0, 0): [[1, 0], [0, -1]], (1, 0): [[1, 0], [0, 1]]},
         )
-        assert isinstance(report, ValidationReport)
+        with pytest.raises(StructureError) as refused:
+            validate_bundle_action(
+                theta, bundle, {(0, 0): [[1, 0], [0, -1]], (1, 0): [[1, 0], [0, 1]]},
+            )
+        report = refused.value.report
         assert report.kinds() == ["extension-law"]
         assert report.first().witness == ("u", "u", "a")
 
     def test_noninvertible_fiber_map_rejected(self):
         ba = semilattice_bundle_action()
-        report = validate_bundle_action(
-            ba.base_action, ba.bundle,
-            {(0, 0): [[1]], (0, 1): [[1]], (1, 0): [[0]]},
-        )
-        assert isinstance(report, ValidationReport)
+        with pytest.raises(StructureError) as refused:
+            validate_bundle_action(
+                ba.base_action, ba.bundle,
+                {(0, 0): [[1]], (0, 1): [[1]], (1, 0): [[0]]},
+            )
+        report = refused.value.report
         assert report.has("non-invertible-fiber-map")
 
     def test_fiber_map_outside_the_domains_is_structural(self):
         # e acts on 1x only, so (e, 1y) lies outside the action domains
         ba = semilattice_bundle_action()
-        report = validate_bundle_action(ba.base_action, ba.bundle, {(1, 1): [[1]]})
-        assert isinstance(report, ValidationReport)
+        with pytest.raises(StructureError) as refused:
+            validate_bundle_action(ba.base_action, ba.bundle, {(1, 1): [[1]]})
+        report = refused.value.report
         assert report.kinds() == ["structural"]
         assert report.first().witness == ("e", "1y")
 
@@ -289,9 +288,9 @@ class TestCrossedTheorem:
         from sectional.actions import trivial_action
 
         theta = trivial_action(built(trivial_monoid_raw()), built(pair_groupoid_raw()).base)
-        ba = must(validate_bundle_action(
+        ba = validate_bundle_action(
             theta, trivial_bundle(Q, built(pair_groupoid_raw()).base), None
-        ))
+        )
         res = crossed_theorem(ba)
         assert res.certificate.passed and res.lscript_certificate.passed
         assert res.section_of_semidirect.rank == 4
@@ -394,7 +393,7 @@ class TestSkewProduct:
     def test_constant_grading_reproduces_base(self):
         p2 = built(pair_groupoid_raw()).base
         tm = built(trivial_monoid_raw()).base
-        d = must(validate_homomorphism({a: "a" for a in p2.arrow_names}, p2, tm))
+        d = validate_homomorphism({a: "a" for a in p2.arrow_names}, p2, tm)
         skew = skew_product(p2, d)
         assert is_isomorphism({f"({x},a)": x for x in p2.arrow_names}, skew.semigroupoid, p2)
 
@@ -417,7 +416,7 @@ class TestSmashTheorem:
     def test_trivial_group_instance(self):
         p2 = built(pair_groupoid_raw()).base
         tm = built(trivial_monoid_raw()).base
-        d = must(validate_homomorphism({a: "a" for a in p2.arrow_names}, p2, tm))
+        d = validate_homomorphism({a: "a" for a in p2.arrow_names}, p2, tm)
         res = smash_theorem(trivial_bundle(Q, p2), d)
         assert res.certificate.passed
         assert res.smash.rank == 4
@@ -426,7 +425,7 @@ class TestSmashTheorem:
         p2 = built(pair_groupoid_raw()).base
         z2 = built(cyclic2_raw()).base
         parity = {"(1,1)": "u", "(2,2)": "u", "(1,2)": "g", "(2,1)": "g"}
-        d = must(validate_homomorphism(parity, p2, z2))
+        d = validate_homomorphism(parity, p2, z2)
         res = smash_theorem(trivial_bundle(Q, p2), d)
         assert res.certificate.passed
         assert res.smash.rank == res.skew_algebra.rank == 8
@@ -438,9 +437,9 @@ class TestSmashTheorem:
 def sign_congruence():
     """Total congruence on Z/2 with rank-1 fibers and transport -1."""
     z2 = built(cyclic2_raw()).base
-    cong = must(validate_rigid_congruence([["u", "g"]], z2))
+    cong = validate_rigid_congruence([["u", "g"]], z2)
     bundle = trivial_bundle(Q, z2)
-    return must(validate_bundle_congruence(bundle, cong, {"g": [[-1]]}))
+    return validate_bundle_congruence(bundle, cong, {"g": [[-1]]})
 
 
 class TestBundleCongruence:
@@ -450,42 +449,46 @@ class TestBundleCongruence:
 
     def test_rank_mismatch_rejected(self):
         base = built(parallel_arrows_raw())
-        cong = must(validate_rigid_congruence([["a", "b"]], base))
-        bundle = must(validate_bundle(
+        cong = validate_rigid_congruence([["a", "b"]], base)
+        bundle = validate_bundle(
             {"ranks": {"a": 1, "b": 2}, "mode": "sc"}, Q, base
-        ))
-        report = validate_bundle_congruence(bundle, cong, None)
-        assert isinstance(report, ValidationReport)
+        )
+        with pytest.raises(StructureError) as refused:
+            validate_bundle_congruence(bundle, cong, None)
+        report = refused.value.report
         assert report.has("structural")
 
     def test_non_intertwining_transport_rejected(self):
         z2 = built(cyclic2_raw()).base
-        cong = must(validate_rigid_congruence([["u", "g"]], z2))
+        cong = validate_rigid_congruence([["u", "g"]], z2)
         bundle = trivial_bundle(Q, z2)
-        report = validate_bundle_congruence(bundle, cong, {"g": [[2]]})
-        assert isinstance(report, ValidationReport)
+        with pytest.raises(StructureError) as refused:
+            validate_bundle_congruence(bundle, cong, {"g": [[2]]})
+        report = refused.value.report
         assert report.has("intertwining")
 
     def test_singular_transport_rejected(self):
         z2 = built(cyclic2_raw()).base
-        cong = must(validate_rigid_congruence([["u", "g"]], z2))
+        cong = validate_rigid_congruence([["u", "g"]], z2)
         bundle = trivial_bundle(Q, z2)
-        report = validate_bundle_congruence(bundle, cong, {"g": [[0]]})
-        assert isinstance(report, ValidationReport)
+        with pytest.raises(StructureError) as refused:
+            validate_bundle_congruence(bundle, cong, {"g": [[0]]})
+        report = refused.value.report
         assert report.has("non-invertible-transport")
 
     def test_wrong_inverse_fails_on_the_diagonal(self, monkeypatch):
         # from_b = to_b when mat_inverse returns its input, so b -> b is
         # [[1,2],[0,1]]: the diagonal check names b before any triple could
-        base = must(validate_semigroupoid({
+        base = validate_semigroupoid({
             "id": "parallel3", "vertices": ["v", "w"],
             "arrows": [{"id": x, "src": "v", "rng": "w"} for x in "abc"], "prod": [],
-        }))
-        cong = must(validate_rigid_congruence([["a", "b", "c"]], base))
-        bundle = must(validate_bundle({"ranks": {x: 2 for x in "abc"}}, Q, base))
+        })
+        cong = validate_rigid_congruence([["a", "b", "c"]], base)
+        bundle = validate_bundle({"ranks": {x: 2 for x in "abc"}}, Q, base)
         monkeypatch.setattr("sectional.theorems.mat_inverse", lambda mat, ring: mat)
-        report = validate_bundle_congruence(bundle, cong, {"b": [[1, 1], [0, 1]]})
-        assert isinstance(report, ValidationReport)
+        with pytest.raises(StructureError) as refused:
+            validate_bundle_congruence(bundle, cong, {"b": [[1, 1], [0, 1]]})
+        report = refused.value.report
         assert [(f.kind, f.witness) for f in report.failures] == [("cocycle", ("b",))]
 
     def test_congruence_on_another_base_rejected(self):
@@ -493,9 +496,10 @@ class TestBundleCongruence:
         # the parallel arrows: the pair is refused, not certified or failed
         with open(os.path.join(FIXTURES, "quotient.json"), encoding="utf-8") as fh:
             builder = Builder(parse_workspace(fh.read()), Q)
-        report = validate_bundle_congruence(builder.bundle("bZ2"),
-                                            builder.congruence("collapse"), None)
-        assert isinstance(report, ValidationReport)
+        with pytest.raises(StructureError) as refused:
+            validate_bundle_congruence(builder.bundle("bZ2"),
+                                       builder.congruence("collapse"), None)
+        report = refused.value.report
         assert [(f.kind, f.message) for f in report.failures] == [
             ("structural", "the congruence must live on the bundle base")]
 
@@ -503,9 +507,9 @@ class TestBundleCongruence:
 class TestQuotientBundle:
     def test_identity_congruence_reproduces_bundle(self):
         z2 = built(cyclic2_raw()).base
-        cong = must(validate_rigid_congruence([["u"], ["g"]], z2))
+        cong = validate_rigid_congruence([["u"], ["g"]], z2)
         bundle = trivial_bundle(Q, z2)
-        bc = must(validate_bundle_congruence(bundle, cong, None))
+        bc = validate_bundle_congruence(bundle, cong, None)
         out = quotient_bundle(bc)
         assert out.bundle.ranks == bundle.ranks
         assert is_isomorphism({"[u]": "u", "[g]": "g"}, out.base_quotient, z2)
@@ -513,10 +517,10 @@ class TestQuotientBundle:
     def test_germ_congruence_gives_two_point_unit_bundle(self):
         ba = semilattice_bundle_action()
         sp = bundle_semidirect(ba)
-        cong = must(validate_rigid_congruence(
+        cong = validate_rigid_congruence(
             [["(1,1x)", "(e,1x)"], ["(1,1y)"]], sp.base
-        ))
-        bc = must(validate_bundle_congruence(sp, cong, None))
+        )
+        bc = validate_bundle_congruence(sp, cong, None)
         out = quotient_bundle(bc)
         assert out.bundle.ranks == (1, 1)
         assert is_isomorphism({"[(1,1x)]": "1x", "[(1,1y)]": "1y"},
@@ -533,8 +537,8 @@ class TestQuotientMapAndKernel:
     @pytest.mark.parametrize("ring", [Q, Z5])
     def test_identity_congruence_has_zero_kernel(self, ring):
         z2 = built(cyclic2_raw()).base
-        cong = must(validate_rigid_congruence([["u"], ["g"]], z2))
-        bc = must(validate_bundle_congruence(trivial_bundle(ring, z2), cong, None))
+        cong = validate_rigid_congruence([["u"], ["g"]], z2)
+        bc = validate_bundle_congruence(trivial_bundle(ring, z2), cong, None)
         res = quotient_map_and_kernel(bc)
         assert res.certificate.passed
         assert res.kernel_basis == [] and res.generators == []
@@ -543,10 +547,10 @@ class TestQuotientMapAndKernel:
     def test_germ_congruence_kernel_generated_by_difference(self, ring):
         ba = semilattice_bundle_action(ring)
         sp = bundle_semidirect(ba)
-        cong = must(validate_rigid_congruence(
+        cong = validate_rigid_congruence(
             [["(1,1x)", "(e,1x)"], ["(1,1y)"]], sp.base
-        ))
-        bc = must(validate_bundle_congruence(sp, cong, None))
+        )
+        bc = validate_bundle_congruence(sp, cong, None)
         res = quotient_map_and_kernel(bc)
         assert res.certificate.passed
         names = res.source.basis
@@ -558,8 +562,8 @@ class TestQuotientMapAndKernel:
     @pytest.mark.parametrize("ring", [Q, Z5])
     def test_parallel_arrows_transport_one(self, ring):
         base = built(parallel_arrows_raw())
-        cong = must(validate_rigid_congruence([["a", "b"]], base))
-        bc = must(validate_bundle_congruence(trivial_bundle(ring, base), cong, None))
+        cong = validate_rigid_congruence([["a", "b"]], base)
+        bc = validate_bundle_congruence(trivial_bundle(ring, base), cong, None)
         res = quotient_map_and_kernel(bc)
         assert res.certificate.passed
         assert spans_equal(res.kernel_basis, [{0: ring.one, 1: ring.neg(ring.one)}], ring)
@@ -567,10 +571,10 @@ class TestQuotientMapAndKernel:
     @pytest.mark.parametrize("ring", [Q, Z5])
     def test_sign_congruence_kernel(self, ring):
         z2 = built(cyclic2_raw()).base
-        cong = must(validate_rigid_congruence([["u", "g"]], z2))
-        bc = must(validate_bundle_congruence(
+        cong = validate_rigid_congruence([["u", "g"]], z2)
+        bc = validate_bundle_congruence(
             trivial_bundle(ring, z2), cong, {"g": [[-1]]}
-        ))
+        )
         res = quotient_map_and_kernel(bc)
         assert res.certificate.passed
         assert spans_equal(res.kernel_basis, [{0: ring.one, 1: ring.one}], ring)
@@ -579,10 +583,10 @@ class TestQuotientMapAndKernel:
         from sectional.rings import IntegerRing
 
         z2 = built(cyclic2_raw()).base
-        cong = must(validate_rigid_congruence([["u"], ["g"]], z2))
-        bc = must(validate_bundle_congruence(
+        cong = validate_rigid_congruence([["u"], ["g"]], z2)
+        bc = validate_bundle_congruence(
             trivial_bundle(IntegerRing(), z2), cong, None
-        ))
+        )
         with pytest.raises(CapabilityError):
             quotient_map_and_kernel(bc)
 
@@ -591,9 +595,9 @@ class TestGermCorollary:
     def _running_theta(self):
         actor = built(semilattice_raw())
         space = built(unit_groupoid_raw(("x", "y")))
-        return must(validate_preaction(
+        return validate_preaction(
             semilattice_on_points_action(), actor, space.base
-        ))
+        )
 
     def test_running_example_ranks_three_one_two(self):
         res = germ_corollary(self._running_theta(), Q)
@@ -602,11 +606,11 @@ class TestGermCorollary:
         assert (data["crossed_rank"], data["ideal_rank"], data["quotient_rank"]) == (3, 1, 2)
 
     def test_group_action_has_zero_ideal(self):
-        theta = must(validate_preaction(
+        theta = validate_preaction(
             {"u": {"dom": ["10", "11"], "img": ["10", "11"]},
              "g": {"dom": ["10", "11"], "img": ["11", "10"]}},
             built(cyclic2_raw()), built(unit_groupoid_raw(("0", "1"))).base,
-        ))
+        )
         res = germ_corollary(theta, Q)
         assert res.certificate.passed
         assert res.certificate.data["ideal_rank"] == 0
@@ -615,11 +619,11 @@ class TestGermCorollary:
     def test_empty_idempotent_domain_keeps_everything(self):
         actor = built(semilattice_raw())
         space = built(unit_groupoid_raw(("x", "y")))
-        theta = must(validate_preaction(
+        theta = validate_preaction(
             {"1": {"dom": ["1x", "1y"], "img": ["1x", "1y"]},
              "e": {"dom": [], "img": []}},
             actor, space.base,
-        ))
+        )
         res = germ_corollary(theta, Q)
         assert res.certificate.passed
         assert res.certificate.data["ideal_rank"] == 0
@@ -709,9 +713,9 @@ class TestStageTagging:
 
         actor = built(semilattice_raw())
         space = built(unit_groupoid_raw(("x", "y")))
-        theta = must(validate_preaction(
+        theta = validate_preaction(
             semilattice_on_points_action(), actor, space.base
-        ))
+        )
         with pytest.raises(StageError) as err:
             germ_corollary(theta, IntegerRing())
         assert err.value.stage == "ideal"
@@ -731,7 +735,7 @@ class TestMultiVertexActor:
             "(2,1)": {"dom": ["1x1"], "img": ["1x2"]},
             "(2,2)": {"dom": ["1x2"], "img": ["1x2"]},
         }
-        return must(validate_preaction(maps, p2, space.base))
+        return validate_preaction(maps, p2, space.base)
 
     def test_action_is_global_and_associative(self):
         theta = self._theta()
@@ -740,7 +744,7 @@ class TestMultiVertexActor:
     def test_crossed_theorem_rank_four(self):
         theta = self._theta()
         bundle = trivial_bundle(Q, theta.space)
-        ba = must(validate_bundle_action(theta, bundle, None))
+        ba = validate_bundle_action(theta, bundle, None)
         res = crossed_theorem(ba)
         assert res.certificate.passed and res.lscript_certificate.passed
         assert res.crossed.rank == 4
@@ -776,17 +780,17 @@ class TestChainSemilattice:
                 ["e", "1", "e"], ["e", "f", "e"], ["e", "e", "e"],
             ],
         }
-        sg = must(validate_semigroupoid(raw))
-        inv = must(validate_inverse_semigroupoid(sg, {x: x for x in ("1", "f", "e")}))
+        sg = validate_semigroupoid(raw)
+        inv = validate_inverse_semigroupoid(sg, {x: x for x in ("1", "f", "e")})
         names = inv.base.arrow_names
         assert (names.index("e"), names.index("f")) in inv.leq
         assert (names.index("f"), names.index("1")) in inv.leq
         space = built(unit_groupoid_raw(("x", "y", "z")))
-        return must(validate_preaction({
+        return validate_preaction({
             "1": {"dom": ["1x", "1y", "1z"], "img": ["1x", "1y", "1z"]},
             "f": {"dom": ["1x", "1y"], "img": ["1x", "1y"]},
             "e": {"dom": ["1x"], "img": ["1x"]},
-        }, inv, space.base))
+        }, inv, space.base)
 
     def test_germ_corollary_six_three_three(self):
         res = germ_corollary(self._theta(), Q)
@@ -798,7 +802,7 @@ class TestChainSemilattice:
 
     def test_crossed_theorem_rank_six(self):
         theta = self._theta()
-        ba = must(validate_bundle_action(theta, trivial_bundle(Q, theta.space), None))
+        ba = validate_bundle_action(theta, trivial_bundle(Q, theta.space), None)
         res = crossed_theorem(ba)
         assert res.certificate.passed and res.lscript_certificate.passed
         assert res.crossed.rank == 6

@@ -1,0 +1,151 @@
+"""Every validator returns the object it validated or raises StructureError.
+
+Each of the eleven validators is called once on a valid input, which must come
+back as the validated object, and once on an invalid one, which must raise
+StructureError whose report's first failure has the expected kind.
+"""
+
+import pytest
+
+from sectional.actions import (
+    GermQuotient,
+    LandPreaction,
+    RigidCongruence,
+    germ_quotient,
+    trivial_action,
+    validate_preaction,
+    validate_rigid_congruence,
+)
+from sectional.bundles import (
+    AlgebraAction,
+    Bundle,
+    semigroupoid_algebra,
+    trivial_bundle,
+    validate_algebra_action,
+    validate_bundle,
+)
+from sectional.rings import RationalRing, ZModRing, validate_ring
+from sectional.semigroupoids import (
+    FiniteInverseSemigroupoid,
+    FiniteSemigroupoid,
+    Homomorphism,
+    validate_homomorphism,
+    validate_inverse_semigroupoid,
+    validate_semigroupoid,
+)
+from sectional.theorems import (
+    BundleAction,
+    BundleCongruence,
+    validate_bundle_action,
+    validate_bundle_congruence,
+)
+from sectional.validation import StructureError
+
+from structures import (
+    built,
+    cyclic2_raw,
+    semilattice_on_points_action,
+    semilattice_raw,
+    trivial_monoid_raw,
+    unit_groupoid_raw,
+    without_product_entry,
+)
+
+Q = RationalRing()
+
+
+def z2():
+    return built(cyclic2_raw()).base
+
+
+def points():
+    return built(unit_groupoid_raw(("x", "y"))).base
+
+
+def germ_action():
+    return validate_preaction(semilattice_on_points_action(), built(semilattice_raw()), points())
+
+
+def algebra_action(image):
+    """Z/2 acting on Q^2, the generator by the map sending e_0 to e_1 and e_1 to image."""
+    qq = semigroupoid_algebra(Q, points())
+    one = Q.one
+    ident = {0: ((0, one),), 1: ((1, one),)}
+    return validate_algebra_action(built(cyclic2_raw()), qq, [(0, 1), (0, 1)],
+                                   [ident, {0: ((1, one),), 1: image}])
+
+
+def z2_congruence(transports):
+    base = z2()
+    return validate_bundle_congruence(trivial_bundle(Q, base),
+                                      validate_rigid_congruence([["u", "g"]], base), transports)
+
+
+# validator: (valid call, the type it returns, invalid call, first failure kind)
+CASES = {
+    "validate_semigroupoid": (
+        lambda: validate_semigroupoid(cyclic2_raw()), FiniteSemigroupoid,
+        lambda: validate_semigroupoid(without_product_entry(trivial_monoid_raw(), "a", "a")),
+        "undefined-product"),
+    "validate_inverse_semigroupoid": (
+        lambda: validate_inverse_semigroupoid(z2(), {"u": "u", "g": "g"}),
+        FiniteInverseSemigroupoid,
+        lambda: validate_inverse_semigroupoid(z2(), {"u": "u", "g": "u"}),
+        "inverse-condition"),
+    "validate_homomorphism": (
+        lambda: validate_homomorphism({"u": "u", "g": "g"}, z2(), z2()), Homomorphism,
+        lambda: validate_homomorphism({"u": "g", "g": "g"}, z2(), z2()),
+        "multiplicativity"),
+    "validate_preaction": (
+        germ_action, LandPreaction,
+        lambda: validate_preaction({"1": {"dom": ["1x", "1y"], "img": ["1x", "1y"]},
+                                    "e": {"dom": ["1x"], "img": ["1y"]}},
+                                   built(semilattice_raw()), points()),
+        "inverse-compatibility"),
+    "validate_rigid_congruence": (
+        lambda: validate_rigid_congruence([["u", "g"]], z2()), RigidCongruence,
+        lambda: validate_rigid_congruence([["u"]], z2()),
+        "structural"),
+    "validate_ring": (
+        lambda: validate_ring({"kind": "zmod", "n": 6}), ZModRing,
+        lambda: validate_ring({"kind": "zmod", "n": 1}),
+        "structural"),
+    "validate_bundle": (
+        lambda: validate_bundle({"mode": "sc"}, Q, z2()), Bundle,
+        lambda: validate_bundle({"ranks": {"u": -1}}, Q, z2()),
+        "structural"),
+    "validate_algebra_action": (
+        lambda: algebra_action(((0, Q.one),)), AlgebraAction,
+        lambda: algebra_action(((2, Q.one),)),
+        "structural"),
+    "validate_bundle_action": (
+        lambda: validate_bundle_action(germ_action(), trivial_bundle(Q, points()), None),
+        BundleAction,
+        lambda: validate_bundle_action(germ_action(), trivial_bundle(Q, z2()), None),
+        "structural"),
+    "validate_bundle_congruence": (
+        lambda: z2_congruence(None), BundleCongruence,
+        lambda: z2_congruence({"g": [[0]]}),
+        "non-invertible-transport"),
+    "germ_quotient": (
+        lambda: germ_quotient(germ_action()), GermQuotient,
+        lambda: germ_quotient(trivial_action(built(semilattice_raw()),
+                                             built(semilattice_raw()).base)),
+        "space-not-groupoid"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_validator_returns_the_object_or_raises(name):
+    valid, kind_of_object, invalid, failure_kind = CASES[name]
+    assert isinstance(valid(), kind_of_object)
+    with pytest.raises(StructureError) as refused:
+        invalid()
+    assert refused.value.report.first().kind == failure_kind
+
+
+def test_every_validator_has_a_case():
+    import sectional
+
+    validators = {name for name in dir(sectional) if name.startswith("validate_")}
+    assert validators | {"germ_quotient"} == set(CASES)

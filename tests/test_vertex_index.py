@@ -13,6 +13,7 @@ partner join `composable_labels` must yield what the scan over every label
 pair yields once it keeps only the pairs whose key sets meet.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +33,7 @@ from sectional.semigroupoids import (
     validate_inverse_semigroupoid,
     validate_semigroupoid,
 )
-from sectional.validation import ValidationReport, must
+from sectional.validation import StructureError, ValidationReport
 
 from structures import (
     built,
@@ -208,8 +209,8 @@ def chain(n):
         "arrows": [{"id": a, "src": "o", "rng": "o"} for a in ids],
         "prod": [[ids[i], ids[j], ids[min(i, j)]] for i in range(n) for j in range(n)],
     }
-    return must(validate_inverse_semigroupoid(must(validate_semigroupoid(raw)),
-                                              {a: a for a in ids}))
+    return validate_inverse_semigroupoid(validate_semigroupoid(raw),
+                                         {a: a for a in ids})
 
 
 def nested_chain_semidirect(n):
@@ -217,7 +218,7 @@ def nested_chain_semidirect(n):
     points = tuple(f"x{i}" for i in range(n))
     maps = {f"e{i}": {"dom": [f"1x{j}" for j in range(i + 1)],
                       "img": [f"1x{j}" for j in range(i + 1)]} for i in range(n)}
-    theta = must(validate_preaction(maps, chain(n), built(unit_groupoid_raw(points)).base))
+    theta = validate_preaction(maps, chain(n), built(unit_groupoid_raw(points)).base)
     return semidirect_product(theta)
 
 
@@ -226,7 +227,7 @@ def moves_semidirect(n):
     points = tuple(f"q{i}" for i in range(n))
     maps = {f"({i},{j})": {"dom": [f"1{j}"], "img": [f"1{i}"]} for i in points for j in points}
     space = built(unit_groupoid_raw(points)).base
-    theta = must(validate_preaction(maps, built(pair_groupoid_raw(points)), space))
+    theta = validate_preaction(maps, built(pair_groupoid_raw(points)), space)
     return semidirect_product(theta)
 
 
@@ -247,7 +248,7 @@ def order_semigroupoid(n, below):
         "prod": [[name[(i, j)], name[(j, k)], name[(i, k)]]
                  for (i, j) in arrows for (j2, k) in arrows if j == j2],
     }
-    return must(validate_semigroupoid(raw))
+    return validate_semigroupoid(raw)
 
 
 def one_vertex(name, elements, mul):
@@ -257,7 +258,7 @@ def one_vertex(name, elements, mul):
         "arrows": [{"id": x, "src": "*", "rng": "*"} for x in elements],
         "prod": [[x, y, mul(x, y)] for x in elements for y in elements],
     }
-    return must(validate_semigroupoid(raw))
+    return validate_semigroupoid(raw)
 
 
 # all maps of {0, 1} into itself, named by their images, composed as x after y
@@ -407,12 +408,12 @@ def test_reports_match_old_axiom_check():
     def check(sgpd):
         expected = ValidationReport(f"semigroupoid {sgpd.name or '<anonymous>'}")
         oracle_check_axioms(sgpd, expected)
-        result = validate_semigroupoid(sgpd)
         if expected.ok:
-            assert result is sgpd
+            assert validate_semigroupoid(sgpd) is sgpd
         else:
-            assert isinstance(result, ValidationReport)
-            assert result.failures == expected.failures
+            with pytest.raises(StructureError) as refused:
+                validate_semigroupoid(sgpd)
+            assert refused.value.report.failures == expected.failures
         outcomes.extend(expected.kinds() or ["ok"])
 
     check()
@@ -492,11 +493,12 @@ def test_congruence_verdict_and_witness_match_oracle():
     def check(case):
         base, partition = case
         expected = oracle_rigid_congruence(partition, base)
-        result = validate_rigid_congruence(partition, base)
-        assert type(result) is type(expected)
         if isinstance(expected, ValidationReport):
-            assert result.failures == expected.failures
+            with pytest.raises(StructureError) as refused:
+                validate_rigid_congruence(partition, base)
+            assert refused.value.report.failures == expected.failures
         else:
+            result = validate_rigid_congruence(partition, base)
             assert (result.classes, result.class_of) == (expected.classes, expected.class_of)
         verdicts.append(isinstance(expected, RigidCongruence))
 
@@ -524,25 +526,25 @@ def test_order_characterizations_match_old_scan():
 def test_rigidity_matches_old_scan():
     # the identity, maps onto one-arrow and two-arrow targets, a parity grading
     # and the projections of direct products
-    trivial = must(validate_semigroupoid({
+    trivial = validate_semigroupoid({
         "vertices": ["*"], "arrows": [{"id": "1", "src": "*", "rng": "*"}],
-        "prod": [["1", "1", "1"]]}))
+        "prod": [["1", "1", "1"]]})
     cases = []
     for inv in INVERSE:
         sgpd = inv.base
-        cases.append(must(validate_homomorphism(list(sgpd.arrows()), sgpd, sgpd)))
-        cases.append(must(validate_homomorphism([0] * sgpd.n_arrows, sgpd, trivial)))
+        cases.append(validate_homomorphism(list(sgpd.arrows()), sgpd, sgpd))
+        cases.append(validate_homomorphism([0] * sgpd.n_arrows, sgpd, trivial))
     z2 = built(cyclic2_raw()).base
     color = [0, 1, 1, 0]
     p4 = P4.base
     parity = [1 if color[int(p4.vertex_names[p4.src[x]])] != color[int(p4.vertex_names[p4.rng[x]])]
               else 0 for x in p4.arrows()]
-    cases.append(must(validate_homomorphism(parity, p4, z2)))
+    cases.append(validate_homomorphism(parity, p4, z2))
     for left, right in ((P2.base, C3.base), (C2.base, P3.base), (P2.base, P2.base)):
         prod = direct_product(left, right)
         nr = right.n_arrows
-        cases.append(must(validate_homomorphism([x // nr for x in prod.arrows()], prod, left)))
-        cases.append(must(validate_homomorphism([x % nr for x in prod.arrows()], prod, right)))
+        cases.append(validate_homomorphism([x // nr for x in prod.arrows()], prod, left))
+        cases.append(validate_homomorphism([x % nr for x in prod.arrows()], prod, right))
     rigid = [hom.rigid for hom in cases]
     assert rigid == [oracle_rigid(hom) for hom in cases]
     assert True in rigid and False in rigid

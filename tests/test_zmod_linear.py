@@ -41,11 +41,11 @@ from sectional.rings import (
     ideal_closure,
     mat_inverse,
     mat_mul,
-    ring_from_spec,
     smith_normal_form,
     solve_linear,
     span_reduce,
     spans_equal,
+    validate_ring,
     vector_in_span,
 )
 from sectional.validation import CapabilityError
@@ -55,7 +55,7 @@ from structures import columns_of, upper_triangular_f2_ring_spec
 def _relabeled_z4():
     values = [1, 3, 0, 2]                    # index 2 holds the zero
     k = len(values)
-    return ring_from_spec({
+    return validate_ring({
         "kind": "table",
         "elements": [str(v) for v in values],
         "add": [[values.index((values[a] + values[b]) % 4) for b in range(k)]
@@ -207,7 +207,7 @@ def test_inverse_agrees_with_the_cofactor_oracle(ring, k, data):
 
 
 def test_noncommutative_inverse_stops_at_one_by_one():
-    ring = ring_from_spec(upper_triangular_f2_ring_spec())
+    ring = validate_ring(upper_triangular_f2_ring_spec())
     assert not ring.commutative
     assert mat_inverse((), ring) == ()
     assert mat_inverse(((ring.one,),), ring) == ((ring.one,),)

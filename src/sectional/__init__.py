@@ -21,7 +21,6 @@ from .rings import (
     ideal_closure,
     smith_normal_form,
     solve_linear,
-    spans_equal,
     validate_ring,
     vector_in_span,
 )

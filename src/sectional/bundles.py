@@ -502,13 +502,16 @@ def validate_algebra_action(actor: FiniteInverseSemigroupoid,
     base = actor.base
     report = ValidationReport("algebra action")
     names = base.arrow_names
-    doms = [tuple(sorted(set(d))) for d in domains]
+    doms = [set(d) for d in domains]
     mats = [dict(m) for m in matrices]
     if len(doms) != base.n_arrows or len(mats) != base.n_arrows:
         report.add("structural", (), "need one domain and one matrix per actor arrow")
         raise StructureError(report)
     for s in base.arrows():
-        if set(mats[s]) != set(doms[s]):
+        if any(not isinstance(i, int) or not 0 <= i < algebra.rank for i in doms[s]):
+            report.add("structural", (names[s],), "domain indexes outside the basis")
+            raise StructureError(report)
+        if set(mats[s]) != doms[s]:
             report.add("structural", (names[s],),
                        "matrix rows must cover exactly the domain basis")
             raise StructureError(report)
@@ -520,7 +523,8 @@ def validate_algebra_action(actor: FiniteInverseSemigroupoid,
 
     rows = tuple({i: tuple(sorted(sparse_vector(vec, algebra.ring).items()))
                   for i, vec in m.items()} for m in mats)
-    action = AlgebraAction(actor, algebra, tuple(doms), rows)
+    doms = tuple(tuple(sorted(d)) for d in doms)
+    action = AlgebraAction(actor, algebra, doms, rows)
 
     # rows[s] is keyed by dom(Theta_s), so it serves as that domain's basis set
     def in_span(row, span) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebras import AlgebraPresentation
-from .rings import EchelonBasis, LinearSolution, apply_linear, dense, solve_linear, sparse_vector
+from .rings import LinearSolution, apply_linear, dense, solve_linear, sparse_vector
 
 
 @dataclass
@@ -163,7 +163,7 @@ def surjective(sol: LinearSolution) -> bool:
     ring = sol.ring
     if ring.is_field:
         return sol.rank == sol.rows
-    image = EchelonBasis(ring, sol.image_basis)
+    image = sol.image_echelon
     return all(image.contains({k: ring.one}) for k in range(sol.rows))
 
 

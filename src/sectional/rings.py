@@ -15,8 +15,11 @@ report boundary (sparse_row, dense).
 Span tests run on one incremental echelon basis (EchelonBasis): reduced row
 echelon form over fields (rationals, prime residues), reduced Howell form over
 composite residue rings, where only solve_linear's kernel takes a Smith normal
-form. Matrix inverses are division-free over any commutative ring. Other ring
-kinds refuse with CapabilityError.
+form. Over Z/n, solve_linear hands the kernel and image forms it builds to
+its LinearSolution, which maps.surjective and the quotient certificate read
+instead of rebuilding them. Matrix inverses are division-free over any
+commutative ring; over Z/n a dot product is one integer sum, reduced once.
+Other ring kinds refuse with CapabilityError.
 """
 
 from __future__ import annotations
@@ -24,9 +27,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Sequence
 
 from .validation import CapabilityError, StructureError, ValidationReport
@@ -555,6 +560,9 @@ def identity_matrix(k: int, ring: Ring) -> tuple:
 
 
 def _dot(u: Sequence, v: Sequence, ring: Ring) -> Element:
+    if ring.kind == "zmod":
+        # canonical residues: one integer sum of products, reduced once
+        return sum(map(operator.mul, u, v)) % ring.n
     acc = ring.zero
     for x, y in zip(u, v):
         acc = ring.add(acc, ring.mul(x, y))
@@ -707,6 +715,11 @@ class LinearSolution:
     kernel_basis: list[dict]
     image_basis: list[dict]
 
+    # the echelon forms of the two spans, built once; over Z/n solve_linear
+    # hands over the ones that thinning the bases built
+    kernel_echelon = cached_property(lambda self: EchelonBasis(self.ring, self.kernel_basis))
+    image_echelon = cached_property(lambda self: EchelonBasis(self.ring, self.image_basis))
+
 
 class EchelonBasis:
     """The span of some vectors over a field or Z/n, grown one vector at a time.
@@ -719,10 +732,13 @@ class EchelonBasis:
     later pivot q lies in [0, g_q), and (n/g) * row, which vanishes at the
     pivot, lies in the span of the later rows. Both forms are unique, so two
     spans are equal exactly when their bases have equal rows, and v lies in
-    the span exactly when reducing it by the rows leaves nothing. Every span
-    test in the package runs here; inputs are sparse vectors, a dict or
-    (index, value) pairs, whose zero entries are dropped (an explicit zero
-    must not become a Howell pivot).
+    the span exactly when reducing it by the rows leaves nothing. A Howell
+    reduction walks only the pivots v touches, ascending, in place; an
+    insertion merges v into the rows, then reduces again only the rows with
+    an entry at a merged pivot. Every span test in the package runs here;
+    inputs are sparse vectors of canonical elements, a dict or (index, value)
+    pairs, whose zeros are dropped (an explicit zero must not become a Howell
+    pivot).
     """
 
     def __init__(self, ring: Ring, vectors=()):
@@ -747,13 +763,24 @@ class EchelonBasis:
         ], ring)
 
     def _reduce(self, acc: dict, after: int) -> dict:
-        # Howell reduction by the rows with pivot > after, in pivot order:
-        # each row leaves the entry at its pivot g in [0, g)
-        ring, rows = self.ring, self.rows
-        for p in sorted(rows):
-            if p > after and p in acc and acc[p] >= rows[p][p]:
-                acc = combine(((ring.one, acc.items()),
-                               (-(acc[p] // rows[p][p]), rows[p].items())), ring)
+        """acc, Howell-reduced in place by the rows with pivot > after: each
+        leaves the entry at its pivot g in [0, g)."""
+        rows, n = self.rows, self.ring.n
+        todo = sorted(p for p in acc if p > after and p in rows)
+        for p in todo:
+            row = rows[p]
+            q = acc.get(p, 0) // row[p]
+            if not q:
+                continue
+            # acc - q * row in combine's term order: kept keys stay put, new
+            # ones follow in row order, zeros leave; the row is zero before p,
+            # so insort puts a pivot it brings ahead of the loop, in order
+            for k, c in row.items():
+                if k not in acc and k in rows:
+                    insort(todo, k)
+                acc[k] = (acc.get(k, 0) - q * c) % n
+                if not acc[k]:
+                    del acc[k]
         return acc
 
     def contains(self, v) -> bool:
@@ -779,7 +806,7 @@ class EchelonBasis:
 
     def _insert_howell(self, res: dict) -> None:
         ring, rows, n = self.ring, self.rows, self.ring.n
-        pending = [res]
+        pending, merged = [res], set()
         while pending:
             r = self._reduce(pending.pop(), -1)
             if not r:
@@ -794,9 +821,14 @@ class EchelonBasis:
             b = old.get(p, n)
             g, s, t = _xgcd(b, x)
             rows[p] = combine(((s, old.items()), (t, r.items())), ring)
+            merged.add(p)
             pending.append(combine(((x // g, old.items()), (-(b // g), r.items())), ring))
+        # a row is reduced when its entry at each later pivot q is in [0, g_q);
+        # reducing by later rows keeps every pivot entry, so only rows with an
+        # entry at a merged pivot (a merged row has its own) need it again
         for p in sorted(rows, reverse=True):
-            rows[p] = self._reduce(rows[p], p)
+            if not merged.isdisjoint(rows[p]):
+                self._reduce(rows[p], p)
 
     def pivot_rows(self) -> list[dict]:
         """The rows in pivot order."""
@@ -840,9 +872,11 @@ def solve_linear(columns, rows: int, ring: Ring) -> LinearSolution:
                 a, b = factors[i], factors[j]
                 factors[i], factors[j] = math.gcd(a, b), math.lcm(a, b)
             rank = sum(1 for f in factors if f != n)
-        kernel = span_reduce(kernel, ring)
-        image = span_reduce(columns, ring)
-        return LinearSolution(ring, rows, cols, rank, (), kernel, image)
+        kernel, kernel_echelon = _thin(kernel, ring)
+        image, image_echelon = _thin(columns, ring)
+        sol = LinearSolution(ring, rows, cols, rank, (), kernel, image)
+        sol.kernel_echelon, sol.image_echelon = kernel_echelon, image_echelon
+        return sol
 
     raise CapabilityError(
         f"linear solving needs a field or Z/n; ring kind {ring.kind!r} is unsupported"
@@ -860,18 +894,13 @@ def span_reduce(generators, ring: Ring) -> list[dict]:
     generators that enlarge the span of those before them."""
     if ring.is_field:
         return EchelonBasis(ring, generators).pivot_rows()
+    return _thin(generators, ring)[0]
+
+
+def _thin(generators, ring: Ring) -> tuple:
+    """The generators that enlarge the span before them, and its echelon basis."""
     basis = EchelonBasis(ring)
-    return [g for g in (sparse_vector(g, ring) for g in generators) if basis.insert(g)]
-
-
-def spans_equal(a, b, ring: Ring) -> bool:
-    return EchelonBasis(ring, a).rows == EchelonBasis(ring, b).rows
-
-
-def span_rank(generators, ring: Ring) -> int:
-    if not ring.is_field:
-        raise CapabilityError("span rank is defined here only over fields")
-    return len(EchelonBasis(ring, generators).rows)
+    return [g for g in (sparse_vector(g, ring) for g in generators) if basis.insert(g)], basis
 
 
 def ideal_closure(generators, algebra, until=None) -> list[dict]:

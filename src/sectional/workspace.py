@@ -129,7 +129,7 @@ def parse_workspace(text: str, path: str = "") -> WorkspaceFile:
         if not ok:
             raise WorkspaceError(f"{path}: {context}: {key!r} must be {what}")
 
-    for name, stanza in ws.semigroupoids.items():
+    for name, stanza in sorted(ws.semigroupoids.items()):
         ctx = f"semigroupoid {name!r}"
         arrows = stanza.get("arrows", [])
         require(isinstance(stanza.get("vertices", []), list), ctx, "vertices", "a list")
@@ -142,19 +142,19 @@ def parse_workspace(text: str, path: str = "") -> WorkspaceFile:
         sgpd = ws.semigroupoids.get(ref) if isinstance(ref, str) else None
         return None if sgpd is None else {str(a.get("id")) for a in sgpd.get("arrows", [])}
 
-    for name, stanza in ws.homomorphisms.items():
+    for name, stanza in sorted(ws.homomorphisms.items()):
         ctx = f"homomorphism {name!r}"
         check_ref(ws.semigroupoids, stanza.get("source"), ctx)
         check_ref(ws.semigroupoids, stanza.get("target"), ctx)
         require(isinstance(stanza.get("map", {}), dict), ctx, "map", "an object of arrow ids")
-    for name, stanza in ws.actions.items():
+    for name, stanza in sorted(ws.actions.items()):
         ctx = f"action {name!r}"
         check_ref(ws.semigroupoids, stanza.get("actor"), ctx)
         check_ref(ws.semigroupoids, stanza.get("space"), ctx)
         require(_object_of(stanza.get("maps", {}), lambda e: isinstance(e, dict) and all(
                     isinstance(e.get(k, []), list) for k in ("dom", "img"))),
                 ctx, "maps", "an object of {'dom': [...], 'img': [...]} objects")
-    for name, stanza in ws.bundles.items():
+    for name, stanza in sorted(ws.bundles.items()):
         ctx = f"bundle {name!r}"
         check_ref(ws.semigroupoids, stanza.get("base"), ctx)
         require(_object_of(stanza.get("ranks", {}), lambda v: (
@@ -162,7 +162,7 @@ def parse_workspace(text: str, path: str = "") -> WorkspaceFile:
                 ctx, "ranks", "an object mapping arrow ids to non-negative integers")
         for key in ("constants", "twist"):
             require(isinstance(stanza.get(key, {}), dict), ctx, key, "an object")
-    for name, stanza in ws.bundle_actions.items():
+    for name, stanza in sorted(ws.bundle_actions.items()):
         ctx = f"bundle action {name!r}"
         check_ref(ws.actions, stanza.get("action"), ctx)
         check_ref(ws.bundles, stanza.get("bundle"), ctx)
@@ -173,13 +173,13 @@ def parse_workspace(text: str, path: str = "") -> WorkspaceFile:
         action = ws.actions.get(ref) if isinstance(ref, str) else None
         actor_ids = arrow_ids(action.get("actor")) if action else None
         space_ids = arrow_ids(action.get("space")) if action else None
-        for s_name, per_arrow in fibers.items():
+        for s_name, per_arrow in sorted(fibers.items()):
             if actor_ids is not None and s_name not in actor_ids:
                 problems.append(f"{ctx} gives fibers for unknown actor arrow {s_name!r}")
-            for g_name in per_arrow:
+            for g_name in sorted(per_arrow):
                 if space_ids is not None and g_name not in space_ids:
                     problems.append(f"{ctx} gives fibers for unknown space arrow {g_name!r}")
-    for name, stanza in ws.congruences.items():
+    for name, stanza in sorted(ws.congruences.items()):
         ctx = f"congruence {name!r}"
         check_ref(ws.semigroupoids, stanza.get("base"), ctx)
         require(_is_matrix(stanza.get("classes", [])), ctx, "classes", "a list of lists")
@@ -212,7 +212,9 @@ def parse_workspace(text: str, path: str = "") -> WorkspaceFile:
                                 f"{' and '.join(declared)}")
         bases = [] if len(problems) > found else [
             _base_of(ws, homes[p], raw[p]) for p in spec.same_base]
-        if all(isinstance(b, str) for b in bases) and len(set(bases)) > 1:
+        # a base that names no semigroupoid is already reported as missing
+        known = all(isinstance(b, str) and b in ws.semigroupoids for b in bases)
+        if known and len(set(bases)) > 1:
             problems.append(f"{ctx}: {' and '.join(map(repr, spec.same_base))} must lie "
                             f"over one base semigroupoid, not {' and '.join(map(repr, bases))}")
         try:

@@ -8,6 +8,7 @@ structure the library works on.
 import copy
 
 from sectional.actions import validate_preaction
+from sectional.rings import EchelonBasis
 from sectional.semigroupoids import (
     validate_homomorphism,
     validate_inverse_semigroupoid,
@@ -21,6 +22,18 @@ def built(raw):
     stanza carries an inverse table, a semigroupoid otherwise."""
     sgpd = validate_semigroupoid(raw)
     return validate_inverse_semigroupoid(sgpd, raw["inv"]) if "inv" in raw else sgpd
+
+
+def spans_equal(a, b, ring) -> bool:
+    """Whether two sets of sparse vectors span one submodule: their echelon
+    forms are unique, so equal spans have equal rows."""
+    return EchelonBasis(ring, a).rows == EchelonBasis(ring, b).rows
+
+
+def span_rank(generators, ring) -> int:
+    """The dimension of the span of sparse vectors over a field."""
+    assert ring.is_field
+    return len(EchelonBasis(ring, generators).rows)
 
 
 def refusal(call, *args):

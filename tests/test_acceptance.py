@@ -20,7 +20,7 @@ from sectional.bundles import (
     validate_bundle,
 )
 from sectional.maps import certify_linear_iso
-from sectional.rings import RationalRing, ZModRing, spans_equal
+from sectional.rings import RationalRing, ZModRing
 from sectional.semigroupoids import (
     identity_homomorphism,
     validate_inverse_semigroupoid,
@@ -48,6 +48,7 @@ from structures import (
     refusal,
     semilattice_on_points_action,
     semilattice_raw,
+    spans_equal,
     trivial_monoid_raw,
     unit_groupoid_raw,
     with_inverse_entry,

@@ -442,6 +442,15 @@ class TestAlgebraActions:
             assert [(f.kind, f.witness, f.message) for f in refused.value.report.failures] == [
                 ("structural", ("g", "1q"), "image vector indexes outside the basis")]
 
+    def test_domain_index_outside_the_basis_is_structural(self, swap_action):
+        qq, z2 = swap_action.algebra, swap_action.actor
+        ident, swap = swap_action.rows
+        for index in (2, -1, "x"):
+            with pytest.raises(StructureError) as refused:
+                validate_algebra_action(z2, qq, [(0, 1), (0, index)], [ident, swap])
+            assert [(f.kind, f.witness, f.message) for f in refused.value.report.failures] == [
+                ("structural", ("g",), "domain indexes outside the basis")]
+
     def test_images_are_stored_as_sorted_sparse_rows(self, swap_action):
         qq, z2 = swap_action.algebra, swap_action.actor
         action = validate_algebra_action(

@@ -1,0 +1,94 @@
+"""Complexity contracts: deterministic operation counts at two sizes.
+
+A wall-clock bound says little on a shared host; a count of the operations
+an algorithm performs does not move between runs. Each contract runs one
+scaling family at two sizes, reads the counts, and bounds the growth
+exponent log(c2 / c1) / log(m2 / m1) and, where the cost of one operation
+is the point, a ratio of counts, each bound derived from the algorithm.
+
+`verify quotient` on Q(30, m, 3): the congruence of m parallel arrows over
+Z/30 in three classes of m/3, rank-3 fibers and unimodular transports, as
+`bench/workloads._parallel_congruence` builds it (seed 3), at m = 15 and 30.
+Write k = 3 for the fiber rank, I for the `EchelonBasis.insert` calls and R
+for the `EchelonBasis._reduce` calls.
+
+  - I is exact: the kernel and image thinning insert m k vectors each, and
+    the generator span one per fiber vector of each ordered pair of distinct
+    arrows in a class, k m (m/3 - 1); so I = 270 and 990.
+  - The spans are free: the kernel and the generator span of rank (m - 3) k,
+    the image of rank 3 k. So E = 2 m k - 3 k inserts enlarge a span (one
+    pivot each; 81 and 171), and every other insert fails.
+  - A failing insert runs `_reduce` once, in `_residue`; so do the 3 k unit
+    vectors `surjective` tests. An enlarging insert runs it once more per
+    remainder its merge loop pops, the last of which reduces to nothing (at
+    most 4 on this family: a unit pivot leaves no remainder, and a pivot
+    entry of Z/30 can shrink through at most Omega(30) = 3 proper divisors),
+    and once for each row that meets a pivot it merged. Those rows lie in
+    the class of the inserted vector (the spans split by class), at most
+    k m / 3 of them.
+  - Hence R <= I + 3 k + E (4 + k m / 3): 1,818 and 6,813, a ratio R / I of
+    at most 6.73 and 6.88. The routine that re-reduced every row after each
+    enlarging insert made 2,726 and 11,921 calls (ratios 8.65 and 11.04),
+    and fails this bound at both sizes.
+  - Every term is at most quadratic in m, so R grows as m^2; the exponent
+    bound is 2 plus 0.05 (a factor of 1.035 per doubling) for lower-order
+    terms that enter with a negative sign, such as the rows of a class not
+    yet inserted. The old routine's exponent is 2.13.
+"""
+
+import importlib.util
+import json
+import math
+import os
+import random
+
+import pytest
+
+from sectional.cli import main
+from sectional.rings import EchelonBasis
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+
+def _workloads():
+    path = os.path.join(HERE, os.pardir, "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _quotient_counts(m, tmp_path, monkeypatch, capsys):
+    """(_reduce calls, insert calls) of `verify quotient` on Q(30, m, 3)."""
+    workloads = _workloads()
+    rnd = random.Random(3)
+    doc = workloads._parallel_congruence(30, m, (m // 3,) * 3, 3, workloads._Labels(rnd), rnd)
+    path = tmp_path / f"q30-{m}-3.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    counts = {"_reduce": 0, "insert": 0}
+    for name in counts:
+        method = getattr(EchelonBasis, name)
+
+        def counted(*args, _method=method, _name=name):
+            counts[_name] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(EchelonBasis, name, counted)
+    assert main(["verify", "quotient", "--input", str(path), "--no-timestamp"]) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    return counts["_reduce"], counts["insert"]
+
+
+def _reduce_bound(m, k=3):
+    inserts = 2 * m * k + k * m * (m // 3 - 1)
+    enlarging = 2 * m * k - 3 * k
+    return inserts + 3 * k + enlarging * (4 + k * m // 3)
+
+
+def test_quotient_howell_reductions_grow_quadratically(tmp_path, monkeypatch, capsys):
+    (r1, i1), (r2, i2) = (_quotient_counts(m, tmp_path, monkeypatch, capsys) for m in (15, 30))
+    assert (i1, i2) == (270, 990)
+    assert r1 / i1 <= _reduce_bound(15) / i1 == pytest.approx(6.733, abs=1e-3)
+    assert r2 / i2 <= _reduce_bound(30) / i2 == pytest.approx(6.882, abs=1e-3)
+    assert math.log(r2 / r1) / math.log(2) <= 2.05

@@ -31,12 +31,10 @@ from sectional.rings import (
     dense,
     ideal_closure,
     solve_linear,
-    span_rank,
     span_reduce,
-    spans_equal,
     vector_in_span,
 )
-from structures import columns_of
+from structures import columns_of, span_rank, spans_equal
 
 RINGS = [RationalRing(), ZModRing(5), ZModRing(2)]
 

@@ -11,7 +11,10 @@ members of every object reversed (arrays keep their order). The stanzas below
 each carry two faults in one object; the validator must name the same one
 either way: an id that names no arrow before any known id, the smallest such
 id first, and known ids in arrow order (pairs by (a, b), fiber maps by
-(actor arrow, base arrow)).
+(actor arrow, base arrow)). A file refused with exit 2 for several dangling
+ids lists them in one order either way, and a task over a base that is
+itself a dangling id (a missing name, or a value that is no name at all)
+adds nothing to that list.
 """
 
 import json
@@ -108,3 +111,17 @@ def test_two_faults_name_one_witness_in_either_key_order(stanza):
     assert report.first().witness == witness
     flipped = _refusal(reversed_keys(doc), ring, build)
     assert flipped.failures == report.failures
+
+
+@pytest.mark.parametrize("bases", [("nope1", "nope2"), ([1], {"id": "nope2"})])
+def test_dangling_ids_are_listed_in_either_key_order(bases, tmp_path, capsys):
+    doc = _fixture("quotient")
+    doc["bundles"]["bZ2"]["base"], doc["bundles"]["bpar"]["base"] = bases
+    path = tmp_path / "quotient.json"
+    refusals = []
+    for variant in (doc, reversed_keys(doc)):
+        path.write_text(json.dumps(variant), encoding="utf-8")
+        refusals.append((main(["validate", str(path)]), capsys.readouterr().err))
+    assert refusals[0] == refusals[1] == (2, f"{path}: bundle 'bZ2' references missing id "
+                                             f"{bases[0]!r}; bundle 'bpar' references missing id "
+                                             f"{bases[1]!r}\n")

@@ -22,15 +22,13 @@ from sectional.rings import (
     ideal_closure,
     smith_normal_form,
     solve_linear,
-    span_rank,
-    spans_equal,
     validate_ring,
     vector_in_span,
 )
 from sectional.cli import main
 from sectional.validation import CapabilityError, StructureError
 
-from structures import columns_of
+from structures import columns_of, span_rank, spans_equal
 
 Q = RationalRing()
 Z4 = ZModRing(4)

@@ -55,7 +55,6 @@ from sectional.rings import (
     ideal_closure,
     solve_linear,
     sparse_vector,
-    spans_equal,
 )
 from sectional.rings import _unit_products as unit_products
 from sectional.semigroupoids import composable_labels
@@ -68,6 +67,7 @@ from structures import (
     nested_chain_action,
     pair_groupoid_raw,
     preaction,
+    spans_equal,
 )
 
 RINGS = [RationalRing(), ZModRing(5), ZModRing(6)]

@@ -1,10 +1,12 @@
 """The four isomorphism pipelines on the worked instances."""
 
+import dataclasses
 import itertools
 import os
 
 import pytest
 
+from sectional import theorems
 from sectional.actions import validate_preaction, validate_rigid_congruence
 from sectional.bundles import (
     semigroupoid_algebra,
@@ -12,7 +14,7 @@ from sectional.bundles import (
     trivial_bundle,
     validate_bundle,
 )
-from sectional.rings import EchelonBasis, RationalRing, ZModRing, dense, spans_equal
+from sectional.rings import EchelonBasis, RationalRing, ZModRing, dense
 from sectional.semigroupoids import (
     identity_homomorphism,
     validate_homomorphism,
@@ -47,6 +49,7 @@ from structures import (
     preaction,
     semilattice_on_points_action,
     semilattice_raw,
+    spans_equal,
     trivial_monoid_raw,
     unit_groupoid_raw,
 )
@@ -578,6 +581,23 @@ class TestQuotientMapAndKernel:
         res = quotient_map_and_kernel(bc)
         assert res.certificate.passed
         assert spans_equal(res.kernel_basis, [{0: ring.one, 1: ring.one}], ring)
+
+    @pytest.mark.parametrize("ring", [Q, Z5, ZModRing(6)])
+    def test_kernel_is_compared_with_the_generator_span(self, ring, monkeypatch):
+        # a solver that loses one kernel vector leaves a smaller kernel than
+        # the generators span, and the certificate must say so
+        base = built(parallel_arrows_raw())
+        cong = validate_rigid_congruence([["a", "b"]], base)
+        bc = validate_bundle_congruence(trivial_bundle(ring, base), cong, None)
+        solve = theorems.solve_linear
+
+        def lossy(*args):
+            sol = solve(*args)
+            return dataclasses.replace(sol, kernel_basis=sol.kernel_basis[:-1])
+
+        monkeypatch.setattr(theorems, "solve_linear", lossy)
+        checks = {c.name: c.ok for c in quotient_map_and_kernel(bc).certificate.checks}
+        assert checks["generators-in-kernel"] and not checks["kernel-equals-generator-span"]
 
     def test_integer_ring_refuses(self):
         from sectional.rings import IntegerRing

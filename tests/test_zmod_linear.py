@@ -44,12 +44,11 @@ from sectional.rings import (
     smith_normal_form,
     solve_linear,
     span_reduce,
-    spans_equal,
     validate_ring,
     vector_in_span,
 )
 from sectional.validation import CapabilityError
-from structures import columns_of, upper_triangular_f2_ring_spec
+from structures import columns_of, spans_equal, upper_triangular_f2_ring_spec
 
 
 def _relabeled_z4():

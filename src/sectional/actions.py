@@ -388,9 +388,6 @@ class RigidCongruence:
     classes: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
 
-    def representative(self, cls: int) -> int:
-        return self.classes[cls][0]
-
 
 def validate_rigid_congruence(partition, base: FiniteSemigroupoid) -> RigidCongruence:
     """Partition of the arrows, each member an arrow id, with class-wise

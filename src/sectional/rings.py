@@ -213,11 +213,11 @@ class RationalRing(Ring):
             return x
         if isinstance(x, Fraction):
             return _rational(x)
-        # an exponent ("1e-8000000") would cost time exponential in its length
-        if isinstance(x, str) and "e" not in x.lower():
+        # an exponent ("1e-8000000") costs time exponential in its length; "1_0" is 10 from 3.11
+        if isinstance(x, str) and "e" not in x.lower() and "_" not in x:
             try:
                 return _rational(Fraction(x))
-            except ZeroDivisionError:  # "1/0", "0/0"
+            except (ValueError, ZeroDivisionError):  # "x", "1/0", "0/0"
                 pass
         raise ValueError(f"not a rational literal: {x!r}")
 

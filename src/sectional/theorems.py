@@ -499,32 +499,29 @@ def smash_theorem(bundle: Bundle, d: Homomorphism) -> SmashTheoremResult:
 
 @dataclass
 class BundleCongruence:
-    """A rigid base congruence with coherent invertible fiber transports.
-
-    transports[(g, g')] identifies the fiber over g with the fiber over g'
-    for every ordered pair of equivalent arrows; like a fiber map it is held
-    as columns, the sparse image row of each fiber basis vector. The induced
-    relation on the total space relates x over g with transports[(g,g')](x)
-    over g'; linearity makes the zero set saturated and the roll property
-    automatic.
-    """
+    """A rigid base congruence with coherent invertible fiber transports, one
+    per arrow as the file declares them: from_rep[g] carries the fiber over
+    g's class representative to the fiber over g (the declared matrix) and
+    to_rep[g] carries it back, both the identity at a representative and held
+    as columns like a fiber map. The transport g -> h of equivalent arrows is
+    from_rep[h] after to_rep[g]; relating x over g with its transport over h,
+    linearity makes the zero set saturated and the roll property automatic."""
 
     bundle: Bundle
     base: RigidCongruence
-    transports: dict[tuple[int, int], tuple]
+    to_rep: tuple
+    from_rep: tuple
 
 
 def validate_bundle_congruence(bundle: Bundle, base: RigidCongruence,
                                transports=None) -> BundleCongruence:
-    """Complete rep-to-member transports to all ordered pairs, check the
-    cocycle identities on the diagonal and product intertwining by enumeration.
+    """Invert the declared transports, check each g -> g is the identity
+    (every cocycle identity) and product intertwining through the class
+    representatives, which decides it for every equivalent pair.
 
     transports: {arrow name: matrix} giving the transport from the class
     representative (minimal arrow id) to that arrow; omitted arrows get the
     identity, and a representative's own transport must be the identity.
-    Arbitrary ordered pairs g -> h are derived by composing through the
-    representative; each g -> g must be the identity, which implies every
-    triple identity (see the comment at the check).
     """
     report = ValidationReport("bundle congruence")
     if base.base is not bundle.base and base.base != bundle.base:
@@ -533,19 +530,19 @@ def validate_bundle_congruence(bundle: Bundle, base: RigidCongruence,
     ring = bundle.ring
     names = bundle.base.arrow_names
 
-    rep_to: dict[int, tuple] = {}
-    to_cols: dict[int, tuple] = {}
-    from_cols: dict[int, tuple] = {}
+    declared: dict[int, tuple] = {}
     for k, g, mat in in_arrow_order(transports or {}, bundle.base.by_name.get):
         if g is None:
             report.add("structural", (k,), f"transport given for unknown arrow {k!r}")
             raise StructureError(report)
         try:
-            rep_to[g] = tuple(tuple(ring.coerce(x) for x in row) for row in mat)
+            declared[g] = tuple(tuple(ring.coerce(x) for x in row) for row in mat)
         except ValueError as exc:
             report.add("structural", (k,), str(exc))
             raise StructureError(report)
 
+    to_rep = [_identity_columns(k, ring) for k in bundle.ranks]
+    from_rep = list(to_rep)
     for block in base.classes:
         rep = block[0]
         for g in block:
@@ -555,7 +552,7 @@ def validate_bundle_congruence(bundle: Bundle, base: RigidCongruence,
                 raise StructureError(report)
             k = bundle.ranks[rep]
             identity = _identity_columns(k, ring)
-            mat = rep_to.get(g)
+            mat = declared.get(g)
             if mat is not None and (len(mat) != k or any(len(row) != k for row in mat)):
                 report.add("structural", (names[g],),
                            f"transport for {names[g]} must be {k}x{k}")
@@ -566,43 +563,45 @@ def validate_bundle_congruence(bundle: Bundle, base: RigidCongruence,
                            f"transport for the representative {names[g]} is not the identity")
                 raise StructureError(report)
             if cols == identity:
-                to_cols[g] = from_cols[g] = identity
                 continue
             inverse = mat_inverse(mat, ring)
             if inverse is None:
                 report.add("non-invertible-transport", (names[g],),
                            f"transport for {names[g]} is not invertible")
                 raise StructureError(report)
-            to_cols[g], from_cols[g] = cols, _columns(inverse, ring)
-
-    full: dict[tuple[int, int], tuple] = {}
-    for block in base.classes:
-        for g in block:
-            for h in block:
-                full[(g, h)] = _compose(to_cols[h], from_cols[g], ring)
-
-    # The diagonal check is every cocycle identity: to_g.from_g = I makes
-    # from_g a two-sided inverse of the square to_g (by the determinant over
-    # a commutative ring; a non-commutative ring here is a finite table ring
-    # with 1x1 transports, and finite rings are Dedekind-finite), so
-    # full[(h,k)].full[(g,h)] = to_k.(from_h.to_h).from_g = full[(g,k)].
-    for block in base.classes:
-        for g in block:
-            if full[(g, g)] != _identity_columns(bundle.ranks[g], ring):
+            from_rep[g], to_rep[g] = cols, _columns(inverse, ring)
+            # g -> g = I is every cocycle identity: it makes to_g a two-sided
+            # inverse of the square from_g (by the determinant over a commutative
+            # ring; a non-commutative ring here is a finite table ring with 1x1
+            # transports, and finite rings are Dedekind-finite)
+            if _compose(cols, to_rep[g], ring) != identity:
                 report.add("cocycle", (names[g],), "transport g->g is not the identity")
                 raise StructureError(report)
 
-    prod = bundle.base.prod
-    for (g1, g2) in bundle.base.composable:
-        for h1 in base.classes[base.class_of[g1]]:
-            for h2 in base.classes[base.class_of[g2]]:
-                if not _intertwines(bundle, g1, g2, h1, h2, full[(g1, h1)], full[(g2, h2)],
-                                    full[(prod[g1][g2], prod[h1][h2])]):
-                    report.add("intertwining", (names[g1], names[g2], names[h1], names[h2]),
-                               "transports do not intertwine the fiber products")
-                    raise StructureError(report)
+    def transport(g: int, h: int) -> tuple:
+        return _compose(from_rep[h], to_rep[g], ring)
 
-    return BundleCongruence(bundle, base, full)
+    # Intertwining at the representative pair (r1, r2) of each composable pair
+    # is intertwining at every equivalent pair: with A, B, C the transports of
+    # g1, g2, g1g2 to r1, r2, r1r2 and A', B', C' those of h1, h2, h1h2, from
+    # Ax.By = C(xy) and A'x'.B'y' = C'(x'y') for x' = A'^-1 Ax, y' = B'^-1 By
+    # comes x'y' = C'^-1 C(xy), and A'^-1 A, B'^-1 B, C'^-1 C are the transports
+    # g1 -> h1, g2 -> h2, g1g2 -> h1h2 by the cocycle identities.
+    prod, rep_of = bundle.base.prod, [base.classes[c][0] for c in base.class_of]
+
+    def intertwines(g1: int, g2: int, h1: int, h2: int) -> bool:
+        return _intertwines(bundle, g1, g2, h1, h2, transport(g1, h1), transport(g2, h2),
+                            transport(prod[g1][g2], prod[h1][h2]))
+
+    if not all(intertwines(g1, g2, rep_of[g1], rep_of[g2]) for g1, g2 in bundle.base.composable):
+        # the witness is the first failure of the walk over every equivalent pair
+        witness = next((g1, g2, h1, h2) for g1, g2 in bundle.base.composable
+                       for h1 in base.classes[base.class_of[g1]]
+                       for h2 in base.classes[base.class_of[g2]] if not intertwines(g1, g2, h1, h2))
+        report.add("intertwining", tuple(names[g] for g in witness),
+                   "transports do not intertwine the fiber products")
+        raise StructureError(report)
+    return BundleCongruence(bundle, base, tuple(to_rep), tuple(from_rep))
 
 
 @dataclass
@@ -616,8 +615,9 @@ class QuotientBundleResult:
 def quotient_bundle(bc: BundleCongruence) -> QuotientBundleResult:
     """Quotient base, representative fibers, transported products.
 
-    Products are computed through the minimal representatives and re-verified
-    against every other representative pair; disagreement would contradict
+    Products over the minimal representatives are carried by to_rep to the
+    product's representative and re-verified on every equivalent pair, each
+    basis vector carried there by from_rep; disagreement would contradict
     the congruence invariants, so it is surfaced as an internal error.
     """
     bundle = bc.bundle
@@ -625,26 +625,25 @@ def quotient_bundle(bc: BundleCongruence) -> QuotientBundleResult:
     quotient, projection = quotient_semigroupoid(bc.base)
     reps = [block[0] for block in bc.base.classes]
     ranks = tuple(bundle.ranks[r] for r in reps)
-    transports, one = bc.transports, ring.one
+    from_rep, one = bc.from_rep, ring.one
 
-    def moved(a: int, b: int, x, y, rq: int) -> dict:
-        """x * y over (a, b), transported to the representative rq."""
+    def moved(a: int, b: int, x, y) -> dict:
+        """x * y over (a, b), transported to its class representative."""
         xy = bundle.fiber_mul(a, b, x, y)
-        return _move(transports[(bundle.base.prod[a][b], rq)], xy.items(), ring)
+        return _move(bc.to_rep[bundle.base.prod[a][b]], xy.items(), ring)
 
     tables: dict[tuple[int, int], list] = {}
     for (ci, cj) in quotient.composable:
         ri, rj = reps[ci], reps[cj]
-        rq = reps[quotient.prod[ci][cj]]
         table = tables[(ci, cj)] = [
-            [moved(ri, rj, ((i, one),), ((j, one),), rq) for j in range(ranks[cj])]
+            [moved(ri, rj, ((i, one),), ((j, one),)) for j in range(ranks[cj])]
             for i in range(ranks[ci])
         ]
         for a in bc.base.classes[ci]:
             for b in bc.base.classes[cj]:
-                for i, x in enumerate(transports[(ri, a)]):
-                    for j, y in enumerate(transports[(rj, b)]):
-                        if moved(a, b, x, y, rq) != table[i][j]:
+                for i, x in enumerate(from_rep[a]):
+                    for j, y in enumerate(from_rep[b]):
+                        if moved(a, b, x, y) != table[i][j]:
                             raise InternalConsistencyError(
                                 "quotient fiber product depends on representatives at "
                                 f"({bundle.base.arrow_names[a]},{bundle.base.arrow_names[b]})"
@@ -655,6 +654,9 @@ def quotient_bundle(bc: BundleCongruence) -> QuotientBundleResult:
 
 @dataclass
 class QuotientKernelResult:
+    """The quotient map and its certificate; generators holds e_i at g minus
+    (transport e_i) at the representative for each g that is none."""
+
     map: LinearMapOnBasis
     certificate: Certificate
     kernel_basis: list[dict]
@@ -668,7 +670,8 @@ def quotient_map_and_kernel(bc: BundleCongruence) -> QuotientKernelResult:
     """T sums a section over each congruence class after transporting to the
     representative. Certifies: T is an algebra homomorphism, surjective, and
     its kernel is exactly the span of the conjugate-section differences
-    e_i at g minus (transport e_i) at g'."""
+    e_i at g minus (transport e_i) at g', generated by those with g' the
+    representative."""
     bundle = bc.bundle
     ring = bundle.ring
     if not (ring.kind == "q" or ring.kind == "zmod"):
@@ -680,11 +683,8 @@ def quotient_map_and_kernel(bc: BundleCongruence) -> QuotientKernelResult:
     target = sectional_algebra(qb.bundle)
 
     # the quotient arrow of g is its class, whose fiber is the representative's
-    images = []
-    for g, i in source.labels:
-        cls = bc.base.class_of[g]
-        to_rep = bc.transports[(g, bc.base.representative(cls))]
-        images.append({target.index[(cls, k)]: x for k, x in to_rep[i]})
+    images = [{target.index[(bc.base.class_of[g], k)]: x for k, x in bc.to_rep[g][i]}
+              for g, i in source.labels]
     tmap = LinearMapOnBasis(source, target, tuple(images))
 
     cert = Certificate("quotient comparison")
@@ -700,12 +700,14 @@ def quotient_map_and_kernel(bc: BundleCongruence) -> QuotientKernelResult:
     # into single arrows, so a conjugating pair of partial homeomorphisms
     # decomposes into arrow-to-arrow transports, and alpha - psi alpha phi
     # ranges over differences of one fiber basis vector at g against its
-    # transport at an equivalent g'
+    # transport at an equivalent h. Those at the representative r span them
+    # all: as g -> h -> r is g -> r, the difference for v from g to h is the
+    # one for v from g to r less the one for (transport v) from h to r.
     generators = [
         dict([(source.index[(g, i)], ring.one)]
-             + [(source.index[(h, k)], ring.neg(x)) for k, x in col])
-        for block in bc.base.classes for g in block for h in block if g != h
-        for i, col in enumerate(bc.transports[(g, h)])
+             + [(source.index[(block[0], k)], ring.neg(x)) for k, x in col])
+        for block in bc.base.classes for g in block[1:]
+        for i, col in enumerate(bc.to_rep[g])
     ]
 
     inside = not any(tmap.apply_rows(gen.items()) for gen in generators)
@@ -780,7 +782,7 @@ def germ_corollary(theta: LandPreaction, coefficients) -> GermCorollaryResult:
     sol = stage("ideal", lambda: solve_linear(qmap.rows, qmap.target.rank, ring))
     # one echelon form of the kernel: the saturation's stop target and the
     # span the ideal is compared with
-    kernel = stage("ideal", lambda: EchelonBasis(ring, sol.kernel_basis))
+    kernel = stage("ideal", lambda: sol.kernel_echelon)
     kills = not any(qmap.apply_rows(gen.items()) for gen in generators)
     # the kernel of a multiplicative map that kills every generator is a
     # two-sided ideal containing them, so the saturation may stop there

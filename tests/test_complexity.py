@@ -3,8 +3,8 @@
 A wall-clock bound says little on a shared host; a count of the operations
 an algorithm performs does not move between runs. Each contract runs one
 scaling family at two sizes, reads the counts, and bounds the growth
-exponent log(c2 / c1) / log(m2 / m1) and, where the cost of one operation
-is the point, a ratio of counts, each bound derived from the algorithm.
+exponent log(c2 / c1) / log(m2 / m1) and the counts themselves, each bound
+derived from the algorithm.
 
 `verify quotient` on Q(30, m, 3): the congruence of m parallel arrows over
 Z/30 in three classes of m/3, rank-3 fibers and unimodular transports, as
@@ -13,11 +13,13 @@ Write k = 3 for the fiber rank, I for the `EchelonBasis.insert` calls and R
 for the `EchelonBasis._reduce` calls.
 
   - I is exact: the kernel and image thinning insert m k vectors each, and
-    the generator span one per fiber vector of each ordered pair of distinct
-    arrows in a class, k m (m/3 - 1); so I = 270 and 990.
+    the generator span one per fiber vector of each arrow that is no class
+    representative, k (m - 3); so I = 3 k (m - 1) = 126 and 261, linear in m:
+    the growth exponent of I is log(29 / 14) / log 2 = 1.05.
   - The spans are free: the kernel and the generator span of rank (m - 3) k,
     the image of rank 3 k. So E = 2 m k - 3 k inserts enlarge a span (one
-    pivot each; 81 and 171), and every other insert fails.
+    pivot each; 81 and 171): every generator, which spans its rank exactly,
+    and (m - 3) k + 3 k thinning inserts. Every other insert fails.
   - A failing insert runs `_reduce` once, in `_residue`; so do the 3 k unit
     vectors `surjective` tests. An enlarging insert runs it once more per
     remainder its merge loop pops, the last of which reduces to nothing (at
@@ -26,10 +28,11 @@ for the `EchelonBasis._reduce` calls.
     and once for each row that meets a pivot it merged. Those rows lie in
     the class of the inserted vector (the spans split by class), at most
     k m / 3 of them.
-  - Hence R <= I + 3 k + E (4 + k m / 3): 1,818 and 6,813, a ratio R / I of
-    at most 6.73 and 6.88. The routine that re-reduced every row after each
-    enlarging insert made 2,726 and 11,921 calls (ratios 8.65 and 11.04),
-    and fails this bound at both sizes.
+  - Hence R <= I + 3 k + E (4 + k m / 3): 1,674 and 6,084. The generator
+    set over every ordered pair of distinct arrows in a class inserted
+    k m (m/3 - 1) generators (I = 270 and 990, the same E), for a bound of
+    1,818 and 6,813 on its 868 and 3,478 calls; the routine that re-reduced
+    every row after each enlarging insert made 2,726 and 11,921 calls there.
   - Every term is at most quadratic in m, so R grows as m^2; the exponent
     bound is 2 plus 0.05 (a factor of 1.035 per doubling) for lower-order
     terms that enter with a negative sign, such as the rows of a class not
@@ -41,8 +44,6 @@ import json
 import math
 import os
 import random
-
-import pytest
 
 from sectional.cli import main
 from sectional.rings import EchelonBasis
@@ -81,14 +82,15 @@ def _quotient_counts(m, tmp_path, monkeypatch, capsys):
 
 
 def _reduce_bound(m, k=3):
-    inserts = 2 * m * k + k * m * (m // 3 - 1)
+    inserts = 3 * k * (m - 1)
     enlarging = 2 * m * k - 3 * k
     return inserts + 3 * k + enlarging * (4 + k * m // 3)
 
 
 def test_quotient_howell_reductions_grow_quadratically(tmp_path, monkeypatch, capsys):
     (r1, i1), (r2, i2) = (_quotient_counts(m, tmp_path, monkeypatch, capsys) for m in (15, 30))
-    assert (i1, i2) == (270, 990)
-    assert r1 / i1 <= _reduce_bound(15) / i1 == pytest.approx(6.733, abs=1e-3)
-    assert r2 / i2 <= _reduce_bound(30) / i2 == pytest.approx(6.882, abs=1e-3)
+    assert (i1, i2) == (126, 261)
+    assert math.log(i2 / i1) / math.log(2) <= 1.06
+    assert r1 <= _reduce_bound(15) == 1674
+    assert r2 <= _reduce_bound(30) == 6084
     assert math.log(r2 / r1) / math.log(2) <= 2.05

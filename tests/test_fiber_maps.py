@@ -16,7 +16,19 @@ bundles must carry the oracle's product rows. The validators default what
 the input omits to the identity, so the identity fiber maps are sometimes
 left out of what `validate_bundle_action` is given (the oracle keeps them),
 and the class representative's transport, which must be the identity, is
-sometimes declared. Every verdict kind the generators can reach must occur.
+sometimes declared. The congruences are the total one on Z/2 and, on the
+Klein four-group, the total one and those modulo a subgroup of order 2, so
+classes of 2 and 4 compose. `validate_bundle_congruence` stores one transport
+per arrow and decides intertwining at representative pairs, while the oracle
+composes every ordered pair and walks every equivalent pair: the verdict and
+first witness must agree, some first witness must not be a representative
+pair, and each pair the oracle composes must equal the stored transports
+composed. Every verdict kind the generators can reach must occur.
+
+The kernel generators of `quotient_map_and_kernel`, one difference against
+the representative per fiber basis vector of each other arrow, must have the
+echelon rows of the oracle's differences over every ordered pair, on the
+congruences above and on parallel arrows over Q, Z/5, Z/6 and Z/30.
 """
 
 from hypothesis import given, settings
@@ -24,13 +36,16 @@ from hypothesis import strategies as st
 
 from sectional.actions import semidirect_product, validate_preaction, validate_rigid_congruence
 from sectional.bundles import fiber_rows, validate_bundle
-from sectional.rings import (RationalRing, ZModRing, identity_matrix, mat_inverse, mat_mul,
-                             sparse_row)
-from sectional.theorems import (bundle_semidirect, quotient_bundle, validate_bundle_action,
+from sectional.rings import (EchelonBasis, RationalRing, ZModRing, identity_matrix, mat_inverse,
+                             mat_mul, sparse_row)
+from sectional.semigroupoids import validate_semigroupoid
+from sectional.theorems import (_compose, bundle_semidirect, quotient_bundle,
+                                quotient_map_and_kernel, validate_bundle_action,
                                 validate_bundle_congruence)
 from sectional.validation import StructureError
 
-from structures import built, cyclic2_raw, trivial_monoid_raw, unit_groupoid_raw
+from structures import (built, cyclic2_raw, klein_four_raw, trivial_monoid_raw,
+                        unit_groupoid_raw)
 
 RINGS = [RationalRing(), ZModRing(5), ZModRing(6)]
 
@@ -188,6 +203,25 @@ def oracle_bundle_congruence(bundle, cong, transports):
     return None, full
 
 
+def oracle_generators(bundle, cong, full, source):
+    """The conjugate-section differences over every ordered pair of distinct
+    equivalent arrows: e_i at g minus (transport g -> h of e_i) at h."""
+    ring = bundle.ring
+    generators = []
+    for block in cong.classes:
+        for g in block:
+            for h in block:
+                if g == h:
+                    continue
+                for i in range(bundle.ranks[g]):
+                    image = mat_vec(full[(g, h)], unit_vector(bundle.ranks[g], i, ring), ring)
+                    gen = {source.index[(h, k)]: ring.neg(x) for k, x in enumerate(image)
+                           if not ring.is_zero(x)}
+                    gen[source.index[(g, i)]] = ring.one
+                    generators.append(gen)
+    return generators
+
+
 def oracle_quotient_tables(bundle, cong, full, quotient):
     """Dense quotient product tables, read through the class representatives."""
     ring = bundle.ring
@@ -295,8 +329,39 @@ def _columns(mat, ring):
     return tuple(sparse_row(col, ring) for col in zip(*mat))
 
 
+# the congruences drawn: the total one on Z/2, and on the Klein four-group
+# the total one (a class of 4) and the one modulo a subgroup of order 2
+# (two classes of 2); each class composes with each
+CONGRUENCES = {
+    "Z2": (cyclic2_raw, [["u", "g"]]),
+    "V4": (klein_four_raw, [["e", "a", "b", "c"]]),
+    "V4/a": (klein_four_raw, [["e", "a"], ["b", "c"]]),
+    "V4/b": (klein_four_raw, [["e", "b"], ["a", "c"]]),
+}
+
+
+def _congruence_instance(data, ring):
+    """A congruence of CONGRUENCES on a bundle whose fibers all carry one of
+    FIBERS. The first arrow that is no representative gets an invertible
+    transport, and so does each other one unless the draw leaves it out (the
+    identity); a representative's own identity is sometimes declared."""
+    raw, classes = CONGRUENCES[data.draw(st.sampled_from(sorted(CONGRUENCES)))]
+    base = built(raw()).base
+    fiber = data.draw(st.sampled_from(sorted(FIBERS)))
+    k = len(FIBERS[fiber])
+    bundle = _fiber_bundle(ring, base, base.arrow_names, fiber)
+    members = [name for block in classes for name in block[1:]]
+    kept = members[:1] + [name for name in members[1:] if data.draw(st.booleans())]
+    transport = {name: _invertible(data, ring, k) for name in kept}
+    for block in classes:
+        if data.draw(st.booleans()):
+            transport[block[0]] = identity_matrix(k, ring)
+    cong = validate_rigid_congruence(classes, base)
+    return bundle, cong, _corrupt(data, ring, transport)
+
+
 def test_intertwining_checks_match_the_dense_oracle():
-    action_verdicts, congruence_verdicts = [], []
+    action_verdicts, congruence_verdicts, witnesses = [], [], []
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
@@ -318,27 +383,69 @@ def test_intertwining_checks_match_the_dense_oracle():
             tables = oracle_semidirect_tables(theta, bundle, maps)
             assert semidirect.rows == {key: fiber_rows(t, ring) for key, t in tables.items()}
 
-        z2 = built(cyclic2_raw()).base
-        fiber = data.draw(st.sampled_from(sorted(FIBERS)))
-        k = len(FIBERS[fiber])
-        bundle = _fiber_bundle(ring, z2, z2.arrow_names, fiber)
-        cong = validate_rigid_congruence([["u", "g"]], z2)
-        transport = {"g": _invertible(data, ring, k)}
-        if data.draw(st.booleans()):
-            transport["u"] = identity_matrix(k, ring)
-        transport = _corrupt(data, ring, transport)
+        bundle, cong, transport = _congruence_instance(data, ring)
         result, verdict = _outcome(validate_bundle_congruence, bundle, cong, transport)
         expected, full = oracle_bundle_congruence(bundle, cong, transport)
         assert verdict == expected
         congruence_verdicts.append(expected and expected[0])
+        if expected and expected[0] == "intertwining":
+            g1, g2, h1, h2 = (bundle.base.arrow_index(x) for x in expected[1])
+            rep_of = [cong.classes[c][0] for c in cong.class_of]
+            witnesses.append((h1, h2) != (rep_of[g1], rep_of[g2]))
         if expected is None:
-            assert result.transports == {key: _columns(m, ring) for key, m in full.items()}
+            # each composed pair, from_rep[h] after to_rep[g], is the oracle's
+            for (g, h), m in full.items():
+                assert _compose(result.from_rep[h], result.to_rep[g], ring) == _columns(m, ring)
             out = quotient_bundle(result)
             tables = oracle_quotient_tables(bundle, cong, full, out.base_quotient)
             assert out.bundle.rows == {key: fiber_rows(t, ring) for key, t in tables.items()}
+            res = quotient_map_and_kernel(result)
+            assert res.certificate.passed
+            every_pair = oracle_generators(bundle, cong, full, res.source)
+            assert EchelonBasis(ring, res.generators).rows == EchelonBasis(ring, every_pair).rows
 
     check()
     assert set(action_verdicts) == {None, "non-invertible-fiber-map", "intertwining",
                                     "extension-law"}
     assert set(congruence_verdicts) == {None, "non-invertible-transport", "intertwining",
                                         "cocycle"}
+    # some first witnesses are not the representative pair, which only the
+    # walk over every equivalent pair names
+    assert any(witnesses)
+
+
+def test_representative_generators_span_the_all_pairs_set():
+    """The kernel's generators, a difference against the representative for
+    each fiber basis vector of each other arrow, span what the differences
+    over every ordered pair of equivalent arrows span, on parallel arrows in
+    up to three classes with random invertible transports."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def check(data):
+        ring = data.draw(st.sampled_from(RINGS + [ZModRing(30)]))
+        names = [f"a{i}" for i in range(data.draw(st.integers(2, 6)))]
+        base = validate_semigroupoid({
+            "id": "parallel", "vertices": ["v", "w"], "prod": [],
+            "arrows": [{"id": x, "src": "v", "rng": "w"} for x in names]})
+        labels = data.draw(st.lists(st.integers(0, 2), min_size=len(names), max_size=len(names)))
+        classes = [block for block in ([x for x, c in zip(names, labels) if c == j]
+                                       for j in range(3)) if block]
+        k = data.draw(st.integers(1, 3))
+        bundle = validate_bundle({"ranks": {x: k for x in names}, "mode": "sc"}, ring, base)
+        cong = validate_rigid_congruence(classes, base)
+        transport = {x: _invertible(data, ring, k) for block in classes for x in block[1:]}
+        verdict, full = oracle_bundle_congruence(bundle, cong, transport)
+        assert verdict is None
+        res = quotient_map_and_kernel(validate_bundle_congruence(bundle, cong, transport))
+        assert res.certificate.passed
+        assert len(res.generators) == k * (len(names) - len(classes))
+        every_pair = oracle_generators(bundle, cong, full, res.source)
+        assert EchelonBasis(ring, res.generators).rows == EchelonBasis(ring, every_pair).rows
+        largest.append(max(map(len, classes)))
+        seen.add(ring.describe())
+
+    largest, seen = [], set()
+    check()
+    assert max(largest) >= 4
+    assert seen == {"Q", "Z/5", "Z/6", "Z/30"}

@@ -77,10 +77,10 @@ class FractionRationalRing(Ring):
             return Fraction(x)
         if isinstance(x, Fraction):
             return x
-        if isinstance(x, str) and "e" not in x.lower():
+        if isinstance(x, str) and "e" not in x.lower() and "_" not in x:
             try:
                 return Fraction(x)
-            except ZeroDivisionError:
+            except (ValueError, ZeroDivisionError):
                 pass
         raise ValueError(f"not a rational literal: {x!r}")
 

@@ -573,26 +573,32 @@ def test_crossed_tables_match_the_loops_under_any_conjugation():
 
 
 def test_germ_corollary_reduces_the_kernel_once(monkeypatch):
-    """One echelon form of the kernel is both the saturation's stop target
-    and the span the ideal is compared with."""
-    solutions, built = [], []
+    """Exactly one echelon form of the kernel is built, the one `solve_linear`
+    hands over (built while thinning over Z/n, on first use over a field), and
+    it is both the saturation's stop target and the span the ideal is
+    compared with."""
+    for ring in GERM_RINGS.values():
+        solutions, built = [], []
 
-    def spy(*args):
-        solutions.append(solve_linear(*args))
-        return solutions[-1]
+        def spy(*args):
+            solutions.append(solve_linear(*args))
+            return solutions[-1]
 
-    monkeypatch.setattr(theorems, "solve_linear", spy)
+        class Counted(EchelonBasis):
+            def __init__(self, ring, vectors=()):
+                built.append((self, vectors))
+                super().__init__(ring, vectors)
 
-    class Counted(EchelonBasis):
-        def __init__(self, ring, vectors=()):
-            built.append(vectors)
-            super().__init__(ring, vectors)
-
-    monkeypatch.setattr(theorems, "EchelonBasis", Counted)
-    res = germ_corollary(preaction(*GERM_INSTANCES["2P2-Z2"]()), RationalRing())
-    (sol,) = solutions
-    assert [v for v in built if v is sol.kernel_basis] == [sol.kernel_basis]
-    assert res.certificate.passed
+        monkeypatch.setattr(theorems, "solve_linear", spy)
+        for module in (rings_module, theorems):
+            monkeypatch.setattr(module, "EchelonBasis", Counted)
+        res = germ_corollary(preaction(*GERM_INSTANCES["2P2-Z2"]()), ring)
+        monkeypatch.undo()
+        (sol,) = solutions
+        kernel = vars(sol)["kernel_echelon"]
+        assert [b for b, vectors in built
+                if b is kernel or vectors is sol.kernel_basis] == [kernel]
+        assert res.certificate.passed
 
 
 class Zero(theorems.LinearMapOnBasis):

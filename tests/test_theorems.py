@@ -447,8 +447,10 @@ def sign_congruence():
 
 class TestBundleCongruence:
     def test_sign_congruence_validates(self, sign_congruence):
-        assert sign_congruence.transports[(0, 1)] == (((0, Q.coerce(-1)),),)
-        assert sign_congruence.transports[(1, 0)] == (((0, Q.coerce(-1)),),)
+        # one transport per arrow each way: the identity at the representative
+        # u, and -1, its own inverse, at g
+        per_arrow = ((((0, Q.one),),), (((0, Q.coerce(-1)),),))
+        assert sign_congruence.from_rep == sign_congruence.to_rep == per_arrow
 
     def test_rank_mismatch_rejected(self):
         base = built(parallel_arrows_raw())
@@ -467,8 +469,12 @@ class TestBundleCongruence:
         bundle = trivial_bundle(Q, z2)
         with pytest.raises(StructureError) as refused:
             validate_bundle_congruence(bundle, cong, {"g": [[2]]})
-        report = refused.value.report
-        assert report.has("intertwining")
+        # the representative pairs first fail at (g, g), but the witness is the
+        # first failure of the walk over every equivalent pair: carried from
+        # (u, u) to (g, g), x y becomes 2x 2y = 4xy, while u u = u = g g
+        # carries xy to itself
+        assert [(f.kind, f.witness) for f in refused.value.report.failures] == [
+            ("intertwining", ("u", "u", "g", "g"))]
 
     def test_singular_transport_rejected(self):
         z2 = built(cyclic2_raw()).base

@@ -515,9 +515,9 @@ class BundleCongruence:
 
 def validate_bundle_congruence(bundle: Bundle, base: RigidCongruence,
                                transports=None) -> BundleCongruence:
-    """Invert the declared transports, check each g -> g is the identity
-    (every cocycle identity) and product intertwining through the class
-    representatives, which decides it for every equivalent pair.
+    """Invert the declared transports, check each g -> g is the identity (every
+    cocycle identity) and product intertwining: at the class representatives over
+    a commutative ring, which decides every equivalent pair, else at every pair.
 
     transports: {arrow name: matrix} giving the transport from the class
     representative (minimal arrow id) to that arrow; omitted arrows get the
@@ -578,26 +578,27 @@ def validate_bundle_congruence(bundle: Bundle, base: RigidCongruence,
                 report.add("cocycle", (names[g],), "transport g->g is not the identity")
                 raise StructureError(report)
 
-    def transport(g: int, h: int) -> tuple:
-        return _compose(from_rep[h], to_rep[g], ring)
-
-    # Intertwining at the representative pair (r1, r2) of each composable pair
-    # is intertwining at every equivalent pair: with A, B, C the transports of
-    # g1, g2, g1g2 to r1, r2, r1r2 and A', B', C' those of h1, h2, h1h2, from
-    # Ax.By = C(xy) and A'x'.B'y' = C'(x'y') for x' = A'^-1 Ax, y' = B'^-1 By
-    # comes x'y' = C'^-1 C(xy), and A'^-1 A, B'^-1 B, C'^-1 C are the transports
-    # g1 -> h1, g2 -> h2, g1g2 -> h1h2 by the cocycle identities.
-    prod, rep_of = bundle.base.prod, [base.classes[c][0] for c in base.class_of]
+    # Over a commutative ring the basis check at the representative pair (r1, r2)
+    # decides every equivalent pair (h1, h2): with A, B, C the transports of g1, g2,
+    # g1g2 to r1, r2, r1r2 and A', B', C' those of h1, h2, h1h2, Ax.By = C(xy) holds
+    # for all vectors by bilinearity, so x' = A'^-1 Ax, y' = B'^-1 By give x'y' =
+    # C'^-1 C(xy), and A'^-1 A, B'^-1 B, C'^-1 C are the transports g1 -> h1, g2 -> h2,
+    # g1g2 -> h1h2 by the cocycle identities. Over a non-commutative table ring the
+    # basis check does not extend to all vectors, so there every pair is walked.
+    prod, cls = bundle.base.prod, [base.classes[c] for c in base.class_of]
 
     def intertwines(g1: int, g2: int, h1: int, h2: int) -> bool:
-        return _intertwines(bundle, g1, g2, h1, h2, transport(g1, h1), transport(g2, h2),
-                            transport(prod[g1][g2], prod[h1][h2]))
+        pairs = ((g1, h1), (g2, h2), (prod[g1][g2], prod[h1][h2]))
+        return _intertwines(bundle, g1, g2, h1, h2,
+                            *(_compose(from_rep[h], to_rep[g], ring) for g, h in pairs))
 
-    if not all(intertwines(g1, g2, rep_of[g1], rep_of[g2]) for g1, g2 in bundle.base.composable):
-        # the witness is the first failure of the walk over every equivalent pair
-        witness = next((g1, g2, h1, h2) for g1, g2 in bundle.base.composable
-                       for h1 in base.classes[base.class_of[g1]]
-                       for h2 in base.classes[base.class_of[g2]] if not intertwines(g1, g2, h1, h2))
+    # the witness is the first failure of the walk over every equivalent pair
+    at_reps = ring.commutative and all(intertwines(g1, g2, cls[g1][0], cls[g2][0])
+                                       for g1, g2 in bundle.base.composable)
+    witness = None if at_reps else next(((g1, g2, h1, h2) for g1, g2 in bundle.base.composable
+                                         for h1 in cls[g1] for h2 in cls[g2]
+                                         if not intertwines(g1, g2, h1, h2)), None)
+    if witness is not None:
         report.add("intertwining", tuple(names[g] for g in witness),
                    "transports do not intertwine the fiber products")
         raise StructureError(report)
@@ -654,8 +655,8 @@ def quotient_bundle(bc: BundleCongruence) -> QuotientBundleResult:
 
 @dataclass
 class QuotientKernelResult:
-    """The quotient map and its certificate; generators holds e_i at g minus
-    (transport e_i) at the representative for each g that is none."""
+    """The quotient map and its certificate; generators holds e_i at g minus (transport
+    e_i) at the representative for each arrow g that is not its class representative."""
 
     map: LinearMapOnBasis
     certificate: Certificate

@@ -85,6 +85,18 @@ def cyclic2_raw():
     }
 
 
+def cyclic_raw(n):
+    """The cyclic group C_n on arrows a0, ..., a{n-1}, with a_i a_j = a_(i+j mod n)."""
+    names = [f"a{i}" for i in range(n)]
+    return {
+        "id": f"C{n}",
+        "vertices": ["*"],
+        "arrows": [{"id": x, "src": "*", "rng": "*"} for x in names],
+        "prod": [[names[i], names[j], names[(i + j) % n]] for i in range(n) for j in range(n)],
+        "inv": {names[i]: names[-i % n] for i in range(n)},
+    }
+
+
 def semilattice_raw():
     return {
         "id": "E2",
@@ -186,28 +198,68 @@ def semilattice_on_points_action():
     }
 
 
+def _table_ring_spec(elems, add, mul, zero, one):
+    """A finite-table ring literal on the tuples elems, each named by its digits."""
+    idx = {e: i for i, e in enumerate(elems)}
+    return {
+        "kind": "table",
+        "elements": ["".join(map(str, e)) for e in elems],
+        "add": [[idx[add(x, y)] for y in elems] for x in elems],
+        "mul": [[idx[mul(x, y)] for y in elems] for x in elems],
+        "zero": idx[zero],
+        "one": idx[one],
+    }
+
+
+def _f2_add(x, y):
+    return tuple((p + q) % 2 for p, q in zip(x, y))
+
+
 def upper_triangular_f2_ring_spec():
     """The 8-element ring of upper triangular 2x2 matrices over F2: the
     smallest non-commutative unital ring, as a finite-table literal."""
     elems = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-    idx = {e: i for i, e in enumerate(elems)}
-
-    def add(x, y):
-        return tuple((p + q) % 2 for p, q in zip(x, y))
 
     def mul(x, y):
         a1, b1, c1 = x
         a2, b2, c2 = y
         return ((a1 * a2) % 2, (a1 * b2 + b1 * c2) % 2, (c1 * c2) % 2)
 
-    names = ["".join(map(str, e)) for e in elems]
+    return _table_ring_spec(elems, _f2_add, mul, (0, 0, 0), (1, 0, 1))
+
+
+def f2_matrix_mul(x, y):
+    """The product of 2x2 matrices over F2, each given row by row as (a, b, c, d)."""
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return ((a1 * a2 + b1 * c2) % 2, (a1 * b2 + b1 * d2) % 2,
+            (c1 * a2 + d1 * c2) % 2, (c1 * b2 + d1 * d2) % 2)
+
+
+F2_MATRICES = [(a, b, c, d) for a in (0, 1) for b in (0, 1) for c in (0, 1) for d in (0, 1)]
+# GL2(F2), isomorphic to S3, the identity first
+GL2_F2 = sorted((m for m in F2_MATRICES if (m[0] * m[3] + m[1] * m[2]) % 2),
+                key=lambda m: m != (1, 0, 0, 1))
+
+
+def f2_matrix_ring_spec():
+    """The 16-element ring M2(F2), whose unit group GL2(F2) is not abelian, as
+    a finite-table literal; each element is named by its entries row by row."""
+    return _table_ring_spec(F2_MATRICES, _f2_add, f2_matrix_mul, (0, 0, 0, 0), (1, 0, 0, 1))
+
+
+def gl2_f2_raw():
+    """GL2(F2) as a one-vertex group, each arrow named as its element of M2(F2)."""
+    def label(m):
+        return "".join(map(str, m))
+
     return {
-        "kind": "table",
-        "elements": names,
-        "add": [[idx[add(x, y)] for y in elems] for x in elems],
-        "mul": [[idx[mul(x, y)] for y in elems] for x in elems],
-        "zero": idx[(0, 0, 0)],
-        "one": idx[(1, 0, 1)],
+        "id": "GL2(F2)",
+        "vertices": ["*"],
+        "arrows": [{"id": label(m), "src": "*", "rng": "*"} for m in GL2_F2],
+        "prod": [[label(x), label(y), label(f2_matrix_mul(x, y))] for x in GL2_F2 for y in GL2_F2],
+        "inv": {label(x): label(y) for x in GL2_F2 for y in GL2_F2
+                if f2_matrix_mul(x, y) == (1, 0, 0, 1)},
     }
 
 

@@ -24,8 +24,6 @@ from .semigroupoids import (
     in_arrow_order,
     is_groupoid,
     pair_semigroupoid,
-    validate_homomorphism,
-    validate_semigroupoid,
 )
 from .validation import (
     InternalConsistencyError,
@@ -345,8 +343,14 @@ def semidirect_product(theta: LandPreaction) -> FiniteSemigroupoid:
 
     Vertex pairs live in actor^(0) x space^(0); only those met by an arrow
     are kept, so groupoid detection sees the operative graph. Refuses
-    non-associative actions: the table it would produce could violate
-    associativity, so the failing triple is reported instead.
+    non-associative actions with the failing triple. On an associative one
+    the ideal axioms and the extension law keep each product in dom(theta_st),
+    and with c' = theta_u(c) both bracketings of (s,a)(t,b)(u,c) are
+    (stu, theta_{u*}(theta_{t*}(a theta_t(b)) c')): the twisted associativity
+    that validate_preaction decided, through theta_{tu} extending theta_t
+    theta_u and theta_{(tu)*} extending theta_{u*} theta_{t*}. So no triple
+    is walked. pair_semigroupoid checks the names and the pair axioms: no
+    preaction axiom ties the source of theta_{t*}(a theta_t(b)) to that of b.
     """
     if not theta.is_associative:
         raise StructureError(ValidationReport.single(
@@ -364,16 +368,7 @@ def semidirect_product(theta: LandPreaction) -> FiniteSemigroupoid:
         for i, j in composable_labels(actor, pairs, lambda s, a: (space.src[a],),
                                       lambda t, b: (space.rng[theta.apply(t, b)],)):
             (s, a), (t, b) = pairs[i], pairs[j]
-            st = actor.prod[s][t]
-            value = _twisted(theta, t, a, b)
-            if value is None or value not in theta.maps[st]:
-                raise InternalConsistencyError(
-                    "semidirect product formula left its domain at "
-                    f"(({actor.arrow_names[s]},{space.arrow_names[a]}),"
-                    f"({actor.arrow_names[t]},{space.arrow_names[b]})); the action "
-                    "validator should have prevented this"
-                )
-            yield i, j, (st, value)
+            yield i, j, (actor.prod[s][t], _twisted(theta, t, a, b))
 
     return pair_semigroupoid(
         pairs, ends, (actor.arrow_names, space.arrow_names),
@@ -460,46 +455,27 @@ def _first_incompatibility(base: FiniteSemigroupoid, resolved, class_of) -> tupl
 def quotient_semigroupoid(cong: RigidCongruence) -> tuple[FiniteSemigroupoid, Homomorphism]:
     """Classes as arrows over the original vertex set, plus the projection.
 
-    Well-definedness of the class product is re-verified over every pair of
-    representatives; a failure would mean the congruence validator is broken.
+    validate_rigid_congruence implies every axiom, so nothing is re-walked.
+    Members of a class share source and range, so [x][y] is composable
+    exactly when every member pair is, and x1x2 ~ y1y2 makes the product
+    [xy], read off the representatives, the same for every member pair. The
+    quotient's pair axioms and associativity are then the base's, read
+    through the classes; the projection x -> [x] is multiplicative by the
+    same compatibility, and rigid as composability is read off src and rng.
     """
     base = cong.base
-    names = base.arrow_names
-    arrow_names = tuple(f"[{names[block[0]]}]" for block in cong.classes)
-    src = tuple(base.src[block[0]] for block in cong.classes)
-    rng = tuple(base.rng[block[0]] for block in cong.classes)
-    prod: list[dict[int, int]] = [{} for _ in cong.classes]
+    reps = [block[0] for block in cong.classes]
+    src = tuple(base.src[r] for r in reps)
+    prod: list[dict[int, int]] = [{} for _ in reps]
     # prod is filled in place: into, the classes by range, needs only rng
     quotient = FiniteSemigroupoid(
-        base.vertex_names, arrow_names, src, rng, tuple(prod),
+        base.vertex_names, tuple(f"[{base.arrow_names[r]}]" for r in reps), src,
+        tuple(base.rng[r] for r in reps), tuple(prod),
         name=f"{base.name}/~" if base.name else "",
     )
-    for i, bi in enumerate(cong.classes):
-        for j in quotient.into[src[i]]:
-            expected = None
-            for x in bi:
-                for y in cong.classes[j]:
-                    c = base.compose(x, y)
-                    if c is None:
-                        raise InternalConsistencyError(
-                            "rigid congruence produced a non-composable member pair"
-                        )
-                    cls = cong.class_of[c]
-                    if expected is None:
-                        expected = cls
-                    elif expected != cls:
-                        raise InternalConsistencyError(
-                            f"quotient product ill-defined on ({arrow_names[i]},{arrow_names[j]})"
-                        )
-            prod[i][j] = expected
-    quotient = validate_semigroupoid(quotient)
-    projection = validate_homomorphism(
-        {names[a]: arrow_names[cong.class_of[a]] for a in base.arrows()},
-        base, quotient,
-    )
-    if not projection.rigid:
-        raise InternalConsistencyError("quotient projection of a rigid congruence must be rigid")
-    return quotient, projection
+    for i, r in enumerate(reps):
+        prod[i].update((j, cong.class_of[base.prod[r][reps[j]]]) for j in quotient.into[src[i]])
+    return quotient, Homomorphism(base, quotient, cong.class_of, rigid=True)
 
 
 @dataclass

@@ -164,12 +164,7 @@ def validate_semigroupoid(raw) -> FiniteSemigroupoid:
     reported with kind "structural", distinct from axiom failures.
     """
     if isinstance(raw, FiniteSemigroupoid):
-        report = _check_names(raw)
-        if report.ok:
-            _check_axioms(raw, report)
-        if not report.ok:
-            raise StructureError(report)
-        return raw
+        return _checked(raw, _check_axioms)
 
     name = str(raw.get("id", ""))
     report = ValidationReport(f"semigroupoid {name or '<anonymous>'}")
@@ -219,6 +214,16 @@ def validate_semigroupoid(raw) -> FiniteSemigroupoid:
     return sgpd
 
 
+def _checked(sgpd: FiniteSemigroupoid, check=lambda sgpd, report: None) -> FiniteSemigroupoid:
+    """A built sgpd, once its names and then check(sgpd, report) pass."""
+    report = _check_names(sgpd)
+    if report.ok:
+        check(sgpd, report)
+    if not report.ok:
+        raise StructureError(report)
+    return sgpd
+
+
 def _check_names(sgpd: FiniteSemigroupoid) -> ValidationReport:
     """A built object's names, held to the file's rules so that it parses back."""
     report = ValidationReport(f"semigroupoid {sgpd.name or '<anonymous>'}")
@@ -231,9 +236,12 @@ def _check_names(sgpd: FiniteSemigroupoid) -> ValidationReport:
     return report
 
 
-def _check_axioms(sgpd: FiniteSemigroupoid, report: ValidationReport) -> None:
+def _check_pairs(sgpd: FiniteSemigroupoid, report: ValidationReport) -> None:
+    """The axioms one pair decides: a product exactly on the composable pairs,
+    each with the right factor's source and the left factor's range; the first
+    failing pair per kind is the witness."""
     names = sgpd.arrow_names
-    src, rng, prod, into = sgpd.src, sgpd.rng, sgpd.prod, sgpd.into
+    src, rng, into = sgpd.src, sgpd.rng, sgpd.into
     seen: set[str] = set()
 
     def fail(kind, witness, message):
@@ -243,7 +251,7 @@ def _check_axioms(sgpd: FiniteSemigroupoid, report: ValidationReport) -> None:
 
     # only declared products and composable pairs can fail; sorting them (a
     # file declares in any order) keeps the witnesses lexicographic
-    for a, row in enumerate(prod):
+    for a, row in enumerate(sgpd.prod):
         sa, ra = src[a], rng[a]
         for b in sorted(row.keys() | into[sa]):
             c = row.get(b)
@@ -262,15 +270,20 @@ def _check_axioms(sgpd: FiniteSemigroupoid, report: ValidationReport) -> None:
                 fail("product-on-noncomposable", (names[a], names[b]),
                      f"product declared on non-composable pair ({names[a]},{names[b]})")
 
-    if seen:
+
+def _check_axioms(sgpd: FiniteSemigroupoid, report: ValidationReport) -> None:
+    """The pair axioms, then associativity over every composable triple."""
+    _check_pairs(sgpd, report)
+    if not report.ok:
         return
+    names, src, prod, into = sgpd.arrow_names, sgpd.src, sgpd.prod, sgpd.into
     for a, b in sgpd.composable:
         row_a, row_b = prod[a], prod[b]
         row_ab = prod[row_a[b]]
         for c in into[src[b]]:
             if row_ab[c] != row_a[row_b[c]]:
-                fail("associativity", (names[a], names[b], names[c]),
-                     f"({names[a]}{names[b]}){names[c]} != {names[a]}({names[b]}{names[c]})")
+                report.add("associativity", (names[a], names[b], names[c]),
+                           f"({names[a]}{names[b]}){names[c]} != {names[a]}({names[b]}{names[c]})")
                 return
 
 
@@ -492,12 +505,14 @@ def identity_homomorphism(sgpd: FiniteSemigroupoid) -> Homomorphism:
 
 def pair_semigroupoid(labels, ends, arrow_names, vertex_names, products,
                       name: str) -> FiniteSemigroupoid:
-    """The validated semigroupoid whose arrow i is labeled by the pair labels[i].
+    """The semigroupoid whose arrow i is labeled by the pair labels[i].
 
     ends[i] is the (source, range) pair of vertex pairs of arrow i; the
     vertices are the pairs some arrow meets, sorted. A pair (x, y) is named
     "(x,y)" from the two name tables of arrow_names or vertex_names.
     products yields (i, j, label of the product) for each composable (i, j).
+    The names and pair axioms are checked; each caller states why its inputs
+    imply associativity, which is not walked.
     """
     index = label_index(labels)
     touched = sorted({v for end in ends for v in end})
@@ -509,11 +524,10 @@ def pair_semigroupoid(labels, ends, arrow_names, vertex_names, products,
     prod: list[dict[int, int]] = [{} for _ in labels]
     for i, j, label in products:
         prod[i][j] = index[label]
-    out = FiniteSemigroupoid(
+    return _checked(FiniteSemigroupoid(
         vertices, arrows, tuple(vid[s] for s, _ in ends), tuple(vid[r] for _, r in ends),
         tuple(prod), name=name, labels=labels,
-    )
-    return validate_semigroupoid(out)
+    ), _check_pairs)
 
 
 def direct_product(a: FiniteSemigroupoid, b: FiniteSemigroupoid) -> FiniteSemigroupoid:
@@ -539,15 +553,11 @@ def direct_product(a: FiniteSemigroupoid, b: FiniteSemigroupoid) -> FiniteSemigr
         x12 = a.prod[x1][x2] * nb
         for y1, y2 in b.composable:
             prod[x1 * nb + y1][x2 * nb + y2] = x12 + b.prod[y1][y2]
-    out = FiniteSemigroupoid(
+    return _checked(FiniteSemigroupoid(
         vertices, arrows, tuple(src), tuple(rng), tuple(prod),
         name=f"{a.name}x{b.name}" if a.name and b.name else "",
         labels=tuple((x, y) for x in a.arrows() for y in b.arrows()),
-    )
-    report = _check_names(out)
-    if not report.ok:
-        raise StructureError(report)
-    return out
+    ))
 
 
 @dataclass

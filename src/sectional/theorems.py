@@ -286,7 +286,11 @@ def validate_bundle_action(theta: LandPreaction, bundle: Bundle,
 
 
 def bundle_semidirect(action: BundleAction) -> Bundle:
-    """The bundle over the semidirect product base with transported products."""
+    """The bundle over the semidirect product base with transported products.
+
+    bundle_from_product checks its associativity in full: intertwining and
+    the extension law do not imply it (induced_theta's twisted associativity
+    would, but is not assumed)."""
     theta = action.base_action
     inner = action.bundle
     ring = inner.ring
@@ -382,8 +386,11 @@ def smash_product(algebra: AlgebraPresentation) -> AlgebraPresentation:
     Basis pairs (u, h) with src(deg u) = rng(h), labeled (u, h) with u a
     basis position of the input; the product twists by the degree
     projection: (a delta_g)(b delta_h) keeps only the part of b in degree
-    g h^{-1} and lands on delta_h. Associativity is re-proved on this
-    instance by enumeration.
+    g h^{-1} and lands on delta_h. The input's graded closure and
+    associativity are checked instead of A # G's, at half the rank, and a
+    failure is refused with the input's witness: with them both bracketings
+    of (a delta_g)(b delta_h)(c delta_k) are abc delta_k when deg b = g h^{-1}
+    and deg c = h k^{-1}, and zero otherwise.
     """
     if not algebra.graded:
         raise StructureError(ValidationReport.single(
@@ -393,6 +400,11 @@ def smash_product(algebra: AlgebraPresentation) -> AlgebraPresentation:
     if not check.ok:
         raise StructureError(ValidationReport.single(
             "smash product", "grading-not-groupoid", check.witness, check.message))
+    for kind, proof in (("graded-closure", algebra.check_graded_closure),
+                        ("associativity", algebra.check_associativity)):
+        if (witness := proof()) is not None:
+            raise StructureError(ValidationReport.single(
+                "smash product", kind, witness, f"the graded algebra fails {kind}"))
     ring = algebra.ring
     labels = [
         (u, h) for u in range(algebra.rank) for h in g.arrows()
@@ -410,18 +422,11 @@ def smash_product(algebra: AlgebraPresentation) -> AlgebraPresentation:
                 continue
             w = algebra.table.get((u, v), ())
             table[(p, q)] = {pos[(k, hv)]: x for k, x in w}
-    out = AlgebraPresentation(
+    return AlgebraPresentation(
         ring=ring, basis=basis, table=table,
         grading=g, degrees=tuple(algebra.degrees[u] for u, _h in labels),
         provenance="smash product", labels=labels,
     )
-    witness = out.check_associativity()
-    if witness is not None:
-        raise InternalConsistencyError(
-            f"smash product is not associative at {witness}; this contradicts "
-            "the graded structure of the input"
-        )
-    return out
 
 
 @dataclass
@@ -434,7 +439,10 @@ def skew_product(sgpd: FiniteSemigroupoid, d: Homomorphism) -> SkewProduct:
     """Pairs (g, h) with src(d(g)) = rng(h), labeled (g, h); product
     (g1,h1)(g2,h2) = (g1g2,h2), defined when the factors compose and
     h1 = d(g2) h2; graded back to the grading groupoid by the first
-    coordinate's degree."""
+    coordinate's degree. (g, h) runs from (src g, h) to (rng g, d(g) h), so
+    the validated base and multiplicative d imply every axiom and no triple
+    is walked; pair_semigroupoid checks the names and the pair axioms, and
+    validate_homomorphism the grading, deciding its rigidity."""
     g = d.target
     check = is_groupoid(g)
     if not check.ok:

@@ -570,6 +570,28 @@ class TestCapabilityStatus:
         assert by_summary["verify convolution"] == "capability"
 
 
+class TestStageReport:
+    def test_germ_quotient_refusal_names_its_stage(self, monkeypatch, capsys):
+        """`verify germ` on the germ fixture with its action classified as not
+        associative, as tests/test_actions.py hands it to semidirect_product:
+        the germ-quotient stage refuses, and the report carries the stage and
+        the failing twisted triple. Over a groupoid space the domains of an
+        accepted preaction are unions of components, which makes twisted
+        associativity hold, so the action is flagged instead of written."""
+        from sectional import actions
+
+        witness = ("1", "1", "1", "1x", "1x", "1x")
+        monkeypatch.setattr(actions, "_associativity", lambda theta: (False, witness))
+        code = main(["verify", "germ", "--input", os.path.join(FIXTURES, "germ.json"),
+                     "--no-timestamp", "--format", "json"])
+        (task,) = json.loads(capsys.readouterr().out)["workspaces"][0]["tasks"]
+        assert code == 1
+        assert task["status"] == "fail"
+        assert task["data"] == {"stage": "germ-quotient"}
+        assert task["witness"] == list(witness)
+        assert task["message"].startswith("stage 'germ-quotient': germ quotient: not-associative")
+
+
 class TestNumericArrowIds:
     """Congruence members are arrow ids, also when the file spells an id as
     a JSON number; a number is never read as an arrow position."""
@@ -679,6 +701,57 @@ class TestBuildOps:
         task = json.loads(capsys.readouterr().out)["workspaces"][0]["tasks"][0]
         assert code == 1
         assert task["status"] == "fail" and task["witness"] == ["(a,b,c)"]
+
+    # pair names that collide: (a,(b,c)) and ((a,b),c) are both "(a,b,c)"
+    _COLLIDING = {
+        "semidirect": {
+            "semigroupoids": {
+                "E": {"vertices": ["*"],
+                      "arrows": [{"id": "a", "src": "*", "rng": "*"},
+                                 {"id": "a,b", "src": "*", "rng": "*"}],
+                      "prod": [["a", "a", "a"], ["a", "a,b", "a,b"], ["a,b", "a", "a,b"],
+                               ["a,b", "a,b", "a,b"]],
+                      "inv": {"a": "a", "a,b": "a,b"}},
+                "X": {"vertices": ["x", "y"],
+                      "arrows": [{"id": "b,c", "src": "x", "rng": "x"},
+                                 {"id": "c", "src": "y", "rng": "y"}],
+                      "prod": [["b,c", "b,c", "b,c"], ["c", "c", "c"]]}},
+            "actions": {"theta": {"actor": "E", "space": "X", "maps": {
+                "a": {"dom": ["b,c", "c"], "img": ["b,c", "c"]},
+                "a,b": {"dom": ["b,c", "c"], "img": ["b,c", "c"]}}}},
+            "tasks": [{"kind": "build", "id": "out", "op": "semidirect", "action": "theta"}],
+        },
+        "skew": {
+            "semigroupoids": {
+                "L": {"vertices": ["v"],
+                      "arrows": [{"id": "a", "src": "v", "rng": "v"},
+                                 {"id": "a,b", "src": "v", "rng": "v"}],
+                      "prod": [[x, y, x] for x in ("a", "a,b") for y in ("a", "a,b")]},
+                "G": {"vertices": ["w"],
+                      "arrows": [{"id": "b,c", "src": "w", "rng": "w"},
+                                 {"id": "c", "src": "w", "rng": "w"}],
+                      "prod": [["b,c", "b,c", "b,c"], ["b,c", "c", "c"], ["c", "b,c", "c"],
+                               ["c", "c", "b,c"]]}},
+            "homomorphisms": {"d": {"source": "L", "target": "G",
+                                    "map": {"a": "b,c", "a,b": "b,c"}}},
+            "tasks": [{"kind": "build", "id": "out", "op": "skew", "base": "L", "grading": "d"}],
+        },
+    }
+
+    @pytest.mark.parametrize("op", sorted(_COLLIDING))
+    def test_repeated_pair_arrow_names_fail_build(self, op, tmp_path, capsys):
+        src = tmp_path / f"{op}.json"
+        src.write_text(json.dumps(self._COLLIDING[op]))
+        out = tmp_path / "out.json"
+        assert main(["build", "out", "--input", str(src), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("build failed")
+        assert "structural at ('(a,b,c)',): duplicate arrow id '(a,b,c)'" in err
+        assert not out.exists()
+        ws = parse_workspace(src.read_text())
+        result = execute_task(Builder(ws, RationalRing()), ws.tasks[0], 0)
+        assert (result.status, result.witness) == ("fail", ["(a,b,c)"])
+        assert "structural" in result.message
 
     def test_build_task_with_missing_reference_is_rejected(self):
         ws = self._workspace()

@@ -37,6 +37,27 @@ for the `EchelonBasis._reduce` calls.
     bound is 2 plus 0.05 (a factor of 1.035 per doubling) for lower-order
     terms that enter with a negative sign, such as the rows of a class not
     yet inserted. The old routine's exponent is 2.13.
+
+`build semidirect` on C_n, the chain semilattice e_0 < ... < e_{n-1} acting
+by identities on nested domains D_0 < ... < D_{n-1} of the n loops of the
+unit groupoid, |D_i| = i + 1, as `bench/workloads.nested_chain_action` builds
+it (seed 3), at n = 16 and 32. T counts the composable triples of every
+semigroupoid handed to `_check_axioms`, W the `_twisted` calls made while
+`semidirect_product` runs.
+
+  - The actor has n arrows at one vertex, so n^3 composable triples; the
+    space has n loops, each composable only with itself, so n. The inputs
+    are all that is walked: T = n^3 + n = 4,112 and 32,800, growth exponent
+    log(32800 / 4112) / log 2 = 2.996. The bound is 3 plus 0.05 (a factor
+    of 1.035 per doubling).
+  - The output has the arrows (e_i, x) with x in D_i; (e_i, x)(e_j, y) is
+    composable exactly when x = y, and the point entering at k lies in the
+    n - k domains D_k..D_{n-1}. So it has sum of m^2 over m = 1..n, n(n+1)(2n+1)/6
+    = 1,496 and 11,440 composable pairs, and sum of m^3 = (n(n+1)/2)^2 =
+    18,496 and 278,784 composable triples. The build forms each product once,
+    W = 1,496 and 11,440 exactly. Walking the output's triples again, as the
+    semidirect product's own validation did, makes T = 22,608 and 311,584,
+    exponent 3.78.
 """
 
 import importlib.util
@@ -45,6 +66,7 @@ import math
 import os
 import random
 
+from sectional import actions, semigroupoids, workspace
 from sectional.cli import main
 from sectional.rings import EchelonBasis
 
@@ -94,3 +116,52 @@ def test_quotient_howell_reductions_grow_quadratically(tmp_path, monkeypatch, ca
     assert r1 <= _reduce_bound(15) == 1674
     assert r2 <= _reduce_bound(30) == 6084
     assert math.log(r2 / r1) / math.log(2) <= 2.05
+
+
+def _semidirect_counts(n, tmp_path, monkeypatch, capsys):
+    """(T, W) of `build semidirect` on C_n: the composable triples of every
+    semigroupoid `_check_axioms` walks, and the `_twisted` calls inside
+    `semidirect_product`."""
+    workloads = _workloads()
+    rnd = random.Random(3)
+    actor, space, action, *_ = workloads.nested_chain_action(n, workloads._Labels(rnd), rnd)
+    path = tmp_path / f"c{n}.json"
+    path.write_text(json.dumps({
+        "semigroupoids": {"C": actor, "X": space},
+        "actions": {"theta": dict(action, actor="C", space="X")},
+        "tasks": [{"kind": "build", "id": "out", "op": "semidirect", "action": "theta"}],
+    }), encoding="utf-8")
+    counts = {"triples": 0, "twisted": 0}
+    building = []
+
+    def check_axioms(sgpd, report, _check=semigroupoids._check_axioms):
+        counts["triples"] += sum(1 for _ in sgpd.composable_triples())
+        return _check(sgpd, report)
+
+    def twisted(*args, _twisted=actions._twisted):
+        counts["twisted"] += bool(building)
+        return _twisted(*args)
+
+    def semidirect_product(theta, _build=actions.semidirect_product):
+        building.append(theta)
+        try:
+            return _build(theta)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(semigroupoids, "_check_axioms", check_axioms)
+    monkeypatch.setattr(actions, "_twisted", twisted)
+    monkeypatch.setattr(workspace, "semidirect_product", semidirect_product)
+    out = tmp_path / f"c{n}.out.json"
+    assert main(["build", "out", "--input", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    return counts["triples"], counts["twisted"]
+
+
+def test_semidirect_build_walks_only_its_inputs(tmp_path, monkeypatch, capsys):
+    (t1, w1), (t2, w2) = (_semidirect_counts(n, tmp_path, monkeypatch, capsys) for n in (16, 32))
+    assert (w1, w2) == (1496, 11440)
+    assert t1 <= 16 ** 3 + 16 == 4112
+    assert t2 <= 32 ** 3 + 32 == 32800
+    assert math.log(t2 / t1) / math.log(2) <= 3.05

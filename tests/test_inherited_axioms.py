@@ -6,31 +6,78 @@ the triples of what it builds. The full validators are the oracle here: every
 product, pullback and trivial bundle built below must pass validate_semigroupoid
 or validate_bundle, and a pullback must have its parent's verdict. The must-fail
 cases are a map that is not multiplicative and a factor with a corrupted product.
+
+The semidirect and skew products check only their names and pair axioms, the
+quotient by a rigid congruence nothing, and the smash product the graded
+closure and associativity of its input instead of its own. On valid inputs
+(the families of tests/structures.py and tests/test_fiber_maps.py, random
+actions, gradings and partitions, and the bench generators at their own small
+sizes) every semidirect, skew and quotient output must pass validate_semigroupoid
+with its projection a rigid homomorphism, every semidirect bundle validate_bundle,
+and every smash product check_associativity. Must-fail: a smash input that is
+not associative, or not graded-closed, is refused with its own witness; an
+action whose semidirect product leaves a source, and one whose semidirect
+bundle is not associative, are refused by the pair pass and by the bundle walk
+that stay for them.
 """
+
+import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sectional.bundles import pullback_bundle, trivial_bundle, validate_bundle
+from sectional.actions import (
+    germ_quotient,
+    quotient_semigroupoid,
+    semidirect_product,
+    validate_preaction,
+    validate_rigid_congruence,
+)
+from sectional.algebras import AlgebraPresentation
+from sectional.bundles import (
+    pullback_bundle,
+    sectional_algebra,
+    semigroupoid_algebra,
+    trivial_bundle,
+    validate_bundle,
+)
+from sectional.rings import RationalRing
 from sectional.semigroupoids import (
     FiniteSemigroupoid,
     direct_product,
     identity_homomorphism,
+    is_groupoid,
     validate_homomorphism,
     validate_semigroupoid,
 )
-from sectional.theorems import product_bundle, skew_product
+from sectional.theorems import (
+    bundle_semidirect,
+    induced_theta,
+    product_bundle,
+    skew_product,
+    smash_product,
+    validate_bundle_action,
+)
 from sectional.validation import StructureError
+from sectional.workspace import Builder, parse_workspace, workspace_ring
 
+from test_action_associativity import ACTORS, IDEAL_SPACES, VALID, inverse_closed_injections
+from test_complexity import _workloads
+from test_fiber_maps import FIBERS, _action_instance, _fiber_bundle
+from test_germ_relation import FIXED, chain_actions, z2_actions
 from test_sparse_kernel import RINGS, _random_bundle
 
 from structures import (
     built,
+    components_semidirect_action,
     cyclic2_raw,
     klein_four_raw,
+    nested_chain_action,
     pair_groupoid_raw,
     parallel_arrows_raw,
+    preaction,
     refusal,
     semilattice_raw,
     trivial_monoid_raw,
@@ -165,3 +212,358 @@ def test_direct_product_refuses_a_corrupted_factor_with_its_witness(data):
         with pytest.raises(StructureError) as exc:
             direct_product(left, right)
         assert exc.value.report.failures == expected.failures
+
+
+# ---------------------------------------------------------------------------
+# Semidirect, skew, smash, semidirect-bundle and quotient outputs
+# ---------------------------------------------------------------------------
+
+PAIR_KINDS = {"undefined-product", "product-on-noncomposable", "source-compatibility",
+              "range-compatibility"}
+GROUPOIDS = {name: f for name, f in FACTORS.items() if is_groupoid(f).ok}
+
+
+def _full_quotient_walk(base, quotient, projection):
+    """The quotient passes the full walk and its projection is a rigid
+    homomorphism with the map the builder gave."""
+    assert validate_semigroupoid(quotient) is quotient
+    checked = validate_homomorphism(list(projection.map), base, quotient)
+    assert checked.rigid and projection.rigid
+
+
+def _semidirect_verdict(theta):
+    """None when the semidirect product (and, over a groupoid space, the germ
+    quotient) passes the full walks; else the kind it was refused with."""
+    report = refusal(semidirect_product, theta)
+    if report is not None:
+        return report.first().kind
+    sp = semidirect_product(theta)
+    assert validate_semigroupoid(sp) is sp
+    if is_groupoid(theta.space).ok and refusal(germ_quotient, theta) is None:
+        germ = germ_quotient(theta)
+        _full_quotient_walk(germ.semidirect, germ.quotient, germ.projection)
+    return None
+
+
+def _random_action(data):
+    """A preaction drawn from the families of the action tests; None when the
+    draw breaks an axiom."""
+    family = data.draw(st.sampled_from(["chain", "z2", "fixed", "valid", "random", "structures"]))
+    if family == "chain":
+        return data.draw(chain_actions())
+    if family == "z2":
+        return data.draw(z2_actions())
+    if family == "fixed":
+        return data.draw(st.sampled_from(FIXED))[0]
+    if family == "valid":
+        return data.draw(st.sampled_from(VALID))
+    if family == "structures":
+        if data.draw(st.booleans()):
+            return preaction(*nested_chain_action(data.draw(st.integers(1, 5))))
+        group = data.draw(st.sampled_from([[(0, 1)], [(0, 1), (1, 0)]]))
+        return preaction(*components_semidirect_action(2, data.draw(st.integers(1, 2)), group))
+    actor = data.draw(st.sampled_from(ACTORS))
+    space = data.draw(st.sampled_from(IDEAL_SPACES))
+    maps = data.draw(inverse_closed_injections(actor, space))
+    raw = {actor.base.arrow_names[s]: {"dom": [space.arrow_names[g] for g in m],
+                                       "img": [space.arrow_names[h] for h in m.values()]}
+           for s, m in enumerate(maps)}
+    if refusal(validate_preaction, raw, actor, space) is None:
+        return validate_preaction(raw, actor, space)
+    return None
+
+
+def test_semidirect_and_germ_outputs_pass_the_full_walk():
+    verdicts = []
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def check(data):
+        theta = _random_action(data)
+        if theta is None:
+            return
+        verdict = _semidirect_verdict(theta)
+        # over a groupoid space theta_s keeps the vertices of the arrows it
+        # moves, so only a space with other arrows can leave a source
+        assert verdict is None or verdict in PAIR_KINDS and not is_groupoid(theta.space).ok
+        verdicts.append(verdict)
+
+    check()
+    assert None in verdicts
+
+
+def test_semidirect_product_leaving_a_source_is_refused_by_the_pair_pass():
+    """An associative action whose theta_t carries b to x and c to y, two
+    arrows out of one vertex with a x = y, while b and c leave different
+    vertices: (u,a)(g,b) = (g,c) does not start where (g,b) does. No
+    preaction axiom ties the vertices, so the pair pass refuses it."""
+    space = validate_semigroupoid({
+        "id": "X", "vertices": ["P", "w", "p1", "p2", "v"],
+        "arrows": [{"id": "x", "src": "P", "rng": "w"}, {"id": "y", "src": "P", "rng": "w"},
+                   {"id": "a", "src": "w", "rng": "w"}, {"id": "b", "src": "p1", "rng": "v"},
+                   {"id": "c", "src": "p2", "rng": "v"}],
+        "prod": [["a", "x", "y"], ["a", "y", "y"], ["a", "a", "a"]]})
+    every = ["x", "y", "a", "b", "c"]
+    theta = validate_preaction({"u": {"dom": every, "img": every},
+                                "g": {"dom": ["b", "c", "x", "y"], "img": ["x", "y", "b", "c"]}},
+                               built(cyclic2_raw()), space)
+    assert theta.is_associative
+    report = refusal(semidirect_product, theta)
+    assert [(f.kind, f.witness) for f in report.failures] == [
+        ("source-compatibility", ("(u,a)", "(g,b)"))]
+
+
+def _random_homomorphism(data):
+    """A grading into a groupoid: an identity, the parity of P_2, or a random
+    map into Z/2, P_2 or V4 that is a homomorphism; None otherwise."""
+    kind = data.draw(st.sampled_from(["identity", "parity", "random"]))
+    if kind == "identity":
+        g = GROUPOIDS[data.draw(st.sampled_from(sorted(GROUPOIDS)))]
+        return g, identity_homomorphism(g)
+    if kind == "parity":
+        return P2, PARITY
+    source = FACTORS[data.draw(st.sampled_from(sorted(FACTORS)))]
+    target = GROUPOIDS[data.draw(st.sampled_from(["Z2", "P2", "V4"]))]
+    along = data.draw(st.lists(st.sampled_from(list(target.arrows())),
+                               min_size=source.n_arrows, max_size=source.n_arrows))
+    if not _is_homomorphism(along, source, target):
+        return None
+    return source, validate_homomorphism(along, source, target)
+
+
+def test_skew_products_pass_the_full_walk():
+    seen = []
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def check(data):
+        drawn = _random_homomorphism(data)
+        if drawn is None:
+            return
+        base, d = drawn
+        skew = skew_product(base, d)
+        assert validate_semigroupoid(skew.semigroupoid) is skew.semigroupoid
+        checked = validate_homomorphism(list(skew.grading.map), skew.semigroupoid, d.target)
+        assert checked.rigid == skew.grading.rigid
+        seen.append(d.source.n_arrows != d.target.n_arrows)
+
+    check()
+    assert set(seen) == {True, False}
+
+
+QUOTIENT_BASES = [*FACTORS.values(), direct_product(P2, Z2), skew_product(P2, PARITY).semigroupoid]
+
+
+def test_quotients_pass_the_full_walk():
+    verdicts = []
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def check(data):
+        base = data.draw(st.sampled_from(QUOTIENT_BASES))
+        labels = data.draw(st.lists(st.integers(0, 3), min_size=base.n_arrows,
+                                    max_size=base.n_arrows))
+        classes = [[base.arrow_names[x] for x in base.arrows() if labels[x] == c]
+                   for c in range(4)]
+        classes = [block for block in classes if block]
+        report = refusal(validate_rigid_congruence, classes, base)
+        verdicts.append(report and report.first().kind)
+        if report is None:
+            cong = validate_rigid_congruence(classes, base)
+            _full_quotient_walk(base, *quotient_semigroupoid(cong))
+
+    check()
+    assert None in verdicts and "product-incompatibility" in verdicts
+
+
+def _graded_inputs(data):
+    """A graded algebra over a groupoid grading: the semigroupoid algebra of a
+    groupoid graded by itself, or the sectional algebra under the parity or
+    identity grading of a bundle over P_2, with one fiber algebra of
+    tests/test_fiber_maps.py on every pair or random; with the family drawn,
+    and None in place of a random bundle that is not valid."""
+    kind = data.draw(st.sampled_from(["groupoid", "fibers", "random"]))
+    ring = RINGS[data.draw(st.sampled_from(["Q", "Z6"]))]
+    if kind == "groupoid":
+        g = GROUPOIDS[data.draw(st.sampled_from(sorted(GROUPOIDS)))]
+        return kind, semigroupoid_algebra(ring, g, identity_homomorphism(g))
+    if kind == "fibers":
+        bundle = _fiber_bundle(ring, P2, P2.arrow_names, data.draw(st.sampled_from(sorted(FIBERS))))
+    else:
+        ring_name, mode = data.draw(st.sampled_from(RANDOM_BUNDLE_RINGS))
+        bundle, _dense = _random_bundle(data, RINGS[ring_name], mode)
+        if not _valid(bundle):
+            return kind, None
+    grading = data.draw(st.sampled_from([PARITY, identity_homomorphism(P2)]))
+    return kind, sectional_algebra(bundle, grading)
+
+
+def test_smash_products_pass_the_full_walk():
+    families = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def check(data):
+        family, algebra = _graded_inputs(data)
+        if algebra is None:
+            return
+        smash = smash_product(algebra)
+        assert smash.check_associativity() is None
+        assert smash.check_graded_closure() is None
+        families.add(family)
+
+    check()
+    assert families == {"groupoid", "fibers", "random"}
+
+
+def _with_constant(algebra, key, row):
+    """algebra with table[key] replaced by row, built without checks."""
+    table = dict(algebra.table)
+    table[key] = row
+    return AlgebraPresentation(ring=algebra.ring, basis=algebra.basis, table=table,
+                               grading=algebra.grading, degrees=algebra.degrees,
+                               labels=algebra.labels)
+
+
+def test_smash_refuses_a_corrupted_input_with_its_witness():
+    """One structure constant of a graded matrix or group algebra is rescaled
+    (the product stays in its degree) or moved to another basis element. The
+    smash product must refuse the input with its graded-closure witness, else
+    its associativity witness, else pass the full walk."""
+    Q = RationalRing()
+    inputs = [semigroupoid_algebra(Q, g, identity_homomorphism(g))
+              for g in (P2, FACTORS["P3"], Z2, FACTORS["V4"])]
+    verdicts = []
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def check(data):
+        algebra = data.draw(st.sampled_from(inputs))
+        key = data.draw(st.sampled_from(sorted(algebra.table)))
+        (k, _x), = algebra.table[key]
+        if data.draw(st.booleans()):
+            k = data.draw(st.integers(0, algebra.rank - 1))
+        bad = _with_constant(algebra, key, ((k, data.draw(st.sampled_from([1, 2, -1]))),))
+        closure, associativity = bad.check_graded_closure(), bad.check_associativity()
+        report = refusal(smash_product, bad)
+        if closure is not None:
+            assert [(f.kind, f.witness) for f in report.failures] == [("graded-closure", closure)]
+        elif associativity is not None:
+            assert [(f.kind, f.witness) for f in report.failures] == [
+                ("associativity", associativity)]
+        else:
+            assert report is None
+            assert smash_product(bad).check_associativity() is None
+        verdicts.append(report and report.first().kind)
+
+    check()
+    assert set(verdicts) == {None, "graded-closure", "associativity"}
+
+
+def test_smash_refuses_the_matrix_units_with_one_product_doubled():
+    Q = RationalRing()
+    algebra = semigroupoid_algebra(Q, P2, identity_homomorphism(P2))
+    e = algebra.index
+    # e_(1,2) e_(2,1) = 2 e_(1,1) stays in degree (1,1); the products around it do not double
+    bad = _with_constant(algebra, (e[(1, 0)], e[(2, 0)]), ((e[(0, 0)], 2),))
+    with pytest.raises(StructureError) as exc:
+        smash_product(bad)
+    assert exc.value.report.first().kind == "associativity"
+    assert exc.value.report.first().witness == bad.check_associativity() is not None
+    # e_(1,2) e_(2,1) = e_(2,2) leaves degree (1,1)
+    moved = _with_constant(algebra, (e[(1, 0)], e[(2, 0)]), ((e[(3, 0)], 1),))
+    with pytest.raises(StructureError) as exc:
+        smash_product(moved)
+    assert exc.value.report.first().kind == "graded-closure"
+    assert exc.value.report.first().witness == moved.check_graded_closure() is not None
+
+
+def test_semidirect_bundles_pass_the_full_walk():
+    built_bundles = []
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def check(data):
+        ring = data.draw(st.sampled_from([RINGS["Q"], RINGS["Z6"]]))
+        theta, bundle, maps = _action_instance(data, ring)
+        if refusal(validate_bundle_action, theta, bundle, maps) is not None:
+            return
+        action = validate_bundle_action(theta, bundle, maps)
+        out = bundle_semidirect(action)
+        assert validate_bundle(out, ring, out.base) is out
+        built_bundles.append(out.base.n_arrows)
+
+    check()
+    assert len(built_bundles) > 20
+
+
+def test_semidirect_bundle_the_action_checks_accept_is_refused_by_its_walk():
+    """Z/2 fixes the bottom p of the semilattice p < q and acts on the rank-2
+    fiber over p by an involution M that intertwines its zero product and
+    meets the extension law, yet E M E M != M E M E for the idempotent E by
+    which e_q multiplies that fiber on either side. Intertwining and the
+    extension law do not make the semidirect bundle associative; its own walk
+    refuses it, and the induced action's twisted associativity would."""
+    Q = RationalRing()
+    space = validate_semigroupoid({
+        "id": "S", "vertices": ["*"],
+        "arrows": [{"id": "p", "src": "*", "rng": "*"}, {"id": "q", "src": "*", "rng": "*"}],
+        "prod": [["p", "p", "p"], ["p", "q", "p"], ["q", "p", "p"], ["q", "q", "q"]]})
+    theta = validate_preaction({"u": {"dom": ["p", "q"], "img": ["p", "q"]},
+                                "g": {"dom": ["p"], "img": ["p"]}}, built(cyclic2_raw()), space)
+    bundle = validate_bundle({"ranks": {"p": 2, "q": 1}, "constants": {
+        "p,p": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]], "p,q": [[[1, 0]], [[0, 0]]],
+        "q,p": [[[1, 0], [0, 0]]], "q,q": [[[1]]]}}, Q, space)
+    action = validate_bundle_action(theta, bundle, {(1, 0): [[1, 1], [0, -1]]})
+    report = refusal(bundle_semidirect, action)
+    assert [(f.kind, f.witness) for f in report.failures] == [
+        ("associativity", ("(u,q)", "(g,p)", "(u,q)", "0", "1", "0"))]
+    assert refusal(induced_theta, action).first().kind == "not-associative"
+
+
+def _bench_builders():
+    """A Builder per file the bench generators write for the structures,
+    certify-pair, quotient-zmod and germ-q workloads at their own sizes, with
+    the file's tasks."""
+    workloads = _workloads()
+    rnd = random.Random(3)
+    for generate in (workloads.structures, workloads.certify_pair, workloads.quotient_zmod,
+                     workloads.germ_q):
+        for spec in generate(rnd):
+            ws = parse_workspace(json.dumps(spec["doc"]))
+            yield Builder(ws, workspace_ring(ws)), ws.tasks
+
+
+def test_bench_outputs_pass_the_full_walks():
+    """Every valid bench file's semidirect, germ, skew, quotient, smash and
+    semidirect-bundle outputs pass the full validators; a file whose inputs a
+    validator refuses is a must-fail file and is skipped."""
+    checked = []
+    for builder, tasks in _bench_builders():
+        for task in tasks:
+            p = task.params
+            op = p.get("op") or p.get("theorem")
+            try:
+                if "action" in p and op in ("semidirect", "germ"):
+                    theta = builder.action(p["action"])
+                    assert _semidirect_verdict(theta) is None
+                elif op == "crossed":
+                    out = bundle_semidirect(builder.bundle_action(p["action"]))
+                    assert validate_bundle(out, out.ring, out.base) is out
+                elif op == "skew":
+                    skew = skew_product(builder.semigroupoid(p["base"]),
+                                        builder.homomorphism(p["grading"]))
+                    assert validate_semigroupoid(skew.semigroupoid) is skew.semigroupoid
+                elif op == "smash":
+                    algebra = sectional_algebra(builder.bundle(p["bundle"]),
+                                                builder.homomorphism(p["grading"]))
+                    assert smash_product(algebra).check_associativity() is None
+                elif op == "quotient":
+                    cong = builder.congruence(p["congruence"])
+                    _full_quotient_walk(cong.base, *quotient_semigroupoid(cong))
+                else:
+                    continue
+            except StructureError:
+                continue
+            checked.append(op)
+    assert set(checked) == {"semidirect", "germ", "crossed", "skew", "smash", "quotient"}

@@ -16,10 +16,11 @@ Span tests run on one incremental echelon basis (EchelonBasis): reduced row
 echelon form over fields (rationals, prime residues), reduced Howell form over
 composite residue rings, where only solve_linear's kernel takes a Smith normal
 form. Over Z/n, solve_linear hands the kernel and image forms it builds to
-its LinearSolution, which maps.surjective and the quotient certificate read
-instead of rebuilding them. Matrix inverses are division-free over any
-commutative ring; over Z/n a dot product is one integer sum, reduced once.
-Other ring kinds refuse with CapabilityError.
+its LinearSolution, which maps.surjective and the germ certificate read
+instead of rebuilding them; the quotient certificate reads its kernel off the
+representative units and runs no elimination. Matrix inverses are
+division-free over any commutative ring; over Z/n a dot product is one
+integer sum, reduced once. Other ring kinds refuse with CapabilityError.
 """
 
 from __future__ import annotations
@@ -71,21 +72,14 @@ def _is_prime(n: int) -> bool | None:
 
 
 class Ring:
-    """Unital ring with exact, decidable element equality."""
+    """Unital ring with exact, decidable element equality. Each kind supplies
+    add, neg, mul, coerce, spec, sample and unit_inverse (the two-sided
+    inverse of a unit, None off the units)."""
 
     kind = "?"
     commutative = True
     zero: Element
     one: Element
-
-    def add(self, a: Element, b: Element) -> Element:
-        raise NotImplementedError
-
-    def neg(self, a: Element) -> Element:
-        raise NotImplementedError
-
-    def mul(self, a: Element, b: Element) -> Element:
-        raise NotImplementedError
 
     def sub(self, a: Element, b: Element) -> Element:
         return self.add(a, self.neg(b))
@@ -102,21 +96,8 @@ class Ring:
     def inv(self, a: Element) -> Element:
         raise CapabilityError(f"ring kind {self.kind!r} has no general division")
 
-    def unit_inverse(self, a: Element) -> Element | None:
-        """Two-sided multiplicative inverse of a, or None if a is not a unit."""
-        raise NotImplementedError
-
-    def coerce(self, x) -> Element:
-        raise NotImplementedError
-
     def to_json(self, a: Element):
         return a
-
-    def spec(self) -> dict:
-        raise NotImplementedError
-
-    def sample(self, rnd) -> Element:
-        raise NotImplementedError
 
     def describe(self) -> str:
         return self.kind

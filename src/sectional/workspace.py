@@ -396,14 +396,24 @@ class TaskResult:
         return out
 
 
+def _q_draw(getrandbits) -> tuple[int, int]:
+    """(randint(-9, 9), randint(1, 9)) off the same stream in one frame: CPython
+    draws n.bit_length() bits until they read below n, for n = 19 and 9."""
+    while (n := getrandbits(5)) >= 19:
+        pass
+    while (m := getrandbits(4)) >= 9:
+        pass
+    return n - 9, m + 1
+
+
 def _random_section(bundle, rnd) -> Section:
     """One ring.sample per coordinate, drawn straight into the section's dict and
-    left out when zero; over Q the same two draws n, m, made n d / m in ints by the
-    lcm d of the reduced denominators, with no Fraction. Convolution is Q-bilinear,
-    so (a'b')c' - a'(b'c') is d_a d_b d_c != 0 times (ab)c - a(bc): each triple
-    keeps the unscaled draw's verdict."""
+    left out when zero; over Q the same two draws n, m (_q_draw), made n d / m in
+    ints by the lcm d of the reduced denominators, with no Fraction. Convolution is
+    Q-bilinear, so (a'b')c' - a'(b'c') is d_a d_b d_c != 0 times (ab)c - a(bc): each
+    triple keeps the unscaled draw's verdict."""
     ring, q = bundle.ring, isinstance(bundle.ring, RationalRing)
-    draw = (lambda: (rnd.randint(-9, 9), rnd.randint(1, 9))) if q else (lambda: ring.sample(rnd))
+    draw = partial(_q_draw, rnd.getrandbits) if q else partial(ring.sample, rnd)
     kept = (lambda x: x[0]) if q else (lambda x: not ring.is_zero(x))
     values = {a: v for a in bundle.base.arrows()
               if (v := {i: x for i in range(bundle.ranks[a]) if kept(x := draw())})}

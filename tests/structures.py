@@ -8,7 +8,8 @@ structure the library works on.
 import copy
 
 from sectional.actions import validate_preaction
-from sectional.rings import EchelonBasis
+from sectional.maps import surjective
+from sectional.rings import EchelonBasis, solve_linear
 from sectional.semigroupoids import (
     validate_homomorphism,
     validate_inverse_semigroupoid,
@@ -28,6 +29,15 @@ def spans_equal(a, b, ring) -> bool:
     """Whether two sets of sparse vectors span one submodule: their echelon
     forms are unique, so equal spans have equal rows."""
     return EchelonBasis(ring, a).rows == EchelonBasis(ring, b).rows
+
+
+def quotient_elimination(res):
+    """Elimination on the map of a quotient_map_and_kernel result: the
+    solve_linear solution of its rows, whether it is onto (maps.surjective),
+    and whether its kernel has the echelon rows of the generators."""
+    ring = res.source.ring
+    sol = solve_linear(res.map.rows, res.target.rank, ring)
+    return sol, surjective(sol), sol.kernel_echelon.rows == EchelonBasis(ring, res.generators).rows
 
 
 def span_rank(generators, ring) -> int:

@@ -592,6 +592,39 @@ class TestStageReport:
         assert task["message"].startswith("stage 'germ-quotient': germ quotient: not-associative")
 
 
+class TestCongruenceRefusals:
+    """Must-fail `verify quotient` files that `validate_bundle_congruence`
+    refuses as structural: each exits 1 with the refusal as the failing
+    task's message and the named arrows as its witness, and the file's other
+    task still passes."""
+
+    @pytest.mark.parametrize("edit, ring, witness, message", [
+        (lambda d: d["congruences"]["sign"]["transports"].update(zz=[[1]]), "q", ["zz"],
+         "structural at ('zz',): transport given for unknown arrow 'zz'"),
+        (lambda d: d["congruences"]["sign"]["transports"].update(g=[[1, 0], [0, 1]]), "q",
+         ["g"], "structural at ('g',): transport for g must be 1x1"),
+        (lambda d: d["bundles"]["bpar"].update(ranks={"a": 1, "b": 2}), "q", ["a", "b"],
+         "structural at ('a', 'b'): equivalent arrows must carry fibers of equal rank"),
+        (lambda d: d["congruences"]["sign"]["transports"].update(g=[["1/2"]]), "zmod6", ["g"],
+         "structural at ('g',): not a residue literal: '1/2'"),
+    ], ids=["unknown-arrow", "wrong-size", "unequal-ranks", "not-coercible"])
+    def test_refusal_exits_one_with_kind_and_witness(self, tmp_path, capsys, edit, ring,
+                                                      witness, message):
+        with open(os.path.join(FIXTURES, "quotient.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        edit(doc)
+        path = tmp_path / "quotient.json"
+        path.write_text(json.dumps(doc))
+        code = main(["verify", "quotient", "--input", str(path), "--ring", ring,
+                     "--no-timestamp", "--format", "json"])
+        tasks = json.loads(capsys.readouterr().out)["workspaces"][0]["tasks"]
+        assert code == 1
+        (refused,) = [t for t in tasks if t["status"] != "pass"]
+        assert len(tasks) == 2
+        assert refused["status"] == "fail" and refused["witness"] == witness
+        assert refused["message"] == f"bundle congruence: {message}"
+
+
 class TestNumericArrowIds:
     """Congruence members are arrow ids, also when the file spells an id as
     a JSON number; a number is never read as an arrow position."""

@@ -9,34 +9,23 @@ derived from the algorithm.
 `verify quotient` on Q(30, m, 3): the congruence of m parallel arrows over
 Z/30 in three classes of m/3, rank-3 fibers and unimodular transports, as
 `bench/workloads._parallel_congruence` builds it (seed 3), at m = 15 and 30.
-Write k = 3 for the fiber rank, I for the `EchelonBasis.insert` calls and R
-for the `EchelonBasis._reduce` calls.
+The certificate reads surjectivity and the kernel off the representative
+units, so the path runs no elimination at all.
 
-  - I is exact: the kernel and image thinning insert m k vectors each, and
-    the generator span one per fiber vector of each arrow that is no class
-    representative, k (m - 3); so I = 3 k (m - 1) = 126 and 261, linear in m:
-    the growth exponent of I is log(29 / 14) / log 2 = 1.05.
-  - The spans are free: the kernel and the generator span of rank (m - 3) k,
-    the image of rank 3 k. So E = 2 m k - 3 k inserts enlarge a span (one
-    pivot each; 81 and 171): every generator, which spans its rank exactly,
-    and (m - 3) k + 3 k thinning inserts. Every other insert fails.
-  - A failing insert runs `_reduce` once, in `_residue`; so do the 3 k unit
-    vectors `surjective` tests. An enlarging insert runs it once more per
-    remainder its merge loop pops, the last of which reduces to nothing (at
-    most 4 on this family: a unit pivot leaves no remainder, and a pivot
-    entry of Z/30 can shrink through at most Omega(30) = 3 proper divisors),
-    and once for each row that meets a pivot it merged. Those rows lie in
-    the class of the inserted vector (the spans split by class), at most
-    k m / 3 of them.
-  - Hence R <= I + 3 k + E (4 + k m / 3): 1,674 and 6,084. The generator
-    set over every ordered pair of distinct arrows in a class inserted
-    k m (m/3 - 1) generators (I = 270 and 990, the same E), for a bound of
-    1,818 and 6,813 on its 868 and 3,478 calls; the routine that re-reduced
-    every row after each enlarging insert made 2,726 and 11,921 calls there.
-  - Every term is at most quadratic in m, so R grows as m^2; the exponent
-    bound is 2 plus 0.05 (a factor of 1.035 per doubling) for lower-order
-    terms that enter with a negative sign, such as the rows of a class not
-    yet inserted. The old routine's exponent is 2.13.
+  - `EchelonBasis.insert`, `EchelonBasis._reduce`, `smith_normal_form` and
+    `solve_linear` are each called 0 times. Nothing on the path takes a span:
+    the base has no composable pairs, so the bundle, the congruence's
+    intertwining and the quotient bundle walk no products, and the
+    certificate checks the representative block and applies the map to each
+    generator. The route it replaced ran `solve_linear` (one Smith normal
+    form and two Howell thinnings of m k vectors each) and an echelon form of
+    the (m - 3) k generators: 3 k (m - 1) = 126 and 261 inserts and up to
+    1,674 and 6,084 reductions, growing as m^2.
+  - `mat_inverse` is called once per declared transport that is not the
+    identity, in `validate_bundle_congruence`: the generator declares one
+    unimodular transport for each of the m - 3 arrows that are no class
+    representative, and none of them is the identity at this seed. So it is
+    called exactly m - 3 = 12 and 27 times, linear in m.
 
 `build semidirect` on C_n, the chain semilattice e_0 < ... < e_{n-1} acting
 by identities on nested domains D_0 < ... < D_{n-1} of the n loops of the
@@ -66,7 +55,7 @@ import math
 import os
 import random
 
-from sectional import actions, semigroupoids, workspace
+from sectional import actions, maps, rings, semigroupoids, theorems, workspace
 from sectional.cli import main
 from sectional.rings import EchelonBasis
 
@@ -82,40 +71,40 @@ def _workloads():
 
 
 def _quotient_counts(m, tmp_path, monkeypatch, capsys):
-    """(_reduce calls, insert calls) of `verify quotient` on Q(30, m, 3)."""
+    """Calls of each elimination routine and of mat_inverse made by `verify
+    quotient` on Q(30, m, 3), wherever the package refers to them."""
     workloads = _workloads()
     rnd = random.Random(3)
     doc = workloads._parallel_congruence(30, m, (m // 3,) * 3, 3, workloads._Labels(rnd), rnd)
     path = tmp_path / f"q30-{m}-3.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    counts = {"_reduce": 0, "insert": 0}
-    for name in counts:
-        method = getattr(EchelonBasis, name)
+    counts = dict.fromkeys(["insert", "_reduce", "smith_normal_form", "solve_linear",
+                            "mat_inverse"], 0)
 
-        def counted(*args, _method=method, _name=name):
-            counts[_name] += 1
-            return _method(*args)
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
 
-        monkeypatch.setattr(EchelonBasis, name, counted)
+    for name in ("insert", "_reduce"):
+        monkeypatch.setattr(EchelonBasis, name, counted(name, getattr(EchelonBasis, name)))
+    for name in ("smith_normal_form", "solve_linear", "mat_inverse"):
+        fn = getattr(rings, name)
+        for module in (rings, maps, theorems):
+            if vars(module).get(name) is fn:
+                monkeypatch.setattr(module, name, counted(name, fn))
     assert main(["verify", "quotient", "--input", str(path), "--no-timestamp"]) == 0
     capsys.readouterr()
     monkeypatch.undo()
-    return counts["_reduce"], counts["insert"]
+    return counts
 
 
-def _reduce_bound(m, k=3):
-    inserts = 3 * k * (m - 1)
-    enlarging = 2 * m * k - 3 * k
-    return inserts + 3 * k + enlarging * (4 + k * m // 3)
-
-
-def test_quotient_howell_reductions_grow_quadratically(tmp_path, monkeypatch, capsys):
-    (r1, i1), (r2, i2) = (_quotient_counts(m, tmp_path, monkeypatch, capsys) for m in (15, 30))
-    assert (i1, i2) == (126, 261)
-    assert math.log(i2 / i1) / math.log(2) <= 1.06
-    assert r1 <= _reduce_bound(15) == 1674
-    assert r2 <= _reduce_bound(30) == 6084
-    assert math.log(r2 / r1) / math.log(2) <= 2.05
+def test_quotient_runs_no_elimination(tmp_path, monkeypatch, capsys):
+    for m in (15, 30):
+        counts = _quotient_counts(m, tmp_path, monkeypatch, capsys)
+        assert counts == {"insert": 0, "_reduce": 0, "smith_normal_form": 0,
+                          "solve_linear": 0, "mat_inverse": m - 3}
 
 
 def _semidirect_counts(n, tmp_path, monkeypatch, capsys):

@@ -19,12 +19,13 @@ leave no zero entry and no empty vector, and the table ring's products must
 keep their factor order.
 
 The sampled `verify convolution` check draws each section straight into its
-normal form and scales each Q section to integers. Its verdict and `triple k`
-witness must be those of the raw draw, so a bilinear mutant of `convolve`
-that drops one factorization is patched into the workspace and must fail on
-the triple an oracle over the raw Fraction sections of
-`test_bundles._random_section` finds first; off Q the drawn section is the
-raw one, key for key.
+normal form and scales each Q section to integers; over Q its draws
+(`workspace._q_draw`) must be those of `randint`, stream and state. Its
+verdict and `triple k` witness must be those of the raw draw, so a bilinear
+mutant of `convolve` that drops one factorization is patched into the
+workspace and must fail on the triple an oracle over the raw Fraction
+sections of `test_bundles._random_section` finds first; off Q the drawn
+section is the raw one, key for key.
 """
 
 import json
@@ -381,6 +382,17 @@ def test_scaled_q_sections_are_integral_multiples_of_the_raw_draw(seed):
                                   for a, v in layout(raw)]
     assert raw_rnd.random() == rnd.random() == dense_rnd.random()
     assert saw_fraction and saw_zero
+
+
+def test_q_draw_follows_randints_stream():
+    """_q_draw rejects getrandbits values as CPython's randint does, so over
+    10,000 seeded draws it returns randint's pairs and leaves the generator
+    in randint's state."""
+    ours, theirs = random.Random("convolution:0"), random.Random("convolution:0")
+    draws = [workspace._q_draw(ours.getrandbits) for _ in range(10_000)]
+    assert draws == [(theirs.randint(-9, 9), theirs.randint(1, 9)) for _ in range(10_000)]
+    assert ours.getstate() == theirs.getstate()
+    assert {n for n, _ in draws} == set(range(-9, 10)) and {m for _, m in draws} == set(range(1, 10))
 
 
 @pytest.mark.parametrize("ring_name", ["zmod6", "table"])

@@ -292,8 +292,8 @@ def _involution(data, ring, k):
 
 
 def _corrupt(data, ring, mats: dict) -> dict:
-    """Sometimes overwrite one entry of one matrix."""
-    if not data.draw(st.booleans()):
+    """Sometimes overwrite one entry of one matrix, if there is one."""
+    if not mats or not data.draw(st.booleans()):
         return mats
     key = data.draw(st.sampled_from(sorted(mats)))
     mat = [list(row) for row in mats[key]]

@@ -1,6 +1,5 @@
 """The four isomorphism pipelines on the worked instances."""
 
-import dataclasses
 import itertools
 import os
 
@@ -14,6 +13,7 @@ from sectional.bundles import (
     trivial_bundle,
     validate_bundle,
 )
+from sectional.maps import LinearMapOnBasis
 from sectional.rings import EchelonBasis, RationalRing, ZModRing, dense
 from sectional.semigroupoids import (
     identity_homomorphism,
@@ -47,6 +47,7 @@ from structures import (
     pair_groupoid_raw,
     parallel_arrows_raw,
     preaction,
+    quotient_elimination,
     semilattice_on_points_action,
     semilattice_raw,
     spans_equal,
@@ -550,7 +551,7 @@ class TestQuotientMapAndKernel:
         bc = validate_bundle_congruence(trivial_bundle(ring, z2), cong, None)
         res = quotient_map_and_kernel(bc)
         assert res.certificate.passed
-        assert res.kernel_basis == [] and res.generators == []
+        assert quotient_elimination(res)[0].kernel_basis == [] and res.generators == []
 
     @pytest.mark.parametrize("ring", [Q, Z5])
     def test_germ_congruence_kernel_generated_by_difference(self, ring):
@@ -566,7 +567,8 @@ class TestQuotientMapAndKernel:
         delta = [ring.zero] * len(names)
         delta[names.index("(1,1x)")] = ring.one
         delta[names.index("(e,1x)")] = ring.neg(ring.one)
-        assert spans_equal(res.kernel_basis, [dict(enumerate(delta))], ring)
+        kernel = quotient_elimination(res)[0].kernel_basis
+        assert spans_equal(kernel, [dict(enumerate(delta))], ring)
 
     @pytest.mark.parametrize("ring", [Q, Z5])
     def test_parallel_arrows_transport_one(self, ring):
@@ -575,7 +577,8 @@ class TestQuotientMapAndKernel:
         bc = validate_bundle_congruence(trivial_bundle(ring, base), cong, None)
         res = quotient_map_and_kernel(bc)
         assert res.certificate.passed
-        assert spans_equal(res.kernel_basis, [{0: ring.one, 1: ring.neg(ring.one)}], ring)
+        kernel = quotient_elimination(res)[0].kernel_basis
+        assert spans_equal(kernel, [{0: ring.one, 1: ring.neg(ring.one)}], ring)
 
     @pytest.mark.parametrize("ring", [Q, Z5])
     def test_sign_congruence_kernel(self, ring):
@@ -586,24 +589,43 @@ class TestQuotientMapAndKernel:
         )
         res = quotient_map_and_kernel(bc)
         assert res.certificate.passed
-        assert spans_equal(res.kernel_basis, [{0: ring.one, 1: ring.one}], ring)
+        kernel = quotient_elimination(res)[0].kernel_basis
+        assert spans_equal(kernel, [{0: ring.one, 1: ring.one}], ring)
 
     @pytest.mark.parametrize("ring", [Q, Z5, ZModRing(6)])
     def test_kernel_is_compared_with_the_generator_span(self, ring, monkeypatch):
-        # a solver that loses one kernel vector leaves a smaller kernel than
-        # the generators span, and the certificate must say so
-        base = built(parallel_arrows_raw())
-        cong = validate_rigid_congruence([["a", "b"]], base)
-        bc = validate_bundle_congruence(trivial_bundle(ring, base), cong, None)
-        solve = theorems.solve_linear
+        # a map that sends the representative units to 0, or to twice their
+        # units over Z/6, has a kernel larger than the generators span, also
+        # where every generator still lies in it (every row scaled alike)
+        z2, par = built(cyclic2_raw()).base, built(parallel_arrows_raw())
+        for base, classes in [(z2, [["u"], ["g"]]), (par, [["a", "b"]])]:
+            cong = validate_rigid_congruence(classes, base)
+            bc = validate_bundle_congruence(trivial_bundle(ring, base), cong, None)
+            for scale in [0, 2] if ring.kind == "zmod" and ring.n == 6 else [0]:
+                def planted(source, target, rows, c=ring.coerce(scale)):
+                    rows = [{k: ring.mul(c, x) for k, x in row.items()} for row in rows]
+                    return LinearMapOnBasis(source, target, tuple(rows))
 
-        def lossy(*args):
-            sol = solve(*args)
-            return dataclasses.replace(sol, kernel_basis=sol.kernel_basis[:-1])
+                with monkeypatch.context() as m:
+                    m.setattr(theorems, "LinearMapOnBasis", planted)
+                    res = quotient_map_and_kernel(bc)
+                checks = {c.name: c.ok for c in res.certificate.checks}
+                assert checks["generators-in-kernel"]
+                assert not checks["kernel-equals-generator-span"] and not checks["surjective"]
+                assert quotient_elimination(res)[1:] == (False, False)
 
-        monkeypatch.setattr(theorems, "solve_linear", lossy)
-        checks = {c.name: c.ok for c in quotient_map_and_kernel(bc).certificate.checks}
-        assert checks["generators-in-kernel"] and not checks["kernel-equals-generator-span"]
+    def test_a_target_unit_no_representative_reaches_is_not_onto(self, monkeypatch):
+        # a target with more units than the representatives have: their images
+        # are not every target unit, and T is not onto
+        z2 = built(cyclic2_raw()).base
+        cong = validate_rigid_congruence([["u", "g"]], z2)
+        bc = validate_bundle_congruence(trivial_bundle(Q, z2), cong, None)
+        build = theorems.sectional_algebra
+        monkeypatch.setattr(theorems, "sectional_algebra", lambda bundle: build(bc.bundle))
+        res = quotient_map_and_kernel(bc)
+        checks = {c.name: c.ok for c in res.certificate.checks}
+        assert res.target.rank == 2 and not checks["surjective"]
+        assert not quotient_elimination(res)[1]
 
     def test_integer_ring_refuses(self):
         from sectional.rings import IntegerRing

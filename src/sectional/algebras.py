@@ -21,8 +21,8 @@ scheme of Gustavson (ACM TOMS 4(3), 1978): mul adds each coefficient times
 row into one dict, in rings.combine's term order, and prunes the sum once.
 Linear maps are held the same way (maps.LinearMapOnBasis, bundles.AlgebraAction,
 and the fiber maps and transports of theorems): one sparse image row per basis
-element, the first two applied by rings.apply_linear; a matrix handed to
-rings.solve_linear is those rows, read as its columns. Vectors are sparse too:
+element, the first two applied by rings.apply_linear; a passing certificate
+reads its kernel off those rows, with no elimination. Vectors are sparse too:
 mul takes two vectors as (index, value) pairs (a stored row or the items of a
 {index: value} dict) and returns a dict. Dense coordinate tuples remain only
 for file literals, the transports inverted by rings.mat_inverse, and reports.

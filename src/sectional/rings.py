@@ -14,13 +14,13 @@ report boundary (sparse_row, dense).
 
 Span tests run on one incremental echelon basis (EchelonBasis): reduced row
 echelon form over fields (rationals, prime residues), reduced Howell form over
-composite residue rings, where only solve_linear's kernel takes a Smith normal
-form. Over Z/n, solve_linear hands the kernel and image forms it builds to
-its LinearSolution, which maps.surjective and the germ certificate read
-instead of rebuilding them; the quotient certificate reads its kernel off the
-representative units and runs no elimination. Matrix inverses are
-division-free over any commutative ring; over Z/n a dot product is one
-integer sum, reduced once. Other ring kinds refuse with CapabilityError.
+composite residue rings. No passing certificate eliminates: a comparison map
+reads its bijectivity off its checked inverse, and the quotient and germ
+certificates read their kernels off the map's rows, so solve_linear, whose
+composite kernel takes a Smith normal form, only explains a failed inverse.
+Matrix inverses are division-free over any commutative ring; over Z/n a dot
+product is one integer sum, reduced once. Other ring kinds refuse with
+CapabilityError.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Any, Sequence
 
 from .validation import CapabilityError, StructureError, ValidationReport
@@ -695,11 +694,7 @@ class LinearSolution:
     pivots: tuple
     kernel_basis: list[dict]
     image_basis: list[dict]
-
-    # the echelon forms of the two spans, built once; over Z/n solve_linear
-    # hands over the ones that thinning the bases built
-    kernel_echelon = cached_property(lambda self: EchelonBasis(self.ring, self.kernel_basis))
-    image_echelon = cached_property(lambda self: EchelonBasis(self.ring, self.image_basis))
+    image_echelon: EchelonBasis | None = None     # over Z/n: the image's echelon form
 
 
 class EchelonBasis:
@@ -853,11 +848,8 @@ def solve_linear(columns, rows: int, ring: Ring) -> LinearSolution:
                 a, b = factors[i], factors[j]
                 factors[i], factors[j] = math.gcd(a, b), math.lcm(a, b)
             rank = sum(1 for f in factors if f != n)
-        kernel, kernel_echelon = _thin(kernel, ring)
-        image, image_echelon = _thin(columns, ring)
-        sol = LinearSolution(ring, rows, cols, rank, (), kernel, image)
-        sol.kernel_echelon, sol.image_echelon = kernel_echelon, image_echelon
-        return sol
+        return LinearSolution(ring, rows, cols, rank, (), _thin(kernel, ring)[0],
+                              *_thin(columns, ring))
 
     raise CapabilityError(
         f"linear solving needs a field or Z/n; ring kind {ring.kind!r} is unsupported"
@@ -904,6 +896,11 @@ def ideal_closure(generators, algebra, until=None) -> list[dict]:
     saturation gives. Over a field the result is the ideal's reduced row
     echelon form, over composite Z/n the vectors that enlarged the span.
     """
+    return _saturate(generators, algebra, until)[0]
+
+
+def _saturate(generators, algebra, until=None) -> tuple:
+    """ideal_closure's result and the EchelonBasis of its span."""
     ring = algebra.ring
     basis = EchelonBasis(ring)
     target = None if until is None else until.rows
@@ -921,7 +918,7 @@ def ideal_closure(generators, algebra, until=None) -> list[dict]:
         if basis.rows == target:
             break
         streams.append(_unit_products(algebra, vec))
-    return basis.pivot_rows() if ring.is_field else span
+    return (basis.pivot_rows() if ring.is_field else span), basis
 
 
 def _unit_products(algebra, vec: dict):

@@ -1,8 +1,8 @@
 """The four isomorphism pipelines, materialized as basis maps with certificates.
 
 Each comparison builds both sides explicitly, writes the connecting map as a
-basis-image table, and certifies the claimed properties by enumeration plus,
-where the coefficient ring allows, an exact kernel/image cross-check:
+basis-image table, and certifies the claimed properties by enumeration; the
+kernels and images are read off the maps' rows or their checked inverses:
 
   - product bundles against tensor products of algebras;
   - semidirect product bundles against naive crossed products;
@@ -38,14 +38,8 @@ from .bundles import (
     validate_algebra_action,
 )
 from .maps import (Certificate, LinearMapOnBasis, basis_bijection, certify_linear_iso,
-                   multiplicative_witness, surjective)
-from .rings import (
-    EchelonBasis,
-    ideal_closure,
-    mat_inverse,
-    solve_linear,
-    sparse_row,
-)
+                   multiplicative_witness)
+from .rings import EchelonBasis, _saturate, mat_inverse, sparse_row
 from .semigroupoids import (
     FiniteSemigroupoid,
     Homomorphism,
@@ -624,39 +618,26 @@ class QuotientBundleResult:
 def quotient_bundle(bc: BundleCongruence) -> QuotientBundleResult:
     """Quotient base, representative fibers, transported products.
 
-    Products over the minimal representatives are carried by to_rep to the
-    product's representative and re-verified on every equivalent pair, each
-    basis vector carried there by from_rep; disagreement would contradict
-    the congruence invariants, so it is surfaced as an internal error.
+    The products over the representatives ri, rj of two classes, carried by
+    to_rep to their product's representative, are the quotient's; any other
+    members a, b give the same. validate_bundle_congruence decided that every
+    transport pair intertwines the basis products (at the representatives
+    over a commutative ring, which decides every pair, else at every pair):
+    at (ri, rj) -> (a, b), x y = from_rep[ab] to_rep[ri rj](e_i e_j) for x, y
+    the columns i, j of from_rep[a], from_rep[b], so to_rep[ab](x y) =
+    to_rep[ri rj](e_i e_j).
     """
     bundle = bc.bundle
     ring = bundle.ring
     quotient, projection = quotient_semigroupoid(bc.base)
     reps = [block[0] for block in bc.base.classes]
     ranks = tuple(bundle.ranks[r] for r in reps)
-    from_rep, one = bc.from_rep, ring.one
-
-    def moved(a: int, b: int, x, y) -> dict:
-        """x * y over (a, b), transported to its class representative."""
-        xy = bundle.fiber_mul(a, b, x, y)
-        return _move(bc.to_rep[bundle.base.prod[a][b]], xy.items(), ring)
-
-    tables: dict[tuple[int, int], list] = {}
-    for (ci, cj) in quotient.composable:
+    tables = {}
+    for ci, cj in quotient.composable:
         ri, rj = reps[ci], reps[cj]
-        table = tables[(ci, cj)] = [
-            [moved(ri, rj, ((i, one),), ((j, one),)) for j in range(ranks[cj])]
-            for i in range(ranks[ci])
-        ]
-        for a in bc.base.classes[ci]:
-            for b in bc.base.classes[cj]:
-                for i, x in enumerate(from_rep[a]):
-                    for j, y in enumerate(from_rep[b]):
-                        if moved(a, b, x, y) != table[i][j]:
-                            raise InternalConsistencyError(
-                                "quotient fiber product depends on representatives at "
-                                f"({bundle.base.arrow_names[a]},{bundle.base.arrow_names[b]})"
-                            )
+        to_rep = bc.to_rep[bundle.base.prod[ri][rj]]
+        tables[(ci, cj)] = [[_move(to_rep, xy, ring) for xy in row]
+                            for row in bundle.rows[(ri, rj)]]
     out = bundle_from_product(ring, quotient, ranks, lambda p, q, i, j: tables[(p, q)][i][j])
     return QuotientBundleResult(out, quotient, projection, bc)
 
@@ -753,6 +734,25 @@ class GermCorollaryResult:
     induced_action: AlgebraAction
 
 
+def _unit_map_kernel(tmap: LinearMapOnBasis) -> tuple:
+    """The kernel's echelon basis, set with no elimination, of a map sending
+    each source unit to a target unit or to 0, and whether it is onto. Of the
+    units sent to one target unit, r the largest, each other x gives e_x - e_r;
+    a unit sent to 0 gives e_x. These span the kernel, and their pivots x are
+    units met by no other row: the RREF over a field, the reduced Howell form
+    over Z/n. A row of any other shape is a program bug."""
+    ring = tmap.source.ring
+    kernel, one = EchelonBasis(ring), ring.one
+    for x, row in enumerate(tmap.rows):
+        if row and (len(row) > 1 or row[0][1] != one):
+            raise InternalConsistencyError(
+                f"the image of {tmap.source.basis[x]} is neither 0 nor a target unit")
+    last = {row[0][0]: x for x, row in enumerate(tmap.rows) if row}
+    kernel.rows = {x: {x: one, last[row[0][0]]: ring.neg(one)} if row else {x: one}
+                   for x, row in enumerate(tmap.rows) if not row or last[row[0][0]] != x}
+    return kernel, len(last) == tmap.target.rank
+
+
 def germ_corollary(theta: LandPreaction, coefficients) -> GermCorollaryResult:
     """Crossed product modulo order differences against the germ algebra.
 
@@ -760,8 +760,10 @@ def germ_corollary(theta: LandPreaction, coefficients) -> GermCorollaryResult:
     the space with the shift action; naive crossed product; the two-sided
     ideal generated by delta_s a - delta_t a for s below t; the coefficient
     algebra of the germ groupoid; and the certified induced isomorphism.
-    The map is built before the ideal, so when it is multiplicative and kills
-    every generator its kernel bounds the saturation, which stops there.
+    The map sends each delta_s e_(g, i) to one target unit, so its kernel and
+    image are read off its rows; it is built before the ideal, so when it is
+    multiplicative and kills every generator its kernel bounds the
+    saturation, which stops there and hands over the ideal's echelon basis.
     StageErrors tag which stage refused.
     """
     def stage(name, thunk):
@@ -797,30 +799,26 @@ def germ_corollary(theta: LandPreaction, coefficients) -> GermCorollaryResult:
         images.append(((germ_algebra.index[(cls, i)], ring.one),))
     qmap = LinearMapOnBasis(crossed, germ_algebra, tuple(images))
     witness = multiplicative_witness(qmap)
-    sol = stage("ideal", lambda: solve_linear(qmap.rows, qmap.target.rank, ring))
-    # one echelon form of the kernel: the saturation's stop target and the
-    # span the ideal is compared with
-    kernel = stage("ideal", lambda: sol.kernel_echelon)
+    kernel, onto = stage("ideal", lambda: _unit_map_kernel(qmap))
     kills = not any(qmap.apply_rows(gen.items()) for gen in generators)
     # the kernel of a multiplicative map that kills every generator is a
     # two-sided ideal containing them, so the saturation may stop there
     until = kernel if witness is None and kills else None
-    ideal = stage("ideal", lambda: ideal_closure(generators, crossed, until))
-    ideal_rows = EchelonBasis(ring, ideal).rows
+    ideal, ideal_span = stage("ideal", lambda: _saturate(generators, crossed, until))
 
     cert = Certificate("germ corollary")
     cert.data["crossed_rank"] = crossed.rank
     cert.data["quotient_rank"] = germ_algebra.rank
     if ring.is_field:
-        ideal_rank = cert.data["ideal_rank"] = len(ideal_rows)
+        ideal_rank = cert.data["ideal_rank"] = len(ideal_span.rows)
     else:
         cert.data["ideal_generators"] = len(ideal)
 
     cert.add("multiplicative", witness is None, witness or ())
     cert.add("ideal-killed", not any(qmap.apply_rows(v.items()) for v in ideal))
 
-    cert.add("surjective", surjective(sol))
-    cert.add("kernel-is-ideal", kernel.rows == ideal_rows)
+    cert.add("surjective", onto)
+    cert.add("kernel-is-ideal", kernel.rows == ideal_span.rows)
     if ring.is_field:
         cert.add("rank-identity",
                  crossed.rank - ideal_rank == germ_algebra.rank,

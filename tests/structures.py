@@ -37,7 +37,7 @@ def quotient_elimination(res):
     and whether its kernel has the echelon rows of the generators."""
     ring = res.source.ring
     sol = solve_linear(res.map.rows, res.target.rank, ring)
-    return sol, surjective(sol), sol.kernel_echelon.rows == EchelonBasis(ring, res.generators).rows
+    return sol, surjective(sol), spans_equal(sol.kernel_basis, res.generators, ring)
 
 
 def span_rank(generators, ring) -> int:

@@ -37,6 +37,15 @@ Z/5, Z/6 and Z/30.
 Over the non-commutative M2(F2), whose unit group GL2(F2) is not abelian,
 the representative pairs do not decide the others, so there every pair is
 walked; the validator must give the oracle's verdict and witness there too.
+
+`quotient_bundle` reads each product through the class representatives
+only; by its docstring the intertwining that `validate_bundle_congruence`
+decided makes every other choice of members agree. The walk over every
+member pair that it used to run is kept below (`representative_walk`) and
+must find nothing on each congruence that passes: over Q and Z/6 on
+congruences drawn as above, over M2(F2), and over the non-commutative upper
+triangular UT2(F2), on derandomized ringfiber congruences of the groups
+above with unit transports.
 """
 
 from hypothesis import given, settings
@@ -47,13 +56,14 @@ from sectional.bundles import fiber_rows, validate_bundle
 from sectional.rings import (EchelonBasis, RationalRing, ZModRing, identity_matrix, mat_inverse,
                              mat_mul, sparse_row, validate_ring)
 from sectional.semigroupoids import validate_semigroupoid
-from sectional.theorems import (_compose, bundle_semidirect, quotient_bundle,
+from sectional.theorems import (_compose, _move, bundle_semidirect, quotient_bundle,
                                 quotient_map_and_kernel, validate_bundle_action,
                                 validate_bundle_congruence)
 from sectional.validation import StructureError
 
 from structures import (built, cyclic2_raw, cyclic_raw, f2_matrix_ring_spec, gl2_f2_raw,
-                        klein_four_raw, trivial_monoid_raw, unit_groupoid_raw)
+                        klein_four_raw, trivial_monoid_raw, unit_groupoid_raw,
+                        upper_triangular_f2_ring_spec)
 
 RINGS = [RationalRing(), ZModRing(5), ZModRing(6)]
 
@@ -246,6 +256,24 @@ def oracle_quotient_tables(bundle, cong, full, quotient):
             for i in range(bundle.ranks[ri])
         ]
     return tables
+
+
+def representative_walk(bc, out):
+    """The walk `quotient_bundle` ran over every member pair: the first
+    (a, b, i, j) at which the product over (a, b) of the transports of e_i and
+    e_j, carried back by to_rep, is not the built quotient's product over the
+    representatives, or None."""
+    bundle, ring = bc.bundle, bc.bundle.ring
+    for (ci, cj), rows in sorted(out.bundle.rows.items()):
+        for a in bc.base.classes[ci]:
+            for b in bc.base.classes[cj]:
+                to_rep = bc.to_rep[bundle.base.prod[a][b]]
+                for i, x in enumerate(bc.from_rep[a]):
+                    for j, y in enumerate(bc.from_rep[b]):
+                        if _move(to_rep, bundle.fiber_mul(a, b, x, y).items(), ring) != dict(
+                                rows[i][j]):
+                            return a, b, i, j
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +538,69 @@ def test_noncommutative_transports_are_checked_on_every_pair():
             out = quotient_bundle(result)
             tables = oracle_quotient_tables(bundle, cong, full, out.base_quotient)
             assert out.bundle.rows == {key: fiber_rows(t, ring) for key, t in tables.items()}
+            assert representative_walk(result, out) is None
     kind, (g1, g2, h1, h2) = outcomes[0]
     assert kind == "intertwining" and (g1, g2) == (e, e) and (h1, h2) != (e, e)
     assert outcomes[1][0] == "intertwining" and outcomes[2] is None
+
+
+def test_upper_triangular_quotients_agree_at_every_member_pair():
+    """Over UT2(F2), rank-1 ringfiber fibers over the groups of CONGRUENCES,
+    each arrow that is no representative transported by a unit: the
+    validator walks every pair, and on each congruence it accepts, the
+    quotient's products, read through the representatives, agree with the
+    walk over every member pair. A quotient whose transported product
+    constants leave the centre is refused. Both verdicts of each step occur,
+    and some quotient that is built has a transport other than the identity."""
+    ring = validate_ring(upper_triangular_f2_ring_spec())
+    units = [u for u in range(len(ring.names)) if ring.unit_inverse(u) is not None]
+    verdicts, built_or_not, moved = set(), set(), []
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def check(data):
+        raw, classes, _n, _deg = CONGRUENCES[data.draw(st.sampled_from(sorted(CONGRUENCES)))]
+        base = built(raw()).base
+        bundle = validate_bundle({"mode": "ringfiber"}, ring, base)
+        cong = validate_rigid_congruence(classes, base)
+        transport = {g: ((data.draw(st.sampled_from(units)),),)
+                     for block in classes for g in block[1:]}
+        result, verdict = _outcome(validate_bundle_congruence, bundle, cong, transport)
+        expected, _full = oracle_bundle_congruence(bundle, cong, transport)
+        assert verdict == expected
+        verdicts.add(expected and expected[0])
+        if expected is None:
+            # a transported product constant off the centre is refused
+            out, refused = _outcome(quotient_bundle, result)
+            if out is not None:
+                assert representative_walk(result, out) is None
+                moved.append(any(m != ((ring.one,),) for m in transport.values()))
+            built_or_not.add(refused and refused[0])
+
+    check()
+    assert verdicts == {None, "intertwining"}
+    assert built_or_not == {None, "structural"}
+    assert any(moved)
+
+
+def test_quotient_products_agree_at_every_member_pair():
+    """Over Q and Z/6, each congruence drawn as above that the validator
+    accepts builds a quotient whose products, read through the
+    representatives, agree with the walk over every member pair; classes of
+    4 and transports that are not their own inverse occur."""
+    largest, involutive = [], []
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def check(data):
+        ring = data.draw(st.sampled_from([RationalRing(), ZModRing(6)]))
+        bundle, cong, transport = _congruence_instance(data, ring)
+        result, verdict = _outcome(validate_bundle_congruence, bundle, cong, transport)
+        if verdict is None:
+            assert representative_walk(result, quotient_bundle(result)) is None
+            largest.append(max(map(len, cong.classes)))
+            involutive.append(result.to_rep == result.from_rep)
+
+    check()
+    assert max(largest) >= 4
+    assert not all(involutive)

@@ -34,6 +34,20 @@ Q, where the random sections have non-integral values.
 (exit 1: two of its tasks must fail), the one report whose bundles have
 non-integral rational constants.
 
+The fixtures' algebras have rank at most 18, where the Howell merges, keyed
+joins and support indexes barely branch. `tests/data/scaled/` freezes larger
+inputs, written once by the `bench/workloads.py` generators with
+`random.Random(3)` so that later changes to the generators cannot move them:
+germ C_16 (`nested_chain_action` and `_germ_doc`), and the `certify_pair`
+instances tensor P_6 with r = 2, smash P_6 with r = 1 and crossed P_4 with
+r = 2 (whose draw flips the fibers). `tests/data/scaled/golden/NAME.verify.json`
+and `NAME.verify.zmod6.json` hold
+
+    sectional verify all --input tests/data/scaled/NAME.json --seed 7 --no-timestamp --format json
+
+without and with `--ring zmod6`, recorded before the certificates stopped
+running elimination on a passing map.
+
 A refactor that must not change any report keeps these passing; a change that
 means to alter a report regenerates the golden copy with the commands above.
 """
@@ -56,6 +70,8 @@ NAMES = sorted(name[:-len(".json")] for name in os.listdir(FIXTURES)
 RINGS = ("zmod5", "zmod6")
 Q_NAMES = ("convolution", "tablering")
 RATIONAL_TWIST = os.path.join(HERE, "data", "rational_twist.json")
+SCALED = os.path.join(HERE, "data", "scaled")
+SCALED_NAMES = ("crossed-p4r2", "germ-c16", "smash-p6r1", "tensor-p6r2")
 
 
 def _normalised(text):
@@ -105,6 +121,29 @@ def test_rational_twist_report_matches_golden(capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert _normalised(out) == _normalised(_golden("rational_twist", "verify"))
+
+
+def test_every_scaled_input_has_golden_reports():
+    assert sorted(name for name in os.listdir(SCALED) if name.endswith(".json")) == sorted(
+        f"{name}.json" for name in SCALED_NAMES)
+    assert sorted(os.listdir(os.path.join(SCALED, "golden"))) == sorted(
+        f"{name}.verify{suffix}.json" for name in SCALED_NAMES for suffix in ("", ".zmod6"))
+
+
+@pytest.mark.parametrize("name, ring", [
+    pytest.param(name, ring, id=name if ring is None else f"{name}-{ring}")
+    for name in SCALED_NAMES for ring in (None, "zmod6")
+])
+def test_scaled_report_matches_golden(name, ring, capsys):
+    argv = ["verify", "all", "--input", os.path.join(SCALED, f"{name}.json"), "--seed", "7",
+            "--no-timestamp", "--format", "json"]
+    code = main(argv + (["--ring", ring] if ring else []))
+    out = capsys.readouterr().out
+    assert code == 0
+    suffix = "" if ring is None else f".{ring}"
+    with open(os.path.join(SCALED, "golden", f"{name}.verify{suffix}.json"),
+              encoding="utf-8") as fh:
+        assert _normalised(out) == _normalised(fh.read())
 
 
 def _build_ids():

@@ -2,9 +2,10 @@
 
 import pytest
 
+from sectional import maps
 from sectional.bundles import semigroupoid_algebra
 from sectional.maps import LinearMapOnBasis, basis_bijection, certify_linear_iso
-from sectional.rings import RationalRing
+from sectional.rings import RationalRing, ZModRing, solve_linear
 
 from structures import built, cyclic2_raw, unit_groupoid_raw
 
@@ -91,3 +92,43 @@ class TestCertificates:
         names = {c.name: c.ok for c in cert.checks}
         assert not names["degree-preserving"]
 
+
+
+@pytest.mark.parametrize("ring", [Q, ZModRing(6)], ids=["Q", "Z6"])
+def test_failed_inverse_is_explained_by_elimination(ring, monkeypatch):
+    """A passing two-sided inverse proves bijectivity and runs no
+    elimination; a failed one is explained by solve_linear, once per
+    certificate. A singular map whose declared inverse is the identity fails
+    kernel-trivial with elimination's first kernel vector as the witness;
+    over Z/6, diag(2, 1) keeps matrix rank 2 (its invariant factors are 2 and
+    1) yet has the kernel vector (3, 0); a bijection with a corrupted inverse
+    passes both checks."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return solve_linear(*args)
+
+    monkeypatch.setattr(maps, "solve_linear", spy)
+    a = semigroupoid_algebra(ring, built(cyclic2_raw()).base)
+    one, two = ring.one, ring.coerce(2)
+    ident = LinearMapOnBasis(a, a, (((0, one),), ((1, one),)))
+    swap = LinearMapOnBasis(a, a, (((1, one),), ((0, one),)))
+    expected = [
+        (LinearMapOnBasis(a, a, ident.rows, inverse=ident), (True, True, True, ()), 2, 0),
+        (LinearMapOnBasis(a, a, (((0, one),), ((0, one),)), inverse=ident),
+         (False, False, False, (f"({ring.coerce(-1)}, 1)",)), 1, 1),
+        (LinearMapOnBasis(a, a, ident.rows, inverse=swap), (False, True, True, ()), 2, 1),
+    ]
+    if ring.kind == "zmod":
+        expected.append((LinearMapOnBasis(a, a, (((0, two),), ((1, one),)), inverse=ident),
+                         (False, False, False, ("(3, 0)",)), 2, 1))
+    for tmap, verdicts, rank, runs in expected:
+        calls.clear()
+        cert = certify_linear_iso(tmap, "map")
+        checks = {c.name: c.to_json() for c in cert.checks}
+        assert (checks["two-sided-inverse"]["ok"], checks["kernel-trivial"]["ok"],
+                checks["surjective"]["ok"],
+                tuple(checks["kernel-trivial"].get("witness", ()))) == verdicts
+        assert cert.data["linear_route"] == "ran" and cert.data["matrix_rank"] == rank
+        assert len(calls) == runs

@@ -28,6 +28,7 @@ example and must see both.
 
 import itertools
 import json
+import sys
 from collections import deque
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sectional.maps as maps_module
 import sectional.rings as rings_module
 import sectional.theorems as theorems
 from sectional.algebras import AlgebraPresentation
@@ -56,9 +58,11 @@ from sectional.rings import (
     solve_linear,
     sparse_vector,
 )
+from sectional.rings import _saturate
 from sectional.rings import _unit_products as unit_products
 from sectional.semigroupoids import composable_labels
 from sectional.theorems import germ_corollary, induced_theta
+from sectional.validation import InternalConsistencyError, StageError
 from sectional.workspace import Builder, parse_workspace
 from structures import (
     built,
@@ -380,17 +384,21 @@ GERM_RINGS = {"Q": RationalRing(), "Z6": ZModRing(6)}
 
 
 def _spy_closure(monkeypatch, replacement=None):
-    """Record each ideal_closure call the germ pipeline makes: its
-    generators, algebra and whether it got a stop target."""
+    """Record each saturation the germ pipeline runs (`rings._saturate`,
+    ideal_closure with the echelon basis of its span): its generators,
+    algebra and whether it got a stop target. A replacement stands in for
+    ideal_closure, and the echelon basis of what it returns is handed over."""
     calls = []
-    run = replacement or ideal_closure
 
     def spy(generators, algebra, until=None):
         generators = list(generators)
         calls.append((generators, algebra, until is not None))
-        return run(generators, algebra, until)
+        if replacement is None:
+            return _saturate(generators, algebra, until)
+        ideal = replacement(generators, algebra, until)
+        return ideal, EchelonBasis(algebra.ring, ideal)
 
-    monkeypatch.setattr(theorems, "ideal_closure", spy)
+    monkeypatch.setattr(theorems, "_saturate", spy)
     return calls
 
 
@@ -431,9 +439,18 @@ def test_germ_ideal_early_stop_matches_full_saturation(instance, ring, monkeypat
     assert early.certificate.passed
 
 
+class Rotated(theorems.LinearMapOnBasis):
+    """Each basis vector takes the next one's image: every image is still
+    one target unit, but multiplicativity breaks."""
+
+    def __post_init__(self):
+        self.rows = self.rows[1:] + self.rows[:1]
+        super().__post_init__()
+
+
 class Negated(theorems.LinearMapOnBasis):
-    """Every image negated: the kernel stays, multiplicativity breaks
-    ((-1)(-1) = 1)."""
+    """Every image negated: the kernel stays and multiplicativity breaks
+    ((-1)(-1) = 1), but no image is a target unit."""
 
     def __post_init__(self):
         ring = self.source.ring
@@ -453,7 +470,7 @@ class Identity(theorems.LinearMapOnBasis):
 
 
 @pytest.mark.parametrize("ring", GERM_RINGS.values(), ids=GERM_RINGS.keys())
-@pytest.mark.parametrize("bent, failing", [(Negated, "multiplicative"),
+@pytest.mark.parametrize("bent, failing", [(Rotated, "multiplicative"),
                                            (Identity, "ideal-killed")],
                          ids=["non-multiplicative", "kills-no-generator"])
 def test_germ_ideal_saturates_fully_unless_the_kernel_bounds_it(bent, failing, ring,
@@ -572,33 +589,42 @@ def test_crossed_tables_match_the_loops_under_any_conjugation():
     check()
 
 
-def test_germ_corollary_reduces_the_kernel_once(monkeypatch):
-    """Exactly one echelon form of the kernel is built, the one `solve_linear`
-    hands over (built while thinning over Z/n, on first use over a field), and
-    it is both the saturation's stop target and the span the ideal is
+def test_germ_path_builds_no_kernel_by_elimination(monkeypatch):
+    """The germ certificate sets its kernel's echelon rows off the map's rows
+    and takes the ideal's from the saturation: it calls no solve_linear and
+    no smith_normal_form, and every EchelonBasis.insert comes from the
+    saturation itself, whose echelon basis is also the span the kernel is
     compared with."""
+    def refused(*args):
+        raise AssertionError("elimination on the germ path")
+
+    for instance in GERM_INSTANCES.values():
+        for ring in GERM_RINGS.values():
+            callers = []
+
+            def insert(basis, v, _insert=EchelonBasis.insert):
+                callers.append(sys._getframe(1).f_code.co_name)
+                return _insert(basis, v)
+
+            monkeypatch.setattr(EchelonBasis, "insert", insert)
+            for module, name in ((rings_module, "solve_linear"), (maps_module, "solve_linear"),
+                                 (rings_module, "smith_normal_form")):
+                monkeypatch.setattr(module, name, refused)
+            res = germ_corollary(preaction(*instance()), ring)
+            monkeypatch.undo()
+            assert res.certificate.passed
+            assert callers and set(callers) == {"_saturate"}
+
+
+def test_germ_map_of_another_shape_is_a_program_bug(monkeypatch):
+    """A germ map image that is neither 0 nor one target unit with
+    coefficient one is an internal error, tagged with the ideal stage."""
+    monkeypatch.setattr(theorems, "LinearMapOnBasis", Negated)
     for ring in GERM_RINGS.values():
-        solutions, built = [], []
-
-        def spy(*args):
-            solutions.append(solve_linear(*args))
-            return solutions[-1]
-
-        class Counted(EchelonBasis):
-            def __init__(self, ring, vectors=()):
-                built.append((self, vectors))
-                super().__init__(ring, vectors)
-
-        monkeypatch.setattr(theorems, "solve_linear", spy)
-        for module in (rings_module, theorems):
-            monkeypatch.setattr(module, "EchelonBasis", Counted)
-        res = germ_corollary(preaction(*GERM_INSTANCES["2P2-Z2"]()), ring)
-        monkeypatch.undo()
-        (sol,) = solutions
-        kernel = vars(sol)["kernel_echelon"]
-        assert [b for b, vectors in built
-                if b is kernel or vectors is sol.kernel_basis] == [kernel]
-        assert res.certificate.passed
+        with pytest.raises(StageError) as err:
+            germ_corollary(preaction(*GERM_INSTANCES["2P2-Z2"]()), ring)
+        assert err.value.stage == "ideal"
+        assert isinstance(err.value.cause, InternalConsistencyError)
 
 
 class Zero(theorems.LinearMapOnBasis):

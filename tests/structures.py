@@ -6,7 +6,9 @@ structure the library works on.
 """
 
 import copy
+import sys
 
+from sectional import maps, rings, theorems
 from sectional.actions import validate_preaction
 from sectional.maps import surjective
 from sectional.rings import EchelonBasis, solve_linear
@@ -29,6 +31,39 @@ def spans_equal(a, b, ring) -> bool:
     """Whether two sets of sparse vectors span one submodule: their echelon
     forms are unique, so equal spans have equal rows."""
     return EchelonBasis(ring, a).rows == EchelonBasis(ring, b).rows
+
+
+def elimination_calls(monkeypatch, run):
+    """Run run() and return what it did of elimination: a count of
+    EchelonBasis._reduce, smith_normal_form, solve_linear and mat_inverse
+    calls, wherever the package refers to them, and the caller and result of
+    each EchelonBasis.insert call, in order."""
+    counts = dict.fromkeys(["_reduce", "smith_normal_form", "solve_linear", "mat_inverse"], 0)
+    inserts = []
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    def insert(basis, v, _insert=EchelonBasis.insert):
+        accepted = _insert(basis, v)
+        inserts.append((sys._getframe(1).f_code.co_name, accepted))
+        return accepted
+
+    monkeypatch.setattr(EchelonBasis, "insert", insert)
+    monkeypatch.setattr(EchelonBasis, "_reduce", counted("_reduce", EchelonBasis._reduce))
+    for name in ("smith_normal_form", "solve_linear", "mat_inverse"):
+        fn = getattr(rings, name)
+        for module in (rings, maps, theorems):
+            if vars(module).get(name) is fn:
+                monkeypatch.setattr(module, name, counted(name, fn))
+    try:
+        run()
+    finally:
+        monkeypatch.undo()
+    return counts, inserts
 
 
 def quotient_elimination(res):

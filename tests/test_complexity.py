@@ -48,17 +48,17 @@ semigroupoid handed to `_check_axioms`, W the `_twisted` calls made while
     semidirect product's own validation did, makes T = 22,608 and 311,584,
     exponent 3.78.
 
-`verify germ`, `tensor`, `smash` and `crossed` on the frozen scaled inputs
-of `tests/data/scaled/` (germ C_16, tensor P_6 with r = 2, smash P_6 with
-r = 1, crossed P_4 with r = 2), over Q and Z/6: 0 calls to `solve_linear`
-and 0 to `smith_normal_form`. A comparison certificate reads bijectivity off
-its passing two-sided inverse, and the germ certificate reads its kernel off
-the germ map's rows; the route they replaced ran one `solve_linear` per
+`verify tensor`, `smash` and `crossed` on the frozen scaled inputs of
+`tests/data/scaled/` (tensor P_6 with r = 2, smash P_6 with r = 1, crossed
+P_4 with r = 2), over Q and Z/6: 0 calls to `solve_linear` and 0 to
+`smith_normal_form`. A comparison certificate reads bijectivity off its
+passing two-sided inverse; the route it replaced ran one `solve_linear` per
 certificate, and over Z/6 one Smith normal form in each.
 
-`verify germ` on C_n, the chain action above, at n = 16 and 32, over Q and
-Z/6: every `EchelonBasis.insert` call comes from `rings._saturate`, the
-saturation of `ideal_closure`.
+`verify germ` on C_n, the chain action above (at n = 16 the input
+frozen as `germ-c16.json`), at n = 16 and 32, over Q and Z/6: 0 calls to
+`solve_linear` and 0 to `smith_normal_form`, and every `EchelonBasis.insert`
+call comes from `rings._saturate`, the saturation of `ideal_closure`.
 
   - The germ certificate sets its kernel's echelon rows off the map's rows
     (`theorems._unit_map_kernel`, which inserts nothing), takes the ideal's
@@ -85,13 +85,12 @@ import json
 import math
 import os
 import random
-import sys
 
 import pytest
 
-from sectional import actions, maps, rings, semigroupoids, theorems, workspace
+from sectional import actions, semigroupoids, workspace
 from sectional.cli import main
-from sectional.rings import EchelonBasis
+from structures import elimination_calls
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -105,40 +104,30 @@ def _workloads():
 
 
 def _quotient_counts(m, tmp_path, monkeypatch, capsys):
-    """Calls of each elimination routine and of mat_inverse made by `verify
-    quotient` on Q(30, m, 3), wherever the package refers to them."""
+    """What `verify quotient` on Q(30, m, 3) does of elimination."""
     workloads = _workloads()
     rnd = random.Random(3)
     doc = workloads._parallel_congruence(30, m, (m // 3,) * 3, 3, workloads._Labels(rnd), rnd)
     path = tmp_path / f"q30-{m}-3.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    counts = dict.fromkeys(["insert", "_reduce", "smith_normal_form", "solve_linear",
-                            "mat_inverse"], 0)
+    return _verify_counts(["quotient", "--input", str(path)], monkeypatch, capsys)
 
-    def counted(name, fn):
-        def call(*args):
-            counts[name] += 1
-            return fn(*args)
-        return call
 
-    for name in ("insert", "_reduce"):
-        monkeypatch.setattr(EchelonBasis, name, counted(name, getattr(EchelonBasis, name)))
-    for name in ("smith_normal_form", "solve_linear", "mat_inverse"):
-        fn = getattr(rings, name)
-        for module in (rings, maps, theorems):
-            if vars(module).get(name) is fn:
-                monkeypatch.setattr(module, name, counted(name, fn))
-    assert main(["verify", "quotient", "--input", str(path), "--no-timestamp"]) == 0
-    capsys.readouterr()
-    monkeypatch.undo()
-    return counts
+def _verify_counts(args, monkeypatch, capsys):
+    """elimination_calls of a passing `verify` run with these arguments."""
+    def run():
+        assert main(["verify", *args, "--no-timestamp"]) == 0
+        capsys.readouterr()
+
+    return elimination_calls(monkeypatch, run)
 
 
 def test_quotient_runs_no_elimination(tmp_path, monkeypatch, capsys):
     for m in (15, 30):
-        counts = _quotient_counts(m, tmp_path, monkeypatch, capsys)
-        assert counts == {"insert": 0, "_reduce": 0, "smith_normal_form": 0,
-                          "solve_linear": 0, "mat_inverse": m - 3}
+        counts, inserts = _quotient_counts(m, tmp_path, monkeypatch, capsys)
+        assert counts == {"_reduce": 0, "smith_normal_form": 0, "solve_linear": 0,
+                          "mat_inverse": m - 3}
+        assert inserts == []
 
 
 def _semidirect_counts(n, tmp_path, monkeypatch, capsys):
@@ -193,60 +182,26 @@ def test_semidirect_build_walks_only_its_inputs(tmp_path, monkeypatch, capsys):
 SCALED = os.path.join(HERE, "data", "scaled")
 
 
-def _counted_elimination(monkeypatch):
-    """Count solve_linear and smith_normal_form calls wherever the package
-    refers to them."""
-    counts = dict.fromkeys(["solve_linear", "smith_normal_form"], 0)
-    for name in counts:
-        fn = getattr(rings, name)
-
-        def call(*args, _name=name, _fn=fn):
-            counts[_name] += 1
-            return _fn(*args)
-
-        for module in (rings, maps, theorems):
-            if vars(module).get(name) is fn:
-                monkeypatch.setattr(module, name, call)
-    return counts
-
-
 @pytest.mark.parametrize("ring", ["q", "zmod6"])
-@pytest.mark.parametrize("theorem, name", [("germ", "germ-c16"), ("tensor", "tensor-p6r2"),
-                                           ("smash", "smash-p6r1"), ("crossed", "crossed-p4r2")])
+@pytest.mark.parametrize("theorem, name", [("tensor", "tensor-p6r2"), ("smash", "smash-p6r1"),
+                                           ("crossed", "crossed-p4r2")])
 def test_passing_certificates_run_no_elimination(theorem, name, ring, monkeypatch, capsys):
-    counts = _counted_elimination(monkeypatch)
     path = os.path.join(SCALED, f"{name}.json")
-    assert main(["verify", theorem, "--input", path, "--ring", ring, "--no-timestamp"]) == 0
-    capsys.readouterr()
-    assert counts == {"solve_linear": 0, "smith_normal_form": 0}
-
-
-def _germ_inserts(n, ring, tmp_path, monkeypatch, capsys):
-    """The caller of each EchelonBasis.insert call of `verify germ` on C_n,
-    with its result."""
-    workloads = _workloads()
-    rnd = random.Random(3)
-    actor, space, action, *_ = workloads.nested_chain_action(n, workloads._Labels(rnd), rnd)
-    path = tmp_path / f"germ-c{n}.json"
-    path.write_text(json.dumps(workloads._germ_doc(actor, space, action)), encoding="utf-8")
-    calls = []
-
-    def insert(basis, v, _insert=EchelonBasis.insert):
-        accepted = _insert(basis, v)
-        calls.append((sys._getframe(1).f_code.co_name, accepted))
-        return accepted
-
-    monkeypatch.setattr(EchelonBasis, "insert", insert)
-    assert main(["verify", "germ", "--input", str(path), "--ring", ring, "--no-timestamp"]) == 0
-    capsys.readouterr()
-    monkeypatch.undo()
-    return calls
+    counts, _ = _verify_counts([theorem, "--input", path, "--ring", ring], monkeypatch, capsys)
+    assert counts["solve_linear"] == counts["smith_normal_form"] == 0
 
 
 @pytest.mark.parametrize("ring", ["q", "zmod6"])
 def test_germ_inserts_only_in_the_saturation(ring, tmp_path, monkeypatch, capsys):
+    workloads = _workloads()
     for n in (16, 32):
-        calls = _germ_inserts(n, ring, tmp_path, monkeypatch, capsys)
-        assert {caller for caller, _ in calls} == {"_saturate"}
-        assert len(calls) <= math.comb(n + 1, 3)
-        assert sum(accepted for _, accepted in calls) == n * (n - 1) // 2
+        rnd = random.Random(3)
+        actor, space, action, *_ = workloads.nested_chain_action(n, workloads._Labels(rnd), rnd)
+        path = tmp_path / f"germ-c{n}.json"
+        path.write_text(json.dumps(workloads._germ_doc(actor, space, action)), encoding="utf-8")
+        counts, inserts = _verify_counts(["germ", "--input", str(path), "--ring", ring],
+                                         monkeypatch, capsys)
+        assert counts["solve_linear"] == counts["smith_normal_form"] == 0
+        assert {caller for caller, _ in inserts} == {"_saturate"}
+        assert len(inserts) <= math.comb(n + 1, 3)
+        assert sum(accepted for _, accepted in inserts) == n * (n - 1) // 2

@@ -28,7 +28,6 @@ example and must see both.
 
 import itertools
 import json
-import sys
 from collections import deque
 from fractions import Fraction
 
@@ -36,7 +35,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import sectional.maps as maps_module
 import sectional.rings as rings_module
 import sectional.theorems as theorems
 from sectional.algebras import AlgebraPresentation
@@ -68,6 +66,7 @@ from structures import (
     built,
     columns_of,
     components_semidirect_action,
+    elimination_calls,
     nested_chain_action,
     pair_groupoid_raw,
     preaction,
@@ -439,12 +438,16 @@ def test_germ_ideal_early_stop_matches_full_saturation(instance, ring, monkeypat
     assert early.certificate.passed
 
 
-class Rotated(theorems.LinearMapOnBasis):
-    """Each basis vector takes the next one's image: every image is still
-    one target unit, but multiplicativity breaks."""
+class Swapped(theorems.LinearMapOnBasis):
+    """The images followed by the swap of target units 0 and 1, which is no
+    algebra automorphism: every image is still one target unit and the
+    kernel stays, so the map kills every generator, but multiplicativity
+    breaks."""
 
     def __post_init__(self):
-        self.rows = self.rows[1:] + self.rows[:1]
+        swap = {0: 1, 1: 0}
+        self.rows = tuple({swap.get(k, k): x for k, x in dict(row).items()}
+                          for row in self.rows)
         super().__post_init__()
 
 
@@ -470,14 +473,16 @@ class Identity(theorems.LinearMapOnBasis):
 
 
 @pytest.mark.parametrize("ring", GERM_RINGS.values(), ids=GERM_RINGS.keys())
-@pytest.mark.parametrize("bent, failing", [(Rotated, "multiplicative"),
-                                           (Identity, "ideal-killed")],
+@pytest.mark.parametrize("bent, failing, passing",
+                         [(Swapped, "multiplicative", "ideal-killed"),
+                          (Identity, "ideal-killed", "multiplicative")],
                          ids=["non-multiplicative", "kills-no-generator"])
-def test_germ_ideal_saturates_fully_unless_the_kernel_bounds_it(bent, failing, ring,
-                                                               monkeypatch):
+def test_germ_ideal_saturates_fully_unless_the_kernel_bounds_it(bent, failing, passing,
+                                                               ring, monkeypatch):
     """The kernel contains the ideal only when the map is multiplicative and
     kills every generator; under a map that misses either, the pipeline must
-    not stop the saturation at the kernel."""
+    not stop the saturation at the kernel. Each map keeps the other property,
+    so each case pins one half of the stop condition on its own."""
     theta = preaction(*GERM_INSTANCES["2P2-Z2"]())
     monkeypatch.setattr(theorems, "LinearMapOnBasis", bent)
     calls = _spy_closure(monkeypatch)
@@ -485,7 +490,9 @@ def test_germ_ideal_saturates_fully_unless_the_kernel_bounds_it(bent, failing, r
     ((generators, crossed, stopped),) = calls
     assert not stopped
     assert res.ideal_basis == _eager_result(generators, crossed)
-    assert next(c for c in res.certificate.checks if not c.ok).name == failing
+    verdicts = {c.name: c.ok for c in res.certificate.checks}
+    assert next(name for name, ok in verdicts.items() if not ok) == failing
+    assert verdicts[passing]
 
 
 def oracle_crossed_table(action):
@@ -594,26 +601,16 @@ def test_germ_path_builds_no_kernel_by_elimination(monkeypatch):
     and takes the ideal's from the saturation: it calls no solve_linear and
     no smith_normal_form, and every EchelonBasis.insert comes from the
     saturation itself, whose echelon basis is also the span the kernel is
-    compared with."""
-    def refused(*args):
-        raise AssertionError("elimination on the germ path")
-
+    compared with. The instances include actions whose saturation forms
+    products, which the chains of tests/test_complexity.py do not."""
     for instance in GERM_INSTANCES.values():
         for ring in GERM_RINGS.values():
-            callers = []
-
-            def insert(basis, v, _insert=EchelonBasis.insert):
-                callers.append(sys._getframe(1).f_code.co_name)
-                return _insert(basis, v)
-
-            monkeypatch.setattr(EchelonBasis, "insert", insert)
-            for module, name in ((rings_module, "solve_linear"), (maps_module, "solve_linear"),
-                                 (rings_module, "smith_normal_form")):
-                monkeypatch.setattr(module, name, refused)
-            res = germ_corollary(preaction(*instance()), ring)
-            monkeypatch.undo()
-            assert res.certificate.passed
-            assert callers and set(callers) == {"_saturate"}
+            results = []
+            counts, inserts = elimination_calls(
+                monkeypatch, lambda: results.append(germ_corollary(preaction(*instance()), ring)))
+            assert results[0].certificate.passed
+            assert counts["solve_linear"] == counts["smith_normal_form"] == 0
+            assert inserts and {caller for caller, _ in inserts} == {"_saturate"}
 
 
 def test_germ_map_of_another_shape_is_a_program_bug(monkeypatch):

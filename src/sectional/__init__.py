@@ -61,9 +61,7 @@ from .bundles import (
     naive_crossed_product,
     sectional_algebra,
     semigroupoid_algebra,
-    trivial_algebra_action,
     trivial_bundle,
-    validate_algebra_action,
     validate_bundle,
     zero_section,
 )

@@ -20,9 +20,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .actions import big_ideals, first_twisted_triple, twisted_partners
+from .actions import first_twisted_triple, twisted_partners
 from .algebras import AlgebraPresentation
-from .maps import LinearMapOnBasis, basis_bijection, product_pairs
+from .maps import LinearMapOnBasis, basis_bijection
 from .rings import Ring, apply_linear, combine, sparse_row, sparse_vector
 from .semigroupoids import (
     FiniteInverseSemigroupoid,
@@ -464,7 +464,8 @@ class AlgebraAction:
     Domains are coordinate subspaces (spans of basis subsets), so ideal and
     membership checks reduce to support containment; the per-arrow maps are
     linear isomorphisms given on the domain basis: rows[s][i] is the image of
-    basis i under arrow s, as a sparse row.
+    basis i under arrow s, as a sparse row. theorems.induced_theta builds one
+    from a checked bundle action.
     """
 
     actor: FiniteInverseSemigroupoid
@@ -487,124 +488,6 @@ class AlgebraAction:
             ) from None
 
 
-def validate_algebra_action(actor: FiniteInverseSemigroupoid,
-                            algebra: AlgebraPresentation,
-                            domains, matrices) -> AlgebraAction:
-    """Check the wedge-preaction axioms at the algebra level.
-
-    domains: per actor arrow, the basis indices spanning dom(Theta_s);
-    matrices: per actor arrow, {basis index: image}, each image a sparse
-    vector (a dict or (index, value) pairs). Checks: domains
-    are multiplication-closed against the ambient span (ideals), the maps are
-    multiplicative bijections, Theta_{s*} inverts Theta_s, and the extension
-    law for composable pairs holds on the computable spanning vectors.
-    """
-    base = actor.base
-    report = ValidationReport("algebra action")
-    names = base.arrow_names
-    doms = [set(d) for d in domains]
-    mats = [dict(m) for m in matrices]
-    if len(doms) != base.n_arrows or len(mats) != base.n_arrows:
-        report.add("structural", (), "need one domain and one matrix per actor arrow")
-        raise StructureError(report)
-    for s in base.arrows():
-        if any(not isinstance(i, int) or not 0 <= i < algebra.rank for i in doms[s]):
-            report.add("structural", (names[s],), "domain indexes outside the basis")
-            raise StructureError(report)
-        if set(mats[s]) != doms[s]:
-            report.add("structural", (names[s],),
-                       "matrix rows must cover exactly the domain basis")
-            raise StructureError(report)
-        for i, vec in mats[s].items():
-            if any(not isinstance(k, int) or not 0 <= k < algebra.rank for k in dict(vec)):
-                report.add("structural", (names[s], algebra.basis[i]),
-                           "image vector indexes outside the basis")
-                raise StructureError(report)
-
-    rows = tuple({i: tuple(sorted(sparse_vector(vec, algebra.ring).items()))
-                  for i, vec in m.items()} for m in mats)
-    doms = tuple(tuple(sorted(d)) for d in doms)
-    action = AlgebraAction(actor, algebra, doms, rows)
-
-    # rows[s] is keyed by dom(Theta_s), so it serves as that domain's basis set
-    def in_span(row, span) -> bool:
-        return all(k in span for k, _ in row)
-
-    # images must span the inverse's domain, and the two maps must compose to
-    # the identity on basis vectors
-    for s in base.arrows():
-        t = actor.inv[s]
-        for i in doms[s]:
-            img = rows[s][i]
-            if not in_span(img, rows[t]):
-                report.add("inverse-compatibility", (names[s], algebra.basis[i]),
-                           "image leaves dom of the inverse arrow")
-                raise StructureError(report)
-            if action.apply_rows(t, img) != {i: algebra.ring.one}:
-                report.add("inverse-compatibility", (names[s], algebra.basis[i]),
-                           "Theta_{s*} does not invert Theta_s")
-                raise StructureError(report)
-
-    # ideal conditions on coordinate subspaces; e_i e_j and e_j e_i are both
-    # zero, so in every span, unless j is after or before i
-    def near(i):
-        return algebra.after[i] | algebra.before[i]
-
-    bigs = big_ideals(actor, doms)
-    for v, big in enumerate(bigs):
-        for i in sorted(big):
-            for j in sorted(near(i)):
-                for (p, q) in ((i, j), (j, i)):
-                    if not in_span(algebra.table.get((p, q), ()), big):
-                        report.add("ideal-property",
-                                   (base.vertex_names[v], algebra.basis[p], algebra.basis[q]),
-                                   "I(Theta, v) is not multiplication closed")
-                        raise StructureError(report)
-    for s in base.arrows():
-        ambient = bigs[base.src[s]]
-        for i in doms[s]:
-            for j in sorted(near(i) & ambient):
-                for (p, q) in ((i, j), (j, i)):
-                    if not in_span(algebra.table.get((p, q), ()), rows[s]):
-                        report.add("ideal-property",
-                                   (names[s], algebra.basis[p], algebra.basis[q]),
-                                   f"dom(Theta_{names[s]}) is not an ideal: a product leaves the span")
-                        raise StructureError(report)
-
-    # multiplicativity on domain basis pairs
-    for s in base.arrows():
-        images = rows[s]
-        for i, j in product_pairs(algebra, algebra, images):
-            lhs = action.apply_rows(s, algebra.table.get((i, j), ()))
-            if lhs != algebra.mul(images[i], images[j]):
-                report.add("isomorphism", (names[s], algebra.basis[i], algebra.basis[j]),
-                           "Theta_s is not multiplicative on its domain")
-                raise StructureError(report)
-
-    # extension law: Theta_{st} extends Theta_s Theta_t. The preimage of
-    # ran(Theta_t) ∩ dom(Theta_s) is spanned by Theta_{t*} images of the basis
-    # in that intersection, which keeps everything enumerable.
-    for s, t in base.composable:
-        st = base.prod[s][t]
-        tstar = actor.inv[t]
-        for d in doms[tstar]:
-            if d not in rows[s]:
-                continue
-            x = rows[tstar][d]                      # a spanning vector of the preimage
-            if not in_span(x, rows[st]):
-                report.add("extension-law", (names[s], names[t], algebra.basis[d]),
-                           "preimage vector leaves dom(Theta_st)")
-                raise StructureError(report)
-            lhs = action.apply_rows(st, x)
-            rhs = action.apply_rows(s, action.apply_rows(t, x).items())
-            if lhs != rhs:
-                report.add("extension-law", (names[s], names[t], algebra.basis[d]),
-                           "Theta_st differs from Theta_s Theta_t on the common domain")
-                raise StructureError(report)
-
-    return action
-
-
 def algebra_action_associativity(action: AlgebraAction) -> tuple | None:
     """Twisted triple condition at the algebra level; witness or None.
 
@@ -619,8 +502,8 @@ def algebra_action_associativity(action: AlgebraAction) -> tuple | None:
     one of them: for any other a both sides are empty sums for every c. The
     inner value Theta_{t*}(a Theta_t(b)) is computed once per (t, a, b). The
     witness is the first failure in (s, t, u, a, b, c) order. The action
-    must have passed validate_algebra_action's ideal and inverse checks,
-    which keep every apply inside its domain.
+    must be one theorems.induced_theta builds, whose ideal and inverse
+    axioms (argued there) keep every apply inside its domain.
     """
     base = action.actor.base
     inv = action.actor.inv
@@ -654,15 +537,6 @@ def algebra_action_associativity(action: AlgebraAction) -> tuple | None:
     )
 
 
-def trivial_algebra_action(actor: FiniteInverseSemigroupoid,
-                           algebra: AlgebraPresentation) -> AlgebraAction:
-    """Every arrow acts as the identity on the whole algebra."""
-    full = tuple(range(algebra.rank))
-    identity = {i: ((i, algebra.ring.one),) for i in full}
-    return validate_algebra_action(
-        actor, algebra, [full] * actor.base.n_arrows, [identity] * actor.base.n_arrows)
-
-
 def naive_crossed_product(action: AlgebraAction) -> AlgebraPresentation:
     """Formal sums of delta_s a with a in dom(Theta_s), twisted convolution.
 
@@ -691,8 +565,8 @@ def naive_crossed_product(action: AlgebraAction) -> AlgebraPresentation:
         value = action.apply_rows(actor.inv[t], a_tb.items())
         if not value.keys() <= action.rows[st].keys():     # rows[st] is keyed by dom
             raise InternalConsistencyError(
-                "crossed product landed outside dom(Theta_st); the action "
-                "validator should have refused this input"
+                "crossed product landed outside dom(Theta_st); induced_theta's "
+                "argument says a built action keeps it inside"
             )
         table[(p, q)] = {position[(st, k)]: x for k, x in value.items()}
     return AlgebraPresentation(

@@ -35,7 +35,6 @@ from .bundles import (
     pullback_bundle,
     sectional_algebra,
     semigroupoid_algebra,
-    validate_algebra_action,
 )
 from .maps import (Certificate, LinearMapOnBasis, basis_bijection, certify_linear_iso,
                    multiplicative_witness)
@@ -305,23 +304,57 @@ def bundle_semidirect(action: BundleAction) -> Bundle:
     return bundle_from_product(ring, base, ranks, pair_product)
 
 
+def coefficient_action(theta: LandPreaction, coefficients) -> BundleAction:
+    """theta acting by identity fiber maps on coefficient_bundle(coefficients,
+    theta.space), built unchecked: all fibers have one rank; I I = I gives the
+    inverse check and the extension law; and intertwining at (g1, g2) compares
+    the one product table with itself, as theta_s keeps (g1, g2) composable
+    (validate_preaction). validate_bundle_action(theta, bundle, None) returns
+    the same fiber maps."""
+    bundle = coefficient_bundle(coefficients, theta.space)
+    identity = _identity_columns(max(bundle.ranks, default=0), bundle.ring)
+    pairs = ((s, g) for s in theta.actor.base.arrows() for g in theta.dom(s))
+    return BundleAction(theta, bundle, dict.fromkeys(pairs, identity))
+
+
 def induced_theta(action: BundleAction) -> AlgebraAction:
     """Action on the sectional algebra: shift supports along the base action
     and apply the fiber matrices; the domain of arrow s is the span of basis
     sections supported inside dom(theta_s): (g, k) goes to the column k of
-    the fiber map at (s, g), placed over theta_s(g)."""
+    the fiber map at (s, g), placed over theta_s(g).
+
+    Each check an algebra action needs is one validate_preaction and
+    validate_bundle_action decided, read on basis sections (e_(g,i) e_(h,j)
+    lies over gh, and is 0 off composable pairs):
+      - ideal-property: the preaction's axioms (i) and (ii);
+      - inverse-compatibility: its axiom (iii) and the bundle action's inverse
+        check, a left inverse, two-sided over a commutative or a finite ring;
+      - isomorphism: theta_s keeps composability and products, and the fiber
+        maps intertwine the fiber products (a twist constant is central);
+      - extension-law: for y = theta_t(x) in dom(theta_s), both extension
+        laws give x in dom(theta_st) and m_(st,x) = m_(s,y) m_(t,x), and the
+        inverse check at (t*, y) makes Theta_{t*} carry y's sections to x's.
+    A row applies with the vector's coefficient on the left, so Theta_s
+    Theta_t reads m_t m_s: over a non-commutative ring the extension law
+    needs the two to commute, and is checked on the rows. Twisted
+    associativity follows from none of this, so it is checked.
+    """
     theta, fiber_maps = action.base_action, action.fiber_maps
     algebra = sectional_algebra(action.bundle)
-    matrices = [
-        {
-            idx: tuple((algebra.index[(moved[g], j)], x) for j, x in fiber_maps[(s, g)][k])
-            for idx, (g, k) in enumerate(algebra.labels) if g in moved
-        }
-        for s, moved in enumerate(theta.maps)
-    ]
-    domains = [tuple(mat) for mat in matrices]
-
-    out = validate_algebra_action(theta.actor, algebra, domains, matrices)
+    rows = tuple({idx: tuple((algebra.index[(moved[g], j)], x) for j, x in fiber_maps[(s, g)][k])
+                  for idx, (g, k) in enumerate(algebra.labels) if g in moved}
+                 for s, moved in enumerate(theta.maps))
+    out = AlgebraAction(theta.actor, algebra, tuple(map(tuple, rows)), rows)
+    if not algebra.ring.commutative:
+        base, inv = theta.actor.base, theta.actor.inv
+        for s, t in base.composable:
+            for d, x in rows[inv[t]].items():
+                if d in rows[s] and (out.apply_rows(base.prod[s][t], x)
+                                     != out.apply_rows(s, out.apply_rows(t, x).items())):
+                    raise StructureError(ValidationReport.single(
+                        "algebra action", "extension-law",
+                        (base.arrow_names[s], base.arrow_names[t], algebra.basis[d]),
+                        "Theta_st differs from Theta_s Theta_t on the common domain"))
     witness = algebra_action_associativity(out)
     if witness is not None:
         raise StructureError(ValidationReport.single(
@@ -774,10 +807,7 @@ def germ_corollary(theta: LandPreaction, coefficients) -> GermCorollaryResult:
 
     germ = stage("germ-quotient", lambda: germ_quotient(theta))
 
-    inner_bundle = stage("coefficient-algebra",
-                         lambda: coefficient_bundle(coefficients, theta.space))
-    baction = stage("induced-action",
-                    lambda: validate_bundle_action(theta, inner_bundle, None))
+    baction = stage("coefficient-algebra", lambda: coefficient_action(theta, coefficients))
     induced = stage("induced-action", lambda: induced_theta(baction))
     crossed = stage("crossed-product", lambda: naive_crossed_product(induced))
 

@@ -28,7 +28,6 @@ from .actions import (
 from .bundles import (
     Section,
     convolve,
-    trivial_bundle,
     validate_bundle,
 )
 from .rings import RationalRing, Ring, validate_ring
@@ -40,6 +39,7 @@ from .semigroupoids import (
     validate_semigroupoid,
 )
 from .theorems import (
+    coefficient_action,
     crossed_theorem,
     germ_corollary,
     quotient_map_and_kernel,
@@ -316,9 +316,7 @@ class Builder:
                         g = theta.space.arrow_index(str(g_name))
                         fibers[(s, g)] = mat
                 return validate_bundle_action(theta, bundle, fibers)
-            theta = self.action(name)
-            bundle = trivial_bundle(self.ring, theta.space)
-            return validate_bundle_action(theta, bundle, None)
+            return coefficient_action(self.action(name), self.ring)
         return self._memo(("baction", name), build)
 
     def congruence(self, name: str):

@@ -9,15 +9,18 @@ import copy
 import sys
 
 from sectional import maps, rings, theorems
-from sectional.actions import validate_preaction
-from sectional.maps import surjective
-from sectional.rings import EchelonBasis, solve_linear
+from sectional.actions import big_ideals, validate_preaction
+from sectional.algebras import AlgebraPresentation
+from sectional.bundles import AlgebraAction
+from sectional.maps import product_pairs, surjective
+from sectional.rings import EchelonBasis, solve_linear, sparse_vector
 from sectional.semigroupoids import (
+    FiniteInverseSemigroupoid,
     validate_homomorphism,
     validate_inverse_semigroupoid,
     validate_semigroupoid,
 )
-from sectional.validation import StructureError
+from sectional.validation import StructureError, ValidationReport
 
 
 def built(raw):
@@ -89,6 +92,137 @@ def refusal(call, *args):
     except StructureError as exc:
         return exc.report
     return None
+
+
+# The algebra-action axioms decided in full on given domains and rows: the
+# oracle for what theorems.induced_theta inherits, and the constructor of the
+# hand-built actions the tests use.
+
+def validate_algebra_action(actor: FiniteInverseSemigroupoid,
+                            algebra: AlgebraPresentation,
+                            domains, matrices) -> AlgebraAction:
+    """Check the wedge-preaction axioms at the algebra level.
+
+    domains: per actor arrow, the basis indices spanning dom(Theta_s);
+    matrices: per actor arrow, {basis index: image}, each image a sparse
+    vector (a dict or (index, value) pairs). Checks: domains
+    are multiplication-closed against the ambient span (ideals), the maps are
+    multiplicative bijections, Theta_{s*} inverts Theta_s, and the extension
+    law for composable pairs holds on the computable spanning vectors.
+    """
+    base = actor.base
+    report = ValidationReport("algebra action")
+    names = base.arrow_names
+    doms = [set(d) for d in domains]
+    mats = [dict(m) for m in matrices]
+    if len(doms) != base.n_arrows or len(mats) != base.n_arrows:
+        report.add("structural", (), "need one domain and one matrix per actor arrow")
+        raise StructureError(report)
+    for s in base.arrows():
+        if any(not isinstance(i, int) or not 0 <= i < algebra.rank for i in doms[s]):
+            report.add("structural", (names[s],), "domain indexes outside the basis")
+            raise StructureError(report)
+        if set(mats[s]) != doms[s]:
+            report.add("structural", (names[s],),
+                       "matrix rows must cover exactly the domain basis")
+            raise StructureError(report)
+        for i, vec in mats[s].items():
+            if any(not isinstance(k, int) or not 0 <= k < algebra.rank for k in dict(vec)):
+                report.add("structural", (names[s], algebra.basis[i]),
+                           "image vector indexes outside the basis")
+                raise StructureError(report)
+
+    rows = tuple({i: tuple(sorted(sparse_vector(vec, algebra.ring).items()))
+                  for i, vec in m.items()} for m in mats)
+    doms = tuple(tuple(sorted(d)) for d in doms)
+    action = AlgebraAction(actor, algebra, doms, rows)
+
+    # rows[s] is keyed by dom(Theta_s), so it serves as that domain's basis set
+    def in_span(row, span) -> bool:
+        return all(k in span for k, _ in row)
+
+    # images must span the inverse's domain, and the two maps must compose to
+    # the identity on basis vectors
+    for s in base.arrows():
+        t = actor.inv[s]
+        for i in doms[s]:
+            img = rows[s][i]
+            if not in_span(img, rows[t]):
+                report.add("inverse-compatibility", (names[s], algebra.basis[i]),
+                           "image leaves dom of the inverse arrow")
+                raise StructureError(report)
+            if action.apply_rows(t, img) != {i: algebra.ring.one}:
+                report.add("inverse-compatibility", (names[s], algebra.basis[i]),
+                           "Theta_{s*} does not invert Theta_s")
+                raise StructureError(report)
+
+    # ideal conditions on coordinate subspaces; e_i e_j and e_j e_i are both
+    # zero, so in every span, unless j is after or before i
+    def near(i):
+        return algebra.after[i] | algebra.before[i]
+
+    bigs = big_ideals(actor, doms)
+    for v, big in enumerate(bigs):
+        for i in sorted(big):
+            for j in sorted(near(i)):
+                for (p, q) in ((i, j), (j, i)):
+                    if not in_span(algebra.table.get((p, q), ()), big):
+                        report.add("ideal-property",
+                                   (base.vertex_names[v], algebra.basis[p], algebra.basis[q]),
+                                   "I(Theta, v) is not multiplication closed")
+                        raise StructureError(report)
+    for s in base.arrows():
+        ambient = bigs[base.src[s]]
+        for i in doms[s]:
+            for j in sorted(near(i) & ambient):
+                for (p, q) in ((i, j), (j, i)):
+                    if not in_span(algebra.table.get((p, q), ()), rows[s]):
+                        report.add("ideal-property",
+                                   (names[s], algebra.basis[p], algebra.basis[q]),
+                                   f"dom(Theta_{names[s]}) is not an ideal: a product leaves the span")
+                        raise StructureError(report)
+
+    # multiplicativity on domain basis pairs
+    for s in base.arrows():
+        images = rows[s]
+        for i, j in product_pairs(algebra, algebra, images):
+            lhs = action.apply_rows(s, algebra.table.get((i, j), ()))
+            if lhs != algebra.mul(images[i], images[j]):
+                report.add("isomorphism", (names[s], algebra.basis[i], algebra.basis[j]),
+                           "Theta_s is not multiplicative on its domain")
+                raise StructureError(report)
+
+    # extension law: Theta_{st} extends Theta_s Theta_t. The preimage of
+    # ran(Theta_t) ∩ dom(Theta_s) is spanned by Theta_{t*} images of the basis
+    # in that intersection, which keeps everything enumerable.
+    for s, t in base.composable:
+        st = base.prod[s][t]
+        tstar = actor.inv[t]
+        for d in doms[tstar]:
+            if d not in rows[s]:
+                continue
+            x = rows[tstar][d]                      # a spanning vector of the preimage
+            if not in_span(x, rows[st]):
+                report.add("extension-law", (names[s], names[t], algebra.basis[d]),
+                           "preimage vector leaves dom(Theta_st)")
+                raise StructureError(report)
+            lhs = action.apply_rows(st, x)
+            rhs = action.apply_rows(s, action.apply_rows(t, x).items())
+            if lhs != rhs:
+                report.add("extension-law", (names[s], names[t], algebra.basis[d]),
+                           "Theta_st differs from Theta_s Theta_t on the common domain")
+                raise StructureError(report)
+
+    return action
+
+
+def trivial_algebra_action(actor: FiniteInverseSemigroupoid,
+                           algebra: AlgebraPresentation) -> AlgebraAction:
+    """Every arrow acts as the identity on the whole algebra."""
+    full = tuple(range(algebra.rank))
+    identity = {i: ((i, algebra.ring.one),) for i in full}
+    return validate_algebra_action(
+        actor, algebra, [full] * actor.base.n_arrows, [identity] * actor.base.n_arrows)
 
 
 def is_isomorphism(mapping, source, target):

@@ -56,7 +56,6 @@ from sectional.bundles import (
     AlgebraAction,
     algebra_action_associativity,
     semigroupoid_algebra,
-    validate_algebra_action,
 )
 from sectional.rings import RationalRing, ZModRing, sparse_row, validate_ring
 from sectional.semigroupoids import validate_inverse_semigroupoid, validate_semigroupoid
@@ -71,6 +70,7 @@ from structures import (
     semilattice_raw,
     unit_groupoid_raw,
     upper_triangular_f2_ring_spec,
+    validate_algebra_action,
 )
 
 

@@ -18,9 +18,7 @@ from sectional.bundles import (
     naive_crossed_product,
     sectional_algebra,
     semigroupoid_algebra,
-    trivial_algebra_action,
     trivial_bundle,
-    validate_algebra_action,
     validate_bundle,
     zero_section,
 )
@@ -34,8 +32,10 @@ from structures import (
     cyclic2_raw,
     pair_groupoid_raw,
     semilattice_raw,
+    trivial_algebra_action,
     trivial_monoid_raw,
     unit_groupoid_raw,
+    validate_algebra_action,
 )
 
 Q = RationalRing()

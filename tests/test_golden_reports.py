@@ -40,13 +40,16 @@ inputs, written once by the `bench/workloads.py` generators with
 `random.Random(3)` so that later changes to the generators cannot move them:
 germ C_16 (`nested_chain_action` and `_germ_doc`), and the `certify_pair`
 instances tensor P_6 with r = 2, smash P_6 with r = 1 and crossed P_4 with
-r = 2 (whose draw flips the fibers). `tests/data/scaled/golden/NAME.verify.json`
-and `NAME.verify.zmod6.json` hold
+r = 2 (whose draw flips the fibers), and the `quotient_zmod` congruences
+Q(30, 30, 8) over Z/30 (three classes of 10) and Q(12, 12, 4) over Z/12 (two
+classes of 6), each `_parallel_congruence` with its own `random.Random(3)`.
+`tests/data/scaled/golden/NAME.verify.json` and `NAME.verify.zmod6.json` hold
 
     sectional verify all --input tests/data/scaled/NAME.json --seed 7 --no-timestamp --format json
 
-without and with `--ring zmod6`, recorded before the certificates stopped
-running elimination on a passing map.
+without and with `--ring zmod6`. The germ and certify-pair goldens were
+recorded before the certificates stopped running elimination on a passing
+map, the quotient ones before the induced action stopped re-proving its axioms.
 
 A refactor that must not change any report keeps these passing; a change that
 means to alter a report regenerates the golden copy with the commands above.
@@ -71,7 +74,8 @@ RINGS = ("zmod5", "zmod6")
 Q_NAMES = ("convolution", "tablering")
 RATIONAL_TWIST = os.path.join(HERE, "data", "rational_twist.json")
 SCALED = os.path.join(HERE, "data", "scaled")
-SCALED_NAMES = ("crossed-p4r2", "germ-c16", "smash-p6r1", "tensor-p6r2")
+SCALED_NAMES = ("crossed-p4r2", "germ-c16", "quotient-z12m12k4", "quotient-z30m30k8",
+                "smash-p6r1", "tensor-p6r2")
 
 
 def _normalised(text):

@@ -19,15 +19,28 @@ not associative, or not graded-closed, is refused with its own witness; an
 action whose semidirect product leaves a source, and one whose semidirect
 bundle is not associative, are refused by the pair pass and by the bundle walk
 that stay for them.
+
+induced_theta builds the action on a sectional algebra from a checked bundle
+action, and coefficient_action the identity bundle action of the germ path,
+without re-proving what the preaction and bundle action decided. The full
+validator (tests/structures.validate_algebra_action) is the oracle: every action
+induced_theta builds, recorded as it is made, must pass it with the same
+domains and rows (over a non-commutative ring the extension law, the one check
+kept, must refuse with its witness), and coefficient_action must hand over the
+fiber maps validate_bundle_action gives the identity. Must-fail: doubling every
+induced image still fails the germ and crossed fixtures and scaled files.
 """
 
+import itertools
 import json
+import os
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sectional import theorems
 from sectional.actions import (
     germ_quotient,
     quotient_semigroupoid,
@@ -37,13 +50,15 @@ from sectional.actions import (
 )
 from sectional.algebras import AlgebraPresentation
 from sectional.bundles import (
+    AlgebraAction,
     pullback_bundle,
     sectional_algebra,
     semigroupoid_algebra,
     trivial_bundle,
     validate_bundle,
 )
-from sectional.rings import RationalRing
+from sectional.cli import main
+from sectional.rings import RationalRing, validate_ring
 from sectional.semigroupoids import (
     FiniteSemigroupoid,
     direct_product,
@@ -54,6 +69,7 @@ from sectional.semigroupoids import (
 )
 from sectional.theorems import (
     bundle_semidirect,
+    coefficient_action,
     induced_theta,
     product_bundle,
     skew_product,
@@ -65,7 +81,7 @@ from sectional.workspace import Builder, parse_workspace, workspace_ring
 
 from test_action_associativity import ACTORS, IDEAL_SPACES, VALID, inverse_closed_injections
 from test_complexity import _workloads
-from test_fiber_maps import FIBERS, _action_instance, _fiber_bundle
+from test_fiber_maps import FIBERS, _action_instance, _corrupt, _fiber_bundle
 from test_germ_relation import FIXED, chain_actions, z2_actions
 from test_sparse_kernel import RINGS, _random_bundle
 
@@ -73,6 +89,8 @@ from structures import (
     built,
     components_semidirect_action,
     cyclic2_raw,
+    f2_matrix_ring_spec,
+    gl2_f2_raw,
     klein_four_raw,
     nested_chain_action,
     pair_groupoid_raw,
@@ -82,6 +100,7 @@ from structures import (
     semilattice_raw,
     trivial_monoid_raw,
     unit_groupoid_raw,
+    validate_algebra_action,
 )
 
 P2 = built(pair_groupoid_raw()).base
@@ -567,3 +586,242 @@ def test_bench_outputs_pass_the_full_walks():
                 continue
             checked.append(op)
     assert set(checked) == {"semidirect", "germ", "crossed", "skew", "smash", "quotient"}
+
+
+# ---------------------------------------------------------------------------
+# Induced and identity actions
+# ---------------------------------------------------------------------------
+
+SCALED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "scaled")
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "fixtures")
+M2F2 = validate_ring(f2_matrix_ring_spec())
+GL2 = built(gl2_f2_raw())
+# one arrow v -> w: no composable pair, so intertwining holds for any fiber maps
+POINT_TO_POINT_RAW = {"id": "X", "vertices": ["v", "w"],
+                      "arrows": [{"id": "x", "src": "v", "rng": "w"}], "prod": []}
+POINT_TO_POINT = validate_semigroupoid(POINT_TO_POINT_RAW)
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """Every AlgebraAction theorems builds while the test runs, in order."""
+    out = []
+
+    def record(*args):
+        out.append(AlgebraAction(*args))
+        return out[-1]
+
+    monkeypatch.setattr(theorems, "AlgebraAction", record)
+    return out
+
+
+def _induced_verdict(action, made):
+    """induced_theta on a checked bundle action, against the full validator.
+
+    The action induced_theta builds must pass validate_algebra_action with
+    the same domains and rows whenever induced_theta does not refuse it or
+    refuses it only for twisted associativity; any other refusal must be the
+    validator's first failure, and comes only over a non-commutative ring."""
+    made.clear()
+    report = refusal(induced_theta, action)
+    (out,) = made
+    expected = refusal(validate_algebra_action, out.actor, out.algebra, out.domains, out.rows)
+    if report is not None and report.first().kind != "not-associative":
+        assert not out.algebra.ring.commutative
+        assert (report.subject, report.failures) == (expected.subject, expected.failures)
+        return report.first().kind
+    assert expected is None
+    checked = validate_algebra_action(out.actor, out.algebra, out.domains, out.rows)
+    assert (checked.domains, checked.rows) == (out.domains, out.rows)
+    return report and report.first().kind
+
+
+def _identity_action(theta, coefficients):
+    """coefficient_action, which must hand over the fiber maps
+    validate_bundle_action gives the identity on the same bundle, in order."""
+    action = coefficient_action(theta, coefficients)
+    checked = validate_bundle_action(theta, action.bundle, None)
+    assert list(checked.fiber_maps.items()) == list(action.fiber_maps.items())
+    return action
+
+
+IDENTITY_RINGS = [RINGS["Q"], RINGS["Z6"], RINGS["UT2-F2"]]
+GERM_ACTIONS = (
+    [(f"C{n}", preaction(*nested_chain_action(n))) for n in range(1, 7)]
+    + [(f"k{k}-m{m}-{name}", preaction(*components_semidirect_action(k, m, group)))
+       for k, m, name, group in ((2, 1, "Z2", [(0, 1), (1, 0)]), (2, 2, "Z2", [(0, 1), (1, 0)]),
+                                 (3, 1, "S3", list(itertools.permutations(range(3)))))]
+)
+
+
+@pytest.mark.parametrize("name, theta", GERM_ACTIONS, ids=[name for name, _ in GERM_ACTIONS])
+def test_identity_and_induced_actions_of_the_germ_families(name, theta, made):
+    for coefficients in IDENTITY_RINGS + [semigroupoid_algebra(RINGS["Q"], Z2)]:
+        assert _induced_verdict(_identity_action(theta, coefficients), made) is None
+
+
+def _scaled_builders():
+    for name in ("crossed-p4r2", "germ-c16"):
+        with open(os.path.join(SCALED, f"{name}.json"), encoding="utf-8") as fh:
+            ws = parse_workspace(fh.read())
+        for ring in (None, RINGS["Z6"]):
+            yield Builder(ws, workspace_ring(ws, ring)), ws.tasks
+
+
+def test_scaled_crossed_and_germ_actions_pass_the_full_validator(made):
+    seen = []
+    for builder, tasks in _scaled_builders():
+        for task in tasks:
+            action = builder.bundle_action(task.params["action"])
+            if task.params["theorem"] == "germ":
+                action = _identity_action(action.base_action, builder.ring)
+            assert _induced_verdict(action, made) is None
+            seen.append(task.params["theorem"])
+    assert sorted(seen) == ["crossed", "crossed", "germ", "germ"]
+
+
+# the upper triangular 2x2 matrices on the basis e11, e12, e22:
+# T2[i][j] is e_i e_j
+T2 = [[[1, 0, 0], [0, 1, 0], [0, 0, 0]],
+      [[0, 0, 0], [0, 0, 0], [0, 1, 0]],
+      [[0, 0, 0], [0, 0, 0], [0, 0, 1]]]
+
+
+def _conjugation(c, ring):
+    """Conjugation of T2 by 1 + c e12, which moves e11 to e11 - c e12 and e22
+    to e22 + c e12: an automorphism whose matrix is not monomial."""
+    zero, one = ring.zero, ring.one
+    return ((one, zero, zero), (ring.neg(c), one, c), (zero, zero, one))
+
+
+def _t2_swap(data, ring):
+    """Z/2 swapping two points whose fibers are T2, by a conjugation and its
+    inverse, with one entry sometimes corrupted."""
+    points = built(unit_groupoid_raw(("x", "y"))).base
+    theta = validate_preaction({"u": {"dom": ["1x", "1y"], "img": ["1x", "1y"]},
+                                "g": {"dom": ["1x", "1y"], "img": ["1y", "1x"]}},
+                               built(cyclic2_raw()), points)
+    bundle = validate_bundle({"ranks": {"1x": 3, "1y": 3},
+                              "constants": {"1x,1x": T2, "1y,1y": T2}}, ring, points)
+    c = ring.coerce(data.draw(st.integers(-2, 2)))
+    maps = {(1, 0): _conjugation(c, ring), (1, 1): _conjugation(ring.neg(c), ring)}
+    return theta, bundle, _corrupt(data, ring, maps)
+
+
+def test_random_bundle_actions_induce_what_the_full_validator_accepts(made):
+    """Random checked bundle actions: the fiber-map draws of
+    tests/test_fiber_maps.py and the T2 conjugations above that
+    validate_bundle_action accepts, over Q and Z/6, and the identity on a
+    random preaction over Q, Z/6, UT2(F2) or the group algebra Q[Z/2]."""
+    verdicts, families = [], set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def check(data):
+        family = data.draw(st.sampled_from(["fibers", "t2", "identity"]))
+        if family != "identity":
+            draw = _action_instance if family == "fibers" else _t2_swap
+            theta, bundle, maps = draw(data, RINGS[data.draw(st.sampled_from(["Q", "Z6"]))])
+            if refusal(validate_bundle_action, theta, bundle, maps) is not None:
+                return
+            action = validate_bundle_action(theta, bundle, maps)
+            if any(len(col) > 1 for cols in action.fiber_maps.values() for col in cols):
+                families.add("not monomial")
+        else:
+            theta = _random_action(data)
+            if theta is None:
+                return
+            coefficients = data.draw(st.sampled_from(
+                IDENTITY_RINGS + [semigroupoid_algebra(RINGS["Q"], Z2)]))
+            action = _identity_action(theta, coefficients)
+        verdicts.append(_induced_verdict(action, made))
+        families.add(family)
+
+    check()
+    assert len(verdicts) > 100 and set(verdicts) <= {None, "not-associative"}
+    assert families == {"fibers", "t2", "identity", "not monomial"}
+
+
+def _gl2_action(rho):
+    """GL2(F2) fixing the one arrow of POINT_TO_POINT and acting on its
+    rank-1 fiber over M2(F2) by the unit rho(s): a checked bundle action
+    whenever rho is a homomorphism into the units."""
+    names = GL2.base.arrow_names
+    theta = validate_preaction({s: {"dom": ["x"], "img": ["x"]} for s in names}, GL2,
+                               POINT_TO_POINT)
+    return validate_bundle_action(theta, trivial_bundle(M2F2, POINT_TO_POINT),
+                                  {(s, 0): [[rho(names[s])]] for s in GL2.base.arrows()})
+
+
+def _sign(name):
+    """The sign of GL2(F2) = S_3 into the units {1, swap} of M2(F2)."""
+    return "1001" if name in ("1001", "0111", "1110") else "0110"
+
+
+def test_noncommuting_fiber_maps_keep_the_extension_law_check(made, tmp_path, capsys):
+    """A row applies with the vector's coefficient on the left, so the induced
+    Theta_s Theta_t reads m_t m_s while the bundle action checked
+    m_st = m_s m_t. Fiber maps s -> s pass every bundle-action check, yet their
+    induced action fails the extension law at a non-commuting pair; the
+    check kept for non-commutative rings names the validator's witness, and
+    the crossed theorem still exits 1. An abelian image passes."""
+    assert _induced_verdict(_gl2_action(lambda name: "1001"), made) is None
+    assert _induced_verdict(_gl2_action(_sign), made) is None
+    report = refusal(induced_theta, _gl2_action(lambda name: name))
+    assert [(f.kind, f.witness) for f in report.failures] == [
+        ("extension-law", ("0110", "0111", "x"))]
+    assert _induced_verdict(_gl2_action(lambda name: name), made) == "extension-law"
+    raw = gl2_f2_raw()
+    names = [a["id"] for a in raw["arrows"]]
+    doc = {"ring": f2_matrix_ring_spec(),
+           "semigroupoids": {"G": raw, "X": POINT_TO_POINT_RAW},
+           "actions": {"t": {"actor": "G", "space": "X",
+                             "maps": {s: {"dom": ["x"], "img": ["x"]} for s in names}}},
+           "bundles": {"b": {"base": "X", "mode": "ringfiber"}},
+           "bundle_actions": {"m": {"action": "t", "bundle": "b",
+                                    "fibers": {s: {"x": [[s]]} for s in names}}},
+           "tasks": [{"kind": "verify", "theorem": "crossed", "action": "m"}]}
+    path = tmp_path / "gl2.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", "crossed", "--input", str(path), "--format", "json",
+                 "--no-timestamp"]) == 1
+    (task,) = json.loads(capsys.readouterr().out)["workspaces"][0]["tasks"]
+    assert (task["status"], task["witness"]) == ("fail", ["0110", "0111", "x"])
+    assert "extension-law" in task["message"]
+
+
+@pytest.fixture
+def doubled(monkeypatch):
+    """A planted bug: every image induced_theta builds is doubled."""
+    def build(actor, algebra, domains, rows):
+        add = algebra.ring.add
+        return AlgebraAction(actor, algebra, domains, tuple(
+            {i: tuple((k, add(x, x)) for k, x in row) for i, row in r.items()} for r in rows))
+
+    monkeypatch.setattr(theorems, "AlgebraAction", build)
+
+
+# each germ or crossed task's witness when every induced image is doubled:
+# the first basis pair at which the comparison map is not multiplicative
+DOUBLED_WITNESSES = {
+    "germ": [["d_1.1x"] * 2],
+    "crossed": [["d_1.1x"] * 2, ["d_u.m#0"] * 2],
+    "crossed-p4r2": [["d_u4375.p6061#0"] * 2],
+    "germ-c16": [["d_e9709.i1966"] * 2],
+}
+
+
+@pytest.mark.parametrize("ring", ["q", "zmod5"])
+@pytest.mark.parametrize("name", sorted(DOUBLED_WITNESSES))
+def test_doubled_induced_images_still_exit_1(name, ring, doubled, capsys):
+    """Doubled images were refused by the re-proof as inverse-compatibility;
+    without it each file still fails, at the certificates' multiplicative
+    check."""
+    folder = SCALED if "-" in name else FIXTURES
+    assert main(["verify", "all", "--input", os.path.join(folder, f"{name}.json"), "--ring", ring,
+                 "--seed", "7", "--format", "json", "--no-timestamp"]) == 1
+    tasks = [t for w in json.loads(capsys.readouterr().out)["workspaces"] for t in w["tasks"]
+             if t["summary"] in ("verify germ", "verify crossed")]
+    assert [(t["status"], t["witness"]) for t in tasks] == [
+        ("fail", witness) for witness in DOUBLED_WITNESSES[name]]
+    assert all(not c["ok"] for t in tasks for c in t["checks"] if c["name"] == "multiplicative")

@@ -359,12 +359,9 @@ class TestIdealClosure:
     def test_germ_example_ideal_has_rank_one(self):
         # the 3-dimensional crossed product of the running germ example; the
         # difference of the two order-related generators closes up in rank 1
-        from sectional.bundles import (
-            naive_crossed_product,
-            semigroupoid_algebra,
-            validate_algebra_action,
-        )
-        from structures import built, semilattice_raw, unit_groupoid_raw
+        from sectional.bundles import naive_crossed_product, semigroupoid_algebra
+        from structures import (built, semilattice_raw, unit_groupoid_raw,
+                                validate_algebra_action)
 
         s = built(semilattice_raw())
         x = built(unit_groupoid_raw(("x", "y")))

@@ -707,7 +707,8 @@ class TestGermOnPairGroupoidCopies:
     @pytest.mark.parametrize("k, m, group, ranks", [
         (2, 2, [(0, 1), (1, 0)], (32, 16, 16)),
         (3, 1, list(itertools.permutations(range(3))), (72, 18, 54)),
-    ], ids=["k2-m2-Z2", "k3-m1-S3"])
+        (3, 2, [(0, 1, 2), (1, 2, 0), (2, 0, 1)], (144, 36, 108)),
+    ], ids=["k2-m2-Z2", "k3-m1-S3", "k3-m2-Z3"])
     def test_ranks(self, k, m, group, ranks, ring):
         theta = preaction(*components_semidirect_action(k, m, group))
         assert theta.is_partial and theta.is_global and theta.is_associative

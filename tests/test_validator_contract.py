@@ -1,6 +1,6 @@
 """Every validator returns the object it validated or raises StructureError.
 
-Each of the eleven validators is called once on a valid input, which must come
+Each of the ten validators is called once on a valid input, which must come
 back as the validated object, and once on an invalid one, which must raise
 StructureError whose report's first failure has the expected kind.
 """
@@ -16,14 +16,7 @@ from sectional.actions import (
     validate_preaction,
     validate_rigid_congruence,
 )
-from sectional.bundles import (
-    AlgebraAction,
-    Bundle,
-    semigroupoid_algebra,
-    trivial_bundle,
-    validate_algebra_action,
-    validate_bundle,
-)
+from sectional.bundles import Bundle, trivial_bundle, validate_bundle
 from sectional.rings import RationalRing, ZModRing, validate_ring
 from sectional.semigroupoids import (
     FiniteInverseSemigroupoid,
@@ -66,15 +59,6 @@ def germ_action():
     return validate_preaction(semilattice_on_points_action(), built(semilattice_raw()), points())
 
 
-def algebra_action(image):
-    """Z/2 acting on Q^2, the generator by the map sending e_0 to e_1 and e_1 to image."""
-    qq = semigroupoid_algebra(Q, points())
-    one = Q.one
-    ident = {0: ((0, one),), 1: ((1, one),)}
-    return validate_algebra_action(built(cyclic2_raw()), qq, [(0, 1), (0, 1)],
-                                   [ident, {0: ((1, one),), 1: image}])
-
-
 def z2_congruence(transports):
     base = z2()
     return validate_bundle_congruence(trivial_bundle(Q, base),
@@ -113,10 +97,6 @@ CASES = {
     "validate_bundle": (
         lambda: validate_bundle({"mode": "sc"}, Q, z2()), Bundle,
         lambda: validate_bundle({"ranks": {"u": -1}}, Q, z2()),
-        "structural"),
-    "validate_algebra_action": (
-        lambda: algebra_action(((0, Q.one),)), AlgebraAction,
-        lambda: algebra_action(((2, Q.one),)),
         "structural"),
     "validate_bundle_action": (
         lambda: validate_bundle_action(germ_action(), trivial_bundle(Q, points()), None),

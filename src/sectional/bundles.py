@@ -47,7 +47,7 @@ from .validation import (
 class Bundle:
     """rows[(a, b)][i][j] is e_i * e_j in fiber(ab) as a sparse row, for every
     composable pair; every product is (x_i y_j) * row, summed. A Bundle is
-    made only by validate_bundle or by a builder that returns a checked one."""
+    made only by validate_bundle or by a builder that argues its identities."""
 
     ring: Ring
     base: FiniteSemigroupoid
@@ -85,13 +85,14 @@ def pullback_bundle(bundle: Bundle, base: FiniteSemigroupoid, along) -> Bundle:
 def bundle_from_product(ring: Ring, base: FiniteSemigroupoid, ranks: tuple[int, ...],
                         product) -> Bundle:
     """The bundle whose e_i * e_j over (p, q) is product(p, q, i, j), a sparse
-    {index: value} dict as combine returns it."""
+    {index: value} dict as combine returns it. Only the twist scan runs; each
+    caller argues associativity from its inputs' checks."""
     rows = {
         (p, q): tuple(tuple(tuple(sorted(product(p, q, i, j).items())) for j in range(ranks[q]))
                       for i in range(ranks[p]))
         for p, q in base.composable
     }
-    return validate_bundle(Bundle(ring, base, ranks, rows), ring, base)
+    return _check_twists(Bundle(ring, base, ranks, rows))
 
 
 def trivial_bundle(ring: Ring, base: FiniteSemigroupoid) -> Bundle:
@@ -100,6 +101,23 @@ def trivial_bundle(ring: Ring, base: FiniteSemigroupoid) -> Bundle:
     validate_semigroupoid(base)
     one = fiber_rows((((ring.one,),),), ring)
     return Bundle(ring, base, (1,) * base.n_arrows, dict.fromkeys(base.composable, one))
+
+
+def _check_twists(bundle: Bundle) -> Bundle:
+    """A fiber over a non-commutative ring is the ring itself, twisted centrally."""
+    ring, report = bundle.ring, ValidationReport("bundle")
+    if ring.commutative:
+        return bundle
+    if any(k != 1 for k in bundle.ranks):
+        report.add("structural", (), "non-commutative coefficients need every rank equal to 1")
+        raise StructureError(report)
+    for a, b in bundle.base.composable:
+        table = bundle.rows[(a, b)]
+        if not all(ring.is_central(t) for row in table for entry in row for _k, t in entry):
+            report.add("structural", (bundle.base.arrow_names[a], bundle.base.arrow_names[b]),
+                       "twist constants must be central in the ring")
+            raise StructureError(report)
+    return bundle
 
 
 def validate_bundle(raw, ring: Ring, base: FiniteSemigroupoid) -> Bundle:
@@ -206,19 +224,7 @@ def validate_bundle(raw, ring: Ring, base: FiniteSemigroupoid) -> Bundle:
             )
         bundle = Bundle(ring, base, tuple(ranks), rows)
 
-    # a fiber over a non-commutative ring is the ring itself, twisted centrally
-    if not ring.commutative:
-        if any(k != 1 for k in bundle.ranks):
-            report.add("structural", (),
-                       "non-commutative coefficients need every rank equal to 1")
-            raise StructureError(report)
-        for a, b in bundle.base.composable:
-            table = bundle.rows[(a, b)]
-            if not all(ring.is_central(t) for row in table for entry in row for _k, t in entry):
-                report.add("structural",
-                           (bundle.base.arrow_names[a], bundle.base.arrow_names[b]),
-                           "twist constants must be central in the ring")
-                raise StructureError(report)
+    _check_twists(bundle)
 
     # (e_i e_j) e_l against e_i (e_j e_l), read off the stored rows, each side
     # summed in place; sums that differ are pruned to be compared

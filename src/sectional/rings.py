@@ -861,15 +861,6 @@ def vector_in_span(v, generators, ring: Ring) -> bool:
     return EchelonBasis(ring, generators).contains(v)
 
 
-def span_reduce(generators, ring: Ring) -> list[dict]:
-    """Deterministically thin a generating set without changing its span: over
-    a field to its reduced row echelon form, over composite Z/n to the
-    generators that enlarge the span of those before them."""
-    if ring.is_field:
-        return EchelonBasis(ring, generators).pivot_rows()
-    return _thin(generators, ring)[0]
-
-
 def _thin(generators, ring: Ring) -> tuple:
     """The generators that enlarge the span before them, and its echelon basis."""
     basis = EchelonBasis(ring)

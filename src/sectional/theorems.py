@@ -264,13 +264,16 @@ def validate_bundle_action(theta: LandPreaction, bundle: Bundle,
                            "fiber matrices do not intertwine the products")
                 raise StructureError(report)
 
+    # the induced rows apply m_t m_s: over a non-commutative ring check both orders
     for s, t in actor.base.composable:
         st = actor.base.prod[s][t]
         for x in theta.dom(t):
             tx = theta.apply(t, x)
             if tx not in theta.maps[s]:
                 continue
-            if cols[(st, x)] != _compose(cols[(s, tx)], cols[(t, x)], ring):
+            m_st, m_s, m_t = cols[(st, x)], cols[(s, tx)], cols[(t, x)]
+            if m_st != _compose(m_s, m_t, ring) or (
+                    not ring.commutative and m_st != _compose(m_t, m_s, ring)):
                 report.add("extension-law", (names[s], names[t], anames[x]),
                            "fiber matrices violate the extension law")
                 raise StructureError(report)
@@ -278,12 +281,9 @@ def validate_bundle_action(theta: LandPreaction, bundle: Bundle,
     return BundleAction(theta, bundle, cols)
 
 
-def bundle_semidirect(action: BundleAction) -> Bundle:
-    """The bundle over the semidirect product base with transported products.
-
-    bundle_from_product checks its associativity in full: intertwining and
-    the extension law do not imply it (induced_theta's twisted associativity
-    would, but is not assumed)."""
+def _semidirect_bundle(action: BundleAction) -> Bundle:
+    """The bundle over the semidirect product base with transported products,
+    not walked: crossed_theorem, its one caller, argues its associativity."""
     theta = action.base_action
     inner = action.bundle
     ring = inner.ring
@@ -333,11 +333,10 @@ def induced_theta(action: BundleAction) -> AlgebraAction:
         maps intertwine the fiber products (a twist constant is central);
       - extension-law: for y = theta_t(x) in dom(theta_s), both extension
         laws give x in dom(theta_st) and m_(st,x) = m_(s,y) m_(t,x), and the
-        inverse check at (t*, y) makes Theta_{t*} carry y's sections to x's.
-    A row applies with the vector's coefficient on the left, so Theta_s
-    Theta_t reads m_t m_s: over a non-commutative ring the extension law
-    needs the two to commute, and is checked on the rows. Twisted
-    associativity follows from none of this, so it is checked.
+        inverse check at (t*, y) makes Theta_{t*} carry y's sections to x's;
+        a row applies with the vector's coefficient on the left, so Theta_s
+        Theta_t reads m_(t,x) m_(s,y), which the bundle action also checks.
+    Twisted associativity follows from none of this, so it is checked.
     """
     theta, fiber_maps = action.base_action, action.fiber_maps
     algebra = sectional_algebra(action.bundle)
@@ -345,16 +344,6 @@ def induced_theta(action: BundleAction) -> AlgebraAction:
                   for idx, (g, k) in enumerate(algebra.labels) if g in moved}
                  for s, moved in enumerate(theta.maps))
     out = AlgebraAction(theta.actor, algebra, tuple(map(tuple, rows)), rows)
-    if not algebra.ring.commutative:
-        base, inv = theta.actor.base, theta.actor.inv
-        for s, t in base.composable:
-            for d, x in rows[inv[t]].items():
-                if d in rows[s] and (out.apply_rows(base.prod[s][t], x)
-                                     != out.apply_rows(s, out.apply_rows(t, x).items())):
-                    raise StructureError(ValidationReport.single(
-                        "algebra action", "extension-law",
-                        (base.arrow_names[s], base.arrow_names[t], algebra.basis[d]),
-                        "Theta_st differs from Theta_s Theta_t on the common domain"))
     witness = algebra_action_associativity(out)
     if witness is not None:
         raise StructureError(ValidationReport.single(
@@ -382,11 +371,19 @@ def crossed_theorem(action: BundleAction) -> CrossedTheoremResult:
     coordinate; Psi rebuilds it. Both composites are certified to be the
     identity, Psi multiplicative, and the range-side comparison map phi is
     certified alongside.
-    """
-    bsd = bundle_semidirect(action)
-    left = sectional_algebra(bsd)
 
+    The semidirect bundle is not walked. induced_theta decides twisted
+    associativity, the crossed product's, and over a commutative ring the
+    bundle's product at ((s,a),(t,b)) is, term for term, the crossed
+    product's at (delta_s e_(a,i), delta_t e_(b,j)). Over a non-commutative
+    ring _move and apply_rows apply a map in opposite orders, and the
+    certificate decides it: Psi, multiplicative and bijective from an
+    associative crossed product, makes the bundle associative, and a failing
+    certificate fails the task.
+    """
     induced = induced_theta(action)
+    bsd = _semidirect_bundle(action)
+    left = sectional_algebra(bsd)
     inner = induced.algebra
     lscript = lscript_iso(induced)
     right = lscript.source          # the naive crossed product, built once
@@ -659,19 +656,24 @@ def quotient_bundle(bc: BundleCongruence) -> QuotientBundleResult:
     at (ri, rj) -> (a, b), x y = from_rep[ab] to_rep[ri rj](e_i e_j) for x, y
     the columns i, j of from_rep[a], from_rep[b], so to_rep[ab](x y) =
     to_rep[ri rj](e_i e_j).
+
+    Its associativity is not walked. At classes (ci, cj, ck), with r the
+    representative of ri rj's class, (e_i e_j) e_l is to_rep[r rk] of
+    to_rep[ri rj](e_i e_j) e_l; intertwining at (ri rj, rk) -> (r, rk) and the
+    cocycle identity make that to_rep[ri rj rk]((e_i e_j) e_l), and the other
+    bracketing to_rep[ri rj rk](e_i (e_j e_l)) likewise: the parent's two.
     """
     bundle = bc.bundle
     ring = bundle.ring
     quotient, projection = quotient_semigroupoid(bc.base)
     reps = [block[0] for block in bc.base.classes]
     ranks = tuple(bundle.ranks[r] for r in reps)
-    tables = {}
-    for ci, cj in quotient.composable:
+
+    def product(ci: int, cj: int, i: int, j: int) -> dict:
         ri, rj = reps[ci], reps[cj]
-        to_rep = bc.to_rep[bundle.base.prod[ri][rj]]
-        tables[(ci, cj)] = [[_move(to_rep, xy, ring) for xy in row]
-                            for row in bundle.rows[(ri, rj)]]
-    out = bundle_from_product(ring, quotient, ranks, lambda p, q, i, j: tables[(p, q)][i][j])
+        return _move(bc.to_rep[bundle.base.prod[ri][rj]], bundle.rows[(ri, rj)][i][j], ring)
+
+    out = bundle_from_product(ring, quotient, ranks, product)
     return QuotientBundleResult(out, quotient, projection, bc)
 
 

@@ -27,7 +27,7 @@ from sectional.semigroupoids import (
     validate_semigroupoid,
 )
 from sectional.theorems import (
-    bundle_semidirect,
+    _semidirect_bundle,
     crossed_theorem,
     germ_corollary,
     quotient_map_and_kernel,
@@ -301,9 +301,10 @@ def _quotient_corpus(ring):
     theta = validate_preaction(
         semilattice_on_points_action(), actor, space.base
     )
-    sp = bundle_semidirect(validate_bundle_action(
+    sp = _semidirect_bundle(validate_bundle_action(
         theta, trivial_bundle(ring, space.base), None
     ))
+    assert validate_bundle(sp, ring, sp.base) is sp
     cong = validate_rigid_congruence(
         [["(1,1x)", "(e,1x)"], ["(1,1y)"]], sp.base
     )

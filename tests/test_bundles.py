@@ -538,7 +538,7 @@ class TestLscript:
 class TestCorpusConvolutionInvariant:
     def _corpus(self):
         from sectional.actions import validate_preaction
-        from sectional.theorems import bundle_semidirect, validate_bundle_action
+        from sectional.theorems import _semidirect_bundle, validate_bundle_action
         from structures import semilattice_on_points_action
 
         out = [
@@ -552,7 +552,9 @@ class TestCorpusConvolutionInvariant:
             semilattice_on_points_action(), actor, space.base
         )
         ba = validate_bundle_action(theta, trivial_bundle(Q, space.base), None)
-        out.append(("semidirect/Q", bundle_semidirect(ba)))
+        semidirect = _semidirect_bundle(ba)
+        assert validate_bundle(semidirect, Q, semidirect.base) is semidirect
+        out.append(("semidirect/Q", semidirect))
         return out
 
     def test_two_hundred_seeded_triples_per_bundle(self):

@@ -78,6 +78,16 @@ call comes from `rings._saturate`, the saturation of `ideal_closure`.
     n(n - 1)/2 = 120 and 496 calls return True, the ideal's rank. The route
     it replaced also rebuilt the kernel and the ideal by insertion: 936 and
     6,480 calls over Q, 376 and 1,520 of them True.
+
+`verify crossed` on crossed P_4 with r = 2 and `verify quotient` on
+`fixtures/quotient.json`, over Q and Z/6: no `src/` code walks the triples of
+a bundle it built. `validate_bundle` is called once per bundle stanza the
+tasks name, on the stanza itself: once for crossed P_4, twice for the
+quotient fixture's two stanzas. The semidirect bundle inherits its
+associativity through the induced action and the quotient bundle through the
+congruence's intertwining, so neither is handed to the walk; the route they
+replaced walked each, one call more per task. (tests/conftest.py walks them
+after the test, through its own reference to the function.)
 """
 
 import importlib.util
@@ -88,7 +98,7 @@ import random
 
 import pytest
 
-from sectional import actions, semigroupoids, workspace
+from sectional import actions, bundles, semigroupoids, workspace
 from sectional.cli import main
 from structures import elimination_calls
 
@@ -205,3 +215,33 @@ def test_germ_inserts_only_in_the_saturation(ring, tmp_path, monkeypatch, capsys
         assert {caller for caller, _ in inserts} == {"_saturate"}
         assert len(inserts) <= math.comb(n + 1, 3)
         assert sum(accepted for _, accepted in inserts) == n * (n - 1) // 2
+
+
+def _walks(args, monkeypatch, capsys):
+    """The first argument of each validate_bundle call a passing `verify`
+    run with these arguments makes, wherever the package refers to it."""
+    walked = []
+
+    def spy(raw, *rest, _walk=bundles.validate_bundle):
+        walked.append(raw)
+        return _walk(raw, *rest)
+
+    for module in (bundles, workspace):
+        monkeypatch.setattr(module, "validate_bundle", spy)
+    assert main(["verify", *args, "--no-timestamp"]) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    return walked
+
+
+@pytest.mark.parametrize("ring", ["q", "zmod6"])
+@pytest.mark.parametrize("theorem, folder, name, stanzas", [
+    ("crossed", SCALED, "crossed-p4r2", 1),
+    ("quotient", os.path.join(HERE, os.pardir, "fixtures"), "quotient", 2),
+], ids=["crossed-p4r2", "quotient"])
+def test_built_bundles_are_not_walked(theorem, folder, name, stanzas, ring, monkeypatch,
+                                      capsys):
+    path = os.path.join(folder, f"{name}.json")
+    walked = _walks([theorem, "--input", path, "--ring", ring], monkeypatch, capsys)
+    assert len(walked) == stanzas
+    assert all(isinstance(raw, dict) for raw in walked)

@@ -46,6 +46,7 @@ from sectional.bundles import (
     delta_section,
     sectional_algebra,
     trivial_bundle,
+    validate_bundle,
 )
 from sectional.cli import main
 from sectional.rings import RationalRing, ZModRing, combine, validate_ring
@@ -202,7 +203,11 @@ def _twisted_bundles(draw):
         c = ring.mul(ring.mul(f[p], f[q]), ring.unit_inverse(f[base.compose(p, q)]))
         return dict.fromkeys(fiber[i][j], c)
 
-    return ring_name, bundle_from_product(ring, base, (rank,) * base.n_arrows, product)
+    # a coboundary twist keeps the fiber algebra associative, which
+    # bundle_from_product leaves to its caller
+    bundle = bundle_from_product(ring, base, (rank,) * base.n_arrows, product)
+    assert validate_bundle(bundle, ring, base) is bundle
+    return ring_name, bundle
 
 
 @st.composite

@@ -5,7 +5,7 @@ ideal closure) now runs on rings.EchelonBasis. `oracle_rref` below is the
 previous dense Gauss-Jordan routine, kept here only as the reference. The
 properties are checked over Q, Z/5 and Z/2 on small generated inputs:
 
-  - span_reduce is the oracle's nonzero RREF rows;
+  - EchelonBasis.pivot_rows is the oracle's nonzero RREF rows;
   - contains and vector_in_span agree with membership against the oracle;
   - spans_equal is membership checked both ways;
   - solve_linear gives A k = 0 for every kernel vector, rank + nullity = cols
@@ -28,10 +28,10 @@ from sectional.rings import (
     EchelonBasis,
     RationalRing,
     ZModRing,
+    _thin,
     dense,
     ideal_closure,
     solve_linear,
-    span_reduce,
     vector_in_span,
 )
 from structures import columns_of, span_rank, spans_equal
@@ -138,9 +138,9 @@ widths = st.integers(0, 5)
 
 @settings(max_examples=150, deadline=None)
 @given(rings, widths, st.data())
-def test_span_reduce_is_the_oracle_rref(ring, k, data):
+def test_pivot_rows_are_the_oracle_rref(ring, k, data):
     gens = _vectors(data, ring, k)
-    basis = span_reduce(map(sparse, gens), ring)
+    basis = EchelonBasis(ring, map(sparse, gens)).pivot_rows()
     assert densify(basis, k, ring) == oracle_basis(gens, ring)
     assert all(ring.zero not in v.values() for v in basis)
     assert span_rank(map(sparse, gens), ring) == len(basis)
@@ -205,7 +205,7 @@ def test_solve_linear_kernel_and_rank(ring, rows, cols, data):
     for kv in densify(sol.kernel_basis, cols, ring):
         assert oracle_mat_vec(entries, kv, ring) == (ring.zero,) * rows
     assert sol.rank + len(sol.kernel_basis) == cols
-    assert len(span_reduce(sol.kernel_basis, ring)) == len(sol.kernel_basis)
+    assert len(EchelonBasis(ring, sol.kernel_basis).rows) == len(sol.kernel_basis)
     _, pivots = oracle_rref(entries, ring)
     assert sol.pivots == tuple(pivots)
     assert densify(sol.image_basis, rows, ring) == [tuple(row[p] for row in entries)
@@ -260,7 +260,7 @@ def test_composite_closure_is_closed_and_already_thinned(ring, rank, data):
     algebra = _algebra(data, ring, rank)
     gens = _vectors(data, ring, rank, max_count=2)
     closure = ideal_closure(map(sparse, gens), algebra)
-    assert span_reduce(closure, ring) == closure
+    assert _thin(closure, ring)[0] == closure
     for g in gens:
         assert vector_in_span(sparse(g), closure, ring)
     for i in range(rank):

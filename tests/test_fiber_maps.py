@@ -2,7 +2,7 @@
 matrix loops they replaced.
 
 `validate_bundle_action` and `validate_bundle_congruence` check product
-intertwining on the columns of their matrices, and `bundle_semidirect` and
+intertwining on the columns of their matrices, and `_semidirect_bundle` and
 `quotient_bundle` read products off those columns. The oracles below are the
 previous dense implementations: every fiber basis vector is pushed through
 `mat_vec(M, unit_vector(...))` and multiplied by a dense `fiber_mul`, all
@@ -45,18 +45,23 @@ member pair that it used to run is kept below (`representative_walk`) and
 must find nothing on each congruence that passes: over Q and Z/6 on
 congruences drawn as above, over M2(F2), and over the non-commutative upper
 triangular UT2(F2), on derandomized ringfiber congruences of the groups
-above with unit transports.
+above with unit transports. Nor does `quotient_bundle` walk the quotient's
+triples: every quotient bundle built here, over Q, Z/5, Z/6 and Z/30 and
+over M2(F2) and UT2(F2), goes through `theorems.quotient_bundle`, so
+tests/conftest.py walks it after the test, as it walks each semidirect
+bundle, which is also compared with the full walk where it is built here.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sectional import theorems
 from sectional.actions import semidirect_product, validate_preaction, validate_rigid_congruence
 from sectional.bundles import fiber_rows, validate_bundle
 from sectional.rings import (EchelonBasis, RationalRing, ZModRing, identity_matrix, mat_inverse,
                              mat_mul, sparse_row, validate_ring)
 from sectional.semigroupoids import validate_semigroupoid
-from sectional.theorems import (_compose, _move, bundle_semidirect, quotient_bundle,
+from sectional.theorems import (_compose, _move, _semidirect_bundle,
                                 quotient_map_and_kernel, validate_bundle_action,
                                 validate_bundle_congruence)
 from sectional.validation import StructureError
@@ -460,7 +465,8 @@ def test_intertwining_checks_match_the_dense_oracle():
         action_verdicts.append(expected and expected[0])
         if expected is None:
             assert result.fiber_maps == {key: _columns(m, ring) for key, m in maps.items()}
-            semidirect = bundle_semidirect(result)
+            semidirect = _semidirect_bundle(result)
+            assert validate_bundle(semidirect, ring, semidirect.base) is semidirect
             tables = oracle_semidirect_tables(theta, bundle, maps)
             assert semidirect.rows == {key: fiber_rows(t, ring) for key, t in tables.items()}
 
@@ -477,7 +483,7 @@ def test_intertwining_checks_match_the_dense_oracle():
             # each composed pair, from_rep[h] after to_rep[g], is the oracle's
             for (g, h), m in full.items():
                 assert _compose(result.from_rep[h], result.to_rep[g], ring) == _columns(m, ring)
-            out = quotient_bundle(result)
+            out = theorems.quotient_bundle(result)
             tables = oracle_quotient_tables(bundle, cong, full, out.base_quotient)
             assert out.bundle.rows == {key: fiber_rows(t, ring) for key, t in tables.items()}
             res = quotient_map_and_kernel(result)
@@ -535,7 +541,7 @@ def test_noncommutative_transports_are_checked_on_every_pair():
         assert verdict == expected
         outcomes.append(expected)
         if expected is None:
-            out = quotient_bundle(result)
+            out = theorems.quotient_bundle(result)
             tables = oracle_quotient_tables(bundle, cong, full, out.base_quotient)
             assert out.bundle.rows == {key: fiber_rows(t, ring) for key, t in tables.items()}
             assert representative_walk(result, out) is None
@@ -571,7 +577,7 @@ def test_upper_triangular_quotients_agree_at_every_member_pair():
         verdicts.add(expected and expected[0])
         if expected is None:
             # a transported product constant off the centre is refused
-            out, refused = _outcome(quotient_bundle, result)
+            out, refused = _outcome(theorems.quotient_bundle, result)
             if out is not None:
                 assert representative_walk(result, out) is None
                 moved.append(any(m != ((ring.one,),) for m in transport.values()))
@@ -597,7 +603,7 @@ def test_quotient_products_agree_at_every_member_pair():
         bundle, cong, transport = _congruence_instance(data, ring)
         result, verdict = _outcome(validate_bundle_congruence, bundle, cong, transport)
         if verdict is None:
-            assert representative_walk(result, quotient_bundle(result)) is None
+            assert representative_walk(result, theorems.quotient_bundle(result)) is None
             largest.append(max(map(len, cong.classes)))
             involutive.append(result.to_rep == result.from_rep)
 

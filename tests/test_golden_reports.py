@@ -51,6 +51,17 @@ without and with `--ring zmod6`. The germ and certify-pair goldens were
 recorded before the certificates stopped running elimination on a passing
 map, the quotient ones before the induced action stopped re-proving its axioms.
 
+Two crossed must-fail files (exit 1) are frozen beside them, each over Q with
+goldens under its own ring, `--ring zmod5` and `--ring zmod6`:
+`crossed-fail-p3r2.json`, the `certify_pair` must-fail file of
+`random.Random(3)` (an involutive fiber map that is not an automorphism,
+refused as `intertwining` by the bundle action), and
+`crossed-fail-semilattice.json`, Z/2 on the semilattice p < q whose bundle
+action passes but whose semidirect bundle is not associative. Its goldens
+were regenerated when the crossed path stopped walking that bundle: the
+refusal moved from the bundle's `associativity` to the induced action's
+`not-associative`.
+
 A refactor that must not change any report keeps these passing; a change that
 means to alter a report regenerates the golden copy with the commands above.
 """
@@ -76,6 +87,8 @@ RATIONAL_TWIST = os.path.join(HERE, "data", "rational_twist.json")
 SCALED = os.path.join(HERE, "data", "scaled")
 SCALED_NAMES = ("crossed-p4r2", "germ-c16", "quotient-z12m12k4", "quotient-z30m30k8",
                 "smash-p6r1", "tensor-p6r2")
+MUST_FAIL_NAMES = ("crossed-fail-p3r2", "crossed-fail-semilattice")
+MUST_FAIL_RINGS = ("zmod5", "zmod6")
 
 
 def _normalised(text):
@@ -129,21 +142,26 @@ def test_rational_twist_report_matches_golden(capsys):
 
 def test_every_scaled_input_has_golden_reports():
     assert sorted(name for name in os.listdir(SCALED) if name.endswith(".json")) == sorted(
-        f"{name}.json" for name in SCALED_NAMES)
+        f"{name}.json" for name in SCALED_NAMES + MUST_FAIL_NAMES)
     assert sorted(os.listdir(os.path.join(SCALED, "golden"))) == sorted(
-        f"{name}.verify{suffix}.json" for name in SCALED_NAMES for suffix in ("", ".zmod6"))
+        [f"{name}.verify{suffix}.json" for name in SCALED_NAMES for suffix in ("", ".zmod6")]
+        + [f"{name}.verify{suffix}.json" for name in MUST_FAIL_NAMES
+           for suffix in ("",) + tuple(f".{ring}" for ring in MUST_FAIL_RINGS)])
 
 
 @pytest.mark.parametrize("name, ring", [
     pytest.param(name, ring, id=name if ring is None else f"{name}-{ring}")
     for name in SCALED_NAMES for ring in (None, "zmod6")
+] + [
+    pytest.param(name, ring, id=name if ring is None else f"{name}-{ring}")
+    for name in MUST_FAIL_NAMES for ring in (None,) + MUST_FAIL_RINGS
 ])
 def test_scaled_report_matches_golden(name, ring, capsys):
     argv = ["verify", "all", "--input", os.path.join(SCALED, f"{name}.json"), "--seed", "7",
             "--no-timestamp", "--format", "json"]
     code = main(argv + (["--ring", ring] if ring else []))
     out = capsys.readouterr().out
-    assert code == 0
+    assert code == (1 if name in MUST_FAIL_NAMES else 0)
     suffix = "" if ring is None else f".{ring}"
     with open(os.path.join(SCALED, "golden", f"{name}.verify{suffix}.json"),
               encoding="utf-8") as fh:

@@ -16,18 +16,27 @@ sizes) every semidirect, skew and quotient output must pass validate_semigroupoi
 with its projection a rigid homomorphism, every semidirect bundle validate_bundle,
 and every smash product check_associativity. Must-fail: a smash input that is
 not associative, or not graded-closed, is refused with its own witness; an
-action whose semidirect product leaves a source, and one whose semidirect
-bundle is not associative, are refused by the pair pass and by the bundle walk
-that stay for them.
+action whose semidirect product leaves a source is refused by the pair pass
+that stays for it.
+
+The semidirect bundle is not walked either: crossed_theorem runs induced_theta
+first, whose twisted associativity decides the bundle's. On the semilattice
+family with idempotent twists and an involutive fiber map, over Q, Z/5 and
+Z/6, the walk's verdict on the built bundle must be induced_theta's, and both
+crossed certificates must pass where neither refuses; the one such action
+pinned below is refused by crossed_theorem and `verify crossed` with the
+induced action's witness. Must-fail: a semidirect bundle built without its
+fiber map back along t* still fails the crossed fixture and scaled file.
 
 induced_theta builds the action on a sectional algebra from a checked bundle
 action, and coefficient_action the identity bundle action of the germ path,
 without re-proving what the preaction and bundle action decided. The full
 validator (tests/structures.validate_algebra_action) is the oracle: every action
 induced_theta builds, recorded as it is made, must pass it with the same
-domains and rows (over a non-commutative ring the extension law, the one check
-kept, must refuse with its witness), and coefficient_action must hand over the
-fiber maps validate_bundle_action gives the identity. Must-fail: doubling every
+domains and rows (over a non-commutative ring the bundle action checks the
+extension law in the order the induced rows apply it, and refuses fiber maps
+that fail it there), and coefficient_action must hand over the fiber maps
+validate_bundle_action gives the identity. Must-fail: doubling every
 induced image still fails the germ and crossed fixtures and scaled files.
 """
 
@@ -51,6 +60,7 @@ from sectional.actions import (
 from sectional.algebras import AlgebraPresentation
 from sectional.bundles import (
     AlgebraAction,
+    bundle_from_product,
     pullback_bundle,
     sectional_algebra,
     semigroupoid_algebra,
@@ -58,7 +68,7 @@ from sectional.bundles import (
     validate_bundle,
 )
 from sectional.cli import main
-from sectional.rings import RationalRing, validate_ring
+from sectional.rings import RationalRing, ZModRing, validate_ring
 from sectional.semigroupoids import (
     FiniteSemigroupoid,
     direct_product,
@@ -68,8 +78,9 @@ from sectional.semigroupoids import (
     validate_semigroupoid,
 )
 from sectional.theorems import (
-    bundle_semidirect,
+    _semidirect_bundle,
     coefficient_action,
+    crossed_theorem,
     induced_theta,
     product_bundle,
     skew_product,
@@ -103,6 +114,8 @@ from structures import (
     validate_algebra_action,
 )
 
+SCALED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "scaled")
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "fixtures")
 P2 = built(pair_groupoid_raw()).base
 Z2 = built(cyclic2_raw()).base
 FACTORS = {
@@ -508,7 +521,7 @@ def test_semidirect_bundles_pass_the_full_walk():
         if refusal(validate_bundle_action, theta, bundle, maps) is not None:
             return
         action = validate_bundle_action(theta, bundle, maps)
-        out = bundle_semidirect(action)
+        out = _semidirect_bundle(action)
         assert validate_bundle(out, ring, out.base) is out
         built_bundles.append(out.base.n_arrows)
 
@@ -516,28 +529,142 @@ def test_semidirect_bundles_pass_the_full_walk():
     assert len(built_bundles) > 20
 
 
-def test_semidirect_bundle_the_action_checks_accept_is_refused_by_its_walk():
+SEMILATTICE_RAW = {
+    "id": "S", "vertices": ["*"],
+    "arrows": [{"id": "p", "src": "*", "rng": "*"}, {"id": "q", "src": "*", "rng": "*"}],
+    "prod": [["p", "p", "p"], ["p", "q", "p"], ["q", "p", "p"], ["q", "q", "q"]]}
+SEMILATTICE_FAIL = os.path.join(SCALED, "crossed-fail-semilattice.json")
+
+
+def _semilattice_action(ring, e, f, m):
+    """Z/2 fixing the bottom p of the semilattice p < q and acting on the
+    rank-2 fiber over p by m, where e_p e_p = 0 and e_q multiplies that fiber
+    by e on the left and by f on the right (matrices on columns). The bundle
+    is associative exactly when e and f are commuting idempotents, and an
+    involution m passes every bundle-action check."""
+    space = validate_semigroupoid(SEMILATTICE_RAW)
+    theta = validate_preaction({"u": {"dom": ["p", "q"], "img": ["p", "q"]},
+                                "g": {"dom": ["p"], "img": ["p"]}}, built(cyclic2_raw()), space)
+    bundle = validate_bundle({"ranks": {"p": 2, "q": 1}, "constants": {
+        "p,p": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+        "p,q": [[[f[0][i], f[1][i]]] for i in range(2)],
+        "q,p": [[[e[0][i], e[1][i]] for i in range(2)]], "q,q": [[[1]]]}}, ring, space)
+    return validate_bundle_action(theta, bundle, {(1, 0): m})
+
+
+def _square_roots(ring):
+    """The 2x2 matrices with entries in -1..3 that square to themselves, and
+    those that square to the identity."""
+    def mul(a, b):
+        return tuple(tuple(ring.add(ring.mul(a[i][0], b[0][j]), ring.mul(a[i][1], b[1][j]))
+                           for j in range(2)) for i in range(2))
+
+    values = sorted({ring.coerce(x) for x in range(-1, 4)}, key=str)
+    mats = {((a, b), (c, d)) for a, b, c, d in itertools.product(values, repeat=4)}
+    one = ((ring.one, ring.zero), (ring.zero, ring.one))
+    return (sorted((m for m in mats if mul(m, m) == m), key=str),
+            sorted((m for m in mats if mul(m, m) == one), key=str))
+
+
+def test_semilattice_walk_and_induced_action_agree():
+    """The semilattice family with idempotent twists and an involutive fiber
+    map, over Q, Z/5 and Z/6: the walk over the semidirect bundle, which the
+    crossed path no longer runs, refuses exactly the actions whose induced
+    action fails twisted associativity, and when neither refuses, both crossed
+    certificates pass. Both verdicts occur."""
+    rings = {"Q": RINGS["Q"], "Z5": ZModRing(5), "Z6": RINGS["Z6"]}
+    matrices = {name: _square_roots(ring) for name, ring in rings.items()}
+    verdicts = []
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def check(data):
+        name = data.draw(st.sampled_from(sorted(matrices)))
+        idempotents, involutions = matrices[name]
+        e, f = (data.draw(st.sampled_from(idempotents)) for _ in range(2))
+        drawn = (rings[name], e, f, data.draw(st.sampled_from(involutions)))
+        report = refusal(_semilattice_action, *drawn)
+        if report is not None:      # e and f do not commute
+            assert (report.subject, report.first().kind) == ("bundle", "associativity")
+            return
+        action = _semilattice_action(*drawn)
+        out = _semidirect_bundle(action)
+        walk = refusal(validate_bundle, out, out.ring, out.base)
+        induced = refusal(induced_theta, action)
+        assert (walk is None) == (induced is None)
+        if induced is None:
+            result = crossed_theorem(action)
+            assert result.certificate.passed and result.lscript_certificate.passed
+        verdicts.append(induced is None)
+
+    check()
+    assert set(verdicts) == {True, False}
+
+
+def test_semidirect_bundle_the_action_checks_accept_is_refused_by_the_induced_action(capsys):
     """Z/2 fixes the bottom p of the semilattice p < q and acts on the rank-2
     fiber over p by an involution M that intertwines its zero product and
     meets the extension law, yet E M E M != M E M E for the idempotent E by
     which e_q multiplies that fiber on either side. Intertwining and the
-    extension law do not make the semidirect bundle associative; its own walk
-    refuses it, and the induced action's twisted associativity would."""
-    Q = RationalRing()
-    space = validate_semigroupoid({
-        "id": "S", "vertices": ["*"],
-        "arrows": [{"id": "p", "src": "*", "rng": "*"}, {"id": "q", "src": "*", "rng": "*"}],
-        "prod": [["p", "p", "p"], ["p", "q", "p"], ["q", "p", "p"], ["q", "q", "q"]]})
-    theta = validate_preaction({"u": {"dom": ["p", "q"], "img": ["p", "q"]},
-                                "g": {"dom": ["p"], "img": ["p"]}}, built(cyclic2_raw()), space)
-    bundle = validate_bundle({"ranks": {"p": 2, "q": 1}, "constants": {
-        "p,p": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]], "p,q": [[[1, 0]], [[0, 0]]],
-        "q,p": [[[1, 0], [0, 0]]], "q,q": [[[1]]]}}, Q, space)
-    action = validate_bundle_action(theta, bundle, {(1, 0): [[1, 1], [0, -1]]})
-    report = refusal(bundle_semidirect, action)
-    assert [(f.kind, f.witness) for f in report.failures] == [
+    extension law do not make the semidirect bundle associative; the induced
+    action's twisted associativity refuses it before the bundle is built, and
+    the walk, kept here as the oracle, still refuses the bundle."""
+    one, zero = RINGS["Q"].one, RINGS["Q"].zero
+    e = ((one, zero), (zero, zero))
+    action = _semilattice_action(RINGS["Q"], e, e, [[1, 1], [0, -1]])
+    out = _semidirect_bundle(action)
+    assert [(f.kind, f.witness) for f in refusal(validate_bundle, out, out.ring,
+                                                 out.base).failures] == [
         ("associativity", ("(u,q)", "(g,p)", "(u,q)", "0", "1", "0"))]
-    assert refusal(induced_theta, action).first().kind == "not-associative"
+    expected = [("not-associative", ("u", "g", "u", "q", "p#1", "q"))]
+    assert [(f.kind, f.witness) for f in refusal(induced_theta, action).failures] == expected
+    assert [(f.kind, f.witness) for f in refusal(crossed_theorem, action).failures] == expected
+    assert main(["verify", "crossed", "--input", SEMILATTICE_FAIL, "--format", "json",
+                 "--no-timestamp"]) == 1
+    (task,) = json.loads(capsys.readouterr().out)["workspaces"][0]["tasks"]
+    assert (task["status"], task["witness"]) == ("fail", list(expected[0][1]))
+    assert task["message"].startswith("induced action: not-associative")
+
+
+def _semidirect_bundle_without_drop(action):
+    """A planted bug: the semidirect bundle with the fiber map back along t*
+    left out of every product."""
+    theta, inner = action.base_action, action.bundle
+    ring = inner.ring
+    base = semidirect_product(theta)
+    pairs = base.labels
+
+    def pair_product(p, q, i, j):
+        _s, a = pairs[p]
+        t, b = pairs[q]
+        return inner.fiber_mul(a, theta.apply(t, b), ((i, ring.one),),
+                               action.fiber_maps[(t, b)][j])
+
+    return bundle_from_product(ring, base, tuple(inner.ranks[g] for _s, g in pairs),
+                               pair_product)
+
+
+# each crossed task's verdict with the planted bug: the first basis pair at
+# which the comparison map is not multiplicative (the fixture's first task
+# moves no fiber, so the bug does not touch it)
+WITHOUT_DROP = {
+    os.path.join(FIXTURES, "crossed.json"): [None, ["d_u.m#0", "d_g.m#1"]],
+    os.path.join(SCALED, "crossed-p4r2.json"): [["d_u4375.p6061#0", "d_g4668.p7704#1"]],
+}
+
+
+@pytest.mark.parametrize("ring", ["q", "zmod5", "zmod6"])
+@pytest.mark.parametrize("path", sorted(WITHOUT_DROP), ids=os.path.basename)
+def test_semidirect_bundle_without_its_drop_map_still_exits_1(path, ring, monkeypatch, capsys):
+    """The walk the crossed path no longer runs is not needed to catch a
+    semidirect bundle built wrong: the comparison certificate fails it."""
+    monkeypatch.setattr(theorems, "_semidirect_bundle", _semidirect_bundle_without_drop)
+    assert main(["verify", "crossed", "--input", path, "--ring", ring, "--format", "json",
+                 "--no-timestamp"]) == 1
+    tasks = json.loads(capsys.readouterr().out)["workspaces"][0]["tasks"]
+    assert [t.get("witness") for t in tasks] == WITHOUT_DROP[path]
+    assert all(any(c["name"] == "multiplicative" and not c["ok"] for c in t["checks"])
+               for t in tasks if t["status"] == "fail")
 
 
 def _bench_builders():
@@ -567,7 +694,7 @@ def test_bench_outputs_pass_the_full_walks():
                     theta = builder.action(p["action"])
                     assert _semidirect_verdict(theta) is None
                 elif op == "crossed":
-                    out = bundle_semidirect(builder.bundle_action(p["action"]))
+                    out = _semidirect_bundle(builder.bundle_action(p["action"]))
                     assert validate_bundle(out, out.ring, out.base) is out
                 elif op == "skew":
                     skew = skew_product(builder.semigroupoid(p["base"]),
@@ -592,8 +719,6 @@ def test_bench_outputs_pass_the_full_walks():
 # Induced and identity actions
 # ---------------------------------------------------------------------------
 
-SCALED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "scaled")
-FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "fixtures")
 M2F2 = validate_ring(f2_matrix_ring_spec())
 GL2 = built(gl2_f2_raw())
 # one arrow v -> w: no composable pair, so intertwining holds for any fiber maps
@@ -618,19 +743,13 @@ def made(monkeypatch):
 def _induced_verdict(action, made):
     """induced_theta on a checked bundle action, against the full validator.
 
-    The action induced_theta builds must pass validate_algebra_action with
-    the same domains and rows whenever induced_theta does not refuse it or
-    refuses it only for twisted associativity; any other refusal must be the
-    validator's first failure, and comes only over a non-commutative ring."""
+    induced_theta refuses only for twisted associativity, which the validator
+    does not check; refused or not, the action it builds must pass
+    validate_algebra_action with the same domains and rows."""
     made.clear()
     report = refusal(induced_theta, action)
     (out,) = made
-    expected = refusal(validate_algebra_action, out.actor, out.algebra, out.domains, out.rows)
-    if report is not None and report.first().kind != "not-associative":
-        assert not out.algebra.ring.commutative
-        assert (report.subject, report.failures) == (expected.subject, expected.failures)
-        return report.first().kind
-    assert expected is None
+    assert report is None or report.first().kind == "not-associative"
     checked = validate_algebra_action(out.actor, out.algebra, out.domains, out.rows)
     assert (checked.domains, checked.rows) == (out.domains, out.rows)
     return report and report.first().kind
@@ -760,17 +879,19 @@ def _sign(name):
 
 def test_noncommuting_fiber_maps_keep_the_extension_law_check(made, tmp_path, capsys):
     """A row applies with the vector's coefficient on the left, so the induced
-    Theta_s Theta_t reads m_t m_s while the bundle action checked
-    m_st = m_s m_t. Fiber maps s -> s pass every bundle-action check, yet their
-    induced action fails the extension law at a non-commuting pair; the
-    check kept for non-commutative rings names the validator's witness, and
-    the crossed theorem still exits 1. An abelian image passes."""
+    Theta_s Theta_t reads m_t m_s, and over a non-commutative ring the bundle
+    action checks m_st against m_t m_s as well as m_s m_t. Fiber maps s -> s
+    meet m_st = m_s m_t, yet fail the other order at a non-commuting pair:
+    the bundle action refuses them there, with the witness at which their
+    induced action would fail the extension law, and `verify crossed` and
+    `validate` exit 1. An abelian image passes, and induces an action the
+    full validator accepts."""
     assert _induced_verdict(_gl2_action(lambda name: "1001"), made) is None
     assert _induced_verdict(_gl2_action(_sign), made) is None
-    report = refusal(induced_theta, _gl2_action(lambda name: name))
+    report = refusal(_gl2_action, lambda name: name)
+    assert report.subject == "bundle action"
     assert [(f.kind, f.witness) for f in report.failures] == [
         ("extension-law", ("0110", "0111", "x"))]
-    assert _induced_verdict(_gl2_action(lambda name: name), made) == "extension-law"
     raw = gl2_f2_raw()
     names = [a["id"] for a in raw["arrows"]]
     doc = {"ring": f2_matrix_ring_spec(),
@@ -787,7 +908,9 @@ def test_noncommuting_fiber_maps_keep_the_extension_law_check(made, tmp_path, ca
                  "--no-timestamp"]) == 1
     (task,) = json.loads(capsys.readouterr().out)["workspaces"][0]["tasks"]
     assert (task["status"], task["witness"]) == ("fail", ["0110", "0111", "x"])
-    assert "extension-law" in task["message"]
+    assert task["message"].startswith("bundle action: extension-law")
+    assert main(["validate", str(path), "--format", "json"]) == 1
+    capsys.readouterr()
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ from sectional.semigroupoids import (
     validate_semigroupoid,
 )
 from sectional.theorems import (
-    bundle_semidirect,
+    _semidirect_bundle,
     crossed_theorem,
     germ_corollary,
     induced_theta,
@@ -192,12 +192,14 @@ class TestTensorTheorem:
 class TestBundleSemidirect:
     def test_identity_fibers_over_trivial_bundle(self):
         ba = semilattice_bundle_action()
-        out = bundle_semidirect(ba)
+        out = _semidirect_bundle(ba)
+        assert validate_bundle(out, Q, out.base) is out
         assert out.base.arrow_names == ("(1,1x)", "(1,1y)", "(e,1x)")
         assert out.ranks == (1, 1, 1)
 
     def test_swap_fibers_give_rank_four_sectional_algebra(self):
-        out = bundle_semidirect(swap_bundle_action())
+        out = _semidirect_bundle(swap_bundle_action())
+        assert validate_bundle(out, Q, out.base) is out
         alg = sectional_algebra(out)
         assert alg.rank == 4
         assert alg.check_associativity() is None
@@ -526,7 +528,8 @@ class TestQuotientBundle:
 
     def test_germ_congruence_gives_two_point_unit_bundle(self):
         ba = semilattice_bundle_action()
-        sp = bundle_semidirect(ba)
+        sp = _semidirect_bundle(ba)
+        assert validate_bundle(sp, sp.ring, sp.base) is sp
         cong = validate_rigid_congruence(
             [["(1,1x)", "(e,1x)"], ["(1,1y)"]], sp.base
         )
@@ -556,7 +559,8 @@ class TestQuotientMapAndKernel:
     @pytest.mark.parametrize("ring", [Q, Z5])
     def test_germ_congruence_kernel_generated_by_difference(self, ring):
         ba = semilattice_bundle_action(ring)
-        sp = bundle_semidirect(ba)
+        sp = _semidirect_bundle(ba)
+        assert validate_bundle(sp, sp.ring, sp.base) is sp
         cong = validate_rigid_congruence(
             [["(1,1x)", "(e,1x)"], ["(1,1y)"]], sp.base
         )

@@ -7,8 +7,9 @@ composable pairs. The validator enumerates all of it and classifies the
 action (partial, global, associative).
 
 Quotients: rigid congruences with class-wise constant source and range, the
-canonical quotient semigroupoid, and the germ quotient of a semidirect
-product. Germ transitivity is checked at runtime, never assumed.
+canonical quotient semigroupoid, and the groupoid of germs, built from one
+representative per germ with no semidirect product; that the germ relation
+is a congruence follows from the validated axioms (germ_quotient).
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 from .semigroupoids import (
     FiniteInverseSemigroupoid,
     FiniteSemigroupoid,
-    GroupoidCheck,
     Homomorphism,
+    _checked,
     composable_labels,
     in_arrow_order,
     is_groupoid,
@@ -480,23 +481,28 @@ def quotient_semigroupoid(cong: RigidCongruence) -> tuple[FiniteSemigroupoid, Ho
 
 @dataclass
 class GermQuotient:
-    semidirect: FiniteSemigroupoid
-    congruence: RigidCongruence
     quotient: FiniteSemigroupoid
-    projection: Homomorphism
-    groupoid_check: GroupoidCheck
+    class_of: dict      # label (s, g) of S |x G -> its germ, an arrow of quotient
 
 
 def germ_quotient(theta: LandPreaction) -> GermQuotient:
-    """Collapse (s1,g) ~ (s2,g) when some u below both has g in its domain.
+    """The groupoid of germs, (s, g) ~ (t, g) when some u <= s, t has g in
+    dom theta_u, from one representative per class.
 
-    Each semidirect arrow (s, g) has its germ set, the u <= s with g in
-    dom theta_u; arrows over the same g are related when their germ sets
-    meet, so the relation is reflexive and symmetric and rows[i] is a set.
-    It is transitive exactly when rows[j] <= rows[i] for every j in rows[i];
-    otherwise the first failing (i, j, k) is refused as the witness (possible
-    for general wedge-preactions). The classes are the distinct rows, checked
-    as a rigid congruence.
+    On a validated preaction theta_{u*u} extends theta_{u*} theta_u = id on
+    dom theta_u, so theta_u = theta_{s(u*u)} agrees with theta_s for u <= s,
+    and the extension law puts g in dom theta_{s eps}, eps the product of
+    the idempotents at src s whose domains hold g. So (s, g) ~ (t, g) iff
+    s eps = t eps: a witness u has eps <= u*u, so s eps = u eps = t eps, and
+    s eps is one. It is a congruence: witnesses u at (s, a), w at (t, b)
+    give one c = theta_{t*}(y) = theta_{w*}(y), y = a theta_w(b) in the ideal
+    ran theta_w, and uw <= st has c in its domain, as theta_w(c) = y lies in
+    the ideal dom theta_u. Over a groupoid space a domain, an ideal, holds
+    whole components and theta_{t*} carries units to units: c has the
+    source of b, and no pair axiom can fail. The first label with a new key,
+    in the semidirect product's order, represents and labels its germ; each
+    product is read off the representatives with one _twisted call, and
+    associativity is the semidirect product's.
     """
     space_check = is_groupoid(theta.space)
     if not space_check.ok:
@@ -507,23 +513,27 @@ def germ_quotient(theta: LandPreaction) -> GermQuotient:
             "germ quotient", "not-associative", theta.associativity_witness,
             "germ quotients need an associative action"))
 
-    sp = semidirect_product(theta)
-    names = sp.arrow_names
-    germs = [{u for u in theta.actor.below(s) if g in theta.maps[u]} for s, g in sp.labels]
-    over: dict[int, list[int]] = {}
-    for i, (_s, g) in enumerate(sp.labels):
-        over.setdefault(g, []).append(i)
-    rows = [frozenset(j for j in over[g] if germs[i] & germs[j])
-            for i, (_s, g) in enumerate(sp.labels)]
-    for i, row in enumerate(rows):
-        for j in sorted(row):
-            if not rows[j] <= row:
-                raise StructureError(ValidationReport.single(
-                    "germ quotient", "germ-transitivity",
-                    (names[i], names[j], names[min(rows[j] - row)]),
-                    "the germ relation is not transitive for this action",
-                ))
+    actor, space = theta.actor.base, theta.space
+    eps, reps, key_class, class_of = {}, [], {}, {}      # eps: (v, g) -> eps at v for g
+    for e in theta.actor.idempotents:
+        for g in theta.maps[e]:
+            eps[actor.src[e], g] = actor.prod[eps.get((actor.src[e], g), e)][e]
+    for s, g in ((s, g) for s in actor.arrows() for g in theta.dom(s)):
+        key = (actor.prod[s][eps[actor.src[s], g]], g)
+        if key_class.setdefault(key, len(reps)) == len(reps):
+            reps.append((s, g))
+        class_of[s, g] = key_class[key]
 
-    cong = validate_rigid_congruence([[names[j] for j in row] for row in set(rows)], sp)
-    quotient, projection = quotient_semigroupoid(cong)
-    return GermQuotient(sp, cong, quotient, projection, is_groupoid(quotient))
+    ends = [((actor.src[s], space.src[g]), (actor.rng[s], space.rng[theta.apply(s, g)]))
+            for s, g in reps]
+    vid = {v: i for i, v in enumerate(sorted({v for end in ends for v in end}))}
+    prod: list[dict[int, int]] = [{} for _ in reps]     # filled in place, as into needs only rng
+    quotient = FiniteSemigroupoid(
+        tuple(f"({actor.vertex_names[v]},{space.vertex_names[w]})" for v, w in vid),
+        tuple(f"[({actor.arrow_names[s]},{space.arrow_names[g]})]" for s, g in reps),
+        tuple(vid[v] for v, _ in ends), tuple(vid[r] for _, r in ends), tuple(prod),
+        name=f"{actor.name}|x{space.name}/~", labels=reps)
+    for i, (s, a) in enumerate(reps):
+        for j, (t, b) in ((j, reps[j]) for j in quotient.into[quotient.src[i]]):
+            prod[i][j] = class_of[actor.prod[s][t], _twisted(theta, t, a, b)]
+    return GermQuotient(_checked(quotient), class_of)

@@ -292,17 +292,21 @@ class FiniteInverseSemigroupoid:
     """Semigroupoid where every arrow has a unique generalized inverse.
 
     Carries the idempotent set and the natural order, leq = {(s, t) : s <= t}
-    (s = te for an idempotent e), which validate_inverse_semigroupoid computes
-    by all four equivalent characterizations and cross-checks.
+    (s = te for an idempotent e), both derived from the table and never
+    passed in: leq as s = t(s*s), with src t = rng(s*s) = src s, which
+    validate_inverse_semigroupoid cross-checks four ways.
     """
 
     base: FiniteSemigroupoid
     inv: tuple[int, ...]
-    idempotents: tuple[int, ...] = ()
-    leq: frozenset = frozenset()
+    idempotents: tuple[int, ...] = field(init=False)
+    leq: frozenset = field(init=False)
 
-    def below(self, s: int) -> list[int]:
-        return [u for u in self.base.arrows() if (u, s) in self.leq]
+    def __post_init__(self):
+        base = self.base
+        self.idempotents = tuple(_idempotents(base))
+        self.leq = frozenset((s, t) for s in base.arrows() for t in base.leaving[base.src[s]]
+                             if base.prod[t].get(base.prod[self.inv[s]].get(s)) == s)
 
 
 def _idempotents(sgpd: FiniteSemigroupoid) -> list[int]:
@@ -337,12 +341,12 @@ def _order_by_characterizations(sgpd, inv, idems):
 
 
 def validate_inverse_semigroupoid(sgpd: FiniteSemigroupoid, inv_raw) -> FiniteInverseSemigroupoid:
-    """Check the inverse axioms and materialize idempotents and the natural order.
+    """Check the inverse axioms of the table that derives idempotents and order.
 
     inv_raw maps arrow name -> arrow name (or id -> id on a built object).
-    The four order characterizations are compared; disagreement raises
-    InternalConsistencyError since they provably coincide once the inverse
-    axioms passed.
+    The four order characterizations are compared with the derived leq;
+    disagreement raises InternalConsistencyError since they provably coincide
+    once the inverse axioms passed.
     """
     report = ValidationReport(f"inverse semigroupoid {sgpd.name or '<anonymous>'}")
     names = sgpd.arrow_names
@@ -403,9 +407,9 @@ def validate_inverse_semigroupoid(sgpd: FiniteSemigroupoid, inv_raw) -> FiniteIn
     # idempotents are loops, so ef and fe are both defined when e and f sit at
     # one vertex and both undefined otherwise: walking the idempotents into
     # src(e) in ascending order meets the same first failing f as walking all
-    idems = _idempotents(sgpd)
-    is_idem = set(idems)
-    for e in idems:
+    out = FiniteInverseSemigroupoid(sgpd, tuple(inv))
+    is_idem = set(out.idempotents)
+    for e in out.idempotents:
         for f in (x for x in sgpd.into[sgpd.src[e]] if x in is_idem):
             ef = sgpd.compose(e, f)
             fe = sgpd.compose(f, e)
@@ -416,25 +420,12 @@ def validate_inverse_semigroupoid(sgpd: FiniteSemigroupoid, inv_raw) -> FiniteIn
     if not report.ok:
         raise StructureError(report)
 
-    relations = _order_by_characterizations(sgpd, inv, idems)
-    if any(rel != relations[0] for rel in relations[1:]):
-        labels = ["ts*s", "te", "ss*t", "ft"]
-        diffs = [
-            labels[i]
-            for i in range(1, 4)
-            if relations[i] != relations[0]
-        ]
-        raise InternalConsistencyError(
-            "natural-order characterizations disagree "
-            f"({labels[0]} vs {', '.join(diffs)}); this is a bug in the validator"
-        )
-
-    return FiniteInverseSemigroupoid(
-        base=sgpd,
-        inv=tuple(inv),
-        idempotents=tuple(idems),
-        leq=frozenset(relations[0]),
-    )
+    relations = _order_by_characterizations(sgpd, inv, out.idempotents)
+    diffs = [label for label, rel in zip(["ts*s", "te", "ss*t", "ft"], relations) if rel != out.leq]
+    if diffs:
+        raise InternalConsistencyError("natural-order characterizations disagree (derived leq "
+                                       f"vs {', '.join(diffs)}); this is a bug in the validator")
+    return out
 
 
 @dataclass

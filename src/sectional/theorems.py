@@ -791,7 +791,7 @@ def _unit_map_kernel(tmap: LinearMapOnBasis) -> tuple:
 def germ_corollary(theta: LandPreaction, coefficients) -> GermCorollaryResult:
     """Crossed product modulo order differences against the germ algebra.
 
-    Pipeline: germ quotient of the semidirect product; coefficient algebra of
+    Pipeline: the groupoid of germs of the action; coefficient algebra of
     the space with the shift action; naive crossed product; the two-sided
     ideal generated by delta_s a - delta_t a for s below t; the coefficient
     algebra of the germ groupoid; and the certified induced isomorphism.
@@ -827,8 +827,7 @@ def germ_corollary(theta: LandPreaction, coefficients) -> GermCorollaryResult:
     images = []
     for s, d in crossed.labels:
         g, i = induced.algebra.labels[d]
-        cls = germ.congruence.class_of[germ.semidirect.index[(s, g)]]
-        images.append(((germ_algebra.index[(cls, i)], ring.one),))
+        images.append(((germ_algebra.index[(germ.class_of[s, g], i)], ring.one),))
     qmap = LinearMapOnBasis(crossed, germ_algebra, tuple(images))
     witness = multiplicative_witness(qmap)
     kernel, onto = stage("ideal", lambda: _unit_map_kernel(qmap))

@@ -237,7 +237,7 @@ class TestGermQuotient:
         _actor, _space, theta = germ_example
         germ = germ_quotient(theta)
         assert germ.quotient.n_arrows == 2
-        assert germ.groupoid_check.ok
+        assert is_groupoid(germ.quotient).ok
         assert is_isomorphism({"[(1,1x)]": "1x", "[(1,1y)]": "1y"},
                               germ.quotient, built(unit_groupoid_raw(("x", "y"))).base)
 
@@ -248,10 +248,9 @@ class TestGermQuotient:
             built(cyclic2_raw()), built(unit_groupoid_raw(("0", "1"))).base,
         )
         germ = germ_quotient(theta)
-        assert germ.quotient.n_arrows == germ.semidirect.n_arrows
-        names = germ.semidirect.arrow_names
-        assert is_isomorphism({f"[{x}]": x for x in names},
-                              germ.quotient, germ.semidirect)
+        sp = semidirect_product(theta)
+        assert germ.quotient.n_arrows == sp.n_arrows
+        assert is_isomorphism({f"[{x}]": x for x in sp.arrow_names}, germ.quotient, sp)
 
     def test_empty_domain_means_no_collapse(self):
         actor = built(semilattice_raw())
@@ -262,7 +261,7 @@ class TestGermQuotient:
             actor, space.base,
         )
         germ = germ_quotient(theta)
-        assert germ.quotient.n_arrows == germ.semidirect.n_arrows
+        assert germ.quotient.n_arrows == semidirect_product(theta).n_arrows
 
     def test_non_groupoid_space_refused(self, germ_example):
         actor, _space, _theta = germ_example
@@ -276,7 +275,7 @@ class TestGermQuotient:
         _actor, _space, theta = germ_example
         assert theta.is_partial
         germ = germ_quotient(theta)
-        assert germ.groupoid_check.ok
+        assert is_groupoid(germ.quotient).ok
 
 
 class TestSemidirectRefusal:

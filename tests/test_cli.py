@@ -786,6 +786,25 @@ class TestBuildOps:
         assert (result.status, result.witness) == ("fail", ["(a,b,c)"])
         assert "structural" in result.message
 
+    def test_germ_build_names_only_the_arrows_it_writes(self, tmp_path, capsys):
+        """`build germ` forms no semidirect arrow names: over the colliding
+        semidirect action its germs are [(a,b,c)] and [(a,c)]. Once both
+        colliding labels represent a germ, the repeated name is refused."""
+        doc = json.loads(json.dumps(self._COLLIDING["semidirect"]))
+        doc["tasks"] = [{"kind": "build", "id": "out", "op": "germ", "action": "theta"}]
+        src, out = tmp_path / "germ.json", tmp_path / "out.json"
+        src.write_text(json.dumps(doc))
+        assert main(["build", "out", "--input", str(src), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert [a["id"] for a in json.loads(out.read_text())["arrows"]] == ["[(a,b,c)]", "[(a,c)]"]
+        out.unlink()
+        doc["actions"]["theta"]["maps"] = {"a": {"dom": ["b,c"], "img": ["b,c"]},
+                                           "a,b": {"dom": ["c"], "img": ["c"]}}
+        src.write_text(json.dumps(doc))
+        assert main(["build", "out", "--input", str(src), "--out", str(out)]) == 1
+        assert "duplicate arrow id '[(a,b,c)]'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_build_task_with_missing_reference_is_rejected(self):
         ws = self._workspace()
         ws["tasks"] = [{"kind": "build", "id": "x", "op": "germ", "action": "nope"}]

@@ -29,8 +29,8 @@ units, so the path runs no elimination at all.
 
 `build semidirect` on C_n, the chain semilattice e_0 < ... < e_{n-1} acting
 by identities on nested domains D_0 < ... < D_{n-1} of the n loops of the
-unit groupoid, |D_i| = i + 1, as `bench/workloads.nested_chain_action` builds
-it (seed 3), at n = 16 and 32. T counts the composable triples of every
+unit groupoid, |D_i| = i + 1, as `tests/structures.nested_chain_action`
+builds it, at n = 16 and 32. T counts the composable triples of every
 semigroupoid handed to `_check_axioms`, W the `_twisted` calls made while
 `semidirect_product` runs.
 
@@ -48,6 +48,21 @@ semigroupoid handed to `_check_axioms`, W the `_twisted` calls made while
     semidirect product's own validation did, makes T = 22,608 and 311,584,
     exponent 3.78.
 
+`build germ` on the same C_n at n = 32 and 64: 0 calls to
+`semidirect_product`, `validate_rigid_congruence` and `quotient_semigroupoid`,
+and W, the `_twisted` calls made while `germ_quotient` runs, is n.
+
+  - The least idempotent whose domain holds the point x entering at k is
+    e_k, so (e_i, x) has the key (e_i e_k, x) = (e_k, x) for every i >= k:
+    one germ per point, n arrows, the loop at (*, x) for each. A loop at a
+    vertex no other arrow meets composes only with itself, so the germ
+    groupoid has n composable pairs, and its products are read off the
+    representatives with one `_twisted` call each: W = 32 and 64, linear.
+  - The route it replaced built the semidirect product first, one `_twisted`
+    call per composable pair of it: n(n+1)(2n+1)/6 = 11,440 and 89,440,
+    growing as n^3, and then walked every such pair again to check the
+    germ congruence.
+
 `verify tensor`, `smash` and `crossed` on the frozen scaled inputs of
 `tests/data/scaled/` (tensor P_6 with r = 2, smash P_6 with r = 1, crossed
 P_4 with r = 2), over Q and Z/6: 0 calls to `solve_linear` and 0 to
@@ -55,8 +70,8 @@ P_4 with r = 2), over Q and Z/6: 0 calls to `solve_linear` and 0 to
 passing two-sided inverse; the route it replaced ran one `solve_linear` per
 certificate, and over Z/6 one Smith normal form in each.
 
-`verify germ` on C_n, the chain action above (at n = 16 the input
-frozen as `germ-c16.json`), at n = 16 and 32, over Q and Z/6: 0 calls to
+`verify germ` on C_n, the chain action above, at n = 16 and 32, over Q and
+Z/6: 0 calls to
 `solve_linear` and 0 to `smith_normal_form`, and every `EchelonBasis.insert`
 call comes from `rings._saturate`, the saturation of `ideal_closure`.
 
@@ -100,7 +115,7 @@ import pytest
 
 from sectional import actions, bundles, semigroupoids, workspace
 from sectional.cli import main
-from structures import elimination_calls
+from structures import elimination_calls, nested_chain_action
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -140,19 +155,31 @@ def test_quotient_runs_no_elimination(tmp_path, monkeypatch, capsys):
         assert inserts == []
 
 
+def _chain_file(n, task, tmp_path):
+    """A file holding tests/structures.nested_chain_action(n) as the action
+    `theta` and the one task given."""
+    actor, space, maps = nested_chain_action(n)
+    path = tmp_path / f"c{n}.json"
+    path.write_text(json.dumps({
+        "semigroupoids": {"C": actor, "X": space},
+        "actions": {"theta": {"actor": "C", "space": "X", "maps": maps}},
+        "tasks": [task],
+    }), encoding="utf-8")
+    return path
+
+
+def _build(n, op, tmp_path, capsys):
+    """Run `build` of op on C_n."""
+    path = _chain_file(n, {"kind": "build", "id": "out", "op": op, "action": "theta"}, tmp_path)
+    out = tmp_path / f"c{n}.out.json"
+    assert main(["build", "out", "--input", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+
+
 def _semidirect_counts(n, tmp_path, monkeypatch, capsys):
     """(T, W) of `build semidirect` on C_n: the composable triples of every
     semigroupoid `_check_axioms` walks, and the `_twisted` calls inside
     `semidirect_product`."""
-    workloads = _workloads()
-    rnd = random.Random(3)
-    actor, space, action, *_ = workloads.nested_chain_action(n, workloads._Labels(rnd), rnd)
-    path = tmp_path / f"c{n}.json"
-    path.write_text(json.dumps({
-        "semigroupoids": {"C": actor, "X": space},
-        "actions": {"theta": dict(action, actor="C", space="X")},
-        "tasks": [{"kind": "build", "id": "out", "op": "semidirect", "action": "theta"}],
-    }), encoding="utf-8")
     counts = {"triples": 0, "twisted": 0}
     building = []
 
@@ -174,9 +201,7 @@ def _semidirect_counts(n, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(semigroupoids, "_check_axioms", check_axioms)
     monkeypatch.setattr(actions, "_twisted", twisted)
     monkeypatch.setattr(workspace, "semidirect_product", semidirect_product)
-    out = tmp_path / f"c{n}.out.json"
-    assert main(["build", "out", "--input", str(path), "--out", str(out)]) == 0
-    capsys.readouterr()
+    _build(n, "semidirect", tmp_path, capsys)
     monkeypatch.undo()
     return counts["triples"], counts["twisted"]
 
@@ -187,6 +212,48 @@ def test_semidirect_build_walks_only_its_inputs(tmp_path, monkeypatch, capsys):
     assert t1 <= 16 ** 3 + 16 == 4112
     assert t2 <= 32 ** 3 + 32 == 32800
     assert math.log(t2 / t1) / math.log(2) <= 3.05
+
+
+def _germ_counts(n, tmp_path, monkeypatch, capsys):
+    """What `build germ` on C_n calls: semidirect_product,
+    validate_rigid_congruence and quotient_semigroupoid anywhere, and _twisted
+    while germ_quotient runs."""
+    counts = dict.fromkeys(["semidirect_product", "validate_rigid_congruence",
+                            "quotient_semigroupoid", "twisted"], 0)
+    building = []
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    def twisted(*args, _twisted=actions._twisted):
+        counts["twisted"] += bool(building)
+        return _twisted(*args)
+
+    def germ_quotient(theta, _build=actions.germ_quotient):
+        building.append(theta)
+        try:
+            return _build(theta)
+        finally:
+            building.pop()
+
+    for name in ("semidirect_product", "validate_rigid_congruence", "quotient_semigroupoid"):
+        for module in (actions, workspace):
+            monkeypatch.setattr(module, name, counted(name, getattr(actions, name)))
+    monkeypatch.setattr(actions, "_twisted", twisted)
+    monkeypatch.setattr(workspace, "germ_quotient", germ_quotient)
+    _build(n, "germ", tmp_path, capsys)
+    monkeypatch.undo()
+    return counts
+
+
+def test_germ_build_reads_products_off_its_germs(tmp_path, monkeypatch, capsys):
+    for n in (32, 64):
+        assert _germ_counts(n, tmp_path, monkeypatch, capsys) == {
+            "semidirect_product": 0, "validate_rigid_congruence": 0,
+            "quotient_semigroupoid": 0, "twisted": n}
 
 
 SCALED = os.path.join(HERE, "data", "scaled")
@@ -203,12 +270,8 @@ def test_passing_certificates_run_no_elimination(theorem, name, ring, monkeypatc
 
 @pytest.mark.parametrize("ring", ["q", "zmod6"])
 def test_germ_inserts_only_in_the_saturation(ring, tmp_path, monkeypatch, capsys):
-    workloads = _workloads()
     for n in (16, 32):
-        rnd = random.Random(3)
-        actor, space, action, *_ = workloads.nested_chain_action(n, workloads._Labels(rnd), rnd)
-        path = tmp_path / f"germ-c{n}.json"
-        path.write_text(json.dumps(workloads._germ_doc(actor, space, action)), encoding="utf-8")
+        path = _chain_file(n, {"kind": "verify", "theorem": "germ", "action": "theta"}, tmp_path)
         counts, inserts = _verify_counts(["germ", "--input", str(path), "--ring", ring],
                                          monkeypatch, capsys)
         assert counts["solve_linear"] == counts["smith_normal_form"] == 0

@@ -62,10 +62,19 @@ were regenerated when the crossed path stopped walking that bundle: the
 refusal moved from the bundle's `associativity` to the induced action's
 `not-associative`.
 
+Built structures too large to check in are pinned by the SHA-256 of the file
+`sectional build` writes instead (`BUILD_PINS`): `build germ` on
+`tests/structures.nested_chain_action(n)` for n = 32, 64 and 128, and
+`build semidirect` for n = 16 and 32, each from a workspace holding the chain
+action as its only action. They were recorded while the germ groupoid was
+still read off the whole semidirect product, so they pin that its keyed build
+writes the same bytes.
+
 A refactor that must not change any report keeps these passing; a change that
 means to alter a report regenerates the golden copy with the commands above.
 """
 
+import hashlib
 import json
 import os
 import re
@@ -73,6 +82,7 @@ import re
 import pytest
 
 from sectional.cli import main
+from structures import nested_chain_action
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "data", "golden")
@@ -89,6 +99,13 @@ SCALED_NAMES = ("crossed-p4r2", "germ-c16", "quotient-z12m12k4", "quotient-z30m3
                 "smash-p6r1", "tensor-p6r2")
 MUST_FAIL_NAMES = ("crossed-fail-p3r2", "crossed-fail-semilattice")
 MUST_FAIL_RINGS = ("zmod5", "zmod6")
+BUILD_PINS = {
+    ("germ", 32): "1db4611a84af96572cae7cabe302323e0e708096f63694090cb8d78c8d366884",
+    ("germ", 64): "d300267abd6a19ffa6ddd940eace1af5b26775e228a3ff8973b02707f51a0a31",
+    ("germ", 128): "6901b72f180911b300a381eb3690b9374c3b86af6e1c95f4c2586c1850039e26",
+    ("semidirect", 16): "c1f2d387768edac5d8e7e841e36b0d1dc6c63e77c5e24c76b9d512723e11d502",
+    ("semidirect", 32): "eb8f5750a8b2e426c7122c95a9c49ec4597e1c158e4886179ec2dacdd880d0ba",
+}
 
 
 def _normalised(text):
@@ -185,3 +202,19 @@ def test_build_output_matches_golden(task_id, tmp_path, capsys):
     assert code == 0
     with open(os.path.join(GOLDEN_BUILD, f"{task_id}.json"), encoding="utf-8") as fh:
         assert out.read_text(encoding="utf-8") == fh.read()
+
+
+@pytest.mark.parametrize("op, n", sorted(BUILD_PINS), ids=str)
+def test_chain_build_matches_its_pin(op, n, tmp_path, capsys):
+    actor, space, maps = nested_chain_action(n)
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({
+        "semigroupoids": {"C": actor, "X": space},
+        "actions": {"chain": {"actor": "C", "space": "X", "maps": maps}},
+        "tasks": [{"kind": "build", "id": "out", "op": op, "action": "chain"}],
+    }), encoding="utf-8")
+    out = tmp_path / "out.json"
+    code = main(["build", "out", "--input", str(path), "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BUILD_PINS[op, n]

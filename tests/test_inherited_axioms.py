@@ -273,7 +273,9 @@ def _semidirect_verdict(theta):
     assert validate_semigroupoid(sp) is sp
     if is_groupoid(theta.space).ok and refusal(germ_quotient, theta) is None:
         germ = germ_quotient(theta)
-        _full_quotient_walk(germ.semidirect, germ.quotient, germ.projection)
+        assert validate_semigroupoid(germ.quotient) is germ.quotient
+        projection = [germ.class_of[label] for label in sp.labels]
+        assert validate_homomorphism(projection, sp, germ.quotient).rigid
     return None
 
 

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from sectional import theorems
-from sectional.actions import validate_preaction, validate_rigid_congruence
+from sectional.actions import germ_quotient, validate_preaction, validate_rigid_congruence
 from sectional.bundles import (
     semigroupoid_algebra,
     sectional_algebra,
@@ -726,6 +726,50 @@ class TestGermOnPairGroupoidCopies:
         assert all(row[min(row)] == ring.one for row in rows)
         if ring.is_field:
             assert data["ideal_rank"] == ranks[2]
+
+    @pytest.mark.parametrize("k, m, group", [
+        (2, 2, [(0, 1), (1, 0)]),
+        (3, 1, list(itertools.permutations(range(3)))),
+        (3, 2, [(0, 1, 2), (1, 2, 0), (2, 0, 1)]),
+    ], ids=["k2-m2-Z2", "k3-m1-S3", "k3-m2-Z3"])
+    def test_germ_groupoid_is_the_transformation_groupoid(self, k, m, group):
+        """Γ ⋉ G has the arrows (γ, x) from src x to rng γx, and
+        (γ, x)(δ, y) = (γδ, δ⁻¹(x·δy)) when src x = rng δy. The germ of
+        ((U, γ), x) goes to (γ, x): the germs over x are told apart by γ
+        alone, since ({c}, id), c the copy of x, lies below every idempotent
+        whose domain holds x."""
+        actor, space, maps = components_semidirect_action(k, m, group)
+        theta = preaction(actor, space, maps)
+        germ = germ_quotient(theta)
+        g = validate_semigroupoid(space)
+
+        def move(c, x):     # the arrow x = "i(j,l)" of copy i, moved to copy c[i]
+            return f"{c[int(x[0])]}{x[1:]}"
+
+        def name(c, x):
+            return "".join(map(str, c)) + "|" + x
+
+        def end(x, ends):
+            return g.vertex_names[ends[g.by_name[x]]]
+
+        arrows = [(c, x) for c in group for x in g.arrow_names]
+        transformation = validate_semigroupoid({
+            "vertices": list(g.vertex_names),
+            "arrows": [{"id": name(c, x), "src": end(x, g.src), "rng": end(move(c, x), g.rng)}
+                       for c, x in arrows],
+            "prod": [[name(c, x), name(d, y),
+                      name(tuple(c[d[i]] for i in range(k)),
+                           move(tuple(d.index(i) for i in range(k)),
+                                g.arrow_names[g.prod[g.by_name[x]][g.by_name[move(d, y)]]]))]
+                     for c, x in arrows for d, y in arrows
+                     if g.is_composable(g.by_name[x], g.by_name[move(d, y)])],
+        })
+        mapping = {}
+        for (s, x), cls in germ.class_of.items():
+            gamma = tuple(map(int, theta.actor.base.arrow_names[s].split(":")[1]))
+            image = name(gamma, theta.space.arrow_names[x])
+            assert mapping.setdefault(germ.quotient.arrow_names[cls], image) == image
+        assert is_isomorphism(mapping, germ.quotient, transformation)
 
 
 class TestCertificationRoutes:

@@ -3,6 +3,10 @@
 Each of the ten validators is called once on a valid input, which must come
 back as the validated object, and once on an invalid one, which must raise
 StructureError whose report's first failure has the expected kind.
+`germ_quotient` is held to the same contract: it returns a GermQuotient and
+refuses a space that is not a groupoid as `space-not-groupoid` (and an action
+that is not associative). On a validated action its germ relation is always
+a congruence, so it refuses nothing else.
 """
 
 import pytest

@@ -3,8 +3,8 @@
 A wedge-preaction assigns to each arrow s of the acting inverse semigroupoid
 a partial isomorphism theta_s of the space, subject to ideal conditions, the
 inverse condition theta_{s*} = theta_s^{-1}, and an extension law for
-composable pairs. The validator enumerates all of it and classifies the
-action (partial, global, associative).
+composable pairs. The validator enumerates all of it and decides whether
+the action is associative.
 
 Quotients: rigid congruences with class-wise constant source and range, the
 canonical quotient semigroupoid, and the groupoid of germs, built from one
@@ -38,8 +38,6 @@ class LandPreaction:
     actor: FiniteInverseSemigroupoid
     space: FiniteSemigroupoid
     maps: tuple[dict[int, int], ...]   # per actor arrow: space arrow -> space arrow
-    is_partial: bool = False
-    is_global: bool = False
     is_associative: bool = False
     associativity_witness: tuple = ()
 
@@ -76,13 +74,11 @@ def _is_ideal(subset: set[int], ambient: set[int], space: FiniteSemigroupoid) ->
 
 
 def validate_preaction(raw_maps, actor: FiniteInverseSemigroupoid, space: FiniteSemigroupoid) -> LandPreaction:
-    """Check the four wedge-preaction axioms and classify the action.
+    """Check the four wedge-preaction axioms and decide associativity.
 
     raw_maps: {actor arrow name: {"dom": [...], "img": [...]}} with img parallel
-    to dom; arrows not mentioned act with empty domain. Classification:
-    is_partial (domains grow along the natural order), is_global (the
-    extension inclusion is an equality), is_associative (the twisted triple
-    products agree, with definedness matched on both sides).
+    to dom; arrows not mentioned act with empty domain. is_associative: the
+    twisted triple products agree, with definedness matched on both sides.
     """
     base = actor.base
     report = ValidationReport("wedge-preaction")
@@ -198,21 +194,7 @@ def validate_preaction(raw_maps, actor: FiniteInverseSemigroupoid, space: Finite
     if not report.ok:
         raise StructureError(report)
 
-    # classification
-    is_partial = all(
-        set(maps[s]) <= set(maps[t])
-        for (s, t) in actor.leq
-    )
-    is_global = all(
-        set(maps[base.prod[s][t]]) == {x for x, tx in maps[t].items() if tx in maps[s]}
-        for s, t in base.composable
-    )
-    is_assoc, assoc_witness = _associativity(theta)
-
-    theta.is_partial = is_partial
-    theta.is_global = is_global
-    theta.is_associative = is_assoc
-    theta.associativity_witness = assoc_witness
+    theta.is_associative, theta.associativity_witness = _associativity(theta)
     return theta
 
 

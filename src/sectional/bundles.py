@@ -3,11 +3,13 @@
 A bundle assigns to every base arrow a free bimodule fiber and to every
 composable pair a balanced fiber product, held as sparse rows: the product
 of two basis vectors, for every composable pair. Over a non-commutative ring
-every fiber has rank 1 and its product is ring multiplication times a
-central constant. Bundles are built from a workspace stanza, pulled back
-along a base map, or read off a fiber-product function. The stanza's "mode"
-("sc" structure constants, commutative rings only, or "ringfiber" twists)
-only chooses how the file spells the products.
+every fiber is the bimodule R, its product ring multiplication times a
+central constant, which validate_bundle alone scans for; a fiber map or
+transport (theorems) is a bimodule map, multiplication by a central unit.
+Bundles are built from a workspace stanza, pulled back along a base map, or
+read off a fiber-product function; the stanza's "mode" ("sc" structure
+constants, commutative rings only, or "ringfiber" twists) only chooses how
+the file spells the products.
 
 Sections (finitely supported choices of a fiber vector per arrow) multiply by
 convolution over factorizations, which turns the basis sections into the
@@ -85,14 +87,15 @@ def pullback_bundle(bundle: Bundle, base: FiniteSemigroupoid, along) -> Bundle:
 def bundle_from_product(ring: Ring, base: FiniteSemigroupoid, ranks: tuple[int, ...],
                         product) -> Bundle:
     """The bundle whose e_i * e_j over (p, q) is product(p, q, i, j), a sparse
-    {index: value} dict as combine returns it. Only the twist scan runs; each
-    caller argues associativity from its inputs' checks."""
+    {index: value} dict as combine returns it. Nothing is scanned or walked:
+    each caller argues associativity from its inputs' checks, and centrality
+    from checked central twists, fiber maps and transports, whose products are."""
     rows = {
         (p, q): tuple(tuple(tuple(sorted(product(p, q, i, j).items())) for j in range(ranks[q]))
                       for i in range(ranks[p]))
         for p, q in base.composable
     }
-    return _check_twists(Bundle(ring, base, ranks, rows))
+    return Bundle(ring, base, ranks, rows)
 
 
 def trivial_bundle(ring: Ring, base: FiniteSemigroupoid) -> Bundle:

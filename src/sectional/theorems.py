@@ -38,7 +38,7 @@ from .bundles import (
 )
 from .maps import (Certificate, LinearMapOnBasis, basis_bijection, certify_linear_iso,
                    multiplicative_witness)
-from .rings import EchelonBasis, _saturate, mat_inverse, sparse_row
+from .rings import EchelonBasis, _saturate, apply_linear, mat_inverse, sparse_row
 from .semigroupoids import (
     FiniteSemigroupoid,
     Homomorphism,
@@ -147,26 +147,11 @@ def _identity_columns(k: int, ring) -> tuple:
     return tuple(((i, ring.one),) for i in range(k))
 
 
-def _move(cols, v, ring) -> dict:
-    """The fiber map with image columns cols applied to a sparse vector v, summed
-    in place in combine's term order. The matrix entry multiplies from the left,
-    as in a matrix times a column: over a non-commutative table ring the extension
-    law compares m_st with m_s m_t, so rings.apply_linear, which puts the
-    vector's coefficient on the left, cannot serve here."""
-    add, mul = ring.add, ring.mul
-    acc: dict = {}
-    get = acc.get
-    for j, x in v:
-        for r, m in cols[j]:
-            prev = get(r)
-            acc[r] = mul(m, x) if prev is None else add(prev, mul(m, x))
-    is_zero = ring.is_zero
-    return {k: y for k, y in acc.items() if not is_zero(y)}
-
-
 def _compose(a, b, ring) -> tuple:
-    """The columns of fiber map a after fiber map b: the matrix product a b."""
-    return tuple(tuple(sorted(_move(a, col, ring).items())) for col in b)
+    """The columns of fiber map a after fiber map b: the matrix product a b.
+    apply_linear puts b's entry before a's, which is the matrix's product as
+    the validators first check each fiber map and transport to be central."""
+    return tuple(tuple(sorted(apply_linear(a, col, ring).items())) for col in b)
 
 
 def _intertwines(bundle: Bundle, g1: int, g2: int, h1: int, h2: int, m1, m2, m12) -> bool:
@@ -177,7 +162,7 @@ def _intertwines(bundle: Bundle, g1: int, g2: int, h1: int, h2: int, m1, m2, m12
     products = bundle.rows[(g1, g2)]
     for i, x in enumerate(m1):
         for j, y in enumerate(m2):
-            if bundle.fiber_mul(h1, h2, x, y) != _move(m12, products[i][j], ring):
+            if bundle.fiber_mul(h1, h2, x, y) != apply_linear(m12, products[i][j], ring):
                 return False
     return True
 
@@ -198,8 +183,12 @@ class BundleAction:
 
 def validate_bundle_action(theta: LandPreaction, bundle: Bundle,
                            fiber_maps=None) -> BundleAction:
-    """Check fiber matrices: shapes, invertibility through the inverse arrow,
-    product intertwining, and the extension law.
+    """Check fiber matrices: shapes, central entries, invertibility through the
+    inverse arrow, product intertwining, and the extension law m_st = m_s m_t.
+
+    A fiber over a non-commutative ring is the bimodule R, and a bimodule map
+    f(r) = r f(1) = f(1) r multiplies by a central element; central maps
+    commute, so m_s m_t is also m_t m_s, the order of the induced rows.
 
     fiber_maps: {(s, g): matrix} on pairs of the action domains; a pair it
     omits (all of them when it is None) acts as the identity.
@@ -243,6 +232,10 @@ def validate_bundle_action(theta: LandPreaction, bundle: Bundle,
             report.add("structural", (names[s], anames[g]),
                        f"matrix for ({names[s]},{anames[g]}) has the wrong shape")
             raise StructureError(report)
+        if not (ring.commutative or all(ring.is_central(x) for row in mat for x in row)):
+            report.add("non-central-fiber-map", (names[s], anames[g]),
+                       "over a non-commutative ring a fiber map must be central")
+            raise StructureError(report)
         cols[(s, g)] = _columns(mat, ring)
 
     for (s, g), mat in cols.items():
@@ -264,7 +257,6 @@ def validate_bundle_action(theta: LandPreaction, bundle: Bundle,
                            "fiber matrices do not intertwine the products")
                 raise StructureError(report)
 
-    # the induced rows apply m_t m_s: over a non-commutative ring check both orders
     for s, t in actor.base.composable:
         st = actor.base.prod[s][t]
         for x in theta.dom(t):
@@ -272,8 +264,7 @@ def validate_bundle_action(theta: LandPreaction, bundle: Bundle,
             if tx not in theta.maps[s]:
                 continue
             m_st, m_s, m_t = cols[(st, x)], cols[(s, tx)], cols[(t, x)]
-            if m_st != _compose(m_s, m_t, ring) or (
-                    not ring.commutative and m_st != _compose(m_t, m_s, ring)):
+            if m_st != _compose(m_s, m_t, ring):
                 report.add("extension-law", (names[s], names[t], anames[x]),
                            "fiber matrices violate the extension law")
                 raise StructureError(report)
@@ -283,7 +274,8 @@ def validate_bundle_action(theta: LandPreaction, bundle: Bundle,
 
 def _semidirect_bundle(action: BundleAction) -> Bundle:
     """The bundle over the semidirect product base with transported products,
-    not walked: crossed_theorem, its one caller, argues its associativity."""
+    not walked: crossed_theorem, its one caller, argues its associativity;
+    drop applies through apply_linear as the matrix does (_compose)."""
     theta = action.base_action
     inner = action.bundle
     ring = inner.ring
@@ -299,7 +291,7 @@ def _semidirect_bundle(action: BundleAction) -> Bundle:
         lift = action.fiber_maps[(t, b)][j]
         drop = action.fiber_maps[(theta.actor.inv[t], theta.space.compose(a, tb))]
         inner_product = inner.fiber_mul(a, tb, ((i, ring.one),), lift)
-        return _move(drop, inner_product.items(), ring)
+        return apply_linear(drop, inner_product.items(), ring)
 
     return bundle_from_product(ring, base, ranks, pair_product)
 
@@ -335,7 +327,8 @@ def induced_theta(action: BundleAction) -> AlgebraAction:
         laws give x in dom(theta_st) and m_(st,x) = m_(s,y) m_(t,x), and the
         inverse check at (t*, y) makes Theta_{t*} carry y's sections to x's;
         a row applies with the vector's coefficient on the left, so Theta_s
-        Theta_t reads m_(t,x) m_(s,y), which the bundle action also checks.
+        Theta_t reads m_(t,x) m_(s,y), the same product, as the fiber maps
+        over a non-commutative ring are central.
     Twisted associativity follows from none of this, so it is checked.
     """
     theta, fiber_maps = action.base_action, action.fiber_maps
@@ -373,13 +366,10 @@ def crossed_theorem(action: BundleAction) -> CrossedTheoremResult:
     certified alongside.
 
     The semidirect bundle is not walked. induced_theta decides twisted
-    associativity, the crossed product's, and over a commutative ring the
-    bundle's product at ((s,a),(t,b)) is, term for term, the crossed
-    product's at (delta_s e_(a,i), delta_t e_(b,j)). Over a non-commutative
-    ring _move and apply_rows apply a map in opposite orders, and the
-    certificate decides it: Psi, multiplicative and bijective from an
-    associative crossed product, makes the bundle associative, and a failing
-    certificate fails the task.
+    associativity, the crossed product's, and the bundle's product at
+    ((s,a),(t,b)) is, term for term, the crossed product's at
+    (delta_s e_(a,i), delta_t e_(b,j)): both apply the fiber maps through
+    rings.apply_linear.
     """
     induced = induced_theta(action)
     bsd = _semidirect_bundle(action)
@@ -548,8 +538,9 @@ class BundleCongruence:
 def validate_bundle_congruence(bundle: Bundle, base: RigidCongruence,
                                transports=None) -> BundleCongruence:
     """Invert the declared transports, check each g -> g is the identity (every
-    cocycle identity) and product intertwining: at the class representatives over
-    a commutative ring, which decides every equivalent pair, else at every pair.
+    cocycle identity) and product intertwining at the class representatives,
+    which decides every equivalent pair. A transport is a bimodule map, central
+    over a non-commutative ring, as a fiber map is (validate_bundle_action).
 
     transports: {arrow name: matrix} giving the transport from the class
     representative (minimal arrow id) to that arrow; omitted arrows get the
@@ -589,6 +580,10 @@ def validate_bundle_congruence(bundle: Bundle, base: RigidCongruence,
                 report.add("structural", (names[g],),
                            f"transport for {names[g]} must be {k}x{k}")
                 raise StructureError(report)
+            if not (ring.commutative or all(ring.is_central(x) for row in mat or () for x in row)):
+                report.add("non-central-transport", (names[g],),
+                           "over a non-commutative ring a transport must be central")
+                raise StructureError(report)
             cols = identity if mat is None else _columns(mat, ring)
             if g == rep and cols != identity:
                 report.add("cocycle", (names[g],),
@@ -610,13 +605,12 @@ def validate_bundle_congruence(bundle: Bundle, base: RigidCongruence,
                 report.add("cocycle", (names[g],), "transport g->g is not the identity")
                 raise StructureError(report)
 
-    # Over a commutative ring the basis check at the representative pair (r1, r2)
-    # decides every equivalent pair (h1, h2): with A, B, C the transports of g1, g2,
-    # g1g2 to r1, r2, r1r2 and A', B', C' those of h1, h2, h1h2, Ax.By = C(xy) holds
-    # for all vectors by bilinearity, so x' = A'^-1 Ax, y' = B'^-1 By give x'y' =
-    # C'^-1 C(xy), and A'^-1 A, B'^-1 B, C'^-1 C are the transports g1 -> h1, g2 -> h2,
-    # g1g2 -> h1h2 by the cocycle identities. Over a non-commutative table ring the
-    # basis check does not extend to all vectors, so there every pair is walked.
+    # The basis check at the representative pair (r1, r2) decides every equivalent
+    # pair (h1, h2): with A, B, C the transports of g1, g2, g1g2 to r1, r2, r1r2 and
+    # A', B', C' those of h1, h2, h1h2, Ax.By = C(xy) holds for all vectors by
+    # bilinearity (central twists and transports make it so over any ring), so
+    # x' = A'^-1 Ax, y' = B'^-1 By give x'y' = C'^-1 C(xy), and A'^-1 A, B'^-1 B,
+    # C'^-1 C are the transports g1 -> h1, g2 -> h2, g1g2 -> h1h2 by the cocycle identities.
     prod, cls = bundle.base.prod, [base.classes[c] for c in base.class_of]
 
     def intertwines(g1: int, g2: int, h1: int, h2: int) -> bool:
@@ -625,8 +619,7 @@ def validate_bundle_congruence(bundle: Bundle, base: RigidCongruence,
                             *(_compose(from_rep[h], to_rep[g], ring) for g, h in pairs))
 
     # the witness is the first failure of the walk over every equivalent pair
-    at_reps = ring.commutative and all(intertwines(g1, g2, cls[g1][0], cls[g2][0])
-                                       for g1, g2 in bundle.base.composable)
+    at_reps = all(intertwines(g1, g2, cls[g1][0], cls[g2][0]) for g1, g2 in bundle.base.composable)
     witness = None if at_reps else next(((g1, g2, h1, h2) for g1, g2 in bundle.base.composable
                                          for h1 in cls[g1] for h2 in cls[g2]
                                          if not intertwines(g1, g2, h1, h2)), None)
@@ -651,11 +644,11 @@ def quotient_bundle(bc: BundleCongruence) -> QuotientBundleResult:
     The products over the representatives ri, rj of two classes, carried by
     to_rep to their product's representative, are the quotient's; any other
     members a, b give the same. validate_bundle_congruence decided that every
-    transport pair intertwines the basis products (at the representatives
-    over a commutative ring, which decides every pair, else at every pair):
-    at (ri, rj) -> (a, b), x y = from_rep[ab] to_rep[ri rj](e_i e_j) for x, y
-    the columns i, j of from_rep[a], from_rep[b], so to_rep[ab](x y) =
-    to_rep[ri rj](e_i e_j).
+    transport pair intertwines the basis products (at the representatives,
+    which decides every pair): at (ri, rj) -> (a, b), x y = from_rep[ab]
+    to_rep[ri rj](e_i e_j) for x, y the columns i, j of from_rep[a],
+    from_rep[b], so to_rep[ab](x y) = to_rep[ri rj](e_i e_j); to_rep applies
+    through apply_linear as the matrix does (_compose).
 
     Its associativity is not walked. At classes (ci, cj, ck), with r the
     representative of ri rj's class, (e_i e_j) e_l is to_rep[r rk] of
@@ -671,7 +664,7 @@ def quotient_bundle(bc: BundleCongruence) -> QuotientBundleResult:
 
     def product(ci: int, cj: int, i: int, j: int) -> dict:
         ri, rj = reps[ci], reps[cj]
-        return _move(bc.to_rep[bundle.base.prod[ri][rj]], bundle.rows[(ri, rj)][i][j], ring)
+        return apply_linear(bc.to_rep[bundle.base.prod[ri][rj]], bundle.rows[ri, rj][i][j], ring)
 
     out = bundle_from_product(ring, quotient, ranks, product)
     return QuotientBundleResult(out, quotient, projection, bc)

@@ -241,6 +241,20 @@ def is_isomorphism(mapping, source, target):
 SKEW_Z2_TO_PAIR = {"(u,u)": "(1,1)", "(u,g)": "(2,2)", "(g,u)": "(2,1)", "(g,g)": "(1,2)"}
 
 
+def is_partial_action(theta) -> bool:
+    """Whether the domains grow along the natural order: dom theta_s lies in
+    dom theta_t whenever s <= t."""
+    return all(set(theta.maps[s]) <= set(theta.maps[t]) for s, t in theta.actor.leq)
+
+
+def is_global_action(theta) -> bool:
+    """Whether the extension inclusion is an equality: dom theta_st is exactly
+    the x with theta_t(x) in dom theta_s, for every composable (s, t)."""
+    base, maps = theta.actor.base, theta.maps
+    return all(set(maps[base.prod[s][t]]) == {x for x, tx in maps[t].items() if tx in maps[s]}
+               for s, t in base.composable)
+
+
 def trivial_monoid_raw():
     return {
         "id": "trivial",
@@ -394,17 +408,33 @@ def _f2_add(x, y):
     return tuple((p + q) % 2 for p, q in zip(x, y))
 
 
-def upper_triangular_f2_ring_spec():
-    """The 8-element ring of upper triangular 2x2 matrices over F2: the
-    smallest non-commutative unital ring, as a finite-table literal."""
-    elems = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+def _upper_triangular_ring_spec(p):
+    """Upper triangular 2x2 matrices [[a, b], [0, c]] over F_p as a finite-table
+    literal, each named by its digits abc; the centre is the scalars a = c, b = 0."""
+    elems = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
+
+    def add(x, y):
+        return tuple((u + v) % p for u, v in zip(x, y))
 
     def mul(x, y):
         a1, b1, c1 = x
         a2, b2, c2 = y
-        return ((a1 * a2) % 2, (a1 * b2 + b1 * c2) % 2, (c1 * c2) % 2)
+        return ((a1 * a2) % p, (a1 * b2 + b1 * c2) % p, (c1 * c2) % p)
 
-    return _table_ring_spec(elems, _f2_add, mul, (0, 0, 0), (1, 0, 1))
+    return _table_ring_spec(elems, add, mul, (0, 0, 0), (1, 0, 1))
+
+
+def upper_triangular_f2_ring_spec():
+    """The 8-element ring of upper triangular 2x2 matrices over F2: the
+    smallest non-commutative unital ring, as a finite-table literal. Its one
+    central unit is 1."""
+    return _upper_triangular_ring_spec(2)
+
+
+def upper_triangular_f3_ring_spec():
+    """The 27-element ring of upper triangular 2x2 matrices over F3, whose
+    centre {0, 1, 2·1} holds a central unit other than 1."""
+    return _upper_triangular_ring_spec(3)
 
 
 def f2_matrix_mul(x, y):

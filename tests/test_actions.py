@@ -16,7 +16,9 @@ from sectional.validation import StructureError
 from structures import (
     built,
     cyclic2_raw,
+    is_global_action,
     is_isomorphism,
+    is_partial_action,
     pair_groupoid_raw,
     semilattice_on_points_action,
     semilattice_raw,
@@ -36,7 +38,7 @@ def germ_example():
 class TestValidatePreaction:
     def test_running_example_classification(self, germ_example):
         _actor, _space, theta = germ_example
-        assert theta.is_partial and theta.is_global and theta.is_associative
+        assert is_partial_action(theta) and is_global_action(theta) and theta.is_associative
 
     def test_broken_inverse_bookkeeping(self):
         actor = built(semilattice_raw())
@@ -52,7 +54,7 @@ class TestValidatePreaction:
 
     def test_trivial_action_is_global(self):
         theta = trivial_action(built(semilattice_raw()), built(pair_groupoid_raw()).base)
-        assert theta.is_global and theta.is_partial and theta.is_associative
+        assert is_global_action(theta) and is_partial_action(theta) and theta.is_associative
 
     def test_global_implies_partial_on_corpus(self, germ_example):
         _actor, _space, theta = germ_example
@@ -62,8 +64,8 @@ class TestValidatePreaction:
             built(cyclic2_raw()), built(unit_groupoid_raw(("0", "1"))).base,
         )
         for action in (theta, translations):
-            if action.is_global:
-                assert action.is_partial
+            if is_global_action(action):
+                assert is_partial_action(action)
 
     def test_extension_property_enumerated(self, germ_example):
         # theta_s(theta_t(x)) = theta_st(x) whenever the left side is defined
@@ -273,7 +275,7 @@ class TestGermQuotient:
 
     def test_partial_action_on_groupoid_gives_groupoid(self, germ_example):
         _actor, _space, theta = germ_example
-        assert theta.is_partial
+        assert is_partial_action(theta)
         germ = germ_quotient(theta)
         assert is_groupoid(germ.quotient).ok
 

@@ -34,20 +34,26 @@ the representative per fiber basis vector of each other arrow, must have the
 echelon rows of the oracle's differences over every ordered pair, over Q,
 Z/5, Z/6 and Z/30.
 
-Over the non-commutative M2(F2), whose unit group GL2(F2) is not abelian,
-the representative pairs do not decide the others, so there every pair is
-walked; the validator must give the oracle's verdict and witness there too.
+Over a non-commutative ring a fiber is the bimodule R, so a fiber map or
+transport must be central: over M2(F2), whose unit group GL2(F2) is not
+abelian, and over the upper triangular UT2(F2) and UT2(F3), a map off the
+centre is refused as non-central at the first one, and every other verdict
+and witness is the dense oracle's, whose every-pair walk the representative
+pairs then decide. Every bundle action of Z/2 on P_2 and every congruence
+these validators accept builds its semidirect or quotient bundle, and the
+crossed certificates pass; UT2(F3), whose centre holds the unit 2·1, makes
+the accepted maps more than the identity.
 
 `quotient_bundle` reads each product through the class representatives
 only; by its docstring the intertwining that `validate_bundle_congruence`
 decided makes every other choice of members agree. The walk over every
 member pair that it used to run is kept below (`representative_walk`) and
 must find nothing on each congruence that passes: over Q and Z/6 on
-congruences drawn as above, over M2(F2), and over the non-commutative upper
-triangular UT2(F2), on derandomized ringfiber congruences of the groups
-above with unit transports. Nor does `quotient_bundle` walk the quotient's
-triples: every quotient bundle built here, over Q, Z/5, Z/6 and Z/30 and
-over M2(F2) and UT2(F2), goes through `theorems.quotient_bundle`, so
+congruences drawn as above, over M2(F2), and over UT2(F2) and UT2(F3), on
+derandomized ringfiber congruences of the groups above with unit
+transports. Nor does `quotient_bundle` walk the quotient's triples: every
+quotient bundle built here, over Q, Z/5, Z/6 and Z/30 and over the
+non-commutative rings, goes through `theorems.quotient_bundle`, so
 tests/conftest.py walks it after the test, as it walks each semidirect
 bundle, which is also compared with the full walk where it is built here.
 """
@@ -58,17 +64,18 @@ from hypothesis import strategies as st
 from sectional import theorems
 from sectional.actions import semidirect_product, validate_preaction, validate_rigid_congruence
 from sectional.bundles import fiber_rows, validate_bundle
-from sectional.rings import (EchelonBasis, RationalRing, ZModRing, identity_matrix, mat_inverse,
-                             mat_mul, sparse_row, validate_ring)
+from sectional.rings import (EchelonBasis, RationalRing, ZModRing, dense, identity_matrix,
+                             mat_inverse, mat_mul, sparse_row, validate_ring)
 from sectional.semigroupoids import validate_semigroupoid
-from sectional.theorems import (_compose, _move, _semidirect_bundle,
+from sectional.theorems import (_compose, _semidirect_bundle, crossed_theorem,
                                 quotient_map_and_kernel, validate_bundle_action,
                                 validate_bundle_congruence)
 from sectional.validation import StructureError
 
 from structures import (built, cyclic2_raw, cyclic_raw, f2_matrix_ring_spec, gl2_f2_raw,
-                        klein_four_raw, trivial_monoid_raw, unit_groupoid_raw,
-                        upper_triangular_f2_ring_spec)
+                        klein_four_raw, pair_groupoid_raw, trivial_monoid_raw,
+                        unit_groupoid_raw, upper_triangular_f2_ring_spec,
+                        upper_triangular_f3_ring_spec)
 
 RINGS = [RationalRing(), ZModRing(5), ZModRing(6)]
 
@@ -272,11 +279,12 @@ def representative_walk(bc, out):
     for (ci, cj), rows in sorted(out.bundle.rows.items()):
         for a in bc.base.classes[ci]:
             for b in bc.base.classes[cj]:
-                to_rep = bc.to_rep[bundle.base.prod[a][b]]
+                cols = bc.to_rep[bundle.base.prod[a][b]]
+                to_rep = tuple(zip(*(dense(col, len(cols), ring) for col in cols)))
                 for i, x in enumerate(bc.from_rep[a]):
                     for j, y in enumerate(bc.from_rep[b]):
-                        if _move(to_rep, bundle.fiber_mul(a, b, x, y).items(), ring) != dict(
-                                rows[i][j]):
+                        xy = dense(bundle.fiber_mul(a, b, x, y).items(), len(cols), ring)
+                        if mat_vec(to_rep, xy, ring) != dense(rows[i][j], len(cols), ring):
                             return a, b, i, j
     return None
 
@@ -512,15 +520,25 @@ def test_intertwining_checks_match_the_dense_oracle():
     assert not all(involutive)
 
 
-def test_noncommutative_transports_are_checked_on_every_pair():
+def _off_centre(bundle, cong, transport):
+    """The witness of the first declared transport, in the validator's class
+    order, with an entry off the centre, or None."""
+    ring, names = bundle.ring, bundle.base.arrow_names
+    return next(((names[g],) for block in cong.classes for g in block
+                 if not all(ring.is_central(x) for row in transport.get(names[g], ())
+                            for x in row)), None)
+
+
+def test_noncommutative_transports_must_be_central():
     """Over M2(F2), rank-1 ringfiber fibers over its unit group GL2(F2) (which is
-    S3) with the total congruence: a transport entry multiplies from the left,
-    so the check at representative pairs does not decide the others. Each
-    assignment's verdict and witness must be the oracle's. f_g = g^-1 passes at
-    every representative pair, as g -> g is a homomorphism, but fails at
-    (e, e, h1, h2) for non-commuting h1, h2; transports into the abelian
-    subgroup {1, s} along the sign pass, and their quotient carries the
-    oracle's products."""
+    S3) with the total congruence. A transport is a bimodule map of the fiber
+    M2(F2), multiplication by a central unit, and the centre's one unit is 1.
+    f_g = g^-1 passes at every representative pair, as g -> g is a
+    homomorphism, but the oracle's walk over every pair fails it at
+    (e, e, h1, h2) for non-commuting h1, h2; f_g = g fails that walk too, and
+    transports into the abelian subgroup {1, s} along the sign pass it. The
+    validator refuses all three as non-central at the first arrow, and the
+    identity transports pass both and build the oracle's quotient."""
     ring = validate_ring(f2_matrix_ring_spec())
     base = built(gl2_f2_raw()).base
     bundle = validate_bundle({"mode": "ringfiber"}, ring, base)
@@ -533,60 +551,175 @@ def test_noncommutative_transports_are_checked_on_every_pair():
         {g: ((ring.unit_inverse(u),),) for g, u in unit.items()},
         {g: ((u,),) for g, u in unit.items()},
         {g: ((s if ring.mul(u, u) == ring.one else ring.one,),) for g, u in unit.items()},
+        {g: ((ring.one,),) for g in unit},
     ]
-    outcomes = []
+    walks, verdicts = [], []
     for transport in assignments:
         result, verdict = _outcome(validate_bundle_congruence, bundle, cong, transport)
         expected, full = oracle_bundle_congruence(bundle, cong, transport)
-        assert verdict == expected
-        outcomes.append(expected)
-        if expected is None:
+        off = _off_centre(bundle, cong, transport)
+        assert verdict == (("non-central-transport", off) if off else expected)
+        walks.append(expected and expected[0])
+        verdicts.append(verdict)
+        if verdict is None:
             out = theorems.quotient_bundle(result)
             tables = oracle_quotient_tables(bundle, cong, full, out.base_quotient)
             assert out.bundle.rows == {key: fiber_rows(t, ring) for key, t in tables.items()}
             assert representative_walk(result, out) is None
-    kind, (g1, g2, h1, h2) = outcomes[0]
+    kind, (g1, g2, h1, h2) = oracle_bundle_congruence(bundle, cong, assignments[0])[0]
     assert kind == "intertwining" and (g1, g2) == (e, e) and (h1, h2) != (e, e)
-    assert outcomes[1][0] == "intertwining" and outcomes[2] is None
+    assert walks == ["intertwining", "intertwining", None, None]
+    assert verdicts == [("non-central-transport", (names[1],))] * 3 + [None]
 
 
 def test_upper_triangular_quotients_agree_at_every_member_pair():
-    """Over UT2(F2), rank-1 ringfiber fibers over the groups of CONGRUENCES,
-    each arrow that is no representative transported by a unit: the
-    validator walks every pair, and on each congruence it accepts, the
-    quotient's products, read through the representatives, agree with the
-    walk over every member pair. A quotient whose transported product
-    constants leave the centre is refused. Both verdicts of each step occur,
-    and some quotient that is built has a transport other than the identity."""
-    ring = validate_ring(upper_triangular_f2_ring_spec())
-    units = [u for u in range(len(ring.names)) if ring.unit_inverse(u) is not None]
-    verdicts, built_or_not, moved = set(), set(), []
+    """Over UT2(F2) and UT2(F3), rank-1 ringfiber fibers over the groups of
+    CONGRUENCES, each arrow that is no representative transported by a unit
+    drawn from the central units or from all of them. The validator refuses
+    the first transport off the centre as non-central and otherwise gives the
+    oracle's verdict; each congruence it accepts builds its quotient, whose
+    products, read through the representatives, agree with the walk over
+    every member pair. Each verdict occurs, and some quotient that is built
+    has a transport other than the identity, 2·1 over F3."""
+    rings = [validate_ring(spec()) for spec in (upper_triangular_f2_ring_spec,
+                                                upper_triangular_f3_ring_spec)]
+    verdicts, moved = set(), []
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def check(data):
+        ring = data.draw(st.sampled_from(rings))
+        units = [u for u in range(len(ring.names)) if ring.unit_inverse(u) is not None]
+        pool = data.draw(st.sampled_from([_central_units(ring), units]))
         raw, classes, _n, _deg = CONGRUENCES[data.draw(st.sampled_from(sorted(CONGRUENCES)))]
         base = built(raw()).base
         bundle = validate_bundle({"mode": "ringfiber"}, ring, base)
         cong = validate_rigid_congruence(classes, base)
-        transport = {g: ((data.draw(st.sampled_from(units)),),)
+        transport = {g: ((data.draw(st.sampled_from(pool)),),)
                      for block in classes for g in block[1:]}
         result, verdict = _outcome(validate_bundle_congruence, bundle, cong, transport)
         expected, _full = oracle_bundle_congruence(bundle, cong, transport)
-        assert verdict == expected
-        verdicts.add(expected and expected[0])
-        if expected is None:
-            # a transported product constant off the centre is refused
-            out, refused = _outcome(theorems.quotient_bundle, result)
-            if out is not None:
-                assert representative_walk(result, out) is None
-                moved.append(any(m != ((ring.one,),) for m in transport.values()))
-            built_or_not.add(refused and refused[0])
+        off = _off_centre(bundle, cong, transport)
+        assert verdict == (("non-central-transport", off) if off else expected)
+        verdicts.add(verdict and verdict[0])
+        if verdict is None:
+            assert representative_walk(result, theorems.quotient_bundle(result)) is None
+            moved.append(any(m != ((ring.one,),) for m in transport.values()))
 
     check()
-    assert verdicts == {None, "intertwining"}
-    assert built_or_not == {None, "structural"}
+    assert verdicts == {None, "non-central-transport", "intertwining"}
     assert any(moved)
+
+
+NONCOMMUTATIVE = {"UT2(F3)": upper_triangular_f3_ring_spec, "M2(F2)": f2_matrix_ring_spec,
+                  "UT2(F2)": upper_triangular_f2_ring_spec}
+
+
+def _central_units(ring):
+    return [u for u in range(len(ring.names))
+            if ring.is_central(u) and ring.unit_inverse(u) is not None]
+
+
+def _coboundary_bundle(data, ring, base):
+    """A ringfiber bundle over base whose twist at (a, b) is c(a) c(b) c(ab)^-1
+    for central units c(a), so it is central and associative; and c."""
+    mul, names = ring.mul, base.arrow_names
+    c = [data.draw(st.sampled_from(_central_units(ring))) for _ in base.arrows()]
+    twist = {f"{names[a]},{names[b]}": mul(mul(c[a], c[b]), ring.unit_inverse(c[base.prod[a][b]]))
+             for a, b in base.composable}
+    return validate_bundle({"mode": "ringfiber", "twist": twist}, ring, base), c
+
+
+def _p2_action(base, swap):
+    """Z/2 acting on P_2, its generator swapping the two points or fixing every arrow."""
+    names = list(base.arrow_names)
+    image = [x.translate(str.maketrans("12", "21")) for x in names] if swap else names
+    return validate_preaction({"u": {"dom": names, "img": names},
+                               "g": {"dom": names, "img": image}}, built(cyclic2_raw()), base)
+
+
+def test_central_fiber_maps_and_transports_build_their_bundles():
+    """Over UT2(F3), M2(F2) and UT2(F2), whose centres are the scalars: Z/2
+    acting on P_2, its generator swapping the points or fixing every arrow,
+    on a ringfiber bundle with coboundary twists, with rank-1 fiber maps drawn
+    from the central units, from all units or from the whole ring (those of
+    the unit arrow sometimes left the identity), or for the generator a gauge
+    of the twists, which the validator must accept. The validator refuses the
+    first map off the centre as non-central and otherwise gives the dense
+    oracle's verdict; every action it accepts builds its semidirect bundle,
+    which passes the full walk, and passes both crossed_theorem certificates.
+    Every congruence of CONGRUENCES with transports drawn the same way that
+    the validator accepts builds its quotient bundle. Both verdicts occur for
+    each ring, and over UT2(F3) an accepted action and an accepted congruence
+    move some fiber by 2·1."""
+    rings = {name: validate_ring(spec()) for name, spec in NONCOMMUTATIVE.items()}
+    base = built(pair_groupoid_raw()).base
+    actions = {swap: _p2_action(base, swap) for swap in (False, True)}
+    seen, moved = set(), set()
+
+    def pool(data, ring):
+        units = [u for u in range(len(ring.names)) if ring.unit_inverse(u) is not None]
+        central = _central_units(ring)
+        return data.draw(st.sampled_from([central, central, units, list(range(len(ring.names)))]))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def check(data):
+        name = data.draw(st.sampled_from(sorted(rings)))
+        ring = rings[name]
+        theta = actions[data.draw(st.booleans())]
+        bundle, c = _coboundary_bundle(data, ring, base)
+        values = pool(data, ring)
+        acts = [1, 0] if data.draw(st.integers(0, 3)) == 0 else [1]
+        maps = {(s, g): ((data.draw(st.sampled_from(values)),),)
+                for s in acts for g in theta.dom(s)}
+        if data.draw(st.integers(0, 3)) == 0:
+            # a gauge of the twists, k(a) c(a) c(ga)^-1 with k(a) = phi(rng a) phi(src a)^-1
+            # for central units phi, which intertwines the products and inverts itself
+            mul, inv = ring.mul, ring.unit_inverse
+            phi = [data.draw(st.sampled_from(_central_units(ring))) for _ in base.vertex_names]
+            for a in theta.dom(1):
+                k = mul(phi[base.rng[a]], inv(phi[base.src[a]]))
+                maps[(1, a)] = ((mul(mul(k, c[a]), inv(c[theta.apply(1, a)])),),)
+        full = {(s, g): maps.get((s, g), ((ring.one,),)) for s in (0, 1) for g in theta.dom(s)}
+        result, verdict = _outcome(validate_bundle_action, theta, bundle, maps)
+        off = min((key for key, m in maps.items() if not ring.is_central(m[0][0])), default=None)
+        expected = oracle_bundle_action(theta, bundle, full)
+        if off is not None:
+            expected = ("non-central-fiber-map",
+                        (theta.actor.base.arrow_names[off[0]], base.arrow_names[off[1]]))
+        assert verdict == expected
+        seen.add(("action", name, verdict and verdict[0]))
+        if verdict is None:
+            semidirect = _semidirect_bundle(result)
+            assert validate_bundle(semidirect, ring, semidirect.base) is semidirect
+            res = crossed_theorem(result)
+            assert res.certificate.passed and res.lscript_certificate.passed
+            if any(m != ((ring.one,),) for m in maps.values()):
+                moved.add(("action", name))
+
+        raw, classes, _n, _deg = CONGRUENCES[data.draw(st.sampled_from(sorted(CONGRUENCES)))]
+        group = built(raw()).base
+        fibers, _c = _coboundary_bundle(data, ring, group)
+        cong = validate_rigid_congruence(classes, group)
+        values = pool(data, ring)
+        transport = {g: ((data.draw(st.sampled_from(values)),),)
+                     for block in classes for g in block[1:]}
+        result, verdict = _outcome(validate_bundle_congruence, fibers, cong, transport)
+        if verdict is None:
+            theorems.quotient_bundle(result)
+            if any(m != ((ring.one,),) for m in transport.values()):
+                moved.add(("congruence", name))
+        seen.add(("congruence", name, verdict and verdict[0]))
+
+    check()
+    for name in rings:
+        for kind in ("action", "congruence"):
+            assert (kind, name, None) in seen
+            assert any(k == kind and n == name and v is not None for k, n, v in seen)
+        assert ("action", name, "non-central-fiber-map") in seen
+        assert ("congruence", name, "non-central-transport") in seen
+    assert moved == {("action", "UT2(F3)"), ("congruence", "UT2(F3)")}
 
 
 def test_quotient_products_agree_at_every_member_pair():

@@ -62,6 +62,12 @@ were regenerated when the crossed path stopped walking that bundle: the
 refusal moved from the bundle's `associativity` to the induced action's
 `not-associative`.
 
+`tests/data/scaled/ci/` holds the inputs the CI console-script step reads
+instead of generating them from `bench/workloads.py`, frozen byte for byte as
+those generators wrote them: the parity-graded skew P_8 and P_8 x C_12 build
+files (`random.Random(3)`) and the convolution P_5 with r = 2
+(`random.Random(5)`). They have no golden reports; CI checks their outputs.
+
 Built structures too large to check in are pinned by the SHA-256 of the file
 `sectional build` writes instead (`BUILD_PINS`): `build germ` on
 `tests/structures.nested_chain_action(n)` for n = 32, 64 and 128, and

@@ -33,9 +33,9 @@ action, and coefficient_action the identity bundle action of the germ path,
 without re-proving what the preaction and bundle action decided. The full
 validator (tests/structures.validate_algebra_action) is the oracle: every action
 induced_theta builds, recorded as it is made, must pass it with the same
-domains and rows (over a non-commutative ring the bundle action checks the
-extension law in the order the induced rows apply it, and refuses fiber maps
-that fail it there), and coefficient_action must hand over the fiber maps
+domains and rows (over a non-commutative ring the bundle action refuses
+fiber maps off the centre, so the order in which the induced rows apply them
+does not matter), and coefficient_action must hand over the fiber maps
 validate_bundle_action gives the identity. Must-fail: doubling every
 induced image still fails the germ and crossed fixtures and scaled files.
 """
@@ -879,21 +879,20 @@ def _sign(name):
     return "1001" if name in ("1001", "0111", "1110") else "0110"
 
 
-def test_noncommuting_fiber_maps_keep_the_extension_law_check(made, tmp_path, capsys):
-    """A row applies with the vector's coefficient on the left, so the induced
-    Theta_s Theta_t reads m_t m_s, and over a non-commutative ring the bundle
-    action checks m_st against m_t m_s as well as m_s m_t. Fiber maps s -> s
-    meet m_st = m_s m_t, yet fail the other order at a non-commuting pair:
-    the bundle action refuses them there, with the witness at which their
-    induced action would fail the extension law, and `verify crossed` and
-    `validate` exit 1. An abelian image passes, and induces an action the
+def test_noncommuting_fiber_maps_are_refused_as_non_central(made, tmp_path, capsys):
+    """A fiber over M2(F2) is the bimodule M2(F2), so a fiber map must be a
+    central unit, and 1 is the only one. The fiber maps s -> s meet
+    m_st = m_s m_t but not m_st = m_t m_s, the order in which the induced rows
+    apply them; they are refused at their first map off the centre, as is
+    the sign into the abelian {1, swap}, and `verify crossed` and `validate`
+    exit 1 with that witness. The identity maps pass, and induce an action the
     full validator accepts."""
     assert _induced_verdict(_gl2_action(lambda name: "1001"), made) is None
-    assert _induced_verdict(_gl2_action(_sign), made) is None
-    report = refusal(_gl2_action, lambda name: name)
-    assert report.subject == "bundle action"
-    assert [(f.kind, f.witness) for f in report.failures] == [
-        ("extension-law", ("0110", "0111", "x"))]
+    for rho in (_sign, lambda name: name):
+        report = refusal(_gl2_action, rho)
+        assert report.subject == "bundle action"
+        assert [(f.kind, f.witness) for f in report.failures] == [
+            ("non-central-fiber-map", ("0110", "x"))]
     raw = gl2_f2_raw()
     names = [a["id"] for a in raw["arrows"]]
     doc = {"ring": f2_matrix_ring_spec(),
@@ -909,8 +908,8 @@ def test_noncommuting_fiber_maps_keep_the_extension_law_check(made, tmp_path, ca
     assert main(["verify", "crossed", "--input", str(path), "--format", "json",
                  "--no-timestamp"]) == 1
     (task,) = json.loads(capsys.readouterr().out)["workspaces"][0]["tasks"]
-    assert (task["status"], task["witness"]) == ("fail", ["0110", "0111", "x"])
-    assert task["message"].startswith("bundle action: extension-law")
+    assert (task["status"], task["witness"]) == ("fail", ["0110", "x"])
+    assert task["message"].startswith("bundle action: non-central-fiber-map")
     assert main(["validate", str(path), "--format", "json"]) == 1
     capsys.readouterr()
 

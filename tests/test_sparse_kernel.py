@@ -41,9 +41,10 @@ from sectional.bundles import (
     validate_bundle,
 )
 from sectional.maps import LinearMapOnBasis, basis_bijection, multiplicative_witness
-from sectional.rings import RationalRing, ZModRing, combine, sparse_row, validate_ring
+from sectional.rings import (RationalRing, ZModRing, apply_linear, combine, sparse_row,
+                             validate_ring)
 from sectional.rings import dense as densify
-from sectional.theorems import _columns, _compose, _move
+from sectional.theorems import _columns, _compose
 from sectional.validation import StructureError
 
 from structures import built, pair_groupoid_raw, semilattice_raw, unit_groupoid_raw
@@ -356,23 +357,40 @@ def test_fiber_mul_matches_dense_oracle(ring, mode, data):
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_fiber_map_columns_match_dense_oracle(ring, data):
-    """A matrix held as its columns moves a sparse vector as the matrix times
-    the vector, each entry on the left: the product rings.mat_vec computed."""
+    """A matrix held as its columns moves a sparse vector through
+    rings.apply_linear as the matrix times the vector, each entry on the left:
+    the product rings.mat_vec computed. Over the non-commutative UT2-F2 the
+    entries are central, as every fiber map and transport there must be."""
     rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
-    mat = tuple(_vector(data, ring, cols) for _ in range(rows))
+    entries = _elements(ring)
+    if not ring.commutative:
+        entries = st.sampled_from([x for x in range(len(ring.names)) if ring.is_central(x)])
+    mat = tuple(tuple(data.draw(st.lists(entries, min_size=cols, max_size=cols)))
+                for _ in range(rows))
     vec = _vector(data, ring, cols)
-    moved = _move(_columns(mat, ring), sparse_row(vec, ring), ring)
+    moved = apply_linear(_columns(mat, ring), sparse_row(vec, ring), ring)
     assert densify(moved.items(), rows, ring) == oracle_mat_vec(mat, vec, ring)
 
 
 def test_compose_puts_the_left_map_first():
-    """_compose(a, b) is the matrix product a b: on 1x1 maps over UT2-F2 it
-    gives x·y for every pair, also for pairs that do not commute."""
+    """_compose(a, b) is the matrix product a b, b applied first: over Q it is
+    a b and not b a for two 2x2 maps that do not commute, and on 1x1 maps over
+    UT2-F2 with x central, as the validators require, it gives x·y = y·x for
+    every y, also for the y that commute with nothing but the centre."""
+    ring = RationalRing()
+    a, b = ((1, 1), (0, 1)), ((1, 0), (1, 1))
+    ab, ba = ((2, 1), (1, 1)), ((1, 1), (1, 2))
+    assert _compose(_columns(a, ring), _columns(b, ring), ring) == _columns(ab, ring)
+    assert _compose(_columns(b, ring), _columns(a, ring), ring) == _columns(ba, ring) != \
+        _columns(ab, ring)
     ring = RINGS["UT2-F2"]
-    for x in range(len(ring.names)):
+    centre = [x for x in range(len(ring.names)) if ring.is_central(x)]
+    assert [ring.names[x] for x in centre] == ["000", "101"]
+    for x in centre:
         for y in range(len(ring.names)):
-            composed = _compose(_columns(((x,),), ring), _columns(((y,),), ring), ring)
-            assert composed == _columns(((ring.mul(x, y),),), ring)
+            one_way = _columns(((ring.mul(x, y),),), ring)
+            assert _compose(_columns(((x,),), ring), _columns(((y,),), ring), ring) == one_way
+            assert _compose(_columns(((y,),), ring), _columns(((x,),), ring), ring) == one_way
     p, q = ring.names.index("001"), ring.names.index("010")
     assert ring.mul(p, q) != ring.mul(q, p)
 

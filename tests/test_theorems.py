@@ -43,7 +43,9 @@ from structures import (
     built,
     components_semidirect_action,
     cyclic2_raw,
+    is_global_action,
     is_isomorphism,
+    is_partial_action,
     pair_groupoid_raw,
     parallel_arrows_raw,
     preaction,
@@ -715,7 +717,7 @@ class TestGermOnPairGroupoidCopies:
     ], ids=["k2-m2-Z2", "k3-m1-S3", "k3-m2-Z3"])
     def test_ranks(self, k, m, group, ranks, ring):
         theta = preaction(*components_semidirect_action(k, m, group))
-        assert theta.is_partial and theta.is_global and theta.is_associative
+        assert is_partial_action(theta) and is_global_action(theta) and theta.is_associative
         res = germ_corollary(theta, ring)
         assert res.certificate.passed
         data = res.certificate.data
@@ -836,7 +838,7 @@ class TestMultiVertexActor:
 
     def test_action_is_global_and_associative(self):
         theta = self._theta()
-        assert theta.is_global and theta.is_partial and theta.is_associative
+        assert is_global_action(theta) and is_partial_action(theta) and theta.is_associative
 
     def test_crossed_theorem_rank_four(self):
         theta = self._theta()

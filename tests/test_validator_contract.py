@@ -7,6 +7,12 @@ StructureError whose report's first failure has the expected kind.
 refuses a space that is not a groupoid as `space-not-groupoid` (and an action
 that is not associative). On a validated action its germ relation is always
 a congruence, so it refuses nothing else.
+
+Over a non-commutative ring a fiber map or transport is a bimodule map of
+the fiber R, so it must be central: one off the centre of UT2(F2) is refused
+as `non-central-fiber-map` by `validate_bundle_action` and as
+`non-central-transport` by `validate_bundle_congruence`, witnessed by the
+pair (s, g) or the arrow g.
 """
 
 import pytest
@@ -45,6 +51,7 @@ from structures import (
     semilattice_raw,
     trivial_monoid_raw,
     unit_groupoid_raw,
+    upper_triangular_f2_ring_spec,
     without_product_entry,
 )
 
@@ -133,3 +140,35 @@ def test_every_validator_has_a_case():
 
     validators = {name for name in dir(sectional) if name.startswith("validate_")}
     assert validators | {"germ_quotient"} == set(CASES)
+
+
+def swap_action():
+    return validate_preaction({"u": {"dom": ["1x", "1y"], "img": ["1x", "1y"]},
+                               "g": {"dom": ["1x", "1y"], "img": ["1y", "1x"]}},
+                              built(cyclic2_raw()), points())
+
+
+# validator: (a call over the given ring with one matrix 111, the kind and witness)
+NON_CENTRAL = {
+    "validate_bundle_action": (
+        lambda ring: validate_bundle_action(
+            swap_action(), trivial_bundle(ring, points()),
+            {(1, 0): [[ring.coerce("111")]], (1, 1): [[ring.unit_inverse(ring.coerce("111"))]]}),
+        ("non-central-fiber-map", ("g", "1x"))),
+    "validate_bundle_congruence": (
+        lambda ring: validate_bundle_congruence(
+            trivial_bundle(ring, z2()), validate_rigid_congruence([["u", "g"]], z2()),
+            {"g": [[ring.coerce("111")]]}),
+        ("non-central-transport", ("g",))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_CENTRAL))
+def test_a_map_off_the_centre_is_refused_with_its_own_kind(name):
+    call, (kind, witness) = NON_CENTRAL[name]
+    ring = validate_ring(upper_triangular_f2_ring_spec())
+    assert not ring.is_central(ring.coerce("111"))
+    with pytest.raises(StructureError) as refused:
+        call(ring)
+    assert (refused.value.report.first().kind, refused.value.report.first().witness) == (
+        kind, witness)

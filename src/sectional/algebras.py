@@ -127,19 +127,20 @@ class AlgebraPresentation:
 
         e_i e_j and e_j e_k are read off the stored rows. (e_i e_j) e_k is an
         empty sum unless k lies after the support of e_i e_j, and e_i (e_j e_k)
-        unless i lies before the support of e_j e_k; every other k is 0 = 0
-        and is skipped.
+        unless k lies in reach[i][j], read once off the table; every other k
+        is 0 = 0, so only the j after i or in reach[i] are visited.
         """
         table, one = self.table, self.ring.one
-        # reach[j][k]: the i for which e_i (e_j e_k) can be nonzero
-        reach = [{k: self.before_support(table[(j, k)]) for k in self.after[j]}
-                 for j in range(self.rank)]
+        # reach[i][j]: the k for which e_i (e_j e_k) can be nonzero
+        reach = [{} for _ in self.labels]
+        for (j, k), jk in table.items():
+            for i in self.before_support(jk):
+                reach[i].setdefault(j, set()).add(k)
         for i in range(self.rank):
             ei = ((i, one),)
-            for j in range(self.rank):
+            for j in sorted(self.after[i] | reach[i].keys()):
                 ij = table.get((i, j), ())
-                right = {k for k, left_of in reach[j].items() if i in left_of}
-                for k in sorted(right | self.after_support(ij)):
+                for k in sorted(reach[i].get(j, set()) | self.after_support(ij)):
                     left = self.mul(ij, ((k, one),))
                     right = self.mul(ei, table.get((j, k), ()))
                     if left != right:

@@ -6,12 +6,13 @@ structure the library works on.
 """
 
 import copy
+import random
 import sys
 
-from sectional import maps, rings, theorems
+from sectional import maps, rings, theorems, workspace
 from sectional.actions import big_ideals, validate_preaction
 from sectional.algebras import AlgebraPresentation
-from sectional.bundles import AlgebraAction
+from sectional.bundles import AlgebraAction, convolve
 from sectional.maps import product_pairs, surjective
 from sectional.rings import EchelonBasis, solve_linear, sparse_vector
 from sectional.semigroupoids import (
@@ -214,6 +215,21 @@ def validate_algebra_action(actor: FiniteInverseSemigroupoid,
                 raise StructureError(report)
 
     return action
+
+
+def sampled_convolution(bundle, triples, seed, convolve=convolve):
+    """`verify convolution` as it stood before it decided on the basis, kept as
+    an oracle: the task's fields after convolving the seeded triples of
+    workspace._random_section, with convolve, until the first that fails."""
+    rnd = random.Random(f"convolution:{seed}")
+    witness = []
+    for k in range(triples):
+        a, b, c = (workspace._random_section(bundle, rnd) for _ in range(3))
+        if convolve(convolve(a, b), c) != convolve(a, convolve(b, c)):
+            witness = [f"triple {k}"]
+            break
+    return {"status": "fail" if witness else "pass",
+            "data": {"triples": triples, "seed": seed}, "witness": witness}
 
 
 def trivial_algebra_action(actor: FiniteInverseSemigroupoid,

@@ -103,6 +103,27 @@ associativity through the induced action and the quotient bundle through the
 congruence's intertwining, so neither is handed to the walk; the route they
 replaced walked each, one call more per task. (tests/conftest.py walks them
 after the test, through its own reference to the function.)
+
+`verify convolution` on P_n with r = 2, the fiber Q^2 with the coordinatewise
+product on every composable pair, as `bench/workloads._pair_bundle` builds it
+(seed 3), at n = 3 and 5 with 40 triples: the task decides on the basis.
+
+  - P_n has the n^3 composable arrow pairs ((x, y), (y, z)), each with r^2
+    label pairs, and `sectional_algebra` convolves each pair of delta
+    sections once: exactly n^3 r^2 = 108 and 500 `convolve` calls, each on
+    two sections of one entry. Its table associates, so no triple is drawn
+    and no dense section is convolved; the route it replaced made 4 calls
+    per triple on dense sections, 160 here, and built no table.
+  - The table holds e_{(x,y),a} e_{(y,z),b} = delta_ab e_{(x,z),a}: n^3 r
+    products of one term each. A basis triple has a nonzero side exactly
+    when its arrows are (x, y), (y, z), (z, w) and its three labels are equal,
+    and then neither side cancels: n^4 r = 162 and 1,250 triples.
+    `check_associativity` visits exactly those and makes two `mul` calls on
+    each, 324 and 2,500, quadratic in the rank 2n^2.
+  - It calls `after_support` once per pair (i, j) it visits. Here reach[i]
+    holds only the j after i, so those are the n^3 r = 54 and 250 pairs with
+    e_i e_j != 0; the all-pairs walk it replaced visited every one of the
+    rank^2 = 4 n^4 = 324 and 2,500 pairs.
 """
 
 import importlib.util
@@ -114,6 +135,7 @@ import random
 import pytest
 
 from sectional import actions, bundles, semigroupoids, workspace
+from sectional.algebras import AlgebraPresentation
 from sectional.cli import main
 from structures import elimination_calls, nested_chain_action
 
@@ -308,3 +330,51 @@ def test_built_bundles_are_not_walked(theorem, folder, name, stanzas, ring, monk
     walked = _walks([theorem, "--input", path, "--ring", ring], monkeypatch, capsys)
     assert len(walked) == stanzas
     assert all(isinstance(raw, dict) for raw in walked)
+
+
+def _convolution_counts(n, tmp_path, monkeypatch, capsys):
+    """What a passing `verify convolution` on P_n with r = 2 calls: the
+    argument sizes (arrows, entries) of each convolve call, and the mul and
+    after_support calls of every AlgebraPresentation."""
+    workloads = _workloads()
+    rnd = random.Random(3)
+    sgpd, _, _, bundle = workloads._pair_bundle(n, 2, workloads._Labels(rnd), rnd)
+    path = tmp_path / f"p{n}r2.json"
+    path.write_text(json.dumps({
+        "ring": {"kind": "q"}, "semigroupoids": {"P": sgpd}, "bundles": {"b": bundle},
+        "tasks": [{"kind": "verify", "theorem": "convolution", "bundle": "b",
+                   "triples": 40, "seed": 5}],
+    }), encoding="utf-8")
+    sizes, counts = [], {"mul": 0, "after_support": 0}
+
+    def size(section):
+        return len(section.values), sum(map(len, section.values.values()))
+
+    def convolve(alpha, beta, _convolve=bundles.convolve):
+        sizes.append((size(alpha), size(beta)))
+        return _convolve(alpha, beta)
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    for module in (bundles, workspace):
+        monkeypatch.setattr(module, "convolve", convolve)
+    for name in counts:
+        monkeypatch.setattr(AlgebraPresentation, name,
+                            counted(name, getattr(AlgebraPresentation, name)))
+    assert main(["verify", "convolution", "--input", str(path), "--no-timestamp"]) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    return sizes, counts
+
+
+def test_convolution_decides_on_the_basis(tmp_path, monkeypatch, capsys):
+    r = 2
+    for n in (3, 5):
+        sizes, counts = _convolution_counts(n, tmp_path, monkeypatch, capsys)
+        assert len(sizes) == n ** 3 * r ** 2
+        assert set(sizes) == {((1, 1), (1, 1))}
+        assert counts == {"mul": 2 * n ** 4 * r, "after_support": n ** 3 * r}

@@ -18,26 +18,38 @@ ascending, order. Sums that cancel (2 * 3 over Z/6, x + (-x) over Q) must
 leave no zero entry and no empty vector, and the table ring's products must
 keep their factor order.
 
-The sampled `verify convolution` check draws each section straight into its
-normal form and scales each Q section to integers; over Q its draws
-(`workspace._q_draw`) must be those of `randint`, stream and state. Its
-verdict and `triple k` witness must be those of the raw draw, so a bilinear
-mutant of `convolve` that drops one factorization is patched into the
-workspace and must fail on the triple an oracle over the raw Fraction
-sections of `test_bundles._random_section` finds first; off Q the drawn
-section is the raw one, key for key.
+`verify convolution` decides on the basis: it checks the associativity of
+the sectional algebra and convolves the seeded triples only when that fails,
+to name the first failing one. The check as it stood before, which
+convolved every triple, is `structures.sampled_convolution`, and the task's
+fields must be the oracle's on the fixtures, the rational twist and the CI
+convolution file, each under its own ring, Q and Z/6, on ringfiber bundles
+over the non-commutative UT2(F2) (the twisted family of `test_sparse_kernel`,
+one constant redrawn in about half the draws), and on the fixture under each
+mutant that drops one factorization: both pass, or both name one `triple k`.
+
+The sampled check draws each section straight into its normal form and
+scales each Q section to integers; over Q its draws (`workspace._q_draw`)
+must be those of `randint`, stream and state. Its verdict and `triple k`
+witness must be those of the raw draw, so a bilinear mutant of `convolve`
+that drops one factorization is patched into the workspace, and into
+`bundles` where `sectional_algebra` reads it, and must fail on the triple an
+oracle over the raw Fraction sections of `test_bundles._random_section`
+finds first; off Q the drawn section is the raw one, key for key.
 """
 
 import json
 import os
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sectional.workspace as workspace
+from sectional import bundles
 from sectional.algebras import AlgebraPresentation
 from sectional.bundles import (
     Section,
@@ -48,12 +60,20 @@ from sectional.bundles import (
     trivial_bundle,
     validate_bundle,
 )
-from sectional.cli import main
+from sectional.cli import main, parse_ring_override
 from sectional.rings import RationalRing, ZModRing, combine, validate_ring
 from sectional.semigroupoids import identity_homomorphism, label_index, validate_semigroupoid
+from sectional.validation import StructureError
 
-from structures import built, pair_groupoid_raw, parallel_arrows_raw, upper_triangular_f2_ring_spec
+from structures import (
+    built,
+    pair_groupoid_raw,
+    parallel_arrows_raw,
+    sampled_convolution,
+    upper_triangular_f2_ring_spec,
+)
 from test_bundles import _random_section as raw_random_section
+from test_sparse_kernel import SPARSE_RINGS, SPARSE_SETTINGS, _twisted_bundle
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURE = os.path.abspath(os.path.join(HERE, os.pardir, "fixtures", "convolution.json"))
@@ -349,8 +369,75 @@ def test_dropped_factorization_fails_on_the_oracles_triple(ring_name, ring, seed
     assert first is not None
 
     assert _verify_convolution(ring_name, seed, capsys) == (0, "pass", None)
-    monkeypatch.setattr(workspace, "convolve", mutant)
+    for module in (workspace, bundles):
+        monkeypatch.setattr(module, "convolve", mutant)
     assert _verify_convolution(ring_name, seed, capsys) == (1, "fail", [f"triple {first}"])
+
+
+ROOT = os.path.dirname(FIXTURE)
+ORACLE_FILES = [os.path.join(ROOT, "convolution.json"), os.path.join(ROOT, "tablering.json"),
+                os.path.join(HERE, "data", "rational_twist.json"),
+                os.path.join(HERE, "data", "scaled", "ci", "convolution-p5r2.json")]
+
+
+def _matches_the_oracle(bundle, params, convolve=convolve):
+    """workspace._convolution's fields on bundle are sampled_convolution's;
+    returns whether it passed."""
+    out = workspace._convolution(SimpleNamespace(bundle=lambda name: bundle), params)
+    assert out == sampled_convolution(bundle, *workspace._convolution_args(params), convolve)
+    return out["status"] == "pass"
+
+
+@pytest.mark.parametrize("ring_text", [None, "q", "zmod6"])
+@pytest.mark.parametrize("path", ORACLE_FILES, ids=os.path.basename)
+def test_basis_decision_matches_the_sampled_oracle_on_the_files(path, ring_text):
+    with open(path, encoding="utf-8") as fh:
+        ws = workspace.parse_workspace(fh.read(), path)
+    override = None if ring_text is None else parse_ring_override(ring_text)
+    builder = workspace.Builder(ws, workspace.workspace_ring(ws, override))
+    tasks = [t.params for t in ws.tasks if t.params.get("theorem") == "convolution"]
+    assert tasks
+    if (os.path.basename(path), ring_text) == ("rational_twist.json", "zmod6"):
+        # 1/2 is no residue: the bundle is refused before either check runs
+        with pytest.raises(StructureError):
+            builder.bundle(tasks[0]["bundle"])
+        return
+    for seed in (7, 11):
+        for task in tasks:
+            assert _matches_the_oracle(builder.bundle(task["bundle"]), {"seed": seed, **task})
+
+
+def test_basis_decision_matches_the_sampled_oracle_over_ut2():
+    """Ringfiber bundles over UT2(F2) with central constants, and sections
+    with non-central values: both verdicts must occur."""
+    ring = SPARSE_RINGS["UT2-F2"]
+    verdicts = set()
+
+    @SPARSE_SETTINGS
+    @given(data=st.data())
+    def check(data):
+        bundle = _twisted_bundle(data, "UT2-F2", ring)
+        seed = data.draw(st.integers(0, 3))
+        verdicts.add(_matches_the_oracle(bundle, {"bundle": "b", "triples": 40, "seed": seed}))
+
+    check()
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("ring", [Q, Z6], ids=["q", "zmod6"])
+def test_basis_decision_matches_the_sampled_oracle_under_each_dropped_factorization(
+        ring, monkeypatch):
+    bundle = _fixture_bundle(ring)
+    verdicts = set()
+    for a0, b0 in sorted(bundle.base.composable):
+        mutant = _dropping(a0, b0)
+        for module in (workspace, bundles):
+            monkeypatch.setattr(module, "convolve", mutant)
+        for seed in (7, 11):
+            params = {"bundle": "b", "triples": 200, "seed": seed}
+            verdicts.add(_matches_the_oracle(bundle, params, mutant))
+        monkeypatch.undo()
+    assert verdicts == {False}
 
 
 def _assert_zero_draws_absent(section, dense):

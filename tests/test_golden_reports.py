@@ -66,7 +66,15 @@ refusal moved from the bundle's `associativity` to the induced action's
 instead of generating them from `bench/workloads.py`, frozen byte for byte as
 those generators wrote them: the parity-graded skew P_8 and P_8 x C_12 build
 files (`random.Random(3)`) and the convolution P_5 with r = 2
-(`random.Random(5)`). They have no golden reports; CI checks their outputs.
+(`random.Random(5)`). CI checks the two build outputs; the convolution file
+has goldens, `tests/data/scaled/golden/convolution-p5r2.verify.q.json` and
+`.verify.zmod6.json`, holding
+
+    sectional verify all --input tests/data/scaled/ci/convolution-p5r2.json --ring R --seed 7 --no-timestamp --format json
+
+for R = q (its own ring) and zmod6. They were recorded while the check still
+convolved every sampled triple, so they pin that deciding on the basis
+writes the same report.
 
 Built structures too large to check in are pinned by the SHA-256 of the file
 `sectional build` writes instead (`BUILD_PINS`): `build germ` on
@@ -105,6 +113,8 @@ SCALED_NAMES = ("crossed-p4r2", "germ-c16", "quotient-z12m12k4", "quotient-z30m3
                 "smash-p6r1", "tensor-p6r2")
 MUST_FAIL_NAMES = ("crossed-fail-p3r2", "crossed-fail-semilattice")
 MUST_FAIL_RINGS = ("zmod5", "zmod6")
+CI_NAMES = ("convolution-p5r2",)
+CI_RINGS = ("q", "zmod6")
 BUILD_PINS = {
     ("germ", 32): "1db4611a84af96572cae7cabe302323e0e708096f63694090cb8d78c8d366884",
     ("germ", 64): "d300267abd6a19ffa6ddd940eace1af5b26775e228a3ff8973b02707f51a0a31",
@@ -169,7 +179,8 @@ def test_every_scaled_input_has_golden_reports():
     assert sorted(os.listdir(os.path.join(SCALED, "golden"))) == sorted(
         [f"{name}.verify{suffix}.json" for name in SCALED_NAMES for suffix in ("", ".zmod6")]
         + [f"{name}.verify{suffix}.json" for name in MUST_FAIL_NAMES
-           for suffix in ("",) + tuple(f".{ring}" for ring in MUST_FAIL_RINGS)])
+           for suffix in ("",) + tuple(f".{ring}" for ring in MUST_FAIL_RINGS)]
+        + [f"{name}.verify.{ring}.json" for name in CI_NAMES for ring in CI_RINGS])
 
 
 @pytest.mark.parametrize("name, ring", [
@@ -187,6 +198,19 @@ def test_scaled_report_matches_golden(name, ring, capsys):
     assert code == (1 if name in MUST_FAIL_NAMES else 0)
     suffix = "" if ring is None else f".{ring}"
     with open(os.path.join(SCALED, "golden", f"{name}.verify{suffix}.json"),
+              encoding="utf-8") as fh:
+        assert _normalised(out) == _normalised(fh.read())
+
+
+@pytest.mark.parametrize("name, ring", [
+    pytest.param(name, ring, id=f"{name}-{ring}") for name in CI_NAMES for ring in CI_RINGS
+])
+def test_ci_report_matches_golden(name, ring, capsys):
+    code = main(["verify", "all", "--input", os.path.join(SCALED, "ci", f"{name}.json"),
+                 "--ring", ring, "--seed", "7", "--no-timestamp", "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    with open(os.path.join(SCALED, "golden", f"{name}.verify.{ring}.json"),
               encoding="utf-8") as fh:
         assert _normalised(out) == _normalised(fh.read())
 

@@ -486,8 +486,20 @@ def _corrupt_constant(data, ring, table, rank):
     return {**table, (i, j): tuple(row)}
 
 
+# two tables, each product a single basis element, whose first failing triple
+# is (b0, b1, b2) with one side empty: e0 e1 = 0 while e0 (e1 e2) = e0 e2 = e0,
+# and e1 e2 = 0 while (e0 e1) e2 = e2 e2 = e2. A walk that visits only the j
+# after i, or that skips the k after the support of e_i e_j, misses it.
+ONE_SIDED = ({(1, 2): 2, (0, 2): 0}, {(0, 1): 2, (2, 2): 2})
+
+
 @pytest.mark.parametrize("ring", SPARSE_RINGS.values(), ids=SPARSE_RINGS.keys())
 def test_associativity_on_sparse_tables_matches_oracle(ring):
+    for sparse in ONE_SIDED:
+        table = {key: _unit(3, k, ring) for key, k in sparse.items()}
+        alg = _presentation(ring, table, 3)
+        assert alg.check_associativity() == oracle_associativity(table, alg.basis, ring) == (
+            "b0", "b1", "b2")
     verdicts = set()
 
     @SPARSE_SETTINGS

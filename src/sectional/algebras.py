@@ -14,11 +14,12 @@ induced action and generator set finds a basis element by looking up its
 label in index.
 
 The table is stored row by row and only once: table[(i, j)] is the product of
-basis elements i and j as a sparse row, a tuple of (index, nonzero value)
-pairs sorted by index, and zero products are absent. Products, maps, actions
-and the exhaustive checks iterate only over these nonzeros, in the row-wise
-scheme of Gustavson (ACM TOMS 4(3), 1978): mul adds each coefficient times
-row into one dict, in rings.combine's term order, and prunes the sum once.
+basis elements i and j as a row in rings.normal_row's form, zero products
+absent. Builders hand their rows over in that form; a hand-written table comes
+in through from_table, which range-checks and normalises it. Products, maps,
+actions and the exhaustive checks iterate only over these nonzeros, in the
+row-wise scheme of Gustavson (ACM TOMS 4(3), 1978): mul adds each coefficient
+times row into one dict, in rings.combine's term order, and prunes the sum once.
 Linear maps are held the same way (maps.LinearMapOnBasis, bundles.AlgebraAction,
 and the fiber maps and transports of theorems): one sparse image row per basis
 element, the first two applied by rings.apply_linear; a passing certificate
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rings import Ring, sparse_vector
+from .rings import Ring, normal_row
 from .semigroupoids import FiniteSemigroupoid, label_index
 
 
@@ -62,19 +63,10 @@ class AlgebraPresentation:
         if len(self.labels) != self.rank:
             raise ValueError("one label per basis element required")
         self.index = label_index(self.labels)
-        # rows arrive as {index: value} or (index, value) pairs
-        cleaned = {}
-        for key, row in self.table.items():
-            row = dict(row)
-            if any(not isinstance(k, int) or not 0 <= k < self.rank for k in (*key, *row)):
-                raise ValueError(f"structure constant at {key} indexes outside the basis")
-            if row := tuple(sorted(sparse_vector(row, self.ring).items())):
-                cleaned[key] = row
-        self.table = cleaned
         # the support index: after[l] = {k : e_l e_k != 0}, before[l] = {i : e_i e_l != 0}
         after = [set() for _ in self.labels]
         before = [set() for _ in self.labels]
-        for i, j in cleaned:
+        for i, j in self.table:
             after[i].add(j)
             before[j].add(i)
         self.after = tuple(map(frozenset, after))
@@ -83,6 +75,16 @@ class AlgebraPresentation:
             raise ValueError("grading and degrees must be supplied together")
         if self.degrees is not None and len(self.degrees) != self.rank:
             raise ValueError("degree map must cover the basis")
+
+    @classmethod
+    def from_table(cls, ring: Ring, basis, table=(), **fields) -> "AlgebraPresentation":
+        """A hand-written table, rows as dicts or (index, value) pairs, any order, zeros kept."""
+        table = dict(table)
+        for key, row in table.items():
+            if any(not isinstance(k, int) or not 0 <= k < len(basis) for k in (*key, *dict(row))):
+                raise ValueError(f"structure constant at {key} indexes outside the basis")
+        return cls(ring, basis, {key: normal for key, row in table.items()
+                                 if (normal := normal_row(row, ring))}, **fields)
 
     @property
     def rank(self) -> int:

@@ -47,9 +47,9 @@ from .validation import (
 
 @dataclass
 class Bundle:
-    """rows[(a, b)][i][j] is e_i * e_j in fiber(ab) as a sparse row, for every
-    composable pair; every product is (x_i y_j) * row, summed. A Bundle is
-    made only by validate_bundle or by a builder that argues its identities."""
+    """rows[(a, b)][i][j] is e_i * e_j in fiber(ab), a row in normal form, for
+    every composable pair; every product is (x_i y_j) * row, summed. A Bundle
+    is made only by validate_bundle or by a builder that argues its identities."""
 
     ring: Ring
     base: FiniteSemigroupoid
@@ -350,13 +350,13 @@ def convolve(alpha: Section, beta: Section) -> Section:
 def sectional_algebra(bundle: Bundle, grading: Homomorphism | None = None) -> AlgebraPresentation:
     """Convolution algebra on the basis sections, optionally graded.
 
-    The structure constants are computed by literally convolving basis
-    sections, so the presentation is an independent record of the convolution
-    product. Only composable label pairs are convolved: any other pair has the
-    empty product, which the table drops. The basis section (γ,i), the i-th
-    fiber basis vector at γ, is labeled (γ, i). With a grading homomorphism c
-    on the base it gets degree c(γ); a section is homogeneous of degree g
-    exactly when it vanishes off the preimage of g.
+    The basis section (γ,i), the i-th fiber basis vector at γ, is labeled
+    (γ, i). Basis sections over a and b convolve along the one factorization
+    ab, so e_(a,i) e_(b,j) is rows[(a, b)][i][j] placed over ab, read for each
+    composable label pair; any other product is empty and left out. The
+    positions (ab, k) ascend with k, so the row stays in normal form. With a
+    grading homomorphism c on the base, (γ, i) gets degree c(γ); a section is
+    homogeneous of degree g exactly when it vanishes off the preimage of g.
     """
     if grading is not None and grading.source is not bundle.base and grading.source != bundle.base:
         raise ValueError("grading must be a homomorphism out of the bundle base")
@@ -368,12 +368,11 @@ def sectional_algebra(bundle: Bundle, grading: Homomorphism | None = None) -> Al
         f"{bundle.base.arrow_names[arrow]}" + (f"#{i}" if bundle.ranks[arrow] > 1 else "")
         for arrow, i in labels
     )
-    deltas = [delta_section(bundle, a, index=i) for a, i in labels]
-    table = {
-        (p, q): {position[(c, k)]: x for c, coords in convolve(deltas[p], deltas[q]).values.items()
-                 for k, x in coords.items()}
-        for p, q in composable_labels(bundle.base, labels)
-    }
+    table, prod = {}, bundle.base.prod
+    for p, q in composable_labels(bundle.base, labels):
+        (a, i), (b, j) = labels[p], labels[q]
+        if row := bundle.rows[(a, b)][i][j]:
+            table[(p, q)] = tuple((position[(prod[a][b], k)], x) for k, x in row)
     g, degrees = (None, None) if grading is None else (
         grading.target, tuple(grading.map[arrow] for arrow, _ in labels))
     return AlgebraPresentation(
@@ -565,7 +564,7 @@ def naive_crossed_product(action: AlgebraAction) -> AlgebraPresentation:
     names = tuple(
         f"d_{base.arrow_names[s]}.{alg.basis[d]}" for s, d in labels
     )
-    table: dict[tuple[int, int], dict] = {}
+    table: dict[tuple[int, int], tuple] = {}
     for p, q in composable_labels(base, labels, lambda s, a: (a,),
                                   lambda t, b: alg.before_support(action.rows[t][b])):
         (s, a), (t, b) = labels[p], labels[q]
@@ -577,7 +576,8 @@ def naive_crossed_product(action: AlgebraAction) -> AlgebraPresentation:
                 "crossed product landed outside dom(Theta_st); induced_theta's "
                 "argument says a built action keeps it inside"
             )
-        table[(p, q)] = {position[(st, k)]: x for k, x in value.items()}
+        if value:
+            table[(p, q)] = tuple(sorted((position[(st, k)], x) for k, x in value.items()))
     return AlgebraPresentation(
         ring=ring, basis=names, table=table,
         grading=base, degrees=tuple(s for s, _ in labels),
@@ -603,7 +603,7 @@ def lscript_presentation(action: AlgebraAction) -> AlgebraPresentation:
     names = tuple(
         f"L_{base.arrow_names[s]}.{alg.basis[d]}" for s, d in labels
     )
-    table: dict[tuple[int, int], dict] = {}
+    table: dict[tuple[int, int], tuple] = {}
     for p, q in composable_labels(base, labels,
                                   lambda x, a: alg.after_support(action.rows[actor.inv[x]][a]),
                                   lambda y, b: (b,)):
@@ -615,7 +615,8 @@ def lscript_presentation(action: AlgebraAction) -> AlgebraPresentation:
             raise InternalConsistencyError(
                 "range-side product landed outside ran(Theta_xy)"
             )
-        table[(p, q)] = {position[(xy, k)]: val for k, val in value.items()}
+        if value:
+            table[(p, q)] = tuple(sorted((position[(xy, k)], val) for k, val in value.items()))
     return AlgebraPresentation(
         ring=ring, basis=names, table=table,
         grading=base, degrees=tuple(s for s, _ in labels),

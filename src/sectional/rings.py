@@ -489,6 +489,11 @@ def sparse_vector(v, ring: Ring) -> dict:
     return {k: x for k, x in dict(v).items() if not is_zero(x)}
 
 
+def normal_row(v, ring: Ring) -> tuple:
+    """The one stored row form: (index, nonzero value) pairs sorted by index."""
+    return tuple(sorted(sparse_vector(v, ring).items()))
+
+
 def dense(row, k: int, ring: Ring) -> Vector:
     """The length-k dense vector holding the given (index, value) pairs."""
     out = [ring.zero] * k

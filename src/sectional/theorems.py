@@ -68,7 +68,8 @@ def tensor_product_algebra(a: AlgebraPresentation, b: AlgebraPresentation) -> Al
     labeled (label of x, label of y).
 
     Needs a shared commutative ring; free fibers carry the symmetric bimodule
-    structure, so the entrywise product formula is balanced.
+    structure, so the entrywise product formula is balanced. Zero products
+    (2 * 3 over Z/6) are pruned, so the rows come out in normal form.
     """
     if a.ring != b.ring:
         raise ValueError("tensor factors must share a ring")
@@ -81,12 +82,12 @@ def tensor_product_algebra(a: AlgebraPresentation, b: AlgebraPresentation) -> Al
     rank_b = b.rank
     basis = tuple(f"{x}(x){y}" for x in a.basis for y in b.basis)
     labels = tuple((x, y) for x in a.labels for y in b.labels)
-    table: dict[tuple[int, int], dict] = {}
+    table: dict[tuple[int, int], tuple] = {}
     for (i1, i2), pa in a.table.items():
         for (j1, j2), pb in b.table.items():
-            table[(i1 * rank_b + j1, i2 * rank_b + j2)] = {
-                k * rank_b + l: ring.mul(x, y) for k, x in pa for l, y in pb
-            }
+            if row := tuple((k * rank_b + l, xy) for k, x in pa for l, y in pb
+                            if not ring.is_zero(xy := ring.mul(x, y))):
+                table[(i1 * rank_b + j1, i2 * rank_b + j2)] = row
     return AlgebraPresentation(ring=ring, basis=basis, table=table,
                                provenance="tensor product", labels=labels)
 
@@ -400,11 +401,14 @@ def smash_product(algebra: AlgebraPresentation) -> AlgebraPresentation:
     Basis pairs (u, h) with src(deg u) = rng(h), labeled (u, h) with u a
     basis position of the input; the product twists by the degree
     projection: (a delta_g)(b delta_h) keeps only the part of b in degree
-    g h^{-1} and lands on delta_h. The input's graded closure and
+    g h^{-1} and lands on delta_h. For a basis element e_v, h = deg(v)^{-1} g
+    is the one h with deg v = g h^{-1}, defined when rng(deg v) = rng(g); so a
+    keyed join meets each (u, g) only with the v after u, ascending, and fills
+    the table in ascending pair order. The input's graded closure and
     associativity are checked instead of A # G's, at half the rank, and a
-    failure is refused with the input's witness: with them both bracketings
-    of (a delta_g)(b delta_h)(c delta_k) are abc delta_k when deg b = g h^{-1}
-    and deg c = h k^{-1}, and zero otherwise.
+    failure is refused with the input's witness: with them both bracketings of
+    (a delta_g)(b delta_h)(c delta_k) are abc delta_k when deg b = g h^{-1} and
+    deg c = h k^{-1}, and zero otherwise.
     """
     if not algebra.graded:
         raise StructureError(ValidationReport.single(
@@ -426,16 +430,12 @@ def smash_product(algebra: AlgebraPresentation) -> AlgebraPresentation:
     ]
     pos = label_index(labels)
     basis = tuple(f"{algebra.basis[u]}.d{g.arrow_names[h]}" for u, h in labels)
-    table: dict[tuple[int, int], dict] = {}
+    table: dict[tuple[int, int], tuple] = {}
+    inv, degrees = check.inverses, algebra.degrees
     for p, (u, gu) in enumerate(labels):
-        for q, (v, hv) in enumerate(labels):
-            if g.src[gu] != g.src[hv]:
-                continue
-            ghinv = g.prod[gu][check.inverses[hv]]
-            if algebra.degrees[v] != ghinv:
-                continue
-            w = algebra.table.get((u, v), ())
-            table[(p, q)] = {pos[(k, hv)]: x for k, x in w}
+        for v in sorted(algebra.after[u]):
+            if (h := g.prod[inv[degrees[v]]].get(gu)) is not None:
+                table[(p, pos[(v, h)])] = tuple((pos[(k, h)], x) for k, x in algebra.table[(u, v)])
     return AlgebraPresentation(
         ring=ring, basis=basis, table=table,
         grading=g, degrees=tuple(algebra.degrees[u] for u, _h in labels),

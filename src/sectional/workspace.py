@@ -25,15 +25,13 @@ from .actions import (
     validate_preaction,
     validate_rigid_congruence,
 )
-from .bundles import (
-    Section,
-    convolve,
-    sectional_algebra,
-    validate_bundle,
-)
+from .algebras import AlgebraPresentation
+from .bundles import Section, convolve, delta_section, validate_bundle
 from .rings import RationalRing, Ring, validate_ring
 from .semigroupoids import (
+    composable_labels,
     direct_product,
+    label_index,
     semigroupoid_to_raw,
     validate_homomorphism,
     validate_inverse_semigroupoid,
@@ -438,13 +436,17 @@ def _convolution(builder: Builder, params: dict) -> dict:
     additive in each argument and R-bilinear over Q and Z/n; over a
     non-commutative ring validate_bundle admits only rank-1 fibers with central
     constants (_check_twists). So each triple's (ab)c - a(bc) is a sum of x y z
-    times basis associators, and when sectional_algebra's table associates every
-    triple passes and nothing is drawn. Otherwise the seeded triples
-    (_random_section) are convolved to name the first failing one."""
+    times basis associators, and when convolve's own table of basis sections
+    associates every triple passes and nothing is drawn. Otherwise the seeded
+    triples (_random_section) are convolved to name the first failing one."""
     bundle = builder.bundle(params["bundle"])
     triples, seed = _convolution_args(params)
+    labels = tuple((a, i) for a in bundle.base.arrows() for i in range(bundle.ranks[a]))
+    at, deltas = label_index(labels), [delta_section(bundle, a, index=i) for a, i in labels]
+    table = {(p, q): {at[(c, k)]: x for c, v in convolve(deltas[p], deltas[q]).values.items()
+                      for k, x in v.items()} for p, q in composable_labels(bundle.base, labels)}
     witness = []
-    if sectional_algebra(bundle).check_associativity() is not None:
+    if AlgebraPresentation.from_table(bundle.ring, labels, table).check_associativity():
         rnd = random.Random(f"convolution:{seed}")
         for k in range(triples):
             a, b, c = (_random_section(bundle, rnd) for _ in range(3))

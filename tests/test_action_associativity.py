@@ -461,7 +461,7 @@ def test_corrupted_constant_gives_the_oracle_verdicts():
         row = dict(alg.table.get((i, j), ()))
         row[k] = data.draw(st.sampled_from([ring.zero, ring.one, ring.coerce(2)]))
         table = {**alg.table, (i, j): row}
-        broken = AlgebraPresentation(ring, alg.basis, table, labels=alg.labels)
+        broken = AlgebraPresentation.from_table(ring, alg.basis, table, labels=alg.labels)
         expected = oracle_ideal_and_multiplicative(
             AlgebraAction(theta.actor, broken, honest.domains, honest.rows))
         if expected is not None:
@@ -533,7 +533,7 @@ def sparse_actions(draw, ring):
 
     table = {(i, j): vector() for i in range(n) for j in range(n)
              if draw(st.integers(0, 2)) == 0}
-    alg = AlgebraPresentation(ring, tuple(f"e{i}" for i in range(n)), table)
+    alg = AlgebraPresentation.from_table(ring, tuple(f"e{i}" for i in range(n)), table)
     full = tuple(range(n))
     rows = tuple({i: tuple(vector()) for i in full} for _ in actor.base.arrows())
     return AlgebraAction(actor, alg, (full,) * actor.base.n_arrows, rows)

@@ -169,24 +169,24 @@ def test_smash_labels_are_position_and_grading_arrow(graded):
 
 class TestHandBuiltPresentation:
     def test_labels_default_to_the_names(self):
-        alg = AlgebraPresentation(Q, ("a", "b"), {(0, 1): {1: 1}})
+        alg = AlgebraPresentation.from_table(Q, ("a", "b"), {(0, 1): {1: 1}})
         assert alg.labels == ("a", "b")
         assert alg.index == {"a": 0, "b": 1}
 
     def test_repeated_labels_are_refused(self):
         with pytest.raises(ValueError, match="unique"):
-            AlgebraPresentation(Q, ("a", "b"), labels=((0, 0), (0, 0)))
+            AlgebraPresentation.from_table(Q, ("a", "b"), labels=((0, 0), (0, 0)))
         with pytest.raises(ValueError, match="unique"):
-            AlgebraPresentation(Q, ("a", "a"))
+            AlgebraPresentation.from_table(Q, ("a", "a"))
 
     def test_one_label_per_basis_element(self):
         with pytest.raises(ValueError, match="one label"):
-            AlgebraPresentation(Q, ("a", "b"), labels=((0, 0),))
+            AlgebraPresentation.from_table(Q, ("a", "b"), labels=((0, 0),))
 
     def test_index_that_is_not_an_int_is_refused(self):
         for table in ({(0, 1): {"x": 1}}, {(0, "x"): {1: 1}}, {(0, 1): {2: 1}}):
             with pytest.raises(ValueError, match="indexes outside the basis"):
-                AlgebraPresentation(Q, ("a", "b"), table)
+                AlgebraPresentation.from_table(Q, ("a", "b"), table)
 
 
 P2 = built(pair_groupoid_raw()).base

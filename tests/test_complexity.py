@@ -109,7 +109,7 @@ product on every composable pair, as `bench/workloads._pair_bundle` builds it
 (seed 3), at n = 3 and 5 with 40 triples: the task decides on the basis.
 
   - P_n has the n^3 composable arrow pairs ((x, y), (y, z)), each with r^2
-    label pairs, and `sectional_algebra` convolves each pair of delta
+    label pairs, and `workspace._convolution` convolves each pair of delta
     sections once: exactly n^3 r^2 = 108 and 500 `convolve` calls, each on
     two sections of one entry. Its table associates, so no triple is drawn
     and no dense section is convolved; the route it replaced made 4 calls
@@ -124,6 +124,28 @@ product on every composable pair, as `bench/workloads._pair_bundle` builds it
     holds only the j after i, so those are the n^3 r = 54 and 250 pairs with
     e_i e_j != 0; the all-pairs walk it replaced visited every one of the
     rank^2 = 4 n^4 = 324 and 2,500 pairs.
+
+`verify tensor`, `smash` and `crossed` on the frozen scaled inputs named
+above, over Q and Z/6: 0 `convolve` calls. Every sectional algebra they build reads e_(a,i)
+e_(b,j) off the fiber row rows[(a, b)][i][j]; the route it replaced
+convolved two delta sections per composable label pair. Only `verify
+convolution`, above, convolves, to decide on convolve's own products.
+
+`smash_product` on the sectional algebra of P_n with r = 1 and the constant
+1 on every composable pair, graded by a seeded parity map into Z/2
+(`bench/workloads._parity_grading`), at n = 4 and 8. V counts the reads of the
+grading's inverse map while `smash_product` runs: the table loop reads one
+inverse per pair of the labels it meets, so V is the number of pairs visited.
+
+  - The input has rank n^2, and each basis element e_u has two labels (u, h),
+    one per element of Z/2. Its products e_(x,y) e_(y,z) = e_(x,z) are the n^3
+    nonzero ones, so u has n elements after it. The join meets each label
+    (u, g) with the n basis elements v after u, and Z/2 has one vertex, so
+    deg(v)^{-1} g is always defined: V = 2n * n^2 = 2n^3 = 128 and 1,024,
+    exactly, and the growth exponent is 3.
+  - The dense walk it replaced met every pair of the 2n^2 labels and, with
+    one vertex, read an inverse on each: V = 4n^4 = 1,024 and 16,384
+    (82,944 on P_12), growth exponent 4.
 """
 
 import importlib.util
@@ -134,7 +156,7 @@ import random
 
 import pytest
 
-from sectional import actions, bundles, semigroupoids, workspace
+from sectional import actions, bundles, semigroupoids, theorems, workspace
 from sectional.algebras import AlgebraPresentation
 from sectional.cli import main
 from structures import elimination_calls, nested_chain_action
@@ -378,3 +400,78 @@ def test_convolution_decides_on_the_basis(tmp_path, monkeypatch, capsys):
         assert len(sizes) == n ** 3 * r ** 2
         assert set(sizes) == {((1, 1), (1, 1))}
         assert counts == {"mul": 2 * n ** 4 * r, "after_support": n ** 3 * r}
+
+
+@pytest.mark.parametrize("ring", ["q", "zmod6"])
+@pytest.mark.parametrize("theorem, name", [("tensor", "tensor-p6r2"), ("smash", "smash-p6r1"),
+                                           ("crossed", "crossed-p4r2")])
+def test_built_algebras_convolve_nothing(theorem, name, ring, monkeypatch, capsys):
+    calls = []
+
+    def convolve(alpha, beta, _convolve=bundles.convolve):
+        calls.append((alpha, beta))
+        return _convolve(alpha, beta)
+
+    for module in (bundles, workspace, theorems):
+        if vars(module).get("convolve") is bundles.convolve:
+            monkeypatch.setattr(module, "convolve", convolve)
+    path = os.path.join(SCALED, f"{name}.json")
+    assert main(["verify", theorem, "--input", path, "--ring", ring, "--no-timestamp"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 0
+
+
+class _CountedReads(dict):
+    """A dict that counts its item reads into reads[0]."""
+
+    def __init__(self, items, reads):
+        super().__init__(items)
+        self.reads = reads
+
+    def __getitem__(self, key):
+        self.reads[0] += 1
+        return super().__getitem__(key)
+
+
+def _smash_visits(n, tmp_path, monkeypatch, capsys):
+    """V of `verify smash` on P_n with r = 1: the reads of the grading's
+    inverse map made while smash_product runs."""
+    workloads = _workloads()
+    rnd = random.Random(3)
+    label = workloads._Labels(rnd)
+    sgpd, ids, verts, bundle = workloads._pair_bundle(n, 1, label, rnd)
+    z2, u, g = workloads.z2_group(label)
+    path = tmp_path / f"smash-p{n}.json"
+    path.write_text(json.dumps({
+        "ring": {"kind": "q"}, "semigroupoids": {"P": sgpd, "Z2": z2}, "bundles": {"b": bundle},
+        "homomorphisms": {"d": {"source": "P", "target": "Z2",
+                                "map": workloads._parity_grading(n, ids, verts, u, g, rnd)}},
+        "tasks": [{"kind": "verify", "theorem": "smash", "bundle": "b", "grading": "d"}],
+    }), encoding="utf-8")
+    reads, building = [0], []
+
+    def is_groupoid(sgpd, _check=theorems.is_groupoid):
+        check = _check(sgpd)
+        if building:
+            check.inverses = _CountedReads(check.inverses, reads)
+        return check
+
+    def smash_product(algebra, _build=theorems.smash_product):
+        building.append(algebra)
+        try:
+            return _build(algebra)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(theorems, "is_groupoid", is_groupoid)
+    monkeypatch.setattr(theorems, "smash_product", smash_product)
+    assert main(["verify", "smash", "--input", str(path), "--no-timestamp"]) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    return reads[0]
+
+
+def test_smash_table_visits_only_nonzero_pairs(tmp_path, monkeypatch, capsys):
+    v1, v2 = (_smash_visits(n, tmp_path, monkeypatch, capsys) for n in (4, 8))
+    assert (v1, v2) == (2 * 4 ** 3, 2 * 8 ** 3)
+    assert math.log(v2 / v1) / math.log(2) <= 3.05

@@ -3,24 +3,25 @@
 `bundles.convolve` groups the right section's arrows by range, pairs each
 arrow a of the left one only with the group ending at src[a], and adds every
 fiber product x_i y_j * row straight into one dict per product arrow, which it
-prunes once; `sectional_algebra` convolves only the label pairs
-`composable_labels` yields. Two earlier versions are kept here as oracles:
+prunes once; `sectional_algebra` reads the product of the basis sections
+of each label pair `composable_labels` yields off the bundle's fiber row,
+with no convolution. Two earlier versions are kept here as oracles:
 `oracle_convolve` calls `compose` on every pair of supported arrows, and
 `grouped_convolve` is the range-grouped walk that built a term generator per
 pair and summed each product arrow with `rings.combine`; their term order is
 the one `convolve` must keep, so the key order of the section and of every
 fiber vector is compared too. `oracle_sectional_algebra` convolves every pair
-of basis sections. The Hypothesis test compares them over Q (fractional
-section values and coboundary-twisted constants), Z/6 and a non-commutative
-table ring, on bases with pairs that do not compose (parallel arrows, with
-and without units, and P_3 beside a chain), with section keys in drawn, not
-ascending, order. Sums that cancel (2 * 3 over Z/6, x + (-x) over Q) must
+of basis sections, so the rows read must be convolve's products. The
+Hypothesis test compares them over Q (fractional section values and
+coboundary-twisted constants), Z/6 and a non-commutative table ring, on bases
+with pairs that do not compose (parallel arrows, with and without units, and
+P_3 beside a chain), with section keys in drawn, not ascending, order. Sums that cancel (2 * 3 over Z/6, x + (-x) over Q) must
 leave no zero entry and no empty vector, and the table ring's products must
 keep their factor order.
 
 `verify convolution` decides on the basis: it checks the associativity of
-the sectional algebra and convolves the seeded triples only when that fails,
-to name the first failing one. The check as it stood before, which
+the table of convolve's own products of the basis sections and convolves the
+seeded triples only when that fails, to name the first failing one. The check as it stood before, which
 convolved every triple, is `structures.sampled_convolution`, and the task's
 fields must be the oracle's on the fixtures, the rational twist and the CI
 convolution file, each under its own ring, Q and Z/6, on ringfiber bundles
@@ -32,10 +33,10 @@ The sampled check draws each section straight into its normal form and
 scales each Q section to integers; over Q its draws (`workspace._q_draw`)
 must be those of `randint`, stream and state. Its verdict and `triple k`
 witness must be those of the raw draw, so a bilinear mutant of `convolve`
-that drops one factorization is patched into the workspace, and into
-`bundles` where `sectional_algebra` reads it, and must fail on the triple an
-oracle over the raw Fraction sections of `test_bundles._random_section`
-finds first; off Q the drawn section is the raw one, key for key.
+that drops one factorization is patched into the workspace, where
+`_convolution` reads it for the basis table and the triples, and into
+`bundles`, and must fail on the triple an oracle over the raw Fraction
+sections of `test_bundles._random_section` finds first; off Q the drawn section is the raw one, key for key.
 """
 
 import json
@@ -143,7 +144,7 @@ def oracle_sectional_algebra(bundle, grading=None):
             table[(p, q)] = {position[(c, k)]: x
                              for c, coords in product.values.items() for k, x in coords.items()}
     degrees = None if grading is None else tuple(grading.map[arrow] for arrow, _ in labels)
-    return AlgebraPresentation(
+    return AlgebraPresentation.from_table(
         ring=bundle.ring, basis=names, table=table,
         grading=None if grading is None else grading.target, degrees=degrees,
         provenance=f"sectional algebra over {base.name or 'base'}", labels=labels)

@@ -220,7 +220,7 @@ def _algebra(data, ring, rank):
         for j in range(rank):
             row = data.draw(st.lists(_elements(ring), min_size=rank, max_size=rank))
             table[(i, j)] = dict(enumerate(row))
-    return AlgebraPresentation(ring, tuple(f"e{i}" for i in range(rank)), table)
+    return AlgebraPresentation.from_table(ring, tuple(f"e{i}" for i in range(rank)), table)
 
 
 def naive_closure(gens, algebra):

@@ -454,9 +454,9 @@ def _with_constant(algebra, key, row):
     """algebra with table[key] replaced by row, built without checks."""
     table = dict(algebra.table)
     table[key] = row
-    return AlgebraPresentation(ring=algebra.ring, basis=algebra.basis, table=table,
-                               grading=algebra.grading, degrees=algebra.degrees,
-                               labels=algebra.labels)
+    return AlgebraPresentation.from_table(ring=algebra.ring, basis=algebra.basis, table=table,
+                                          grading=algebra.grading, degrees=algebra.degrees,
+                                          labels=algebra.labels)
 
 
 def test_smash_refuses_a_corrupted_input_with_its_witness():

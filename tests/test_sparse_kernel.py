@@ -248,10 +248,10 @@ def _random_table(data, ring, rank):
 
 
 def _presentation(ring, table, rank, **kw):
-    """Sparse presentation of a dense table; the constructor prunes zeros."""
+    """Sparse presentation of a dense table; from_table prunes zeros."""
     sparse = {key: dict(enumerate(vec)) for key, vec in table.items()}
-    return AlgebraPresentation(ring=ring, basis=tuple(f"b{i}" for i in range(rank)),
-                               table=sparse, **kw)
+    return AlgebraPresentation.from_table(ring=ring, basis=tuple(f"b{i}" for i in range(rank)),
+                                          table=sparse, **kw)
 
 
 @pytest.mark.parametrize("ring", RINGS.values(), ids=RINGS.keys())
@@ -707,7 +707,7 @@ def test_in_place_kernel_matches_combine(ring):
         rank = data.draw(st.integers(1, 4))
         table = {(i, j): dict(_terms(data, ring, rank))
                  for i in range(rank) for j in range(rank) if data.draw(st.booleans())}
-        alg = AlgebraPresentation(ring, tuple(f"b{i}" for i in range(rank)), table)
+        alg = AlgebraPresentation.from_table(ring, tuple(f"b{i}" for i in range(rank)), table)
         u, v = _terms(data, ring, rank), _terms(data, ring, rank)
         product = alg.mul(u, v)
         assert list(product.items()) == list(combine_mul(alg, u, v).items())

@@ -302,7 +302,7 @@ def _algebra(data, ring, rank):
     """Random structure constants; closure needs only bilinearity."""
     table = {(i, j): dict(enumerate(_vector(data, ring, rank)))
              for i in range(rank) for j in range(rank)}
-    return AlgebraPresentation(ring, tuple(f"e{i}" for i in range(rank)), table)
+    return AlgebraPresentation.from_table(ring, tuple(f"e{i}" for i in range(rank)), table)
 
 
 def _sparse_algebra(data, ring, rank):
@@ -311,7 +311,7 @@ def _sparse_algebra(data, ring, rank):
     keys = [(i, j) for i in range(rank) for j in range(rank)]
     chosen = data.draw(st.lists(st.sampled_from(keys), max_size=rank + 1, unique=True))
     table = {key: dict(enumerate(_vector(data, ring, rank))) for key in chosen}
-    return AlgebraPresentation(ring, tuple(f"e{i}" for i in range(rank)), table)
+    return AlgebraPresentation.from_table(ring, tuple(f"e{i}" for i in range(rank)), table)
 
 
 def test_ideal_closure_matches_the_dense_saturation_loop():
@@ -347,7 +347,7 @@ def test_ideal_closure_stops_on_equal_rows_not_equal_rank():
     """Over Z/6, 2Z/6 and Z/6 both have one Howell row: the span of 2 has the
     rank of the target but is not it, so the 3 after it is still accepted."""
     z6 = ZModRing(6)
-    algebra = AlgebraPresentation(z6, ("e",), {(0, 0): {0: 1}})
+    algebra = AlgebraPresentation.from_table(z6, ("e",), {(0, 0): {0: 1}})
     closure = ideal_closure([{0: 2}, {0: 3}], algebra, until=EchelonBasis(z6, [{0: 1}]))
     assert closure == [{0: 2}, {0: 3}] == ideal_closure([{0: 2}, {0: 3}], algebra)
 
@@ -529,7 +529,7 @@ def oracle_lscript_table(action):
 def assert_tables_match(built, labels, table):
     """built has the oracle's labels and, once the oracle's empty rows are
     dropped, its table, filled in the same order."""
-    expected = AlgebraPresentation(built.ring, built.basis, table)
+    expected = AlgebraPresentation.from_table(built.ring, built.basis, table)
     assert built.labels == tuple(labels)
     assert list(built.table.items()) == list(expected.table.items())
 

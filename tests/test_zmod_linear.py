@@ -299,7 +299,7 @@ def _algebra(data, ring, rank):
         for j in range(rank):
             row = data.draw(st.lists(st.integers(0, ring.n - 1), min_size=rank, max_size=rank))
             table[(i, j)] = dict(enumerate(row))
-    return AlgebraPresentation(ring, tuple(f"e{i}" for i in range(rank)), table)
+    return AlgebraPresentation.from_table(ring, tuple(f"e{i}" for i in range(rank)), table)
 
 
 @settings(max_examples=40, deadline=None)

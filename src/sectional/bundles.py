@@ -347,6 +347,15 @@ def convolve(alpha: Section, beta: Section) -> Section:
                                    if (w := {k: x for k, x in acc.items() if not is_zero(x)})})
 
 
+def basis_sections(bundle: Bundle) -> tuple[tuple, tuple[str, ...]]:
+    """The labels (γ, i) of the basis sections, in basis order, and their
+    names: γ's name, followed by #i when the fiber over γ has rank above 1."""
+    base, ranks = bundle.base, bundle.ranks
+    labels = tuple((arrow, i) for arrow in base.arrows() for i in range(ranks[arrow]))
+    return labels, tuple(base.arrow_names[arrow] + (f"#{i}" if ranks[arrow] > 1 else "")
+                         for arrow, i in labels)
+
+
 def sectional_algebra(bundle: Bundle, grading: Homomorphism | None = None) -> AlgebraPresentation:
     """Convolution algebra on the basis sections, optionally graded.
 
@@ -360,14 +369,8 @@ def sectional_algebra(bundle: Bundle, grading: Homomorphism | None = None) -> Al
     """
     if grading is not None and grading.source is not bundle.base and grading.source != bundle.base:
         raise ValueError("grading must be a homomorphism out of the bundle base")
-    labels = tuple(
-        (arrow, i) for arrow in bundle.base.arrows() for i in range(bundle.ranks[arrow])
-    )
+    labels, names = basis_sections(bundle)
     position = label_index(labels)
-    names = tuple(
-        f"{bundle.base.arrow_names[arrow]}" + (f"#{i}" if bundle.ranks[arrow] > 1 else "")
-        for arrow, i in labels
-    )
     table, prod = {}, bundle.base.prod
     for p, q in composable_labels(bundle.base, labels):
         (a, i), (b, j) = labels[p], labels[q]
@@ -480,9 +483,6 @@ class AlgebraAction:
     algebra: AlgebraPresentation
     domains: tuple[tuple[int, ...], ...]
     rows: tuple[dict[int, tuple], ...]
-
-    def dom(self, s: int) -> tuple[int, ...]:
-        return self.domains[s]
 
     def apply_rows(self, s: int, v) -> dict:
         """Theta_s of a sparse vector given as (index, value) pairs, which must

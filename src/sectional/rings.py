@@ -72,16 +72,13 @@ def _is_prime(n: int) -> bool | None:
 
 class Ring:
     """Unital ring with exact, decidable element equality. Each kind supplies
-    add, neg, mul, coerce, spec, sample and unit_inverse (the two-sided
-    inverse of a unit, None off the units)."""
+    add, neg, mul, coerce, spec, sample, describe and unit_inverse (the
+    two-sided inverse of a unit, None off the units)."""
 
     kind = "?"
     commutative = True
     zero: Element
     one: Element
-
-    def sub(self, a: Element, b: Element) -> Element:
-        return self.add(a, self.neg(b))
 
     def is_zero(self, a: Element) -> bool:
         """The one zero test. Truthiness is not one: a table ring's zero is
@@ -92,23 +89,11 @@ class Ring:
     def is_field(self) -> bool:
         return False
 
-    def inv(self, a: Element) -> Element:
-        raise CapabilityError(f"ring kind {self.kind!r} has no general division")
-
-    def to_json(self, a: Element):
-        return a
-
-    def describe(self) -> str:
-        return self.kind
-
     def __eq__(self, other):
         return isinstance(other, Ring) and self.spec() == other.spec()
 
     def __hash__(self):
         return hash(str(self.spec()))
-
-    def __repr__(self):
-        return f"Ring({self.describe()})"
 
 
 class _BuiltinOp(staticmethod):
@@ -164,7 +149,7 @@ class RationalRing(Ring):
     only otherwise, so the 0, 1 and -1 of structure constants, delta sections
     and pivots multiply as C integers. Arithmetic does not normalise: an
     integral Fraction it produces (1/2 * 2) is a valid element too, equal and
-    hash-equal to the int, and to_json and str print it the same way."""
+    hash-equal to the int, and str prints it the same way."""
 
     kind = "q"
     zero = 0
@@ -177,11 +162,6 @@ class RationalRing(Ring):
     @property
     def is_field(self):
         return True
-
-    def inv(self, a):
-        if self.is_zero(a):
-            raise ZeroDivisionError("inverse of 0")
-        return _rational(1 / Fraction(a))
 
     def unit_inverse(self, a):
         return None if self.is_zero(a) else _rational(1 / Fraction(a))
@@ -200,9 +180,6 @@ class RationalRing(Ring):
             except (ValueError, ZeroDivisionError):  # "x", "1/0", "0/0"
                 pass
         raise ValueError(f"not a rational literal: {x!r}")
-
-    def to_json(self, a):
-        return int(a) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
 
     def spec(self):
         return {"kind": "q"}
@@ -241,13 +218,6 @@ class ZModRing(Ring):
     @property
     def is_field(self):
         return self._is_field
-
-    def inv(self, a):
-        if not self.is_field:
-            raise CapabilityError(f"Z/{self.n} is not a field")
-        if a % self.n == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return pow(a, -1, self.n)
 
     def unit_inverse(self, a):
         if math.gcd(a, self.n) != 1:
@@ -325,9 +295,6 @@ class TableRing(Ring):
             return self.names.index(x)
         raise ValueError(f"unknown table element: {x!r}")
 
-    def to_json(self, a):
-        return self.names[a]
-
     def spec(self):
         return {
             "kind": "table",
@@ -346,18 +313,13 @@ class TableRing(Ring):
 
 
 def validate_ring(spec) -> Ring:
-    """Check a ring literal (or a built Ring) and return it, or raise
-    StructureError with the failure report.
+    """Check a ring literal and return the ring, or raise StructureError with
+    the failure report.
 
     Built-in kinds are valid axiomatically. Finite-table rings get every axiom
     enumerated; malformed tables are reported as "structural" failures, kept
     distinct from axiom failures.
     """
-    if isinstance(spec, Ring):
-        if isinstance(spec, TableRing):
-            return _validate_table_ring(spec.spec())
-        return spec
-
     def bad(witness, message):
         return StructureError(ValidationReport.single("ring", "structural", witness, message))
 
@@ -777,7 +739,7 @@ class EchelonBasis:
             self._insert_howell(res)
             return True
         p = min(res)
-        inv = ring.inv(res[p])
+        inv = ring.unit_inverse(res[p])
         new = {k: ring.mul(inv, x) for k, x in res.items()}
         for q, row in rows.items():
             if p in row:

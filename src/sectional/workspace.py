@@ -11,7 +11,6 @@ structures it names. Semantics run when a task touches a structure.
 from __future__ import annotations
 
 import json
-import math
 import random
 import time
 from collections.abc import Callable
@@ -26,8 +25,8 @@ from .actions import (
     validate_rigid_congruence,
 )
 from .algebras import AlgebraPresentation
-from .bundles import Section, convolve, delta_section, validate_bundle
-from .rings import RationalRing, Ring, validate_ring
+from .bundles import Section, basis_sections, convolve, delta_section, validate_bundle
+from .rings import Ring, validate_ring
 from .semigroupoids import (
     composable_labels,
     direct_product,
@@ -393,32 +392,14 @@ class TaskResult:
         return out
 
 
-def _q_draw(getrandbits) -> tuple[int, int]:
-    """(randint(-9, 9), randint(1, 9)) off the same stream in one frame: CPython
-    draws n.bit_length() bits until they read below n, for n = 19 and 9."""
-    while (n := getrandbits(5)) >= 19:
-        pass
-    while (m := getrandbits(4)) >= 9:
-        pass
-    return n - 9, m + 1
-
-
 def _random_section(bundle, rnd) -> Section:
-    """One ring.sample per coordinate, drawn straight into the section's dict and
-    left out when zero; over Q the same two draws n, m (_q_draw), made n d / m in
-    ints by the lcm d of the reduced denominators, with no Fraction. Convolution is
-    Q-bilinear, so (a'b')c' - a'(b'c') is d_a d_b d_c != 0 times (ab)c - a(bc): each
-    triple keeps the unscaled draw's verdict."""
-    ring, q = bundle.ring, isinstance(bundle.ring, RationalRing)
-    draw = partial(_q_draw, rnd.getrandbits) if q else partial(ring.sample, rnd)
-    kept = (lambda x: x[0]) if q else (lambda x: not ring.is_zero(x))
+    """One ring.sample per coordinate, drawn straight into the section's dict
+    and left out when zero. _convolution draws only once the basis table has
+    failed, so a passing task never pays for the Fractions of a Q draw."""
+    ring = bundle.ring
     values = {a: v for a in bundle.base.arrows()
-              if (v := {i: x for i in range(bundle.ranks[a]) if kept(x := draw())})}
-    if q:
-        d = math.lcm(*(m // math.gcd(n, m) for v in values.values() for n, m in v.values()))
-        for v in values.values():
-            for i, (n, m) in v.items():
-                v[i] = n * d // m
+              if (v := {i: x for i in range(bundle.ranks[a])
+                        if not ring.is_zero(x := ring.sample(rnd))})}
     return Section.normal(bundle, values)
 
 
@@ -438,23 +419,26 @@ def _convolution(builder: Builder, params: dict) -> dict:
     constants (_check_twists). So each triple's (ab)c - a(bc) is a sum of x y z
     times basis associators, and when convolve's own table of basis sections
     associates every triple passes and nothing is drawn. Otherwise the seeded
-    triples (_random_section) are convolved to name the first failing one."""
+    triples (_random_section) are convolved to name the first failing one, and
+    when none fails the first failing basis triple, named as sectional_algebra
+    names basis sections, is the witness."""
     bundle = builder.bundle(params["bundle"])
     triples, seed = _convolution_args(params)
-    labels = tuple((a, i) for a in bundle.base.arrows() for i in range(bundle.ranks[a]))
+    labels, names = basis_sections(bundle)
     at, deltas = label_index(labels), [delta_section(bundle, a, index=i) for a, i in labels]
     table = {(p, q): {at[(c, k)]: x for c, v in convolve(deltas[p], deltas[q]).values.items()
                       for k, x in v.items()} for p, q in composable_labels(bundle.base, labels)}
-    witness = []
-    if AlgebraPresentation.from_table(bundle.ring, labels, table).check_associativity():
+    basis = AlgebraPresentation.from_table(bundle.ring, names, table, labels=labels)
+    witness = basis.check_associativity()
+    if witness:
         rnd = random.Random(f"convolution:{seed}")
         for k in range(triples):
             a, b, c = (_random_section(bundle, rnd) for _ in range(3))
             if convolve(convolve(a, b), c) != convolve(a, convolve(b, c)):
-                witness = [f"triple {k}"]
+                witness = (f"triple {k}",)
                 break
     return {"status": "fail" if witness else "pass",
-            "data": {"triples": triples, "seed": seed}, "witness": witness}
+            "data": {"triples": triples, "seed": seed}, "witness": list(witness or ())}
 
 
 def _certified(*certs) -> dict:

@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 from sectional import cli
 from sectional.cli import _json, _stanza, main, parse_ring_override
 from sectional.semigroupoids import semigroupoid_to_raw, validate_semigroupoid
-from sectional.validation import StructureError
+from sectional.validation import InternalConsistencyError, StructureError
 from sectional.rings import RationalRing
 from sectional.workspace import (
     Builder,
     WorkspaceError,
     execute_task,
     parse_workspace,
+    run_guarded,
     run_workspace,
 )
 
@@ -905,3 +906,11 @@ def test_one_parser_serves_every_call_in_a_process(capsys):
     assert [code for code, _, _ in reused] == [0, 0, 0, 2, 2]
     assert "seed: 7" in reused[0][1] and "seed: 0" in reused[1][1]
     assert "invalid choice" in reused[3][2]
+
+
+def test_an_internal_consistency_error_fails_its_task_with_its_message():
+    def run():
+        raise InternalConsistencyError("a bug in the validator")
+
+    result = run_guarded(3, "verify", "verify crossed x", run)
+    assert (result.status, result.message, result.witness) == ("fail", "a bug in the validator", [])

@@ -29,16 +29,19 @@ over the non-commutative UT2(F2) (the twisted family of `test_sparse_kernel`,
 one constant redrawn in about half the draws), and on the fixture under each
 mutant that drops one factorization: both pass, or both name one `triple k`.
 
-The sampled check draws each section straight into its normal form and
-scales each Q section to integers; over Q its draws (`workspace._q_draw`)
-must be those of `randint`, stream and state. Its verdict and `triple k`
-witness must be those of the raw draw, so a bilinear mutant of `convolve`
-that drops one factorization is patched into the workspace, where
-`_convolution` reads it for the basis table and the triples, and into
-`bundles`, and must fail on the triple an oracle over the raw Fraction
-sections of `test_bundles._random_section` finds first; off Q the drawn section is the raw one, key for key.
+The sampled check draws each section straight into its normal form, one
+`ring.sample` per coordinate: over Q, Z, Z/6 and UT2(F2) the drawn section is
+the raw one of `test_bundles._random_section`, key for key, and the stream is
+left in the same state. Its verdict and `triple k` witness must be those of
+the raw draw, so a bilinear mutant of `convolve` that drops one factorization
+is patched into the workspace, where `_convolution` reads it for the basis
+table and the triples, and into `bundles`, and must fail on the triple an
+oracle over the raw sections finds first. When the basis table fails and no
+seeded triple does (always so at `"triples": 0`), the first failing basis
+triple, named as `sectional_algebra` names the basis sections, is the witness.
 """
 
+import itertools
 import json
 import os
 import random
@@ -328,7 +331,7 @@ def test_table_ring_products_keep_their_factor_order():
 
 
 # ---------------------------------------------------------------------------
-# verify convolution on integer-scaled Q sections
+# verify convolution on seeded sections
 # ---------------------------------------------------------------------------
 
 def _fixture_bundle(ring):
@@ -346,8 +349,8 @@ def _dropping(a0, b0):
     return mutant
 
 
-def _verify_convolution(ring_name, seed, capsys):
-    code = main(["verify", "convolution", "--input", FIXTURE, "--ring", ring_name,
+def _verify_convolution(ring_name, seed, capsys, path=FIXTURE):
+    code = main(["verify", "convolution", "--input", str(path), "--ring", ring_name,
                  "--seed", str(seed), "--no-timestamp", "--format", "json"])
     (task,) = json.loads(capsys.readouterr().out)["workspaces"][0]["tasks"]
     return code, task["status"], task.get("witness")
@@ -375,17 +378,53 @@ def test_dropped_factorization_fails_on_the_oracles_triple(ring_name, ring, seed
     assert _verify_convolution(ring_name, seed, capsys) == (1, "fail", [f"triple {first}"])
 
 
+@pytest.mark.parametrize("ring_name, ring", [("q", Q), ("zmod6", Z6)])
+def test_dropped_factorization_fails_with_no_triples(ring_name, ring, tmp_path, capsys,
+                                                     monkeypatch):
+    """At "triples": 0 nothing is drawn, so the failing basis names itself."""
+    with open(FIXTURE, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["tasks"][0]["triples"] = 0
+    path = tmp_path / "no-triples.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    bundle = _fixture_bundle(ring)
+    mutant = _dropping(bundle.base.arrow_index("(1,2)"), bundle.base.arrow_index("(2,1)"))
+    first = _first_failing_basis_triple(bundle, mutant)
+    assert first is not None and _first_failing_basis_triple(bundle) is None
+
+    assert _verify_convolution(ring_name, 7, capsys, path) == (0, "pass", None)
+    for module in (workspace, bundles):
+        monkeypatch.setattr(module, "convolve", mutant)
+    assert _verify_convolution(ring_name, 7, capsys, path) == (1, "fail", first)
+
+
 ROOT = os.path.dirname(FIXTURE)
 ORACLE_FILES = [os.path.join(ROOT, "convolution.json"), os.path.join(ROOT, "tablering.json"),
                 os.path.join(HERE, "data", "rational_twist.json"),
                 os.path.join(HERE, "data", "scaled", "ci", "convolution-p5r2.json")]
 
 
+def _first_failing_basis_triple(bundle, convolve=convolve):
+    """The names of the first basis sections (x, y, z), in basis order, with
+    (xy)z != x(yz) under convolve, or None."""
+    alg = sectional_algebra(bundle)
+    deltas = [delta_section(bundle, a, index=i) for a, i in alg.labels]
+    for x, y, z in itertools.product(range(alg.rank), repeat=3):
+        if convolve(convolve(deltas[x], deltas[y]), deltas[z]) != \
+                convolve(deltas[x], convolve(deltas[y], deltas[z])):
+            return [alg.basis[w] for w in (x, y, z)]
+    return None
+
+
 def _matches_the_oracle(bundle, params, convolve=convolve):
-    """workspace._convolution's fields on bundle are sampled_convolution's;
-    returns whether it passed."""
+    """workspace._convolution's fields on bundle are sampled_convolution's, but
+    where it fails and every seeded triple passes: then its witness is the
+    first failing basis triple; returns whether it passed."""
     out = workspace._convolution(SimpleNamespace(bundle=lambda name: bundle), params)
-    assert out == sampled_convolution(bundle, *workspace._convolution_args(params), convolve)
+    expected = sampled_convolution(bundle, *workspace._convolution_args(params), convolve)
+    if expected["status"] == "pass" and out["status"] == "fail":
+        expected.update(status="fail", witness=_first_failing_basis_triple(bundle, convolve))
+    assert out == expected
     return out["status"] == "pass"
 
 
@@ -455,46 +494,15 @@ def _dense_draw(bundle, rnd):
     return [[bundle.ring.sample(rnd) for _ in range(bundle.ranks[a])] for a in bundle.base.arrows()]
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_scaled_q_sections_are_integral_multiples_of_the_raw_draw(seed):
-    bundle = _fixture_bundle(Q)
-    raw_rnd, rnd, dense_rnd = (random.Random(f"convolution:{seed}") for _ in range(3))
-    saw_fraction = saw_zero = False
-    for _ in range(30):
-        raw = raw_random_section(bundle, raw_rnd)
-        scaled = workspace._random_section(bundle, rnd)
-        saw_zero |= _assert_zero_draws_absent(scaled, _dense_draw(bundle, dense_rnd))
-        saw_fraction |= any(isinstance(x, Fraction) for v in raw.values.values() for x in v.values())
-        assert all(type(x) is int for v in scaled.values.values() for x in v.values())
-        arrow = next(iter(raw.values))
-        i, x = next(iter(raw.at(arrow).items()))
-        d = Fraction(scaled.at(arrow)[i]) / x
-        assert d.denominator == 1 and d > 0
-        assert scaled == raw.scale(d.numerator)
-        assert layout(scaled) == [(a, [(i, x * d.numerator) for i, x in v])
-                                  for a, v in layout(raw)]
-    assert raw_rnd.random() == rnd.random() == dense_rnd.random()
-    assert saw_fraction and saw_zero
-
-
-def test_q_draw_follows_randints_stream():
-    """_q_draw rejects getrandbits values as CPython's randint does, so over
-    10,000 seeded draws it returns randint's pairs and leaves the generator
-    in randint's state."""
-    ours, theirs = random.Random("convolution:0"), random.Random("convolution:0")
-    draws = [workspace._q_draw(ours.getrandbits) for _ in range(10_000)]
-    assert draws == [(theirs.randint(-9, 9), theirs.randint(1, 9)) for _ in range(10_000)]
-    assert ours.getstate() == theirs.getstate()
-    assert {n for n, _ in draws} == set(range(-9, 10)) and {m for _, m in draws} == set(range(1, 10))
-
-
-@pytest.mark.parametrize("ring_name", ["zmod6", "table"])
+@pytest.mark.parametrize("ring_name", ["q", "z", "zmod6", "table"])
 @pytest.mark.parametrize("seed", range(3))
-def test_sampled_sections_off_q_are_the_raw_draw(ring_name, seed):
-    """Over Z/6 and the non-commutative table ring each coordinate is one
-    ring.sample, kept as drawn; a zero draw leaves no entry behind."""
+def test_sampled_sections_are_the_raw_draw(ring_name, seed):
+    """Over Q (Fraction draws), Z, Z/6 and the non-commutative table ring each
+    coordinate is one ring.sample, kept as drawn, key for key, and the stream
+    is left where the raw draw leaves it; a zero draw leaves no entry behind."""
     base = _fixture_bundle(Z6).base
-    bundle = trivial_bundle(Z6 if ring_name == "zmod6" else TABLE, base)
+    ring = {"q": Q, "z": validate_ring({"kind": "z"}), "zmod6": Z6, "table": TABLE}[ring_name]
+    bundle = trivial_bundle(ring, base)
     raw_rnd, rnd, dense_rnd = (random.Random(f"convolution:{seed}") for _ in range(3))
     saw_zero = False
     for _ in range(30):

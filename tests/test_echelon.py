@@ -50,12 +50,12 @@ def oracle_rref(rows, ring):
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = ring.inv(mat[r][c])
+        inv = ring.unit_inverse(mat[r][c])
         mat[r] = [ring.mul(inv, x) for x in mat[r]]
         for i in range(nrows):
             if i != r and mat[i][c] != ring.zero:
                 f = mat[i][c]
-                mat[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(mat[i], mat[r])]
+                mat[i] = [ring.add(x, ring.neg(ring.mul(f, y))) for x, y in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -74,7 +74,7 @@ def oracle_in_span(v, gens, ring):
     for k, p in enumerate(pivots):
         f = residue[p]
         if f != ring.zero:
-            residue = [ring.sub(x, ring.mul(f, y)) for x, y in zip(residue, rref[k])]
+            residue = [ring.add(x, ring.neg(ring.mul(f, y))) for x, y in zip(residue, rref[k])]
     return all(x == ring.zero for x in residue)
 
 

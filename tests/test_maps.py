@@ -92,6 +92,20 @@ class TestCertificates:
         names = {c.name: c.ok for c in cert.checks}
         assert not names["degree-preserving"]
 
+    def test_degrees_of_an_ungraded_side_or_another_grading_are_refused(self):
+        from sectional.semigroupoids import identity_homomorphism
+
+        z2, xy = built(cyclic2_raw()).base, built(unit_groupoid_raw(("x", "y"))).base
+        a = semigroupoid_algebra(Q, z2, identity_homomorphism(z2))
+        ungraded = semigroupoid_algebra(Q, z2)
+        assert ungraded.check_graded_closure() is None
+        other = semigroupoid_algebra(Q, xy, identity_homomorphism(xy))
+        for b, note in ((ungraded, "both sides must be graded"),
+                        (other, "gradings live over different semigroupoids")):
+            cert = certify_linear_iso(basis_bijection(a, b, {0: 0, 1: 1}), "regraded", graded=True)
+            (check,) = [c for c in cert.checks if c.name == "degree-preserving"]
+            assert (check.ok, check.note) == (False, note)
+
 
 
 @pytest.mark.parametrize("ring", [Q, ZModRing(6)], ids=["Q", "Z6"])

@@ -62,11 +62,6 @@ class FractionRationalRing(Ring):
     def is_field(self):
         return True
 
-    def inv(self, a):
-        if self.is_zero(a):
-            raise ZeroDivisionError("inverse of 0")
-        return 1 / Fraction(a)
-
     def unit_inverse(self, a):
         return None if self.is_zero(a) else 1 / Fraction(a)
 
@@ -83,9 +78,6 @@ class FractionRationalRing(Ring):
             except (ValueError, ZeroDivisionError):
                 pass
         raise ValueError(f"not a rational literal: {x!r}")
-
-    def to_json(self, a):
-        return int(a) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
 
     def spec(self):
         return {"kind": "q"}

@@ -1,5 +1,7 @@
 """Semigroupoid, inverse-structure, and homomorphism validators."""
 
+import itertools
+
 import pytest
 
 from sectional.semigroupoids import (
@@ -15,6 +17,7 @@ from sectional.validation import StructureError, ValidationReport
 
 from structures import (
     built,
+    components_semidirect_action,
     cyclic2_raw,
     is_isomorphism,
     klein_four_raw,
@@ -25,6 +28,37 @@ from structures import (
     with_product_entry,
     without_product_entry,
 )
+
+
+def _one_vertex_tables(n):
+    """Each associative table on the arrows a0..a(n-1), loops at one vertex."""
+    names = [f"a{i}" for i in range(n)]
+    cells = list(itertools.product(range(n), repeat=2))
+    for flat in itertools.product(range(n), repeat=n * n):
+        t = dict(zip(cells, flat))
+        if all(t[(t[(x, y)], z)] == t[(x, t[(y, z)])] for x, y, z in itertools.product(range(n), repeat=3)):
+            yield {"vertices": ["v"], "arrows": [{"id": a, "src": "v", "rng": "v"} for a in names],
+                   "prod": [[names[x], names[y], names[t[(x, y)]]] for x, y in cells]}
+
+
+def _unique_inverses(sgpd, inv):
+    """Brute force: inv[s] is a generalized inverse of s, and no other arrow is."""
+    prod = sgpd.prod
+
+    def inverse(s, t):
+        st, ts = prod[s].get(t), prod[t].get(s)
+        return None not in (st, ts) and prod[st].get(s) == s and prod[ts].get(t) == t
+
+    return all(inverse(s, t) == (t == inv[s]) for s in sgpd.arrows() for t in sgpd.arrows())
+
+
+def _inverse_laws(sgpd, inv):
+    """(s*)* = s, (ab)* = b* a* and ef = fe for idempotents e, f."""
+    prod = sgpd.prod
+    idempotents = [e for e in sgpd.arrows() if prod[e].get(e) == e]
+    return (all(inv[inv[s]] == s for s in sgpd.arrows())
+            and all(inv[prod[a][b]] == prod[inv[b]].get(inv[a]) for a, b in sgpd.composable)
+            and all(prod[e].get(f) == prod[f].get(e) for e in idempotents for f in idempotents))
 
 
 class TestValidateSemigroupoid:
@@ -144,12 +178,35 @@ class TestInverseSemigroupoids:
         assert report.first("inverse-condition").witness == ("g",)
 
     def test_involution_and_antihomomorphism_properties(self):
-        for inv in (built(pair_groupoid_raw()), built(semilattice_raw()), built(klein_four_raw())):
-            base = inv.base
-            for s in base.arrows():
-                assert inv.inv[inv.inv[s]] == s
-            for a, b in base.composable:
-                assert inv.inv[base.prod[a][b]] == base.compose(inv.inv[b], inv.inv[a])
+        actors = [components_semidirect_action(2, 1, [(0, 1), (1, 0)])[0],
+                  components_semidirect_action(3, 1, list(itertools.permutations(range(3))))[0]]
+        raws = [pair_groupoid_raw(tuple(map(str, range(n)))) for n in (1, 2, 3)]
+        for raw in raws + actors + [semilattice_raw(), klein_four_raw()]:
+            inv = built(raw)
+            assert _unique_inverses(inv.base, inv.inv) and _inverse_laws(inv.base, inv.inv)
+
+    def test_unique_inverses_give_the_inverse_laws_on_every_small_table(self):
+        """Every associative table on 1-3 arrows at one vertex, with every
+        inverse assignment: the validator accepts exactly the unique-inverse
+        ones, and each of them keeps the laws it does not walk."""
+        tables = accepted = 0
+        for n in (1, 2, 3):
+            for raw in _one_vertex_tables(n):
+                sgpd, tables = validate_semigroupoid(raw), tables + 1
+                for inv in itertools.product(range(n), repeat=n):
+                    names = sgpd.arrow_names
+                    try:
+                        validate_inverse_semigroupoid(sgpd, {names[s]: names[t] for s, t in enumerate(inv)})
+                    except StructureError:
+                        ok = False
+                    else:
+                        ok = True
+                    unique = _unique_inverses(sgpd, inv)
+                    assert ok == unique
+                    # so the laws the validator no longer walks would refuse nothing more
+                    assert not unique or _inverse_laws(sgpd, inv)
+                    accepted += ok
+        assert (tables, accepted) == (122, 29)
 
     def test_order_is_product_monotone(self):
         # s1 <= t1 and s2 <= t2 with s1 s2 defined forces s1 s2 <= t1 t2

@@ -13,6 +13,10 @@ the fiber R, so it must be central: one off the centre of UT2(F2) is refused
 as `non-central-fiber-map` by `validate_bundle_action` and as
 `non-central-transport` by `validate_bundle_congruence`, witnessed by the
 pair (s, g) or the arrow g.
+
+The refusals of library calls that no structure file makes (a `maps` that is
+not an object, `trivial_action` on a many-vertex actor, `bundle_from_graded`
+and `coefficient_bundle` on inputs they cannot take) raise their own errors.
 """
 
 import pytest
@@ -26,7 +30,15 @@ from sectional.actions import (
     validate_preaction,
     validate_rigid_congruence,
 )
-from sectional.bundles import Bundle, trivial_bundle, validate_bundle
+from sectional.algebras import AlgebraPresentation
+from sectional.bundles import (
+    Bundle,
+    bundle_from_graded,
+    coefficient_bundle,
+    semigroupoid_algebra,
+    trivial_bundle,
+    validate_bundle,
+)
 from sectional.rings import RationalRing, ZModRing, validate_ring
 from sectional.semigroupoids import (
     FiniteInverseSemigroupoid,
@@ -42,11 +54,12 @@ from sectional.theorems import (
     validate_bundle_action,
     validate_bundle_congruence,
 )
-from sectional.validation import StructureError
+from sectional.validation import CapabilityError, StructureError, ValidationReport
 
 from structures import (
     built,
     cyclic2_raw,
+    pair_groupoid_raw,
     semilattice_on_points_action,
     semilattice_raw,
     trivial_monoid_raw,
@@ -140,6 +153,43 @@ def test_every_validator_has_a_case():
 
     validators = {name for name in dir(sectional) if name.startswith("validate_")}
     assert validators | {"germ_quotient"} == set(CASES)
+
+
+def _ut2_algebra(basis, **graded):
+    """An algebra over the non-commutative UT2(F2) with no products."""
+    ring = validate_ring(upper_triangular_f2_ring_spec())
+    return AlgebraPresentation.from_table(ring, basis, **graded)
+
+
+# a library call no file makes: (call, the error it raises, words of the refusal)
+LIBRARY_REFUSALS = {
+    "maps-not-an-object": (lambda: validate_preaction([], built(cyclic2_raw()), points()),
+                           StructureError, "maps must be an object keyed by actor arrows"),
+    "trivial-action-on-many-vertices": (
+        lambda: trivial_action(built(pair_groupoid_raw()), points()),
+        StructureError, "the identity-on-everything action needs a one-vertex actor"),
+    "bundle-of-ungraded-algebra": (lambda: bundle_from_graded(semigroupoid_algebra(Q, z2())),
+                                   StructureError, "the algebra carries no grading"),
+    "non-commutative-rank-2-component": (
+        lambda: bundle_from_graded(_ut2_algebra(("p", "q"), grading=built(trivial_monoid_raw()).base,
+                                                degrees=(0, 0))),
+        CapabilityError, "non-commutative coefficients need rank-1 homogeneous components"),
+    "non-commutative-algebra-coefficients": (
+        lambda: coefficient_bundle(_ut2_algebra(("p",)), z2()),
+        CapabilityError, "algebra coefficients need a commutative ring"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_REFUSALS))
+def test_a_library_refusal_raises_its_error(name):
+    call, error, words = LIBRARY_REFUSALS[name]
+    with pytest.raises(error, match=words):
+        call()
+
+
+def test_a_passing_report_has_no_first_failure():
+    report = ValidationReport("x")
+    assert (report.ok, report.first(), report.summary()) == (True, None, "x: ok")
 
 
 def swap_action():

@@ -18,7 +18,6 @@ from .rings import (
     Ring,
     TableRing,
     ZModRing,
-    ideal_closure,
     smith_normal_form,
     solve_linear,
     validate_ring,

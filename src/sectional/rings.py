@@ -18,6 +18,8 @@ composite residue rings. No passing certificate eliminates: a comparison map
 reads its bijectivity off its checked inverse, and the quotient and germ
 certificates read their kernels off the map's rows, so solve_linear, whose
 composite kernel takes a Smith normal form, only explains a failed inverse.
+The germ certificate's ideal is the span of its generators, which _thin
+builds; no ideal is saturated by products.
 Matrix inverses are division-free over any commutative ring; over Z/n a dot
 product is one integer sum, reduced once. Other ring kinds refuse with
 CapabilityError.
@@ -29,7 +31,6 @@ import itertools
 import math
 import operator
 from bisect import insort
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
@@ -832,60 +833,3 @@ def _thin(generators, ring: Ring) -> tuple:
     """The generators that enlarge the span before them, and its echelon basis."""
     basis = EchelonBasis(ring)
     return [g for g in (sparse_vector(g, ring) for g in generators) if basis.insert(g)], basis
-
-
-def ideal_closure(generators, algebra, until=None) -> list[dict]:
-    """Smallest two-sided multiplication-closed subspace containing the generators.
-
-    `algebra` is any presentation exposing ring, mul on sparse vectors, and
-    after_support/before_support from its support index. Saturation multiplies every vector that
-    enlarges the span by every basis element on both sides until nothing new
-    appears; the submodule lattice of a finite free module over a field or
-    Z/n has finite height, so this stops. The products of each accepted
-    vector form one lazy stream, read in order after the streams before it,
-    and only the products that can be nonzero are formed: a zero product
-    never enlarges the span.
-
-    `until` is an EchelonBasis of a submodule known to contain the closure,
-    such as the kernel of a multiplicative map that kills every generator (a
-    two-sided ideal containing them). Saturation then stops as soon as the
-    span's echelon rows equal until's: the span already is that submodule,
-    so no later product could enlarge it, and the result is the one full
-    saturation gives. Over a field the result is the ideal's reduced row
-    echelon form, over composite Z/n the vectors that enlarged the span.
-    """
-    return _saturate(generators, algebra, until)[0]
-
-
-def _saturate(generators, algebra, until=None) -> tuple:
-    """ideal_closure's result and the EchelonBasis of its span."""
-    ring = algebra.ring
-    basis = EchelonBasis(ring)
-    target = None if until is None else until.rows
-    span: list[dict] = []
-    streams = deque([(sparse_vector({k: ring.coerce(x) for k, x in dict(g).items()}, ring)
-                      for g in generators)])
-    while streams:
-        vec = next(streams[0], None)
-        if vec is None:
-            streams.popleft()
-            continue
-        if not basis.insert(vec):
-            continue
-        span.append(vec)
-        if basis.rows == target:
-            break
-        streams.append(_unit_products(algebra, vec))
-    return (basis.pivot_rows() if ring.is_field else span), basis
-
-
-def _unit_products(algebra, vec: dict):
-    """e_i vec and vec e_i by ascending i, each only where it can be nonzero."""
-    one, items = algebra.ring.one, vec.items()
-    left, right = algebra.before_support(items), algebra.after_support(items)
-    for i in sorted(left | right):
-        unit = ((i, one),)
-        if i in left:
-            yield algebra.mul(unit, items)
-        if i in right:
-            yield algebra.mul(items, unit)

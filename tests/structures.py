@@ -6,8 +6,12 @@ structure the library works on.
 """
 
 import copy
+import itertools
 import random
 import sys
+from collections import deque
+
+from hypothesis import strategies as st
 
 from sectional import maps, rings, theorems, workspace
 from sectional.actions import big_ideals, validate_preaction
@@ -53,7 +57,12 @@ def elimination_calls(monkeypatch, run):
 
     def insert(basis, v, _insert=EchelonBasis.insert):
         accepted = _insert(basis, v)
-        inserts.append((sys._getframe(1).f_code.co_name, accepted))
+        # past a comprehension's own frame, which Python 3.12 inlines, so
+        # the caller has one name on every version
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.endswith("comp>"):
+            frame = frame.f_back
+        inserts.append((frame.f_code.co_name, accepted))
         return accepted
 
     monkeypatch.setattr(EchelonBasis, "insert", insert)
@@ -83,6 +92,40 @@ def span_rank(generators, ring) -> int:
     """The dimension of the span of sparse vectors over a field."""
     assert ring.is_field
     return len(EchelonBasis(ring, generators).rows)
+
+
+def ideal_closure(generators, algebra) -> list[dict]:
+    """The two-sided ideal the generators generate, by full saturation: the
+    oracle for the germ certificate's ideal, which reads it off the
+    generators' span. Every vector that enlarges the span is multiplied by
+    every basis element on both sides until nothing new appears; the products
+    of each accepted vector form one lazy stream, read in order after the
+    streams before it. Over a field the ideal's reduced row echelon form,
+    over Z/n the vectors that enlarged the span, in the order read."""
+    ring = algebra.ring
+    basis, span = EchelonBasis(ring), []
+    streams = deque([(sparse_vector({k: ring.coerce(x) for k, x in dict(g).items()}, ring)
+                      for g in generators)])
+    while streams:
+        vec = next(streams[0], None)
+        if vec is None:
+            streams.popleft()
+        elif basis.insert(vec):
+            span.append(vec)
+            streams.append(unit_products(algebra, vec))
+    return basis.pivot_rows() if ring.is_field else span
+
+
+def unit_products(algebra, vec: dict):
+    """e_i vec and vec e_i by ascending i, each only where it can be nonzero."""
+    one, items = algebra.ring.one, vec.items()
+    left, right = algebra.before_support(items), algebra.after_support(items)
+    for i in sorted(left | right):
+        unit = ((i, one),)
+        if i in left:
+            yield algebra.mul(unit, items)
+        if i in right:
+            yield algebra.mul(items, unit)
 
 
 def refusal(call, *args):
@@ -319,6 +362,17 @@ def semilattice_raw():
     }
 
 
+def one_vertex_tables(n):
+    """Each associative table on the arrows a0..a(n-1), loops at one vertex."""
+    names = [f"a{i}" for i in range(n)]
+    cells = list(itertools.product(range(n), repeat=2))
+    for flat in itertools.product(range(n), repeat=n * n):
+        t = dict(zip(cells, flat))
+        if all(t[(t[(x, y)], z)] == t[(x, t[(y, z)])] for x, y, z in itertools.product(range(n), repeat=3)):
+            yield {"vertices": ["v"], "arrows": [{"id": a, "src": "v", "rng": "v"} for a in names],
+                   "prod": [[names[x], names[y], names[t[(x, y)]]] for x, y in cells]}
+
+
 def pair_groupoid_raw(points=("1", "2")):
     """Arrows (i,j) with source j and range i; (i,j)(j,k) = (i,k)."""
     points = tuple(map(str, points))
@@ -495,7 +549,7 @@ def columns_of(entries, cols):
     return [{i: row[j] for i, row in enumerate(entries)} for j in range(cols)]
 
 
-def components_semidirect_action(k, m, group):
+def components_semidirect_action(k, m, group, keep=None):
     """E ⋊ Γ acting on k disjoint copies of the pair groupoid P_m.
 
     group lists permutations of the k components (tuples, gamma[c] the image
@@ -503,11 +557,17 @@ def components_semidirect_action(k, m, group):
     under intersection, and the actor's arrows are the pairs (U, gamma) with
     (U, gamma)(V, delta) = (U ∩ gamma V, gamma delta) and
     (U, gamma)* = (gamma⁻¹ U, gamma⁻¹). theta_(U, gamma) moves the copies
-    gamma⁻¹(U) onto U, arrow by arrow. Returns (actor, space, maps) as raw
-    stanzas for validate_semigroupoid, validate_inverse_semigroupoid and
+    gamma⁻¹(U) onto U, arrow by arrow. keep, when given, lists the sets U
+    that E keeps; closed under intersection and the group, they make a
+    sub-inverse-semigroup, and without the set of all copies no domain is
+    global. Returns (actor, space, maps) as raw stanzas for
+    validate_semigroupoid, validate_inverse_semigroupoid and
     validate_preaction.
     """
     sets = [frozenset(c for c in range(k) if mask >> c & 1) for mask in range(1 << k)]
+    if keep is not None:
+        keep = set(map(frozenset, keep))
+        sets = [u for u in sets if u in keep]
     inverse = {g: tuple(g.index(c) for c in range(k)) for g in group}
 
     def name(u, g):
@@ -575,3 +635,57 @@ def nested_chain_action(n):
 def preaction(actor, space, maps):
     """The validated preaction of raw actor, space and maps stanzas."""
     return validate_preaction(maps, built(actor), validate_semigroupoid(space))
+
+
+# Small validated preactions drawn by Hypothesis, shared by the germ oracles
+
+def chain_semilattice(n):
+    """The chain semilattice e0 < ... < e{n-1}, ei ej = e{min(i,j)}."""
+    ids = [f"e{i}" for i in range(n)]
+    return built({
+        "id": f"C{n}",
+        "vertices": ["*"],
+        "arrows": [{"id": a, "src": "*", "rng": "*"} for a in ids],
+        "prod": [[ids[i], ids[j], ids[min(i, j)]] for i in range(n) for j in range(n)],
+        "inv": {a: a for a in ids},
+    })
+
+
+def identity_on(arrows):
+    arrows = list(arrows)
+    return {"dom": arrows, "img": arrows}
+
+
+@st.composite
+def chain_actions(draw):
+    """C_n acting by identities; point p lies in dom theta_ei for i >= entry[p]."""
+    n = draw(st.integers(1, 4))
+    points = "xyz"[:draw(st.integers(1, 3))]
+    entry = {p: draw(st.integers(0, n)) for p in points}
+    maps = {f"e{i}": identity_on(f"1{p}" for p in points if entry[p] <= i)
+            for i in range(n)}
+    return validate_preaction(maps, chain_semilattice(n),
+                              built(unit_groupoid_raw(points)).base)
+
+
+@st.composite
+def z2_actions(draw):
+    """Z/2 = {u, g} on points: u the identity and g an involution of one domain."""
+    points = "wxyz"[:draw(st.integers(1, 4))]
+    dom = [p for p in points if draw(st.booleans())]
+    order = draw(st.permutations(dom))
+    image = {p: p for p in dom}
+    for p, q in zip(order[::2], order[1::2]):
+        if draw(st.booleans()):
+            image[p], image[q] = q, p
+    maps = {"u": identity_on(f"1{p}" for p in dom),
+            "g": {"dom": [f"1{p}" for p in dom], "img": [f"1{image[p]}" for p in dom]}}
+    return validate_preaction(maps, built(cyclic2_raw()), built(unit_groupoid_raw(points)).base)
+
+
+def pair_moves(points):
+    """The pair groupoid on points moving the unit arrow 1j to 1i: an actor
+    with several vertices, so src and rng of the actor arrows differ."""
+    moves = {f"({i},{j})": {"dom": [f"1{j}"], "img": [f"1{i}"]} for i in points for j in points}
+    space = built(unit_groupoid_raw(points)).base
+    return validate_preaction(moves, built(pair_groupoid_raw(points)), space)

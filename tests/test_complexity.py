@@ -71,23 +71,22 @@ passing two-sided inverse; the route it replaced ran one `solve_linear` per
 certificate, and over Z/6 one Smith normal form in each.
 
 `verify germ` on C_n, the chain action above, at n = 16 and 32, over Q and
-Z/6: 0 calls to
-`solve_linear` and 0 to `smith_normal_form`, and every `EchelonBasis.insert`
-call comes from `rings._saturate`, the saturation of `ideal_closure`.
+Z/6: 0 calls to `solve_linear` and 0 to `smith_normal_form`, and every
+`EchelonBasis.insert` call comes from `rings._thin`, the span of the ideal's
+generators.
 
   - The germ certificate sets its kernel's echelon rows off the map's rows
-    (`theorems._unit_map_kernel`, which inserts nothing), takes the ideal's
-    echelon basis from the saturation instead of rebuilding it, and runs no
-    `solve_linear`; `verify germ` certifies no other map. So the saturation
-    is the only caller left.
+    (`theorems._unit_map_kernel`, which inserts nothing), reads the ideal
+    off its generators' span, forming no product, and runs no
+    `solve_linear`; `verify germ` certifies no other map. So the span is the
+    only caller left.
   - The germ of (s, x) is the class of all (t, x) with x in D_t: the point
     entering at k lies in the n - k domains D_k..D_{n-1}, so the classes
     have the sizes m = 1..n. The map sends each class to one unit, so its
     kernel is spanned by the differences delta_s e_x - delta_t e_x inside
     the classes, which are exactly the generators, sum of C(m, 2) = C(n+1, 3)
-    = 680 and 5,456 of them. They span the kernel, which bounds the
-    saturation, so it stops once they have all been read at the latest and
-    forms no product: at most C(n+1, 3) calls, cubic in n.
+    = 680 and 5,456 of them, one insert each: at most C(n+1, 3) calls,
+    cubic in n.
   - A generator enlarges the span exactly when it joins two parts of its
     class not yet joined, so over any Z/n as over Q exactly sum of (m - 1) =
     n(n - 1)/2 = 120 and 496 calls return True, the ideal's rank. The route
@@ -313,13 +312,13 @@ def test_passing_certificates_run_no_elimination(theorem, name, ring, monkeypatc
 
 
 @pytest.mark.parametrize("ring", ["q", "zmod6"])
-def test_germ_inserts_only_in_the_saturation(ring, tmp_path, monkeypatch, capsys):
+def test_germ_inserts_only_in_the_generator_span(ring, tmp_path, monkeypatch, capsys):
     for n in (16, 32):
         path = _chain_file(n, {"kind": "verify", "theorem": "germ", "action": "theta"}, tmp_path)
         counts, inserts = _verify_counts(["germ", "--input", str(path), "--ring", ring],
                                          monkeypatch, capsys)
         assert counts["solve_linear"] == counts["smith_normal_form"] == 0
-        assert {caller for caller, _ in inserts} == {"_saturate"}
+        assert {caller for caller, _ in inserts} == {"_thin"}
         assert len(inserts) <= math.comb(n + 1, 3)
         assert sum(accepted for _, accepted in inserts) == n * (n - 1) // 2
 

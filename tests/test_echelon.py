@@ -1,7 +1,7 @@
 """The incremental reduced-echelon basis against the dense elimination it replaced.
 
 Every span test over a field (membership, thinning, equality, rank, kernels,
-ideal closure) now runs on rings.EchelonBasis. `oracle_rref` below is the
+the germ ideal) now runs on rings.EchelonBasis. `oracle_rref` below is the
 previous dense Gauss-Jordan routine, kept here only as the reference. The
 properties are checked over Q, Z/5 and Z/2 on small generated inputs:
 
@@ -10,8 +10,9 @@ properties are checked over Q, Z/5 and Z/2 on small generated inputs:
   - spans_equal is membership checked both ways;
   - solve_linear gives A k = 0 for every kernel vector, rank + nullity = cols
     and the oracle's pivots;
-  - ideal_closure contains its generators, is closed under multiplication by
-    every basis element on both sides, and equals a naive fixpoint.
+  - the saturation oracle structures.ideal_closure contains its generators,
+    is closed under multiplication by every basis element on both sides, and
+    equals a naive fixpoint.
 
 Over composite Z/6 and Z/4 the closure is checked for closedness only here;
 tests/test_zmod_linear.py checks the composite (Howell form) basis against
@@ -30,11 +31,10 @@ from sectional.rings import (
     ZModRing,
     _thin,
     dense,
-    ideal_closure,
     solve_linear,
     vector_in_span,
 )
-from structures import columns_of, span_rank, spans_equal
+from structures import columns_of, ideal_closure, span_rank, spans_equal
 
 RINGS = [RationalRing(), ZModRing(5), ZModRing(2)]
 

@@ -5,7 +5,9 @@ Every case is one small workspace with one defect. `sectional validate` (or
 message names the failure kind and the refusal, or, for a defect in the ring
 literal or in the file's shape, exit 2 with one stderr line that does. The
 tables of the F2 ring are written with element names, the other spelling a
-table ring accepts.
+table ring accepts. The preaction cases also pin the refusals that otherwise
+only Hypothesis-generated examples reach, so that the lines tools/linecov.py
+sees run do not depend on what a Hypothesis version generates.
 """
 
 import json
@@ -14,7 +16,8 @@ import pytest
 
 from sectional.cli import main
 
-from structures import cyclic2_raw, unit_groupoid_raw
+from structures import (cyclic2_raw, cyclic_raw, pair_groupoid_raw, semilattice_raw,
+                        unit_groupoid_raw)
 
 LOOP = {"vertices": ["v"], "arrows": [{"id": "a", "src": "v", "rng": "v"}],
         "prod": [["a", "a", "a"]], "inv": {"a": "a"}}
@@ -35,9 +38,25 @@ def _bundle(stanza, ring=None, base=LOOP):
     return doc if ring is None else {"ring": ring, **doc}
 
 
+def _action(actor, space, maps):
+    return {"semigroupoids": {"S": actor, "X": space},
+            "actions": {"t": {"actor": "S", "space": "X", "maps": maps}}}
+
+
 def _z2_on_points(maps, points=("x", "y")):
-    return {"semigroupoids": {"Z2": cyclic2_raw(), "X": unit_groupoid_raw(points)},
-            "actions": {"t": {"actor": "Z2", "space": "X", "maps": maps}}}
+    return _action(cyclic2_raw(), unit_groupoid_raw(points), maps)
+
+
+def _fixing(arrows):
+    return {"dom": arrows, "img": arrows}
+
+
+P2 = pair_groupoid_raw()
+P2_ARROWS = [a["id"] for a in P2["arrows"]]
+# P_2 and one more point z, its own component
+P2_Z = {**P2, "vertices": P2["vertices"] + ["z"],
+        "arrows": P2["arrows"] + [{"id": "1z", "src": "z", "rng": "z"}],
+        "prod": P2["prod"] + [["1z", "1z", "1z"]], "inv": {**P2["inv"], "1z": "1z"}}
 
 
 def _swap_on_points(bundle, fibers=None):
@@ -81,6 +100,33 @@ CASES = {
                        "g": {"dom": ["1x", "1y", "1z"], "img": ["1y", "1z", "1x"]}},
                       ("x", "y", "z")),
         1, "inverse-compatibility", "theta_g does not invert theta_g at 1x"),
+    "img-not-parallel": (_z2_on_points({"u": {"dom": ["1x"], "img": []}}),
+                         1, "structural", "img must be parallel to dom"),
+    "unknown-space-arrow": (_z2_on_points({"u": _fixing(["1q"])}),
+                            1, "structural", "dom/img reference unknown space arrows"),
+    # {(1,1)} is no ideal of P_2: (1,1)(1,2) = (1,2) lies outside it
+    "domain-not-ideal": (_action(semilattice_raw(), P2,
+                                 {"1": _fixing(P2_ARROWS), "e": _fixing(["(1,1)"])}),
+                         1, "ideal-property", "dom(theta_e) is not an ideal of I(theta,src)"),
+    "range-not-ideal": (_action(cyclic_raw(3), P2_Z,
+                                {"a0": _fixing(P2_ARROWS + ["1z"]),
+                                 "a1": {"dom": ["1z"], "img": ["(1,1)"]},
+                                 "a2": {"dom": ["(1,1)"], "img": ["1z"]}}),
+                        1, "ideal-property", "ran(theta_a1) is not an ideal of I(theta,rng)"),
+    # (1,1)(1,1) is defined, (1,2)(1,2) is not
+    "composability-not-preserved": (
+        _action(cyclic2_raw(), P2, {"u": _fixing(P2_ARROWS), "g": {
+            "dom": ["(1,1)", "(1,2)", "(2,1)", "(2,2)"],
+            "img": ["(1,2)", "(1,1)", "(2,1)", "(2,2)"]}}),
+        1, "isomorphism", "theta_g does not preserve composability"),
+    "product-not-preserved": (
+        _action(cyclic2_raw(), cyclic2_raw(), {"u": _fixing(["u", "g"]),
+                                               "g": {"dom": ["u", "g"], "img": ["g", "u"]}}),
+        1, "isomorphism", "theta_g(xy) != theta_g(x)theta_g(y)"),
+    # theta_g theta_g is the identity on both points, theta_u only on x
+    "extension-domain": (_z2_on_points({"u": _fixing(["1x"]),
+                                        "g": {"dom": ["1x", "1y"], "img": ["1y", "1x"]}}),
+                         1, "extension-law", "theta_u does not extend theta_gtheta_g"),
     "congruence-member-twice": (
         {"semigroupoids": {"Z2": cyclic2_raw()},
          "congruences": {"c": {"base": "Z2", "classes": [["u", "g", "u"]]}}},

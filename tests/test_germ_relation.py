@@ -43,7 +43,8 @@ from sectional.rings import RationalRing
 from sectional.semigroupoids import validate_inverse_semigroupoid, validate_semigroupoid
 from sectional.workspace import Builder, parse_workspace
 
-from structures import built, cyclic2_raw, pair_groupoid_raw, unit_groupoid_raw
+from structures import (built, chain_actions, chain_semilattice, identity_on, pair_moves,
+                        unit_groupoid_raw, z2_actions)
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 
@@ -114,50 +115,6 @@ def _inverse(raw, inv):
     return validate_inverse_semigroupoid(validate_semigroupoid(raw), inv)
 
 
-def chain(n):
-    """The chain semilattice e0 < ... < e{n-1}, ei ej = e{min(i,j)}."""
-    ids = [f"e{i}" for i in range(n)]
-    raw = {
-        "id": f"C{n}",
-        "vertices": ["*"],
-        "arrows": [{"id": a, "src": "*", "rng": "*"} for a in ids],
-        "prod": [[ids[i], ids[j], ids[min(i, j)]] for i in range(n) for j in range(n)],
-    }
-    return _inverse(raw, {a: a for a in ids})
-
-
-def _identity_on(arrows):
-    arrows = list(arrows)
-    return {"dom": arrows, "img": arrows}
-
-
-@st.composite
-def chain_actions(draw):
-    """C_n acting by identities; point p lies in dom theta_ei for i >= entry[p]."""
-    n = draw(st.integers(1, 4))
-    points = "xyz"[:draw(st.integers(1, 3))]
-    entry = {p: draw(st.integers(0, n)) for p in points}
-    maps = {f"e{i}": _identity_on(f"1{p}" for p in points if entry[p] <= i)
-            for i in range(n)}
-    return validate_preaction(maps, chain(n), built(unit_groupoid_raw(points)).base)
-
-
-@st.composite
-def z2_actions(draw):
-    """Z/2 = {u, g} on points: u the identity and g an involution of one domain."""
-    points = "wxyz"[:draw(st.integers(1, 4))]
-    dom = [p for p in points if draw(st.booleans())]
-    order = draw(st.permutations(dom))
-    image = {p: p for p in dom}
-    for p, q in zip(order[::2], order[1::2]):
-        if draw(st.booleans()):
-            image[p], image[q] = q, p
-    maps = {"u": _identity_on(f"1{p}" for p in dom),
-            "g": {"dom": [f"1{p}" for p in dom], "img": [f"1{image[p]}" for p in dom]}}
-    space = built(unit_groupoid_raw(points)).base
-    return validate_preaction(maps, built(cyclic2_raw()), space)
-
-
 def _fixture_actions():
     out = []
     for path, name in (("fixtures/germ.json", "theta"),
@@ -213,14 +170,6 @@ def e_rtimes_gamma(k, m, gamma):
     return validate_preaction(maps, actor, space), len(gamma) * len(cells)
 
 
-def pair_moves(points):
-    """The pair groupoid on points moving the unit arrow 1j to 1i: an actor
-    with several vertices, so src and rng of the actor arrows differ."""
-    moves = {f"({i},{j})": {"dom": [f"1{j}"], "img": [f"1{i}"]} for i in points for j in points}
-    space = built(unit_groupoid_raw(points)).base
-    return validate_preaction(moves, built(pair_groupoid_raw(points)), space)
-
-
 FIXED = [(theta, None) for theta in _fixture_actions()] + [
     e_rtimes_gamma(2, 2, [(0, 1), (1, 0)]),
     e_rtimes_gamma(3, 1, itertools.permutations(range(3))),
@@ -268,13 +217,13 @@ def test_the_order_is_derived_from_the_table():
     # C_3 fixing x: with e0 <= e2 dropped from the order, (e0,1x) ~ (e1,1x) ~
     # (e2,1x) through e0 and e1 while (e0,1x) and (e2,1x) shared no germ. The
     # order can no longer be handed in, and a replaced table re-derives it.
-    actor = chain(3)
+    actor = chain_semilattice(3)
     with pytest.raises(ValueError):
         dataclasses.replace(actor, leq=actor.leq - {(0, 2)})
-    smaller = chain(2)
+    smaller = chain_semilattice(2)
     replaced = dataclasses.replace(actor, base=smaller.base, inv=smaller.inv)
     assert (replaced.leq, replaced.idempotents) == (smaller.leq, smaller.idempotents)
-    theta = validate_preaction({f"e{i}": _identity_on(["1x"]) for i in range(3)},
+    theta = validate_preaction({f"e{i}": identity_on(["1x"]) for i in range(3)},
                                actor, built(unit_groupoid_raw(("x",))).base)
     assert _matches_the_oracle(theta).arrow_names == ("[(e0,1x)]",)
 

@@ -19,7 +19,6 @@ from sectional.rings import (
     _is_prime,
     combine,
     dense,
-    ideal_closure,
     smith_normal_form,
     solve_linear,
     validate_ring,
@@ -28,7 +27,7 @@ from sectional.rings import (
 from sectional.cli import main
 from sectional.validation import CapabilityError, StructureError
 
-from structures import columns_of, span_rank, spans_equal
+from structures import columns_of, ideal_closure, span_rank, spans_equal
 
 Q = RationalRing()
 Z4 = ZModRing(4)
@@ -335,6 +334,9 @@ def test_kernel_vectors_annihilate_over_z5(rows):
 
 
 class TestIdealClosure:
+    """structures.ideal_closure, the full saturation that the germ
+    certificate's generator span is checked against."""
+
     def _group_algebra_z2(self, ring):
         from sectional.bundles import semigroupoid_algebra
         from structures import built, cyclic2_raw

@@ -21,6 +21,7 @@ from structures import (
     cyclic2_raw,
     is_isomorphism,
     klein_four_raw,
+    one_vertex_tables,
     pair_groupoid_raw,
     semilattice_raw,
     trivial_monoid_raw,
@@ -28,17 +29,6 @@ from structures import (
     with_product_entry,
     without_product_entry,
 )
-
-
-def _one_vertex_tables(n):
-    """Each associative table on the arrows a0..a(n-1), loops at one vertex."""
-    names = [f"a{i}" for i in range(n)]
-    cells = list(itertools.product(range(n), repeat=2))
-    for flat in itertools.product(range(n), repeat=n * n):
-        t = dict(zip(cells, flat))
-        if all(t[(t[(x, y)], z)] == t[(x, t[(y, z)])] for x, y, z in itertools.product(range(n), repeat=3)):
-            yield {"vertices": ["v"], "arrows": [{"id": a, "src": "v", "rng": "v"} for a in names],
-                   "prod": [[names[x], names[y], names[t[(x, y)]]] for x, y in cells]}
 
 
 def _unique_inverses(sgpd, inv):
@@ -191,7 +181,7 @@ class TestInverseSemigroupoids:
         ones, and each of them keeps the laws it does not walk."""
         tables = accepted = 0
         for n in (1, 2, 3):
-            for raw in _one_vertex_tables(n):
+            for raw in one_vertex_tables(n):
                 sgpd, tables = validate_semigroupoid(raw), tables + 1
                 for inv in itertools.product(range(n), repeat=n):
                     names = sgpd.arrow_names

@@ -9,8 +9,9 @@ Z/6, on small derandomized inputs:
     coordinatewise loops;
   - EchelonBasis.insert and contains, fed dicts and (index, value) pairs
     that carry explicit zero entries, agree with dense membership;
-  - ideal_closure has the dense saturation loop's rank over a field and, over
-    Z/6, its accepted sequence;
+  - the saturation oracle structures.ideal_closure has the dense saturation
+    loop's rank over a field and, over Z/6, its accepted sequence, and the
+    germ certificate's generator span is that saturation's result;
   - the crossed product's table, which meets only the label pairs the
     support index allows (a keyed join), and the range-side table equal the
     loops over every composable pair, cell for cell and in fill order;
@@ -35,7 +36,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import sectional.rings as rings_module
 import sectional.theorems as theorems
 from sectional.algebras import AlgebraPresentation
 from sectional.bundles import (
@@ -52,14 +52,12 @@ from sectional.rings import (
     ZModRing,
     combine,
     dense,
-    ideal_closure,
     solve_linear,
     sparse_vector,
 )
-from sectional.rings import _saturate
-from sectional.rings import _unit_products as unit_products
+from sectional.rings import _thin
 from sectional.semigroupoids import composable_labels
-from sectional.theorems import germ_corollary, induced_theta
+from sectional.theorems import _unit_map_kernel, germ_corollary, induced_theta
 from sectional.validation import InternalConsistencyError, StageError
 from sectional.workspace import Builder, parse_workspace
 from structures import (
@@ -67,6 +65,7 @@ from structures import (
     columns_of,
     components_semidirect_action,
     elimination_calls,
+    ideal_closure,
     nested_chain_action,
     pair_groupoid_raw,
     preaction,
@@ -315,8 +314,7 @@ def _sparse_algebra(data, ring, rank):
 
 
 def test_ideal_closure_matches_the_dense_saturation_loop():
-    """Full saturation against the oracle; and a run told that the closure
-    lies in its own span stops early with the same result."""
+    """The tests-side full saturation against the dense loop."""
     outcomes = set()
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -333,23 +331,12 @@ def test_ideal_closure_matches_the_dense_saturation_loop():
             assert all(oracle_span(expected, ring)(v) for v in dense_closure)
         else:
             assert dense_closure == expected
-        assert ideal_closure([_with_zeros(data, g) for g in gens], algebra,
-                             until=EchelonBasis(ring, closure)) == closure
         units = [tuple(ring.one if j == i else ring.zero for j in range(rank))
                  for i in range(rank)]
         outcomes.add(all(oracle_span(dense_closure, ring)(e) for e in units))
 
     check()
     assert outcomes == {True, False}
-
-
-def test_ideal_closure_stops_on_equal_rows_not_equal_rank():
-    """Over Z/6, 2Z/6 and Z/6 both have one Howell row: the span of 2 has the
-    rank of the target but is not it, so the 3 after it is still accepted."""
-    z6 = ZModRing(6)
-    algebra = AlgebraPresentation.from_table(z6, ("e",), {(0, 0): {0: 1}})
-    closure = ideal_closure([{0: 2}, {0: 3}], algebra, until=EchelonBasis(z6, [{0: 1}]))
-    assert closure == [{0: 2}, {0: 3}] == ideal_closure([{0: 2}, {0: 3}], algebra)
 
 
 def eager_closure(generators, algebra):
@@ -382,60 +369,37 @@ GERM_INSTANCES = {
 GERM_RINGS = {"Q": RationalRing(), "Z6": ZModRing(6)}
 
 
-def _spy_closure(monkeypatch, replacement=None):
-    """Record each saturation the germ pipeline runs (`rings._saturate`,
-    ideal_closure with the echelon basis of its span): its generators,
-    algebra and whether it got a stop target. A replacement stands in for
-    ideal_closure, and the echelon basis of what it returns is handed over."""
+def _spy_span(monkeypatch):
+    """Record the generators of each span the germ pipeline builds
+    (`rings._thin`: the generators that enlarged the span, and its echelon
+    basis)."""
     calls = []
 
-    def spy(generators, algebra, until=None):
-        generators = list(generators)
-        calls.append((generators, algebra, until is not None))
-        if replacement is None:
-            return _saturate(generators, algebra, until)
-        ideal = replacement(generators, algebra, until)
-        return ideal, EchelonBasis(algebra.ring, ideal)
+    def spy(generators, ring):
+        calls.append(list(generators))
+        return _thin(calls[-1], ring)
 
-    monkeypatch.setattr(theorems, "_saturate", spy)
+    monkeypatch.setattr(theorems, "_thin", spy)
     return calls
 
 
-def _eager_result(generators, algebra, until=None):
+def _eager_result(generators, algebra):
     accepted, rows = eager_closure(generators, algebra)
     return rows if algebra.ring.is_field else accepted
 
 
 @pytest.mark.parametrize("ring", GERM_RINGS.values(), ids=GERM_RINGS.keys())
 @pytest.mark.parametrize("instance", GERM_INSTANCES.values(), ids=GERM_INSTANCES.keys())
-def test_germ_ideal_early_stop_matches_full_saturation(instance, ring, monkeypatch):
-    """The germ pipeline stops its saturation at the kernel; the eager loop
-    saturates fully. Same accepted list over Z/6, same reduced row echelon
-    form over Q, same certificate. On chain actions the generators already
-    span the kernel, so the early stop forms no product at all."""
-    theta = preaction(*instance())
-    formed = []
-
-    def counted(algebra, vec):
-        for product in unit_products(algebra, vec):
-            formed.append(product)
-            yield product
-
-    monkeypatch.setattr(rings_module, "_unit_products", counted)
-    calls = _spy_closure(monkeypatch)
-    early = germ_corollary(theta, ring)
-    ((generators, crossed, stopped),) = calls
-    assert stopped
-    accepted, rows = eager_closure(generators, crossed)
-    assert early.ideal_basis == (rows if ring.is_field else accepted)
-    if theta.actor.base.n_arrows == theta.space.n_arrows:          # the chains
-        assert formed == []
-
-    _spy_closure(monkeypatch, _eager_result)
-    full = germ_corollary(theta, ring)
-    assert full.ideal_basis == early.ideal_basis
-    assert full.certificate == early.certificate
-    assert early.certificate.passed
+def test_germ_ideal_is_the_full_saturation(instance, ring, monkeypatch):
+    """The germ pipeline reads its ideal off the generators' span; the eager
+    loop saturates fully. Same accepted list over Z/6, same reduced row
+    echelon form over Q. The certificate reads only the span's echelon rows,
+    so it is the one the full saturation gives."""
+    calls = _spy_span(monkeypatch)
+    res = germ_corollary(preaction(*instance()), ring)
+    (generators,) = calls
+    assert res.certificate.passed
+    assert res.ideal_basis == _eager_result(generators, res.crossed)
 
 
 class Swapped(theorems.LinearMapOnBasis):
@@ -473,26 +437,28 @@ class Identity(theorems.LinearMapOnBasis):
 
 
 @pytest.mark.parametrize("ring", GERM_RINGS.values(), ids=GERM_RINGS.keys())
-@pytest.mark.parametrize("bent, failing, passing",
-                         [(Swapped, "multiplicative", "ideal-killed"),
-                          (Identity, "ideal-killed", "multiplicative")],
+@pytest.mark.parametrize("bent, verdicts",
+                         [(Swapped, {"multiplicative": False, "ideal-killed": True,
+                                     "kernel-is-ideal": False}),
+                          (Identity, {"multiplicative": True, "ideal-killed": False,
+                                      "kernel-is-ideal": False})],
                          ids=["non-multiplicative", "kills-no-generator"])
-def test_germ_ideal_saturates_fully_unless_the_kernel_bounds_it(bent, failing, passing,
-                                                               ring, monkeypatch):
-    """The kernel contains the ideal only when the map is multiplicative and
-    kills every generator; under a map that misses either, the pipeline must
-    not stop the saturation at the kernel. Each map keeps the other property,
-    so each case pins one half of the stop condition on its own."""
+def test_germ_ideal_is_the_span_under_a_bent_map(bent, verdicts, ring, monkeypatch):
+    """The kernel of a map is an ideal only when the map is multiplicative.
+    The swapped map keeps the kernel, whose rows are the span's, and still
+    fails kernel-is-ideal; the identity kills no generator. Under either map
+    the span of the generators, which the map does not touch, is the full
+    saturation."""
     theta = preaction(*GERM_INSTANCES["2P2-Z2"]())
     monkeypatch.setattr(theorems, "LinearMapOnBasis", bent)
-    calls = _spy_closure(monkeypatch)
+    calls = _spy_span(monkeypatch)
     res = germ_corollary(theta, ring)
-    ((generators, crossed, stopped),) = calls
-    assert not stopped
-    assert res.ideal_basis == _eager_result(generators, crossed)
-    verdicts = {c.name: c.ok for c in res.certificate.checks}
-    assert next(name for name, ok in verdicts.items() if not ok) == failing
-    assert verdicts[passing]
+    (generators,) = calls
+    assert res.ideal_basis == _eager_result(generators, res.crossed)
+    checks = {c.name: c.ok for c in res.certificate.checks}
+    assert {name: checks[name] for name in verdicts} == verdicts
+    span_is_kernel = EchelonBasis(ring, generators).rows == _unit_map_kernel(res.map)[0].rows
+    assert span_is_kernel == (bent is Swapped)
 
 
 def oracle_crossed_table(action):
@@ -598,19 +564,21 @@ def test_crossed_tables_match_the_loops_under_any_conjugation():
 
 def test_germ_path_builds_no_kernel_by_elimination(monkeypatch):
     """The germ certificate sets its kernel's echelon rows off the map's rows
-    and takes the ideal's from the saturation: it calls no solve_linear and
-    no smith_normal_form, and every EchelonBasis.insert comes from the
-    saturation itself, whose echelon basis is also the span the kernel is
-    compared with. The instances include actions whose saturation forms
-    products, which the chains of tests/test_complexity.py do not."""
+    and the ideal's off the generators' span: it calls no solve_linear and
+    no smith_normal_form, and every EchelonBasis.insert comes from the span
+    (`rings._thin`), one per generator. The instances include E ⋊ Γ, whose
+    space is not a unit groupoid as the chains' of tests/test_complexity.py
+    is."""
     for instance in GERM_INSTANCES.values():
         for ring in GERM_RINGS.values():
             results = []
+            calls = _spy_span(monkeypatch)
             counts, inserts = elimination_calls(
                 monkeypatch, lambda: results.append(germ_corollary(preaction(*instance()), ring)))
             assert results[0].certificate.passed
             assert counts["solve_linear"] == counts["smith_normal_form"] == 0
-            assert inserts and {caller for caller, _ in inserts} == {"_saturate"}
+            assert inserts and {caller for caller, _ in inserts} == {"_thin"}
+            assert len(inserts) == len(calls[0])
 
 
 def test_germ_map_of_another_shape_is_a_program_bug(monkeypatch):
@@ -635,15 +603,15 @@ class Zero(theorems.LinearMapOnBasis):
 
 @pytest.mark.parametrize("ring", GERM_RINGS.values(), ids=GERM_RINGS.keys())
 def test_kernel_larger_than_the_ideal_fails_kernel_is_ideal(ring, monkeypatch):
-    """The saturation gets the kernel as its stop target, never reaches it,
-    saturates fully, and the certificate says the kernel is not the ideal."""
+    """The zero map is multiplicative and kills every generator, but the
+    span of the generators, the full saturation, is smaller than its kernel:
+    the certificate says the kernel is not the ideal."""
     theta = preaction(*GERM_INSTANCES["2P2-Z2"]())
     monkeypatch.setattr(theorems, "LinearMapOnBasis", Zero)
-    calls = _spy_closure(monkeypatch)
+    calls = _spy_span(monkeypatch)
     res = germ_corollary(theta, ring)
-    ((generators, crossed, stopped),) = calls
-    assert stopped
-    assert res.ideal_basis == _eager_result(generators, crossed)
+    (generators,) = calls
+    assert res.ideal_basis == _eager_result(generators, res.crossed)
     checks = {c.name: c.ok for c in res.certificate.checks}
     assert checks["multiplicative"] and checks["ideal-killed"]
     assert not checks["kernel-is-ideal"]

@@ -13,6 +13,8 @@ partner join `composable_labels` must yield what the scan over every label
 pair yields once it keeps only the pairs whose key sets meet.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +28,6 @@ from sectional.actions import (
 from sectional.semigroupoids import (
     FiniteSemigroupoid,
     _idempotents,
-    _order_by_characterizations,
     composable_labels,
     direct_product,
     validate_homomorphism,
@@ -39,6 +40,7 @@ from structures import (
     built,
     cyclic2_raw,
     klein_four_raw,
+    one_vertex_tables,
     pair_groupoid_raw,
     parallel_arrows_raw,
     semilattice_raw,
@@ -163,6 +165,33 @@ def oracle_rigid_congruence(partition, base):
                                    "x1x2 and y1y2 land in different classes")
                         return report
     return RigidCongruence(base, tuple(tuple(b) for b in resolved), tuple(class_of))
+
+
+def order_by_characterizations(sgpd, inv, idems):
+    """The relation s <= t computed four ways; returns the list of relations.
+
+    Each characterization is an equation s = xy with a composable pair (x, y),
+    so each is read off the composable pairs independently: (i) s = t(s*s),
+    (ii) s = te, (iii) s = (ss*)t, (iv) s = ft, with e, f idempotent.
+    """
+    prod = sgpd.prod
+    is_idem = [False] * sgpd.n_arrows
+    for e in idems:
+        is_idem[e] = True
+    left_unit = [prod[inv[s]][s] for s in sgpd.arrows()]    # s*s, endo at src(s)
+    right_unit = [prod[s][inv[s]] for s in sgpd.arrows()]   # ss*, endo at rng(s)
+    rel_i, rel_ii, rel_iii, rel_iv = set(), set(), set(), set()
+    for x, y in sgpd.composable:
+        s = prod[x][y]
+        if y == left_unit[s]:
+            rel_i.add((s, x))
+        if is_idem[y]:
+            rel_ii.add((s, x))
+        if x == right_unit[s]:
+            rel_iii.add((s, y))
+        if is_idem[x]:
+            rel_iv.add((s, y))
+    return [rel_i, rel_ii, rel_iii, rel_iv]
 
 
 def oracle_order(sgpd, inv, idems):
@@ -519,8 +548,31 @@ def test_order_characterizations_match_old_scan():
     for inv in INVERSE:
         sgpd = inv.base
         idems = _idempotents(sgpd)
-        assert _order_by_characterizations(sgpd, inv.inv, idems) == \
+        assert order_by_characterizations(sgpd, inv.inv, idems) == \
             oracle_order(sgpd, inv.inv, idems)
+
+
+def _accepted_small_tables():
+    """Every inverse semigroupoid the validator accepts among the associative
+    tables on 1-3 arrows at one vertex, with every inverse assignment."""
+    for n in (1, 2, 3):
+        for raw in one_vertex_tables(n):
+            sgpd = validate_semigroupoid(raw)
+            for inv in itertools.product(sgpd.arrow_names, repeat=n):
+                try:
+                    yield validate_inverse_semigroupoid(sgpd, dict(zip(sgpd.arrow_names, inv)))
+                except StructureError:
+                    pass
+
+
+def test_derived_order_is_each_characterization():
+    """The validator derives leq once, as s = t(s*s); each of the four
+    characterizations gives the same relation on every accepted input."""
+    small = list(_accepted_small_tables())
+    assert len(small) == 29
+    for inv in INVERSE + small:
+        relations = order_by_characterizations(inv.base, inv.inv, inv.idempotents)
+        assert all(rel == inv.leq for rel in relations)
 
 
 def test_rigidity_matches_old_scan():

@@ -13,9 +13,9 @@ solvability test of the integer lift, kept here as the reference.
   - over composite Z/n: contains agrees with the oracle, the rows are in
     reduced Howell form and do not depend on insertion order, rings._thin
     equals the old greedy thinning, spans_equal is oracle membership both
-    ways, ideal_closure is closed, and solve_linear's kernel is the whole
-    kernel, with one Smith normal form per call and a rank that counts
-    normalized invariant factors;
+    ways, the saturation oracle structures.ideal_closure is closed, and
+    solve_linear's kernel is the whole kernel, with one Smith normal form per
+    call and a rank that counts normalized invariant factors;
   - `verify quotient` passes on a rank-12 unimodular transport over Z/12.
 """
 
@@ -39,7 +39,6 @@ from sectional.rings import (
     _thin,
     dense,
     identity_matrix,
-    ideal_closure,
     mat_inverse,
     mat_mul,
     smith_normal_form,
@@ -48,7 +47,7 @@ from sectional.rings import (
     vector_in_span,
 )
 from sectional.validation import CapabilityError
-from structures import columns_of, spans_equal, upper_triangular_f2_ring_spec
+from structures import columns_of, ideal_closure, spans_equal, upper_triangular_f2_ring_spec
 
 
 def _relabeled_z4():

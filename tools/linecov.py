@@ -13,8 +13,10 @@ examples it generates, and with them the lines that run.
 tools/linecov_allow.json lists the lines that may stay unrun, each keyed by
 file, enclosing function (the code object's qualified name) and stripped
 text, with one of the reasons in REASONS. The run fails (exit 1) on an unrun
-line that no entry names, and on an entry whose lines all ran or that names
-no line; it also fails when pytest fails. Only frames of the traced files
+line that no entry names, on an entry whose lines all ran or that names no
+line, and on an entry whose text matches more than one executable line of
+its function, since the key could not tell those lines apart; it also fails
+when pytest fails. Only frames of the traced files
 are traced line by line, and a code object stops being traced once each of
 its lines has run.
 """
@@ -25,6 +27,7 @@ import json
 import os
 import sys
 import threading
+from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.realpath(os.path.join(ROOT, "src", "sectional"))
@@ -44,7 +47,7 @@ def _code_lines(code, qualname=None):
     """(qualified name, line) for each line of code and the code nested in it."""
     qualname = getattr(code, "co_qualname", qualname or code.co_name)
     for _, _, line in code.co_lines():
-        if line is not None:
+        if line:        # None, or 0 for a module's first instruction
             yield qualname, line
     for const in code.co_consts:
         if hasattr(const, "co_lines"):
@@ -109,28 +112,31 @@ class LineTracer:
         threading.settrace(None)
 
 
-def unrun(tracer: LineTracer, paths) -> list[tuple[str, str, int, str]]:
-    """(file, function, line, stripped text) per executable line that did not run."""
+def source_lines(paths) -> list[tuple[str, str, str, int, str]]:
+    """(path, file, function, line, stripped text) per executable line."""
     out = []
     for path in paths:
         with open(path, encoding="utf-8") as fh:
             text = fh.read().splitlines()
-        ran = tracer.ran[path]
         for line, qualname in sorted(executable_lines(path).items()):
-            if line not in ran:
-                out.append((os.path.basename(path), qualname, line, text[line - 1].strip()))
+            out.append((path, os.path.basename(path), qualname, line, text[line - 1].strip()))
     return out
 
 
-def check(missed, allow) -> list[str]:
+def check(missed, allow, lines) -> list[str]:
     """The problems: an unrun line no entry names, an entry with a reason
-    outside REASONS, and an entry that names no unrun line."""
+    outside REASONS, an entry whose text matches more than one executable
+    line of its function (it could not tell them apart), and an entry that
+    names no unrun line. missed and lines are (file, function, line, text)."""
     problems = []
     used = set()
     keys = [(e["file"], e["function"], e["text"]) for e in allow]
+    matches = Counter((file, function, text) for file, function, _, text in lines)
     for i, entry in enumerate(allow):
         if entry.get("reason") not in REASONS:
             problems.append(f"entry {keys[i]} has no allowed reason: {entry.get('reason')!r}")
+        if matches[keys[i]] > 1:
+            problems.append(f"entry {keys[i]} matches {matches[keys[i]]} lines of its function")
     for file, function, line, text in missed:
         key = (file, function, text)
         if key in keys:
@@ -159,11 +165,13 @@ def main() -> int:
         code = pytest.main(TIER1)
     finally:
         tracer.stop()
-    missed = unrun(tracer, paths)
+    rows = source_lines(paths)
+    lines = [row[1:] for row in rows]
+    missed = [row[1:] for row in rows if row[3] not in tracer.ran[row[0]]]
     with open(ALLOW, encoding="utf-8") as fh:
         allow = json.load(fh)
-    problems = check(missed, allow)
-    total = sum(len(executable_lines(p)) for p in paths)
+    problems = check(missed, allow, lines)
+    total = len(lines)
     print(f"linecov: {total - len(missed)} of {total} executable lines ran; "
           f"{len(missed)} unrun, {len(allow)} allowlist entries")
     for problem in problems:

@@ -73,7 +73,7 @@ def _is_prime(n: int) -> bool | None:
 
 class Ring:
     """Unital ring with exact, decidable element equality. Each kind supplies
-    add, neg, mul, coerce, spec, sample, describe and unit_inverse (the
+    add, neg, mul, coerce, spec, describe and unit_inverse (the
     two-sided inverse of a unit, None off the units)."""
 
     kind = "?"
@@ -133,9 +133,6 @@ class IntegerRing(Ring):
     def spec(self):
         return {"kind": "z"}
 
-    def sample(self, rnd):
-        return rnd.randint(-9, 9)
-
     def describe(self):
         return "Z"
 
@@ -185,9 +182,6 @@ class RationalRing(Ring):
     def spec(self):
         return {"kind": "q"}
 
-    def sample(self, rnd):
-        return _rational(Fraction(rnd.randint(-9, 9), rnd.randint(1, 9)))
-
     def describe(self):
         return "Q"
 
@@ -232,9 +226,6 @@ class ZModRing(Ring):
 
     def spec(self):
         return {"kind": "zmod", "n": self.n}
-
-    def sample(self, rnd):
-        return rnd.randrange(self.n)
 
     def describe(self):
         return f"Z/{self.n}"
@@ -305,9 +296,6 @@ class TableRing(Ring):
             "zero": self.zero,
             "one": self.one,
         }
-
-    def sample(self, rnd):
-        return rnd.randrange(len(self.names))
 
     def describe(self):
         return f"table({','.join(self.names)})"

@@ -10,13 +10,14 @@ import itertools
 import random
 import sys
 from collections import deque
+from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from sectional import maps, rings, theorems, workspace
+from sectional import maps, rings, theorems
 from sectional.actions import big_ideals, validate_preaction
 from sectional.algebras import AlgebraPresentation
-from sectional.bundles import AlgebraAction, convolve
+from sectional.bundles import AlgebraAction, Section, convolve
 from sectional.maps import product_pairs, surjective
 from sectional.rings import EchelonBasis, solve_linear, sparse_vector
 from sectional.semigroupoids import (
@@ -260,14 +261,41 @@ def validate_algebra_action(actor: FiniteInverseSemigroupoid,
     return action
 
 
+# One random ring element per kind. The draws are fixed bit for bit, so that
+# every seeded test keeps the stream its expectations were written against.
+_DRAWS = {
+    "z": lambda ring, rnd: rnd.randint(-9, 9),
+    "q": lambda ring, rnd: ring.coerce(Fraction(rnd.randint(-9, 9), rnd.randint(1, 9))),
+    "zmod": lambda ring, rnd: rnd.randrange(ring.n),
+    "table": lambda ring, rnd: rnd.randrange(len(ring.names)),
+}
+
+
+def sample(ring, rnd):
+    """A random element of ring drawn from rnd: an integer in [-9, 9] over Z,
+    n/m with n in [-9, 9] and m in [1, 9] over Q (an int when integral), any
+    residue over Z/n and any element of a table ring."""
+    return _DRAWS[ring.kind](ring, rnd)
+
+
+def random_section(bundle, rnd) -> Section:
+    """One sample per coordinate, drawn straight into the section's normal
+    form: a zero draw leaves no entry."""
+    ring = bundle.ring
+    values = {a: v for a in bundle.base.arrows()
+              if (v := {i: x for i in range(bundle.ranks[a])
+                        if not ring.is_zero(x := sample(ring, rnd))})}
+    return Section.normal(bundle, values)
+
+
 def sampled_convolution(bundle, triples, seed, convolve=convolve):
     """`verify convolution` as it stood before it decided on the basis, kept as
     an oracle: the task's fields after convolving the seeded triples of
-    workspace._random_section, with convolve, until the first that fails."""
+    random_section, with convolve, until the first that fails."""
     rnd = random.Random(f"convolution:{seed}")
     witness = []
     for k in range(triples):
-        a, b, c = (workspace._random_section(bundle, rnd) for _ in range(3))
+        a, b, c = (random_section(bundle, rnd) for _ in range(3))
         if convolve(convolve(a, b), c) != convolve(a, convolve(b, c)):
             witness = [f"triple {k}"]
             break

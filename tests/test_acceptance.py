@@ -47,6 +47,7 @@ from structures import (
     parallel_arrows_raw,
     quotient_elimination,
     refusal,
+    sample,
     semilattice_on_points_action,
     semilattice_raw,
     trivial_monoid_raw,
@@ -144,14 +145,14 @@ def test_criterion_2_convolution_associativity(ring, acceptance):
     bundle = trivial_bundle(ring, built(pair_groupoid_raw()).base)
     rnd = random.Random(f"acceptance-2:{ring.describe()}")
 
-    def sample():
+    def section():
         return Section(bundle, {
-            arrow: {0: ring.sample(rnd)} for arrow in bundle.base.arrows()
+            arrow: {0: sample(ring, rnd)} for arrow in bundle.base.arrows()
         })
 
     ok = True
     for _ in range(200):
-        a, b, c = sample(), sample(), sample()
+        a, b, c = section(), section(), section()
         ok = ok and convolve(convolve(a, b), c) == convolve(a, convolve(b, c))
     acceptance(2, ok, f"200 seeded random section triples associate exactly "
                       f"over {ring.describe()}")

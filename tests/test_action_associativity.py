@@ -9,10 +9,11 @@ oracle: verdict and witness must match them exactly.
 
 Semigroupoid level: random partial injections on validated actors and
 spaces, built as `LandPreaction`s directly so that the preaction axioms do
-not filter out the failing cases. Algebra level: valid preactions lifted to
-the semigroupoid algebra, with each image a random unit multiple of the
-honest one plus, at times, one more basis vector of the same range, and one
-corrupted matrix entry.
+not filter out the failing cases, and one fixed failing input, so that the
+witness walk runs without a generated example. Algebra level: valid
+preactions lifted to the semigroupoid algebra, with each image a random unit
+multiple of the honest one plus, at times, one more basis vector of the same
+range, and one corrupted matrix entry.
 
 The ideal and isomorphism steps (i) and (ii) of `validate_preaction` walk,
 for each x, only the y that can meet a product with x (or whose image can
@@ -352,6 +353,25 @@ def test_semigroupoid_witness_matches_oracle():
     check()
     # both branches ran, the witness walk included
     assert False in verdicts and True in verdicts
+
+
+def test_fixed_failing_injections_give_the_oracles_witness():
+    """A failing input that needs no generated example: P_2 on its own arrows
+    by the partial injections below, taken from a failing derandomized draw
+    of the test above. _associativity's failing branch runs, both undefined
+    steps of _twisted are met, and first_twisted_triple's walk passes a u
+    whose range is not src(st) before it names the oracle's witness."""
+    actor = built(pair_groupoid_raw())
+    space = actor.base
+    maps = {"(1,1)": {"(1,1)": "(1,1)", "(1,2)": "(1,2)", "(2,2)": "(2,2)"},
+            "(1,2)": {"(1,1)": "(1,1)"}, "(2,1)": {"(1,1)": "(1,2)", "(2,2)": "(2,1)"},
+            "(2,2)": {"(1,2)": "(1,1)", "(2,2)": "(2,2)"}}
+    at = space.arrow_index
+    theta = LandPreaction(actor, space, tuple(
+        {at(g): at(h) for g, h in maps[name].items()} for name in actor.base.arrow_names))
+    expected = (False, ("(1,1)", "(1,2)", "(2,1)", "(1,1)", "(1,1)", "(2,1)"))
+    assert oracle_associativity(theta) == expected
+    assert _associativity(theta) == expected
 
 
 def _valid_actions():

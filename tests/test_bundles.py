@@ -31,6 +31,7 @@ from structures import (
     built,
     cyclic2_raw,
     pair_groupoid_raw,
+    sample,
     semilattice_raw,
     trivial_algebra_action,
     trivial_monoid_raw,
@@ -225,7 +226,7 @@ class TestConvolution:
 
 def _random_section(bundle, rnd):
     return Section(bundle, {
-        arrow: dict(enumerate(bundle.ring.sample(rnd) for _ in range(bundle.ranks[arrow])))
+        arrow: dict(enumerate(sample(bundle.ring, rnd) for _ in range(bundle.ranks[arrow])))
         for arrow in bundle.base.arrows()
     })
 
@@ -278,8 +279,8 @@ class TestSectionalAlgebra:
 
         rnd = random.Random("dualroute")
         for _ in range(25):
-            u = dict(enumerate(Q.sample(rnd) for _ in range(alg.rank)))
-            v = dict(enumerate(Q.sample(rnd) for _ in range(alg.rank)))
+            u = dict(enumerate(sample(Q, rnd) for _ in range(alg.rank)))
+            v = dict(enumerate(sample(Q, rnd) for _ in range(alg.rank)))
             via_algebra = section_of(alg.mul(u.items(), v.items()))
             via_convolution = convolve(section_of(u), section_of(v))
             assert via_algebra == via_convolution

@@ -113,6 +113,11 @@ product on every composable pair, as `bench/workloads._pair_bundle` builds it
     two sections of one entry. Its table associates, so no triple is drawn
     and no dense section is convolved; the route it replaced made 4 calls
     per triple on dense sections, 160 here, and built no table.
+  - Under a mutant of convolve that leaves out the factorization of one
+    composable pair (`test_convolution._dropping`), the table fails and the
+    task exits 1 on the same n^3 r^2 calls on single-entry sections, naming
+    its first failing basis triple. The route it replaced went on to
+    convolve the 40 seeded dense triples up to the first failing one.
   - The table holds e_{(x,y),a} e_{(y,z),b} = delta_ab e_{(x,z),a}: n^3 r
     products of one term each. A basis triple has a nonzero side exactly
     when its arrows are (x, y), (y, z), (z, w) and its three labels are equal,
@@ -158,7 +163,9 @@ import pytest
 from sectional import actions, bundles, semigroupoids, theorems, workspace
 from sectional.algebras import AlgebraPresentation
 from sectional.cli import main
+from sectional.semigroupoids import validate_semigroupoid
 from structures import elimination_calls, nested_chain_action
+from test_convolution import _dropping
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -353,10 +360,11 @@ def test_built_bundles_are_not_walked(theorem, folder, name, stanzas, ring, monk
     assert all(isinstance(raw, dict) for raw in walked)
 
 
-def _convolution_counts(n, tmp_path, monkeypatch, capsys):
-    """What a passing `verify convolution` on P_n with r = 2 calls: the
-    argument sizes (arrows, entries) of each convolve call, and the mul and
-    after_support calls of every AlgebraPresentation."""
+def _convolution_counts(n, tmp_path, monkeypatch, capsys, drop=False):
+    """What `verify convolution` on P_n with r = 2 calls: the argument sizes
+    (arrows, entries) of each convolve call, and the mul and after_support
+    calls of every AlgebraPresentation. It passes, or with drop fails under a
+    convolve that leaves out the factorization of the first composable pair."""
     workloads = _workloads()
     rnd = random.Random(3)
     sgpd, _, _, bundle = workloads._pair_bundle(n, 2, workloads._Labels(rnd), rnd)
@@ -371,7 +379,11 @@ def _convolution_counts(n, tmp_path, monkeypatch, capsys):
     def size(section):
         return len(section.values), sum(map(len, section.values.values()))
 
-    def convolve(alpha, beta, _convolve=bundles.convolve):
+    task_convolve = bundles.convolve
+    if drop:
+        task_convolve = _dropping(*min(validate_semigroupoid(sgpd).composable))
+
+    def convolve(alpha, beta, _convolve=task_convolve):
         sizes.append((size(alpha), size(beta)))
         return _convolve(alpha, beta)
 
@@ -386,7 +398,7 @@ def _convolution_counts(n, tmp_path, monkeypatch, capsys):
     for name in counts:
         monkeypatch.setattr(AlgebraPresentation, name,
                             counted(name, getattr(AlgebraPresentation, name)))
-    assert main(["verify", "convolution", "--input", str(path), "--no-timestamp"]) == 0
+    assert main(["verify", "convolution", "--input", str(path), "--no-timestamp"]) == int(drop)
     capsys.readouterr()
     monkeypatch.undo()
     return sizes, counts
@@ -399,6 +411,9 @@ def test_convolution_decides_on_the_basis(tmp_path, monkeypatch, capsys):
         assert len(sizes) == n ** 3 * r ** 2
         assert set(sizes) == {((1, 1), (1, 1))}
         assert counts == {"mul": 2 * n ** 4 * r, "after_support": n ** 3 * r}
+        sizes, _ = _convolution_counts(n, tmp_path, monkeypatch, capsys, drop=True)
+        assert len(sizes) == n ** 3 * r ** 2
+        assert set(sizes) == {((1, 1), (1, 1))}
 
 
 @pytest.mark.parametrize("ring", ["q", "zmod6"])

@@ -1,4 +1,4 @@
-"""Convolution walks only composable pairs, sums in place, and the sampled check.
+"""Convolution walks only composable pairs, sums in place, and is decided on the basis.
 
 `bundles.convolve` groups the right section's arrows by range, pairs each
 arrow a of the left one only with the group ending at src[a], and adds every
@@ -19,26 +19,28 @@ P_3 beside a chain), with section keys in drawn, not ascending, order. Sums that
 leave no zero entry and no empty vector, and the table ring's products must
 keep their factor order.
 
-`verify convolution` decides on the basis: it checks the associativity of
-the table of convolve's own products of the basis sections and convolves the
-seeded triples only when that fails, to name the first failing one. The check as it stood before, which
-convolved every triple, is `structures.sampled_convolution`, and the task's
-fields must be the oracle's on the fixtures, the rational twist and the CI
-convolution file, each under its own ring, Q and Z/6, on ringfiber bundles
-over the non-commutative UT2(F2) (the twisted family of `test_sparse_kernel`,
-one constant redrawn in about half the draws), and on the fixture under each
-mutant that drops one factorization: both pass, or both name one `triple k`.
+`verify convolution` decides on the basis: every section triple associates
+exactly when the table of convolve's own products of the basis sections
+does, and a failing task names its first failing basis triple, as
+`sectional_algebra` names the basis sections. Its `triples` and `seed`
+fields are checked and echoed in its data, and nothing else reads them. The
+check as it stood before, which convolved the seeded triples, is kept as the
+oracle `structures.sampled_convolution`. On the fixtures, the rational twist
+and the CI convolution file, each under its own ring, Q and Z/6, on
+ringfiber bundles over the non-commutative UT2(F2) (the twisted family of
+`test_sparse_kernel`, one constant redrawn in about half the draws), and on
+the fixture under each mutant that drops one factorization, a failing seeded
+triple implies a failing task, and the task fails exactly when
+`_first_failing_basis_triple` finds one, with that triple as its witness.
 
-The sampled check draws each section straight into its normal form, one
-`ring.sample` per coordinate: over Q, Z, Z/6 and UT2(F2) the drawn section is
-the raw one of `test_bundles._random_section`, key for key, and the stream is
-left in the same state. Its verdict and `triple k` witness must be those of
-the raw draw, so a bilinear mutant of `convolve` that drops one factorization
-is patched into the workspace, where `_convolution` reads it for the basis
-table and the triples, and into `bundles`, and must fail on the triple an
-oracle over the raw sections finds first. When the basis table fails and no
-seeded triple does (always so at `"triples": 0`), the first failing basis
-triple, named as `sectional_algebra` names the basis sections, is the witness.
+The oracle draws each section straight into its normal form
+(`structures.random_section`, one `structures.sample` per coordinate): over
+Q, Z, Z/6 and UT2(F2) the drawn section is the raw one of
+`test_bundles._random_section`, key for key, and the stream is left in the
+same state. A bilinear mutant of `convolve` that drops one factorization is
+patched into the workspace, where `_convolution` reads it for the basis
+table, and into `bundles`: some seeded triple fails under it, and the task
+fails on the first failing basis triple, also at `"triples": 0`.
 """
 
 import itertools
@@ -73,6 +75,8 @@ from structures import (
     built,
     pair_groupoid_raw,
     parallel_arrows_raw,
+    random_section,
+    sample,
     sampled_convolution,
     upper_triangular_f2_ring_spec,
 )
@@ -331,7 +335,7 @@ def test_table_ring_products_keep_their_factor_order():
 
 
 # ---------------------------------------------------------------------------
-# verify convolution on seeded sections
+# verify convolution on the basis, against seeded sections
 # ---------------------------------------------------------------------------
 
 def _fixture_bundle(ring):
@@ -375,13 +379,14 @@ def test_dropped_factorization_fails_on_the_oracles_triple(ring_name, ring, seed
     assert _verify_convolution(ring_name, seed, capsys) == (0, "pass", None)
     for module in (workspace, bundles):
         monkeypatch.setattr(module, "convolve", mutant)
-    assert _verify_convolution(ring_name, seed, capsys) == (1, "fail", [f"triple {first}"])
+    witness = _first_failing_basis_triple(bundle, mutant)
+    assert _verify_convolution(ring_name, seed, capsys) == (1, "fail", witness)
 
 
 @pytest.mark.parametrize("ring_name, ring", [("q", Q), ("zmod6", Z6)])
 def test_dropped_factorization_fails_with_no_triples(ring_name, ring, tmp_path, capsys,
                                                      monkeypatch):
-    """At "triples": 0 nothing is drawn, so the failing basis names itself."""
+    """`triples` is not read: at 0 the failing basis still fails the task."""
     with open(FIXTURE, encoding="utf-8") as fh:
         doc = json.load(fh)
     doc["tasks"][0]["triples"] = 0
@@ -417,15 +422,18 @@ def _first_failing_basis_triple(bundle, convolve=convolve):
 
 
 def _matches_the_oracle(bundle, params, convolve=convolve):
-    """workspace._convolution's fields on bundle are sampled_convolution's, but
-    where it fails and every seeded triple passes: then its witness is the
-    first failing basis triple; returns whether it passed."""
+    """workspace._convolution on bundle fails exactly when
+    _first_failing_basis_triple finds a triple, with that triple as its
+    witness, and it fails whenever a seeded triple of sampled_convolution
+    does; returns whether it passed."""
     out = workspace._convolution(SimpleNamespace(bundle=lambda name: bundle), params)
-    expected = sampled_convolution(bundle, *workspace._convolution_args(params), convolve)
-    if expected["status"] == "pass" and out["status"] == "fail":
-        expected.update(status="fail", witness=_first_failing_basis_triple(bundle, convolve))
-    assert out == expected
-    return out["status"] == "pass"
+    triples, seed = workspace._convolution_args(params)
+    first = _first_failing_basis_triple(bundle, convolve)
+    assert out == {"status": "pass" if first is None else "fail",
+                   "data": {"triples": triples, "seed": seed}, "witness": first or []}
+    if sampled_convolution(bundle, triples, seed, convolve)["status"] == "fail":
+        assert first is not None
+    return first is None
 
 
 @pytest.mark.parametrize("ring_text", [None, "q", "zmod6"])
@@ -491,15 +499,17 @@ def _assert_zero_draws_absent(section, dense):
 
 
 def _dense_draw(bundle, rnd):
-    return [[bundle.ring.sample(rnd) for _ in range(bundle.ranks[a])] for a in bundle.base.arrows()]
+    return [[sample(bundle.ring, rnd) for _ in range(bundle.ranks[a])]
+            for a in bundle.base.arrows()]
 
 
 @pytest.mark.parametrize("ring_name", ["q", "z", "zmod6", "table"])
 @pytest.mark.parametrize("seed", range(3))
 def test_sampled_sections_are_the_raw_draw(ring_name, seed):
     """Over Q (Fraction draws), Z, Z/6 and the non-commutative table ring each
-    coordinate is one ring.sample, kept as drawn, key for key, and the stream
-    is left where the raw draw leaves it; a zero draw leaves no entry behind."""
+    coordinate of the oracle's section is one sample, kept as drawn, key for
+    key, and the stream is left where the raw draw leaves it; a zero draw
+    leaves no entry behind."""
     base = _fixture_bundle(Z6).base
     ring = {"q": Q, "z": validate_ring({"kind": "z"}), "zmod6": Z6, "table": TABLE}[ring_name]
     bundle = trivial_bundle(ring, base)
@@ -507,7 +517,7 @@ def test_sampled_sections_are_the_raw_draw(ring_name, seed):
     saw_zero = False
     for _ in range(30):
         raw = raw_random_section(bundle, raw_rnd)
-        drawn = workspace._random_section(bundle, rnd)
+        drawn = random_section(bundle, rnd)
         saw_zero |= _assert_zero_draws_absent(drawn, _dense_draw(bundle, dense_rnd))
         assert drawn == raw and layout(drawn) == layout(raw)
     assert raw_rnd.random() == rnd.random() == dense_rnd.random()

@@ -6,6 +6,7 @@ import os
 import re
 
 import sectional
+from sectional.rings import Ring
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 
@@ -30,3 +31,25 @@ def test_every_module_is_imported_by_the_package():
         (entry,) = re.findall(r'^sectional = "sectional\.(\w+):', f.read(), re.M)
     modules = {name[:-3] for name in os.listdir(package) if name.endswith(".py")}
     assert modules - {"__init__"} == imported | {entry}
+
+
+def test_no_module_draws_at_random():
+    """Every verdict is decided by enumeration: no module under src/sectional/
+    imports random, and none of its rings defines a sampler."""
+    package = os.path.dirname(sectional.__file__)
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.level == 0}
+        assert "random" not in imported, name
+
+    def family(cls):
+        return [cls, *(c for sub in cls.__subclasses__() for c in family(sub))]
+
+    assert [cls.__name__ for cls in family(Ring)
+            if cls.__module__.startswith("sectional.") and "sample" in vars(cls)] == []

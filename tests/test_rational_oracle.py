@@ -82,9 +82,6 @@ class FractionRationalRing(Ring):
     def spec(self):
         return {"kind": "q"}
 
-    def sample(self, rnd):
-        return Fraction(rnd.randint(-9, 9), rnd.randint(1, 9))
-
     def describe(self):
         return "Q"
 

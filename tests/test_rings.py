@@ -27,7 +27,7 @@ from sectional.rings import (
 from sectional.cli import main
 from sectional.validation import CapabilityError, StructureError
 
-from structures import columns_of, ideal_closure, span_rank, spans_equal
+from structures import columns_of, ideal_closure, sample, span_rank, spans_equal
 
 Q = RationalRing()
 Z4 = ZModRing(4)
@@ -142,12 +142,20 @@ class TestRationalElements:
         assert str(Q.mul(Fraction(2, 3), Fraction(3, 2))) == str(1)
 
     def test_sample_draws_the_old_stream(self):
-        new, old = random.Random(11), random.Random(11)
-        for _ in range(1000):
-            x = Q.sample(new)
-            expected = Fraction(old.randint(-9, 9), old.randint(1, 9))
-            assert x == expected
-            assert type(x) is (int if expected.denominator == 1 else Fraction)
+        """The test-side sampler draws what each ring's own sample method
+        drew, bit for bit, and a rational is an int when it is integral."""
+        table = validate_ring(BOOLEAN_RING)
+        old_draws = {Q: lambda rnd: Fraction(rnd.randint(-9, 9), rnd.randint(1, 9)),
+                     IntegerRing(): lambda rnd: rnd.randint(-9, 9),
+                     Z5: lambda rnd: rnd.randrange(5),
+                     table: lambda rnd: rnd.randrange(len(table.names))}
+        for ring, old_draw in old_draws.items():
+            new, old = random.Random(11), random.Random(11)
+            for _ in range(1000):
+                x, expected = sample(ring, new), old_draw(old)
+                assert x == expected
+                assert type(x) is (Fraction if Fraction(expected).denominator > 1 else int)
+            assert new.random() == old.random()
 
     def test_zero_and_one_are_ints(self):
         assert type(Q.zero) is int and type(Q.one) is int
@@ -291,7 +299,7 @@ class TestSolveLinear:
         for _ in range(40):
             rows = rnd.randint(1, 4)
             cols = rnd.randint(1, 4)
-            entries = [[ring.sample(rnd) for _ in range(cols)] for _ in range(rows)]
+            entries = [[sample(ring, rnd) for _ in range(cols)] for _ in range(rows)]
             sol = solve_linear(columns_of(entries, cols), rows, ring)
             for k in sol.kernel_basis:
                 image = [_dot(ring, row, dense(k.items(), cols, ring)) for row in entries]

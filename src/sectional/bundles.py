@@ -553,7 +553,8 @@ def naive_crossed_product(action: AlgebraAction) -> AlgebraPresentation:
     The generator delta_s e_d is labeled (s, d) and has degree s in the actor.
     A pair is met only when a is before the support of Theta_t(b) in the
     support index; otherwise a Theta_t(b) is an empty sum and the product is
-    zero, which the table leaves out anyway.
+    zero, which the table leaves out anyway. The value, formed once per
+    (t, a, b), is checked to lie in dom(Theta_st) for each pair.
     """
     actor = action.actor
     base = actor.base
@@ -565,12 +566,14 @@ def naive_crossed_product(action: AlgebraAction) -> AlgebraPresentation:
         f"d_{base.arrow_names[s]}.{alg.basis[d]}" for s, d in labels
     )
     table: dict[tuple[int, int], tuple] = {}
+    twisted: dict[tuple[int, int, int], dict] = {}        # (t, a, b) -> Theta_{t*}(a Theta_t(b))
     for p, q in composable_labels(base, labels, lambda s, a: (a,),
                                   lambda t, b: alg.before_support(action.rows[t][b])):
         (s, a), (t, b) = labels[p], labels[q]
         st = base.prod[s][t]
-        a_tb = alg.mul(((a, ring.one),), action.rows[t][b])
-        value = action.apply_rows(actor.inv[t], a_tb.items())
+        if (value := twisted.get((t, a, b))) is None:
+            a_tb = alg.mul(((a, ring.one),), action.rows[t][b])
+            value = twisted[t, a, b] = action.apply_rows(actor.inv[t], a_tb.items())
         if not value.keys() <= action.rows[st].keys():     # rows[st] is keyed by dom
             raise InternalConsistencyError(
                 "crossed product landed outside dom(Theta_st); induced_theta's "

@@ -18,8 +18,8 @@ composite residue rings. No passing certificate eliminates: a comparison map
 reads its bijectivity off its checked inverse, and the quotient and germ
 certificates read their kernels off the map's rows, so solve_linear, whose
 composite kernel takes a Smith normal form, only explains a failed inverse.
-The germ certificate's ideal is the span of its generators, which _thin
-builds; no ideal is saturated by products.
+The germ certificate's ideal is the span of its generators, differences of
+units whose echelon rows union-find sets; no ideal is saturated by products.
 Matrix inverses are division-free over any commutative ring; over Z/n a dot
 product is one integer sum, reduced once. Other ring kinds refuse with
 CapabilityError.

@@ -38,7 +38,7 @@ from .bundles import (
 )
 from .maps import (Certificate, LinearMapOnBasis, basis_bijection, certify_linear_iso,
                    multiplicative_witness)
-from .rings import EchelonBasis, _thin, apply_linear, mat_inverse, sparse_row
+from .rings import EchelonBasis, apply_linear, mat_inverse, sparse_row
 from .semigroupoids import (
     FiniteSemigroupoid,
     Homomorphism,
@@ -310,6 +310,16 @@ def coefficient_action(theta: LandPreaction, coefficients) -> BundleAction:
     return BundleAction(theta, bundle, dict.fromkeys(pairs, identity))
 
 
+def _induced_rows(action: BundleAction) -> AlgebraAction:
+    """induced_theta's action, built and not walked."""
+    theta, fiber_maps = action.base_action, action.fiber_maps
+    algebra = sectional_algebra(action.bundle)
+    rows = tuple({idx: tuple((algebra.index[(moved[g], j)], x) for j, x in fiber_maps[(s, g)][k])
+                  for idx, (g, k) in enumerate(algebra.labels) if g in moved}
+                 for s, moved in enumerate(theta.maps))
+    return AlgebraAction(theta.actor, algebra, tuple(map(tuple, rows)), rows)
+
+
 def induced_theta(action: BundleAction) -> AlgebraAction:
     """Action on the sectional algebra: shift supports along the base action
     and apply the fiber matrices; the domain of arrow s is the span of basis
@@ -330,14 +340,10 @@ def induced_theta(action: BundleAction) -> AlgebraAction:
         a row applies with the vector's coefficient on the left, so Theta_s
         Theta_t reads m_(t,x) m_(s,y), the same product, as the fiber maps
         over a non-commutative ring are central.
-    Twisted associativity follows from none of this, so it is checked.
+    Twisted associativity follows from none of this, so it is checked
+    (germ_corollary's identity fiber maps inherit it, as argued there).
     """
-    theta, fiber_maps = action.base_action, action.fiber_maps
-    algebra = sectional_algebra(action.bundle)
-    rows = tuple({idx: tuple((algebra.index[(moved[g], j)], x) for j, x in fiber_maps[(s, g)][k])
-                  for idx, (g, k) in enumerate(algebra.labels) if g in moved}
-                 for s, moved in enumerate(theta.maps))
-    out = AlgebraAction(theta.actor, algebra, tuple(map(tuple, rows)), rows)
+    out = _induced_rows(action)
     witness = algebra_action_associativity(out)
     if witness is not None:
         raise StructureError(ValidationReport.single(
@@ -762,23 +768,58 @@ class GermCorollaryResult:
     induced_action: AlgebraAction
 
 
+def _difference_span(ring, pairs, zeros=()) -> tuple:
+    """The pairs (x, y) whose e_x - e_y joins two classes of those before it,
+    and the echelon basis of the span of all and each e_z, z in zeros: rows
+    e_x - e_r, r the largest unit of x's class (its union-find root), whose
+    pivots no other row meets (the RREF over a field, Howell form over Z/n)."""
+    root, kept, one = {}, [], ring.one
+
+    def find(x):
+        while x in root:
+            root[x] = x = root.get(root[x], root[x])        # path halving
+        return x
+
+    for x, y in pairs:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            root[min(rx, ry)] = max(rx, ry)
+            kept.append((x, y))
+    span = EchelonBasis(ring)
+    span.rows = {x: {x: one, find(x): ring.neg(one)} for x in list(root)}
+    span.rows.update((z, {z: one}) for z in zeros)
+    return kept, span
+
+
 def _unit_map_kernel(tmap: LinearMapOnBasis) -> tuple:
-    """The kernel's echelon basis, set with no elimination, of a map sending
-    each source unit to a target unit or to 0, and whether it is onto. Of the
-    units sent to one target unit, r the largest, each other x gives e_x - e_r;
-    a unit sent to 0 gives e_x. These span the kernel, and their pivots x are
-    units met by no other row: the RREF over a field, the reduced Howell form
-    over Z/n. A row of any other shape is a program bug."""
-    ring = tmap.source.ring
-    kernel, one = EchelonBasis(ring), ring.one
+    """The kernel's echelon basis of a map sending each source unit to a
+    target unit or to 0, and whether it is onto: the units sent to one
+    target unit are a class, and a unit sent to 0 gives e_x. A row of any
+    other shape is a program bug."""
     for x, row in enumerate(tmap.rows):
-        if row and (len(row) > 1 or row[0][1] != one):
+        if row and (len(row) > 1 or row[0][1] != tmap.source.ring.one):
             raise InternalConsistencyError(
                 f"the image of {tmap.source.basis[x]} is neither 0 nor a target unit")
     last = {row[0][0]: x for x, row in enumerate(tmap.rows) if row}
-    kernel.rows = {x: {x: one, last[row[0][0]]: ring.neg(one)} if row else {x: one}
-                   for x, row in enumerate(tmap.rows) if not row or last[row[0][0]] != x}
+    _kept, kernel = _difference_span(
+        tmap.source.ring, [(x, last[row[0][0]]) for x, row in enumerate(tmap.rows) if row],
+        [x for x, row in enumerate(tmap.rows) if not row])
     return kernel, len(last) == tmap.target.rank
+
+
+def _covering_generators(crossed: AlgebraPresentation, leq) -> list:
+    """(x, y), sorted, for the units x = (s, d) and y = (t, d) of the crossed
+    product with s < t covering in the order cut down to the arrows whose
+    domains hold d."""
+    holding = {}
+    for s, d in crossed.labels:
+        holding.setdefault(d, set()).add(s)
+    pairs = []
+    for d, arrows in holding.items():
+        above = {s: {t for t in arrows if t != s and (s, t) in leq} for s in arrows}
+        pairs += [(crossed.index[(s, d)], crossed.index[(t, d)])
+                  for s, up in above.items() for t in up.difference(*map(above.get, up))]
+    return sorted(pairs)
 
 
 def germ_corollary(theta: LandPreaction, coefficients) -> GermCorollaryResult:
@@ -786,11 +827,20 @@ def germ_corollary(theta: LandPreaction, coefficients) -> GermCorollaryResult:
 
     Pipeline: the groupoid of germs of the action; coefficient algebra of
     the space with the shift action; naive crossed product; the two-sided
-    ideal generated by delta_s a - delta_t a for s below t; the coefficient
-    algebra of the germ groupoid; and the certified induced isomorphism.
+    ideal generated by delta_s e_d - delta_t e_d for s < t, d in both
+    domains; the coefficient algebra of the germ groupoid; and the certified
+    induced isomorphism. No fact is derived twice:
+      - the induced action is not walked: germ_quotient refused a preaction
+        that is not associative, and with identity fiber maps the twisted
+        condition at (g,i), (h,j), (k,l) is the preaction's at (g, h, k)
+        tensored with (e_i e_j) e_l = e_i (e_j e_l) in the coefficients;
+      - a maximal chain s = s_0 < ... < s_k = t among the arrows whose
+        domains hold d has covering steps, whose generators sum to that of
+        (s, t), so only those are formed (an arrow between need not hold d);
+      - each generator is e_x - e_y, so union-find reads their span; those
+        joining two classes are kept, the ideal's generators over Z/n.
     The map sends each delta_s e_(g, i) to one target unit, so its kernel K
-    and image are read off its rows. The ideal is read off the span of its
-    generators, with no product formed:
+    and image are read off its rows, K as the span is, and no product is formed:
       - when the map is multiplicative, K is a two-sided ideal; when the
         span's echelon rows are K's, the generators lie in K, so
         span <= ideal <= K = span;
@@ -812,16 +862,11 @@ def germ_corollary(theta: LandPreaction, coefficients) -> GermCorollaryResult:
     germ = stage("germ-quotient", lambda: germ_quotient(theta))
 
     baction = stage("coefficient-algebra", lambda: coefficient_action(theta, coefficients))
-    induced = stage("induced-action", lambda: induced_theta(baction))
+    induced = _induced_rows(baction)
     crossed = stage("crossed-product", lambda: naive_crossed_product(induced))
 
-    actor = theta.actor
     ring = crossed.ring
-    generators = [
-        {crossed.index[(s, d)]: ring.one, crossed.index[(t, d)]: ring.neg(ring.one)}
-        for s, t in sorted(actor.leq) if s != t
-        for d in sorted(set(induced.domains[s]) & set(induced.domains[t]))
-    ]
+    pairs = _covering_generators(crossed, theta.actor.leq)
     germ_algebra = stage("germ-algebra",
                       lambda: semigroupoid_algebra(coefficients, germ.quotient))
 
@@ -833,8 +878,9 @@ def germ_corollary(theta: LandPreaction, coefficients) -> GermCorollaryResult:
     qmap = LinearMapOnBasis(crossed, germ_algebra, tuple(images))
     witness = multiplicative_witness(qmap)
     kernel, onto = stage("ideal", lambda: _unit_map_kernel(qmap))
-    kept, ideal_span = stage("ideal", lambda: _thin(generators, ring))
-    ideal = ideal_span.pivot_rows() if ring.is_field else kept
+    kept, ideal_span = stage("ideal", lambda: _difference_span(ring, pairs))
+    one, minus = ring.one, ring.neg(ring.one)
+    ideal = ideal_span.pivot_rows() if ring.is_field else [{x: one, y: minus} for x, y in kept]
 
     cert = Certificate("germ corollary")
     cert.data["crossed_rank"] = crossed.rank
@@ -845,7 +891,7 @@ def germ_corollary(theta: LandPreaction, coefficients) -> GermCorollaryResult:
         cert.data["ideal_generators"] = len(ideal)
 
     cert.add("multiplicative", witness is None, witness or ())
-    cert.add("ideal-killed", not any(qmap.apply_rows(gen.items()) for gen in generators))
+    cert.add("ideal-killed", not any(qmap.apply_rows(((x, one), (y, minus))) for x, y in pairs))
 
     cert.add("surjective", onto)
     cert.add("kernel-is-ideal", witness is None and kernel.rows == ideal_span.rows)

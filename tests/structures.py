@@ -117,6 +117,22 @@ def ideal_closure(generators, algebra) -> list[dict]:
     return basis.pivot_rows() if ring.is_field else span
 
 
+def germ_generators(res, covering=False) -> list[dict]:
+    """The germ ideal's generators delta_s e_d - delta_t e_d of a
+    germ_corollary result, for every s < t with d in both domains, in the
+    order the germ path built them before it formed only covering ones:
+    sorted (s, t), then d. With covering, only those with no u strictly
+    between s and t whose domain holds d, sorted by their two crossed-product
+    units, as germ_corollary forms them."""
+    crossed, action = res.crossed, res.induced_action
+    ring, leq, doms = crossed.ring, action.actor.leq, [set(d) for d in action.domains]
+    triples = [(s, t, d) for s, t in sorted(leq) if s != t for d in sorted(doms[s] & doms[t])]
+    pairs = [(crossed.index[(s, d)], crossed.index[(t, d)]) for s, t, d in triples
+             if not covering or not any(u not in (s, t) and (s, u) in leq and (u, t) in leq
+                                        and d in doms[u] for u in action.actor.base.arrows())]
+    return [{x: ring.one, y: ring.neg(ring.one)} for x, y in (sorted(pairs) if covering else pairs)]
+
+
 def unit_products(algebra, vec: dict):
     """e_i vec and vec e_i by ascending i, each only where it can be nonzero."""
     one, items = algebra.ring.one, vec.items()
@@ -694,6 +710,29 @@ def chain_actions(draw):
             for i in range(n)}
     return validate_preaction(maps, chain_semilattice(n),
                               built(unit_groupoid_raw(points)).base)
+
+
+@st.composite
+def gapped_chain_actions(draw):
+    """C_n acting by identities on any domains: a point may lie in dom
+    theta_ei and dom theta_ek and not in dom theta_ej for some i < j < k.
+    Every such family is a preaction, as ei ej is ei or ej."""
+    n = draw(st.integers(2, 4))
+    points = "xyz"[:draw(st.integers(1, 3))]
+    holds = {p: draw(st.sets(st.integers(0, n - 1))) for p in points}
+    maps = {f"e{i}": identity_on(f"1{p}" for p in points if i in holds[p]) for i in range(n)}
+    return validate_preaction(maps, chain_semilattice(n),
+                              built(unit_groupoid_raw(points)).base)
+
+
+def gapped_chain():
+    """C_3 acting by identities on one point x that lies in the domains of 0
+    and 2 but not of 1, which lies between them: the generator of 0 < 2 at
+    x is covering among x's arrows and is no sum of those of the covering
+    pairs 0 < 1 < 2 of the order."""
+    actor, _space, _maps = nested_chain_action(3)
+    maps = {"0": identity_on(["1x"]), "1": identity_on([]), "2": identity_on(["1x"])}
+    return actor, unit_groupoid_raw(("x",)), maps
 
 
 @st.composite

@@ -71,27 +71,38 @@ passing two-sided inverse; the route it replaced ran one `solve_linear` per
 certificate, and over Z/6 one Smith normal form in each.
 
 `verify germ` on C_n, the chain action above, at n = 16 and 32, over Q and
-Z/6: 0 calls to `solve_linear` and 0 to `smith_normal_form`, and every
-`EchelonBasis.insert` call comes from `rings._thin`, the span of the ideal's
-generators.
+Z/6: 0 calls to `solve_linear`, `smith_normal_form`, `mat_inverse`,
+`EchelonBasis.insert` and `EchelonBasis._reduce`, and exactly n(n - 1)/2
+generators formed.
 
   - The germ certificate sets its kernel's echelon rows off the map's rows
-    (`theorems._unit_map_kernel`, which inserts nothing), reads the ideal
-    off its generators' span, forming no product, and runs no
-    `solve_linear`; `verify germ` certifies no other map. So the span is the
-    only caller left.
-  - The germ of (s, x) is the class of all (t, x) with x in D_t: the point
-    entering at k lies in the n - k domains D_k..D_{n-1}, so the classes
-    have the sizes m = 1..n. The map sends each class to one unit, so its
-    kernel is spanned by the differences delta_s e_x - delta_t e_x inside
-    the classes, which are exactly the generators, sum of C(m, 2) = C(n+1, 3)
-    = 680 and 5,456 of them, one insert each: at most C(n+1, 3) calls,
-    cubic in n.
-  - A generator enlarges the span exactly when it joins two parts of its
-    class not yet joined, so over any Z/n as over Q exactly sum of (m - 1) =
-    n(n - 1)/2 = 120 and 496 calls return True, the ideal's rank. The route
-    it replaced also rebuilt the kernel and the ideal by insertion: 936 and
-    6,480 calls over Q, 376 and 1,520 of them True.
+    and its ideal's off the generators by union-find
+    (`theorems._difference_span`): each generator is e_x - e_y, so its span
+    is the vectors summing to 0 on each class, whose echelon rows are
+    e_x - e_r for r the class's largest unit. `verify germ` certifies no
+    other map, so nothing is eliminated or inserted.
+  - The generators are delta_s e_x - delta_t e_x for s < t covering in the
+    order cut down to the arrows whose domains hold x
+    (`theorems._covering_generators`). The point x entering at k lies in
+    D_k..D_{n-1}, a chain of n - k arrows with n - k - 1 covering pairs: sum
+    of (m - 1) over m = 1..n, n(n - 1)/2 = 120 and 496 generators, the
+    ideal's rank. The route it replaced formed one per pair s < t holding x,
+    sum of C(m, 2) = C(n+1, 3) = 680 and 5,456, and inserted each into an
+    echelon basis, 120 and 496 of them accepted.
+
+`naive_crossed_product` on the induced action of the germ path on C_n, at
+n = 16 and 32, over Q: exactly n(n + 1)/2 calls to `AlgebraAction.apply_rows`,
+one per distinct (t, a, b).
+
+  - The action is the identity on each domain, so Theta_t(e_b) = e_b, and
+    in the unit groupoid a e_b is nonzero only for a = b: each of the
+    n(n + 1)/2 labels (t, b) meets one a, and Theta_{t*}(a Theta_t(b)) is
+    formed once for it, 136 and 528 calls, growth exponent
+    log(528 / 136) / log 2 = 1.96.
+  - The keyed join meets the label pairs ((s, b), (t, b)) with b in both
+    domains: the point entering at k lies in n - k domains, so sum of m^2 =
+    n(n + 1)(2n + 1)/6 = 1,496 and 11,440 pairs. The route it replaced formed
+    the value once per pair, one call each, growth exponent 2.93.
 
 `verify crossed` on crossed P_4 with r = 2 and `verify quotient` on
 `fixtures/quotient.json`, over Q and Z/6: no `src/` code walks the triples of
@@ -164,7 +175,9 @@ from sectional import actions, bundles, semigroupoids, theorems, workspace
 from sectional.algebras import AlgebraPresentation
 from sectional.cli import main
 from sectional.semigroupoids import validate_semigroupoid
-from structures import elimination_calls, nested_chain_action
+from sectional.rings import RationalRing
+from sectional.theorems import germ_corollary
+from structures import elimination_calls, nested_chain_action, preaction
 from test_convolution import _dropping
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -319,15 +332,40 @@ def test_passing_certificates_run_no_elimination(theorem, name, ring, monkeypatc
 
 
 @pytest.mark.parametrize("ring", ["q", "zmod6"])
-def test_germ_inserts_only_in_the_generator_span(ring, tmp_path, monkeypatch, capsys):
+def test_germ_inserts_nothing_and_forms_covering_generators(ring, tmp_path, monkeypatch, capsys):
     for n in (16, 32):
         path = _chain_file(n, {"kind": "verify", "theorem": "germ", "action": "theta"}, tmp_path)
+        formed = []
+
+        def spy(crossed, leq, _cover=theorems._covering_generators):
+            formed.append(_cover(crossed, leq))
+            return formed[-1]
+
+        monkeypatch.setattr(theorems, "_covering_generators", spy)
         counts, inserts = _verify_counts(["germ", "--input", str(path), "--ring", ring],
                                          monkeypatch, capsys)
-        assert counts["solve_linear"] == counts["smith_normal_form"] == 0
-        assert {caller for caller, _ in inserts} == {"_thin"}
-        assert len(inserts) <= math.comb(n + 1, 3)
-        assert sum(accepted for _, accepted in inserts) == n * (n - 1) // 2
+        assert counts == dict.fromkeys(["_reduce", "smith_normal_form", "solve_linear",
+                                        "mat_inverse"], 0)
+        assert inserts == []
+        assert [len(pairs) for pairs in formed] == [n * (n - 1) // 2]
+
+
+def test_crossed_product_forms_each_twisted_value_once(monkeypatch):
+    calls = {}
+    for n in (16, 32):
+        induced = germ_corollary(preaction(*nested_chain_action(n)), RationalRing()).induced_action
+        calls[n] = 0
+
+        def apply_rows(action, s, v, _apply=bundles.AlgebraAction.apply_rows):
+            calls[n] += 1
+            return _apply(action, s, v)
+
+        monkeypatch.setattr(bundles.AlgebraAction, "apply_rows", apply_rows)
+        crossed = bundles.naive_crossed_product(induced)
+        monkeypatch.undo()
+        assert crossed.rank == n * (n + 1) // 2
+        assert calls[n] == n * (n + 1) // 2
+    assert math.log(calls[32] / calls[16]) / math.log(2) < 2
 
 
 def _walks(args, monkeypatch, capsys):

@@ -13,7 +13,8 @@ generators (`structures.ideal_closure`).
 
 The inputs, over Q, Z/5, Z/6, Z/12 and Z/30: the running example {1, e} on
 two points, the chain actions C_n (`structures.nested_chain_action`) for
-n = 1..6 and 10, and E ⋊ Γ on copies of pair groupoids
+n = 1..6 and 10, C_3 on a point missing from the middle domain
+(`structures.gapped_chain`), and E ⋊ Γ on copies of pair groupoids
 (`structures.components_semidirect_action`). On each, the certificate
 passes with elimination's verdicts, and the kernel rows it sets are the
 echelon rows of elimination's kernel. Then one image of the map is moved to
@@ -23,12 +24,19 @@ always changes the kernel, so `kernel-is-ideal` fails on every corrupted map,
 while `surjective` holds on some and fails on others.
 
 The generators span the kernel on every validated preaction (the argument is
-in `germ_corollary`'s docstring), so the span is the ideal. Drawn over Q,
-Z/6 and Z/12: chain semilattices, Z/2 and pair groupoids acting on points
-(`structures.chain_actions`, `z2_actions`, `pair_moves`), and E ⋊ Γ with E
-cut down to fewer sets U, whose domains are not global. On each, the span's
-echelon rows are the kernel's and the full saturation's, and the reported
-ideal is the saturation's.
+in `germ_corollary`'s docstring), so the span is the ideal. The oracle's
+generators are listed on the test side (`structures.germ_generators`): one
+for every s < t and d in both domains, as the germ path formed them before it
+formed only the covering ones, and those covering ones, with no u between s
+and t whose domain holds d. Drawn over Q, Z/6 and Z/12: chain semilattices,
+Z/2 and pair groupoids acting on points (`structures.chain_actions`,
+`z2_actions`, `pair_moves`), chains whose domains skip arrows
+(`gapped_chain_actions`), and E ⋊ Γ with E cut down to fewer sets U, whose
+domains are not global. On each, the echelon rows of all the generators, of
+the covering ones, of the kernel and of the full saturation are equal; the
+reported ideal is the saturation of the covering generators, the full
+saturation's rows over a field; and the induced action the germ path builds
+without a walk passes the twisted-associativity walk.
 """
 
 import itertools
@@ -37,11 +45,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sectional import theorems
+from sectional.bundles import algebra_action_associativity
 from sectional.maps import LinearMapOnBasis, surjective
-from sectional.rings import EchelonBasis, RationalRing, ZModRing, _thin, solve_linear
+from sectional.rings import EchelonBasis, RationalRing, ZModRing, solve_linear
 from sectional.theorems import _unit_map_kernel, germ_corollary
 
-from structures import (chain_actions, components_semidirect_action, ideal_closure,
+from structures import (chain_actions, components_semidirect_action, gapped_chain,
+                        gapped_chain_actions, germ_generators, ideal_closure,
                         nested_chain_action, pair_moves, preaction, semilattice_on_points_action,
                         semilattice_raw, unit_groupoid_raw, z2_actions)
 
@@ -50,6 +60,7 @@ INSTANCES = {
     "1e-on-2": lambda: (semilattice_raw(), unit_groupoid_raw(("x", "y")),
                         semilattice_on_points_action()),
     **{f"C{n}": (lambda n=n: nested_chain_action(n)) for n in (1, 2, 3, 4, 5, 6)},
+    "gapped-C3": gapped_chain,
     "2P1-1": lambda: components_semidirect_action(2, 1, [(0, 1)]),
     "2P2-Z2": lambda: components_semidirect_action(2, 2, [(0, 1), (1, 0)]),
     "3P1-S3": lambda: components_semidirect_action(3, 1, list(itertools.permutations(range(3)))),
@@ -59,25 +70,18 @@ THETAS = {name: preaction(*instance()) for name, instance in INSTANCES.items()}
 
 def _run(theta, ring, monkeypatch, corrupt=None):
     """The germ corollary of theta over ring, with the map's rows rewritten
-    by corrupt as it is built, and the generators its span got."""
-    seen = []
-
+    by corrupt as it is built, and the ideal's generators for every pair
+    s < t (structures.germ_generators)."""
     def build(source, target, rows):
         rows = list(rows)
         if corrupt is not None:
             corrupt(rows)
         return LinearMapOnBasis(source, target, tuple(rows))
 
-    def thin(generators, ring):
-        seen.append(list(generators))
-        return _thin(seen[-1], ring)
-
     with monkeypatch.context() as m:
         m.setattr(theorems, "LinearMapOnBasis", build)
-        m.setattr(theorems, "_thin", thin)
         res = germ_corollary(theta, ring)
-    (generators,) = seen
-    return res, generators
+    return res, germ_generators(res)
 
 
 def _verdicts(res):
@@ -158,28 +162,46 @@ def _restricted_semidirect(data):
     return preaction(*components_semidirect_action(k, m, group, keep))
 
 
+def _skips_an_arrow(res, covering) -> bool:
+    """Whether some covering generator joins s < t with an arrow between
+    them in the order, which is then one whose domain lacks the point."""
+    actor, labels = res.induced_action.actor, res.crossed.labels
+    return any(any(u not in (s, t) and (s, u) in actor.leq and (u, t) in actor.leq
+                   for u in actor.base.arrows())
+               for s, t in ((labels[x][0], labels[y][0]) for x, y in map(sorted, covering)))
+
+
 def test_generator_span_is_the_kernel_on_validated_preactions(monkeypatch):
-    kinds = set()
+    kinds, skips = set(), set()
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def check(data):
-        kind = data.draw(st.sampled_from(["chain", "z2", "pairs", "restricted"]))
+        kind = data.draw(st.sampled_from(["chain", "gapped", "z2", "pairs", "restricted"]))
         theta = {"chain": lambda: data.draw(chain_actions()),
+                 "gapped": lambda: data.draw(gapped_chain_actions()),
                  "z2": lambda: data.draw(z2_actions()),
                  "pairs": lambda: pair_moves("xyz"[:data.draw(st.integers(1, 3))]),
                  "restricted": lambda: _restricted_semidirect(data)}[kind]()
         ring = data.draw(st.sampled_from([RationalRing(), ZModRing(6), ZModRing(12)]))
         res, generators = _run(theta, ring, monkeypatch)
+        covering = germ_generators(res, covering=True)
         assert res.certificate.passed
         kernel, _onto = _unit_map_kernel(res.map)
         saturated = ideal_closure(generators, res.crossed)
-        assert EchelonBasis(ring, generators).rows == kernel.rows \
-            == EchelonBasis(ring, saturated).rows
-        assert res.ideal_basis == saturated
+        assert EchelonBasis(ring, generators).rows == EchelonBasis(ring, covering).rows \
+            == kernel.rows == EchelonBasis(ring, saturated).rows
+        assert res.ideal_basis == ideal_closure(covering, res.crossed)
+        if ring.is_field:
+            assert res.ideal_basis == saturated
+        assert algebra_action_associativity(res.induced_action) is None
         kinds.add((kind, bool(generators)))
+        skips.add(_skips_an_arrow(res, covering))
 
     check()
     # a group, Z/2 or a pair groupoid, has the trivial order and no generator
-    assert kinds == {("chain", False), ("chain", True), ("z2", False), ("pairs", False),
-                     ("restricted", False), ("restricted", True)}
+    assert kinds == {("chain", False), ("chain", True), ("gapped", False), ("gapped", True),
+                     ("z2", False), ("pairs", False), ("restricted", False),
+                     ("restricted", True)}
+    assert skips == {False, True}
+

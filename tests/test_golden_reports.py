@@ -50,6 +50,11 @@ classes of 6), each `_parallel_congruence` with its own `random.Random(3)`.
 without and with `--ring zmod6`. The germ and certify-pair goldens were
 recorded before the certificates stopped running elimination on a passing
 map, the quotient ones before the induced action stopped re-proving its axioms.
+Germ C_16 also has `germ-c16.verify.zmod12.json` and `.zmod30.json`, with
+`--ring zmod12` and `--ring zmod30`: over a composite ring its report counts
+the ideal's generators that join two classes, `ideal_generators`, where a
+field reports the rank. They were recorded while every pair s < t was still
+a generator and the span was taken by elimination.
 
 Two crossed must-fail files (exit 1) are frozen beside them, each over Q with
 goldens under its own ring, `--ring zmod5` and `--ring zmod6`:
@@ -111,6 +116,7 @@ RATIONAL_TWIST = os.path.join(HERE, "data", "rational_twist.json")
 SCALED = os.path.join(HERE, "data", "scaled")
 SCALED_NAMES = ("crossed-p4r2", "germ-c16", "quotient-z12m12k4", "quotient-z30m30k8",
                 "smash-p6r1", "tensor-p6r2")
+GERM_COMPOSITE_RINGS = ("zmod12", "zmod30")
 MUST_FAIL_NAMES = ("crossed-fail-p3r2", "crossed-fail-semilattice")
 MUST_FAIL_RINGS = ("zmod5", "zmod6")
 CI_NAMES = ("convolution-p5r2",)
@@ -178,6 +184,7 @@ def test_every_scaled_input_has_golden_reports():
         f"{name}.json" for name in SCALED_NAMES + MUST_FAIL_NAMES)
     assert sorted(os.listdir(os.path.join(SCALED, "golden"))) == sorted(
         [f"{name}.verify{suffix}.json" for name in SCALED_NAMES for suffix in ("", ".zmod6")]
+        + [f"germ-c16.verify.{ring}.json" for ring in GERM_COMPOSITE_RINGS]
         + [f"{name}.verify{suffix}.json" for name in MUST_FAIL_NAMES
            for suffix in ("",) + tuple(f".{ring}" for ring in MUST_FAIL_RINGS)]
         + [f"{name}.verify.{ring}.json" for name in CI_NAMES for ring in CI_RINGS])
@@ -186,6 +193,8 @@ def test_every_scaled_input_has_golden_reports():
 @pytest.mark.parametrize("name, ring", [
     pytest.param(name, ring, id=name if ring is None else f"{name}-{ring}")
     for name in SCALED_NAMES for ring in (None, "zmod6")
+] + [
+    pytest.param("germ-c16", ring, id=f"germ-c16-{ring}") for ring in GERM_COMPOSITE_RINGS
 ] + [
     pytest.param(name, ring, id=name if ring is None else f"{name}-{ring}")
     for name in MUST_FAIL_NAMES for ring in (None,) + MUST_FAIL_RINGS

@@ -308,6 +308,23 @@ def test_action_apply_matches_dense_oracle(ring, data):
     assert densify(action.apply_rows(s, sparse_row(v, ring)).items(), rank, ring) == expected
 
 
+@pytest.mark.parametrize("ring", RINGS.values(), ids=RINGS.keys())
+def test_action_apply_outside_its_domain_names_the_basis(ring):
+    """A fixed input for the refusal the drawn oracle above reaches only on
+    some draws: every arrow of {1, e} acts on the span of b0 alone, and a
+    vector with an entry at b1 is refused, naming b1 and the arrow."""
+    actor = built(semilattice_raw())
+    alg = _presentation(ring, {}, 2)
+    arrows = list(actor.base.arrows())
+    action = AlgebraAction(actor, alg, tuple((0,) for _ in arrows),
+                           tuple({0: ((0, ring.one),)} for _ in arrows))
+    for s in arrows:
+        assert action.apply_rows(s, ((0, ring.one),)) == {0: ring.one}
+        with pytest.raises(ValueError, match=f"^vector leaves dom at basis b1 for arrow "
+                                             f"{actor.base.arrow_names[s]}$"):
+            action.apply_rows(s, ((0, ring.one), (1, ring.one)))
+
+
 class DenseBundle(NamedTuple):
     """A generated bundle as dense tables: tables[(a, b)][i][j] = e_i * e_j."""
 

@@ -55,7 +55,6 @@ from sectional.rings import (
     solve_linear,
     sparse_vector,
 )
-from sectional.rings import _thin
 from sectional.semigroupoids import composable_labels
 from sectional.theorems import _unit_map_kernel, germ_corollary, induced_theta
 from sectional.validation import InternalConsistencyError, StageError
@@ -65,6 +64,7 @@ from structures import (
     columns_of,
     components_semidirect_action,
     elimination_calls,
+    germ_generators,
     ideal_closure,
     nested_chain_action,
     pair_groupoid_raw,
@@ -369,37 +369,31 @@ GERM_INSTANCES = {
 GERM_RINGS = {"Q": RationalRing(), "Z6": ZModRing(6)}
 
 
-def _spy_span(monkeypatch):
-    """Record the generators of each span the germ pipeline builds
-    (`rings._thin`: the generators that enlarged the span, and its echelon
-    basis)."""
-    calls = []
-
-    def spy(generators, ring):
-        calls.append(list(generators))
-        return _thin(calls[-1], ring)
-
-    monkeypatch.setattr(theorems, "_thin", spy)
-    return calls
-
-
 def _eager_result(generators, algebra):
     accepted, rows = eager_closure(generators, algebra)
     return rows if algebra.ring.is_field else accepted
 
 
+def assert_full_saturation(res):
+    """res's ideal is what the eager loop saturates: from the covering
+    generators, which germ_corollary forms, the same accepted list over Z/6
+    and the same reduced row echelon form over Q; from every generator s < t
+    (structures.germ_generators), the same echelon rows."""
+    crossed, ring = res.crossed, res.crossed.ring
+    assert res.ideal_basis == _eager_result(germ_generators(res, covering=True), crossed)
+    assert EchelonBasis(ring, res.ideal_basis).pivot_rows() == \
+        eager_closure(germ_generators(res), crossed)[1]
+
+
 @pytest.mark.parametrize("ring", GERM_RINGS.values(), ids=GERM_RINGS.keys())
 @pytest.mark.parametrize("instance", GERM_INSTANCES.values(), ids=GERM_INSTANCES.keys())
-def test_germ_ideal_is_the_full_saturation(instance, ring, monkeypatch):
+def test_germ_ideal_is_the_full_saturation(instance, ring):
     """The germ pipeline reads its ideal off the generators' span; the eager
-    loop saturates fully. Same accepted list over Z/6, same reduced row
-    echelon form over Q. The certificate reads only the span's echelon rows,
+    loop saturates fully. The certificate reads only the span's echelon rows,
     so it is the one the full saturation gives."""
-    calls = _spy_span(monkeypatch)
     res = germ_corollary(preaction(*instance()), ring)
-    (generators,) = calls
     assert res.certificate.passed
-    assert res.ideal_basis == _eager_result(generators, res.crossed)
+    assert_full_saturation(res)
 
 
 class Swapped(theorems.LinearMapOnBasis):
@@ -451,13 +445,12 @@ def test_germ_ideal_is_the_span_under_a_bent_map(bent, verdicts, ring, monkeypat
     saturation."""
     theta = preaction(*GERM_INSTANCES["2P2-Z2"]())
     monkeypatch.setattr(theorems, "LinearMapOnBasis", bent)
-    calls = _spy_span(monkeypatch)
     res = germ_corollary(theta, ring)
-    (generators,) = calls
-    assert res.ideal_basis == _eager_result(generators, res.crossed)
+    assert_full_saturation(res)
     checks = {c.name: c.ok for c in res.certificate.checks}
     assert {name: checks[name] for name in verdicts} == verdicts
-    span_is_kernel = EchelonBasis(ring, generators).rows == _unit_map_kernel(res.map)[0].rows
+    span_is_kernel = (EchelonBasis(ring, germ_generators(res)).rows
+                      == _unit_map_kernel(res.map)[0].rows)
     assert span_is_kernel == (bent is Swapped)
 
 
@@ -564,21 +557,18 @@ def test_crossed_tables_match_the_loops_under_any_conjugation():
 
 def test_germ_path_builds_no_kernel_by_elimination(monkeypatch):
     """The germ certificate sets its kernel's echelon rows off the map's rows
-    and the ideal's off the generators' span: it calls no solve_linear and
-    no smith_normal_form, and every EchelonBasis.insert comes from the span
-    (`rings._thin`), one per generator. The instances include E ⋊ Γ, whose
-    space is not a unit groupoid as the chains' of tests/test_complexity.py
-    is."""
+    and the ideal's off the generators by union-find: it calls no
+    solve_linear, no smith_normal_form and no EchelonBasis.insert or
+    _reduce. The instances include E ⋊ Γ, whose space is not a unit groupoid
+    as the chains' of tests/test_complexity.py is."""
     for instance in GERM_INSTANCES.values():
         for ring in GERM_RINGS.values():
             results = []
-            calls = _spy_span(monkeypatch)
             counts, inserts = elimination_calls(
                 monkeypatch, lambda: results.append(germ_corollary(preaction(*instance()), ring)))
-            assert results[0].certificate.passed
-            assert counts["solve_linear"] == counts["smith_normal_form"] == 0
-            assert inserts and {caller for caller, _ in inserts} == {"_thin"}
-            assert len(inserts) == len(calls[0])
+            assert results[0].certificate.passed and germ_generators(results[0])
+            assert counts["solve_linear"] == counts["smith_normal_form"] == counts["_reduce"] == 0
+            assert inserts == []
 
 
 def test_germ_map_of_another_shape_is_a_program_bug(monkeypatch):
@@ -608,10 +598,8 @@ def test_kernel_larger_than_the_ideal_fails_kernel_is_ideal(ring, monkeypatch):
     the certificate says the kernel is not the ideal."""
     theta = preaction(*GERM_INSTANCES["2P2-Z2"]())
     monkeypatch.setattr(theorems, "LinearMapOnBasis", Zero)
-    calls = _spy_span(monkeypatch)
     res = germ_corollary(theta, ring)
-    (generators,) = calls
-    assert res.ideal_basis == _eager_result(generators, res.crossed)
+    assert_full_saturation(res)
     checks = {c.name: c.ok for c in res.certificate.checks}
     assert checks["multiplicative"] and checks["ideal-killed"]
     assert not checks["kernel-is-ideal"]

@@ -8,6 +8,7 @@ import pytest
 from sectional import theorems
 from sectional.actions import germ_quotient, validate_preaction, validate_rigid_congruence
 from sectional.bundles import (
+    algebra_action_associativity,
     semigroupoid_algebra,
     sectional_algebra,
     trivial_bundle,
@@ -684,9 +685,12 @@ class TestGermCorollary:
         assert res.crossed.rank == res.germ_algebra.rank == 2
 
     def test_algebra_coefficients(self):
+        """Over the algebra R[Z/2] the induced action, built without a walk,
+        still passes the twisted-associativity walk."""
         coeff = semigroupoid_algebra(Q, built(cyclic2_raw()).base)
         res = germ_corollary(self._running_theta(), coeff)
         assert res.certificate.passed
+        assert algebra_action_associativity(res.induced_action) is None
         data = res.certificate.data
         assert (data["crossed_rank"], data["ideal_rank"], data["quotient_rank"]) == (6, 2, 4)
 

@@ -14,8 +14,6 @@ is a congruence follows from the validated axioms (germ_quotient).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .semigroupoids import (
     FiniteInverseSemigroupoid,
     FiniteSemigroupoid,
@@ -33,13 +31,14 @@ from .validation import (
 )
 
 
-@dataclass
 class LandPreaction:
-    actor: FiniteInverseSemigroupoid
-    space: FiniteSemigroupoid
-    maps: tuple[dict[int, int], ...]   # per actor arrow: space arrow -> space arrow
-    is_associative: bool = False
-    associativity_witness: tuple = ()
+    """maps[s] sends each space arrow of dom theta_s to its image."""
+
+    def __init__(self, actor: FiniteInverseSemigroupoid, space: FiniteSemigroupoid,
+                 maps: tuple[dict[int, int], ...], is_associative: bool = False,
+                 associativity_witness: tuple = ()):
+        self.actor, self.space, self.maps = actor, space, maps
+        self.is_associative, self.associativity_witness = is_associative, associativity_witness
 
     def dom(self, s: int) -> tuple[int, ...]:
         return tuple(sorted(self.maps[s]))
@@ -209,33 +208,32 @@ def _twisted(theta: LandPreaction, t: int, a: int, b: int) -> int | None:
     return theta.apply(theta.actor.inv[t], prod)
 
 
-def twisted_partners(base: FiniteSemigroupoid, doms, rans) -> dict[int, dict[int, set[int]]]:
+def twisted_partners(base: FiniteSemigroupoid, doms, rans) -> dict[int, dict[int, frozenset]]:
     """Project the twisted triple enumeration onto (t, a, c): t -> a -> every c.
 
     The triple condition runs over actor triples (s, t, u) with stu defined
     and (a, b, c) in doms[s] x doms[t] x rans[u], but both of its sides read
     only t, a, b and c; s and u only decide which a and c are drawn. (s, t)
-    is composable when src(s) = rng(t), and (st, u) when rng(u) = w, the
-    source of st. So for each t, a meets c exactly when a lies in the union
-    A_{t,w} of doms[s] over such s with src(st) = w, and c in the union R_w of
-    rans[u] over rng(u) = w, for one common w; b ranges over doms[t] either
-    way. This is the exact projection of the full enumeration and uses no
-    preaction axiom, so the check stays exhaustive on any tables.
+    is composable when src(s) = rng(t), and (st, u) when rng(u) is the source
+    of st, which the actor's source compatibility makes w = src(t). So for
+    each t, a meets c exactly when a lies in the union A_t of doms[s] over
+    such s, and c in the union R_w of rans[u] over rng(u) = w; b ranges over
+    doms[t] either way. This is the exact projection of the full enumeration
+    and uses no preaction axiom, so the check stays exhaustive on any tables.
+
+    Every a of t meets the same R_w, so each R_w is stored once, as a
+    frozenset all its keys share: the result takes memory O(keys + one R_w
+    per actor vertex), not one copy of R_w per (t, a). Callers only read it.
     """
     ranges_at: dict[int, set[int]] = {}        # w -> R_w
     for u in base.arrows():
         ranges_at.setdefault(base.rng[u], set()).update(rans[u])
-    domains_at: dict[tuple[int, int], set[int]] = {}   # (t, w) -> A_{t,w}
+    shared = {w: frozenset(cs) for w, cs in ranges_at.items() if cs}
+    domains_at: dict[int, set[int]] = {}       # t -> A_t
     for s, t in base.composable:
-        domains_at.setdefault((t, base.src[base.prod[s][t]]), set()).update(doms[s])
-    partners: dict[int, dict[int, set[int]]] = {}
-    for (t, w), a_set in domains_at.items():
-        cs = ranges_at.get(w)
-        if cs:
-            per_t = partners.setdefault(t, {})
-            for a in a_set:
-                per_t.setdefault(a, set()).update(cs)
-    return partners
+        domains_at.setdefault(t, set()).update(doms[s])
+    return {t: dict.fromkeys(a_set, shared[base.src[t]])
+            for t, a_set in domains_at.items() if base.src[t] in shared}
 
 
 def first_twisted_triple(base: FiniteSemigroupoid, doms, rans, failing) -> tuple[int, ...]:
@@ -282,7 +280,7 @@ def _associativity(theta: LandPreaction) -> tuple[bool, tuple]:
         leaving: dict[int, list[int]] = {}          # v -> the partners a with src a = v
         for a in partners:
             leaving.setdefault(src[a], []).append(a)
-        met = set().union(*partners.values())       # every c some a meets
+        met = set().union(*set(partners.values()))  # every c some a meets
         for b in doms[t]:
             bcs = (space.compose(b, c) for c in met.intersection(into[src[b]]))
             images = (theta.apply(t, x) for x in (b, *bcs) if x is not None)
@@ -360,11 +358,10 @@ def semidirect_product(theta: LandPreaction) -> FiniteSemigroupoid:
     )
 
 
-@dataclass
 class RigidCongruence:
-    base: FiniteSemigroupoid
-    classes: tuple[tuple[int, ...], ...]
-    class_of: tuple[int, ...]
+    def __init__(self, base: FiniteSemigroupoid, classes: tuple[tuple[int, ...], ...],
+                 class_of: tuple[int, ...]):
+        self.base, self.classes, self.class_of = base, classes, class_of
 
 
 def validate_rigid_congruence(partition, base: FiniteSemigroupoid) -> RigidCongruence:
@@ -461,10 +458,11 @@ def quotient_semigroupoid(cong: RigidCongruence) -> tuple[FiniteSemigroupoid, Ho
     return quotient, Homomorphism(base, quotient, cong.class_of, rigid=True)
 
 
-@dataclass
 class GermQuotient:
-    quotient: FiniteSemigroupoid
-    class_of: dict      # label (s, g) of S |x G -> its germ, an arrow of quotient
+    """class_of maps each label (s, g) of S |x G to its germ, an arrow of quotient."""
+
+    def __init__(self, quotient: FiniteSemigroupoid, class_of: dict):
+        self.quotient, self.class_of = quotient, class_of
 
 
 def germ_quotient(theta: LandPreaction) -> GermQuotient:

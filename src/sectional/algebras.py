@@ -38,26 +38,23 @@ every check exhaustive and every witness the same.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .rings import Ring, normal_row
 from .semigroupoids import FiniteSemigroupoid, label_index
 
 
-@dataclass
 class AlgebraPresentation:
-    ring: Ring
-    basis: tuple[str, ...]
-    table: dict[tuple[int, int], tuple] = field(default_factory=dict)
-    grading: FiniteSemigroupoid | None = None
-    degrees: tuple[int, ...] | None = None
-    provenance: str = ""
-    labels: tuple | None = None
-    index: dict = field(init=False, repr=False, compare=False)
-    after: tuple = field(init=False, repr=False, compare=False)
-    before: tuple = field(init=False, repr=False, compare=False)
+    def __init__(self, ring: Ring, basis: tuple[str, ...],
+                 table: dict[tuple[int, int], tuple] | None = None,
+                 grading: FiniteSemigroupoid | None = None, degrees: tuple[int, ...] | None = None,
+                 provenance: str = "", labels: tuple | None = None):
+        self.ring, self.basis, self.table = ring, basis, {} if table is None else table
+        self.grading, self.degrees = grading, degrees
+        self.provenance, self.labels = provenance, labels
+        self.__post_init__()
 
     def __post_init__(self):
+        """The labels, the support index and the checks of every construction:
+        a method of its own, so a counter can wrap each construction."""
         # labels default to the names, so a hand-built basis is its own key
         self.labels = self.basis if self.labels is None else tuple(self.labels)
         if len(self.labels) != self.rank:

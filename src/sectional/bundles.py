@@ -20,7 +20,6 @@ semigroupoid algebras, graded round trips, and naive crossed products.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .actions import first_twisted_triple, twisted_partners
 from .algebras import AlgebraPresentation
@@ -45,16 +44,14 @@ from .validation import (
 )
 
 
-@dataclass
 class Bundle:
     """rows[(a, b)][i][j] is e_i * e_j in fiber(ab), a row in normal form, for
     every composable pair; every product is (x_i y_j) * row, summed. A Bundle
     is made only by validate_bundle or by a builder that argues its identities."""
 
-    ring: Ring
-    base: FiniteSemigroupoid
-    ranks: tuple[int, ...]
-    rows: dict[tuple[int, int], tuple]
+    def __init__(self, ring: Ring, base: FiniteSemigroupoid, ranks: tuple[int, ...],
+                 rows: dict[tuple[int, int], tuple]):
+        self.ring, self.base, self.ranks, self.rows = ring, base, ranks, rows
 
     def fiber_mul(self, a: int, b: int, x, y) -> dict:
         """Balanced product fiber(a) x fiber(b) -> fiber(ab) of sparse vectors
@@ -254,7 +251,6 @@ def validate_bundle(raw, ring: Ring, base: FiniteSemigroupoid) -> Bundle:
     return bundle
 
 
-@dataclass
 class Section:
     """Finitely supported right-inverse of the bundle projection.
 
@@ -264,12 +260,10 @@ class Section:
     literal.
     """
 
-    bundle: Bundle
-    values: dict[int, dict] = field(default_factory=dict)
-
-    def __post_init__(self):
-        ring = self.bundle.ring
-        self.values = {a: w for a, v in self.values.items() if (w := sparse_vector(v, ring))}
+    def __init__(self, bundle: Bundle, values: dict[int, dict] | None = None):
+        ring = bundle.ring
+        self.bundle = bundle
+        self.values = {a: w for a, v in (values or {}).items() if (w := sparse_vector(v, ring))}
 
     @classmethod
     def normal(cls, bundle: Bundle, values: dict) -> "Section":
@@ -468,7 +462,6 @@ def graded_roundtrip_iso(algebra: AlgebraPresentation) -> LinearMapOnBasis:
 # Algebra-level actions and naive crossed products
 # ---------------------------------------------------------------------------
 
-@dataclass
 class AlgebraAction:
     """Wedge-preaction of an inverse semigroupoid on an algebra presentation.
 
@@ -479,10 +472,9 @@ class AlgebraAction:
     from a checked bundle action.
     """
 
-    actor: FiniteInverseSemigroupoid
-    algebra: AlgebraPresentation
-    domains: tuple[tuple[int, ...], ...]
-    rows: tuple[dict[int, tuple], ...]
+    def __init__(self, actor: FiniteInverseSemigroupoid, algebra: AlgebraPresentation,
+                 domains: tuple[tuple[int, ...], ...], rows: tuple[dict[int, tuple], ...]):
+        self.actor, self.algebra, self.domains, self.rows = actor, algebra, domains, rows
 
     def apply_rows(self, s: int, v) -> dict:
         """Theta_s of a sparse vector given as (index, value) pairs, which must
@@ -521,7 +513,7 @@ def algebra_action_associativity(action: AlgebraAction) -> tuple | None:
     rans = [doms[inv[u]] for u in base.arrows()]
     failing: set[tuple[int, int, int, int]] = set()
     for t, partners in twisted_partners(base, doms, rans).items():
-        met = set().union(*partners.values())               # every c some a meets
+        met = set().union(*set(partners.values()))          # every c some a meets
         for b in doms[t]:
             tb = action.rows[t][b]                          # Theta_t(e_b)
             t_bc = {c: action.apply_rows(t, alg.table[(b, c)]).items()

@@ -8,31 +8,25 @@ inverse is the one proof of bijectivity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .algebras import AlgebraPresentation
 from .rings import LinearSolution, apply_linear, dense, solve_linear, sparse_vector
 
 
-@dataclass
 class LinearMapOnBasis:
     """rows[i] is the image of source basis i as a sparse row: (index, value)
     pairs sorted by index, zeros absent. Rows may arrive as dicts or unsorted
     pairs; they are stored in that canonical form. Read as a matrix, the
     rows are its columns, the form rings.solve_linear takes."""
 
-    source: AlgebraPresentation
-    target: AlgebraPresentation
-    rows: tuple
-    inverse: "LinearMapOnBasis | None" = None
-
-    def __post_init__(self):
-        if len(self.rows) != self.source.rank:
+    def __init__(self, source: AlgebraPresentation, target: AlgebraPresentation, rows: tuple,
+                 inverse: LinearMapOnBasis | None = None):
+        if len(rows) != source.rank:
             raise ValueError("one image per source basis element required")
-        ring, rank = self.source.ring, self.target.rank
-        rows = [sparse_vector(row, ring) for row in self.rows]
+        ring, rank = source.ring, target.rank
+        rows = [sparse_vector(row, ring) for row in rows]
         if any(not isinstance(k, int) or not 0 <= k < rank for row in rows for k in row):
             raise ValueError("image vector indexes outside the target basis")
+        self.source, self.target, self.inverse = source, target, inverse
         self.rows = tuple(tuple(sorted(row.items())) for row in rows)
 
     def apply_rows(self, v) -> dict:
@@ -56,12 +50,9 @@ def basis_bijection(source: AlgebraPresentation, target: AlgebraPresentation,
     return out
 
 
-@dataclass
 class Check:
-    name: str
-    ok: bool
-    witness: tuple = ()
-    note: str = ""
+    def __init__(self, name: str, ok: bool, witness: tuple = (), note: str = ""):
+        self.name, self.ok, self.witness, self.note = name, ok, witness, note
 
     def to_json(self) -> dict:
         out = {"name": self.name, "ok": self.ok}
@@ -72,11 +63,11 @@ class Check:
         return out
 
 
-@dataclass
 class Certificate:
-    subject: str
-    checks: list[Check] = field(default_factory=list)
-    data: dict = field(default_factory=dict)
+    def __init__(self, subject: str, checks: list[Check] | None = None, data: dict | None = None):
+        self.subject = subject
+        self.checks = [] if checks is None else checks
+        self.data = {} if data is None else data
 
     @property
     def passed(self) -> bool:

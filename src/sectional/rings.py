@@ -31,7 +31,6 @@ import itertools
 import math
 import operator
 from bisect import insort
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -633,24 +632,22 @@ def _xgcd(a: int, b: int) -> tuple:
     return a, s0, t0
 
 
-@dataclass
 class LinearSolution:
     """Kernel and image data for one matrix over a supported ring.
 
     Over a field: `rank` is the usual rank and `pivots` the pivot columns.
     Over Z/n with composite n the bases are spanning sets (free bases need not
     exist) and `rank` counts invariant factors with a nonzero image. Basis
-    vectors are sparse {index: nonzero value} dicts.
+    vectors are sparse {index: nonzero value} dicts; over Z/n, image_echelon
+    is the image's echelon form.
     """
 
-    ring: Ring
-    rows: int
-    cols: int
-    rank: int
-    pivots: tuple
-    kernel_basis: list[dict]
-    image_basis: list[dict]
-    image_echelon: EchelonBasis | None = None     # over Z/n: the image's echelon form
+    def __init__(self, ring: Ring, rows: int, cols: int, rank: int, pivots: tuple,
+                 kernel_basis: list[dict], image_basis: list[dict],
+                 image_echelon: EchelonBasis | None = None):
+        self.ring, self.rows, self.cols, self.rank, self.pivots = ring, rows, cols, rank, pivots
+        self.kernel_basis, self.image_basis = kernel_basis, image_basis
+        self.image_echelon = image_echelon
 
 
 class EchelonBasis:

@@ -13,7 +13,6 @@ failing tuple per violated axiom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from .validation import StructureError, ValidationReport
@@ -27,7 +26,6 @@ def label_index(labels) -> dict:
     return index
 
 
-@dataclass
 class FiniteSemigroupoid:
     """Arrows with source, range and, per arrow a, the map prod[a] from each b
     with a declared product to ab.
@@ -39,24 +37,16 @@ class FiniteSemigroupoid:
 
     into[v] and leaving[v] list the arrows with range and source v, ascending.
     Every walk over composable pairs or triples goes through them, so it costs
-    what it yields and meets the tuples in lexicographic order.
+    what it yields and meets the tuples in lexicographic order. Equality
+    compares the vertex and arrow names, the tables and name, not the labels.
     """
 
-    vertex_names: tuple[str, ...]
-    arrow_names: tuple[str, ...]
-    src: tuple[int, ...]
-    rng: tuple[int, ...]
-    prod: tuple[dict[int, int], ...]
-    name: str = ""
-    labels: tuple | None = field(default=None, compare=False, repr=False)
-    index: dict = field(init=False, compare=False, repr=False)
-    by_name: dict = field(init=False, compare=False, repr=False)
-    into: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
-    leaving: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
-    composable: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        self.labels = self.arrow_names if self.labels is None else tuple(self.labels)
+    def __init__(self, vertex_names: tuple[str, ...], arrow_names: tuple[str, ...],
+                 src: tuple[int, ...], rng: tuple[int, ...], prod: tuple[dict[int, int], ...],
+                 name: str = "", labels: tuple | None = None):
+        self.vertex_names, self.arrow_names = vertex_names, arrow_names
+        self.src, self.rng, self.prod, self.name = src, rng, prod, name
+        self.labels = arrow_names if labels is None else tuple(labels)
         if len(self.labels) != self.n_arrows:
             raise ValueError("one label per arrow required")
         self.index = label_index(self.labels)
@@ -72,6 +62,11 @@ class FiniteSemigroupoid:
         self.composable = tuple(
             (a, b) for a, v in enumerate(self.src) for b in self.into[v]
         )
+
+    def __eq__(self, other):
+        def key(x):
+            return x.vertex_names, x.arrow_names, x.src, x.rng, x.prod, x.name
+        return type(other) is type(self) and key(self) == key(other)
 
     @property
     def n_arrows(self) -> int:
@@ -283,7 +278,6 @@ def _check_axioms(sgpd: FiniteSemigroupoid, report: ValidationReport) -> None:
                 return
 
 
-@dataclass
 class FiniteInverseSemigroupoid:
     """Semigroupoid where every arrow has a unique generalized inverse.
 
@@ -293,16 +287,11 @@ class FiniteInverseSemigroupoid:
     validate_inverse_semigroupoid cross-checks four ways.
     """
 
-    base: FiniteSemigroupoid
-    inv: tuple[int, ...]
-    idempotents: tuple[int, ...] = field(init=False)
-    leq: frozenset = field(init=False)
-
-    def __post_init__(self):
-        base = self.base
+    def __init__(self, base: FiniteSemigroupoid, inv: tuple[int, ...]):
+        self.base, self.inv = base, inv
         self.idempotents = tuple(_idempotents(base))
         self.leq = frozenset((s, t) for s in base.arrows() for t in base.leaving[base.src[s]]
-                             if base.prod[t].get(base.prod[self.inv[s]].get(s)) == s)
+                             if base.prod[t].get(base.prod[inv[s]].get(s)) == s)
 
 
 def _idempotents(sgpd: FiniteSemigroupoid) -> list[int]:
@@ -370,12 +359,10 @@ def validate_inverse_semigroupoid(sgpd: FiniteSemigroupoid, inv_raw: dict) -> Fi
     return FiniteInverseSemigroupoid(sgpd, tuple(inv))
 
 
-@dataclass
 class Homomorphism:
-    source: FiniteSemigroupoid
-    target: FiniteSemigroupoid
-    map: tuple[int, ...]
-    rigid: bool = False
+    def __init__(self, source: FiniteSemigroupoid, target: FiniteSemigroupoid,
+                 map: tuple[int, ...], rigid: bool = False):
+        self.source, self.target, self.map, self.rigid = source, target, map, rigid
 
 
 def validate_homomorphism(raw_map, source: FiniteSemigroupoid, target: FiniteSemigroupoid) -> Homomorphism:
@@ -493,13 +480,11 @@ def direct_product(a: FiniteSemigroupoid, b: FiniteSemigroupoid) -> FiniteSemigr
     ))
 
 
-@dataclass
 class GroupoidCheck:
-    ok: bool
-    units: dict[int, int]
-    inverses: dict[int, int]
-    witness: tuple = ()
-    message: str = ""
+    def __init__(self, ok: bool, units: dict[int, int], inverses: dict[int, int],
+                 witness: tuple = (), message: str = ""):
+        self.ok, self.units, self.inverses, self.witness, self.message = (
+            ok, units, inverses, witness, message)
 
 
 def is_groupoid(sgpd: FiniteSemigroupoid) -> GroupoidCheck:

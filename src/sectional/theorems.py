@@ -13,8 +13,6 @@ kernels and images are read off the maps' rows or their checked inverses:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .actions import (
     LandPreaction,
     RigidCongruence,
@@ -92,15 +90,14 @@ def tensor_product_algebra(a: AlgebraPresentation, b: AlgebraPresentation) -> Al
                                provenance="tensor product", labels=labels)
 
 
-@dataclass
 class TensorTheoremResult:
-    map: LinearMapOnBasis
-    certificate: Certificate
-    section_algebra: AlgebraPresentation
-    factor_algebra: AlgebraPresentation
-    tensor: AlgebraPresentation
-    product_algebra: AlgebraPresentation
-    product_bundle: Bundle
+    def __init__(self, map: LinearMapOnBasis, certificate: Certificate,
+                 section_algebra: AlgebraPresentation, factor_algebra: AlgebraPresentation,
+                 tensor: AlgebraPresentation, product_algebra: AlgebraPresentation,
+                 product_bundle: Bundle):
+        self.map, self.certificate, self.section_algebra = map, certificate, section_algebra
+        self.factor_algebra, self.tensor = factor_algebra, tensor
+        self.product_algebra, self.product_bundle = product_algebra, product_bundle
 
 
 def product_bundle(bundle: Bundle, factor: FiniteSemigroupoid) -> Bundle:
@@ -168,7 +165,6 @@ def _intertwines(bundle: Bundle, g1: int, g2: int, h1: int, h2: int, m1, m2, m12
     return True
 
 
-@dataclass
 class BundleAction:
     """Action on a bundle: a base action plus invertible fiber maps.
 
@@ -177,9 +173,9 @@ class BundleAction:
     the base action constrains where they exist.
     """
 
-    base_action: LandPreaction
-    bundle: Bundle
-    fiber_maps: dict[tuple[int, int], tuple]
+    def __init__(self, base_action: LandPreaction, bundle: Bundle,
+                 fiber_maps: dict[tuple[int, int], tuple]):
+        self.base_action, self.bundle, self.fiber_maps = base_action, bundle, fiber_maps
 
 
 def validate_bundle_action(theta: LandPreaction, bundle: Bundle,
@@ -352,15 +348,14 @@ def induced_theta(action: BundleAction) -> AlgebraAction:
     return out
 
 
-@dataclass
 class CrossedTheoremResult:
-    phi: LinearMapOnBasis
-    psi: LinearMapOnBasis
-    certificate: Certificate
-    lscript_certificate: Certificate
-    section_of_semidirect: AlgebraPresentation
-    crossed: AlgebraPresentation
-    induced_action: AlgebraAction
+    def __init__(self, phi: LinearMapOnBasis, psi: LinearMapOnBasis, certificate: Certificate,
+                 lscript_certificate: Certificate, section_of_semidirect: AlgebraPresentation,
+                 crossed: AlgebraPresentation, induced_action: AlgebraAction):
+        self.phi, self.psi, self.certificate = phi, psi, certificate
+        self.lscript_certificate = lscript_certificate
+        self.section_of_semidirect, self.crossed = section_of_semidirect, crossed
+        self.induced_action = induced_action
 
 
 def crossed_theorem(action: BundleAction) -> CrossedTheoremResult:
@@ -449,10 +444,9 @@ def smash_product(algebra: AlgebraPresentation) -> AlgebraPresentation:
     )
 
 
-@dataclass
 class SkewProduct:
-    semigroupoid: FiniteSemigroupoid
-    grading: Homomorphism
+    def __init__(self, semigroupoid: FiniteSemigroupoid, grading: Homomorphism):
+        self.semigroupoid, self.grading = semigroupoid, grading
 
 
 def skew_product(sgpd: FiniteSemigroupoid, d: Homomorphism) -> SkewProduct:
@@ -492,13 +486,11 @@ def skew_product(sgpd: FiniteSemigroupoid, d: Homomorphism) -> SkewProduct:
     return SkewProduct(out, grading)
 
 
-@dataclass
 class SmashTheoremResult:
-    map: LinearMapOnBasis
-    certificate: Certificate
-    smash: AlgebraPresentation
-    skew: SkewProduct
-    skew_algebra: AlgebraPresentation
+    def __init__(self, map: LinearMapOnBasis, certificate: Certificate, smash: AlgebraPresentation,
+                 skew: SkewProduct, skew_algebra: AlgebraPresentation):
+        self.map, self.certificate, self.smash, self.skew = map, certificate, smash, skew
+        self.skew_algebra = skew_algebra
 
 
 def smash_theorem(bundle: Bundle, d: Homomorphism) -> SmashTheoremResult:
@@ -525,7 +517,6 @@ def smash_theorem(bundle: Bundle, d: Homomorphism) -> SmashTheoremResult:
 # Bundle congruences, quotient bundles, kernels
 # ---------------------------------------------------------------------------
 
-@dataclass
 class BundleCongruence:
     """A rigid base congruence with coherent invertible fiber transports, one
     per arrow as the file declares them: from_rep[g] carries the fiber over
@@ -535,10 +526,8 @@ class BundleCongruence:
     from_rep[h] after to_rep[g]; relating x over g with its transport over h,
     linearity makes the zero set saturated and the roll property automatic."""
 
-    bundle: Bundle
-    base: RigidCongruence
-    to_rep: tuple
-    from_rep: tuple
+    def __init__(self, bundle: Bundle, base: RigidCongruence, to_rep: tuple, from_rep: tuple):
+        self.bundle, self.base, self.to_rep, self.from_rep = bundle, base, to_rep, from_rep
 
 
 def validate_bundle_congruence(bundle: Bundle, base: RigidCongruence,
@@ -636,12 +625,11 @@ def validate_bundle_congruence(bundle: Bundle, base: RigidCongruence,
     return BundleCongruence(bundle, base, tuple(to_rep), tuple(from_rep))
 
 
-@dataclass
 class QuotientBundleResult:
-    bundle: Bundle
-    base_quotient: FiniteSemigroupoid
-    projection: Homomorphism
-    congruence: BundleCongruence
+    def __init__(self, bundle: Bundle, base_quotient: FiniteSemigroupoid, projection: Homomorphism,
+                 congruence: BundleCongruence):
+        self.bundle, self.base_quotient, self.projection = bundle, base_quotient, projection
+        self.congruence = congruence
 
 
 def quotient_bundle(bc: BundleCongruence) -> QuotientBundleResult:
@@ -676,17 +664,15 @@ def quotient_bundle(bc: BundleCongruence) -> QuotientBundleResult:
     return QuotientBundleResult(out, quotient, projection, bc)
 
 
-@dataclass
 class QuotientKernelResult:
     """The quotient map and its certificate; generators holds e_i at g minus (transport
     e_i) at the representative for each arrow g that is not its class representative."""
 
-    map: LinearMapOnBasis
-    certificate: Certificate
-    generators: list[dict]
-    source: AlgebraPresentation
-    target: AlgebraPresentation
-    quotient: QuotientBundleResult
+    def __init__(self, map: LinearMapOnBasis, certificate: Certificate, generators: list[dict],
+                 source: AlgebraPresentation, target: AlgebraPresentation,
+                 quotient: QuotientBundleResult):
+        self.map, self.certificate, self.generators = map, certificate, generators
+        self.source, self.target, self.quotient = source, target, quotient
 
 
 def quotient_map_and_kernel(bc: BundleCongruence) -> QuotientKernelResult:
@@ -757,15 +743,13 @@ def quotient_map_and_kernel(bc: BundleCongruence) -> QuotientKernelResult:
 # Groupoid of germs
 # ---------------------------------------------------------------------------
 
-@dataclass
 class GermCorollaryResult:
-    certificate: Certificate
-    germ: GermQuotient
-    crossed: AlgebraPresentation
-    ideal_basis: list[dict]
-    germ_algebra: AlgebraPresentation
-    map: LinearMapOnBasis
-    induced_action: AlgebraAction
+    def __init__(self, certificate: Certificate, germ: GermQuotient, crossed: AlgebraPresentation,
+                 ideal_basis: list[dict], germ_algebra: AlgebraPresentation, map: LinearMapOnBasis,
+                 induced_action: AlgebraAction):
+        self.certificate, self.germ, self.crossed = certificate, germ, crossed
+        self.ideal_basis, self.germ_algebra, self.map = ideal_basis, germ_algebra, map
+        self.induced_action = induced_action
 
 
 def _difference_span(ring, pairs, zeros=()) -> tuple:

@@ -6,27 +6,28 @@ whose report lists each failure it found with its witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass(frozen=True)
 class Failure:
     """One violated condition together with the smallest witness exhibiting it.
 
     `kind` is a stable machine-readable tag (e.g. "associativity",
     "range-compatibility", "structural"). Witness entries are element names,
-    so reports stay readable after id renumbering.
+    so reports stay readable after id renumbering. Two failures are equal
+    when all three fields are.
     """
 
-    kind: str
-    witness: tuple
-    message: str
+    def __init__(self, kind: str, witness: tuple, message: str):
+        self.kind, self.witness, self.message = kind, witness, message
+
+    def __eq__(self, other):
+        return type(other) is type(self) and (
+            (self.kind, self.witness, self.message) == (other.kind, other.witness, other.message))
 
 
-@dataclass
 class ValidationReport:
-    subject: str
-    failures: list[Failure] = field(default_factory=list)
+    def __init__(self, subject: str, failures: list[Failure] | None = None):
+        self.subject = subject
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:

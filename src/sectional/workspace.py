@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from functools import partial
 
 from .actions import (
@@ -59,28 +58,26 @@ class WorkspaceError(SectionalError):
     a task naming the wrong kind of structure or structures on different bases."""
 
 
-@dataclass
 class Task:
-    kind: str
-    params: dict
-    id: str = ""
+    def __init__(self, kind: str, params: dict, id: str = ""):
+        self.kind, self.params, self.id = kind, params, id
 
     @property
     def theorem(self) -> str:
         return self.params.get("theorem", "")
 
 
-@dataclass
 class WorkspaceFile:
-    ring_spec: dict | None
-    semigroupoids: dict[str, dict]
-    homomorphisms: dict[str, dict]
-    actions: dict[str, dict]
-    bundles: dict[str, dict]
-    bundle_actions: dict[str, dict]
-    congruences: dict[str, dict]
-    tasks: list[Task]
-    path: str = ""
+    """The ring, each named section of the file as name -> raw object, and the tasks."""
+
+    def __init__(self, ring_spec: dict | None, semigroupoids: dict[str, dict],
+                 homomorphisms: dict[str, dict], actions: dict[str, dict], bundles: dict[str, dict],
+                 bundle_actions: dict[str, dict], congruences: dict[str, dict], tasks: list[Task],
+                 path: str = ""):
+        self.ring_spec, self.semigroupoids = ring_spec, semigroupoids
+        self.homomorphisms, self.actions, self.bundles = homomorphisms, actions, bundles
+        self.bundle_actions = bundle_actions
+        self.congruences, self.tasks, self.path = congruences, tasks, path
 
 
 def parse_workspace(text: str, path: str = "") -> WorkspaceFile:
@@ -360,17 +357,17 @@ def structure_checks(builder: Builder, only: str | None = None):
                     yield f"validate inverse structure {name}", partial(builder.inverse, name)
 
 
-@dataclass
 class TaskResult:
-    index: int
-    kind: str
-    summary: str
-    status: str                 # pass | fail | capability
-    data: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
-    witness: list = field(default_factory=list)
-    message: str = ""
-    wall_time_ms: float | None = None
+    """status is pass, fail or capability."""
+
+    def __init__(self, index: int, kind: str, summary: str, status: str, data: dict | None = None,
+                 checks: list | None = None, witness: list | None = None, message: str = "",
+                 wall_time_ms: float | None = None):
+        self.index, self.kind, self.summary, self.status = index, kind, summary, status
+        self.data = {} if data is None else data
+        self.checks = [] if checks is None else checks
+        self.witness = [] if witness is None else witness
+        self.message, self.wall_time_ms = message, wall_time_ms
 
     def to_json(self) -> dict:
         out = {
@@ -448,7 +445,6 @@ def _validate(builder: Builder, params: dict) -> dict:
     return {"status": "pass"}
 
 
-@dataclass(frozen=True)
 class TaskSpec:
     """One kind of task: the sections each id parameter may name, the
     parameters whose structures must lie over one base semigroupoid, a
@@ -457,10 +453,10 @@ class TaskSpec:
     under "seed" unless the task sets one; no task draws, and only
     convolution echoes it) into TaskResult fields."""
 
-    refs: dict[str, tuple[str, ...]]
-    run: Callable[[Builder, dict], dict]
-    same_base: tuple[str, ...] = ()
-    vet: Callable[[dict], object] = lambda params: None
+    def __init__(self, refs: dict[str, tuple[str, ...]], run: Callable[[Builder, dict], dict],
+                 same_base: tuple[str, ...] = (),
+                 vet: Callable[[dict], object] = lambda params: None):
+        self.refs, self.run, self.same_base, self.vet = refs, run, same_base, vet
 
 
 TASKS: dict[str, dict[str, TaskSpec]] = {

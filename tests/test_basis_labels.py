@@ -20,6 +20,7 @@ from sectional.bundles import (
 )
 from sectional.rings import RationalRing
 from sectional.semigroupoids import (
+    FiniteSemigroupoid,
     direct_product,
     identity_homomorphism,
     validate_homomorphism,
@@ -187,6 +188,13 @@ class TestHandBuiltPresentation:
         for table in ({(0, 1): {"x": 1}}, {(0, "x"): {1: 1}}, {(0, 1): {2: 1}}):
             with pytest.raises(ValueError, match="indexes outside the basis"):
                 AlgebraPresentation.from_table(Q, ("a", "b"), table)
+
+
+def test_one_label_per_arrow():
+    loop = (("v",), ("a",), (0,), (0,), ({0: 0},))
+    assert FiniteSemigroupoid(*loop).labels == ("a",)
+    with pytest.raises(ValueError, match="one label per arrow"):
+        FiniteSemigroupoid(*loop, labels=("a", "b"))
 
 
 P2 = built(pair_groupoid_raw()).base

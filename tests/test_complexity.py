@@ -63,6 +63,22 @@ and W, the `_twisted` calls made while `germ_quotient` runs, is n.
     growing as n^3, and then walked every such pair again to check the
     germ congruence.
 
+`build germ` on the same C_n at n = 32 and 64: the partner sets that
+`actions.twisted_partners` hands the preaction's associativity walk take
+P = n^2 + n stored entries, counting each (t, a) key and each distinct set's
+size once.
+
+  - The actor has one vertex w, and every arrow u has rng u = w, so R_w is
+    the union of the ranges D_u, all n loops. Every s is composable with
+    every t, so A_{t,w} is the union of the domains D_s, all n loops as well:
+    each of the n actor arrows t meets each of the n loops a, n^2 keys, and
+    every one of them has R_w as its partners. Stored once, that is one set
+    of n entries: P = 1,056 and 4,160, growth exponent
+    log(4160 / 1056) / log 2 = 1.98, within the bound of 2.
+  - The route it replaced filled a fresh set per (t, a), n^2 copies of
+    R_w: P = n^2 + n^3 = 33,792 and 266,240, growth exponent 2.98, and
+    `build germ` C_256 peaked above 1 GB.
+
 `verify tensor`, `smash` and `crossed` on the frozen scaled inputs of
 `tests/data/scaled/` (tensor P_6 with r = 2, smash P_6 with r = 1, crossed
 P_4 with r = 2), over Q and Z/6: 0 calls to `solve_linear` and 0 to
@@ -317,6 +333,30 @@ def test_germ_build_reads_products_off_its_germs(tmp_path, monkeypatch, capsys):
         assert _germ_counts(n, tmp_path, monkeypatch, capsys) == {
             "semidirect_product": 0, "validate_rigid_congruence": 0,
             "quotient_semigroupoid": 0, "twisted": n}
+
+
+def _partner_entries(n, tmp_path, monkeypatch, capsys):
+    """Per `twisted_partners` call of `build germ` on C_n: its (t, a) keys
+    plus the sizes of its distinct partner sets, told apart by identity."""
+    entries = []
+
+    def twisted_partners(*args, _partners=actions.twisted_partners):
+        partners = _partners(*args)
+        shared = {id(cs): cs for per_t in partners.values() for cs in per_t.values()}
+        keys = sum(map(len, partners.values()))
+        entries.append(keys + sum(map(len, shared.values())))
+        return partners
+
+    monkeypatch.setattr(actions, "twisted_partners", twisted_partners)
+    _build(n, "germ", tmp_path, capsys)
+    monkeypatch.undo()
+    return entries
+
+
+def test_germ_build_stores_each_partner_set_once(tmp_path, monkeypatch, capsys):
+    (p1,), (p2,) = (_partner_entries(n, tmp_path, monkeypatch, capsys) for n in (32, 64))
+    assert (p1, p2) == (32 ** 2 + 32, 64 ** 2 + 64) == (1056, 4160)
+    assert math.log(p2 / p1) / math.log(2) <= 2
 
 
 SCALED = os.path.join(HERE, "data", "scaled")

@@ -7,7 +7,9 @@ literal or in the file's shape, exit 2 with one stderr line that does. The
 tables of the F2 ring are written with element names, the other spelling a
 table ring accepts. The preaction cases also pin the refusals that otherwise
 only Hypothesis-generated examples reach, so that the lines tools/linecov.py
-sees run do not depend on what a Hypothesis version generates.
+sees run do not depend on what a Hypothesis version generates; so do the
+semigroupoid, inverse and homomorphism cases that name an arrow the table
+does not hold or leave one out.
 """
 
 import json
@@ -88,6 +90,16 @@ CASES = {
                          1, "structural", "duplicate vertex ids"),
     "duplicate-arrow": ({"semigroupoids": {"A": {**LOOP, "arrows": LOOP["arrows"] * 2}}},
                         1, "structural", "duplicate arrow id 'a'"),
+    "prod-entry-shape": ({"semigroupoids": {"A": {**LOOP, "prod": [["a", "a"]]}}},
+                         1, "structural", "prod entries must be [a, b, ab]"),
+    "prod-unknown-arrow": ({"semigroupoids": {"A": {**LOOP, "prod": [["a", "a", "b"]]}}},
+                           1, "structural", "prod entry references an unknown arrow"),
+    "inverse-missing": ({"semigroupoids": {"A": {**BAND, "inv": {"1": "1"}}}},
+                        1, "structural", "no inverse declared for 'e'"),
+    "homomorphism-cover": (
+        {"semigroupoids": {"Z2": cyclic2_raw()},
+         "homomorphisms": {"d": {"source": "Z2", "target": "Z2", "map": {"u": "u"}}}},
+        1, "structural", "map does not cover arrow 'g'"),
     "conflicting-product": (
         {"semigroupoids": {"A": {**BAND, "prod": BAND["prod"] + [["e", "e", "1"]]}}},
         1, "structural", "conflicting products declared for (e,e)"),

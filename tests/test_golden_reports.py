@@ -83,11 +83,12 @@ writes the same report.
 
 Built structures too large to check in are pinned by the SHA-256 of the file
 `sectional build` writes instead (`BUILD_PINS`): `build germ` on
-`tests/structures.nested_chain_action(n)` for n = 32, 64 and 128, and
+`tests/structures.nested_chain_action(n)` for n = 32, 64, 128 and 256, and
 `build semidirect` for n = 16 and 32, each from a workspace holding the chain
 action as its only action. They were recorded while the germ groupoid was
 still read off the whole semidirect product, so they pin that its keyed build
-writes the same bytes.
+writes the same bytes; the n = 256 pin, while each (t, a) of the preaction's
+associativity walk still held its own copy of its partner set.
 
 A refactor that must not change any report keeps these passing; a change that
 means to alter a report regenerates the golden copy with the commands above.
@@ -125,6 +126,7 @@ BUILD_PINS = {
     ("germ", 32): "1db4611a84af96572cae7cabe302323e0e708096f63694090cb8d78c8d366884",
     ("germ", 64): "d300267abd6a19ffa6ddd940eace1af5b26775e228a3ff8973b02707f51a0a31",
     ("germ", 128): "6901b72f180911b300a381eb3690b9374c3b86af6e1c95f4c2586c1850039e26",
+    ("germ", 256): "fb6b9748290f326e2a5f854d0346cdf47bb53b477f9a42b1b851ed19df0e0d44",
     ("semidirect", 16): "c1f2d387768edac5d8e7e841e36b0d1dc6c63e77c5e24c76b9d512723e11d502",
     ("semidirect", 32): "eb8f5750a8b2e426c7122c95a9c49ec4597e1c158e4886179ec2dacdd880d0ba",
 }

@@ -4,6 +4,8 @@ src/sectional/ belongs to the library."""
 import ast
 import os
 import re
+import subprocess
+import sys
 
 import sectional
 from sectional.rings import Ring
@@ -33,9 +35,8 @@ def test_every_module_is_imported_by_the_package():
     assert modules - {"__init__"} == imported | {entry}
 
 
-def test_no_module_draws_at_random():
-    """Every verdict is decided by enumeration: no module under src/sectional/
-    imports random, and none of its rings defines a sampler."""
+def _absolute_imports():
+    """(file name, the top-level modules it imports) per module under src/sectional/."""
     package = os.path.dirname(sectional.__file__)
     for name in sorted(os.listdir(package)):
         if not name.endswith(".py"):
@@ -46,6 +47,13 @@ def test_no_module_draws_at_random():
                     if isinstance(node, ast.Import) for alias in node.names}
         imported |= {node.module.split(".")[0] for node in ast.walk(tree)
                      if isinstance(node, ast.ImportFrom) and node.level == 0}
+        yield name, imported
+
+
+def test_no_module_draws_at_random():
+    """Every verdict is decided by enumeration: no module under src/sectional/
+    imports random, and none of its rings defines a sampler."""
+    for name, imported in _absolute_imports():
         assert "random" not in imported, name
 
     def family(cls):
@@ -53,3 +61,21 @@ def test_no_module_draws_at_random():
 
     assert [cls.__name__ for cls in family(Ring)
             if cls.__module__.startswith("sectional.") and "sample" in vars(cls)] == []
+
+
+def test_records_are_plain_classes():
+    """Importing the package generates no code: no module under src/sectional/
+    imports dataclasses, whose decorator compiles each class's methods."""
+    for name, imported in _absolute_imports():
+        assert "dataclasses" not in imported, name
+
+
+def test_a_fresh_import_loads_no_code_generation():
+    """`import sectional.cli` in a fresh interpreter (no site packages, the
+    package first on the path) leaves neither dataclasses nor inspect, which
+    dataclasses pulls in with ast, dis and tokenize, in sys.modules."""
+    code = "import sys, sectional.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sectional.__file__))}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout == "[]\n"

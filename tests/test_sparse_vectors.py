@@ -402,32 +402,29 @@ class Swapped(theorems.LinearMapOnBasis):
     kernel stays, so the map kills every generator, but multiplicativity
     breaks."""
 
-    def __post_init__(self):
+    def __init__(self, source, target, rows, inverse=None):
         swap = {0: 1, 1: 0}
-        self.rows = tuple({swap.get(k, k): x for k, x in dict(row).items()}
-                          for row in self.rows)
-        super().__post_init__()
+        super().__init__(source, target, tuple({swap.get(k, k): x for k, x in dict(row).items()}
+                                               for row in rows), inverse)
 
 
 class Negated(theorems.LinearMapOnBasis):
     """Every image negated: the kernel stays and multiplicativity breaks
     ((-1)(-1) = 1), but no image is a target unit."""
 
-    def __post_init__(self):
-        ring = self.source.ring
+    def __init__(self, source, target, rows, inverse=None):
+        ring = source.ring
         minus = ring.coerce(-1)
-        self.rows = tuple({k: ring.mul(minus, x) for k, x in dict(row).items()}
-                          for row in self.rows)
-        super().__post_init__()
+        super().__init__(source, target, tuple({k: ring.mul(minus, x) for k, x in dict(row).items()}
+                                               for row in rows), inverse)
 
 
 class Identity(theorems.LinearMapOnBasis):
     """The identity of the source: multiplicative, but it kills no generator."""
 
-    def __post_init__(self):
-        self.target = self.source
-        self.rows = tuple({i: self.source.ring.one} for i in range(self.source.rank))
-        super().__post_init__()
+    def __init__(self, source, target, rows, inverse=None):
+        super().__init__(source, source, tuple({i: source.ring.one} for i in range(source.rank)),
+                         inverse)
 
 
 @pytest.mark.parametrize("ring", GERM_RINGS.values(), ids=GERM_RINGS.keys())
@@ -586,9 +583,8 @@ class Zero(theorems.LinearMapOnBasis):
     """Every image zero: multiplicative and kills every generator, but its
     kernel is the whole algebra, larger than the ideal."""
 
-    def __post_init__(self):
-        self.rows = tuple({} for _ in self.rows)
-        super().__post_init__()
+    def __init__(self, source, target, rows, inverse=None):
+        super().__init__(source, target, tuple({} for _ in rows), inverse)
 
 
 @pytest.mark.parametrize("ring", GERM_RINGS.values(), ids=GERM_RINGS.keys())
